@@ -105,7 +105,7 @@ fn serve(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("serve", tag), &stop, |b, &stop| {
             b.iter(|| {
                 let mut config = ImageConfig::new(Policy::MostWantedChunk, 4, stop);
-                config.max_queued = trace.len();
+                config.scheduler.max_queued = trace.len();
                 black_box(
                     ImageScheduler::new(snapshot.clone(), config, Arc::clone(&image_of))
                         .serve_trace(&trace, &params)

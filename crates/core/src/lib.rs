@@ -56,8 +56,8 @@ pub use merge::{LegOutcome, ScatterGather};
 pub use neighbors::{Neighbor, NeighborSet};
 pub use scan::{scan_knn, scan_store_knn};
 pub use search::{
-    search_batch, search_batch_threads, search_batch_with_source, search_with_source, ChunkEvent,
-    Degradation, ResultFidelity, SearchLog, SearchParams, SearchResult, StopRule,
+    search_batch, search_batch_threads, search_with_source, ChunkEvent, Degradation,
+    ResultFidelity, SearchLog, SearchParams, SearchResult, StopRule,
 };
 pub use session::{evaluate_stop_rules, rule_fires, ChunkRanking, SearchSession, SkipPolicy};
 pub use snapshot::{EpochSnapshot, Snapshot};

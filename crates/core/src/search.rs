@@ -266,30 +266,6 @@ pub fn search_batch_threads(
     batch_over_source(store, model, queries, params, threads, source)
 }
 
-/// [`search_batch`] over a shared [`ChunkSource`]: every worker draws its
-/// chunks from the same source, so a [`ResidentSource`] cache warmed by one
-/// query serves the next — the hot-serving configuration. Per-query
-/// virtual-time accounting is unchanged (cache hits still charge the
-/// modelled I/O), so results are bit-identical to [`search_batch`].
-///
-/// [`ResidentSource`]: eff2_storage::source::ResidentSource
-pub fn search_batch_with_source(
-    store: &ChunkStore,
-    model: &DiskModel,
-    queries: &[Vector],
-    params: &SearchParams,
-    source: Arc<dyn ChunkSource>,
-) -> Result<Vec<SearchResult>> {
-    batch_over_source(
-        store,
-        model,
-        queries,
-        params,
-        eff2_parallel::max_threads(),
-        source,
-    )
-}
-
 /// The shared batch driver: per-worker [`ChunkRanking`] scratch recycled
 /// via [`ChunkRanking::rank_into`] (the ranking's vectors are allocated
 /// once per worker, not once per query), sessions built over the shared

@@ -1785,7 +1785,7 @@ pub fn exp9(lab: &Lab) -> EvalResult<String> {
         for &stop in &stops {
             eprintln!("[exp9] {} × {active} active …", stop.label());
             let mut config = ImageConfig::new(Policy::MostWantedChunk, active, stop);
-            config.max_queued = queries.len();
+            config.scheduler.max_queued = queries.len();
             let report = ImageScheduler::new(snap.clone(), config, Arc::clone(&image_of))
                 .serve_trace(&trace, &params)?;
 

@@ -102,18 +102,6 @@ where
     try_par_map_scratch_threads(threads, items, || (), |(), i, t| f(i, t))
 }
 
-/// [`try_par_map_scratch_threads`] with the default worker count.
-pub fn try_par_map_scratch<T, R, E, S, I, F>(items: &[T], init: I, f: F) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> Result<R, E> + Sync,
-{
-    try_par_map_scratch_threads(max_threads(), items, init, f)
-}
-
 /// [`try_par_map_threads`] with per-worker scratch state: each worker calls
 /// `init()` once and threads the resulting value through every item it
 /// claims (rayon's `map_init` shape). The scratch is for *reuse* —

@@ -1,21 +1,20 @@
-// lint:allow-file(panic.index): shard-node vectors are sized by n_shards at construction and indexed by shard ids the ShardMap produced
 //! Sharded fleet serving: scatter–gather search over partitioned chunks.
 //!
 //! The solo [`Scheduler`](crate::Scheduler) interleaves many queries over
-//! *one* simulated device. A [`FleetScheduler`] partitions the same chunk
-//! index across N shard nodes — each with its own disk/CPU
-//! [`PipelineClock`] and its own byte-budgeted resident cache — places
-//! chunks by a [`Placement`] policy (chunk-hash or centroid-locality, with
-//! R-way replication), and serves each query *scatter–gather*:
+//! *one* simulated device. A [`FleetScheduler`] runs the same serving
+//! engine (`engine.rs`) on N shard nodes — each with its own disk/CPU
+//! clock and its own byte-budgeted resident cache — places chunks by a
+//! [`Placement`] policy (chunk-hash or centroid-locality, with R-way
+//! replication), and serves each query under the *scatter* fold:
 //!
 //! 1. the query's global [`ChunkRanking`] is split by routed owner into
 //!    per-shard **legs** ([`ChunkRanking::split_by_owner`]) — detached
 //!    [`SearchSession`]s that scan only their shard's chunks, in global
-//!    rank order restricted to the shard;
-//! 2. each tick serves the *earliest* shard clock that has runnable leg
-//!    work, picking within the shard by the same [`Policy`] the solo
-//!    scheduler uses; legs may run at most [`FleetConfig::lookahead`]
-//!    global ranks past the gather cursor;
+//!    rank order restricted to the shard, under a scan-everything stop
+//!    rule (the gather's rule decides when the *query* stops);
+//! 2. a leg may run at most [`FleetConfig::lookahead`] global ranks past
+//!    the gather cursor; a fair-share turn belongs to the query, whichever
+//!    shard serves it;
 //! 3. leg outcomes are buffered by global rank and drained into the
 //!    query's [`ScatterGather`], which merges neighbour snapshots, replays
 //!    the private-clock charges and evaluates the stop rule — so the
@@ -32,13 +31,12 @@
 //!
 //! A fleet of one shard with replication 1 and no faults reproduces the
 //! solo scheduler bit-for-bit — same per-query results, same completions,
-//! same makespan — because `PipelineClock::chunk_overlapped` decomposes
-//! into the `io_done_after`/`cpu_after` pair the fleet charges cross-shard
-//! deliveries with.
+//! same makespan.
 
-use crate::error::{Result, ServeError};
-use crate::scheduler::{Completion, Policy, ServeReport, ServeStats};
-use eff2_chaos::{Fault, FaultPlan, RetryPolicy, ShardFaultPlan};
+use crate::engine::{Admission, Devices, Drained, Engine, Folded, Group, Retired};
+use crate::error::Result;
+use crate::scheduler::{Completion, Policy, SchedulerConfig, ServeReport};
+use eff2_chaos::{FaultPlan, RetryPolicy, ShardFaultPlan};
 use eff2_core::merge::{LegOutcome, ScatterGather};
 use eff2_core::search::{SearchParams, StopRule};
 use eff2_core::session::{ChunkRanking, SearchSession};
@@ -46,11 +44,10 @@ use eff2_core::snapshot::Snapshot;
 use eff2_core::CoarseQuantizer;
 use eff2_descriptor::Vector;
 use eff2_shard::{Placement, ShardMap};
-use eff2_storage::diskmodel::{PipelineClock, VirtualDuration};
-use eff2_storage::source::{Fetched, ResidentSource, ResidentStats};
-use eff2_storage::store::ChunkReader;
-use eff2_storage::ErrorClass;
-use std::collections::{BTreeMap, VecDeque};
+use eff2_storage::diskmodel::VirtualDuration;
+use eff2_storage::source::SourcedChunk;
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Which copies a [`FaultPlan`]'s permanent-loss draw applies to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -148,22 +145,25 @@ pub struct FleetReport {
     pub per_shard_primary_chunks: Vec<usize>,
 }
 
-/// A query waiting for an execution slot.
-struct FleetPending {
-    id: u64,
-    query: Vector,
-    params: SearchParams,
-    arrival: VirtualDuration,
+/// The scatter fold: one member per owning shard, gated by the lookahead
+/// window, merged by global rank.
+pub(crate) struct Scatter {
+    /// Chunk id → routed owner under the down mask (`u32::MAX` =
+    /// unreachable).
+    routed: Vec<u32>,
+    n_shards: usize,
+    lookahead: usize,
+    /// Modelled cost of discovering that every owner of a chunk is down:
+    /// one probe per (downed) copy under the retry policy.
+    down_probe_cost: VirtualDuration,
+    /// Pre-booked unreachable ranks incorporated so far — lost chunks no
+    /// tick ever fetched.
+    unreachable_booked: u64,
 }
 
-/// A query in flight: its gather side plus per-shard scan legs.
-struct FleetActive {
+/// A scatter job's state: the gather side of one query.
+pub(crate) struct ScatterJob {
     gather: ScatterGather,
-    /// Per-shard legs, keyed by shard id; only shards owning at least one
-    /// of this query's routed chunks appear. Legs run under a
-    /// scan-everything stop rule — the gather's rule decides when the
-    /// *query* stops.
-    legs: BTreeMap<u32, SearchSession>,
     /// Leg outcomes waiting for the gather cursor, keyed by global rank:
     /// `(chunk id, outcome, fleet completion time)`.
     buffered: BTreeMap<usize, (usize, LegOutcome, VirtualDuration)>,
@@ -174,66 +174,170 @@ struct FleetActive {
     /// the modelled probe cost (charged to the private clock only — no
     /// shard did work).
     unreachable: BTreeMap<usize, VirtualDuration>,
-    arrival: VirtualDuration,
-    deadline: VirtualDuration,
-    /// The routed owner of the query's first-ranked chunk (0 if none):
-    /// where ranking CPU is charged and what cross-shard fetches are
-    /// counted against.
-    home: u32,
-    /// Cache-attribution requester ids, one per shard.
-    requesters: Vec<u64>,
     /// Fleet finish: running max over incorporated outcome times (seeded
     /// with the admission ranking charge).
     finish: VirtualDuration,
 }
 
-/// One simulated shard node: its own device clock, cache and fault
-/// counters.
-struct ShardNode {
-    clock: PipelineClock,
-    source: ResidentSource,
-    reader: Option<ChunkReader>,
-    /// Per-chunk attempt counters for this node's copy — transients clear
-    /// after the same number of probes as a serial run against the node.
-    chaos_attempts: BTreeMap<usize, u32>,
+impl Scatter {
+    /// Buffers `outcome` for `chunk_id` at its global rank and drains the
+    /// gather: incorporate buffered (and pre-booked unreachable) outcomes
+    /// while the cursor rank is available, until the query's stop rule
+    /// fires. Leftover buffered outcomes of a stopped query are discarded
+    /// — that speculative leg work was already charged to the shard
+    /// clocks.
+    fn gather(
+        &mut self,
+        job: &mut ScatterJob,
+        buffer: Option<(usize, LegOutcome, VirtualDuration)>,
+    ) -> Result<()> {
+        if let Some((chunk_id, outcome, at)) = buffer {
+            let rank = job.rank_of.get(chunk_id).copied().unwrap_or(u32::MAX) as usize;
+            job.buffered.insert(rank, (chunk_id, outcome, at));
+        }
+        while !job.gather.stop_satisfied() {
+            let cursor = job.gather.cursor();
+            if let Some(spent) = job.unreachable.remove(&cursor) {
+                let chunk = job.gather.ranking().chunk_at(cursor);
+                job.gather.incorporate(chunk, &LegOutcome::Lost { spent })?;
+                self.unreachable_booked += 1;
+            } else if let Some((chunk, outcome, at)) = job.buffered.remove(&cursor) {
+                job.gather.incorporate(chunk, &outcome)?;
+                job.finish = job.finish.max(at);
+            } else {
+                break;
+            }
+        }
+        Ok(())
+    }
 }
 
-/// What one fleet acquire (with failover) produced.
-enum FleetAcquired {
-    /// A copy delivered the chunk; `injected` is modelled extra latency
-    /// (spikes plus failed-probe cost) and `from_shard` is the node whose
-    /// disk/cache served it.
-    Delivered {
-        fetched: Fetched,
-        injected: VirtualDuration,
-        from_shard: usize,
-    },
-    /// Every live copy failed; `spent` modelled time was burned finding
-    /// that out.
-    Lost { spent: VirtualDuration },
+impl Group for Scatter {
+    type Spec = Vector;
+    type Job = ScatterJob;
+    type Output = Completion;
+
+    const TURN_PER_JOB: bool = true;
+
+    /// Ranks on the home shard (the routed owner of the first-ranked
+    /// chunk, 0 if none), splits the ranking into legs, pre-books
+    /// unreachable ranks and drains any the cursor already stands on.
+    fn admit(
+        &mut self,
+        cx: &mut Admission<'_>,
+        query: &Vector,
+        params: &SearchParams,
+    ) -> Result<ScatterJob> {
+        let ranking = cx.rank(query);
+        let first = (!ranking.is_empty()).then(|| ranking.chunk_at(0));
+        let home = match first.and_then(|c| self.routed.get(c)) {
+            Some(&s) if s != u32::MAX => s as usize,
+            _ => 0,
+        };
+        let finish = cx.charge_rank(home);
+        let gather = ScatterGather::new(ranking, cx.snapshot.model(), params);
+        let leg_params = SearchParams {
+            stop: StopRule::Chunks(usize::MAX),
+            ..*params
+        };
+        let legs = gather.ranking().split_by_owner(&self.routed, self.n_shards);
+        for (shard, leg_ranking) in legs.into_iter().enumerate() {
+            if !leg_ranking.is_empty() {
+                let leg = cx
+                    .snapshot
+                    .session_from_ranking(leg_ranking, query, &leg_params);
+                // A leg that needs no chunk (k = 0) is simply not opened:
+                // the gather retires such a query straight away.
+                let _ = cx.open(shard as u32, shard, leg);
+            }
+        }
+        let mut rank_of = vec![u32::MAX; cx.snapshot.n_chunks()];
+        let mut unreachable = BTreeMap::new();
+        for rank in 0..gather.ranking().len() {
+            let chunk = gather.ranking().chunk_at(rank);
+            if let Some(slot) = rank_of.get_mut(chunk) {
+                *slot = rank as u32;
+            }
+            if self.routed.get(chunk).copied() == Some(u32::MAX) {
+                unreachable.insert(rank, self.down_probe_cost);
+            }
+        }
+        let mut job = ScatterJob {
+            gather,
+            buffered: BTreeMap::new(),
+            rank_of,
+            unreachable,
+            finish,
+        };
+        // The front ranks may be unreachable — drain them now so the
+        // cursor lands on a servable chunk (or the query retires).
+        self.gather(&mut job, None)?;
+        Ok(job)
+    }
+
+    /// The leg's next chunk, if it is within the lookahead window of the
+    /// gather cursor. The rank-`cursor` chunk is always runnable.
+    fn wanted(&self, job: &ScatterJob, leg: &SearchSession) -> Option<usize> {
+        let chunk = leg.next_wanted()?;
+        let rank = job.rank_of.get(chunk).copied().unwrap_or(u32::MAX) as usize;
+        (rank <= job.gather.cursor().saturating_add(self.lookahead)).then_some(chunk)
+    }
+
+    fn work(&self, job: &ScatterJob, _: &SearchSession) -> usize {
+        job.gather.remaining_work_estimate()
+    }
+
+    /// Legs live as long as their query: never finished on their own.
+    fn on_fed(
+        &mut self,
+        job: &mut ScatterJob,
+        leg: &SearchSession,
+        chunk: &SourcedChunk,
+        at: VirtualDuration,
+    ) -> Result<bool> {
+        let outcome = LegOutcome::Scanned {
+            bytes_read: chunk.bytes_read,
+            count: chunk.payload.len() as u32,
+            entries: leg.neighbor_entries(),
+        };
+        self.gather(job, Some((chunk.id, outcome, at)))?;
+        Ok(false)
+    }
+
+    fn on_lost(
+        &mut self,
+        job: &mut ScatterJob,
+        _: &SearchSession,
+        chunk_id: usize,
+        spent: VirtualDuration,
+        at: VirtualDuration,
+    ) -> Result<bool> {
+        self.gather(job, Some((chunk_id, LegOutcome::Lost { spent }, at)))?;
+        Ok(false)
+    }
+
+    fn finished(&self, job: &ScatterJob) -> bool {
+        job.gather.stop_satisfied()
+    }
+
+    fn output(
+        &mut self,
+        spare: &mut Vec<ChunkRanking>,
+        retired: Retired,
+        job: ScatterJob,
+    ) -> Result<Folded<Completion>> {
+        let (result, ranking) = job.gather.into_result_and_ranking();
+        spare.push(ranking);
+        Ok(Completion::folded(retired, job.finish, result))
+    }
 }
 
 /// The sharded scatter–gather scheduler. See the [module docs](self).
+#[derive(Debug)]
 pub struct FleetScheduler {
-    snapshot: Snapshot,
-    config: FleetConfig,
-    map: ShardMap,
-    /// Static down flags per shard, fixed at construction.
+    engine: Engine<Scatter>,
+    map: Arc<ShardMap>,
     down: Vec<bool>,
-    /// Chunk id → routed owner under `down` (`u32::MAX` = unreachable).
-    routed: Vec<u32>,
-    nodes: Vec<ShardNode>,
-    last_arrival: VirtualDuration,
-    next_id: u64,
-    pending: VecDeque<FleetPending>,
-    active: BTreeMap<u64, FleetActive>,
-    /// Last query id served by [`Policy::FairShare`] (fleet-wide).
-    fair_cursor: u64,
-    spare_rankings: Vec<ChunkRanking>,
-    completions: Vec<Completion>,
-    stats: ServeStats,
-    cross_shard_fetches: u64,
-    failovers: u64,
 }
 
 impl FleetScheduler {
@@ -241,56 +345,46 @@ impl FleetScheduler {
     /// (training the coarse quantizer for centroid-locality placement) and
     /// the static routing table up front.
     pub fn new(snapshot: Snapshot, config: FleetConfig) -> FleetScheduler {
-        let config = FleetConfig {
-            n_shards: config.n_shards.max(1),
-            max_active: config.max_active.max(1),
-            ..config
-        };
+        let n_shards = config.n_shards.max(1);
         let n_chunks = snapshot.n_chunks();
-        let map = match config.placement {
-            Placement::ChunkHash => {
-                ShardMap::chunk_hash(n_chunks, config.n_shards, config.replication)
-            }
+        let map = Arc::new(match config.placement {
+            Placement::ChunkHash => ShardMap::chunk_hash(n_chunks, n_shards, config.replication),
             Placement::CentroidLocality => {
                 let quantizer = CoarseQuantizer::for_store(snapshot.store());
                 let cells: Vec<Vec<u32>> = quantizer
                     .cells()
                     .map(|(_, _, _, members)| members.to_vec())
                     .collect();
-                ShardMap::from_cells(&cells, n_chunks, config.n_shards, config.replication)
+                ShardMap::from_cells(&cells, n_chunks, n_shards, config.replication)
             }
+        });
+        let down = config.shard_faults.down_mask(n_shards);
+        let mut down_probe_cost = VirtualDuration::ZERO;
+        for probe in 0..map.replication() as u32 {
+            down_probe_cost += config.retry.attempt_cost(probe);
+        }
+        let scatter = Scatter {
+            routed: map.routed_owners(&down),
+            n_shards,
+            lookahead: config.lookahead,
+            down_probe_cost,
+            unreachable_booked: 0,
         };
-        let down = config.shard_faults.down_mask(config.n_shards);
-        let routed = map.routed_owners(&down);
-        let nodes = (0..config.n_shards)
-            .map(|_| ShardNode {
-                clock: PipelineClock::start_at(VirtualDuration::ZERO),
-                source: snapshot.resident_source(config.cache_budget_bytes),
-                reader: None,
-                chaos_attempts: BTreeMap::new(),
-            })
-            .collect();
-        let stats = ServeStats {
-            disk_reads_by_shard: vec![0; config.n_shards],
-            ..ServeStats::default()
+        let placed = (Arc::clone(&map), down.clone(), config.loss_scope);
+        let devices = Devices::new(&snapshot, config.cache_budget_bytes, Some(placed));
+        let engine_config = SchedulerConfig {
+            policy: config.policy,
+            max_active: config.max_active,
+            max_queued: config.max_queued,
+            cache_budget_bytes: config.cache_budget_bytes,
+            deadline: config.deadline,
+            fault_plan: config.fault_plan,
+            retry: config.retry,
         };
         FleetScheduler {
-            snapshot,
-            config,
+            engine: Engine::new(snapshot, engine_config, devices, scatter),
             map,
             down,
-            routed,
-            nodes,
-            last_arrival: VirtualDuration::ZERO,
-            next_id: 0,
-            pending: VecDeque::new(),
-            active: BTreeMap::new(),
-            fair_cursor: u64::MAX,
-            spare_rankings: Vec::new(),
-            completions: Vec::new(),
-            stats,
-            cross_shard_fetches: 0,
-            failovers: 0,
         }
     }
 
@@ -306,12 +400,12 @@ impl FleetScheduler {
 
     /// Queries waiting for a slot.
     pub fn queued(&self) -> usize {
-        self.pending.len()
+        self.engine.queued()
     }
 
     /// Queries currently in flight.
     pub fn active(&self) -> usize {
-        self.active.len()
+        self.engine.active()
     }
 
     /// Offers one query arriving at virtual time `arrival` — the same
@@ -322,731 +416,45 @@ impl FleetScheduler {
         params: &SearchParams,
         arrival: VirtualDuration,
     ) -> Result<u64> {
-        if arrival.as_secs() < self.last_arrival.as_secs() {
-            return Err(ServeError::NonMonotoneArrival {
-                prev_secs: self.last_arrival.as_secs(),
-                next_secs: arrival.as_secs(),
-            });
-        }
-        self.last_arrival = arrival;
-        self.stats.submitted += 1;
-        self.advance_to(arrival)?;
-        if self.active.len() >= self.config.max_active
-            && self.pending.len() >= self.config.max_queued
-        {
-            self.stats.rejected += 1;
-            return Err(ServeError::Overloaded {
-                queued: self.pending.len(),
-                capacity: self.config.max_queued,
-            });
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        self.pending.push_back(FleetPending {
-            id,
-            query: *query,
-            params: *params,
-            arrival,
-        });
-        self.catch_up()?;
-        Ok(id)
+        self.engine.submit(query, params, arrival)
     }
 
     /// Drains every admitted query and returns the report.
-    pub fn finish(mut self) -> Result<FleetReport> {
-        loop {
-            self.catch_up()?;
-            if self.active.is_empty() {
-                if self.pending.is_empty() {
-                    break;
-                }
-                continue; // instant completions drained a wave; re-admit
-            }
-            let shard = self.next_shard()?;
-            self.tick(shard)?;
-        }
-        let makespan = self
-            .completions
-            .iter()
-            .map(|c| c.finish)
-            .fold(VirtualDuration::ZERO, VirtualDuration::max);
-        let mut cache = ResidentStats::default();
-        for node in &self.nodes {
-            let s = node.source.stats();
-            cache.hits += s.hits;
-            cache.cross_query_hits += s.cross_query_hits;
-            cache.misses += s.misses;
-            cache.evictions += s.evictions;
-            cache.resident_bytes += s.resident_bytes;
-            cache.resident_chunks += s.resident_chunks;
-        }
-        self.stats.cache = cache;
-        let mut completions = std::mem::take(&mut self.completions);
-        completions.sort_by_key(|c| c.id);
-        Ok(FleetReport {
-            report: ServeReport {
-                completions,
-                stats: self.stats,
-                makespan,
-            },
-            cross_shard_fetches: self.cross_shard_fetches,
-            failovers: self.failovers,
-            imbalance_factor: self.map.imbalance_factor(),
-            per_shard_primary_chunks: self.map.primary_counts(),
-        })
+    pub fn finish(self) -> Result<FleetReport> {
+        let drained = self.engine.finish()?;
+        Ok(Self::report(drained, &self.map))
     }
 
     /// Submits a whole trace (already in arrival order) and drains;
     /// overload rejections are counted, not fatal.
     pub fn serve_trace(
-        mut self,
+        self,
         trace: &[(Vector, VirtualDuration)],
         params: &SearchParams,
     ) -> Result<FleetReport> {
-        for (query, arrival) in trace {
-            match self.submit(query, params, *arrival) {
-                Ok(_) | Err(ServeError::Overloaded { .. }) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        self.finish()
+        let drained = self.engine.serve_trace(trace, params)?;
+        Ok(Self::report(drained, &self.map))
     }
 
-    /// The shard the next tick runs on: the earliest clock among shards
-    /// with runnable leg work (ties on the lower shard id). Errors if no
-    /// shard is runnable while queries are active — the rank-`cursor`
-    /// chunk of every active query is always runnable, so that would be a
-    /// scheduler bug, not a workload property.
-    fn next_shard(&self) -> Result<usize> {
-        let mut best: Option<(usize, f64)> = None;
-        for shard in 0..self.config.n_shards {
-            if !self.shard_runnable(shard) {
-                continue;
-            }
-            let now = self.nodes[shard].clock.now().as_secs();
-            let better = match best {
-                None => true,
-                Some((_, b)) => now.total_cmp(&b) == std::cmp::Ordering::Less,
-            };
-            if better {
-                best = Some((shard, now));
-            }
+    fn report(mut drained: Drained<Scatter>, map: &ShardMap) -> FleetReport {
+        drained.stats.chunks_abandoned += drained.group.unreachable_booked;
+        FleetReport {
+            cross_shard_fetches: drained.cross_device_fetches,
+            failovers: drained.failovers,
+            imbalance_factor: map.imbalance_factor(),
+            per_shard_primary_chunks: map.primary_counts(),
+            report: ServeReport::from(drained),
         }
-        best.map(|(shard, _)| shard).ok_or_else(|| {
-            ServeError::Storage(eff2_storage::Error::Inconsistent(
-                "fleet stalled: active queries but no runnable shard".to_string(),
-            ))
-        })
-    }
-
-    /// Whether `shard` has at least one runnable `(query, chunk)` pair.
-    fn shard_runnable(&self, shard: usize) -> bool {
-        self.active
-            .values()
-            .any(|a| self.leg_wanted(a, shard).is_some())
-    }
-
-    /// The chunk `a`'s leg on `shard` may scan next, if it is within the
-    /// lookahead window of the gather cursor.
-    fn leg_wanted(&self, a: &FleetActive, shard: usize) -> Option<usize> {
-        let leg = a.legs.get(&(shard as u32))?;
-        let chunk = leg.next_wanted()?;
-        let rank = a.rank_of.get(chunk).copied().unwrap_or(u32::MAX) as usize;
-        (rank <= a.gather.cursor().saturating_add(self.config.lookahead)).then_some(chunk)
-    }
-
-    /// The next-tick shard's clock — the fleet's admission frontier (falls
-    /// back to the latest clock when nothing is runnable, e.g. the fleet is
-    /// idle).
-    fn frontier(&self) -> VirtualDuration {
-        match self.next_shard() {
-            Ok(shard) => self.nodes[shard].clock.now(),
-            Err(_) => self
-                .nodes
-                .iter()
-                .map(|n| n.clock.now())
-                .fold(VirtualDuration::ZERO, VirtualDuration::max),
-        }
-    }
-
-    /// Processes backlog until the fleet frontier reaches `t`.
-    fn advance_to(&mut self, t: VirtualDuration) -> Result<()> {
-        loop {
-            self.catch_up()?;
-            if self.active.is_empty() {
-                if self.pending.is_empty() {
-                    break;
-                }
-                continue;
-            }
-            let shard = self.next_shard()?;
-            if self.nodes[shard].clock.now().as_secs() >= t.as_secs() {
-                break;
-            }
-            self.tick(shard)?;
-        }
-        Ok(())
-    }
-
-    /// Admits eligible pending queries; when idle, jumps lagging shard
-    /// clocks forward to the next arrival first (the solo scheduler's
-    /// idle jump, per shard).
-    fn catch_up(&mut self) -> Result<()> {
-        self.admit_eligible()?;
-        if self.active.is_empty() {
-            if let Some(front) = self.pending.front() {
-                let arrival = front.arrival;
-                for node in &mut self.nodes {
-                    if arrival.as_secs() > node.clock.now().as_secs() {
-                        node.clock = PipelineClock::start_at(arrival);
-                    }
-                }
-            }
-            self.admit_eligible()?;
-        }
-        Ok(())
-    }
-
-    /// Modelled cost of discovering that every owner of `chunk` is down:
-    /// one probe per (downed) copy under the retry policy.
-    fn down_probe_cost(&self, chunk: usize) -> VirtualDuration {
-        let mut spent = VirtualDuration::ZERO;
-        for probe in 0..self.map.owners(chunk).len() as u32 {
-            spent += self.config.retry.attempt_cost(probe);
-        }
-        spent
-    }
-
-    /// Moves pending queries whose arrival the frontier has passed into
-    /// active slots: rank on the home shard, split the ranking into legs,
-    /// pre-book unreachable ranks, drain any instantly-satisfiable state.
-    fn admit_eligible(&mut self) -> Result<()> {
-        while self.active.len() < self.config.max_active {
-            let eligible = self
-                .pending
-                .front()
-                .is_some_and(|p| p.arrival.as_secs() <= self.frontier().as_secs());
-            if !eligible {
-                break;
-            }
-            let Some(p) = self.pending.pop_front() else {
-                break;
-            };
-            // Shards idle behind this arrival jump to it: the query's leg
-            // work cannot be charged before the query exists, and a
-            // lagging clock had (by the lookahead discipline) nothing it
-            // was allowed to run.
-            for node in &mut self.nodes {
-                if p.arrival.as_secs() > node.clock.now().as_secs() {
-                    node.clock = PipelineClock::start_at(p.arrival);
-                }
-            }
-            let mut ranking = self.spare_rankings.pop().unwrap_or_default();
-            self.snapshot.rank_into(&mut ranking, &p.query);
-            let rank_cpu = self.snapshot.model().rank_time(self.snapshot.n_chunks());
-            let home = if !ranking.is_empty() {
-                match self.routed.get(ranking.chunk_at(0)).copied() {
-                    Some(s) if s != u32::MAX => s,
-                    _ => 0,
-                }
-            } else {
-                0
-            };
-            let ranked_at = self.nodes[home as usize]
-                .clock
-                .chunk_overlapped(VirtualDuration::ZERO, rank_cpu);
-            let gather = ScatterGather::new(ranking, self.snapshot.model(), &p.params);
-            let leg_params = SearchParams {
-                stop: StopRule::Chunks(usize::MAX),
-                ..p.params
-            };
-            let mut legs = BTreeMap::new();
-            for (shard, leg_ranking) in gather
-                .ranking()
-                .split_by_owner(&self.routed, self.config.n_shards)
-                .into_iter()
-                .enumerate()
-            {
-                if leg_ranking.is_empty() {
-                    continue;
-                }
-                legs.insert(
-                    shard as u32,
-                    self.snapshot
-                        .session_from_ranking(leg_ranking, &p.query, &leg_params),
-                );
-            }
-            let mut rank_of = vec![u32::MAX; self.snapshot.n_chunks()];
-            let mut unreachable = BTreeMap::new();
-            for rank in 0..gather.ranking().len() {
-                let chunk = gather.ranking().chunk_at(rank);
-                if let Some(slot) = rank_of.get_mut(chunk) {
-                    *slot = rank as u32;
-                }
-                if self.routed.get(chunk).copied() == Some(u32::MAX) {
-                    unreachable.insert(rank, self.down_probe_cost(chunk));
-                }
-            }
-            let requesters = (0..self.config.n_shards)
-                .map(|s| {
-                    if legs.contains_key(&(s as u32)) {
-                        self.nodes[s].source.new_requester()
-                    } else {
-                        0
-                    }
-                })
-                .collect();
-            let active = FleetActive {
-                gather,
-                legs,
-                buffered: BTreeMap::new(),
-                rank_of,
-                unreachable,
-                arrival: p.arrival,
-                deadline: p.arrival + self.config.deadline,
-                home,
-                requesters,
-                finish: ranked_at,
-            };
-            if active.gather.stop_satisfied() {
-                // k = 0, an empty index, or a zero-chunk stop rule: done
-                // without reading anything.
-                self.retire(p.id, active);
-            } else {
-                self.active.insert(p.id, active);
-                // The front ranks may be unreachable — drain them now so
-                // the cursor lands on a servable chunk (or retires).
-                self.drain(p.id)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// One scheduling step on `shard`: pick a chunk by policy, acquire it
-    /// with failover, feed every selected leg, drain gathers.
-    fn tick(&mut self, shard: usize) -> Result<()> {
-        let Some((chunk_id, fed_ids)) = self.pick(shard) else {
-            return Ok(());
-        };
-        if self.config.policy == Policy::FairShare {
-            if let Some(id) = fed_ids.first() {
-                self.fair_cursor = *id;
-            }
-        }
-        let requesters = fed_ids
-            .first()
-            .and_then(|id| self.active.get(id))
-            .map_or_else(Vec::new, |a| a.requesters.clone());
-        match self.acquire(&requesters, chunk_id)? {
-            FleetAcquired::Delivered {
-                fetched,
-                injected,
-                from_shard,
-            } => {
-                self.stats.ticks += 1;
-                self.stats.fetches += 1;
-                if fetched.from_disk {
-                    self.stats.disk_reads += 1;
-                    if let Some(slot) = self.stats.disk_reads_by_shard.get_mut(from_shard) {
-                        *slot += 1;
-                    }
-                }
-                for id in &fed_ids {
-                    if let Some(a) = self.active.get(id) {
-                        if a.home != from_shard as u32 {
-                            self.cross_shard_fetches += 1;
-                        }
-                    }
-                }
-                // Fleet devices: the chunk's I/O (nothing on a cache hit)
-                // plus injected latency runs on the *delivering* shard;
-                // the fanned-out scans are CPU on the *leg* shard, ready
-                // no earlier than the delivery.
-                let io = if fetched.from_disk {
-                    self.snapshot.model().io_time(fetched.chunk.bytes_read) + injected
-                } else {
-                    injected
-                };
-                let io_done = self.nodes[from_shard].clock.io_done_after(io);
-                let scan = self.snapshot.model().scan_time(fetched.chunk.payload.len());
-                let mut cpu = VirtualDuration::ZERO;
-                for _ in &fed_ids {
-                    cpu += scan;
-                }
-                let done = self.nodes[shard].clock.cpu_after(io_done, cpu);
-
-                for id in fed_ids {
-                    let Some(a) = self.active.get_mut(&id) else {
-                        continue;
-                    };
-                    let Some(leg) = a.legs.get_mut(&(shard as u32)) else {
-                        continue;
-                    };
-                    if leg.next_wanted() != Some(chunk_id) {
-                        continue;
-                    }
-                    leg.step_with(&fetched.chunk)?;
-                    self.stats.feeds += 1;
-                    let rank = a.rank_of.get(chunk_id).copied().unwrap_or(u32::MAX) as usize;
-                    a.buffered.insert(
-                        rank,
-                        (
-                            chunk_id,
-                            LegOutcome::Scanned {
-                                bytes_read: fetched.chunk.bytes_read,
-                                count: fetched.chunk.payload.len() as u32,
-                                entries: leg.neighbor_entries(),
-                            },
-                            done,
-                        ),
-                    );
-                    self.drain(id)?;
-                }
-            }
-            FleetAcquired::Lost { spent } => {
-                self.stats.ticks += 1;
-                self.stats.chunks_abandoned += 1;
-                let done = self.nodes[shard]
-                    .clock
-                    .chunk_overlapped(spent, VirtualDuration::ZERO);
-                for id in fed_ids {
-                    let Some(a) = self.active.get_mut(&id) else {
-                        continue;
-                    };
-                    let Some(leg) = a.legs.get_mut(&(shard as u32)) else {
-                        continue;
-                    };
-                    if leg.next_wanted() != Some(chunk_id) {
-                        continue;
-                    }
-                    leg.skip_unavailable(spent)?;
-                    let rank = a.rank_of.get(chunk_id).copied().unwrap_or(u32::MAX) as usize;
-                    a.buffered
-                        .insert(rank, (chunk_id, LegOutcome::Lost { spent }, done));
-                    self.drain(id)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Which chunk to serve on `shard` this tick, and to which queries —
-    /// the solo policies, restricted to the shard's runnable legs.
-    fn pick(&self, shard: usize) -> Option<(usize, Vec<u64>)> {
-        match self.config.policy {
-            Policy::FairShare => {
-                let runnable: Vec<u64> = self
-                    .active
-                    .iter()
-                    .filter(|(_, a)| self.leg_wanted(a, shard).is_some())
-                    .map(|(id, _)| *id)
-                    .collect();
-                let id = runnable
-                    .iter()
-                    .find(|&&id| id > self.fair_cursor)
-                    .or_else(|| runnable.first())
-                    .copied()?;
-                let a = self.active.get(&id)?;
-                Some((self.leg_wanted(a, shard)?, vec![id]))
-            }
-            Policy::EarliestDeadline => {
-                // Same key as the solo scheduler: (deadline, remaining
-                // work, id).
-                let mut best: Option<(u64, f64, usize)> = None;
-                for (id, a) in &self.active {
-                    if self.leg_wanted(a, shard).is_none() {
-                        continue;
-                    }
-                    let d = a.deadline.as_secs();
-                    let w = a.gather.remaining_work_estimate();
-                    let better = match best {
-                        None => true,
-                        Some((_, bd, bw)) => match d.total_cmp(&bd) {
-                            std::cmp::Ordering::Less => true,
-                            std::cmp::Ordering::Equal => w < bw,
-                            std::cmp::Ordering::Greater => false,
-                        },
-                    };
-                    if better {
-                        best = Some((*id, d, w));
-                    }
-                }
-                let (id, _, _) = best?;
-                let a = self.active.get(&id)?;
-                Some((self.leg_wanted(a, shard)?, vec![id]))
-            }
-            Policy::MostWantedChunk => {
-                let mut wanted: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
-                for (id, a) in &self.active {
-                    if let Some(c) = self.leg_wanted(a, shard) {
-                        wanted.entry(c).or_default().push(*id);
-                    }
-                }
-                let mut best: Option<(usize, usize)> = None;
-                for (c, ids) in &wanted {
-                    let better = match best {
-                        None => true,
-                        Some((_, n)) => ids.len() > n,
-                    };
-                    if better {
-                        best = Some((*c, ids.len()));
-                    }
-                }
-                let (chunk, _) = best?;
-                let ids = wanted.remove(&chunk)?;
-                Some((chunk, ids))
-            }
-        }
-    }
-
-    /// Fetches `chunk_id` with copy-by-copy failover: probe the owners in
-    /// placement order (skipping statically-down shards — routing knows
-    /// they are down, no probe is spent), retrying each live copy per the
-    /// retry policy before failing over. Fault verdicts come from the
-    /// plan under the configured [`LossScope`]; the accumulated probe
-    /// cost rides the delivery's injected latency, exactly like the solo
-    /// scheduler's retry accounting.
-    fn acquire(&mut self, requesters: &[u64], chunk_id: usize) -> Result<FleetAcquired> {
-        let owners: Vec<u32> = self.map.owners(chunk_id).to_vec();
-        let primary = owners.first().copied().unwrap_or(0);
-        let Some(plan) = self.config.fault_plan else {
-            // Fault-free: one plain fetch from the routed owner.
-            let Some(&owner) = owners
-                .iter()
-                .find(|&&s| !self.down.get(s as usize).copied().unwrap_or(false))
-            else {
-                return Ok(FleetAcquired::Lost {
-                    spent: self.down_probe_cost(chunk_id),
-                });
-            };
-            let o = owner as usize;
-            let node = &mut self.nodes[o];
-            let fetched = node.source.fetch_through(
-                requesters.get(o).copied().unwrap_or(0),
-                chunk_id,
-                &mut node.reader,
-            )?;
-            if owner != primary {
-                self.failovers += 1;
-            }
-            return Ok(FleetAcquired::Delivered {
-                fetched,
-                injected: VirtualDuration::ZERO,
-                from_shard: o,
-            });
-        };
-        let policy = self.config.retry;
-        let mut probes = 0u32;
-        let mut spent = VirtualDuration::ZERO;
-        for &owner in &owners {
-            let o = owner as usize;
-            if self.down.get(o).copied().unwrap_or(false) {
-                continue;
-            }
-            // Whether the permanent draw kills this copy.
-            let lost_here = plan.is_permanently_lost(chunk_id)
-                && (self.config.loss_scope == LossScope::AllCopies || owner == primary);
-            let mut copy_attempts = 0u32;
-            loop {
-                let attempt = {
-                    let slot = self.nodes[o].chaos_attempts.entry(chunk_id).or_insert(0);
-                    let attempt = *slot;
-                    *slot += 1;
-                    attempt
-                };
-                let verdict: std::result::Result<VirtualDuration, ErrorClass> = if lost_here {
-                    Err(ErrorClass::Permanent)
-                } else {
-                    match plan.attempt_fault(chunk_id, attempt) {
-                        Fault::Deliver { delay } => Ok(delay),
-                        Fault::Permanent => Err(ErrorClass::Permanent),
-                        Fault::Transient | Fault::ShortRead => Err(ErrorClass::Transient),
-                        Fault::Corrupt => Err(ErrorClass::Corrupt),
-                    }
-                };
-                let class = match verdict {
-                    Ok(delay) => {
-                        let node = &mut self.nodes[o];
-                        match node.source.fetch_through(
-                            requesters.get(o).copied().unwrap_or(0),
-                            chunk_id,
-                            &mut node.reader,
-                        ) {
-                            Ok(fetched) => {
-                                if owner != primary {
-                                    self.failovers += 1;
-                                }
-                                return Ok(FleetAcquired::Delivered {
-                                    fetched,
-                                    injected: spent + delay,
-                                    from_shard: o,
-                                });
-                            }
-                            Err(e) => e.class(),
-                        }
-                    }
-                    Err(class) => class,
-                };
-                spent += policy.attempt_cost(probes);
-                probes += 1;
-                copy_attempts += 1;
-                if class == ErrorClass::Permanent || copy_attempts >= policy.max_attempts {
-                    break; // this copy is spent; fail over to the next
-                }
-                self.stats.fetch_retries += 1;
-            }
-        }
-        Ok(FleetAcquired::Lost { spent })
-    }
-
-    /// Drains `id`'s gather: incorporate buffered (and pre-booked
-    /// unreachable) outcomes while the cursor rank is available, retiring
-    /// the query when its stop rule fires. Leftover buffered outcomes of a
-    /// retired query are discarded — that speculative leg work was already
-    /// charged to the shard clocks.
-    fn drain(&mut self, id: u64) -> Result<()> {
-        loop {
-            let stopped = {
-                let Some(a) = self.active.get_mut(&id) else {
-                    return Ok(());
-                };
-                let cursor = a.gather.cursor();
-                if let Some(spent) = a.unreachable.remove(&cursor) {
-                    let chunk = a.gather.ranking().chunk_at(cursor);
-                    a.gather.incorporate(chunk, &LegOutcome::Lost { spent })?;
-                    self.stats.chunks_abandoned += 1;
-                } else if let Some((chunk, outcome, done)) = a.buffered.remove(&cursor) {
-                    a.gather.incorporate(chunk, &outcome)?;
-                    a.finish = a.finish.max(done);
-                } else {
-                    return Ok(());
-                }
-                a.gather.stop_satisfied()
-            };
-            if stopped {
-                if let Some(a) = self.active.remove(&id) {
-                    self.retire(id, a);
-                }
-                return Ok(());
-            }
-        }
-    }
-
-    /// Books a finished query: recycle the global ranking, record the
-    /// completion at the fleet finish time.
-    fn retire(&mut self, id: u64, active: FleetActive) {
-        let arrival = active.arrival;
-        let deadline = active.deadline;
-        let finish = active.finish;
-        let (result, ranking) = active.gather.into_result_and_ranking();
-        self.spare_rankings.push(ranking);
-        self.stats.completed += 1;
-        if result.log.degradation.is_degraded() {
-            self.stats.sessions_degraded += 1;
-        }
-        if finish.as_secs() > deadline.as_secs() {
-            self.stats.deadline_misses += 1;
-        }
-        self.completions.push(Completion {
-            id,
-            arrival,
-            deadline,
-            finish,
-            result,
-        });
-    }
-}
-
-impl std::fmt::Debug for FleetScheduler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FleetScheduler")
-            .field("policy", &self.config.policy)
-            .field("shards", &self.config.n_shards)
-            .field("replication", &self.map.replication())
-            .field("placement", &self.config.placement)
-            .field("active", &self.active.len())
-            .field("queued", &self.pending.len())
-            .field("completed", &self.stats.completed)
-            .finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::{Scheduler, SchedulerConfig};
+    use crate::common::{assert_bit_identical, retry, scan_all, snapshot, trace};
+    use crate::scheduler::Scheduler;
     use eff2_chaos::FaultConfig;
-    use eff2_core::chunkers::{ChunkFormer, SrTreeChunker};
-    use eff2_core::index::ChunkIndex;
     use eff2_core::search::{ResultFidelity, SearchResult};
-    use eff2_descriptor::{Descriptor, DescriptorSet};
-    use eff2_storage::diskmodel::DiskModel;
-    use eff2_storage::ChunkStore;
-    use std::path::PathBuf;
-
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("eff2_fleet_{tag}_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        dir
-    }
-
-    fn lumpy_set(n: usize) -> DescriptorSet {
-        (0..n)
-            .map(|i| {
-                let blob = (i % 5) as f32 * 20.0;
-                let mut v = Vector::splat(blob);
-                v[0] += ((i * 31) % 23) as f32 * 0.3;
-                v[3] -= ((i * 17) % 19) as f32 * 0.2;
-                Descriptor::new(i as u32, v)
-            })
-            .collect()
-    }
-
-    fn snapshot(tag: &str, n: usize, leaf: usize) -> (Snapshot, DescriptorSet) {
-        let set = lumpy_set(n);
-        let formation = SrTreeChunker { leaf_size: leaf }.form(&set);
-        let store =
-            ChunkStore::create(&tmp_dir(tag), "s", &set, &formation.chunks, 512).expect("create");
-        (
-            ChunkIndex::from_store(store, DiskModel::ata_2005()).snapshot(),
-            set,
-        )
-    }
-
-    fn trace(set: &DescriptorSet, n: usize, gap_ms: f64) -> Vec<(Vector, VirtualDuration)> {
-        (0..n)
-            .map(|i| {
-                let q = set.vector_owned((i * 37) % set.len());
-                (q, VirtualDuration::from_ms(gap_ms * i as f64))
-            })
-            .collect()
-    }
-
-    fn assert_result_bits(want: &SearchResult, got: &SearchResult, tag: &str) {
-        assert_eq!(want.neighbors.len(), got.neighbors.len(), "{tag}: k");
-        for (w, g) in want.neighbors.iter().zip(got.neighbors.iter()) {
-            assert_eq!(w.id, g.id, "{tag}: id");
-            assert_eq!(w.dist.to_bits(), g.dist.to_bits(), "{tag}: dist");
-        }
-        assert_eq!(want.log.chunks_read, got.log.chunks_read, "{tag}: chunks");
-        assert_eq!(want.log.bytes_read, got.log.bytes_read, "{tag}: bytes");
-        assert_eq!(want.log.completed, got.log.completed, "{tag}: completed");
-        assert_eq!(
-            want.log.total_virtual.as_secs().to_bits(),
-            got.log.total_virtual.as_secs().to_bits(),
-            "{tag}: total_virtual"
-        );
-        assert_eq!(want.log.events.len(), got.log.events.len(), "{tag}: events");
-        for (w, g) in want.log.events.iter().zip(got.log.events.iter()) {
-            assert_eq!(w.chunk_id, g.chunk_id, "{tag}: event chunk");
-            assert_eq!(
-                w.completed_at.as_secs().to_bits(),
-                g.completed_at.as_secs().to_bits(),
-                "{tag}: event time"
-            );
-            assert_eq!(w.kth_dist.to_bits(), g.kth_dist.to_bits(), "{tag}: kth");
-        }
-    }
 
     #[test]
     fn one_shard_quiet_fleet_reproduces_the_solo_scheduler_bit_for_bit() {
@@ -1081,7 +489,7 @@ mod tests {
             for (x, y) in a.completions.iter().zip(b.completions.iter()) {
                 assert_eq!(x.id, y.id);
                 assert_eq!(x.finish.as_secs().to_bits(), y.finish.as_secs().to_bits());
-                assert_result_bits(
+                assert_bit_identical(
                     &x.result,
                     &y.result,
                     &format!("{} q{}", policy.name(), x.id),
@@ -1111,7 +519,7 @@ mod tests {
                         .expect("fleet");
                     assert_eq!(report.report.completions.len(), queries.len());
                     for (c, want) in report.report.completions.iter().zip(serial.iter()) {
-                        assert_result_bits(
+                        assert_bit_identical(
                             want,
                             &c.result,
                             &format!(
@@ -1144,11 +552,7 @@ mod tests {
         config.max_queued = queries.len();
         config.fault_plan = Some(plan);
         config.loss_scope = scope;
-        config.retry = RetryPolicy::new(
-            2,
-            VirtualDuration::from_ms(5.0),
-            VirtualDuration::from_ms(1.0),
-        );
+        config.retry = retry(2, 5.0);
         FleetScheduler::new(snap.clone(), config)
             .serve_trace(queries, params)
             .expect("fleet")
@@ -1157,10 +561,7 @@ mod tests {
     #[test]
     fn replication_turns_permanent_loss_into_failover() {
         let (snap, set) = snapshot("failover", 600, 25);
-        let params = SearchParams {
-            stop: StopRule::Chunks(usize::MAX),
-            ..SearchParams::exact(8)
-        };
+        let params = scan_all(8);
         let queries = trace(&set, 6, 1.0);
         let plan = FaultPlan::new(FaultConfig::lossy(13, 0.2));
         assert!(!plan.permanent_losses(snap.n_chunks()).is_empty());
@@ -1198,10 +599,7 @@ mod tests {
     #[test]
     fn all_copies_lost_degrades_exactly_like_the_solo_scheduler() {
         let (snap, set) = snapshot("allcopies", 600, 25);
-        let params = SearchParams {
-            stop: StopRule::Chunks(usize::MAX),
-            ..SearchParams::exact(8)
-        };
+        let params = scan_all(8);
         let queries = trace(&set, 6, 1.0);
         let plan = FaultPlan::new(FaultConfig::lossy(13, 0.2));
         let lost = plan.permanent_losses(snap.n_chunks());
@@ -1215,11 +613,7 @@ mod tests {
         let mut solo_config = SchedulerConfig::new(Policy::MostWantedChunk, 4);
         solo_config.max_queued = queries.len();
         solo_config.fault_plan = Some(plan);
-        solo_config.retry = RetryPolicy::new(
-            2,
-            VirtualDuration::from_ms(5.0),
-            VirtualDuration::from_ms(1.0),
-        );
+        solo_config.retry = retry(2, 5.0);
         let solo = Scheduler::new(snap.clone(), solo_config)
             .serve_trace(&queries, &params)
             .expect("solo");
@@ -1240,10 +634,7 @@ mod tests {
     #[test]
     fn whole_shard_down_fails_over_with_replication_and_degrades_without() {
         let (snap, set) = snapshot("sharddown", 600, 25);
-        let params = SearchParams {
-            stop: StopRule::Chunks(usize::MAX),
-            ..SearchParams::exact(8)
-        };
+        let params = scan_all(8);
         let queries = trace(&set, 5, 1.0);
         let run = |replication: usize| {
             let mut config = FleetConfig::new(Policy::FairShare, 4, 4);

@@ -3,15 +3,15 @@
 //! concurrent image queries, with a cross-descriptor early-termination
 //! rule.
 //!
-//! The [`ImageScheduler`] is the image-level twin of the per-descriptor
-//! [`Scheduler`](crate::Scheduler): it shares the policies
-//! ([`Policy`]), the byte-budgeted resident chunk cache, and the fleet
-//! [`PipelineClock`]. The unit of admission is the image query; the unit
-//! of scheduling stays the (descriptor session, chunk) pair, so
-//! [`Policy::MostWantedChunk`] fans one chunk read out across *sibling
-//! descriptors of the same image* as readily as across unrelated queries
-//! — descriptors cropped from one image are near-duplicates, which is
-//! exactly the co-scheduling opportunity.
+//! The [`ImageScheduler`] is the crate's one serving engine (`engine.rs`)
+//! on a single device under the *image-votes* fold, so it shares the
+//! per-descriptor [`Scheduler`](crate::Scheduler)'s policies, cache,
+//! fleet clock and fault handling. The unit of admission is the image
+//! query; the unit of scheduling stays the (descriptor session, chunk)
+//! pair, so [`Policy::MostWantedChunk`] fans one chunk read out across
+//! *sibling descriptors of the same image* as readily as across unrelated
+//! queries — descriptors cropped from one image are near-duplicates,
+//! which is exactly the co-scheduling opportunity.
 //!
 //! When a descriptor session completes, its retained neighbours are
 //! folded into the image's [`ImageAggregator`]. If the image's
@@ -28,16 +28,18 @@
 //! bit-identical to [`solo_image_search`] under every policy — the
 //! `image_equivalence` proptests pin this down.
 
-use crate::error::{Result, ServeError};
+use crate::engine::{Admission, Devices, Drained, Engine, Folded, Group, Retired};
+use crate::error::Result;
+use crate::scheduler::SchedulerConfig;
 use eff2_core::image::{ImageAggregator, ImageOutcome, ImageStopRule, DEFAULT_EVENT_TOP};
-use eff2_core::search::{SearchParams, SearchResult};
-use eff2_core::session::{ChunkRanking, SearchSession};
+use eff2_core::search::{ResultFidelity, SearchParams, SearchResult};
+use eff2_core::session::ChunkRanking;
+#[cfg(doc)]
+use eff2_core::session::SearchSession;
 use eff2_core::snapshot::Snapshot;
 use eff2_descriptor::Vector;
-use eff2_storage::diskmodel::{PipelineClock, VirtualDuration};
-use eff2_storage::source::{ResidentSource, ResidentStats};
-use eff2_storage::store::ChunkReader;
-use std::collections::{BTreeMap, VecDeque};
+use eff2_storage::diskmodel::VirtualDuration;
+use eff2_storage::source::ResidentStats;
 use std::sync::Arc;
 
 pub use crate::scheduler::Policy;
@@ -56,18 +58,10 @@ pub struct ImageQuerySpec {
 /// Image-scheduler knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct ImageConfig {
-    /// The chunk-pick policy, shared with the descriptor scheduler.
-    pub policy: Policy,
-    /// Image queries interleaved at once (each may hold many descriptor
-    /// sessions). Clamped to a minimum of 1.
-    pub max_active: usize,
-    /// Admitted-but-waiting image queries beyond which
-    /// [`ImageScheduler::submit`] returns [`ServeError::Overloaded`].
-    pub max_queued: usize,
-    /// Byte budget of the shared decoded-chunk cache.
-    pub cache_budget_bytes: u64,
-    /// Per-image virtual deadline, measured from arrival.
-    pub deadline: VirtualDuration,
+    /// Policy, concurrency (counted in image queries, each of which may
+    /// hold many descriptor sessions), queue, cache, deadline, fault plan
+    /// and retry budget — shared with the descriptor scheduler.
+    pub scheduler: SchedulerConfig,
     /// The cross-descriptor early-termination rule.
     pub stop: ImageStopRule,
     /// Keep every absorbed per-descriptor [`SearchResult`] in the
@@ -78,51 +72,14 @@ pub struct ImageConfig {
 
 impl ImageConfig {
     /// A config for `policy` at image concurrency `max_active` under
-    /// `stop`, with a generous queue (4× the active slots), an 8 MiB
-    /// chunk cache and a 2 s virtual deadline.
+    /// `stop`, with [`SchedulerConfig::new`]'s queue, cache and deadline.
     pub fn new(policy: Policy, max_active: usize, stop: ImageStopRule) -> ImageConfig {
-        let active = max_active.max(1);
         ImageConfig {
-            policy,
-            max_active: active,
-            max_queued: active.saturating_mul(4),
-            cache_budget_bytes: 8 << 20,
-            deadline: VirtualDuration::from_secs(2.0),
+            scheduler: SchedulerConfig::new(policy, max_active),
             stop,
             keep_descriptor_results: false,
         }
     }
-}
-
-/// An image query waiting for an execution slot.
-struct PendingImage {
-    id: u64,
-    label: u32,
-    descriptors: Vec<Vector>,
-    params: SearchParams,
-    arrival: VirtualDuration,
-}
-
-/// An admitted image query whose descriptor sessions are in flight.
-struct ImageInFlight {
-    label: u32,
-    arrival: VirtualDuration,
-    deadline: VirtualDuration,
-    agg: ImageAggregator,
-    /// Absorbed per-descriptor results, indexed by descriptor position
-    /// (`None` for abandoned descriptors). Only kept when
-    /// [`ImageConfig::keep_descriptor_results`] is set.
-    results: Option<Vec<Option<SearchResult>>>,
-    /// Fleet-clock time of the latest absorbed completion.
-    finish: VirtualDuration,
-}
-
-/// One descriptor session in flight, keyed by `(image id, descriptor
-/// index)` in the scheduler's active map.
-struct ActiveDesc {
-    session: SearchSession,
-    /// Cache-attribution tag with the shared [`ResidentSource`].
-    requester: u64,
 }
 
 /// One finished image query.
@@ -176,6 +133,11 @@ pub struct ImageServeStats {
     pub deadline_misses: u64,
     /// Completions whose aggregate fidelity was `Degraded`.
     pub images_degraded: u64,
+    /// Failed fetch attempts (injected or real) that were retried.
+    pub fetch_retries: u64,
+    /// Chunks declared lost after the retry budget ran out; every
+    /// descriptor session waiting on one skipped it and continued degraded.
+    pub chunks_abandoned: u64,
     /// Shared chunk-cache counters.
     pub cache: ResidentStats,
 }
@@ -203,582 +165,223 @@ impl ImageServeReport {
     }
 }
 
-/// The interleaved image-query scheduler. See the [module docs](self).
-pub struct ImageScheduler {
-    snapshot: Snapshot,
-    config: ImageConfig,
+/// The image-votes fold: one member per query descriptor, absorbed into
+/// an [`ImageAggregator`] whose stop rule may abandon the siblings.
+pub(crate) struct ImageVotes {
     /// Descriptor id → image id, shared by every query's vote fold.
     image_of: Arc<Vec<u32>>,
-    source: ResidentSource,
-    /// One lazily-opened chunk reader reused across every cache miss.
-    reader: Option<ChunkReader>,
-    /// The shared device: disk + scan CPU every session contends for.
-    clock: PipelineClock,
-    last_arrival: VirtualDuration,
-    next_id: u64,
-    pending: VecDeque<PendingImage>,
-    /// Admitted images still collecting completions.
-    images: BTreeMap<u64, ImageInFlight>,
-    /// Descriptor sessions in flight, keyed `(image id, descriptor
-    /// index)` — BTreeMap order is admission order, then descriptor
-    /// order, which every policy tie-break inherits.
-    active: BTreeMap<(u64, u32), ActiveDesc>,
-    /// Last session served by [`Policy::FairShare`].
-    fair_cursor: (u64, u32),
-    /// Ranking buffers recycled from retired sessions.
-    spare_rankings: Vec<ChunkRanking>,
-    completions: Vec<ImageCompletion>,
-    stats: ImageServeStats,
+    stop: ImageStopRule,
+    keep_descriptor_results: bool,
 }
+
+/// An image job's state: the votes collected so far.
+pub(crate) struct ImageJob {
+    label: u32,
+    agg: ImageAggregator,
+    /// Absorbed per-descriptor results, indexed by descriptor position
+    /// (`None` for abandoned descriptors). Only kept when
+    /// [`ImageConfig::keep_descriptor_results`] is set.
+    results: Option<Vec<Option<SearchResult>>>,
+    /// Fleet-clock time of the latest ranking charge or absorbed
+    /// completion.
+    finish: VirtualDuration,
+}
+
+impl Group for ImageVotes {
+    type Spec = ImageQuerySpec;
+    type Job = ImageJob;
+    type Output = ImageCompletion;
+
+    /// Ranks each descriptor (charging its chunk-index ranking CPU on the
+    /// fleet clock) and opens its session. A session that completes
+    /// without reading a chunk (`k = 0`, an empty index) is absorbed here
+    /// and runs the stop rule exactly like a mid-flight one, so a rule
+    /// that fires during admission abandons the not-yet-ranked
+    /// descriptors too.
+    fn admit(
+        &mut self,
+        cx: &mut Admission<'_>,
+        spec: &ImageQuerySpec,
+        params: &SearchParams,
+    ) -> Result<ImageJob> {
+        let n = spec.descriptors.len();
+        let mut job = ImageJob {
+            label: spec.label,
+            agg: ImageAggregator::new(
+                Arc::clone(&self.image_of),
+                params.k,
+                n,
+                self.stop,
+                DEFAULT_EVENT_TOP,
+            ),
+            results: self
+                .keep_descriptor_results
+                .then(|| (0..n).map(|_| None).collect()),
+            finish: cx.now(0),
+        };
+        for (d, q) in spec.descriptors.iter().enumerate() {
+            if job.agg.is_done() {
+                break;
+            }
+            let ranking = cx.rank(q);
+            let ranked_at = cx.charge_rank(0);
+            let session = cx.snapshot.session_from_ranking(ranking, q, params);
+            if let Some(result) = cx.open(d as u32, 0, session) {
+                self.on_done(&mut job, d as u32, result, ranked_at);
+            }
+            job.finish = job.finish.max(ranked_at);
+        }
+        Ok(job)
+    }
+
+    /// Absorbs one completed descriptor search and runs the stop rule; a
+    /// fired rule books every remaining descriptor as abandoned, which
+    /// finishes the job and tears its sibling sessions down.
+    fn on_done(&mut self, job: &mut ImageJob, d: u32, result: SearchResult, at: VirtualDuration) {
+        job.finish = job.finish.max(at);
+        if job.agg.absorb(&result) {
+            job.agg.abandon_rest();
+        }
+        if let Some(slot) = job.results.as_mut().and_then(|r| r.get_mut(d as usize)) {
+            *slot = Some(result);
+        }
+    }
+
+    fn finished(&self, job: &ImageJob) -> bool {
+        job.agg.is_done()
+    }
+
+    fn output(
+        &mut self,
+        _: &mut Vec<ChunkRanking>,
+        retired: Retired,
+        job: ImageJob,
+    ) -> Result<Folded<ImageCompletion>> {
+        let outcome = job.agg.into_outcome(job.label);
+        Ok(Folded {
+            finish: job.finish,
+            degraded: outcome.fidelity == ResultFidelity::Degraded,
+            output: ImageCompletion {
+                id: retired.id,
+                arrival: retired.arrival,
+                deadline: retired.deadline,
+                finish: job.finish,
+                outcome,
+                descriptor_results: job.results,
+            },
+        })
+    }
+}
+
+/// The interleaved image-query scheduler. See the [module docs](self).
+#[derive(Debug)]
+pub struct ImageScheduler(Engine<ImageVotes>);
 
 impl ImageScheduler {
     /// A scheduler over `snapshot` with `config`, voting through the
     /// `image_of` descriptor→image map.
     pub fn new(snapshot: Snapshot, config: ImageConfig, image_of: Arc<Vec<u32>>) -> ImageScheduler {
-        let source = snapshot.resident_source(config.cache_budget_bytes);
-        let config = ImageConfig {
-            max_active: config.max_active.max(1),
-            ..config
-        };
-        ImageScheduler {
-            snapshot,
-            config,
+        let devices = Devices::new(&snapshot, config.scheduler.cache_budget_bytes, None);
+        let votes = ImageVotes {
             image_of,
-            source,
-            reader: None,
-            clock: PipelineClock::start_at(VirtualDuration::ZERO),
-            last_arrival: VirtualDuration::ZERO,
-            next_id: 0,
-            pending: VecDeque::new(),
-            images: BTreeMap::new(),
-            active: BTreeMap::new(),
-            fair_cursor: (u64::MAX, u32::MAX),
-            spare_rankings: Vec::new(),
-            completions: Vec::new(),
-            stats: ImageServeStats::default(),
-        }
+            stop: config.stop,
+            keep_descriptor_results: config.keep_descriptor_results,
+        };
+        ImageScheduler(Engine::new(snapshot, config.scheduler, devices, votes))
     }
 
     /// Image queries waiting for a slot.
     pub fn queued(&self) -> usize {
-        self.pending.len()
+        self.0.queued()
     }
 
     /// Image queries currently interleaved.
     pub fn active_images(&self) -> usize {
-        self.images.len()
+        self.0.active()
     }
 
     /// Descriptor sessions currently in flight.
     pub fn active_sessions(&self) -> usize {
-        self.active.len()
+        self.0.sessions()
     }
 
     /// The fleet clock.
     pub fn now(&self) -> VirtualDuration {
-        self.clock.now()
+        self.0.now()
     }
 
     /// Offers one image query arriving at virtual time `arrival`, with
     /// `params` governing each of its descriptor searches. Returns the
-    /// image's id, or [`ServeError::Overloaded`] if the wait queue is
-    /// full (the query is counted as rejected and the run continues).
+    /// image's id, or
+    /// [`ServeError::Overloaded`](crate::ServeError::Overloaded) if the
+    /// wait queue is full (the query is counted as rejected and the run
+    /// continues).
     pub fn submit(
         &mut self,
         spec: &ImageQuerySpec,
         params: &SearchParams,
         arrival: VirtualDuration,
     ) -> Result<u64> {
-        if arrival.as_secs() < self.last_arrival.as_secs() {
-            return Err(ServeError::NonMonotoneArrival {
-                prev_secs: self.last_arrival.as_secs(),
-                next_secs: arrival.as_secs(),
-            });
-        }
-        self.last_arrival = arrival;
-        self.stats.submitted += 1;
-        self.advance_to(arrival)?;
-        if self.images.len() >= self.config.max_active
-            && self.pending.len() >= self.config.max_queued
-        {
-            self.stats.rejected += 1;
-            return Err(ServeError::Overloaded {
-                queued: self.pending.len(),
-                capacity: self.config.max_queued,
-            });
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        self.pending.push_back(PendingImage {
-            id,
-            label: spec.label,
-            descriptors: spec.descriptors.clone(),
-            params: *params,
-            arrival,
-        });
-        self.catch_up();
-        Ok(id)
+        self.0.submit(spec, params, arrival)
     }
 
     /// Drains every admitted image query and returns the report.
-    pub fn finish(mut self) -> Result<ImageServeReport> {
-        loop {
-            self.catch_up();
-            if self.active.is_empty() {
-                if self.pending.is_empty() {
-                    break;
-                }
-                continue; // instant completions drained a wave; re-admit
-            }
-            self.tick()?;
-        }
-        debug_assert!(
-            self.images.is_empty(),
-            "an image with no live sessions must have retired"
-        );
-        let makespan = self
-            .completions
-            .iter()
-            .map(|c| c.finish)
-            .fold(VirtualDuration::ZERO, VirtualDuration::max);
-        self.stats.cache = self.source.stats();
-        let mut completions = std::mem::take(&mut self.completions);
-        completions.sort_by_key(|c| c.id);
-        Ok(ImageServeReport {
-            completions,
-            stats: self.stats,
-            makespan,
-        })
+    pub fn finish(self) -> Result<ImageServeReport> {
+        self.0.finish().map(ImageServeReport::from)
     }
 
     /// Submits a whole trace of `(spec, arrival)` pairs (already in
     /// arrival order) and drains. Overload rejections are recorded
     /// rather than aborting the run.
     pub fn serve_trace(
-        mut self,
+        self,
         trace: &[(ImageQuerySpec, VirtualDuration)],
         params: &SearchParams,
     ) -> Result<ImageServeReport> {
-        for (spec, arrival) in trace {
-            match self.submit(spec, params, *arrival) {
-                Ok(_) | Err(ServeError::Overloaded { .. }) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        self.finish()
-    }
-
-    /// Processes backlog until the fleet clock reaches `t` (or there is
-    /// nothing left to do before `t`).
-    fn advance_to(&mut self, t: VirtualDuration) -> Result<()> {
-        loop {
-            self.catch_up();
-            if self.active.is_empty() {
-                if self.pending.is_empty() {
-                    break;
-                }
-                continue;
-            }
-            if self.clock.now().as_secs() >= t.as_secs() {
-                break;
-            }
-            self.tick()?;
-        }
-        Ok(())
-    }
-
-    /// Admits eligible pending images; when idle, jumps the fleet clock
-    /// forward to the next arrival first.
-    fn catch_up(&mut self) {
-        self.admit_eligible();
-        if self.active.is_empty() {
-            if let Some(front) = self.pending.front() {
-                if front.arrival.as_secs() > self.clock.now().as_secs() {
-                    self.clock = PipelineClock::start_at(front.arrival);
-                }
-            }
-            self.admit_eligible();
-        }
-    }
-
-    /// Moves pending images whose arrival has passed into active slots.
-    fn admit_eligible(&mut self) {
-        while self.images.len() < self.config.max_active {
-            let eligible = self
-                .pending
-                .front()
-                .is_some_and(|p| p.arrival.as_secs() <= self.clock.now().as_secs());
-            if !eligible {
-                break;
-            }
-            let Some(p) = self.pending.pop_front() else {
-                break;
-            };
-            self.admit(p);
-        }
-    }
-
-    /// Admits one image: ranks each descriptor (charging its chunk-index
-    /// ranking CPU on the fleet clock), opens its session, and absorbs
-    /// any session that completes without reading a chunk (`k = 0`, an
-    /// empty index). Completions absorbed here run the stop rule exactly
-    /// like mid-flight ones, so a rule that fires during admission
-    /// abandons the not-yet-opened descriptors too.
-    fn admit(&mut self, p: PendingImage) {
-        let deadline = p.arrival + self.config.deadline;
-        let mut flight = ImageInFlight {
-            label: p.label,
-            arrival: p.arrival,
-            deadline,
-            agg: ImageAggregator::new(
-                Arc::clone(&self.image_of),
-                p.params.k,
-                p.descriptors.len(),
-                self.config.stop,
-                DEFAULT_EVENT_TOP,
-            ),
-            results: self
-                .config
-                .keep_descriptor_results
-                .then(|| (0..p.descriptors.len()).map(|_| None).collect()),
-            finish: self.clock.now(),
-        };
-        let mut opened: Vec<(u64, u32)> = Vec::new();
-        let mut stopped = false;
-        for (d, q) in p.descriptors.iter().enumerate() {
-            if stopped {
-                break;
-            }
-            let mut ranking = self.spare_rankings.pop().unwrap_or_default();
-            self.snapshot.rank_into(&mut ranking, q);
-            let rank_cpu = self.snapshot.model().rank_time(self.snapshot.n_chunks());
-            let ranked_at = self.clock.chunk_overlapped(VirtualDuration::ZERO, rank_cpu);
-            let session = self.snapshot.session_from_ranking(ranking, q, &p.params);
-            if session.stop_satisfied() || session.next_wanted().is_none() {
-                // Done without reading anything: absorb right here.
-                let (result, ranking) = session.into_result_and_ranking();
-                self.spare_rankings.push(ranking);
-                stopped =
-                    Self::absorb_into(&mut flight, &mut self.stats, d as u32, result, ranked_at);
-            } else {
-                let key = (p.id, d as u32);
-                opened.push(key);
-                self.active.insert(
-                    key,
-                    ActiveDesc {
-                        session,
-                        requester: self.source.new_requester(),
-                    },
-                );
-            }
-            flight.finish = flight.finish.max(ranked_at);
-        }
-        if stopped {
-            self.teardown_siblings(p.id, &opened, &mut flight);
-        }
-        if flight.agg.is_done() {
-            let finish = flight.finish;
-            self.retire(p.id, flight, finish);
-        } else {
-            self.images.insert(p.id, flight);
-        }
-    }
-
-    /// One scheduling step: pick a chunk by policy, fetch it once, feed
-    /// every selected session, absorb the completed ones (which may fire
-    /// the image stop rule and tear down siblings mid-tick).
-    fn tick(&mut self) -> Result<()> {
-        let Some((chunk_id, fed_keys)) = self.pick() else {
-            return Ok(());
-        };
-        if self.config.policy == Policy::FairShare {
-            if let Some(key) = fed_keys.first() {
-                self.fair_cursor = *key;
-            }
-        }
-        let requester = fed_keys
-            .first()
-            .and_then(|key| self.active.get(key))
-            .map_or(0, |a| a.requester);
-        let fetched = self
-            .source
-            .fetch_through(requester, chunk_id, &mut self.reader)?;
-        self.stats.ticks += 1;
-        self.stats.fetches += 1;
-        if fetched.from_disk {
-            self.stats.disk_reads += 1;
-        }
-
-        // Fleet device: the chunk's I/O (nothing on a cache hit)
-        // overlaps the previous tick's CPU; the fanned-out scans are
-        // CPU, one per fed session, summed in key order.
-        let io = if fetched.from_disk {
-            self.snapshot.model().io_time(fetched.chunk.bytes_read)
-        } else {
-            VirtualDuration::ZERO
-        };
-        let scan = self.snapshot.model().scan_time(fetched.chunk.payload.len());
-        let mut cpu = VirtualDuration::ZERO;
-        for _ in &fed_keys {
-            cpu += scan;
-        }
-        let done = self.clock.chunk_overlapped(io, cpu);
-
-        for key in fed_keys {
-            // A fired stop rule may have torn this sibling down earlier
-            // in the same tick; the `else` arm is that abandonment.
-            let Some(a) = self.active.get_mut(&key) else {
-                continue;
-            };
-            a.session.step_with(&fetched.chunk)?;
-            self.stats.feeds += 1;
-            let finished = a.session.stop_satisfied() || a.session.next_wanted().is_none();
-            if finished {
-                if let Some(a) = self.active.remove(&key) {
-                    self.complete_descriptor(key, a, done);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Books one completed descriptor session: absorb its result into
-    /// the image's aggregator, run the stop rule, tear down siblings if
-    /// it fires, and retire the image once every descriptor is
-    /// accounted for.
-    fn complete_descriptor(&mut self, key: (u64, u32), active: ActiveDesc, done: VirtualDuration) {
-        let (img, d) = key;
-        let (result, ranking) = active.session.into_result_and_ranking();
-        self.spare_rankings.push(ranking);
-        let Some(mut flight) = self.images.remove(&img) else {
-            debug_assert!(false, "completed session {key:?} has no image in flight");
-            return;
-        };
-        let fired = Self::absorb_into(&mut flight, &mut self.stats, d, result, done);
-        if fired {
-            self.teardown_siblings(img, &[], &mut flight);
-        }
-        if flight.agg.is_done() {
-            self.retire(img, flight, done);
-        } else {
-            self.images.insert(img, flight);
-        }
-    }
-
-    /// The shared absorption step (admission-time and mid-flight):
-    /// record the result, update counters, run the stop rule. Returns
-    /// whether the rule fired. Associated (not `&mut self`) so callers
-    /// holding a flight borrowed out of the images map can use it.
-    fn absorb_into(
-        flight: &mut ImageInFlight,
-        stats: &mut ImageServeStats,
-        d: u32,
-        result: SearchResult,
-        done: VirtualDuration,
-    ) -> bool {
-        stats.descriptors_spent += 1;
-        flight.finish = flight.finish.max(done);
-        let fired = flight.agg.absorb(&result);
-        if let Some(slots) = flight.results.as_mut() {
-            if let Some(slot) = slots.get_mut(d as usize) {
-                *slot = Some(result);
-            }
-        }
-        fired
-    }
-
-    /// Tears down every live sibling session of image `img` (both those
-    /// in the global active map and `extra` keys opened during an
-    /// admission still in progress) and books the abandonment.
-    fn teardown_siblings(&mut self, img: u64, extra: &[(u64, u32)], flight: &mut ImageInFlight) {
-        let keys: Vec<(u64, u32)> = self
-            .active
-            .range((img, 0)..=(img, u32::MAX))
-            .map(|(k, _)| *k)
-            .chain(extra.iter().copied())
-            .collect();
-        for key in keys {
-            if let Some(a) = self.active.remove(&key) {
-                // Recycle the abandoned session's ranking buffers; its
-                // partial result is discarded, not absorbed.
-                let (_, ranking) = a.session.into_result_and_ranking();
-                self.spare_rankings.push(ranking);
-            }
-        }
-        let dropped = flight.agg.abandon_rest();
-        self.stats.descriptors_abandoned += dropped as u64;
-    }
-
-    /// Which chunk to serve this tick, and to which descriptor sessions.
-    fn pick(&self) -> Option<(usize, Vec<(u64, u32)>)> {
-        match self.config.policy {
-            Policy::FairShare => {
-                let key = self
-                    .active
-                    .range((
-                        std::ops::Bound::Excluded(self.fair_cursor),
-                        std::ops::Bound::Unbounded,
-                    ))
-                    .map(|(k, _)| *k)
-                    .next()
-                    .or_else(|| self.active.keys().next().copied())?;
-                let a = self.active.get(&key)?;
-                Some((a.session.next_wanted()?, vec![key]))
-            }
-            Policy::EarliestDeadline => {
-                // Key: (image deadline, remaining-work estimate, key) —
-                // the image-level reading of the descriptor scheduler's
-                // tie-break: a nearly-done descriptor slips past an
-                // equal-deadline scan-everything one.
-                let mut best: Option<((u64, u32), f64, usize)> = None;
-                for (key, a) in &self.active {
-                    let Some(flight) = self.images.get(&key.0) else {
-                        continue;
-                    };
-                    let d = flight.deadline.as_secs();
-                    let w = a.session.remaining_work_estimate();
-                    let better = match best {
-                        None => true,
-                        Some((_, bd, bw)) => match d.total_cmp(&bd) {
-                            std::cmp::Ordering::Less => true,
-                            std::cmp::Ordering::Equal => w < bw,
-                            std::cmp::Ordering::Greater => false,
-                        },
-                    };
-                    if better {
-                        best = Some((*key, d, w));
-                    }
-                }
-                let (key, _, _) = best?;
-                let a = self.active.get(&key)?;
-                Some((a.session.next_wanted()?, vec![key]))
-            }
-            Policy::MostWantedChunk => {
-                let mut wanted: BTreeMap<usize, Vec<(u64, u32)>> = BTreeMap::new();
-                for (key, a) in &self.active {
-                    if let Some(c) = a.session.next_wanted() {
-                        wanted.entry(c).or_default().push(*key);
-                    }
-                }
-                let mut best: Option<(usize, usize)> = None;
-                for (c, keys) in &wanted {
-                    let better = match best {
-                        None => true,
-                        Some((_, n)) => keys.len() > n,
-                    };
-                    if better {
-                        best = Some((*c, keys.len()));
-                    }
-                }
-                let (chunk, _) = best?;
-                let keys = wanted.remove(&chunk)?;
-                Some((chunk, keys))
-            }
-        }
-    }
-
-    /// Books a finished image at fleet time `finish`.
-    fn retire(&mut self, id: u64, flight: ImageInFlight, finish: VirtualDuration) {
-        self.stats.completed += 1;
-        if finish.as_secs() > flight.deadline.as_secs() {
-            self.stats.deadline_misses += 1;
-        }
-        let outcome = flight.agg.into_outcome(flight.label);
-        if outcome.fidelity == eff2_core::search::ResultFidelity::Degraded {
-            self.stats.images_degraded += 1;
-        }
-        self.completions.push(ImageCompletion {
-            id,
-            arrival: flight.arrival,
-            deadline: flight.deadline,
-            finish,
-            outcome,
-            descriptor_results: flight.results,
-        });
+        self.0
+            .serve_trace(trace, params)
+            .map(ImageServeReport::from)
     }
 }
 
-impl std::fmt::Debug for ImageScheduler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ImageScheduler")
-            .field("policy", &self.config.policy)
-            .field("stop", &self.config.stop)
-            .field("active_images", &self.images.len())
-            .field("active_sessions", &self.active.len())
-            .field("queued", &self.pending.len())
-            .field("completed", &self.stats.completed)
-            .field("now", &self.clock.now())
-            .finish()
+impl From<Drained<ImageVotes>> for ImageServeReport {
+    fn from(drained: Drained<ImageVotes>) -> ImageServeReport {
+        let s = drained.stats;
+        let sum = |f: fn(&ImageOutcome) -> usize| -> u64 {
+            drained
+                .outputs
+                .iter()
+                .map(|c| f(&c.outcome) as u64)
+                .sum::<u64>()
+        };
+        ImageServeReport {
+            stats: ImageServeStats {
+                submitted: s.submitted,
+                rejected: s.rejected,
+                completed: s.completed,
+                ticks: s.ticks,
+                fetches: s.fetches,
+                disk_reads: s.disk_reads,
+                feeds: s.feeds,
+                descriptors_spent: sum(|o| o.descriptors_spent),
+                descriptors_abandoned: sum(|o| o.descriptors_abandoned),
+                deadline_misses: s.deadline_misses,
+                images_degraded: s.sessions_degraded,
+                fetch_retries: s.fetch_retries,
+                chunks_abandoned: s.chunks_abandoned,
+                cache: s.cache,
+            },
+            completions: drained.outputs,
+            makespan: drained.makespan,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eff2_core::chunkers::{ChunkFormer, SrTreeChunker};
-    use eff2_core::index::ChunkIndex;
-    use eff2_descriptor::{Descriptor, DescriptorSet};
-    use eff2_storage::diskmodel::DiskModel;
-    use eff2_storage::ChunkStore;
-    use std::path::PathBuf;
-
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("eff2_imgserve_{tag}_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        dir
-    }
-
-    fn lumpy_set(n: usize) -> DescriptorSet {
-        (0..n)
-            .map(|i| {
-                let blob = (i % 5) as f32 * 20.0;
-                let mut v = Vector::splat(blob);
-                v[0] += ((i * 31) % 23) as f32 * 0.3;
-                v[3] -= ((i * 17) % 19) as f32 * 0.2;
-                Descriptor::new(i as u32, v)
-            })
-            .collect()
-    }
-
-    fn snapshot(tag: &str, n: usize, leaf: usize) -> (Snapshot, DescriptorSet) {
-        let set = lumpy_set(n);
-        let formation = SrTreeChunker { leaf_size: leaf }.form(&set);
-        let store =
-            ChunkStore::create(&tmp_dir(tag), "s", &set, &formation.chunks, 512).expect("create");
-        (
-            ChunkIndex::from_store(store, DiskModel::ata_2005()).snapshot(),
-            set,
-        )
-    }
-
-    /// Round-robin image map: descriptor i belongs to image i % n_images.
-    fn rr_map(n: usize, n_images: u32) -> Arc<Vec<u32>> {
-        Arc::new((0..n).map(|i| (i as u32) % n_images).collect())
-    }
-
-    fn spec(set: &DescriptorSet, label: u32, positions: &[usize]) -> ImageQuerySpec {
-        ImageQuerySpec {
-            label,
-            descriptors: positions.iter().map(|&p| set.vector_owned(p)).collect(),
-        }
-    }
-
-    fn assert_same_ranking(
-        want: &[eff2_core::image::ImageVote],
-        got: &[eff2_core::image::ImageVote],
-        tag: &str,
-    ) {
-        assert_eq!(want.len(), got.len(), "{tag}: ranking length");
-        for (w, g) in want.iter().zip(got.iter()) {
-            assert_eq!(w.image, g.image, "{tag}: image");
-            assert_eq!(w.votes, g.votes, "{tag}: votes");
-            assert_eq!(
-                w.best_dist.to_bits(),
-                g.best_dist.to_bits(),
-                "{tag}: best_dist"
-            );
-        }
-    }
+    use crate::common::{assert_same_ranking, rr_map, snapshot, spec};
+    use crate::ServeError;
 
     #[test]
     fn run_all_matches_solo_under_every_policy() {
@@ -1016,7 +619,7 @@ mod tests {
         let image_of = rr_map(set.len(), 8);
         let params = SearchParams::exact(4);
         let mut config = ImageConfig::new(Policy::FairShare, 1, ImageStopRule::RunAll);
-        config.max_queued = 1;
+        config.scheduler.max_queued = 1;
         let mut sched = ImageScheduler::new(snap, config, image_of);
         let s = spec(&set, 0, &[0, 5]);
         let t0 = VirtualDuration::ZERO;

@@ -3,33 +3,37 @@
 //! # eff2-serve
 //!
 //! The multi-query serving layer: many concurrent searches over one chunk
-//! index, interleaved *chunk by chunk* by a deterministic scheduler.
+//! index, interleaved *chunk by chunk* by one deterministic engine.
 //!
 //! The paper argues that the chunk is the natural granule of the search —
 //! uniform chunks give predictable per-step cost. That is precisely what a
 //! serving scheduler needs: with every query decomposed into same-sized
-//! steps, the [`Scheduler`] can admit queries (bounded queue, an
+//! steps, the engine can admit jobs (bounded queue, an
 //! [`Overloaded`](ServeError::Overloaded) error under pressure), track
-//! per-session virtual deadlines, and pick each next chunk by
-//! [`Policy`] — round-robin fairness, earliest-deadline-first, or
-//! *most-wanted-chunk*, which serves the chunk the largest number of
-//! in-flight sessions want next so one read (and one decoded payload)
-//! feeds them all.
+//! virtual deadlines, and pick each next chunk by [`Policy`] — round-robin
+//! fairness, earliest-deadline-first, or *most-wanted-chunk*, which serves
+//! the chunk the largest number of in-flight sessions want next so one
+//! read (and one decoded payload) feeds them all. Fetches go through an
+//! optional fault plan with per-copy retry, failover and abandonment.
 //!
-//! The load-bearing property, proptested in `tests/determinism.rs`: no
-//! matter the policy, the concurrency level, or the interleaving, every
-//! per-query [`SearchResult`](eff2_core::SearchResult) is bit-identical to
-//! running that query alone. Scheduling changes *when* work happens on the
-//! shared device (latency, throughput), never what each query computes.
-
+//! Three public schedulers are that one engine under three folds over its
+//! member sessions, chosen by which constructor is called:
 //!
-//! The sharded extension lives in [`fleet`]: the same chunk index
-//! partitioned across N shard nodes by an
-//! [`eff2_shard::ShardMap`] (with R-way replication), queries served
-//! scatter–gather with per-shard legs merged deterministically — every
-//! merged answer bit-identical to the solo single-device run, and
-//! replicated copies turning permanent chunk loss into failover.
-
+//! * [`Scheduler`] — one session per query on one device;
+//! * [`ImageScheduler`] ([`image`]) — one session per query descriptor,
+//!   folded into a per-image vote ranking that can abandon the remaining
+//!   siblings once the top-`m` images are stable or provably final;
+//! * [`FleetScheduler`] ([`fleet`]) — the index partitioned across N shard
+//!   nodes by an [`eff2_shard::ShardMap`] (R-way replication), each query
+//!   served scatter–gather with per-shard legs merged by global rank, and
+//!   replicated copies turning permanent chunk loss into failover.
+//!
+//! The load-bearing property, proptested in `tests/`: no matter the
+//! policy, the concurrency level, the shard count or the interleaving,
+//! every per-query [`SearchResult`](eff2_core::SearchResult) is
+//! bit-identical to running that query alone. Scheduling changes *when*
+//! work happens on the shared devices (latency, throughput), never what
+//! each query computes.
 //!
 //! Serving under *live mutation* lives in [`live`]: a [`LiveServer`]
 //! merges query and insert/delete arrivals on one fleet clock, pins each
@@ -38,15 +42,13 @@
 //! every completion stays bit-identical to a solo run against its pinned
 //! epoch.
 
-//!
-//! Image-level queries live in [`image`]: an [`ImageScheduler`] runs one
-//! descriptor session per query-set member (sharing most-wanted-chunk
-//! fan-out across sibling descriptors), folds their neighbour sets into a
-//! deterministic per-image vote ranking, and can abandon the remaining
-//! siblings once the top-`m` image ranking is stable or provably final —
-//! the paper's "a fraction of the query points suffices" trade-off lifted
-//! to whole-image queries.
+#[cfg(test)]
+extern crate self as eff2_serve;
 
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod common;
+mod engine;
 pub mod error;
 pub mod fleet;
 pub mod image;

@@ -34,6 +34,7 @@ use eff2_storage::chunkfile::ChunkPayload;
 use eff2_storage::diskmodel::{PipelineClock, VirtualDuration};
 use eff2_storage::source::SourcedChunk;
 use eff2_storage::store::ChunkReader;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -289,9 +290,9 @@ impl LiveServer {
         if active.session.stop_satisfied() || active.session.next_wanted().is_none() {
             self.retire(id, active, ranked_at);
         } else {
-            self.readers
-                .entry(active.snapshot.generation())
-                .or_insert(active.snapshot.base().store().reader()?);
+            if let Entry::Vacant(slot) = self.readers.entry(active.snapshot.generation()) {
+                slot.insert(active.snapshot.base().store().reader()?);
+            }
             self.active.insert(id, active);
         }
         Ok(())

@@ -2,7 +2,7 @@
 //!
 //! One scheduler owns a fleet of concurrent [`SearchSession`]s over one
 //! [`Snapshot`] and advances them *chunk by chunk*: each tick it picks one
-//! chunk by policy, fetches it once through a shared [`ResidentSource`]
+//! chunk by [`Policy`], fetches it once through a shared `ResidentSource`
 //! (single-flight + byte-budgeted cache), and feeds it to the session(s)
 //! that want it via [`SearchSession::step_with`]. Because a session's own
 //! virtual-clock accounting is identical whether it pulls chunks
@@ -11,26 +11,22 @@
 //! scheduler only changes *fleet* timing (latency under load), never
 //! per-query figures. The determinism proptest asserts exactly that.
 //!
-//! Two clocks run here:
-//!
-//! * each session's private clock: per-query cost as if the query ran
-//!   alone — the paper's quality-vs-time figures;
-//! * the fleet clock (a [`PipelineClock`] over the shared device): when
-//!   each chunk's I/O and the fanned-out scans actually complete, which is
-//!   what arrival-to-finish latency and throughput are measured on. Cache
-//!   hits cost the fleet no I/O; every fed session costs its scan CPU.
+//! The loop itself — admission, tick, pick, fault-aware fetch, the two
+//! clocks — is the crate's one serving engine (`engine.rs`); a
+//! [`Scheduler`] is that engine on a single device under the plain fold:
+//! one session per query, whose own stop rule decides when it is done.
 
-use crate::error::{Result, ServeError};
-use eff2_chaos::{Fault, FaultPlan, RetryPolicy};
+use crate::engine::{inconsistent, Admission, Devices, Drained, Engine, Folded, Group, Retired};
+use crate::error::Result;
+use eff2_chaos::{FaultPlan, RetryPolicy};
 use eff2_core::search::{SearchParams, SearchResult};
-use eff2_core::session::{ChunkRanking, SearchSession};
+use eff2_core::session::ChunkRanking;
+#[cfg(doc)]
+use eff2_core::session::SearchSession;
 use eff2_core::snapshot::Snapshot;
 use eff2_descriptor::Vector;
-use eff2_storage::diskmodel::{PipelineClock, VirtualDuration};
-use eff2_storage::source::{Fetched, ResidentSource, ResidentStats};
-use eff2_storage::store::ChunkReader;
-use eff2_storage::ErrorClass;
-use std::collections::{BTreeMap, VecDeque};
+use eff2_storage::diskmodel::VirtualDuration;
+use eff2_storage::source::ResidentStats;
 
 /// How each tick picks the next chunk to read and feed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -77,7 +73,7 @@ pub struct SchedulerConfig {
     /// minimum of 1.
     pub max_active: usize,
     /// Admitted-but-waiting queries beyond which [`Scheduler::submit`]
-    /// returns [`ServeError::Overloaded`].
+    /// returns [`ServeError::Overloaded`](crate::ServeError::Overloaded).
     pub max_queued: usize,
     /// Byte budget of the shared decoded-chunk cache.
     pub cache_budget_bytes: u64,
@@ -113,23 +109,6 @@ impl SchedulerConfig {
     }
 }
 
-/// A query waiting for an execution slot.
-struct Pending {
-    id: u64,
-    query: Vector,
-    params: SearchParams,
-    arrival: VirtualDuration,
-}
-
-/// A query in flight.
-struct Active {
-    session: SearchSession,
-    arrival: VirtualDuration,
-    deadline: VirtualDuration,
-    /// Cache-attribution tag with the shared [`ResidentSource`].
-    requester: u64,
-}
-
 /// One finished query.
 #[derive(Clone, Debug)]
 pub struct Completion {
@@ -149,6 +128,26 @@ impl Completion {
     /// Arrival-to-finish latency on the fleet clock.
     pub fn latency(&self) -> VirtualDuration {
         self.finish - self.arrival
+    }
+
+    /// The completion of the job `retired`, finished at `finish` with
+    /// `result`, as the engine's retire bookkeeping wants it.
+    pub(crate) fn folded(
+        retired: Retired,
+        finish: VirtualDuration,
+        result: SearchResult,
+    ) -> Folded<Completion> {
+        Folded {
+            finish,
+            degraded: result.log.degradation.is_degraded(),
+            output: Completion {
+                id: retired.id,
+                arrival: retired.arrival,
+                deadline: retired.deadline,
+                finish,
+                result,
+            },
+        }
     }
 }
 
@@ -222,568 +221,128 @@ impl ServeReport {
     }
 }
 
+/// The plain fold: a job is one session, finished when that session's own
+/// stop rule fires; the output is its result.
+pub(crate) struct Plain;
+
+impl Group for Plain {
+    type Spec = Vector;
+    /// The answer and its fleet finish time, once the session has finished.
+    type Job = Option<(SearchResult, VirtualDuration)>;
+    type Output = Completion;
+
+    fn admit(
+        &mut self,
+        cx: &mut Admission<'_>,
+        query: &Vector,
+        params: &SearchParams,
+    ) -> Result<Self::Job> {
+        let ranking = cx.rank(query);
+        let ranked_at = cx.charge_rank(0);
+        let session = cx.snapshot.session_from_ranking(ranking, query, params);
+        Ok(cx.open(0, 0, session).map(|result| (result, ranked_at)))
+    }
+
+    fn on_done(&mut self, job: &mut Self::Job, _: u32, result: SearchResult, at: VirtualDuration) {
+        *job = Some((result, at));
+    }
+
+    fn finished(&self, job: &Self::Job) -> bool {
+        job.is_some()
+    }
+
+    fn output(
+        &mut self,
+        _: &mut Vec<ChunkRanking>,
+        retired: Retired,
+        job: Self::Job,
+    ) -> Result<Folded<Completion>> {
+        let (result, finish) =
+            job.ok_or_else(|| inconsistent("plain job retired before its session finished"))?;
+        Ok(Completion::folded(retired, finish, result))
+    }
+}
+
 /// The interleaved multi-query scheduler. See the [module docs](self).
 ///
 /// Drive it with [`submit`](Self::submit) in arrival order, then
 /// [`finish`](Self::finish) to drain; or hand it a whole trace via
 /// [`serve_trace`](Self::serve_trace).
-pub struct Scheduler {
-    snapshot: Snapshot,
-    config: SchedulerConfig,
-    source: ResidentSource,
-    /// One lazily-opened chunk reader reused across every cache miss.
-    reader: Option<ChunkReader>,
-    /// The shared device: disk + scan CPU the sessions contend for.
-    clock: PipelineClock,
-    last_arrival: VirtualDuration,
-    next_id: u64,
-    pending: VecDeque<Pending>,
-    active: BTreeMap<u64, Active>,
-    /// Last session id served by [`Policy::FairShare`].
-    fair_cursor: u64,
-    /// Ranking buffers recycled from retired sessions
-    /// ([`ChunkRanking::rank_into`]).
-    spare_rankings: Vec<ChunkRanking>,
-    /// Fetch attempts per chunk under the injected [`FaultPlan`] —
-    /// mirrors the counters a `FaultSource` keeps, so transient faults
-    /// clear after the same number of retries here as in a serial run.
-    chaos_attempts: BTreeMap<usize, u32>,
-    completions: Vec<Completion>,
-    stats: ServeStats,
-}
-
-/// What one [`Scheduler::acquire`] call produced.
-enum Acquired {
-    /// The chunk arrived; `injected` is modelled extra latency to charge
-    /// the fleet device (spikes plus the cost of failed attempts).
-    Delivered {
-        fetched: Fetched,
-        injected: VirtualDuration,
-    },
-    /// The retry budget ran out (or the loss is permanent): the chunk is
-    /// gone and `spent` modelled time was burned finding that out.
-    Lost { spent: VirtualDuration },
-}
+#[derive(Debug)]
+pub struct Scheduler(Engine<Plain>);
 
 impl Scheduler {
     /// A scheduler over `snapshot` with `config`.
     pub fn new(snapshot: Snapshot, config: SchedulerConfig) -> Scheduler {
-        let source = snapshot.resident_source(config.cache_budget_bytes);
-        let config = SchedulerConfig {
-            max_active: config.max_active.max(1),
-            ..config
-        };
-        Scheduler {
-            snapshot,
-            config,
-            source,
-            reader: None,
-            clock: PipelineClock::start_at(VirtualDuration::ZERO),
-            last_arrival: VirtualDuration::ZERO,
-            next_id: 0,
-            pending: VecDeque::new(),
-            active: BTreeMap::new(),
-            fair_cursor: u64::MAX,
-            spare_rankings: Vec::new(),
-            chaos_attempts: BTreeMap::new(),
-            completions: Vec::new(),
-            stats: ServeStats::default(),
-        }
+        let devices = Devices::new(&snapshot, config.cache_budget_bytes, None);
+        Scheduler(Engine::new(snapshot, config, devices, Plain))
     }
 
     /// Queries waiting for a slot.
     pub fn queued(&self) -> usize {
-        self.pending.len()
+        self.0.queued()
     }
 
     /// Sessions currently interleaved.
     pub fn active(&self) -> usize {
-        self.active.len()
+        self.0.active()
     }
 
     /// The fleet clock.
     pub fn now(&self) -> VirtualDuration {
-        self.clock.now()
+        self.0.now()
     }
 
     /// Offers one query arriving at virtual time `arrival`. The scheduler
     /// first catches up — processing backlog until the fleet clock reaches
     /// the arrival — so admission control sees the queue as it stands *at*
     /// the arrival instant. Returns the query's id, or
-    /// [`ServeError::Overloaded`] if the wait queue is full (the query is
-    /// counted as rejected and the run continues).
+    /// [`ServeError::Overloaded`](crate::ServeError::Overloaded) if the
+    /// wait queue is full (the query is counted as rejected and the run
+    /// continues).
     pub fn submit(
         &mut self,
         query: &Vector,
         params: &SearchParams,
         arrival: VirtualDuration,
     ) -> Result<u64> {
-        if arrival.as_secs() < self.last_arrival.as_secs() {
-            return Err(ServeError::NonMonotoneArrival {
-                prev_secs: self.last_arrival.as_secs(),
-                next_secs: arrival.as_secs(),
-            });
-        }
-        self.last_arrival = arrival;
-        self.stats.submitted += 1;
-        self.advance_to(arrival)?;
-        if self.active.len() >= self.config.max_active
-            && self.pending.len() >= self.config.max_queued
-        {
-            self.stats.rejected += 1;
-            return Err(ServeError::Overloaded {
-                queued: self.pending.len(),
-                capacity: self.config.max_queued,
-            });
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        self.pending.push_back(Pending {
-            id,
-            query: *query,
-            params: *params,
-            arrival,
-        });
-        self.catch_up();
-        Ok(id)
+        self.0.submit(query, params, arrival)
     }
 
     /// Drains every admitted query and returns the report.
-    pub fn finish(mut self) -> Result<ServeReport> {
-        loop {
-            self.catch_up();
-            if self.active.is_empty() {
-                if self.pending.is_empty() {
-                    break;
-                }
-                continue; // instant completions drained a wave; re-admit
-            }
-            self.tick()?;
-        }
-        let makespan = self
-            .completions
-            .iter()
-            .map(|c| c.finish)
-            .fold(VirtualDuration::ZERO, VirtualDuration::max);
-        self.stats.cache = self.source.stats();
-        self.stats.disk_reads_by_shard = vec![self.stats.disk_reads];
-        let mut completions = std::mem::take(&mut self.completions);
-        completions.sort_by_key(|c| c.id);
-        Ok(ServeReport {
-            completions,
-            stats: self.stats,
-            makespan,
-        })
+    pub fn finish(self) -> Result<ServeReport> {
+        self.0.finish().map(ServeReport::from)
     }
 
     /// Submits a whole trace of `(query, arrival)` pairs (already in
     /// arrival order) and drains. Overload rejections are recorded in
     /// [`ServeStats::rejected`] rather than aborting the run.
     pub fn serve_trace(
-        mut self,
+        self,
         trace: &[(Vector, VirtualDuration)],
         params: &SearchParams,
     ) -> Result<ServeReport> {
-        for (query, arrival) in trace {
-            match self.submit(query, params, *arrival) {
-                Ok(_) | Err(ServeError::Overloaded { .. }) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        self.finish()
-    }
-
-    /// Processes backlog until the fleet clock reaches `t` (or there is
-    /// nothing left to do before `t`).
-    fn advance_to(&mut self, t: VirtualDuration) -> Result<()> {
-        loop {
-            self.catch_up();
-            if self.active.is_empty() {
-                if self.pending.is_empty() {
-                    break;
-                }
-                continue;
-            }
-            if self.clock.now().as_secs() >= t.as_secs() {
-                break;
-            }
-            self.tick()?;
-        }
-        Ok(())
-    }
-
-    /// Admits eligible pending queries; when idle, jumps the fleet clock
-    /// forward to the next arrival first.
-    fn catch_up(&mut self) {
-        self.admit_eligible();
-        if self.active.is_empty() {
-            if let Some(front) = self.pending.front() {
-                if front.arrival.as_secs() > self.clock.now().as_secs() {
-                    self.clock = PipelineClock::start_at(front.arrival);
-                }
-            }
-            self.admit_eligible();
-        }
-    }
-
-    /// Moves pending queries whose arrival has passed into active slots,
-    /// charging each admission its chunk-index ranking CPU on the fleet
-    /// clock (the index itself is memory-resident in the serving layer).
-    fn admit_eligible(&mut self) {
-        while self.active.len() < self.config.max_active {
-            let eligible = self
-                .pending
-                .front()
-                .is_some_and(|p| p.arrival.as_secs() <= self.clock.now().as_secs());
-            if !eligible {
-                break;
-            }
-            let Some(p) = self.pending.pop_front() else {
-                break;
-            };
-            let mut ranking = self.spare_rankings.pop().unwrap_or_default();
-            self.snapshot.rank_into(&mut ranking, &p.query);
-            let rank_cpu = self.snapshot.model().rank_time(self.snapshot.n_chunks());
-            let ranked_at = self.clock.chunk_overlapped(VirtualDuration::ZERO, rank_cpu);
-            let session = self
-                .snapshot
-                .session_from_ranking(ranking, &p.query, &p.params);
-            let active = Active {
-                session,
-                arrival: p.arrival,
-                deadline: p.arrival + self.config.deadline,
-                requester: self.source.new_requester(),
-            };
-            if active.session.stop_satisfied() || active.session.next_wanted().is_none() {
-                // k = 0, an empty index, or a zero-chunk stop rule: done
-                // without reading anything.
-                self.retire(p.id, active, ranked_at);
-            } else {
-                self.active.insert(p.id, active);
-            }
-        }
-    }
-
-    /// One scheduling step: pick a chunk by policy, fetch it once, feed
-    /// every selected session, retire the satisfied ones.
-    fn tick(&mut self) -> Result<()> {
-        let Some((chunk_id, fed_ids)) = self.pick() else {
-            return Ok(());
-        };
-        if self.config.policy == Policy::FairShare {
-            if let Some(id) = fed_ids.first() {
-                self.fair_cursor = *id;
-            }
-        }
-        let requester = fed_ids
-            .first()
-            .and_then(|id| self.active.get(id))
-            .map_or(0, |a| a.requester);
-        let (fetched, injected) = match self.acquire(requester, chunk_id)? {
-            Acquired::Delivered { fetched, injected } => (fetched, injected),
-            Acquired::Lost { spent } => {
-                self.stats.ticks += 1;
-                return self.abandon(chunk_id, &fed_ids, spent);
-            }
-        };
-        self.stats.ticks += 1;
-        self.stats.fetches += 1;
-        if fetched.from_disk {
-            self.stats.disk_reads += 1;
-        }
-
-        // Fleet device: the chunk's I/O (nothing on a cache hit) plus any
-        // injected latency overlaps the previous tick's CPU; the
-        // fanned-out scans are CPU, one per fed session, summed in
-        // session-id order.
-        let io = if fetched.from_disk {
-            self.snapshot.model().io_time(fetched.chunk.bytes_read) + injected
-        } else {
-            injected
-        };
-        let scan = self.snapshot.model().scan_time(fetched.chunk.payload.len());
-        let mut cpu = VirtualDuration::ZERO;
-        for _ in &fed_ids {
-            cpu += scan;
-        }
-        let done = self.clock.chunk_overlapped(io, cpu);
-
-        for id in fed_ids {
-            let Some(a) = self.active.get_mut(&id) else {
-                continue;
-            };
-            a.session.step_with(&fetched.chunk)?;
-            self.stats.feeds += 1;
-            let finished = a.session.stop_satisfied() || a.session.next_wanted().is_none();
-            if finished {
-                if let Some(a) = self.active.remove(&id) {
-                    self.retire(id, a, done);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Fetches `chunk_id` under the configured fault plan: injected
-    /// faults and real read errors alike are retried per
-    /// [`SchedulerConfig::retry`] — each failed attempt charged its
-    /// timeout plus backoff to the modelled clock — until the chunk is
-    /// delivered or declared lost. Without a plan this is the plain
-    /// one-shot fetch.
-    fn acquire(&mut self, requester: u64, chunk_id: usize) -> Result<Acquired> {
-        let Some(plan) = self.config.fault_plan else {
-            let fetched = self
-                .source
-                .fetch_through(requester, chunk_id, &mut self.reader)?;
-            return Ok(Acquired::Delivered {
-                fetched,
-                injected: VirtualDuration::ZERO,
-            });
-        };
-        let policy = self.config.retry;
-        let mut attempts = 0u32;
-        let mut spent = VirtualDuration::ZERO;
-        loop {
-            let attempt = {
-                let slot = self.chaos_attempts.entry(chunk_id).or_insert(0);
-                let attempt = *slot;
-                *slot += 1;
-                attempt
-            };
-            // The injected verdict first; a delivery then performs the
-            // real read, whose own errors retry through the same budget.
-            let verdict: std::result::Result<VirtualDuration, ErrorClass> =
-                match plan.fault_for(chunk_id, attempt) {
-                    Fault::Deliver { delay } => Ok(delay),
-                    Fault::Permanent => Err(ErrorClass::Permanent),
-                    Fault::Transient | Fault::ShortRead => Err(ErrorClass::Transient),
-                    Fault::Corrupt => Err(ErrorClass::Corrupt),
-                };
-            let class = match verdict {
-                Ok(delay) => {
-                    match self
-                        .source
-                        .fetch_through(requester, chunk_id, &mut self.reader)
-                    {
-                        Ok(fetched) => {
-                            return Ok(Acquired::Delivered {
-                                fetched,
-                                injected: spent + delay,
-                            });
-                        }
-                        Err(e) => e.class(),
-                    }
-                }
-                Err(class) => class,
-            };
-            spent += policy.attempt_cost(attempts);
-            attempts += 1;
-            if class == ErrorClass::Permanent || attempts >= policy.max_attempts {
-                return Ok(Acquired::Lost { spent });
-            }
-            self.stats.fetch_retries += 1;
-        }
-    }
-
-    /// Books a lost chunk: the wasted retry time is charged to the fleet
-    /// device, every session waiting on the chunk skips it (recording the
-    /// degradation), and sessions finished by the skip retire.
-    fn abandon(&mut self, chunk_id: usize, fed_ids: &[u64], spent: VirtualDuration) -> Result<()> {
-        self.stats.chunks_abandoned += 1;
-        let done = self.clock.chunk_overlapped(spent, VirtualDuration::ZERO);
-        for &id in fed_ids {
-            let Some(a) = self.active.get_mut(&id) else {
-                continue;
-            };
-            if a.session.next_wanted() != Some(chunk_id) {
-                continue;
-            }
-            a.session.skip_unavailable(spent)?;
-            let finished = a.session.stop_satisfied() || a.session.next_wanted().is_none();
-            if finished {
-                if let Some(a) = self.active.remove(&id) {
-                    self.retire(id, a, done);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Which chunk to serve this tick, and to which sessions.
-    fn pick(&self) -> Option<(usize, Vec<u64>)> {
-        match self.config.policy {
-            Policy::FairShare => {
-                let id = self
-                    .active
-                    .range(self.fair_cursor.saturating_add(1)..)
-                    .map(|(id, _)| *id)
-                    .next()
-                    .or_else(|| self.active.keys().next().copied())?;
-                let a = self.active.get(&id)?;
-                Some((a.session.next_wanted()?, vec![id]))
-            }
-            Policy::EarliestDeadline => {
-                // Key: (deadline, remaining-work estimate, id). A pure
-                // deadline key degenerates to FIFO whenever a burst shares
-                // one arrival instant (every deadline ties, and ties on id
-                // replay admission order); breaking ties by how little work
-                // a session has left lets short queries slip past
-                // equal-deadline long ones.
-                let mut best: Option<(u64, f64, usize)> = None;
-                for (id, a) in &self.active {
-                    let d = a.deadline.as_secs();
-                    let w = a.session.remaining_work_estimate();
-                    let better = match best {
-                        None => true,
-                        Some((_, bd, bw)) => match d.total_cmp(&bd) {
-                            std::cmp::Ordering::Less => true,
-                            std::cmp::Ordering::Equal => w < bw,
-                            std::cmp::Ordering::Greater => false,
-                        },
-                    };
-                    if better {
-                        best = Some((*id, d, w));
-                    }
-                }
-                let (id, _, _) = best?;
-                let a = self.active.get(&id)?;
-                Some((a.session.next_wanted()?, vec![id]))
-            }
-            Policy::MostWantedChunk => {
-                let mut wanted: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
-                for (id, a) in &self.active {
-                    if let Some(c) = a.session.next_wanted() {
-                        wanted.entry(c).or_default().push(*id);
-                    }
-                }
-                let mut best: Option<(usize, usize)> = None;
-                for (c, ids) in &wanted {
-                    let better = match best {
-                        None => true,
-                        Some((_, n)) => ids.len() > n,
-                    };
-                    if better {
-                        best = Some((*c, ids.len()));
-                    }
-                }
-                let (chunk, _) = best?;
-                let ids = wanted.remove(&chunk)?;
-                Some((chunk, ids))
-            }
-        }
-    }
-
-    /// Books a finished session: recycle its ranking buffers, record the
-    /// completion at fleet time `finish`.
-    fn retire(&mut self, id: u64, active: Active, finish: VirtualDuration) {
-        let (result, ranking) = active.session.into_result_and_ranking();
-        self.spare_rankings.push(ranking);
-        self.stats.completed += 1;
-        if result.log.degradation.is_degraded() {
-            self.stats.sessions_degraded += 1;
-        }
-        if finish.as_secs() > active.deadline.as_secs() {
-            self.stats.deadline_misses += 1;
-        }
-        self.completions.push(Completion {
-            id,
-            arrival: active.arrival,
-            deadline: active.deadline,
-            finish,
-            result,
-        });
+        self.0.serve_trace(trace, params).map(ServeReport::from)
     }
 }
 
-impl std::fmt::Debug for Scheduler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Scheduler")
-            .field("policy", &self.config.policy)
-            .field("active", &self.active.len())
-            .field("queued", &self.pending.len())
-            .field("completed", &self.stats.completed)
-            .field("now", &self.clock.now())
-            .finish()
+impl<G: Group<Output = Completion>> From<Drained<G>> for ServeReport {
+    fn from(drained: Drained<G>) -> ServeReport {
+        ServeReport {
+            completions: drained.outputs,
+            stats: drained.stats,
+            makespan: drained.makespan,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::{assert_bit_identical, retry, scan_all, snapshot, trace};
+    use crate::ServeError;
     use eff2_chaos::FaultConfig;
-    use eff2_core::chunkers::{ChunkFormer, SrTreeChunker};
-    use eff2_core::index::ChunkIndex;
     use eff2_core::search::StopRule;
-    use eff2_descriptor::{Descriptor, DescriptorSet};
-    use eff2_storage::diskmodel::DiskModel;
-    use eff2_storage::ChunkStore;
-    use std::path::PathBuf;
-
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("eff2_serve_{tag}_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        dir
-    }
-
-    fn lumpy_set(n: usize) -> DescriptorSet {
-        (0..n)
-            .map(|i| {
-                let blob = (i % 5) as f32 * 20.0;
-                let mut v = Vector::splat(blob);
-                v[0] += ((i * 31) % 23) as f32 * 0.3;
-                v[3] -= ((i * 17) % 19) as f32 * 0.2;
-                Descriptor::new(i as u32, v)
-            })
-            .collect()
-    }
-
-    fn snapshot(tag: &str, n: usize, leaf: usize) -> (Snapshot, DescriptorSet) {
-        let set = lumpy_set(n);
-        let formation = SrTreeChunker { leaf_size: leaf }.form(&set);
-        let store =
-            ChunkStore::create(&tmp_dir(tag), "s", &set, &formation.chunks, 512).expect("create");
-        (
-            ChunkIndex::from_store(store, DiskModel::ata_2005()).snapshot(),
-            set,
-        )
-    }
-
-    /// A trace of in-set queries with arrivals `gap_ms` apart.
-    fn trace(set: &DescriptorSet, n: usize, gap_ms: f64) -> Vec<(Vector, VirtualDuration)> {
-        (0..n)
-            .map(|i| {
-                let q = set.vector_owned((i * 37) % set.len());
-                (q, VirtualDuration::from_ms(gap_ms * i as f64))
-            })
-            .collect()
-    }
-
-    fn assert_result_bits(want: &SearchResult, got: &SearchResult, tag: &str) {
-        assert_eq!(want.neighbors.len(), got.neighbors.len(), "{tag}: k");
-        for (w, g) in want.neighbors.iter().zip(got.neighbors.iter()) {
-            assert_eq!(w.id, g.id, "{tag}: id");
-            assert_eq!(w.dist.to_bits(), g.dist.to_bits(), "{tag}: dist");
-        }
-        assert_eq!(want.log.chunks_read, got.log.chunks_read, "{tag}: chunks");
-        assert_eq!(want.log.bytes_read, got.log.bytes_read, "{tag}: bytes");
-        assert_eq!(want.log.completed, got.log.completed, "{tag}: completed");
-        assert_eq!(
-            want.log.total_virtual.as_secs().to_bits(),
-            got.log.total_virtual.as_secs().to_bits(),
-            "{tag}: total_virtual"
-        );
-        assert_eq!(want.log.events.len(), got.log.events.len(), "{tag}: events");
-        for (w, g) in want.log.events.iter().zip(got.log.events.iter()) {
-            assert_eq!(w.chunk_id, g.chunk_id, "{tag}: event chunk");
-            assert_eq!(
-                w.completed_at.as_secs().to_bits(),
-                g.completed_at.as_secs().to_bits(),
-                "{tag}: event time"
-            );
-            assert_eq!(w.kth_dist.to_bits(), g.kth_dist.to_bits(), "{tag}: kth");
-            assert_eq!(w.topk_ids, g.topk_ids, "{tag}: topk");
-        }
-    }
 
     #[test]
     fn per_query_results_bit_identical_to_serial_under_every_policy() {
@@ -804,7 +363,7 @@ mod tests {
                 assert_eq!(report.stats.rejected, 0);
                 assert_eq!(report.completions.len(), queries.len());
                 for (c, want) in report.completions.iter().zip(serial.iter()) {
-                    assert_result_bits(
+                    assert_bit_identical(
                         want,
                         &c.result,
                         &format!("{}/act{max_active}/q{}", policy.name(), c.id),
@@ -1074,11 +633,7 @@ mod tests {
         let (snap, set) = snapshot("chaosq", 500, 30);
         let params = SearchParams::exact(6);
         let queries = trace(&set, 8, 2.0);
-        let retry = RetryPolicy::new(
-            3,
-            VirtualDuration::from_ms(5.0),
-            VirtualDuration::from_ms(1.0),
-        );
+        let retry = retry(3, 5.0);
         let plain = chaos_run(&snap, &queries, &params, None, retry);
         let quiet = chaos_run(
             &snap,
@@ -1097,7 +652,7 @@ mod tests {
             "a quiet plan must not perturb the fleet clock"
         );
         for (a, b) in plain.completions.iter().zip(quiet.completions.iter()) {
-            assert_result_bits(&a.result, &b.result, &format!("quiet q{}", a.id));
+            assert_bit_identical(&a.result, &b.result, &format!("quiet q{}", a.id));
         }
     }
 
@@ -1107,11 +662,7 @@ mod tests {
         let params = SearchParams::exact(6);
         let queries = trace(&set, 6, 2.0);
         let budget = eff2_chaos::plan::TRANSIENT_CLEAR + 1;
-        let retry = RetryPolicy::new(
-            budget,
-            VirtualDuration::from_ms(5.0),
-            VirtualDuration::from_ms(1.0),
-        );
+        let retry = retry(budget, 5.0);
         let plain = chaos_run(&snap, &queries, &params, None, retry);
         let flaky = chaos_run(
             &snap,
@@ -1125,7 +676,7 @@ mod tests {
         assert_eq!(flaky.stats.sessions_degraded, 0);
         assert_eq!(plain.completions.len(), flaky.completions.len());
         for (a, b) in plain.completions.iter().zip(flaky.completions.iter()) {
-            assert_result_bits(&a.result, &b.result, &format!("flaky q{}", a.id));
+            assert_bit_identical(&a.result, &b.result, &format!("flaky q{}", a.id));
         }
         assert!(
             flaky.makespan.as_secs() > plain.makespan.as_secs(),
@@ -1138,21 +689,12 @@ mod tests {
     #[test]
     fn lost_chunks_degrade_sessions_but_every_query_completes() {
         let (snap, set) = snapshot("chaosloss", 600, 25);
-        // Scan-everything stop rule: every session must visit (or skip)
-        // every chunk, so every session observes the full loss schedule.
-        let params = SearchParams {
-            stop: StopRule::Chunks(usize::MAX),
-            ..SearchParams::exact(8)
-        };
+        let params = scan_all(8);
         let queries = trace(&set, 10, 1.0);
         let plan = FaultPlan::new(FaultConfig::lossy(13, 0.2));
         let lost = plan.permanent_losses(snap.n_chunks());
         assert!(!lost.is_empty(), "seed 13 must lose at least one chunk");
-        let retry = RetryPolicy::new(
-            2,
-            VirtualDuration::from_ms(5.0),
-            VirtualDuration::from_ms(1.0),
-        );
+        let retry = retry(2, 5.0);
         let report = chaos_run(&snap, &queries, &params, Some(plan), retry);
         assert_eq!(report.stats.completed, queries.len() as u64);
         assert!(report.stats.chunks_abandoned > 0);

@@ -4,115 +4,15 @@
 //! (faults quiet) — and when a fault plan kills every copy, the fleet
 //! degrades exactly like the solo scheduler's permanent loss.
 
-use eff2_chaos::{FaultConfig, FaultPlan, RetryPolicy};
-use eff2_core::chunkers::{ChunkFormer, SrTreeChunker};
-use eff2_core::index::ChunkIndex;
+mod common;
+
+use common::{assert_bit_identical, retry, scan_all, snapshot, trace};
+use eff2_chaos::{FaultConfig, FaultPlan};
 use eff2_core::search::{SearchParams, SearchResult, StopRule};
-use eff2_core::snapshot::Snapshot;
-use eff2_descriptor::{Descriptor, DescriptorSet, Vector};
 use eff2_serve::{FleetConfig, FleetScheduler, LossScope, Policy, Scheduler, SchedulerConfig};
 use eff2_shard::Placement;
-use eff2_storage::diskmodel::{DiskModel, VirtualDuration};
-use eff2_storage::ChunkStore;
+use eff2_storage::diskmodel::VirtualDuration;
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
-
-fn tmp_dir(tag: &str) -> std::path::PathBuf {
-    let unique = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!(
-        "eff2_fleet_eq_{tag}_{}_{unique}",
-        std::process::id()
-    ));
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    dir
-}
-
-fn lumpy_set(n: usize) -> DescriptorSet {
-    (0..n)
-        .map(|i| {
-            let blob = (i % 5) as f32 * 20.0;
-            let mut v = Vector::splat(blob);
-            v[0] += ((i * 31) % 23) as f32 * 0.3;
-            v[3] -= ((i * 17) % 19) as f32 * 0.2;
-            Descriptor::new(i as u32, v)
-        })
-        .collect()
-}
-
-fn build_snapshot(tag: &str, n: usize, leaf: usize) -> (Snapshot, DescriptorSet) {
-    let set = lumpy_set(n);
-    let formation = SrTreeChunker { leaf_size: leaf }.form(&set);
-    let store =
-        ChunkStore::create(&tmp_dir(tag), "s", &set, &formation.chunks, 512).expect("create");
-    (
-        ChunkIndex::from_store(store, DiskModel::ata_2005()).snapshot(),
-        set,
-    )
-}
-
-fn trace(set: &DescriptorSet, n: usize, gap_ms: f64) -> Vec<(Vector, VirtualDuration)> {
-    (0..n)
-        .map(|i| {
-            let q = set.vector_owned((i * 37) % set.len());
-            (q, VirtualDuration::from_ms(gap_ms * i as f64))
-        })
-        .collect()
-}
-
-fn vd_bits(t: VirtualDuration) -> u64 {
-    t.as_secs().to_bits()
-}
-
-/// Full bit-compare of a merged fleet result against the single-device
-/// reference: neighbours, log figures, per-chunk events and the
-/// degradation report.
-fn assert_bit_identical(want: &SearchResult, got: &SearchResult, tag: &str) {
-    assert_eq!(want.neighbors.len(), got.neighbors.len(), "{tag}: k");
-    for (w, g) in want.neighbors.iter().zip(got.neighbors.iter()) {
-        assert_eq!(w.id, g.id, "{tag}: neighbor id");
-        assert_eq!(w.dist.to_bits(), g.dist.to_bits(), "{tag}: neighbor dist");
-    }
-    let (wl, gl) = (&want.log, &got.log);
-    assert_eq!(wl.chunks_read, gl.chunks_read, "{tag}: chunks_read");
-    assert_eq!(
-        wl.descriptors_scanned, gl.descriptors_scanned,
-        "{tag}: scanned"
-    );
-    assert_eq!(wl.bytes_read, gl.bytes_read, "{tag}: bytes");
-    assert_eq!(wl.completed, gl.completed, "{tag}: completed");
-    assert_eq!(
-        vd_bits(wl.total_virtual),
-        vd_bits(gl.total_virtual),
-        "{tag}: total virtual"
-    );
-    assert_eq!(
-        wl.degradation.chunks_lost, gl.degradation.chunks_lost,
-        "{tag}: chunks lost"
-    );
-    assert_eq!(
-        wl.degradation.descriptors_lost, gl.degradation.descriptors_lost,
-        "{tag}: descriptors lost"
-    );
-    assert_eq!(
-        wl.degradation.lost_chunks, gl.degradation.lost_chunks,
-        "{tag}: lost set"
-    );
-    assert_eq!(wl.events.len(), gl.events.len(), "{tag}: event count");
-    for (w, g) in wl.events.iter().zip(gl.events.iter()) {
-        assert_eq!(w.rank, g.rank, "{tag}: rank");
-        assert_eq!(w.chunk_id, g.chunk_id, "{tag}: chunk_id");
-        assert_eq!(w.count, g.count, "{tag}: count");
-        assert_eq!(w.bytes_read, g.bytes_read, "{tag}: event bytes");
-        assert_eq!(
-            vd_bits(w.completed_at),
-            vd_bits(g.completed_at),
-            "{tag}: completed_at"
-        );
-        assert_eq!(w.kth_dist.to_bits(), g.kth_dist.to_bits(), "{tag}: kth");
-    }
-}
 
 fn stop_rule(which: usize) -> StopRule {
     match which % 5 {
@@ -141,7 +41,7 @@ proptest! {
     ) {
         let placement = Placement::ALL[placement_ix];
         let policy = Policy::ALL[policy_ix];
-        let (snap, set) = build_snapshot("quiet", 500, 28);
+        let (snap, set) = snapshot("quiet", 500, 28);
         let params = SearchParams {
             stop: stop_rule(which_stop),
             ..SearchParams::exact(6)
@@ -188,18 +88,11 @@ proptest! {
         seed in 1u64..200,
     ) {
         let placement = Placement::ALL[placement_ix];
-        let (snap, set) = build_snapshot("lossy", 500, 28);
-        let params = SearchParams {
-            stop: StopRule::Chunks(usize::MAX),
-            ..SearchParams::exact(6)
-        };
+        let (snap, set) = snapshot("lossy", 500, 28);
+        let params = scan_all(6);
         let queries = trace(&set, 5, 1.5);
         let plan = FaultPlan::new(FaultConfig::lossy(seed, 0.15));
-        let retry = RetryPolicy::new(
-            2,
-            VirtualDuration::from_ms(5.0),
-            VirtualDuration::from_ms(1.0),
-        );
+        let retry = retry(2, 5.0);
         let mut solo_config = SchedulerConfig::new(Policy::MostWantedChunk, 4);
         solo_config.max_queued = queries.len();
         solo_config.fault_plan = Some(plan);

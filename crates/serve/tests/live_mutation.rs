@@ -5,70 +5,16 @@
 //! pinned at admission. Mutation changes *which* epoch a query sees,
 //! never what a pinned epoch computes.
 
-use eff2_core::chunkers::{ChunkFormer, RoundRobinChunker, SrTreeChunker};
-use eff2_core::search::{SearchParams, SearchResult, StopRule};
-use eff2_descriptor::{Descriptor, DescriptorSet, Vector};
+mod common;
+
+use common::{arb_former, arb_stop, assert_bit_identical, lumpy_set, tmp_dir};
+use eff2_core::chunkers::{ChunkFormer, SrTreeChunker};
+use eff2_core::search::SearchParams;
+use eff2_descriptor::{DescriptorSet, Vector};
 use eff2_epoch::MutableIndex;
 use eff2_serve::{merge_timelines, CompactionPolicy, LiveEvent, LiveServer};
 use eff2_storage::diskmodel::{DiskModel, VirtualDuration};
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
-
-fn tmp_dir(tag: &str) -> std::path::PathBuf {
-    let unique = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("eff2_live_{tag}_{}_{unique}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    dir
-}
-
-fn lumpy_set(n: usize) -> DescriptorSet {
-    (0..n)
-        .map(|i| {
-            let blob = (i % 5) as f32 * 20.0;
-            let mut v = Vector::splat(blob);
-            v[0] += ((i * 31) % 23) as f32 * 0.3;
-            v[3] -= ((i * 17) % 19) as f32 * 0.2;
-            Descriptor::new(i as u32, v)
-        })
-        .collect()
-}
-
-fn vd_bits(t: VirtualDuration) -> u64 {
-    t.as_secs().to_bits()
-}
-
-fn assert_bit_identical(want: &SearchResult, got: &SearchResult, tag: &str) {
-    assert_eq!(want.neighbors.len(), got.neighbors.len(), "{tag}: k");
-    for (w, g) in want.neighbors.iter().zip(got.neighbors.iter()) {
-        assert_eq!(w.id, g.id, "{tag}: neighbor id");
-        assert_eq!(w.dist.to_bits(), g.dist.to_bits(), "{tag}: neighbor dist");
-    }
-    let (wl, gl) = (&want.log, &got.log);
-    assert_eq!(wl.chunks_read, gl.chunks_read, "{tag}: chunks_read");
-    assert_eq!(
-        wl.descriptors_scanned, gl.descriptors_scanned,
-        "{tag}: scanned"
-    );
-    assert_eq!(wl.bytes_read, gl.bytes_read, "{tag}: bytes");
-    assert_eq!(
-        vd_bits(wl.total_virtual),
-        vd_bits(gl.total_virtual),
-        "{tag}: total virtual"
-    );
-    assert_eq!(wl.completed, gl.completed, "{tag}: completed");
-    assert_eq!(wl.events.len(), gl.events.len(), "{tag}: event count");
-    for (w, g) in wl.events.iter().zip(gl.events.iter()) {
-        assert_eq!(w.chunk_id, g.chunk_id, "{tag}: chunk_id");
-        assert_eq!(
-            vd_bits(w.completed_at),
-            vd_bits(g.completed_at),
-            "{tag}: completed_at"
-        );
-        assert_eq!(w.kth_dist.to_bits(), g.kth_dist.to_bits(), "{tag}: kth");
-    }
-}
 
 fn build_index(
     tag: &str,
@@ -88,24 +34,6 @@ fn build_index(
         target,
     )
     .expect("create")
-}
-
-fn arb_former() -> impl Strategy<Value = Box<dyn ChunkFormer>> {
-    prop_oneof![
-        (15usize..50)
-            .prop_map(|leaf| Box::new(SrTreeChunker { leaf_size: leaf }) as Box<dyn ChunkFormer>),
-        (2usize..12)
-            .prop_map(|n| Box::new(RoundRobinChunker { n_chunks: n }) as Box<dyn ChunkFormer>),
-    ]
-}
-
-fn arb_stop() -> impl Strategy<Value = StopRule> {
-    prop_oneof![
-        (1usize..8).prop_map(StopRule::Chunks),
-        (0.01f64..0.15).prop_map(|s| StopRule::VirtualTime(VirtualDuration::from_secs(s))),
-        Just(StopRule::ToCompletion),
-        (0.0f32..1.0).prop_map(StopRule::ToCompletionEps),
-    ]
 }
 
 fn arb_policy() -> impl Strategy<Value = CompactionPolicy> {

@@ -18,6 +18,11 @@ cargo build --release -p eff2-examples
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test perfbench (the benchmark's smoke + contract tests, against this tree)"
+# perfbench/ is its own workspace: this is the only gate that compiles it
+# against eff2-serve's public surface before the benchmark itself runs.
+cargo test --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> eff2-lint --deny (workspace invariant audit, incl. interprocedural rules)"
 LINT_ERR="$(mktemp)"
 cargo run --release -p eff2-lint -- --deny 2>"$LINT_ERR"
