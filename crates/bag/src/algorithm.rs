@@ -198,11 +198,6 @@ impl<'a> Bag<'a> {
         }
     }
 
-    /// Current number of clusters.
-    pub fn cluster_count(&self) -> usize {
-        self.clusters.len()
-    }
-
     /// Per-pass statistics so far.
     pub fn history(&self) -> &[PassStats] {
         &self.history

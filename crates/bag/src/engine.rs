@@ -144,11 +144,6 @@ impl PrunedIndex {
         let reach = 2.0 * (query.radius.max(self.pivot) + self.mpi);
         self.tree.range(&query.centroid, reach, out);
     }
-
-    /// Number of big-list entries (diagnostics).
-    pub fn big_len(&self) -> usize {
-        self.big.len()
-    }
 }
 
 #[cfg(test)]

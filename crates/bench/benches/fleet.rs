@@ -17,7 +17,7 @@ use eff2_storage::diskmodel::VirtualDuration;
 use std::hint::black_box;
 
 fn fleet_scatter_gather(c: &mut Criterion) {
-    let snap = fixtures::sr_index().snapshot();
+    let snap = fixtures::sr_index().clone();
     let queries = fixtures::queries(32);
     let params = SearchParams {
         k: 30,

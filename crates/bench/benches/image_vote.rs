@@ -68,7 +68,7 @@ fn absorb_rank(c: &mut Criterion) {
 }
 
 fn serve(c: &mut Criterion) {
-    let snapshot = fixtures::sr_index().snapshot();
+    let snapshot = fixtures::sr_index().clone();
     let set = fixtures::collection();
     let image_of = Arc::new(image_of_map(set.len(), N_IMAGES, 0.8, 11));
     let queries = image_queries(set, &image_of, N_QUERIES, PER_QUERY, 23);

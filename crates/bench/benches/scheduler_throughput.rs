@@ -15,7 +15,7 @@ use eff2_storage::diskmodel::VirtualDuration;
 use std::hint::black_box;
 
 fn scheduler_throughput(c: &mut Criterion) {
-    let snap = fixtures::sr_index().snapshot();
+    let snap = fixtures::sr_index().clone();
     let queries = fixtures::queries(32);
     let params = SearchParams {
         k: 30,

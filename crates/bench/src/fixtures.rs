@@ -9,7 +9,7 @@
 
 use eff2_bag::BagConfig;
 use eff2_core::chunkers::{BagChunker, SrTreeChunker};
-use eff2_core::ChunkIndex;
+use eff2_core::Snapshot;
 use eff2_descriptor::{
     as_rows, Codec, DescriptorCodec, DescriptorSet, PqCodec, Sq8Codec, SyntheticCollection, Vector,
     DIM,
@@ -52,10 +52,10 @@ pub fn mpi() -> f32 {
 }
 
 /// The BAG chunk index over the bench collection (built once).
-pub fn bag_index() -> &'static ChunkIndex {
-    static IX: OnceLock<ChunkIndex> = OnceLock::new();
+pub fn bag_index() -> &'static Snapshot {
+    static IX: OnceLock<Snapshot> = OnceLock::new();
     IX.get_or_init(|| {
-        let built = ChunkIndex::build(
+        let built = Snapshot::build(
             &bench_dir(),
             "bench_bag",
             collection(),
@@ -77,14 +77,14 @@ pub fn bag_index() -> &'static ChunkIndex {
 
 /// The SR-tree chunk index over the bench collection (built once), with
 /// leaf size matching the BAG index's mean chunk size.
-pub fn sr_index() -> &'static ChunkIndex {
-    static IX: OnceLock<ChunkIndex> = OnceLock::new();
+pub fn sr_index() -> &'static Snapshot {
+    static IX: OnceLock<Snapshot> = OnceLock::new();
     IX.get_or_init(|| {
         let bag = bag_index();
         let leaf = (bag.store().total_descriptors() as f64 / bag.store().n_chunks().max(1) as f64)
             .round()
             .max(2.0) as usize;
-        let built = ChunkIndex::build(
+        let built = Snapshot::build(
             &bench_dir(),
             "bench_sr",
             collection(),
@@ -98,8 +98,8 @@ pub fn sr_index() -> &'static ChunkIndex {
 }
 
 /// An SR-tree index with an explicit leaf size (for the Fig 6/7 sweep).
-pub fn sr_index_with_leaf(leaf_size: usize) -> ChunkIndex {
-    ChunkIndex::build(
+pub fn sr_index_with_leaf(leaf_size: usize) -> Snapshot {
+    Snapshot::build(
         &bench_dir(),
         &format!("bench_sr_{leaf_size}"),
         collection(),

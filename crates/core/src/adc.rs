@@ -42,9 +42,7 @@ pub fn search_two_level(
 ) -> Result<SearchResult> {
     let ranking = ChunkRanking::rank_two_level(store, model, query, coarse);
     let source = Arc::new(PrefetchSource::new(store, params.prefetch_depth));
-    let mut session = SearchSession::from_ranking(ranking, model, query, params, source);
-    session.run_to_stop()?;
-    Ok(session.into_result())
+    SearchSession::from_ranking(ranking, model, query, params, source).run()
 }
 
 /// Executes one query over a quantized (v3) store with a flat ranking:
@@ -76,11 +74,7 @@ pub fn search_quantized_with(
     rerank_mult: usize,
     coarse: Option<&CoarseQuantizer>,
 ) -> Result<SearchResult> {
-    let mut session =
-        SearchSession::open_quantized(store, model, query, params, rerank_mult, coarse)?;
-    session.run_to_stop()?;
-    session.rerank_tail()?;
-    Ok(session.into_result())
+    SearchSession::open_quantized(store, model, query, params, rerank_mult, coarse)?.run()
 }
 
 #[cfg(test)]

@@ -1,34 +1,23 @@
 //! Building and opening chunk indexes — the top-level user API.
 
 use crate::chunkers::{ChunkFormation, ChunkFormer};
-use crate::search::{search, search_with_source, SearchParams, SearchResult, StopRule};
-use crate::session::SearchSession;
-use eff2_descriptor::{DescriptorSet, Vector};
+use crate::snapshot::Snapshot;
+use eff2_descriptor::DescriptorSet;
 use eff2_storage::diskmodel::DiskModel;
-use eff2_storage::source::{ChunkSource, ResidentSource};
 use eff2_storage::{ChunkStore, Result};
 use std::path::Path;
-use std::sync::Arc;
-
-/// An openable, searchable chunk index: a [`ChunkStore`] paired with the
-/// cost model its timings are reported under.
-#[derive(Debug)]
-pub struct ChunkIndex {
-    store: ChunkStore,
-    model: DiskModel,
-}
 
 /// A freshly built index together with how its chunks were formed.
 #[derive(Debug)]
 pub struct BuiltIndex {
     /// The searchable index.
-    pub index: ChunkIndex,
+    pub index: Snapshot,
     /// Formation output (chunks summary, outliers, cost) — Table 1's raw
     /// material.
     pub formation: ChunkFormation,
 }
 
-impl ChunkIndex {
+impl Snapshot {
     /// Forms chunks over `set` with `former` and writes the chunk + index
     /// files under `dir/name.{chunks,index}`.
     ///
@@ -45,84 +34,17 @@ impl ChunkIndex {
         let formation = former.form(set);
         let store = ChunkStore::create(dir, name, set, &formation.chunks, page_size)?;
         Ok(BuiltIndex {
-            index: ChunkIndex { store, model },
+            index: Snapshot::new(store, model),
             formation,
         })
     }
 
     /// Opens an existing index.
-    pub fn open(chunk_path: &Path, index_path: &Path, model: DiskModel) -> Result<ChunkIndex> {
-        Ok(ChunkIndex {
-            store: ChunkStore::open(chunk_path, index_path)?,
+    pub fn open(chunk_path: &Path, index_path: &Path, model: DiskModel) -> Result<Snapshot> {
+        Ok(Snapshot::new(
+            ChunkStore::open(chunk_path, index_path)?,
             model,
-        })
-    }
-
-    /// Wraps an already-open store.
-    pub fn from_store(store: ChunkStore, model: DiskModel) -> ChunkIndex {
-        ChunkIndex { store, model }
-    }
-
-    /// The underlying store.
-    pub fn store(&self) -> &ChunkStore {
-        &self.store
-    }
-
-    /// The cost model.
-    pub fn model(&self) -> &DiskModel {
-        &self.model
-    }
-
-    /// Executes one query.
-    pub fn search(&self, query: &Vector, params: &SearchParams) -> Result<SearchResult> {
-        search(&self.store, &self.model, query, params)
-    }
-
-    /// Executes one query drawing chunks from an explicit source (e.g. a
-    /// shared [`ResidentSource`] from [`resident_source`](Self::resident_source)).
-    pub fn search_with_source(
-        &self,
-        query: &Vector,
-        params: &SearchParams,
-        source: Arc<dyn ChunkSource>,
-    ) -> Result<SearchResult> {
-        search_with_source(&self.store, &self.model, query, params, source)
-    }
-
-    /// Opens a resumable [`SearchSession`] for one query: step it chunk by
-    /// chunk, inspect intermediate quality, stop when satisfied.
-    pub fn session(&self, query: &Vector, params: &SearchParams) -> SearchSession {
-        SearchSession::open(&self.store, &self.model, query, params)
-    }
-
-    /// [`session`](Self::session) over an explicit chunk source.
-    pub fn session_with_source(
-        &self,
-        query: &Vector,
-        params: &SearchParams,
-        source: Arc<dyn ChunkSource>,
-    ) -> SearchSession {
-        SearchSession::with_source(&self.store, &self.model, query, params, source)
-    }
-
-    /// Answers every stop rule in `rules` for one query from a single scan
-    /// of the collection — each entry identical to an individual
-    /// [`search`](Self::search) with that rule.
-    pub fn evaluate_stop_rules(
-        &self,
-        query: &Vector,
-        params: &SearchParams,
-        rules: &[StopRule],
-    ) -> Result<Vec<SearchResult>> {
-        self.session(query, params).evaluate_rules(rules)
-    }
-
-    /// A [`ResidentSource`] over this index's store pinning at most
-    /// `budget_bytes` of decoded chunks — share it (it clones cheaply)
-    /// across queries for hot serving. Figures are unchanged: cache hits
-    /// still charge the modelled I/O.
-    pub fn resident_source(&self, budget_bytes: u64) -> ResidentSource {
-        ResidentSource::new(&self.store, budget_bytes)
+        ))
     }
 }
 
@@ -131,7 +53,8 @@ mod tests {
     use super::*;
     use crate::chunkers::SrTreeChunker;
     use crate::scan::scan_knn;
-    use eff2_descriptor::Descriptor;
+    use crate::search::SearchParams;
+    use eff2_descriptor::{Descriptor, Vector};
     use std::path::PathBuf;
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -154,7 +77,7 @@ mod tests {
     fn build_search_open_roundtrip() {
         let dir = tmp_dir("roundtrip");
         let set = sample_set(300);
-        let built = ChunkIndex::build(
+        let built = Snapshot::build(
             &dir,
             "t",
             &set,
@@ -181,7 +104,7 @@ mod tests {
         }
 
         // Reopen from disk and search again.
-        let reopened = ChunkIndex::open(
+        let reopened = Snapshot::open(
             built.index.store().chunk_path(),
             built.index.store().index_path(),
             DiskModel::ata_2005(),
@@ -216,8 +139,8 @@ mod tests {
         }
         let dir = tmp_dir("outliers");
         let set = sample_set(50);
-        let built = ChunkIndex::build(&dir, "o", &set, &DropFirst, 256, DiskModel::instant())
-            .expect("build");
+        let built =
+            Snapshot::build(&dir, "o", &set, &DropFirst, 256, DiskModel::instant()).expect("build");
         assert_eq!(built.index.store().total_descriptors(), 49);
         assert_eq!(built.formation.outliers, vec![0]);
     }

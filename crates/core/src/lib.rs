@@ -28,6 +28,9 @@
 //!
 //! Every search logs its per-chunk intermediate results ([`SearchLog`]),
 //! which is what the paper's quality-vs-time figures are computed from.
+//!
+//! Start at [`Snapshot::build`] (form chunks, write the files) or
+//! [`Snapshot::open`]; [`Snapshot::search`] runs one query.
 
 pub mod adc;
 pub mod chunkers;
@@ -51,7 +54,7 @@ pub use image::{
     solo_image_search, ImageAggregator, ImageOutcome, ImageStopRule, ImageStopTracker, ImageVote,
     ImageVoteAccumulator, ImageVoteEvent,
 };
-pub use index::{BuiltIndex, ChunkIndex};
+pub use index::BuiltIndex;
 pub use merge::{LegOutcome, ScatterGather};
 pub use neighbors::{Neighbor, NeighborSet};
 pub use scan::{scan_knn, scan_store_knn};
@@ -59,5 +62,5 @@ pub use search::{
     search_batch, search_batch_threads, search_with_source, ChunkEvent, Degradation,
     ResultFidelity, SearchLog, SearchParams, SearchResult, StopRule,
 };
-pub use session::{evaluate_stop_rules, rule_fires, ChunkRanking, SearchSession, SkipPolicy};
+pub use session::{evaluate_stop_rules, ChunkRanking, SearchSession, SkipPolicy};
 pub use snapshot::{EpochSnapshot, Snapshot};

@@ -3,45 +3,33 @@
 //! A fleet run splits a query's flat [`ChunkRanking`] into per-shard *legs*
 //! ([`ChunkRanking::split_by_owner`]); each leg is a detached
 //! [`SearchSession`](crate::session::SearchSession) scanning only its
-//! shard's chunks. The [`ScatterGather`] here is the **gather side**: it
-//! owns the global ranking, the merged neighbour set, the query's private
-//! [`PipelineClock`] and its [`SearchLog`], and it incorporates leg
-//! outcomes strictly in global rank order.
+//! shard's chunks. The [`ScatterGather`] here is the **gather side**, and
+//! it is a search session too — the same per-query state a scanning session
+//! keeps (global ranking, neighbour set, private clock, log), advanced by
+//! the same code — except that it is *told* each chunk's candidates instead
+//! of computing them: [`ScatterGather::incorporate`] takes, strictly in
+//! global rank order, what the owning leg reported for the chunk.
 //!
 //! ## Why the merged answer is bit-identical to a solo scan
 //!
-//! Consider the global prefix of the first `g` ranked chunks. Each leg
-//! preserves the global order restricted to its shard, so after every leg
-//! has reported its outcomes for its chunks in that prefix, the leg's
-//! retained neighbour snapshot contains the exact k smallest `(dist_sq,
-//! id)` candidates among *its* prefix chunks — and any member of the true
-//! global top-k over the prefix is, in particular, among the k smallest of
-//! its own leg's prefix, hence present in that leg's snapshot. Merging the
-//! snapshots' **raw** `(id, dist_sq)` entries
-//! ([`NeighborSet::entries`](crate::neighbors::NeighborSet::entries)) and
-//! keeping the k smallest *distinct ids* under the total order
-//! `(dist_sq, id)` therefore yields exactly the solo top-k of the prefix.
-//! Two details matter: the merge must deduplicate by id, because a leg
-//! re-reports its retained neighbours after every chunk (a solo scan
-//! offers each descriptor exactly once, so its `NeighborSet` never sees a
-//! duplicate); and it must use the raw squared distances (round-tripping
-//! through sqrt'd values would perturb kth-boundary ties).
-//! Stop rules are evaluated over this merged state with the *same*
-//! predicate a solo session uses ([`rule_fires`]), and the private clock
-//! replays the identical `chunk_overlapped(io_time(bytes),
-//! scan_time(count))` sequence in global order from the same index-read
-//! start — so neighbours, events, stop point and every virtual-time figure
-//! come out bit-for-bit equal to the single-device run.
-//!
-//! Losses merge the same way: a chunk no replica could deliver is
-//! incorporated at its global rank as a skip with its modelled retry
-//! charge, exactly like
-//! [`SearchSession::skip_unavailable`](crate::session::SearchSession::skip_unavailable).
+//! Each leg preserves the global order restricted to its shard, so once the
+//! gather has taken every outcome up to global rank `g`, any member of the
+//! solo top-k over that prefix is among the k best of its own leg's prefix
+//! and was reported in that leg's retained set. A leg re-reports its whole
+//! retained set — raw `(id, dist_sq)` pairs, see
+//! [`NeighborSet::entries`](crate::neighbors::NeighborSet::entries) — after
+//! every chunk, and
+//! [`offer_distinct`](crate::neighbors::NeighborSet::offer_distinct) makes
+//! that idempotent: an id the set holds is refused, an id it has evicted no
+//! longer beats the kth entry. So the gather's neighbour set after rank `g`
+//! holds exactly what a solo scan's holds, and everything derived from it —
+//! kth distance, stop decision, event log, clock charges (a lost chunk is
+//! booked like a solo skip), final ordering — is computed by the session
+//! core a solo scan runs.
 
-use crate::neighbors::Neighbor;
-use crate::search::{ChunkEvent, SearchLog, SearchParams, SearchResult, StopRule};
-use crate::session::{rule_fires, ChunkRanking};
-use eff2_storage::diskmodel::{DiskModel, PipelineClock, VirtualDuration};
+use crate::search::{SearchParams, SearchResult};
+use crate::session::{ChunkRanking, SessionCore};
+use eff2_storage::diskmodel::{DiskModel, VirtualDuration};
 use eff2_storage::Result;
 
 /// One leg-reported outcome for a single ranked chunk, buffered by the
@@ -67,106 +55,37 @@ pub enum LegOutcome {
     },
 }
 
-/// The gather side of a scatter–gather query: global ranking, merged
-/// neighbour set, private clock and log. See the module docs for the
-/// determinism argument.
+/// The gather side of a scatter–gather query: a search session over the
+/// global ranking that is told each chunk's candidates. See the module
+/// docs for the determinism argument.
 pub struct ScatterGather {
-    ranking: ChunkRanking,
-    model: DiskModel,
-    params: SearchParams,
-    clock: PipelineClock,
-    /// The merged top-k as raw `(id, dist_sq)` pairs, sorted by
-    /// `(dist_sq, id)`, ids distinct, at most `k` long. A plain sorted
-    /// vector instead of a [`NeighborSet`] because the merge must
-    /// deduplicate by id (see module docs) — leg snapshots re-report the
-    /// same neighbour chunk after chunk.
-    merged: Vec<(u32, f32)>,
-    log: SearchLog,
-    wall_start: std::time::Instant,
+    core: SessionCore,
 }
 
 impl ScatterGather {
     /// A gather over a pre-computed **flat** global ranking. The private
     /// clock starts at the index-read time, exactly like a solo session.
     pub fn new(ranking: ChunkRanking, model: &DiskModel, params: &SearchParams) -> ScatterGather {
-        let clock = PipelineClock::start_at(ranking.index_read_time());
-        let log = SearchLog {
-            index_read_time: ranking.index_read_time(),
-            ..SearchLog::default()
-        };
         ScatterGather {
-            ranking,
-            model: *model,
-            params: *params,
-            clock,
-            merged: Vec::with_capacity(params.k),
-            log,
-            // lint:allow(det.wall_clock): log.wall is informational; it never feeds the virtual clock or modelled figures
-            wall_start: std::time::Instant::now(),
+            core: SessionCore::new(ranking, model, params),
         }
     }
 
     /// The global ranking this gather merges over.
     pub fn ranking(&self) -> &ChunkRanking {
-        &self.ranking
-    }
-
-    /// The parameters the query was admitted with.
-    pub fn params(&self) -> &SearchParams {
-        &self.params
+        self.core.ranking()
     }
 
     /// Global ranks incorporated so far (scanned + lost) — the next
     /// outcome must be for the chunk at this rank.
     pub fn cursor(&self) -> usize {
-        self.log.chunks_read + self.log.degradation.chunks_lost
-    }
-
-    /// Whether `k` distinct neighbours are held.
-    fn is_full(&self) -> bool {
-        self.merged.len() >= self.params.k
-    }
-
-    /// The merged kth-best **squared** distance (∞ until `k` are held) —
-    /// same contract as `NeighborSet::kth_dist_sq`.
-    fn kth_dist_sq(&self) -> f32 {
-        if self.is_full() {
-            self.merged.last().map_or(f32::INFINITY, |e| e.1)
-        } else {
-            f32::INFINITY
-        }
-    }
-
-    /// The current merged kth-best distance (∞ until `k` are held).
-    pub fn kth_dist(&self) -> f32 {
-        let d = self.kth_dist_sq();
-        if d.is_finite() {
-            d.sqrt()
-        } else {
-            f32::INFINITY
-        }
-    }
-
-    /// Merges a batch of raw `(id, dist_sq)` entries into the top-k:
-    /// sort by `(dist_sq, id)`, drop duplicate ids (duplicates of an id
-    /// always carry identical distance bits — a descriptor lives in exactly
-    /// one chunk, scanned by exactly one leg), keep the k smallest.
-    fn offer_entries(&mut self, entries: &[(u32, f32)]) {
-        self.merged.extend_from_slice(entries);
-        self.merged
-            .sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        self.merged.dedup_by(|a, b| a.0 == b.0);
-        self.merged.truncate(self.params.k);
+        self.core.cursor()
     }
 
     /// Upper estimate of ranks still to incorporate before the stop rule
     /// can fire (see `SearchSession::remaining_work_estimate`).
     pub fn remaining_work_estimate(&self) -> usize {
-        let cursor = self.cursor();
-        match self.params.stop {
-            StopRule::Chunks(n) => n.min(self.ranking.len()).saturating_sub(cursor),
-            _ => self.ranking.len().saturating_sub(cursor),
-        }
+        self.core.remaining_work_estimate()
     }
 
     /// Incorporates the outcome for the chunk at the current cursor rank.
@@ -174,51 +93,21 @@ impl ScatterGather {
     /// in-order discipline as `SearchSession::step_with`); outcomes arrive
     /// here only after the fleet driver has drained every earlier rank.
     pub fn incorporate(&mut self, chunk_id: usize, outcome: &LegOutcome) -> Result<()> {
-        let cursor = self.cursor();
-        if cursor >= self.ranking.len() {
-            return Err(eff2_storage::Error::Inconsistent(
-                "gather already incorporated every ranked chunk".to_string(),
-            ));
-        }
-        let wanted = self.ranking.chunk_at(cursor);
-        if chunk_id != wanted {
-            return Err(eff2_storage::Error::Inconsistent(format!(
-                "gather wants chunk {wanted} at rank {cursor}, was offered chunk {chunk_id}"
-            )));
-        }
+        self.core.check_next(chunk_id)?;
         match outcome {
             LegOutcome::Scanned {
                 bytes_read,
                 count,
                 entries,
             } => {
-                self.offer_entries(entries);
-                let io = self.model.io_time(*bytes_read);
-                let cpu = self.model.scan_time(*count as usize);
-                let completed_at = self.clock.chunk_overlapped(io, cpu);
-                let rank = self.log.chunks_read;
-                self.log.chunks_read += 1;
-                self.log.descriptors_scanned += u64::from(*count);
-                self.log.bytes_read += bytes_read;
-                self.log.events.push(ChunkEvent {
-                    rank,
-                    chunk_id,
-                    count: *count,
-                    bytes_read: *bytes_read,
-                    completed_at,
-                    kth_dist: self.kth_dist(),
-                    topk_ids: if self.params.log_snapshots {
-                        self.merged.iter().map(|e| e.0).collect()
-                    } else {
-                        Vec::new()
-                    },
-                });
+                for &(id, dist_sq) in entries {
+                    self.core.neighbors.offer_distinct(id, dist_sq);
+                }
+                self.core
+                    .chunk_consumed(chunk_id, *count, *bytes_read, VirtualDuration::ZERO);
             }
             LegOutcome::Lost { spent } => {
-                let _ = self.clock.chunk_overlapped(*spent, VirtualDuration::ZERO);
-                self.log.degradation.chunks_lost += 1;
-                self.log.degradation.descriptors_lost += u64::from(self.ranking.count_of(chunk_id));
-                self.log.degradation.lost_chunks.push(chunk_id);
+                self.core.chunk_lost(*spent);
             }
         }
         Ok(())
@@ -227,52 +116,13 @@ impl ScatterGather {
     /// Whether the query's own stop rule says to stop — the same predicate
     /// a solo session evaluates, over the merged state.
     pub fn stop_satisfied(&self) -> bool {
-        let cursor = self.cursor();
-        self.params.k == 0
-            || cursor >= self.ranking.len()
-            || rule_fires(
-                self.params.stop,
-                cursor,
-                self.log.events.last().map(|e| e.completed_at),
-                self.is_full(),
-                self.kth_dist(),
-                self.ranking.remaining_bound(cursor),
-            )
-            .is_some()
+        self.core.stop_satisfied()
     }
 
-    /// Finalises the merged answer, exactly as
-    /// `SearchSession::into_result_and_ranking` does: completion flag,
-    /// total virtual time from the private clock, centroid evaluations
-    /// from the global ranking. Also hands the ranking back for reuse.
-    pub fn into_result_and_ranking(mut self) -> (SearchResult, ChunkRanking) {
-        let cursor = self.cursor();
-        self.log.completed = self.params.k == 0
-            || cursor == self.ranking.len()
-            || rule_fires(
-                self.params.stop,
-                cursor,
-                self.log.events.last().map(|e| e.completed_at),
-                self.is_full(),
-                self.kth_dist(),
-                self.ranking.remaining_bound(cursor),
-            ) == Some(true);
-        self.log.total_virtual = self.clock.now().max(self.ranking.index_read_time());
-        self.log.centroid_evals = self.ranking.centroid_evals();
-        self.log.wall = self.wall_start.elapsed();
-        let ranking = std::mem::take(&mut self.ranking);
-        let result = SearchResult {
-            neighbors: self
-                .merged
-                .iter()
-                .map(|&(id, dist_sq)| Neighbor {
-                    id,
-                    dist: dist_sq.sqrt(),
-                })
-                .collect(),
-            log: self.log,
-        };
-        (result, ranking)
+    /// Finalises the merged answer under the query's own stop rule and
+    /// hands the ranking back for reuse.
+    pub fn into_result_and_ranking(self) -> (SearchResult, ChunkRanking) {
+        self.core.into_result_and_ranking()
     }
 }
 
@@ -280,8 +130,8 @@ impl std::fmt::Debug for ScatterGather {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ScatterGather")
             .field("cursor", &self.cursor())
-            .field("n_chunks", &self.ranking.len())
-            .field("kth_dist", &self.kth_dist())
+            .field("n_chunks", &self.ranking().len())
+            .field("kth_dist", &self.core.neighbors.kth_dist())
             .finish_non_exhaustive()
     }
 }
@@ -290,6 +140,8 @@ impl std::fmt::Debug for ScatterGather {
 mod tests {
     use super::*;
     use crate::chunkers::{ChunkFormer, SrTreeChunker};
+    use crate::neighbors::NeighborSet;
+    use crate::search::StopRule;
     use crate::session::SearchSession;
     use eff2_descriptor::{Descriptor, DescriptorSet, Vector};
     use eff2_storage::chunkfile::ChunkPayload;
@@ -474,5 +326,65 @@ mod tests {
         assert_eq!(result.log.degradation.chunks_lost, 1);
         assert_eq!(result.log.degradation.lost_chunks, vec![first]);
         assert!(result.log.degradation.descriptors_lost > 0);
+    }
+
+    /// Two squared distances an ulp apart whose roots round to the same
+    /// `f32` are a tie in the reported distance, so the id decides — in
+    /// the gather exactly as in the `NeighborSet` a solo scan reports from.
+    #[test]
+    fn tied_roots_are_ordered_as_a_neighbor_set_orders_them() {
+        let next = |v: f32| f32::from_bits(v.to_bits() + 1);
+        let mut x = 2.0f32;
+        while x.sqrt() != next(x).sqrt() {
+            x = next(x);
+        }
+        let y = next(x);
+        let store = build_store("tie", 300);
+        let model = eff2_storage::diskmodel::DiskModel::ata_2005();
+        let ranking = ChunkRanking::rank(&store, &model, &Vector::splat(5.0));
+        let first = ranking.chunk_at(0);
+        let mut gather = ScatterGather::new(ranking, &model, &SearchParams::exact(2));
+        let outcome = LegOutcome::Scanned {
+            bytes_read: 512,
+            count: 2,
+            entries: vec![(7, x), (3, y)],
+        };
+        gather.incorporate(first, &outcome).expect("incorporate");
+        let mut want = NeighborSet::new(2);
+        want.offer(7, x);
+        want.offer(3, y);
+        assert_eq!(want.sorted_ids(), vec![3, 7]);
+        let (got, _) = gather.into_result_and_ranking();
+        assert_eq!(got.neighbors, want.sorted());
+        assert_eq!(got.log.events[0].topk_ids, want.sorted_ids());
+    }
+
+    #[test]
+    fn gather_stops_on_k_zero_and_refuses_ranks_past_the_last() {
+        let store = build_store("edges", 300);
+        let model = eff2_storage::diskmodel::DiskModel::ata_2005();
+        let query = Vector::splat(5.0);
+        let k_zero = SearchParams {
+            k: 0,
+            ..SearchParams::exact(1)
+        };
+        let ranking = ChunkRanking::rank(&store, &model, &query);
+        assert!(ScatterGather::new(ranking, &model, &k_zero).stop_satisfied());
+        let empty = ScatterGather::new(ChunkRanking::default(), &model, &SearchParams::exact(3));
+        assert!(
+            empty.stop_satisfied(),
+            "nothing ranked, nothing to wait for"
+        );
+
+        let ranking = ChunkRanking::rank(&store, &model, &query);
+        let order = ranking.order();
+        let mut gather = ScatterGather::new(ranking, &model, &SearchParams::exact(3));
+        let lost = LegOutcome::Lost {
+            spent: VirtualDuration::ZERO,
+        };
+        for &chunk in &order {
+            gather.incorporate(chunk, &lost).expect("in order");
+        }
+        assert!(gather.incorporate(order[0], &lost).is_err());
     }
 }

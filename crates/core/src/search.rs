@@ -199,6 +199,58 @@ pub struct SearchResult {
     pub log: SearchLog,
 }
 
+impl SearchResult {
+    /// What "bit-identical" means for two results: `None` when every
+    /// figure a search *determines* agrees bit for bit, otherwise the first
+    /// one that does not, named, with both values — neighbour ids and
+    /// distance bits, then the log's counters, modelled times, completion
+    /// flag and degradation report, then each [`ChunkEvent`] field by
+    /// field. `log.wall` is measured, not determined, and never compared.
+    pub fn first_difference(&self, other: &SearchResult) -> Option<String> {
+        macro_rules! same {
+            ($of:expr, $a:expr, $b:expr, $($field:tt)+) => {
+                if $a.$($field)+ != $b.$($field)+ {
+                    let (a, b) = (&$a.$($field)+, &$b.$($field)+);
+                    return Some(format!("{}.{}: {a:?} vs {b:?}", $of, stringify!($($field)+)));
+                }
+            };
+        }
+        let answer = |r: &SearchResult| -> Vec<(u32, u32)> {
+            r.neighbors
+                .iter()
+                .map(|n| (n.id, n.dist.to_bits()))
+                .collect()
+        };
+        let (a, b) = (answer(self), answer(other));
+        if a != b {
+            return Some(format!("neighbors (id, dist bits): {a:?} vs {b:?}"));
+        }
+        let (a, b) = (&self.log, &other.log);
+        same!("log", a, b, index_read_time.as_secs().to_bits());
+        same!("log", a, b, chunks_read);
+        same!("log", a, b, descriptors_scanned);
+        same!("log", a, b, bytes_read);
+        same!("log", a, b, rerank_bytes);
+        same!("log", a, b, rerank_chunks);
+        same!("log", a, b, centroid_evals);
+        same!("log", a, b, total_virtual.as_secs().to_bits());
+        same!("log", a, b, completed);
+        same!("log", a, b, degradation);
+        same!("log", a, b, events.len());
+        for (i, (x, y)) in a.events.iter().zip(&b.events).enumerate() {
+            let of = format_args!("log.events[{i}]");
+            same!(of, x, y, rank);
+            same!(of, x, y, chunk_id);
+            same!(of, x, y, count);
+            same!(of, x, y, bytes_read);
+            same!(of, x, y, completed_at.as_secs().to_bits());
+            same!(of, x, y, kth_dist.to_bits());
+            same!(of, x, y, topk_ids);
+        }
+        None
+    }
+}
+
 /// Executes one query against a chunk store under the given cost model.
 ///
 /// This is ranking + drive-to-stop over a [`SearchSession`] with the
@@ -210,9 +262,7 @@ pub fn search(
     query: &Vector,
     params: &SearchParams,
 ) -> Result<SearchResult> {
-    let mut session = SearchSession::open(store, model, query, params);
-    session.run_to_stop()?;
-    Ok(session.into_result())
+    SearchSession::open(store, model, query, params).run()
 }
 
 /// [`search`] drawing chunks from an explicit [`ChunkSource`] (e.g. a
@@ -224,9 +274,7 @@ pub fn search_with_source(
     params: &SearchParams,
     source: Arc<dyn ChunkSource>,
 ) -> Result<SearchResult> {
-    let mut session = SearchSession::with_source(store, model, query, params, source);
-    session.run_to_stop()?;
-    Ok(session.into_result())
+    SearchSession::with_source(store, model, query, params, source).run()
 }
 
 /// Executes a batch of queries in parallel over a shared read-only store.
@@ -263,22 +311,8 @@ pub fn search_batch_threads(
     threads: usize,
 ) -> Result<Vec<SearchResult>> {
     let source: Arc<dyn ChunkSource> = Arc::new(PrefetchSource::new(store, params.prefetch_depth));
-    batch_over_source(store, model, queries, params, threads, source)
-}
-
-/// The shared batch driver: per-worker [`ChunkRanking`] scratch recycled
-/// via [`ChunkRanking::rank_into`] (the ranking's vectors are allocated
-/// once per worker, not once per query), sessions built over the shared
-/// `source`. The scratch only recycles allocations — ranking *contents*
-/// are fully rewritten per query, so results cannot depend on it.
-fn batch_over_source(
-    store: &ChunkStore,
-    model: &DiskModel,
-    queries: &[Vector],
-    params: &SearchParams,
-    threads: usize,
-    source: Arc<dyn ChunkSource>,
-) -> Result<Vec<SearchResult>> {
+    // The per-worker scratch only recycles allocations — ranking *contents*
+    // are fully rewritten per query, so results cannot depend on it.
     eff2_parallel::try_par_map_scratch_threads(
         threads,
         queries,

@@ -402,13 +402,10 @@ impl ChunkRanking {
     }
 }
 
-/// The stop-rule predicate shared by [`SearchSession::evaluate_rule`] and
-/// the scatter–gather merge: `Some(proves)` when `rule` is satisfied by the
+/// The stop-rule predicate: `Some(proves)` when `rule` is satisfied by the
 /// given state (`proves` = the stop certifies exactness), `None` to keep
-/// scanning. Factored out so the fleet's gather coordinator evaluates the
-/// *same* predicate over its merged state as a solo session does over its
-/// own — there is exactly one stop-rule implementation to drift.
-pub fn rule_fires(
+/// scanning.
+fn rule_fires(
     rule: StopRule,
     cursor: usize,
     last_completed: Option<VirtualDuration>,
@@ -462,12 +459,6 @@ impl StepInvariants {
         }
     }
 
-    /// A skipped chunk is consumed exactly like a scanned one: it can
-    /// never be scanned (or skipped) again.
-    fn on_skip(&mut self, chunk_id: usize) {
-        self.mark_seen(chunk_id);
-    }
-
     fn on_step(&mut self, chunk_id: usize, kth: f32, completed_at: VirtualDuration) {
         self.mark_seen(chunk_id);
         debug_assert!(
@@ -483,6 +474,210 @@ impl StepInvariants {
             );
         }
         self.last_completed_at = Some(completed_at);
+    }
+}
+
+/// One query's standing in §4.3's scan, however its chunks get scanned:
+/// how far down the ranked order it is, what that has cost on its private
+/// clock, what it has found and logged, and whether a stop rule is met.
+///
+/// A [`SearchSession`] is this plus the machinery that *computes* each
+/// chunk's candidates; the fleet's
+/// [`ScatterGather`](crate::merge::ScatterGather) is this plus being *told*
+/// them. Both advance only through [`chunk_consumed`](Self::chunk_consumed)
+/// and [`chunk_lost`](Self::chunk_lost), so every figure they report comes
+/// out of the same code.
+pub(crate) struct SessionCore {
+    ranking: ChunkRanking,
+    model: DiskModel,
+    params: SearchParams,
+    clock: PipelineClock,
+    pub(crate) neighbors: NeighborSet,
+    log: SearchLog,
+    wall_start: std::time::Instant,
+    #[cfg(debug_assertions)]
+    invariants: StepInvariants,
+}
+
+impl SessionCore {
+    /// The private clock starts at the index-read time.
+    pub(crate) fn new(ranking: ChunkRanking, model: &DiskModel, params: &SearchParams) -> Self {
+        SessionCore {
+            model: *model,
+            params: *params,
+            clock: PipelineClock::start_at(ranking.index_read_time()),
+            neighbors: NeighborSet::new(params.k),
+            log: SearchLog {
+                index_read_time: ranking.index_read_time(),
+                ..SearchLog::default()
+            },
+            // lint:allow(det.wall_clock): log.wall is informational; it never feeds the virtual clock or modelled figures
+            wall_start: std::time::Instant::now(),
+            // The seen-set is indexed by chunk *id*, which for a per-shard
+            // leg ranking (split_by_owner) spans the whole store even
+            // though the leg ranks only a subset — size it by the id space,
+            // not the rank count.
+            #[cfg(debug_assertions)]
+            invariants: StepInvariants::new(ranking.counts.len().max(ranking.len())),
+            ranking,
+        }
+    }
+
+    pub(crate) fn ranking(&self) -> &ChunkRanking {
+        &self.ranking
+    }
+
+    /// Position in the ranked order consumed so far: chunks scanned plus
+    /// chunks lost to faults. With zero faults this is exactly
+    /// `chunks_read` — the fault-free path is untouched.
+    pub(crate) fn cursor(&self) -> usize {
+        self.log.chunks_read + self.log.degradation.chunks_lost
+    }
+
+    /// The in-order discipline: `chunk_id` must be the chunk at the cursor
+    /// rank (payloads and outcomes arrive in ranked order no matter who
+    /// produced them).
+    pub(crate) fn check_next(&self, chunk_id: usize) -> Result<()> {
+        let cursor = self.cursor();
+        if cursor >= self.ranking.len() {
+            return Err(eff2_storage::Error::Inconsistent(
+                "every ranked chunk is already consumed".to_string(),
+            ));
+        }
+        let wanted = self.ranking.chunk_at(cursor);
+        if chunk_id != wanted {
+            return Err(eff2_storage::Error::Inconsistent(format!(
+                "rank {cursor} wants chunk {wanted}, was given chunk {chunk_id}"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Books the chunk at the cursor as scanned — its candidates are
+    /// already in `neighbors`: charges the clock, bumps the counters, logs
+    /// the event. `injected_delay` is extra modelled I/O latency the
+    /// delivery suffered (fault-injection spikes, retry costs); it is zero
+    /// on every fault-free path, and `x + 0.0` is bit-identical to `x`, so
+    /// the fault-free accounting is untouched.
+    pub(crate) fn chunk_consumed(
+        &mut self,
+        chunk_id: usize,
+        count: u32,
+        bytes_read: u64,
+        injected_delay: VirtualDuration,
+    ) {
+        let io = self.model.io_time(bytes_read) + injected_delay;
+        let cpu = self.model.scan_time(count as usize);
+        let completed_at = self.clock.chunk_overlapped(io, cpu);
+
+        #[cfg(debug_assertions)]
+        self.invariants
+            .on_step(chunk_id, self.neighbors.kth_dist(), completed_at);
+
+        let rank = self.log.chunks_read;
+        self.log.chunks_read += 1;
+        self.log.descriptors_scanned += u64::from(count);
+        self.log.bytes_read += bytes_read;
+        self.log.events.push(ChunkEvent {
+            rank,
+            chunk_id,
+            count,
+            bytes_read,
+            completed_at,
+            kth_dist: self.neighbors.kth_dist(),
+            topk_ids: if self.params.log_snapshots {
+                self.neighbors.sorted_ids()
+            } else {
+                Vec::new()
+            },
+        });
+    }
+
+    /// Consumes the chunk at the cursor (which must exist) *without* its
+    /// candidates: the chunk goes into the degradation report and `charge`
+    /// — what the failed delivery cost — onto the clock as I/O with no
+    /// overlapping CPU. Returns the lost chunk id.
+    pub(crate) fn chunk_lost(&mut self, charge: VirtualDuration) -> usize {
+        let id = self.ranking.chunk_at(self.cursor());
+        #[cfg(debug_assertions)]
+        self.invariants.mark_seen(id);
+        let _ = self.clock.chunk_overlapped(charge, VirtualDuration::ZERO);
+        self.log.degradation.chunks_lost += 1;
+        self.log.degradation.descriptors_lost += u64::from(self.ranking.count_of(id));
+        self.log.degradation.lost_chunks.push(id);
+        id
+    }
+
+    /// See [`SearchSession::evaluate_rule`].
+    pub(crate) fn evaluate_rule(&self, rule: StopRule) -> Option<bool> {
+        // Lost chunks consume the scan budget exactly like scanned ones:
+        // `Chunks(n)` counts them toward n, and the remaining bound is
+        // taken past them (an honest account — their descriptors are
+        // reported lost, not silently still pending).
+        let read = self.cursor();
+        rule_fires(
+            rule,
+            read,
+            self.log.events.last().map(|e| e.completed_at),
+            self.neighbors.is_full(),
+            self.neighbors.kth_dist(),
+            self.ranking.remaining_bound(read),
+        )
+    }
+
+    /// Whether the query's own stop rule says to stop. A `k = 0` query
+    /// stops before consuming anything — its empty answer is trivially
+    /// exact — and so does one with no ranked chunk left.
+    pub(crate) fn stop_satisfied(&self) -> bool {
+        self.params.k == 0
+            || self.cursor() >= self.ranking.len()
+            || self.evaluate_rule(self.params.stop).is_some()
+    }
+
+    /// See [`SearchSession::remaining_work_estimate`].
+    pub(crate) fn remaining_work_estimate(&self) -> usize {
+        let cursor = self.cursor();
+        match self.params.stop {
+            StopRule::Chunks(n) => n.min(self.ranking.len()).saturating_sub(cursor),
+            _ => self.ranking.len().saturating_sub(cursor),
+        }
+    }
+
+    /// The `completed` flag the log should carry if the search stopped
+    /// *now* under `rule`: a `k = 0` answer is trivially exact, exhausting
+    /// every chunk is completion, and the completion rules certify their
+    /// own stop.
+    fn completed_for(&self, rule: StopRule) -> bool {
+        self.params.k == 0
+            || self.cursor() == self.ranking.len()
+            || self.evaluate_rule(rule) == Some(true)
+    }
+
+    /// The one finaliser: stamps `log` — this core's own, or a copy of it —
+    /// with the figures only known at the end. `completed` is passed in
+    /// because it is judged from the log while that is still in place.
+    fn finish(&self, mut log: SearchLog, completed: bool) -> SearchResult {
+        log.completed = completed;
+        log.total_virtual = self.clock.now().max(self.ranking.index_read_time());
+        log.centroid_evals = self.ranking.centroid_evals();
+        log.wall = self.wall_start.elapsed();
+        SearchResult {
+            neighbors: self.neighbors.sorted(),
+            log,
+        }
+    }
+
+    /// See [`SearchSession::result_for_rule`].
+    pub(crate) fn result_for_rule(&self, rule: StopRule) -> SearchResult {
+        self.finish(self.log.clone(), self.completed_for(rule))
+    }
+
+    /// The final result under the query's own stop rule, plus the ranking
+    /// for recycling.
+    pub(crate) fn into_result_and_ranking(mut self) -> (SearchResult, ChunkRanking) {
+        let completed = self.completed_for(self.params.stop);
+        let log = std::mem::take(&mut self.log);
+        (self.finish(log, completed), self.ranking)
     }
 }
 
@@ -503,13 +698,8 @@ pub struct SearchSession {
     /// Opened at the first [`step`](Self::step); re-opened per wave for
     /// two-level rankings.
     stream: Option<Box<dyn ChunkStream>>,
-    ranking: ChunkRanking,
-    model: DiskModel,
+    core: SessionCore,
     query: Vector,
-    params: SearchParams,
-    clock: PipelineClock,
-    neighbors: NeighborSet,
-    log: SearchLog,
     /// `Some` for a quantized (ADC) session — see
     /// [`open_quantized`](Self::open_quantized).
     adc: Option<AdcScan>,
@@ -517,11 +707,8 @@ pub struct SearchSession {
     /// [`apply_delta`](Self::apply_delta). Base rows whose ids are
     /// tombstoned here are filtered out of every scan.
     delta: Option<Arc<FoldedDelta>>,
-    wall_start: std::time::Instant,
     exhausted: bool,
     skip: SkipPolicy,
-    #[cfg(debug_assertions)]
-    invariants: StepInvariants,
 }
 
 /// State of an asymmetric-distance (quantized) scan: the prepared query,
@@ -587,7 +774,7 @@ impl SearchSession {
         };
         let source = Arc::new(PrefetchSource::new(&quant, params.prefetch_depth));
         let mut session = SearchSession::from_parts(ranking, model, query, params, Some(source));
-        session.neighbors = NeighborSet::new(params.k.saturating_mul(rerank_mult.max(1)));
+        session.core.neighbors = NeighborSet::new(params.k.saturating_mul(rerank_mult.max(1)));
         session.adc = Some(AdcScan {
             prep: codec.prepare(query.as_array()),
             raw: store.raw_view(),
@@ -657,35 +844,15 @@ impl SearchSession {
         params: &SearchParams,
         source: Option<Arc<dyn ChunkSource>>,
     ) -> SearchSession {
-        let clock = PipelineClock::start_at(ranking.index_read_time());
-        let log = SearchLog {
-            index_read_time: ranking.index_read_time(),
-            ..SearchLog::default()
-        };
-        // The seen-set is indexed by chunk *id*, which for a per-shard leg
-        // ranking (split_by_owner) spans the whole store even though the
-        // leg ranks only a subset — size it by the id space, not the rank
-        // count.
-        #[cfg(debug_assertions)]
-        let invariants = StepInvariants::new(ranking.counts.len().max(ranking.len()));
         SearchSession {
             source,
             stream: None,
-            ranking,
-            model: *model,
+            core: SessionCore::new(ranking, model, params),
             query: *query,
-            params: *params,
-            clock,
-            neighbors: NeighborSet::new(params.k),
-            log,
             adc: None,
             delta: None,
-            // lint:allow(det.wall_clock): log.wall is informational; it never feeds the virtual clock or modelled figures
-            wall_start: std::time::Instant::now(),
             exhausted: false,
             skip: SkipPolicy::Abort,
-            #[cfg(debug_assertions)]
-            invariants,
         }
     }
 
@@ -711,7 +878,7 @@ impl SearchSession {
     /// the delta rows are all consumed up front.
     pub fn apply_delta(&mut self, delta: &Arc<FoldedDelta>) {
         debug_assert_eq!(
-            self.log.chunks_read, 0,
+            self.core.log.chunks_read, 0,
             "apply_delta must run before the scan"
         );
         if delta.is_empty() {
@@ -719,14 +886,15 @@ impl SearchSession {
         }
         if !delta.inserts.is_empty() {
             for (id, vector) in &delta.inserts {
-                self.neighbors
+                self.core
+                    .neighbors
                     .offer(*id, l2_sq(self.query.as_array(), vector.as_array()));
             }
-            let io = self.model.io_time(delta.scan_bytes());
-            let cpu = self.model.scan_time(delta.inserts.len());
-            let _ = self.clock.chunk_overlapped(io, cpu);
-            self.log.bytes_read += delta.scan_bytes();
-            self.log.descriptors_scanned += delta.inserts.len() as u64;
+            let io = self.core.model.io_time(delta.scan_bytes());
+            let cpu = self.core.model.scan_time(delta.inserts.len());
+            let _ = self.core.clock.chunk_overlapped(io, cpu);
+            self.core.log.bytes_read += delta.scan_bytes();
+            self.core.log.descriptors_scanned += delta.inserts.len() as u64;
         }
         if !delta.tombstones.is_empty() {
             self.delta = Some(Arc::clone(delta));
@@ -746,36 +914,29 @@ impl SearchSession {
 
     /// The ranking this session scans in.
     pub fn ranking(&self) -> &ChunkRanking {
-        &self.ranking
+        &self.core.ranking
     }
 
     /// The parameters the session was opened with.
     pub fn params(&self) -> &SearchParams {
-        &self.params
-    }
-
-    /// The log so far (events, counters; `completed`/`total_virtual` are
-    /// only finalised by [`result_for_rule`](Self::result_for_rule) /
-    /// [`into_result`](Self::into_result)).
-    pub fn log(&self) -> &SearchLog {
-        &self.log
+        &self.core.params
     }
 
     /// Chunks processed so far.
     pub fn chunks_read(&self) -> usize {
-        self.log.chunks_read
+        self.core.log.chunks_read
     }
 
     /// Current kth-best distance (∞ until `k` neighbours are held).
     pub fn kth_dist(&self) -> f32 {
-        self.neighbors.kth_dist()
+        self.core.neighbors.kth_dist()
     }
 
     /// The current neighbour set as raw `(id, dist_sq)` entries (see
     /// [`NeighborSet::entries`]) — what a scatter–gather merge re-offers
     /// into the global set to stay bit-identical to a solo scan.
     pub fn neighbor_entries(&self) -> Vec<(u32, f32)> {
-        self.neighbors.entries()
+        self.core.neighbors.entries()
     }
 
     /// A cheap upper estimate of the chunks this session still has to
@@ -785,24 +946,12 @@ impl SearchSession {
     /// (shortest-remaining-work) instead of falling back to admission
     /// order.
     pub fn remaining_work_estimate(&self) -> usize {
-        let cursor = self.rank_cursor();
-        match self.params.stop {
-            StopRule::Chunks(n) => n.min(self.ranking.len()).saturating_sub(cursor),
-            _ => self.ranking.len().saturating_sub(cursor),
-        }
-    }
-
-    /// Position in the ranked order the scan has consumed up to: chunks
-    /// actually scanned plus chunks lost to faults and skipped. With zero
-    /// faults this is exactly `chunks_read` — the fault-free path is
-    /// untouched.
-    fn rank_cursor(&self) -> usize {
-        self.log.chunks_read + self.log.degradation.chunks_lost
+        self.core.remaining_work_estimate()
     }
 
     /// Whether every ranked chunk has been processed (scanned or skipped).
     pub fn is_exhausted(&self) -> bool {
-        self.exhausted || self.rank_cursor() == self.ranking.len()
+        self.exhausted || self.core.cursor() == self.core.ranking.len()
     }
 
     /// The chunk id this session wants next (the next unread chunk in its
@@ -819,10 +968,11 @@ impl SearchSession {
     /// (`session.ranking` is read-only here); detached drivers use flat
     /// rankings, where this never arises.
     pub fn next_wanted(&self) -> Option<usize> {
-        if self.is_exhausted() || self.rank_cursor() >= self.ranking.expanded_len() {
+        let cursor = self.core.cursor();
+        if self.is_exhausted() || cursor >= self.core.ranking.expanded_len() {
             None
         } else {
-            Some(self.ranking.chunk_at(self.rank_cursor()))
+            Some(self.core.ranking.chunk_at(cursor))
         }
     }
 
@@ -841,14 +991,7 @@ impl SearchSession {
                 "no ranked chunk left to skip".to_string(),
             ));
         }
-        let id = self.ranking.chunk_at(self.rank_cursor());
-        #[cfg(debug_assertions)]
-        self.invariants.on_skip(id);
-        let _ = self.clock.chunk_overlapped(charge, VirtualDuration::ZERO);
-        self.log.degradation.chunks_lost += 1;
-        self.log.degradation.descriptors_lost += u64::from(self.ranking.count_of(id));
-        self.log.degradation.lost_chunks.push(id);
-        Ok(id)
+        Ok(self.core.chunk_lost(charge))
     }
 
     /// Advances the scan by exactly one chunk and returns its event, or
@@ -860,8 +1003,6 @@ impl SearchSession {
     /// [`stop_satisfied`](Self::stop_satisfied) to drive a rule-respecting
     /// loop, or [`run_to_stop`](Self::run_to_stop) to do both at once.
     pub fn step(&mut self) -> Result<Option<&ChunkEvent>> {
-        #[cfg(debug_assertions)]
-        let stop_was_fired = self.stop_satisfied();
         loop {
             if self.is_exhausted() {
                 self.exhausted = true;
@@ -871,9 +1012,8 @@ impl SearchSession {
             // chunk, expand the next-nearest cell and stream its member
             // chunks as a fresh wave. Flat rankings never take this branch
             // (expanded == total, and is_exhausted fired above).
-            if self.rank_cursor() >= self.ranking.expanded_len() {
-                let query = self.query;
-                if !self.ranking.expand_wave(&query) {
+            if self.core.cursor() >= self.core.ranking.expanded_len() {
+                if !self.core.ranking.expand_wave(&self.query) {
                     self.exhausted = true;
                     return Ok(None);
                 }
@@ -888,7 +1028,7 @@ impl SearchSession {
                 Some(s) => s,
                 None => self
                     .stream
-                    .insert(source.open_stream(self.ranking.order_from(self.rank_cursor()))?),
+                    .insert(source.open_stream(self.core.ranking.order_from(self.core.cursor()))?),
             };
             let Some(item) = stream.next_chunk() else {
                 // This wave's stream is done. If a pending cell remains
@@ -896,7 +1036,9 @@ impl SearchSession {
                 // it; otherwise the historical semantics hold: a drained
                 // stream exhausts the session.
                 self.stream = None;
-                if self.ranking.has_pending() && self.rank_cursor() >= self.ranking.expanded_len() {
+                if self.core.ranking.has_pending()
+                    && self.core.cursor() >= self.core.ranking.expanded_len()
+                {
                     continue;
                 }
                 self.exhausted = true;
@@ -906,12 +1048,7 @@ impl SearchSession {
                 Ok(chunk) => {
                     let delay = stream.take_injected_delay();
                     self.ingest(&chunk, delay);
-                    #[cfg(debug_assertions)]
-                    debug_assert!(
-                        !stop_was_fired || self.stop_satisfied(),
-                        "stop rules must be monotone: a fired rule stays fired"
-                    );
-                    return Ok(self.log.events.last());
+                    return Ok(self.core.log.events.last());
                 }
                 Err(e)
                     if self.skip == SkipPolicy::SkipUnavailable
@@ -954,30 +1091,17 @@ impl SearchSession {
             self.exhausted = true;
             return Ok(None);
         }
-        #[cfg(debug_assertions)]
-        let stop_was_fired = self.stop_satisfied();
-        let wanted = self.ranking.chunk_at(self.rank_cursor());
-        if chunk.id != wanted {
-            return Err(eff2_storage::Error::Inconsistent(format!(
-                "session wants chunk {wanted} next, was fed chunk {}",
-                chunk.id
-            )));
-        }
+        self.core.check_next(chunk.id)?;
         self.ingest(chunk, VirtualDuration::ZERO);
-        #[cfg(debug_assertions)]
-        debug_assert!(
-            !stop_was_fired || self.stop_satisfied(),
-            "stop rules must be monotone: a fired rule stays fired"
-        );
-        Ok(self.log.events.last())
+        Ok(self.core.log.events.last())
     }
 
-    /// The shared advance: scan `chunk`, charge the clock, log the event.
-    /// `injected_delay` is extra modelled I/O latency the delivery
-    /// suffered (fault-injection spikes, retry costs); it is zero on every
-    /// fault-free path, and `x + 0.0` is bit-identical to `x`, so the
-    /// fault-free accounting is untouched.
+    /// The shared advance: scan `chunk` into the neighbour set, then book
+    /// it consumed (see [`SessionCore::chunk_consumed`] for
+    /// `injected_delay`).
     fn ingest(&mut self, chunk: &SourcedChunk, injected_delay: VirtualDuration) {
+        #[cfg(debug_assertions)]
+        let stop_was_fired = self.stop_satisfied();
         if let Some(adc) = self.adc.as_mut() {
             // Quantized scan: blocked ADC distances over the chunk's code
             // region. Offers go through the explicit loop (not the fused
@@ -992,7 +1116,7 @@ impl SearchSession {
                 if delta.is_some_and(|d| d.tombstones.contains(&id)) {
                     continue;
                 }
-                if self.neighbors.offer(id, d) {
+                if self.core.neighbors.offer(id, d) {
                     adc.id_chunk.insert(id, chunk.id as u32);
                 }
             }
@@ -1009,7 +1133,9 @@ impl SearchSession {
                 if delta.tombstones.contains(&id) {
                     continue;
                 }
-                self.neighbors.offer(id, l2_sq(self.query.as_array(), row));
+                self.core
+                    .neighbors
+                    .offer(id, l2_sq(self.query.as_array(), row));
             }
         } else {
             // Scan the chunk against the query (fused block kernel:
@@ -1018,35 +1144,21 @@ impl SearchSession {
                 self.query.as_array(),
                 &chunk.payload.packed,
                 &chunk.payload.ids,
-                &mut self.neighbors,
+                &mut self.core.neighbors,
             );
         }
 
-        let io = self.model.io_time(chunk.bytes_read) + injected_delay;
-        let cpu = self.model.scan_time(chunk.payload.len());
-        let completed_at = self.clock.chunk_overlapped(io, cpu);
-
+        self.core.chunk_consumed(
+            chunk.id,
+            chunk.payload.len() as u32,
+            chunk.bytes_read,
+            injected_delay,
+        );
         #[cfg(debug_assertions)]
-        self.invariants
-            .on_step(chunk.id, self.neighbors.kth_dist(), completed_at);
-
-        let rank = self.log.chunks_read;
-        self.log.chunks_read += 1;
-        self.log.descriptors_scanned += chunk.payload.len() as u64;
-        self.log.bytes_read += chunk.bytes_read;
-        self.log.events.push(ChunkEvent {
-            rank,
-            chunk_id: chunk.id,
-            count: chunk.payload.len() as u32,
-            bytes_read: chunk.bytes_read,
-            completed_at,
-            kth_dist: self.neighbors.kth_dist(),
-            topk_ids: if self.params.log_snapshots {
-                self.neighbors.sorted_ids()
-            } else {
-                Vec::new()
-            },
-        });
+        debug_assert!(
+            !stop_was_fired || self.stop_satisfied(),
+            "stop rules must be monotone: a fired rule stays fired"
+        );
     }
 
     /// Evaluates `rule` against the current session state: `Some(proves)`
@@ -1060,26 +1172,14 @@ impl SearchSession {
     /// [`evaluate_rules`](Self::evaluate_rules) serve many rules from one
     /// scan.
     pub fn evaluate_rule(&self, rule: StopRule) -> Option<bool> {
-        // Lost chunks consume the scan budget exactly like scanned ones:
-        // `Chunks(n)` counts them toward n, and the remaining bound is
-        // taken past them (an honest account — their descriptors are
-        // reported lost, not silently still pending).
-        let read = self.rank_cursor();
-        rule_fires(
-            rule,
-            read,
-            self.log.events.last().map(|e| e.completed_at),
-            self.neighbors.is_full(),
-            self.neighbors.kth_dist(),
-            self.ranking.remaining_bound(read),
-        )
+        self.core.evaluate_rule(rule)
     }
 
     /// Whether this session's own stop rule says to stop scanning. A
     /// `k = 0` query stops before reading anything — its empty answer is
     /// trivially exact.
     pub fn stop_satisfied(&self) -> bool {
-        self.params.k == 0 || self.is_exhausted() || self.evaluate_rule(self.params.stop).is_some()
+        self.exhausted || self.core.stop_satisfied()
     }
 
     /// Drives [`step`](Self::step) until
@@ -1091,6 +1191,15 @@ impl SearchSession {
             }
         }
         Ok(())
+    }
+
+    /// The whole one-shot search: [`run_to_stop`](Self::run_to_stop), the
+    /// exact [`rerank_tail`](Self::rerank_tail) (a no-op unless the session
+    /// is quantized), [`into_result`](Self::into_result).
+    pub fn run(mut self) -> Result<SearchResult> {
+        self.run_to_stop()?;
+        self.rerank_tail()?;
+        Ok(self.into_result())
     }
 
     /// Re-scores the retained ADC candidates against the raw `f32`
@@ -1117,23 +1226,23 @@ impl SearchSession {
         // Group the surviving candidates by source chunk. BTreeMap gives a
         // deterministic (ascending chunk id) read order.
         let mut by_chunk: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-        for id in self.neighbors.sorted_ids() {
+        for id in self.core.neighbors.sorted_ids() {
             if let Some(&chunk) = adc.id_chunk.get(&id) {
                 by_chunk.entry(chunk).or_default().push(id);
             }
         }
-        let mut exact = NeighborSet::new(self.params.k);
+        let mut exact = NeighborSet::new(self.core.params.k);
         let mut reader = adc.raw.reader()?;
         let mut payload = ChunkPayload::default();
         for (&chunk, ids) in by_chunk.iter_mut() {
             ids.sort_unstable();
             let bytes = reader.read_chunk(chunk as usize, &mut payload)?;
-            let io = self.model.io_time(bytes);
-            let cpu = self.model.scan_time(ids.len());
-            let _ = self.clock.chunk_overlapped(io, cpu);
-            self.log.bytes_read += bytes;
-            self.log.rerank_bytes += bytes;
-            self.log.rerank_chunks += 1;
+            let io = self.core.model.io_time(bytes);
+            let cpu = self.core.model.scan_time(ids.len());
+            let _ = self.core.clock.chunk_overlapped(io, cpu);
+            self.core.log.bytes_read += bytes;
+            self.core.log.rerank_bytes += bytes;
+            self.core.log.rerank_chunks += 1;
             let rows = as_rows(&payload.packed);
             for (row, &id) in rows.iter().zip(payload.ids.iter()) {
                 if ids.binary_search(&id).is_ok() {
@@ -1141,33 +1250,15 @@ impl SearchSession {
                 }
             }
         }
-        self.neighbors = exact;
+        self.core.neighbors = exact;
         Ok(())
-    }
-
-    /// The `completed` flag the log should carry if the search stopped
-    /// *now* under `rule`: a `k = 0` answer is trivially exact, exhausting
-    /// every chunk is completion, and the completion rules certify their
-    /// own stop.
-    fn completed_for(&self, rule: StopRule) -> bool {
-        self.params.k == 0
-            || self.rank_cursor() == self.ranking.len()
-            || self.evaluate_rule(rule) == Some(true)
     }
 
     /// A [`SearchResult`] snapshot of the current state, finalised as if
     /// the search had stopped here under `rule`. Cheap relative to the
     /// scan (clones the log); the session remains usable.
     pub fn result_for_rule(&self, rule: StopRule) -> SearchResult {
-        let mut log = self.log.clone();
-        log.completed = self.completed_for(rule);
-        log.total_virtual = self.clock.now().max(self.ranking.index_read_time());
-        log.centroid_evals = self.ranking.centroid_evals();
-        log.wall = self.wall_start.elapsed();
-        SearchResult {
-            neighbors: self.neighbors.sorted(),
-            log,
-        }
+        self.core.result_for_rule(rule)
     }
 
     /// Consumes the session into its final result under its own stop rule.
@@ -1179,17 +1270,8 @@ impl SearchSession {
     /// [`ChunkRanking`] back for reuse — the batch drivers recycle it
     /// through [`ChunkRanking::rank_into`] so each worker allocates ranking
     /// buffers once, not once per query.
-    pub fn into_result_and_ranking(mut self) -> (SearchResult, ChunkRanking) {
-        self.log.completed = self.completed_for(self.params.stop);
-        self.log.total_virtual = self.clock.now().max(self.ranking.index_read_time());
-        self.log.centroid_evals = self.ranking.centroid_evals();
-        self.log.wall = self.wall_start.elapsed();
-        let ranking = std::mem::take(&mut self.ranking);
-        let result = SearchResult {
-            neighbors: self.neighbors.sorted(),
-            log: self.log,
-        };
-        (result, ranking)
+    pub fn into_result_and_ranking(self) -> (SearchResult, ChunkRanking) {
+        self.core.into_result_and_ranking()
     }
 
     /// Answers every rule in `rules` from this one session — the
@@ -1205,7 +1287,8 @@ impl SearchSession {
         let mut results: Vec<Option<SearchResult>> = (0..rules.len()).map(|_| None).collect();
         loop {
             for (slot, &rule) in results.iter_mut().zip(rules) {
-                if slot.is_none() && (self.params.k == 0 || self.evaluate_rule(rule).is_some()) {
+                if slot.is_none() && (self.core.params.k == 0 || self.evaluate_rule(rule).is_some())
+                {
                     *slot = Some(self.result_for_rule(rule));
                 }
             }
@@ -1227,9 +1310,9 @@ impl SearchSession {
 impl std::fmt::Debug for SearchSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SearchSession")
-            .field("chunks_read", &self.log.chunks_read)
-            .field("n_chunks", &self.ranking.len())
-            .field("kth_dist", &self.neighbors.kth_dist())
+            .field("chunks_read", &self.core.log.chunks_read)
+            .field("n_chunks", &self.core.ranking.len())
+            .field("kth_dist", &self.core.neighbors.kth_dist())
             .field("exhausted", &self.exhausted)
             .finish_non_exhaustive()
     }

@@ -8,16 +8,15 @@
 //! files are write-once — so two clones always rank, bound and search
 //! bit-identically.
 //!
-//! [`ChunkIndex`] remains the build/open entry point;
-//! [`ChunkIndex::snapshot`] yields the serving view.
+//! [`Snapshot::build`] and [`Snapshot::open`] (in [`crate::index`]) are the
+//! entry points that create one from descriptors or from files on disk.
 
-use crate::index::ChunkIndex;
-use crate::search::{SearchParams, SearchResult};
+use crate::search::{search, SearchParams, SearchResult};
 use crate::session::{ChunkRanking, SearchSession};
 use eff2_descriptor::Vector;
 use eff2_storage::diskmodel::DiskModel;
 use eff2_storage::epoch::FoldedDelta;
-use eff2_storage::source::{ChunkSource, PrefetchSource, ResidentSource};
+use eff2_storage::source::ResidentSource;
 use eff2_storage::{ChunkStore, Result};
 use std::sync::Arc;
 
@@ -78,40 +77,17 @@ impl Snapshot {
         SearchSession::detached_from_ranking(ranking, &self.model, query, params)
     }
 
-    /// A self-driving session pulling chunks from `source`.
-    pub fn session_with_source(
-        &self,
-        query: &Vector,
-        params: &SearchParams,
-        source: Arc<dyn ChunkSource>,
-    ) -> SearchSession {
-        SearchSession::with_source(&self.store, &self.model, query, params, source)
-    }
-
     /// Executes one query serially over a private prefetching source — the
     /// reference execution that interleaved schedules are bit-compared
     /// against.
     pub fn search(&self, query: &Vector, params: &SearchParams) -> Result<SearchResult> {
-        let source: Arc<dyn ChunkSource> =
-            Arc::new(PrefetchSource::new(&self.store, params.prefetch_depth));
-        let mut session = self.session_with_source(query, params, source);
-        session.run_to_stop()?;
-        Ok(session.into_result())
+        search(&self.store, &self.model, query, params)
     }
 
     /// A [`ResidentSource`] over this snapshot's store pinning at most
     /// `budget_bytes` of decoded chunks.
     pub fn resident_source(&self, budget_bytes: u64) -> ResidentSource {
         ResidentSource::new(&self.store, budget_bytes)
-    }
-}
-
-impl ChunkIndex {
-    /// The immutable serving view of this index: an O(1)-`Clone` pairing
-    /// of store handle and cost model that any number of concurrent
-    /// consumers may share.
-    pub fn snapshot(&self) -> Snapshot {
-        Snapshot::new(self.store().clone(), *self.model())
     }
 }
 
@@ -200,30 +176,13 @@ impl EpochSnapshot {
         session
     }
 
-    /// A self-driving epoch-pinned session pulling base chunks from
-    /// `source`.
-    pub fn session_with_source(
-        &self,
-        query: &Vector,
-        params: &SearchParams,
-        source: Arc<dyn ChunkSource>,
-    ) -> SearchSession {
-        let mut session = self.base.session_with_source(query, params, source);
-        session.apply_delta(&self.delta);
-        session
-    }
-
     /// Executes one query serially over a private prefetching source — the
     /// solo reference run that concurrent serving schedules under mutation
     /// are bit-compared against.
     pub fn search(&self, query: &Vector, params: &SearchParams) -> Result<SearchResult> {
-        let source: Arc<dyn ChunkSource> = Arc::new(PrefetchSource::new(
-            self.base.store(),
-            params.prefetch_depth,
-        ));
-        let mut session = self.session_with_source(query, params, source);
-        session.run_to_stop()?;
-        Ok(session.into_result())
+        let mut session = SearchSession::open(&self.base.store, &self.base.model, query, params);
+        session.apply_delta(&self.delta);
+        session.run()
     }
 
     /// A [`ResidentSource`] over this epoch's base store.
@@ -255,24 +214,23 @@ mod tests {
             .collect()
     }
 
-    fn build_index(tag: &str, n: usize) -> ChunkIndex {
+    fn build_index(tag: &str, n: usize) -> Snapshot {
         let set = sample_set(n);
         let formation = SrTreeChunker { leaf_size: 25 }.form(&set);
         let store =
             ChunkStore::create(&tmp_dir(tag), "s", &set, &formation.chunks, 512).expect("create");
-        ChunkIndex::from_store(store, DiskModel::ata_2005())
+        Snapshot::new(store, DiskModel::ata_2005())
     }
 
     #[test]
     fn clones_search_bit_identically() {
-        let index = build_index("clones", 400);
-        let snap = index.snapshot();
+        let snap = build_index("clones", 400);
         let twin = snap.clone();
         let q = Vector::splat(9.0);
         let params = SearchParams::exact(6);
         let a = snap.search(&q, &params).expect("a");
         let b = twin.search(&q, &params).expect("b");
-        let c = index.search(&q, &params).expect("c");
+        let c = search(snap.store(), snap.model(), &q, &params).expect("c");
         for other in [&b, &c] {
             assert_eq!(a.neighbors.len(), other.neighbors.len());
             for (x, y) in a.neighbors.iter().zip(other.neighbors.iter()) {
@@ -288,8 +246,7 @@ mod tests {
 
     #[test]
     fn detached_session_from_snapshot_can_be_fed() {
-        let index = build_index("feed", 200);
-        let snap = index.snapshot();
+        let snap = build_index("feed", 200);
         let q = Vector::splat(3.0);
         let params = SearchParams::exact(4);
         let mut ranking = ChunkRanking::default();
@@ -324,8 +281,7 @@ mod tests {
 
     #[test]
     fn epoch_zero_is_bit_identical_to_base_snapshot() {
-        let index = build_index("epoch_zero", 300);
-        let snap = index.snapshot();
+        let snap = build_index("epoch_zero", 300);
         let epoch = EpochSnapshot::unchanged(snap.clone());
         let q = Vector::splat(11.0);
         let params = SearchParams::exact(5);
@@ -350,8 +306,7 @@ mod tests {
     fn epoch_snapshot_serves_inserts_and_hides_tombstones() {
         use eff2_storage::epoch::{DeltaOp, FoldedDelta};
 
-        let index = build_index("epoch_mut", 300);
-        let snap = index.snapshot();
+        let snap = build_index("epoch_mut", 300);
         let q = Vector::splat(0.0);
         let params = SearchParams::exact(3);
         let base = snap.search(&q, &params).expect("base");

@@ -43,54 +43,9 @@ fn queries(set: &DescriptorSet) -> Vec<Vector> {
 }
 
 fn assert_bit_identical(seq: &SearchResult, par: &SearchResult, tag: &str) {
-    // Neighbours: same ids, same distances to the bit.
-    assert_eq!(seq.neighbors.len(), par.neighbors.len(), "{tag}: k");
-    for (s, p) in seq.neighbors.iter().zip(par.neighbors.iter()) {
-        assert_eq!(s.id, p.id, "{tag}: neighbor id");
-        assert_eq!(s.dist.to_bits(), p.dist.to_bits(), "{tag}: neighbor dist");
+    if let Some(diff) = seq.first_difference(par) {
+        panic!("{tag}: {diff}");
     }
-    // Log scalars.
-    let (sl, pl) = (&seq.log, &par.log);
-    assert_eq!(
-        vd_bits(sl.index_read_time),
-        vd_bits(pl.index_read_time),
-        "{tag}: index time"
-    );
-    assert_eq!(sl.chunks_read, pl.chunks_read, "{tag}: chunks_read");
-    assert_eq!(
-        sl.descriptors_scanned, pl.descriptors_scanned,
-        "{tag}: scanned"
-    );
-    assert_eq!(sl.bytes_read, pl.bytes_read, "{tag}: bytes");
-    assert_eq!(
-        vd_bits(sl.total_virtual),
-        vd_bits(pl.total_virtual),
-        "{tag}: total virtual"
-    );
-    assert_eq!(sl.completed, pl.completed, "{tag}: completed");
-    // Full per-chunk event trace.
-    assert_eq!(sl.events.len(), pl.events.len(), "{tag}: event count");
-    for (s, p) in sl.events.iter().zip(pl.events.iter()) {
-        assert_eq!(s.rank, p.rank, "{tag}: rank");
-        assert_eq!(s.chunk_id, p.chunk_id, "{tag}: chunk_id");
-        assert_eq!(s.count, p.count, "{tag}: count");
-        assert_eq!(s.bytes_read, p.bytes_read, "{tag}: event bytes");
-        assert_eq!(
-            vd_bits(s.completed_at),
-            vd_bits(p.completed_at),
-            "{tag}: completed_at"
-        );
-        assert_eq!(
-            s.kth_dist.to_bits(),
-            p.kth_dist.to_bits(),
-            "{tag}: kth_dist"
-        );
-        assert_eq!(s.topk_ids, p.topk_ids, "{tag}: topk snapshot");
-    }
-}
-
-fn vd_bits(t: VirtualDuration) -> u64 {
-    t.as_secs().to_bits()
 }
 
 #[test]

@@ -53,49 +53,11 @@ fn build_store(tag: &str, set: &DescriptorSet, former: &dyn ChunkFormer) -> Chun
     ChunkStore::create(&tmp_dir(tag), "ix", set, &formation.chunks, 512).expect("create")
 }
 
-fn vd_bits(t: VirtualDuration) -> u64 {
-    t.as_secs().to_bits()
-}
-
 /// Bit-identity over everything the paper's figures are computed from
 /// (wall-clock time is the one legitimately nondeterministic field).
 fn assert_bit_identical(want: &SearchResult, got: &SearchResult, tag: &str) {
-    assert_eq!(want.neighbors.len(), got.neighbors.len(), "{tag}: k");
-    for (w, g) in want.neighbors.iter().zip(got.neighbors.iter()) {
-        assert_eq!(w.id, g.id, "{tag}: neighbor id");
-        assert_eq!(w.dist.to_bits(), g.dist.to_bits(), "{tag}: neighbor dist");
-    }
-    let (wl, gl) = (&want.log, &got.log);
-    assert_eq!(
-        vd_bits(wl.index_read_time),
-        vd_bits(gl.index_read_time),
-        "{tag}: index time"
-    );
-    assert_eq!(wl.chunks_read, gl.chunks_read, "{tag}: chunks_read");
-    assert_eq!(
-        wl.descriptors_scanned, gl.descriptors_scanned,
-        "{tag}: scanned"
-    );
-    assert_eq!(wl.bytes_read, gl.bytes_read, "{tag}: bytes");
-    assert_eq!(
-        vd_bits(wl.total_virtual),
-        vd_bits(gl.total_virtual),
-        "{tag}: total virtual"
-    );
-    assert_eq!(wl.completed, gl.completed, "{tag}: completed");
-    assert_eq!(wl.events.len(), gl.events.len(), "{tag}: event count");
-    for (w, g) in wl.events.iter().zip(gl.events.iter()) {
-        assert_eq!(w.rank, g.rank, "{tag}: rank");
-        assert_eq!(w.chunk_id, g.chunk_id, "{tag}: chunk_id");
-        assert_eq!(w.count, g.count, "{tag}: count");
-        assert_eq!(w.bytes_read, g.bytes_read, "{tag}: event bytes");
-        assert_eq!(
-            vd_bits(w.completed_at),
-            vd_bits(g.completed_at),
-            "{tag}: completed_at"
-        );
-        assert_eq!(w.kth_dist.to_bits(), g.kth_dist.to_bits(), "{tag}: kth");
-        assert_eq!(w.topk_ids, g.topk_ids, "{tag}: topk snapshot");
+    if let Some(diff) = want.first_difference(got) {
+        panic!("{tag}: {diff}");
     }
 }
 

@@ -116,6 +116,23 @@ impl NeighborSet {
         accepted
     }
 
+    /// [`offer`](Self::offer) for a stream that may repeat itself: a
+    /// candidate whose id the set already holds is refused and the set is
+    /// left unchanged. A scan offers every descriptor once and wants plain
+    /// `offer`; a scatter–gather merge is re-told each leg's retained set
+    /// after every chunk and wants this, which makes the re-telling
+    /// idempotent — a held id is refused here, an evicted id no longer
+    /// passes the acceptance test. That test runs first, so the linear id
+    /// check (≤ k entries) is paid only by candidates that would get in.
+    pub fn offer_distinct(&mut self, id: u32, dist_sq: f32) -> bool {
+        let could_enter = !self.is_full()
+            || self
+                .heap
+                .peek()
+                .is_some_and(|worst| HeapEntry { dist_sq, id } < *worst);
+        could_enter && !self.heap.iter().any(|e| e.id == id) && self.offer(id, dist_sq)
+    }
+
     /// Expensive O(k·log k) structural checks behind the `strict-invariants`
     /// feature: the heap top really is the maximum under `(dist_sq, id)` and
     /// [`Self::sorted`] is monotone. Debug builds without the feature pay
@@ -323,5 +340,50 @@ mod tests {
         set.offer(1, 2.0);
         assert_eq!(set.len(), 2);
         assert!(!set.is_full());
+    }
+
+    #[test]
+    fn offer_distinct_refuses_held_and_evicted_ids() {
+        let mut set = NeighborSet::new(2);
+        assert!(set.offer_distinct(5, 4.0));
+        assert!(set.offer_distinct(8, 9.0));
+        // Held: refused at any distance, set unchanged.
+        assert!(!set.offer_distinct(5, 4.0));
+        assert!(!set.offer_distinct(8, 1.0));
+        assert_eq!(set.entries(), vec![(5, 4.0), (8, 9.0)]);
+        // Evict 8, then re-offer it where it was: it no longer gets in.
+        assert!(set.offer_distinct(2, 1.0));
+        assert!(!set.offer_distinct(8, 9.0));
+        assert_eq!(set.entries(), vec![(2, 1.0), (5, 4.0)]);
+        assert!(!NeighborSet::new(0).offer_distinct(1, 0.0));
+    }
+
+    #[test]
+    fn offer_distinct_matches_offer_on_duplicate_free_input() {
+        // 40 candidates with plenty of distance ties, in three offer orders.
+        let cands: Vec<(u32, f32)> = (0..40u32).map(|i| (i, ((i * 7) % 11) as f32)).collect();
+        for stride in [1usize, 3, 7] {
+            let (mut plain, mut distinct) = (NeighborSet::new(6), NeighborSet::new(6));
+            for j in 0..cands.len() {
+                let (id, d) = cands[(j * stride) % cands.len()];
+                assert_eq!(plain.offer(id, d), distinct.offer_distinct(id, d));
+            }
+            assert_eq!(plain.entries(), distinct.entries(), "stride {stride}");
+        }
+    }
+
+    #[test]
+    fn re_offering_a_sets_own_entries_is_idempotent() {
+        let mut set = NeighborSet::new(4);
+        for (id, d) in [(9u32, 2.5f32), (1, 2.5), (4, 0.1), (7, 8.0), (2, 2.5)] {
+            set.offer_distinct(id, d);
+        }
+        let before = set.entries();
+        for _ in 0..3 {
+            for (id, d) in set.entries() {
+                assert!(!set.offer_distinct(id, d));
+            }
+            assert_eq!(set.entries(), before);
+        }
     }
 }

@@ -9,7 +9,7 @@
 // lint:allow-file(panic.index): histogram buckets are clamped into their fixed range before indexing
 
 use crate::descriptor::DescriptorSet;
-use crate::vector::{Vector, DIM};
+use crate::vector::DIM;
 
 /// Mean, variance and extrema of every dimension of a collection.
 #[derive(Clone, Debug)]
@@ -85,11 +85,6 @@ impl DimensionStats {
         }
         best
     }
-
-    /// Per-dimension mean as a [`Vector`].
-    pub fn mean_vector(&self) -> Vector {
-        Vector(self.mean)
-    }
 }
 
 /// Per-dimension value ranges with a fraction trimmed from each tail.
@@ -156,6 +151,7 @@ impl TrimmedRanges {
 mod tests {
     use super::*;
     use crate::descriptor::Descriptor;
+    use crate::vector::Vector;
 
     fn line_set(n: usize) -> DescriptorSet {
         // Descriptor i = splat(i): every dimension ranges over 0..n-1.

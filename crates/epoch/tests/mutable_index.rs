@@ -48,15 +48,7 @@ fn build(tag: &str, n: usize) -> (PathBuf, MutableIndex) {
 }
 
 fn assert_bit_identical(a: &SearchResult, b: &SearchResult) {
-    assert_eq!(a.neighbors.len(), b.neighbors.len());
-    for (x, y) in a.neighbors.iter().zip(b.neighbors.iter()) {
-        assert_eq!(x.id, y.id);
-        assert_eq!(x.dist.to_bits(), y.dist.to_bits());
-    }
-    assert_eq!(
-        a.log.total_virtual.as_secs().to_bits(),
-        b.log.total_virtual.as_secs().to_bits()
-    );
+    assert_eq!(a.first_difference(b), None);
 }
 
 #[test]

@@ -63,22 +63,9 @@ fn params(stop: StopRule) -> SearchParams {
 }
 
 fn assert_bit_identical(want: &SearchResult, got: &SearchResult, tag: &str) {
-    assert_eq!(want.neighbors.len(), got.neighbors.len(), "{tag}: k");
-    for (w, g) in want.neighbors.iter().zip(got.neighbors.iter()) {
-        assert_eq!(w.id, g.id, "{tag}: neighbor id");
-        assert_eq!(w.dist.to_bits(), g.dist.to_bits(), "{tag}: neighbor dist");
+    if let Some(diff) = want.first_difference(got) {
+        panic!("{tag}: {diff}");
     }
-    assert_eq!(want.log.chunks_read, got.log.chunks_read, "{tag}: chunks");
-    assert_eq!(
-        want.log.descriptors_scanned, got.log.descriptors_scanned,
-        "{tag}: scanned"
-    );
-    assert_eq!(want.log.bytes_read, got.log.bytes_read, "{tag}: bytes");
-    assert_eq!(
-        want.log.total_virtual.as_secs().to_bits(),
-        got.log.total_virtual.as_secs().to_bits(),
-        "{tag}: virtual clock"
-    );
 }
 
 fn file_bytes(dir: &Path) -> (Vec<u8>, Vec<u8>) {

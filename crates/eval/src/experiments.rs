@@ -459,19 +459,10 @@ pub fn exp4_concurrency() -> Vec<usize> {
     vec![2, 8, 32]
 }
 
-/// Whether two results are bit-identical: same neighbours (ids and
-/// distance bits), same scan counters, same virtual-clock bits.
+/// Whether two results are bit-identical in the one sense the workspace
+/// has: [`SearchResult::first_difference`] finds nothing.
 fn results_bit_identical(a: &SearchResult, b: &SearchResult) -> bool {
-    a.neighbors.len() == b.neighbors.len()
-        && a.neighbors
-            .iter()
-            .zip(b.neighbors.iter())
-            .all(|(x, y)| x.id == y.id && x.dist.to_bits() == y.dist.to_bits())
-        && a.log.chunks_read == b.log.chunks_read
-        && a.log.descriptors_scanned == b.log.descriptors_scanned
-        && a.log.bytes_read == b.log.bytes_read
-        && a.log.completed == b.log.completed
-        && a.log.total_virtual.as_secs().to_bits() == b.log.total_virtual.as_secs().to_bits()
+    a.first_difference(b).is_none()
 }
 
 /// Regenerates **Experiment 4**: the multi-query serving sweep. A Poisson

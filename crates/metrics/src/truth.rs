@@ -8,7 +8,6 @@
 //! outlier-removal loss with the chunk-ordering quality the paper studies.
 
 use eff2_core::scan::scan_store_knn;
-use eff2_descriptor::Vector;
 use eff2_json::Json;
 use eff2_storage::{ChunkStore, Result};
 use eff2_workload::Workload;
@@ -85,19 +84,11 @@ impl GroundTruth {
     }
 }
 
-/// One query's exact ids against one store (convenience for tests).
-pub fn truth_for_query(store: &ChunkStore, query: &Vector, k: usize) -> Result<Vec<u32>> {
-    Ok(scan_store_knn(store, query, k)?
-        .into_iter()
-        .map(|n| n.id)
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use eff2_core::chunkers::{ChunkFormer, SrTreeChunker};
-    use eff2_descriptor::{Descriptor, DescriptorSet};
+    use eff2_descriptor::{Descriptor, DescriptorSet, Vector};
     use eff2_workload::dq_workload;
 
     fn setup(n: usize, tag: &str) -> (DescriptorSet, ChunkStore) {

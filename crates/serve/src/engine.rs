@@ -409,11 +409,6 @@ impl<G: Group> Engine<G> {
         self.jobs.len()
     }
 
-    /// Member sessions currently in flight.
-    pub(crate) fn sessions(&self) -> usize {
-        self.jobs.values().map(|j| j.members.len()).sum::<usize>()
-    }
-
     /// Device 0's fleet clock.
     pub(crate) fn now(&self) -> VirtualDuration {
         self.devices.nodes[0].clock.now()

@@ -236,8 +236,11 @@ impl Group for Scatter {
         };
         let finish = cx.charge_rank(home);
         let gather = ScatterGather::new(ranking, cx.snapshot.model(), params);
+        // Legs never stop on their own and nobody reads their event logs:
+        // only the gather's snapshots reach the answer.
         let leg_params = SearchParams {
             stop: StopRule::Chunks(usize::MAX),
+            log_snapshots: false,
             ..*params
         };
         let legs = gather.ranking().split_by_owner(&self.routed, self.n_shards);
@@ -337,7 +340,6 @@ impl Group for Scatter {
 pub struct FleetScheduler {
     engine: Engine<Scatter>,
     map: Arc<ShardMap>,
-    down: Vec<bool>,
 }
 
 impl FleetScheduler {
@@ -370,7 +372,7 @@ impl FleetScheduler {
             down_probe_cost,
             unreachable_booked: 0,
         };
-        let placed = (Arc::clone(&map), down.clone(), config.loss_scope);
+        let placed = (Arc::clone(&map), down, config.loss_scope);
         let devices = Devices::new(&snapshot, config.cache_budget_bytes, Some(placed));
         let engine_config = SchedulerConfig {
             policy: config.policy,
@@ -384,18 +386,7 @@ impl FleetScheduler {
         FleetScheduler {
             engine: Engine::new(snapshot, engine_config, devices, scatter),
             map,
-            down,
         }
-    }
-
-    /// The placement table this fleet routes by.
-    pub fn shard_map(&self) -> &ShardMap {
-        &self.map
-    }
-
-    /// The static per-shard down flags.
-    pub fn down_mask(&self) -> &[bool] {
-        &self.down
     }
 
     /// Queries waiting for a slot.

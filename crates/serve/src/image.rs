@@ -295,16 +295,6 @@ impl ImageScheduler {
         self.0.queued()
     }
 
-    /// Image queries currently interleaved.
-    pub fn active_images(&self) -> usize {
-        self.0.active()
-    }
-
-    /// Descriptor sessions currently in flight.
-    pub fn active_sessions(&self) -> usize {
-        self.0.sessions()
-    }
-
     /// The fleet clock.
     pub fn now(&self) -> VirtualDuration {
         self.0.now()

@@ -284,6 +284,18 @@ impl ResidentCache {
         Some((Arc::clone(&e.payload), e.bytes_read))
     }
 
+    /// [`lookup`](Self::lookup) for a requester that has already been
+    /// charged one failed lookup for `id` and has since won the flight
+    /// slot: a hit is an ordinary hit, a miss leaves tick and counters
+    /// alone, so a single-threaded run (where this never hits) cannot tell
+    /// the re-check happened.
+    fn recheck(&mut self, id: usize, requester: u64) -> Option<(Arc<ChunkPayload>, u64)> {
+        if !self.entries.contains_key(&id) {
+            return None;
+        }
+        self.lookup(id, requester)
+    }
+
     /// Charges a disk read to whoever led it.
     fn note_miss(&mut self) {
         self.misses += 1;
@@ -443,37 +455,41 @@ impl ResidentSource {
         }
 
         // Miss: read outside the lock, coalescing with any read of the
-        // same chunk already in flight.
+        // same chunk already in flight. Between the failed lookup above and
+        // winning the flight slot an earlier leader may have finished, so a
+        // new leader looks again before going to disk; and it publishes
+        // what it read (and books its miss) inside the closure, while its
+        // slot still stands — there is no moment at which the chunk is in
+        // neither the flight table nor the cache.
+        let mut found_published = false;
         let outcome = self.flight.read(id, requester, || {
+            if let Some(hit) = lock_cache(&self.cache).recheck(id, requester) {
+                found_published = true;
+                return Ok(hit);
+            }
             let r = match reader.as_mut() {
                 Some(r) => r,
                 None => reader.insert(self.store.reader()?),
             };
             let mut payload = ChunkPayload::default();
             let bytes_read = r.read_chunk(id, &mut payload)?;
-            Ok((Arc::new(payload), bytes_read))
+            let payload = Arc::new(payload);
+            let mut cache = lock_cache(&self.cache);
+            cache.note_miss();
+            cache.insert(id, Arc::clone(&payload), bytes_read, requester);
+            Ok((payload, bytes_read))
         })?;
 
-        let mut cache = lock_cache(&self.cache);
-        if outcome.led {
-            cache.note_miss();
-            cache.insert(
-                id,
-                Arc::clone(&outcome.payload),
-                outcome.bytes_read,
-                requester,
-            );
-        } else {
-            cache.note_coalesced_hit(outcome.leader != requester);
+        if !outcome.led {
+            lock_cache(&self.cache).note_coalesced_hit(outcome.leader != requester);
         }
-        drop(cache);
         Ok(Fetched {
             chunk: SourcedChunk {
                 id,
                 payload: outcome.payload,
                 bytes_read: outcome.bytes_read,
             },
-            from_disk: outcome.led,
+            from_disk: outcome.led && !found_published,
         })
     }
 }
@@ -825,29 +841,37 @@ mod tests {
     #[test]
     fn concurrent_same_chunk_requests_charge_one_miss() {
         let store = store_with_chunks("oneflight", &[4]);
-        let resident = ResidentSource::new(&store, u64::MAX);
-        let n = 8usize;
-        let barrier = std::sync::Barrier::new(n);
-        std::thread::scope(|scope| {
-            for _ in 0..n {
-                let resident = resident.clone();
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    barrier.wait();
-                    let got = drain(&resident, vec![0]);
-                    assert_eq!(got.len(), 1);
-                    assert_eq!(got[0].payload.len(), 4);
-                });
-            }
-        });
-        let stats = resident.stats();
-        assert_eq!(stats.misses, 1, "coalesced: only the leader pays the read");
-        assert_eq!(stats.hits, n as u64 - 1);
-        assert_eq!(
-            stats.cross_query_hits,
-            n as u64 - 1,
-            "every stream carries its own requester tag"
-        );
+        // Many rounds, each over a cold cache: a requester that misses
+        // early and reaches the flight table late must find the chunk in
+        // one or the other, and the window is narrow.
+        for round in 0..300 {
+            let resident = ResidentSource::new(&store, u64::MAX);
+            let n = 8usize;
+            let barrier = std::sync::Barrier::new(n);
+            std::thread::scope(|scope| {
+                for _ in 0..n {
+                    let resident = resident.clone();
+                    let barrier = &barrier;
+                    scope.spawn(move || {
+                        barrier.wait();
+                        let got = drain(&resident, vec![0]);
+                        assert_eq!(got.len(), 1);
+                        assert_eq!(got[0].payload.len(), 4);
+                    });
+                }
+            });
+            let stats = resident.stats();
+            assert_eq!(
+                stats.misses, 1,
+                "round {round}: coalesced, only the leader pays the read"
+            );
+            assert_eq!(stats.hits, n as u64 - 1, "round {round}");
+            assert_eq!(
+                stats.cross_query_hits,
+                n as u64 - 1,
+                "round {round}: every stream carries its own requester tag"
+            );
+        }
     }
 
     #[test]

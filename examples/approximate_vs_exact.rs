@@ -11,7 +11,7 @@
 //! ```
 
 use eff2_bag::BagConfig;
-use eff2_core::{BagChunker, ChunkIndex, SearchParams, SrTreeChunker, StopRule};
+use eff2_core::{evaluate_stop_rules, BagChunker, SearchParams, Snapshot, SrTreeChunker, StopRule};
 use eff2_descriptor::SyntheticCollection;
 use eff2_metrics::precision_at;
 use eff2_storage::diskmodel::{DiskModel, VirtualDuration};
@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
 
     // Two indexes over the same collection: quality-first and size-first.
     let mpi = BagConfig::estimate_mpi(&set, 1_000, 11);
-    let bag = ChunkIndex::build(
+    let bag = Snapshot::build(
         &dir,
         "bag",
         &set,
@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         model,
     )?;
     let sr_leaf = bag.formation.mean_chunk_size().round().max(2.0) as usize;
-    let sr = ChunkIndex::build(
+    let sr = Snapshot::build(
         &dir,
         "sr",
         &set,
@@ -93,7 +93,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         let mut chunks = [0usize; 5];
         let mut precision = [0.0f64; 5];
         for q in &queries {
-            let results = index.evaluate_stop_rules(q, &params, &rules)?;
+            let results = evaluate_stop_rules(index.store(), index.model(), q, &params, &rules)?;
             let truth: Vec<u32> = results[4].neighbors.iter().map(|n| n.id).collect();
             for (ri, r) in results.iter().enumerate() {
                 time[ri] += r.log.total_virtual.as_secs();

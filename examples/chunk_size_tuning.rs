@@ -12,7 +12,7 @@
 //! ```
 
 use eff2_core::StopRule;
-use eff2_core::{ChunkIndex, SearchParams, SrTreeChunker};
+use eff2_core::{SearchParams, Snapshot, SrTreeChunker};
 use eff2_descriptor::SyntheticCollection;
 use eff2_metrics::precision_at;
 use eff2_storage::diskmodel::{DiskModel, VirtualDuration};
@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         "chunk size", "chunks", "index read", "t(precision=1)", "precision@200ms"
     );
     for chunk_size in [50usize, 150, 400, 1_000, 2_500, 6_000, 15_000] {
-        let built = ChunkIndex::build(
+        let built = Snapshot::build(
             &dir,
             &format!("tune{chunk_size}"),
             &set,

@@ -13,7 +13,7 @@
 //! cargo run --release -p eff2-examples --bin copyright_search
 //! ```
 
-use eff2_core::{ChunkIndex, SearchParams, SrTreeChunker};
+use eff2_core::{SearchParams, Snapshot, SrTreeChunker};
 use eff2_descriptor::{CollectionSpec, SyntheticCollection, Vector};
 use eff2_storage::DiskModel;
 use std::collections::HashMap;
@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     );
 
     let dir = std::env::temp_dir().join("eff2_copyright");
-    let built = ChunkIndex::build(
+    let built = Snapshot::build(
         &dir,
         "copyright",
         &set,

@@ -12,7 +12,7 @@
 //! cargo run --release -p eff2-examples --bin medrank_baseline
 //! ```
 
-use eff2_core::{ChunkIndex, SearchParams, SrTreeChunker};
+use eff2_core::{SearchParams, Snapshot, SrTreeChunker};
 use eff2_descriptor::SyntheticCollection;
 use eff2_medrank::{MedrankIndex, MedrankParams};
 use eff2_metrics::precision_at;
@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     let model = DiskModel::ata_2005();
     let dir = std::env::temp_dir().join("eff2_medrank_example");
 
-    let chunked = ChunkIndex::build(
+    let chunked = Snapshot::build(
         &dir,
         "mr",
         &set,

@@ -5,7 +5,7 @@
 //! cargo run --release -p eff2-examples --bin quickstart
 //! ```
 
-use eff2_core::{ChunkIndex, SearchParams, SrTreeChunker};
+use eff2_core::{SearchParams, SearchSession, Snapshot, SrTreeChunker};
 use eff2_descriptor::SyntheticCollection;
 use eff2_storage::DiskModel;
 
@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     // 2. Build a chunk index: uniform 500-descriptor chunks from SR-tree
     //    leaves, stored as a page-padded chunk file + centroid/radius index.
     let dir = std::env::temp_dir().join("eff2_quickstart");
-    let built = ChunkIndex::build(
+    let built = Snapshot::build(
         &dir,
         "quickstart",
         &set,
@@ -43,7 +43,12 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     // Exact search as a resumable session: chunks arrive one step() at a
     // time in centroid-distance order, and the current answer is
     // inspectable between steps — the anytime behaviour the paper studies.
-    let mut session = built.index.session(&query, &SearchParams::exact(10));
+    let mut session = SearchSession::open(
+        built.index.store(),
+        built.index.model(),
+        &query,
+        &SearchParams::exact(10),
+    );
     println!(
         "\nstepping the session ({} chunks ranked):",
         session.ranking().len()

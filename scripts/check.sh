@@ -54,11 +54,6 @@ EFF2_SCALE=2500 EFF2_QUERIES=6 cargo run --release -p eff2-eval -- exp6 \
 grep -q "Rerank tail bit-identical to the uncompressed baseline at full budget: yes" "$EXP6_OUT/exp6.txt"
 grep -q "Precision monotonically non-decreasing in rerank depth: yes" "$EXP6_OUT/exp6.txt"
 grep -q "v2 and v3 chunk files read-compatible: yes" "$EXP6_OUT/exp6.txt"
-# Modelled bytes-read figures for the bench artefact below (same-budget
-# raw baseline vs the R=1 quantized scans).
-RAW_BYTES="$(awk '$1=="raw" && $2=="flat" && $4=="3/5" {print $6}' "$EXP6_OUT/exp6.txt")"
-SQ8_BYTES="$(awk '$1=="sq8" && $2=="flat" && $3=="1" {print $6}' "$EXP6_OUT/exp6.txt")"
-PQ_BYTES="$(awk '$1=="pq" && $2=="flat" && $3=="1" {print $6}' "$EXP6_OUT/exp6.txt")"
 rm -rf "$EXP6_OUT"
 
 echo "==> eval exp7 smoke (tiny-scale sharded-fleet sweep)"
@@ -67,10 +62,6 @@ EFF2_SCALE=2500 EFF2_QUERIES=6 cargo run --release -p eff2-eval -- exp7 \
   --out "$EXP7_OUT" | tee "$EXP7_OUT/exp7.txt"
 grep -q "All merged fleet answers bit-identical to solo under every cell: yes" "$EXP7_OUT/exp7.txt"
 grep -q "Replication masked permanent chunk loss as failover: yes" "$EXP7_OUT/exp7.txt"
-# Cross-shard chunk traffic per placement at the widest fleet (R = 1), for
-# the bench artefact below.
-HASH_CROSS="$(awk '$1=="16" && $2=="1" && $3=="chunk-hash" {print $9}' "$EXP7_OUT/exp7.txt")"
-LOCAL_CROSS="$(awk '$1=="16" && $2=="1" && $3=="centroid-locality" {print $9}' "$EXP7_OUT/exp7.txt")"
 rm -rf "$EXP7_OUT"
 
 echo "==> eval exp8 smoke (tiny-scale live-mutation sweep)"
@@ -80,11 +71,6 @@ EFF2_SCALE=2500 EFF2_QUERIES=6 cargo run --release -p eff2-eval -- exp8 \
 grep -q "Every served result bit-identical to a solo run on its pinned epoch snapshot: yes" "$EXP8_OUT/exp8.txt"
 grep -q "Compactor kept every installed chunk within 2x the target size: yes" "$EXP8_OUT/exp8.txt"
 grep -q "reduced the final imbalance factor vs never-compacting under skewed ingest: yes" "$EXP8_OUT/exp8.txt"
-# Final imbalance factors of the hottest sr-tree cell (4x ingest), with
-# compaction off vs on, for the bench artefact below.
-NEVER_IMB="$(awk '$1=="sr-tree" && $2=="4.0" && $3=="never" {print $11}' "$EXP8_OUT/exp8.txt")"
-COMPACT_IMB="$(awk '$1=="sr-tree" && $2=="4.0" && $3 ~ /^every-/ {print $11}' "$EXP8_OUT/exp8.txt")"
-COMPACTIONS="$(awk '$1=="sr-tree" && $2=="4.0" && $3 ~ /^every-/ {print $6}' "$EXP8_OUT/exp8.txt")"
 rm -rf "$EXP8_OUT"
 
 echo "==> eval exp9 smoke (tiny-scale image-query sweep)"
@@ -95,42 +81,19 @@ grep -q "Run-to-completion cells bit-identical to the solo image reference: yes"
 grep -q "Descriptor accounting exact in every cell: yes" "$EXP9_OUT/exp9.txt"
 grep -q "at <=0.5x the descriptor sessions: yes" "$EXP9_OUT/exp9.txt"
 # Descriptor sessions spent by the full run vs the tightest early-stop rule
-# at 4-way concurrency, plus that rule's relative precision, for the bench
-# artefact below. Early stopping must spend strictly fewer sessions.
+# at 4-way concurrency: early stopping must spend strictly fewer sessions.
 RUNALL_SPENT="$(awk '$1=="run-all" && $2=="4" {print $3}' "$EXP9_OUT/exp9.txt")"
 W1_SPENT="$(awk '$1=="stable-top3-w1" && $2=="4" {print $3}' "$EXP9_OUT/exp9.txt")"
-W1_REL="$(awk '$1=="stable-top3-w1" && $2=="4" {print $7}' "$EXP9_OUT/exp9.txt")"
 test "$W1_SPENT" -lt "$RUNALL_SPENT"
 rm -rf "$EXP9_OUT"
 
+# A compile-and-run smoke of the bench targets, nothing more: figures for
+# claims come from `perfbench --out` / `--compare` (see BENCHMARK.json).
 echo "==> criterion benches (reduced sampling: kernels, batch_search, scheduler, fleet, compaction, image_vote)"
 EFF2_BENCH_SCALE=4000 cargo bench -p eff2-bench \
   --bench kernels --bench batch_search --bench scheduler_throughput --bench fleet \
   --bench compaction --bench image_vote -- \
   --sample-size 10 --warm-up-time 0.5 --measurement-time 1
-
-echo "==> bench_report -> BENCH_7.json"
-cargo run --release -p eff2-bench --bin bench_report -- \
-  --criterion-dir target/criterion --out BENCH_7.json \
-  --kv "exp6_raw_flat_partial_bytes=$RAW_BYTES" \
-  --kv "exp6_sq8_flat_r1_bytes=$SQ8_BYTES" \
-  --kv "exp6_pq_flat_r1_bytes=$PQ_BYTES" \
-  --kv "exp7_16shard_hash_cross_fetches=$HASH_CROSS" \
-  --kv "exp7_16shard_locality_cross_fetches=$LOCAL_CROSS"
-
-echo "==> bench_report -> BENCH_8.json"
-cargo run --release -p eff2-bench --bin bench_report -- \
-  --criterion-dir target/criterion --out BENCH_8.json \
-  --kv "exp8_srtree_4x_never_imbalance=$NEVER_IMB" \
-  --kv "exp8_srtree_4x_compacting_imbalance=$COMPACT_IMB" \
-  --kv "exp8_srtree_4x_compactions=$COMPACTIONS"
-
-echo "==> bench_report -> BENCH_9.json"
-cargo run --release -p eff2-bench --bin bench_report -- \
-  --criterion-dir target/criterion --out BENCH_9.json \
-  --kv "exp9_runall_4active_descriptors_spent=$RUNALL_SPENT" \
-  --kv "exp9_stable_top3_w1_4active_descriptors_spent=$W1_SPENT" \
-  --kv "exp9_stable_top3_w1_4active_rel_precision=$W1_REL"
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings

@@ -8,8 +8,7 @@
 //!
 //! No statistical regression analysis, plots or baselines; output is one
 //! line per benchmark on stdout, plus an upstream-compatible
-//! `target/criterion/<label…>/new/estimates.json` median per benchmark so
-//! `bench_report` can collect a perf artefact from a run.
+//! `target/criterion/<label…>/new/estimates.json` median per benchmark.
 
 use std::fmt::Display;
 use std::path::{Path, PathBuf};

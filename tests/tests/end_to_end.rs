@@ -5,7 +5,7 @@ use eff2_bag::BagConfig;
 use eff2_core::chunkers::{
     BagChunker, ChunkFormer, HybridChunker, RandomChunker, RoundRobinChunker, SrTreeChunker,
 };
-use eff2_core::{scan_store_knn, ChunkIndex, SearchParams};
+use eff2_core::{scan_store_knn, SearchParams, Snapshot};
 use eff2_integration_tests::{scratch_dir, test_collection};
 use eff2_metrics::precision_at;
 use eff2_storage::diskmodel::DiskModel;
@@ -54,7 +54,7 @@ fn every_strategy_roundtrips_and_completion_is_exact() {
     let mpi = BagConfig::estimate_mpi(&set, 500, 3);
     for (name, former) in formers(set.len(), mpi) {
         let dir = scratch_dir(&format!("e2e_{name}"));
-        let built = ChunkIndex::build(
+        let built = Snapshot::build(
             &dir,
             name,
             &set,
@@ -72,7 +72,7 @@ fn every_strategy_roundtrips_and_completion_is_exact() {
         );
 
         // Reopen from disk.
-        let reopened = ChunkIndex::open(
+        let reopened = Snapshot::open(
             built.index.store().chunk_path(),
             built.index.store().index_path(),
             DiskModel::ata_2005(),
@@ -99,7 +99,7 @@ fn every_strategy_roundtrips_and_completion_is_exact() {
 fn approximate_search_trades_quality_for_time() {
     let set = test_collection(6_000, 9);
     let dir = scratch_dir("tradeoff");
-    let built = ChunkIndex::build(
+    let built = Snapshot::build(
         &dir,
         "sr",
         &set,

@@ -3,7 +3,7 @@
 
 use eff2_bag::{Bag, BagConfig, EngineKind};
 use eff2_core::chunkers::{ChunkFormer, RoundRobinChunker, SrTreeChunker};
-use eff2_core::{scan_knn, ChunkIndex, SearchParams};
+use eff2_core::{scan_knn, SearchParams, Snapshot};
 use eff2_descriptor::{Descriptor, DescriptorSet, Vector, DIM};
 use eff2_storage::diskmodel::DiskModel;
 use proptest::prelude::*;
@@ -59,7 +59,7 @@ proptest! {
     #[test]
     fn completion_equals_scan(set in arb_set(120), k in 1usize..12, leaf in 3usize..40, case in 0u64..u64::MAX) {
         let dir = tmp("complete", case);
-        let built = ChunkIndex::build(
+        let built = Snapshot::build(
             &dir, "p", &set, &SrTreeChunker { leaf_size: leaf }, 256, DiskModel::ata_2005(),
         ).expect("build");
         let q = set.vector_owned(set.len() / 2);
@@ -75,7 +75,7 @@ proptest! {
     #[test]
     fn precision_monotone_in_budget(set in arb_set(150), case in 0u64..u64::MAX) {
         let dir = tmp("budget", case);
-        let built = ChunkIndex::build(
+        let built = Snapshot::build(
             &dir, "p", &set, &RoundRobinChunker { n_chunks: 8 }, 256, DiskModel::ata_2005(),
         ).expect("build");
         let q = set.vector_owned(0);
