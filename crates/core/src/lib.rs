@@ -63,4 +63,4 @@ pub use search::{
     ResultFidelity, SearchLog, SearchParams, SearchResult, StopRule,
 };
 pub use session::{evaluate_stop_rules, ChunkRanking, SearchSession, SkipPolicy};
-pub use snapshot::{EpochSnapshot, Snapshot};
+pub use snapshot::Snapshot;

@@ -29,7 +29,9 @@
 
 use crate::search::{SearchParams, SearchResult};
 use crate::session::{ChunkRanking, SessionCore};
+use eff2_descriptor::Vector;
 use eff2_storage::diskmodel::{DiskModel, VirtualDuration};
+use eff2_storage::epoch::FoldedDelta;
 use eff2_storage::Result;
 
 /// One leg-reported outcome for a single ranked chunk, buffered by the
@@ -69,6 +71,16 @@ impl ScatterGather {
         ScatterGather {
             core: SessionCore::new(ranking, model, params),
         }
+    }
+
+    /// Pins the gather to a mutated epoch, before the first outcome: the
+    /// delta's live rows are offered and their read booked here, once per
+    /// query, exactly as a solo session books them
+    /// (`SearchSession::apply_delta`). Legs of the same epoch filter its
+    /// tombstones from their scans; whatever delta rows they re-report are
+    /// refused like any id the gather already holds.
+    pub fn apply_delta(&mut self, query: &Vector, delta: &FoldedDelta) {
+        self.core.apply_delta(query, delta);
     }
 
     /// The global ranking this gather merges over.
@@ -175,14 +187,29 @@ mod tests {
         ChunkStore::create(&tmp_dir(tag), "ix", &set, &formation.chunks, 512).expect("create")
     }
 
+    fn query() -> Vector {
+        Vector::splat(21.0)
+    }
+
+    fn assert_merge_matches_solo(store: &ChunkStore, params: &SearchParams, n_shards: usize) {
+        assert_merge_matches_solo_at(store, params, n_shards, &Arc::default());
+    }
+
     /// Splits a query across hand-rolled shards, feeds each leg fully,
     /// then drains outcomes in global order — the merged result must be
-    /// bit-identical to a solo session under the same stop rule.
-    fn assert_merge_matches_solo(store: &ChunkStore, params: &SearchParams, n_shards: usize) {
+    /// bit-identical to a solo session under the same stop rule, all of
+    /// them pinned to `delta`.
+    fn assert_merge_matches_solo_at(
+        store: &ChunkStore,
+        params: &SearchParams,
+        n_shards: usize,
+        delta: &Arc<FoldedDelta>,
+    ) {
         let model = eff2_storage::diskmodel::DiskModel::ata_2005();
-        let query = Vector::splat(21.0);
+        let query = query();
 
         let mut solo = SearchSession::open(store, &model, &query, params);
+        solo.apply_delta(delta);
         solo.run_to_stop().expect("solo run");
         let want = solo.into_result();
 
@@ -192,6 +219,7 @@ mod tests {
             .collect();
         let legs_rankings = ranking.split_by_owner(&owner_of, n_shards);
         let mut gather = ScatterGather::new(ranking, &model, params);
+        gather.apply_delta(&query, delta);
 
         // Drive every leg to exhaustion, buffering outcomes by global rank.
         let leg_params = SearchParams {
@@ -206,6 +234,7 @@ mod tests {
         for leg_ranking in legs_rankings {
             let mut leg =
                 SearchSession::detached_from_ranking(leg_ranking, &model, &query, &leg_params);
+            leg.apply_delta(delta);
             while let Some(chunk) = leg.next_wanted() {
                 let mut payload = ChunkPayload::default();
                 let bytes = reader.read_chunk(chunk, &mut payload).expect("read");
@@ -238,30 +267,7 @@ mod tests {
         }
         let (got, _) = gather.into_result_and_ranking();
 
-        assert_eq!(want.neighbors.len(), got.neighbors.len());
-        for (w, g) in want.neighbors.iter().zip(got.neighbors.iter()) {
-            assert_eq!(w.id, g.id);
-            assert_eq!(w.dist.to_bits(), g.dist.to_bits());
-        }
-        assert_eq!(want.log.chunks_read, got.log.chunks_read);
-        assert_eq!(want.log.bytes_read, got.log.bytes_read);
-        assert_eq!(want.log.descriptors_scanned, got.log.descriptors_scanned);
-        assert_eq!(want.log.completed, got.log.completed);
-        assert_eq!(
-            want.log.total_virtual.as_secs().to_bits(),
-            got.log.total_virtual.as_secs().to_bits()
-        );
-        assert_eq!(want.log.events.len(), got.log.events.len());
-        for (w, g) in want.log.events.iter().zip(got.log.events.iter()) {
-            assert_eq!(w.chunk_id, g.chunk_id);
-            assert_eq!(w.bytes_read, g.bytes_read);
-            assert_eq!(
-                w.completed_at.as_secs().to_bits(),
-                g.completed_at.as_secs().to_bits()
-            );
-            assert_eq!(w.kth_dist.to_bits(), g.kth_dist.to_bits());
-            assert_eq!(w.topk_ids, g.topk_ids);
-        }
+        assert_eq!(want.first_difference(&got), None);
     }
 
     #[test]
@@ -290,6 +296,41 @@ mod tests {
     fn merge_matches_solo_single_shard() {
         let store = build_store("single", 400);
         assert_merge_matches_solo(&store, &SearchParams::exact(6), 1);
+    }
+
+    /// A pinned epoch splits like any other: the delta tombstones the
+    /// solo winner (a base row inside some leg) and inserts a row at
+    /// distance zero, which the gather — not a leg — must contribute.
+    #[test]
+    fn merge_matches_solo_on_a_pinned_delta() {
+        use eff2_storage::epoch::DeltaOp;
+        let store = build_store("delta", 600);
+        let model = eff2_storage::diskmodel::DiskModel::ata_2005();
+        let params = SearchParams::exact(10);
+        let q = query();
+        let base = crate::search::search(&store, &model, &q, &params).expect("base");
+        let winner = base.neighbors[0].id;
+        let delta = Arc::new(FoldedDelta::from_ops(&[
+            DeltaOp::Delete { id: winner },
+            DeltaOp::Insert {
+                id: 9_000,
+                vector: q,
+            },
+        ]));
+        let mut solo = SearchSession::open(&store, &model, &q, &params);
+        solo.apply_delta(&delta);
+        let ids: Vec<u32> = solo
+            .run()
+            .expect("solo")
+            .neighbors
+            .iter()
+            .map(|n| n.id)
+            .collect();
+        assert_eq!(ids[0], 9_000, "the delta row is in the top-k");
+        assert!(!ids.contains(&winner), "the tombstoned row is not");
+        assert_merge_matches_solo_at(&store, &params, 4, &delta);
+        let budget = SearchParams::approximate(8, 5);
+        assert_merge_matches_solo_at(&store, &budget, 3, &delta);
     }
 
     #[test]

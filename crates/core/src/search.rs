@@ -531,6 +531,28 @@ mod tests {
         );
     }
 
+    /// A zero prefetch window is a typed error at the first step, not a
+    /// panic — and a `k = 0` query, which opens no stream, tolerates it.
+    #[test]
+    fn zero_prefetch_depth_is_refused_without_panicking() {
+        let set = lumpy_set(100);
+        let store = build_store("depth0", &set, &SrTreeChunker { leaf_size: 25 });
+        let model = DiskModel::ata_2005();
+        let params = SearchParams {
+            prefetch_depth: 0,
+            ..SearchParams::exact(3)
+        };
+        let refused = search(&store, &model, &Vector::ZERO, &params);
+        assert!(matches!(refused, Err(eff2_storage::Error::Inconsistent(_))));
+        let empty = search(
+            &store,
+            &model,
+            &Vector::ZERO,
+            &SearchParams { k: 0, ..params },
+        );
+        assert_eq!(empty.expect("no stream is opened").log.chunks_read, 0);
+    }
+
     #[test]
     fn k_zero_is_completed_under_every_stop_rule() {
         let set = lumpy_set(100);

@@ -593,6 +593,27 @@ impl SessionCore {
         });
     }
 
+    /// Scans `delta`'s live rows as one delta-chunk read, **before the
+    /// first chunk**: distances offered into the neighbour set in delta
+    /// order, the read charged to the private clock like any chunk (I/O of
+    /// the record-layout bytes overlapped with the scan CPU). No live rows,
+    /// no charge — an empty delta is a strict no-op.
+    pub(crate) fn apply_delta(&mut self, query: &Vector, delta: &FoldedDelta) {
+        debug_assert_eq!(self.cursor(), 0, "apply_delta must run before the scan");
+        if delta.inserts.is_empty() {
+            return;
+        }
+        for (id, vector) in &delta.inserts {
+            self.neighbors
+                .offer(*id, l2_sq(query.as_array(), vector.as_array()));
+        }
+        let io = self.model.io_time(delta.scan_bytes());
+        let cpu = self.model.scan_time(delta.inserts.len());
+        let _ = self.clock.chunk_overlapped(io, cpu);
+        self.log.bytes_read += delta.scan_bytes();
+        self.log.descriptors_scanned += delta.inserts.len() as u64;
+    }
+
     /// Consumes the chunk at the cursor (which must exist) *without* its
     /// candidates: the chunk goes into the degradation report and `charge`
     /// — what the failed delivery cost — onto the clock as I/O with no
@@ -860,9 +881,7 @@ impl SearchSession {
     /// delta, **before the first step**:
     ///
     /// * the live delta rows are scanned right now, as one delta-chunk
-    ///   read — distances offered into the neighbour set in delta order,
-    ///   the read charged to the pipeline clock like any chunk (I/O of the
-    ///   record-layout bytes overlapped with the scan CPU);
+    ///   read ([`SessionCore::apply_delta`]);
     /// * every later chunk scan filters out base rows whose ids the delta
     ///   tombstones (deleted or superseded descriptors).
     ///
@@ -877,25 +896,7 @@ impl SearchSession {
     /// bound is a lower bound over a superset of the live base rows, and
     /// the delta rows are all consumed up front.
     pub fn apply_delta(&mut self, delta: &Arc<FoldedDelta>) {
-        debug_assert_eq!(
-            self.core.log.chunks_read, 0,
-            "apply_delta must run before the scan"
-        );
-        if delta.is_empty() {
-            return;
-        }
-        if !delta.inserts.is_empty() {
-            for (id, vector) in &delta.inserts {
-                self.core
-                    .neighbors
-                    .offer(*id, l2_sq(self.query.as_array(), vector.as_array()));
-            }
-            let io = self.core.model.io_time(delta.scan_bytes());
-            let cpu = self.core.model.scan_time(delta.inserts.len());
-            let _ = self.core.clock.chunk_overlapped(io, cpu);
-            self.core.log.bytes_read += delta.scan_bytes();
-            self.core.log.descriptors_scanned += delta.inserts.len() as u64;
-        }
+        self.core.apply_delta(&self.query, delta);
         if !delta.tombstones.is_empty() {
             self.delta = Some(Arc::clone(delta));
         }

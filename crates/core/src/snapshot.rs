@@ -1,17 +1,27 @@
-//! An immutable, cheaply shareable view of a chunk index.
+//! An immutable, cheaply shareable view of one epoch of a chunk index.
 //!
-//! A [`Snapshot`] is what a *serving* layer holds: the pairing of a
-//! [`ChunkStore`] (itself an `Arc`-backed handle over the mapped index
-//! file) with the [`DiskModel`] its timings are reported under, `Clone` in
-//! O(1) and safe to hand to any number of concurrent schedulers, workers
-//! or sessions. Nothing behind a snapshot ever mutates — the chunk-index
-//! files are write-once — so two clones always rank, bound and search
-//! bit-identically.
+//! A [`Snapshot`] is what a *serving* layer holds: a [`ChunkStore`] (itself
+//! an `Arc`-backed handle over one compaction generation's write-once
+//! files), the [`DiskModel`] its timings are reported under, and the
+//! folded prefix of the delta op log that was pinned when the epoch was
+//! taken. It is `Clone` in O(1) and safe to hand to any number of
+//! concurrent schedulers, workers or sessions. Nothing behind a snapshot
+//! ever mutates — the chunk-index files are write-once, the delta is
+//! folded — so two clones always rank, bound and search bit-identically,
+//! no matter what writers append or the compactor folds afterwards.
+//!
+//! Every session opened through a snapshot sees exactly its epoch: inserts
+//! folded into the delta are offered up front, base rows the delta
+//! tombstones are filtered from every scan. A never-mutated index is epoch
+//! zero — generation 0, an empty delta — and an empty delta is a strict
+//! no-op, so its sessions are bit-identical to ones that never heard of
+//! epochs (the read-compat contract for v2/v3 stores).
 //!
 //! [`Snapshot::build`] and [`Snapshot::open`] (in [`crate::index`]) are the
-//! entry points that create one from descriptors or from files on disk.
+//! entry points that create one from descriptors or from files on disk;
+//! `eff2_epoch::MutableIndex::pin` is the one that pins a mutated epoch.
 
-use crate::search::{search, SearchParams, SearchResult};
+use crate::search::{SearchParams, SearchResult};
 use crate::session::{ChunkRanking, SearchSession};
 use eff2_descriptor::Vector;
 use eff2_storage::diskmodel::DiskModel;
@@ -20,19 +30,40 @@ use eff2_storage::source::ResidentSource;
 use eff2_storage::{ChunkStore, Result};
 use std::sync::Arc;
 
-/// An immutable view of one chunk index plus its cost model.
+/// An immutable view of one epoch of a chunk index plus its cost model.
 ///
 /// See the [module docs](self) for the sharing contract.
 #[derive(Clone, Debug)]
 pub struct Snapshot {
     store: ChunkStore,
     model: DiskModel,
+    generation: u64,
+    epoch: u64,
+    delta: Arc<FoldedDelta>,
 }
 
 impl Snapshot {
-    /// Pairs an open store with a cost model.
+    /// Pairs an open store with a cost model, at epoch zero: generation 0,
+    /// an empty delta.
     pub fn new(store: ChunkStore, model: DiskModel) -> Snapshot {
-        Snapshot { store, model }
+        Snapshot {
+            store,
+            model,
+            generation: 0,
+            epoch: 0,
+            delta: Arc::default(),
+        }
+    }
+
+    /// This store (compaction generation `generation`) pinned together
+    /// with the folded delta prefix that defines epoch `epoch`.
+    pub fn at_epoch(self, generation: u64, epoch: u64, delta: Arc<FoldedDelta>) -> Snapshot {
+        Snapshot {
+            generation,
+            epoch,
+            delta,
+            ..self
+        }
     }
 
     /// The underlying store.
@@ -43,96 +74,6 @@ impl Snapshot {
     /// The cost model.
     pub fn model(&self) -> &DiskModel {
         &self.model
-    }
-
-    /// Number of chunks in the index.
-    pub fn n_chunks(&self) -> usize {
-        self.store.n_chunks()
-    }
-
-    /// Ranks all chunks for `query` (allocating fresh buffers).
-    pub fn rank(&self, query: &Vector) -> ChunkRanking {
-        ChunkRanking::rank(&self.store, &self.model, query)
-    }
-
-    /// Ranks all chunks for `query` into `ranking`, reusing its buffers.
-    pub fn rank_into(&self, ranking: &mut ChunkRanking, query: &Vector) {
-        ranking.rank_into(&self.store, &self.model, query);
-    }
-
-    /// A detached session for `query`: the caller feeds chunks through
-    /// [`SearchSession::step_with`] — the scheduler's mode.
-    pub fn session(&self, query: &Vector, params: &SearchParams) -> SearchSession {
-        SearchSession::detached(&self.store, &self.model, query, params)
-    }
-
-    /// [`session`](Self::session) over a pre-computed ranking (see
-    /// [`rank_into`](Self::rank_into) for buffer reuse).
-    pub fn session_from_ranking(
-        &self,
-        ranking: ChunkRanking,
-        query: &Vector,
-        params: &SearchParams,
-    ) -> SearchSession {
-        SearchSession::detached_from_ranking(ranking, &self.model, query, params)
-    }
-
-    /// Executes one query serially over a private prefetching source — the
-    /// reference execution that interleaved schedules are bit-compared
-    /// against.
-    pub fn search(&self, query: &Vector, params: &SearchParams) -> Result<SearchResult> {
-        search(&self.store, &self.model, query, params)
-    }
-
-    /// A [`ResidentSource`] over this snapshot's store pinning at most
-    /// `budget_bytes` of decoded chunks.
-    pub fn resident_source(&self, budget_bytes: u64) -> ResidentSource {
-        ResidentSource::new(&self.store, budget_bytes)
-    }
-}
-
-/// An immutable view of one *epoch* of a mutable index: a base
-/// [`Snapshot`] (one compaction generation's write-once chunk files) plus
-/// the folded prefix of the delta op log that was pinned when the epoch
-/// was taken.
-///
-/// Every session opened through an `EpochSnapshot` sees exactly this
-/// epoch — inserts folded into the delta are offered up front, base rows
-/// the delta tombstones are filtered from every scan — no matter what
-/// writers append or the compactor folds afterwards. Like [`Snapshot`] it
-/// is `Clone` in O(1): the base store handle and the folded delta are both
-/// `Arc`-backed, so two clones search bit-identically.
-#[derive(Clone, Debug)]
-pub struct EpochSnapshot {
-    base: Snapshot,
-    generation: u64,
-    epoch: u64,
-    delta: Arc<FoldedDelta>,
-}
-
-impl EpochSnapshot {
-    /// Pins `base` (compaction generation `generation`) together with the
-    /// folded delta prefix that defines epoch `epoch`.
-    pub fn new(base: Snapshot, generation: u64, epoch: u64, delta: Arc<FoldedDelta>) -> Self {
-        EpochSnapshot {
-            base,
-            generation,
-            epoch,
-            delta,
-        }
-    }
-
-    /// Epoch zero of a never-mutated index: generation 0, an empty delta.
-    /// Sessions through it are bit-identical to sessions on `base` itself
-    /// — the read-compat contract for v2/v3 stores opened through the
-    /// epoch layer.
-    pub fn unchanged(base: Snapshot) -> Self {
-        EpochSnapshot::new(base, 0, 0, Arc::new(FoldedDelta::default()))
-    }
-
-    /// The base generation's immutable view.
-    pub fn base(&self) -> &Snapshot {
-        &self.base
     }
 
     /// The compaction generation this epoch's chunk files belong to.
@@ -151,43 +92,54 @@ impl EpochSnapshot {
         &self.delta
     }
 
-    /// Ranks the base generation's chunks for `query`.
+    /// Number of chunks in the index.
+    pub fn n_chunks(&self) -> usize {
+        self.store.n_chunks()
+    }
+
+    /// Ranks all chunks for `query` (allocating fresh buffers).
     pub fn rank(&self, query: &Vector) -> ChunkRanking {
-        self.base.rank(query)
+        ChunkRanking::rank(&self.store, &self.model, query)
     }
 
-    /// A detached session pinned to this epoch: the delta is applied
-    /// before the first step, so the caller only feeds base chunks.
+    /// Ranks all chunks for `query` into `ranking`, reusing its buffers.
+    pub fn rank_into(&self, ranking: &mut ChunkRanking, query: &Vector) {
+        ranking.rank_into(&self.store, &self.model, query);
+    }
+
+    /// A detached session for `query`, pinned to this epoch: the delta is
+    /// applied before the first step, so the caller only feeds base chunks
+    /// through [`SearchSession::step_with`] — the scheduler's mode.
     pub fn session(&self, query: &Vector, params: &SearchParams) -> SearchSession {
-        let mut session = self.base.session(query, params);
-        session.apply_delta(&self.delta);
-        session
+        self.session_from_ranking(self.rank(query), query, params)
     }
 
-    /// [`session`](Self::session) over a pre-computed ranking.
+    /// [`session`](Self::session) over a pre-computed ranking (see
+    /// [`rank_into`](Self::rank_into) for buffer reuse).
     pub fn session_from_ranking(
         &self,
         ranking: ChunkRanking,
         query: &Vector,
         params: &SearchParams,
     ) -> SearchSession {
-        let mut session = self.base.session_from_ranking(ranking, query, params);
+        let mut session = SearchSession::detached_from_ranking(ranking, &self.model, query, params);
         session.apply_delta(&self.delta);
         session
     }
 
     /// Executes one query serially over a private prefetching source — the
-    /// solo reference run that concurrent serving schedules under mutation
-    /// are bit-compared against.
+    /// solo reference run that interleaved schedules (under mutation or
+    /// not) are bit-compared against.
     pub fn search(&self, query: &Vector, params: &SearchParams) -> Result<SearchResult> {
-        let mut session = SearchSession::open(&self.base.store, &self.base.model, query, params);
+        let mut session = SearchSession::open(&self.store, &self.model, query, params);
         session.apply_delta(&self.delta);
         session.run()
     }
 
-    /// A [`ResidentSource`] over this epoch's base store.
+    /// A [`ResidentSource`] over this snapshot's store pinning at most
+    /// `budget_bytes` of decoded chunks.
     pub fn resident_source(&self, budget_bytes: u64) -> ResidentSource {
-        self.base.resident_source(budget_bytes)
+        ResidentSource::new(&self.store, budget_bytes)
     }
 }
 
@@ -195,6 +147,7 @@ impl EpochSnapshot {
 mod tests {
     use super::*;
     use crate::chunkers::{ChunkFormer, SrTreeChunker};
+    use crate::search::search;
     use eff2_descriptor::{Descriptor, DescriptorSet};
     use std::path::PathBuf;
 
@@ -279,23 +232,19 @@ mod tests {
         );
     }
 
+    /// Epoch zero carries an empty delta, and an empty delta is no delta
+    /// at all: the snapshot's search equals the free `search`, which never
+    /// hears of epochs.
     #[test]
     fn epoch_zero_is_bit_identical_to_base_snapshot() {
         let snap = build_index("epoch_zero", 300);
-        let epoch = EpochSnapshot::unchanged(snap.clone());
+        assert_eq!((snap.generation(), snap.epoch()), (0, 0));
+        assert!(snap.delta().is_empty());
         let q = Vector::splat(11.0);
         let params = SearchParams::exact(5);
-        let base = snap.search(&q, &params).expect("base");
-        let pinned = epoch.search(&q, &params).expect("pinned");
-        assert_eq!(base.neighbors.len(), pinned.neighbors.len());
-        for (x, y) in base.neighbors.iter().zip(pinned.neighbors.iter()) {
-            assert_eq!(x.id, y.id);
-            assert_eq!(x.dist.to_bits(), y.dist.to_bits());
-        }
-        assert_eq!(
-            base.log.total_virtual.as_secs().to_bits(),
-            pinned.log.total_virtual.as_secs().to_bits()
-        );
+        let base = search(snap.store(), snap.model(), &q, &params).expect("base");
+        let pinned = snap.search(&q, &params).expect("pinned");
+        assert_eq!(base.first_difference(&pinned), None);
         assert_eq!(
             base.log.bytes_read, pinned.log.bytes_read,
             "empty delta must not charge any extra I/O"
@@ -320,7 +269,7 @@ mod tests {
                 vector: q,
             },
         ]));
-        let epoch = EpochSnapshot::new(snap.clone(), 0, 2, Arc::clone(&delta));
+        let epoch = snap.clone().at_epoch(0, 2, Arc::clone(&delta));
         assert_eq!(epoch.epoch(), 2);
         assert_eq!(epoch.generation(), 0);
         let got = epoch.search(&q, &params).expect("pinned");

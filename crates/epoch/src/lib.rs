@@ -14,7 +14,7 @@
 //! * **Writers never block readers.** Mutations append to the in-memory
 //!   delta chunk and the manifest; the base files are never touched.
 //! * **Readers pin epochs.** [`MutableIndex::pin`] folds the current
-//!   delta prefix into an [`EpochSnapshot`] — an `Arc`-backed view that
+//!   delta prefix into a [`Snapshot`] — an `Arc`-backed view that
 //!   stays bit-for-bit stable no matter what writers append or the
 //!   compactor folds afterwards. Every in-flight search sees exactly one
 //!   epoch.
@@ -30,7 +30,7 @@
 //! `(value, id)` — two compactions of the same logical state produce
 //! byte-identical files.
 
-use eff2_core::{EpochSnapshot, Snapshot};
+use eff2_core::Snapshot;
 use eff2_descriptor::quant::Codec;
 use eff2_descriptor::{Descriptor, DescriptorSet, Vector, DIM};
 use eff2_storage::chunkfile::ChunkPayload;
@@ -240,12 +240,11 @@ impl MutableIndex {
     }
 
     /// Pins the current epoch: folds the delta prefix as of now into an
-    /// immutable [`EpochSnapshot`]. Later mutations, compactions and
+    /// immutable [`Snapshot`]. Later mutations, compactions and
     /// generation swaps never change what this snapshot serves.
-    pub fn pin(&self) -> EpochSnapshot {
+    pub fn pin(&self) -> Snapshot {
         let pin = self.delta.pin();
-        EpochSnapshot::new(
-            Snapshot::new(self.base.clone(), self.model),
+        Snapshot::new(self.base.clone(), self.model).at_epoch(
             self.generation,
             self.folded_ops + pin.len() as u64,
             Arc::new(pin.fold()),

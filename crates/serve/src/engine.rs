@@ -1,22 +1,31 @@
 // lint:allow-file(panic.index): device vectors are sized by the device count at construction and indexed by device ids the engine or the ShardMap produced
 //! The one serving loop behind [`Scheduler`](crate::Scheduler),
-//! [`ImageScheduler`](crate::ImageScheduler) and
-//! [`FleetScheduler`](crate::FleetScheduler).
+//! [`ImageScheduler`](crate::ImageScheduler),
+//! [`FleetScheduler`](crate::FleetScheduler) and
+//! [`LiveServer`](crate::LiveServer).
 //!
 //! The unit of work is a descriptor [`SearchSession`] keyed `(job id,
 //! member)`. Sessions run on a **device set** of 1..N nodes — each its own
-//! [`PipelineClock`], [`ResidentSource`] cache, chunk reader and chaos
-//! attempt counters — and the engine owns, exactly once: admission
-//! (monotone arrivals, the [`Overloaded`](ServeError::Overloaded) gate, the
-//! pending queue, id assignment), the drive loop, the choice of the next
-//! device (the earliest clock with runnable work), the [`Policy`] pick, the
-//! fault-aware fetch with per-copy retry and failover, fleet-clock charging
-//! and retire bookkeeping.
+//! [`PipelineClock`] plus, per compaction generation it serves, a
+//! [`ResidentSource`] cache, chunk reader and chaos attempt counters — and
+//! the engine owns, exactly once: admission (monotone arrivals, the
+//! [`Overloaded`](ServeError::Overloaded) gate, the pending queue, id
+//! assignment, the [`Snapshot`] each job is pinned to), the drive loop, the
+//! choice of the next device (the earliest clock with runnable work), the
+//! [`Policy`] pick, the fault-aware fetch with per-copy retry and failover,
+//! fleet-clock charging and retire bookkeeping.
 //!
-//! What differs between the three schedulers is how a job's member
-//! sessions fold into one output — a [`Group`], chosen by the
-//! constructor's type: `Plain` (`scheduler.rs`), `ImageVotes`
-//! (`image.rs`) or `Scatter` (`fleet.rs`).
+//! What differs between the four is how a job's member sessions fold into
+//! one output — a [`Group`], chosen by the constructor's type: `Plain`
+//! (`scheduler.rs`), `ImageVotes` (`image.rs`), `Scatter` (`fleet.rs`) or
+//! `Live` (`live.rs`).
+//!
+//! A job sees one snapshot for its whole life: the one the engine was
+//! built over, or whatever its fold [pins](Group::pin) at admission. Chunk
+//! ids of different generations name different bytes, so everything keyed
+//! by chunk — the device caches, the most-wanted-chunk tally — is keyed by
+//! `(generation, chunk)`, and a superseded generation's device state is let
+//! go when the last job pinned to it retires.
 //!
 //! Two clocks run here. Each session keeps its *private* clock — per-query
 //! cost as if the query ran alone, which is why every per-query figure is
@@ -81,6 +90,20 @@ pub(crate) trait Group {
     /// Whether a fair-share turn belongs to the whole job (whichever
     /// device serves it) rather than to one member session.
     const TURN_PER_JOB: bool = false;
+
+    /// The snapshot jobs admitted from now on see — a fold over a mutable
+    /// index returns its current epoch. `None` keeps serving the snapshot
+    /// the engine already holds.
+    fn pin(&mut self) -> Option<Snapshot> {
+        None
+    }
+
+    /// One `(io, cpu)` slice of background work, if any is outstanding.
+    /// The engine charges it on device 0 after every tick — and on its own
+    /// while nothing else is left to run.
+    fn background(&mut self) -> Result<Option<(VirtualDuration, VirtualDuration)>> {
+        Ok(None)
+    }
 
     /// Opens a job: ranks (charging the ranking CPU through `cx`) and
     /// opens one session per member on its device.
@@ -153,11 +176,13 @@ pub(crate) trait Group {
 }
 
 /// The engine-side facts of a job handed to [`Group::output`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub(crate) struct Retired {
     pub(crate) id: u64,
     pub(crate) arrival: VirtualDuration,
     pub(crate) deadline: VirtualDuration,
+    /// The snapshot the job was pinned to at admission.
+    pub(crate) snapshot: Snapshot,
 }
 
 /// A finished job's output plus what retire bookkeeping needs of it.
@@ -169,9 +194,17 @@ pub(crate) struct Folded<O> {
     pub(crate) degraded: bool,
 }
 
-/// One simulated device: its own clock, cache, reader and fault counters.
+/// One simulated device: its own clock, and what it holds of each
+/// generation it is serving.
 struct Node {
     clock: PipelineClock,
+    /// By compaction generation, opened when the first job pinned to it
+    /// lands here.
+    shelves: BTreeMap<u64, Shelf>,
+}
+
+/// One device's view of one generation's chunk files.
+struct Shelf {
     source: ResidentSource,
     /// One lazily-opened chunk reader reused across every cache miss.
     reader: Option<ChunkReader>,
@@ -179,6 +212,28 @@ struct Node {
     /// the counters a `FaultSource` keeps, so transient faults clear after
     /// the same number of probes as in a serial run against this node.
     chaos_attempts: BTreeMap<usize, u32>,
+}
+
+impl Node {
+    /// This device's shelf for `snapshot`'s generation.
+    fn shelf(&mut self, snapshot: &Snapshot, cache_budget_bytes: u64) -> &mut Shelf {
+        self.shelves
+            .entry(snapshot.generation())
+            .or_insert_with(|| Shelf {
+                source: snapshot.resident_source(cache_budget_bytes),
+                reader: None,
+                chaos_attempts: BTreeMap::new(),
+            })
+    }
+}
+
+/// Adds `s`'s event counters to `total`. The resident figures are a
+/// point-in-time reading and stay with whoever still holds the cache.
+fn add_counters(total: &mut ResidentStats, s: &ResidentStats) {
+    total.hits += s.hits;
+    total.cross_query_hits += s.cross_query_hits;
+    total.misses += s.misses;
+    total.evictions += s.evictions;
 }
 
 /// The device set: 1..N nodes plus which of them hold each chunk.
@@ -195,13 +250,8 @@ pub(crate) struct Devices {
 impl Devices {
     /// One node per shard of `placed` (the placement table, the static
     /// down flags and the loss scope) — or, with `None`, the single device
-    /// that owns every chunk — each with its own `cache_budget_bytes`
-    /// resident cache over `snapshot`.
-    pub(crate) fn new(
-        snapshot: &Snapshot,
-        cache_budget_bytes: u64,
-        placed: Option<(Arc<ShardMap>, Vec<bool>, LossScope)>,
-    ) -> Devices {
+    /// that owns every chunk.
+    pub(crate) fn new(placed: Option<(Arc<ShardMap>, Vec<bool>, LossScope)>) -> Devices {
         let (map, down, loss_scope) = match placed {
             Some((map, down, loss_scope)) => (Some(map), down, loss_scope),
             None => (None, vec![false], LossScope::Primary),
@@ -210,9 +260,7 @@ impl Devices {
             .iter()
             .map(|_| Node {
                 clock: PipelineClock::start_at(VirtualDuration::ZERO),
-                source: snapshot.resident_source(cache_budget_bytes),
-                reader: None,
-                chaos_attempts: BTreeMap::new(),
+                shelves: BTreeMap::new(),
             })
             .collect();
         Devices {
@@ -228,7 +276,8 @@ impl Devices {
 struct Member {
     session: SearchSession,
     device: usize,
-    /// Cache-attribution tag with the device's [`ResidentSource`].
+    /// Cache-attribution tag with the device's [`ResidentSource`] for the
+    /// job's generation.
     requester: u64,
 }
 
@@ -236,6 +285,8 @@ struct Member {
 struct Job<S> {
     arrival: VirtualDuration,
     deadline: VirtualDuration,
+    /// What the job sees, fixed at admission.
+    snapshot: Snapshot,
     /// Device the ranking CPU was charged on; deliveries from any other
     /// device count as cross-device fetches.
     home: usize,
@@ -255,9 +306,10 @@ struct Pending<Q> {
 /// What [`Group::admit`] works through: ranking buffers, the device
 /// clocks, and the member list of the job being opened.
 pub(crate) struct Admission<'a> {
-    /// The snapshot being served.
+    /// The snapshot the job is pinned to.
     pub(crate) snapshot: &'a Snapshot,
     nodes: &'a mut [Node],
+    cache_budget_bytes: u64,
     spare: &'a mut Vec<ChunkRanking>,
     home: usize,
     members: Vec<(u32, Member)>,
@@ -296,7 +348,10 @@ impl Admission<'_> {
         device: usize,
         session: SearchSession,
     ) -> Option<SearchResult> {
-        let requester = self.nodes[device].source.new_requester();
+        let requester = self.nodes[device]
+            .shelf(self.snapshot, self.cache_budget_bytes)
+            .source
+            .new_requester();
         if stopped(&session) {
             let (result, ranking) = session.into_result_and_ranking();
             self.spare.push(ranking);
@@ -335,6 +390,8 @@ pub(crate) struct Drained<G: Group> {
     pub(crate) stats: ServeStats,
     /// Fleet-clock time at which the last job finished.
     pub(crate) makespan: VirtualDuration,
+    /// Device 0's fleet clock once everything was drained.
+    pub(crate) now: VirtualDuration,
     /// Deliveries whose device differed from the fed job's home.
     pub(crate) cross_device_fetches: u64,
     /// Deliveries served by a non-primary copy.
@@ -344,10 +401,11 @@ pub(crate) struct Drained<G: Group> {
 
 /// The serving engine. See the [module docs](self).
 pub(crate) struct Engine<G: Group> {
+    /// What the next admitted job sees.
     snapshot: Snapshot,
     config: SchedulerConfig,
     devices: Devices,
-    group: G,
+    pub(crate) group: G,
     last_arrival: VirtualDuration,
     next_id: u64,
     pending: VecDeque<Pending<G::Spec>>,
@@ -475,18 +533,15 @@ impl<G: Group> Engine<G> {
     /// Drains every admitted job and hands everything back.
     pub(crate) fn finish(mut self) -> Result<Drained<G>> {
         self.drain(None)?;
-        let mut cache = ResidentStats::default();
-        for node in &self.devices.nodes {
-            let s = node.source.stats();
-            cache.hits += s.hits;
-            cache.cross_query_hits += s.cross_query_hits;
-            cache.misses += s.misses;
-            cache.evictions += s.evictions;
+        let cache = &mut self.stats.cache;
+        for shelf in self.devices.nodes.iter().flat_map(|n| n.shelves.values()) {
+            let s = shelf.source.stats();
+            add_counters(cache, &s);
             cache.resident_bytes += s.resident_bytes;
             cache.resident_chunks += s.resident_chunks;
         }
-        self.stats.cache = cache;
         Ok(Drained {
+            now: self.now(),
             outputs: self.outputs.into_values().collect(),
             stats: self.stats,
             makespan: self.makespan,
@@ -496,26 +551,49 @@ impl<G: Group> Engine<G> {
         })
     }
 
+    /// Processes backlog until the fleet clock reaches `t`; devices idle
+    /// behind `t` then jump to it — what an arrival that is not a job (a
+    /// mutation) sees before it [charges](Self::charge) its own cost.
+    pub(crate) fn advance_to(&mut self, t: VirtualDuration) -> Result<()> {
+        self.drain(Some(t))?;
+        self.jump_to(t);
+        Ok(())
+    }
+
+    /// Charges work that belongs to no job on device 0's fleet clock.
+    pub(crate) fn charge(&mut self, io: VirtualDuration, cpu: VirtualDuration) {
+        let _ = self.devices.nodes[0].clock.chunk_overlapped(io, cpu);
+    }
+
     /// The drive loop: processes backlog until the next tick's device
     /// clock reaches `until` (or, with `None`, until nothing is left).
+    /// Every tick is followed by one slice of the fold's
+    /// [background work](Group::background); with no job left, device 0
+    /// pays the slices on their own.
     fn drain(&mut self, until: Option<VirtualDuration>) -> Result<()> {
         loop {
             self.catch_up()?;
-            if self.jobs.is_empty() {
-                if self.pending.is_empty() {
-                    return Ok(());
-                }
+            let device = if !self.jobs.is_empty() {
+                Some(self.next_device().ok_or_else(|| {
+                    inconsistent("engine stalled: active jobs but no runnable device")
+                })?)
+            } else if self.pending.is_empty() {
+                None
+            } else {
                 continue; // instant completions drained a wave; re-admit
-            }
-            let device = self.next_device().ok_or_else(|| {
-                inconsistent("engine stalled: active jobs but no runnable device")
-            })?;
-            if until
-                .is_some_and(|t| self.devices.nodes[device].clock.now().as_secs() >= t.as_secs())
-            {
+            };
+            let now = self.devices.nodes[device.unwrap_or(0)].clock.now();
+            if until.is_some_and(|t| now.as_secs() >= t.as_secs()) {
                 return Ok(());
             }
-            self.tick(device)?;
+            if let Some(device) = device {
+                self.tick(device)?;
+            }
+            match self.group.background()? {
+                Some((io, cpu)) => self.charge(io, cpu),
+                None if device.is_none() => return Ok(()),
+                None => {}
+            }
         }
     }
 
@@ -586,19 +664,27 @@ impl<G: Group> Engine<G> {
             // a device lagging behind the frontier had nothing it was
             // allowed to run.
             self.jump_to(p.arrival);
+            if let Some(pinned) = self.group.pin() {
+                let superseded = std::mem::replace(&mut self.snapshot, pinned);
+                self.release(superseded.generation());
+            }
+            let snapshot = self.snapshot.clone();
             let mut cx = Admission {
-                snapshot: &self.snapshot,
+                snapshot: &snapshot,
                 nodes: &mut self.devices.nodes,
+                cache_budget_bytes: self.config.cache_budget_bytes,
                 spare: &mut self.spare,
                 home: 0,
                 members: Vec::new(),
             };
             let state = self.group.admit(&mut cx, &p.spec, &p.params)?;
+            let (home, members) = (cx.home, cx.members);
             let job = Job {
                 arrival: p.arrival,
                 deadline: p.arrival + self.config.deadline,
-                home: cx.home,
-                members: cx.members,
+                snapshot,
+                home,
+                members,
                 state,
             };
             if self.group.finished(&job.state) {
@@ -662,18 +748,21 @@ impl<G: Group> Engine<G> {
                 best.map(|(key, chunk, _, _)| (chunk, vec![key]))
             }
             Policy::MostWantedChunk => {
-                let mut wanted: BTreeMap<usize, Vec<Key>> = BTreeMap::new();
-                for (key, _, _, chunk) in self.runnable(self.jobs.iter(), device) {
-                    wanted.entry(chunk).or_default().push(key);
+                // Tallied by (generation, chunk): the same chunk id under
+                // two generations names different bytes.
+                let mut wanted: BTreeMap<(u64, usize), Vec<Key>> = BTreeMap::new();
+                for (key, job, _, chunk) in self.runnable(self.jobs.iter(), device) {
+                    let bytes = (job.snapshot.generation(), chunk);
+                    wanted.entry(bytes).or_default().push(key);
                 }
-                let mut best: Option<(usize, usize)> = None;
+                let mut best: Option<((u64, usize), usize)> = None;
                 for (c, keys) in &wanted {
                     if best.is_none_or(|(_, n)| keys.len() > n) {
                         best = Some((*c, keys.len()));
                     }
                 }
-                let (chunk, _) = best?;
-                Some((chunk, wanted.remove(&chunk)?))
+                let (bytes, _) = best?;
+                Some((bytes.1, wanted.remove(&bytes)?))
             }
         }
     }
@@ -797,10 +886,11 @@ impl<G: Group> Engine<G> {
         } = &mut self.devices;
         let owners: &[u32] = map.as_deref().map_or(&[0], |m| m.owners(chunk_id));
         let primary = owners.first().copied().unwrap_or(0);
-        let members: &[(u32, Member)] = self
+        let job = self
             .jobs
             .get(&first.0)
-            .map_or(&[], |job| job.members.as_slice());
+            .ok_or_else(|| inconsistent("engine stalled: the picked job is gone"))?;
+        let members = job.members.as_slice();
         let plan = self.config.fault_plan;
         let retry = self.config.retry;
         let lost = plan.is_some_and(|p| p.is_permanently_lost(chunk_id));
@@ -823,7 +913,7 @@ impl<G: Group> Engine<G> {
                     }
                 })
                 .map_or(0, |(_, member)| member.requester);
-            let node = &mut nodes[o];
+            let shelf = nodes[o].shelf(&job.snapshot, self.config.cache_budget_bytes);
             // Whether the permanent draw kills this copy.
             let lost_here = lost && (*loss_scope == LossScope::AllCopies || owner == primary);
             let mut copy_attempts = 0u32;
@@ -835,7 +925,7 @@ impl<G: Group> Engine<G> {
                         delay: VirtualDuration::ZERO,
                     },
                     Some(plan) => {
-                        let slot = node.chaos_attempts.entry(chunk_id).or_insert(0);
+                        let slot = shelf.chaos_attempts.entry(chunk_id).or_insert(0);
                         let attempt = *slot;
                         *slot += 1;
                         if lost_here {
@@ -847,9 +937,9 @@ impl<G: Group> Engine<G> {
                 };
                 let class = match verdict {
                     Fault::Deliver { delay } => {
-                        match node
+                        match shelf
                             .source
-                            .fetch_through(requester, chunk_id, &mut node.reader)
+                            .fetch_through(requester, chunk_id, &mut shelf.reader)
                         {
                             Ok(fetched) => {
                                 if owner != primary {
@@ -881,15 +971,35 @@ impl<G: Group> Engine<G> {
         Ok(Acquired::Lost { spent })
     }
 
-    /// Books a finished job: members still open are torn down with it,
-    /// the group folds its output, the counters move.
+    /// Lets go of every device's shelf for `generation` unless the next
+    /// admission or a job in flight is pinned to it. The generation's
+    /// files stay on disk for pins held outside the engine.
+    fn release(&mut self, generation: u64) {
+        let pinned = |s: &Snapshot| s.generation() == generation;
+        if pinned(&self.snapshot) || self.jobs.values().any(|j| pinned(&j.snapshot)) {
+            return;
+        }
+        for node in &mut self.devices.nodes {
+            if let Some(shelf) = node.shelves.remove(&generation) {
+                add_counters(&mut self.stats.cache, &shelf.source.stats());
+            }
+        }
+    }
+
+    /// Books a finished job (already out of the job table): members still
+    /// open are torn down with it, the group folds its output, the
+    /// counters move, a generation nobody is pinned to any more is
+    /// released.
     fn retire(&mut self, id: u64, job: Job<G::Job>) -> Result<()> {
+        let generation = job.snapshot.generation();
         let retired = Retired {
             id,
             arrival: job.arrival,
             deadline: job.deadline,
+            snapshot: job.snapshot,
         };
         let folded = self.group.output(&mut self.spare, retired, job.state)?;
+        self.release(generation);
         self.stats.completed += 1;
         if folded.degraded {
             self.stats.sessions_degraded += 1;

@@ -12,9 +12,8 @@
 //!    [`SearchSession`]s that scan only their shard's chunks, in global
 //!    rank order restricted to the shard, under a scan-everything stop
 //!    rule (the gather's rule decides when the *query* stops);
-//! 2. a leg may run at most [`FleetConfig::lookahead`] global ranks past
-//!    the gather cursor; a fair-share turn belongs to the query, whichever
-//!    shard serves it;
+//! 2. a leg may run at most 8 global ranks past the gather cursor; a
+//!    fair-share turn belongs to the query, whichever shard serves it;
 //! 3. leg outcomes are buffered by global rank and drained into the
 //!    query's [`ScatterGather`], which merges neighbour snapshots, replays
 //!    the private-clock charges and evaluates the stop rule — so the
@@ -83,11 +82,6 @@ pub struct FleetConfig {
     pub cache_budget_bytes: u64,
     /// Per-query virtual deadline, measured from arrival.
     pub deadline: VirtualDuration,
-    /// How far past the gather cursor a leg may scan ahead, in global
-    /// ranks. Bounds the buffered out-of-order outcomes per query; the
-    /// rank-`cursor` chunk is always runnable, so any value ≥ 0 makes
-    /// progress.
-    pub lookahead: usize,
     /// Injected chunk-fault schedule (applied per copy — see
     /// [`LossScope`]).
     pub fault_plan: Option<FaultPlan>,
@@ -103,7 +97,7 @@ pub struct FleetConfig {
 impl FleetConfig {
     /// A fleet of `n_shards` nodes under `policy` at concurrency
     /// `max_active`, replication 1, hash placement, the solo scheduler's
-    /// default queue/cache/deadline, and a lookahead of 8 ranks.
+    /// default queue/cache/deadline.
     pub fn new(policy: Policy, n_shards: usize, max_active: usize) -> FleetConfig {
         let active = max_active.max(1);
         FleetConfig {
@@ -115,7 +109,6 @@ impl FleetConfig {
             max_queued: active.saturating_mul(4),
             cache_budget_bytes: 8 << 20,
             deadline: VirtualDuration::from_secs(2.0),
-            lookahead: 8,
             fault_plan: None,
             loss_scope: LossScope::Primary,
             shard_faults: ShardFaultPlan::none(),
@@ -145,6 +138,11 @@ pub struct FleetReport {
     pub per_shard_primary_chunks: Vec<usize>,
 }
 
+/// How far past the gather cursor a leg may scan ahead, in global ranks.
+/// Bounds the buffered out-of-order outcomes per query; the rank-`cursor`
+/// chunk is always runnable, so any value ≥ 0 makes progress.
+const LOOKAHEAD: usize = 8;
+
 /// The scatter fold: one member per owning shard, gated by the lookahead
 /// window, merged by global rank.
 pub(crate) struct Scatter {
@@ -152,7 +150,6 @@ pub(crate) struct Scatter {
     /// unreachable).
     routed: Vec<u32>,
     n_shards: usize,
-    lookahead: usize,
     /// Modelled cost of discovering that every owner of a chunk is down:
     /// one probe per (downed) copy under the retry policy.
     down_probe_cost: VirtualDuration,
@@ -235,9 +232,13 @@ impl Group for Scatter {
             _ => 0,
         };
         let finish = cx.charge_rank(home);
-        let gather = ScatterGather::new(ranking, cx.snapshot.model(), params);
-        // Legs never stop on their own and nobody reads their event logs:
-        // only the gather's snapshots reach the answer.
+        // The epoch's delta read is booked once, here; legs are ordinary
+        // sessions pinned to the same epoch (they filter its tombstones),
+        // whose own clocks and logs nobody reads.
+        let mut gather = ScatterGather::new(ranking, cx.snapshot.model(), params);
+        gather.apply_delta(query, cx.snapshot.delta());
+        // Legs never stop on their own: only the gather's snapshots reach
+        // the answer.
         let leg_params = SearchParams {
             stop: StopRule::Chunks(usize::MAX),
             log_snapshots: false,
@@ -283,7 +284,7 @@ impl Group for Scatter {
     fn wanted(&self, job: &ScatterJob, leg: &SearchSession) -> Option<usize> {
         let chunk = leg.next_wanted()?;
         let rank = job.rank_of.get(chunk).copied().unwrap_or(u32::MAX) as usize;
-        (rank <= job.gather.cursor().saturating_add(self.lookahead)).then_some(chunk)
+        (rank <= job.gather.cursor().saturating_add(LOOKAHEAD)).then_some(chunk)
     }
 
     fn work(&self, job: &ScatterJob, _: &SearchSession) -> usize {
@@ -368,12 +369,11 @@ impl FleetScheduler {
         let scatter = Scatter {
             routed: map.routed_owners(&down),
             n_shards,
-            lookahead: config.lookahead,
             down_probe_cost,
             unreachable_booked: 0,
         };
         let placed = (Arc::clone(&map), down, config.loss_scope);
-        let devices = Devices::new(&snapshot, config.cache_budget_bytes, Some(placed));
+        let devices = Devices::new(Some(placed));
         let engine_config = SchedulerConfig {
             policy: config.policy,
             max_active: config.max_active,

@@ -281,12 +281,12 @@ impl ImageScheduler {
     /// A scheduler over `snapshot` with `config`, voting through the
     /// `image_of` descriptor→image map.
     pub fn new(snapshot: Snapshot, config: ImageConfig, image_of: Arc<Vec<u32>>) -> ImageScheduler {
-        let devices = Devices::new(&snapshot, config.scheduler.cache_budget_bytes, None);
         let votes = ImageVotes {
             image_of,
             stop: config.stop,
             keep_descriptor_results: config.keep_descriptor_results,
         };
+        let devices = Devices::new(None);
         ImageScheduler(Engine::new(snapshot, config.scheduler, devices, votes))
     }
 

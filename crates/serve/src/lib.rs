@@ -35,12 +35,15 @@
 //! work happens on the shared devices (latency, throughput), never what
 //! each query computes.
 //!
-//! Serving under *live mutation* lives in [`live`]: a [`LiveServer`]
-//! merges query and insert/delete arrivals on one fleet clock, pins each
-//! session to an immutable epoch snapshot at admission, and pays the
-//! online compactor's fold as ticks interleaved 1:1 with the serve path —
-//! every completion stays bit-identical to a solo run against its pinned
-//! epoch.
+//! Serving under *live mutation* lives in [`live`]: a [`LiveServer`] is
+//! the same engine under a fourth fold, which merges query and
+//! insert/delete arrivals on one fleet clock, pins each session to the
+//! index's current epoch snapshot at admission, and pays the online
+//! compactor's fold as background work, one slice after each serving
+//! tick — every completion stays bit-identical to a solo run against its
+//! pinned epoch. A pinned epoch is an ordinary
+//! [`Snapshot`](eff2_core::Snapshot), so the three schedulers above serve
+//! one just as well (`tests/pinned_epochs.rs`).
 
 #[cfg(test)]
 extern crate self as eff2_serve;

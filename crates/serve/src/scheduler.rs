@@ -274,8 +274,7 @@ pub struct Scheduler(Engine<Plain>);
 impl Scheduler {
     /// A scheduler over `snapshot` with `config`.
     pub fn new(snapshot: Snapshot, config: SchedulerConfig) -> Scheduler {
-        let devices = Devices::new(&snapshot, config.cache_budget_bytes, None);
-        Scheduler(Engine::new(snapshot, config, devices, Plain))
+        Scheduler(Engine::new(snapshot, config, Devices::new(None), Plain))
     }
 
     /// Queries waiting for a slot.

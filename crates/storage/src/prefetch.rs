@@ -39,11 +39,8 @@ pub struct PrefetchIter {
 }
 
 /// Starts prefetching `order` (chunk ids) from `store` with a reader thread
-/// that stays at most `depth` chunks ahead of the consumer.
-///
-/// # Panics
-///
-/// Panics if `depth == 0`.
+/// that stays at most `depth` chunks ahead of the consumer. A zero `depth`
+/// is refused with [`Error::Inconsistent`](crate::Error::Inconsistent).
 pub fn prefetch_chunks(
     store: &ChunkStore,
     order: Vec<usize>,
@@ -56,10 +53,6 @@ pub fn prefetch_chunks(
 /// table: when several streams of one source want the same chunk at the
 /// same moment, only one reader thread touches the file and the rest share
 /// its decoded payload. `requester` tags this stream in flight outcomes.
-///
-/// # Panics
-///
-/// Panics if `depth == 0`.
 pub fn prefetch_chunks_coalesced(
     store: &ChunkStore,
     order: Vec<usize>,
@@ -67,7 +60,11 @@ pub fn prefetch_chunks_coalesced(
     flight: SingleFlight,
     requester: u64,
 ) -> Result<PrefetchIter> {
-    assert!(depth > 0, "prefetch depth must be positive");
+    if depth == 0 {
+        return Err(crate::Error::Inconsistent(
+            "prefetch depth must be positive".to_string(),
+        ));
+    }
     // The reader thread needs its own handle; the store is a cheap
     // `Arc`-backed clone, and the file itself is opened lazily on the
     // first read this thread actually leads (a fully coalesced stream
@@ -157,6 +154,13 @@ mod tests {
         }
         let store = ChunkStore::create(&tmp_dir(tag), "p", &set, &chunks, 512).expect("create");
         (store, set)
+    }
+
+    #[test]
+    fn zero_depth_is_a_typed_error_not_a_panic() {
+        let (store, _) = store_with_chunks("zero", &[3, 2]);
+        let refused = prefetch_chunks(&store, vec![0, 1], 0);
+        assert!(matches!(refused, Err(crate::Error::Inconsistent(_))));
     }
 
     #[test]

@@ -153,8 +153,8 @@ pub struct PrefetchSource {
 impl PrefetchSource {
     /// A prefetching source over `store` with the given window depth.
     ///
-    /// A zero depth is rejected by
-    /// [`prefetch_chunks`](crate::prefetch::prefetch_chunks) when the first
+    /// A zero depth is refused with
+    /// [`Error::Inconsistent`](crate::Error::Inconsistent) when the first
     /// stream is opened (a search that never opens a stream — `k = 0`, an
     /// empty budget — tolerates it, matching the in-loop reader it
     /// replaced).

@@ -18,6 +18,9 @@ cargo build --release -p eff2-examples
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test eff2-core --features strict-invariants (the session-core invariant layer)"
+cargo test -q -p eff2-core --features strict-invariants
+
 echo "==> cargo test perfbench (the benchmark's smoke + contract tests, against this tree)"
 # perfbench/ is its own workspace: this is the only gate that compiles it
 # against eff2-serve's public surface before the benchmark itself runs.
