@@ -1,12 +1,13 @@
-//! The sharded fleet scheduler: wall-clock cost of scatter–gather serving
-//! per shard count, placement policy and replication factor.
+//! The sharded fleet scheduler: wall-clock cost of serving one session
+//! per query from N delivering shards, per shard count, placement policy
+//! and replication factor.
 //!
 //! Every cell computes answers bit-identical to the solo scheduler (see
 //! the serve crate's fleet tests), so this bench isolates the fleet
 //! orchestration overhead on top of `scheduler_throughput`: shard
-//! routing, per-shard clocks, leg splitting, buffered outcome replay and
-//! the deterministic merge. `solo` is the single-device scheduler on the
-//! same trace.
+//! routing, per-shard clocks, the lookahead window and the rank-ordered
+//! consume of buffered deliveries. `solo` is the single-device scheduler
+//! on the same trace.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use eff2_bench::fixtures;

@@ -1,14 +1,18 @@
-//! Deterministic scatter–gather merge for sharded search.
+//! Deterministic scatter–gather merge for sharded search — a **reference
+//! model**, not on any serving path (`eff2-serve`'s fleet runs a query as
+//! one session that shards merely deliver chunks to): the candidate-merge
+//! form of the same search, held bit-identical to a solo scan by its own
+//! tests and the benchmark's frozen `core.merge.incorporate_us` probe.
 //!
-//! A fleet run splits a query's flat [`ChunkRanking`] into per-shard *legs*
+//! Here a query's flat [`ChunkRanking`] is split into per-shard *legs*
 //! ([`ChunkRanking::split_by_owner`]); each leg is a detached
 //! [`SearchSession`](crate::session::SearchSession) scanning only its
-//! shard's chunks. The [`ScatterGather`] here is the **gather side**, and
-//! it is a search session too — the same per-query state a scanning session
-//! keeps (global ranking, neighbour set, private clock, log), advanced by
-//! the same code — except that it is *told* each chunk's candidates instead
-//! of computing them: [`ScatterGather::incorporate`] takes, strictly in
-//! global rank order, what the owning leg reported for the chunk.
+//! shard's chunks. The [`ScatterGather`] is the **gather side**, and it is a
+//! search session too — the same per-query state a scanning session keeps
+//! (global ranking, neighbour set, private clock, log), advanced by the same
+//! code — except that it is *told* each chunk's candidates instead of
+//! computing them: [`ScatterGather::incorporate`] takes, strictly in global
+//! rank order, what the owning leg reported for the chunk.
 //!
 //! ## Why the merged answer is bit-identical to a solo scan
 //!

@@ -928,6 +928,12 @@ impl SearchSession {
         self.core.log.chunks_read
     }
 
+    /// Ranks consumed so far (scanned + skipped) — the rank the next fed
+    /// chunk must hold.
+    pub fn cursor(&self) -> usize {
+        self.core.cursor()
+    }
+
     /// Current kth-best distance (∞ until `k` neighbours are held).
     pub fn kth_dist(&self) -> f32 {
         self.core.neighbors.kth_dist()

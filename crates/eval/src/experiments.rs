@@ -1116,7 +1116,7 @@ pub fn exp6(lab: &Lab) -> EvalResult<String> {
 }
 
 // ---------------------------------------------------------------------------
-// Experiment 7 — the sharded fleet: scatter–gather, placement, failover
+// Experiment 7 — the sharded fleet: N delivering shards, placement, failover
 // ---------------------------------------------------------------------------
 
 /// The shard counts experiment 7 sweeps.

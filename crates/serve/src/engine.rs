@@ -5,20 +5,33 @@
 //! [`LiveServer`](crate::LiveServer).
 //!
 //! The unit of work is a descriptor [`SearchSession`] keyed `(job id,
-//! member)`. Sessions run on a **device set** of 1..N nodes — each its own
+//! member)`: in every configuration a query is **one** session over its
+//! global chunk ranking, and the **device set** of 1..N nodes — each its own
 //! [`PipelineClock`] plus, per compaction generation it serves, a
-//! [`ResidentSource`] cache, chunk reader and chaos attempt counters — and
-//! the engine owns, exactly once: admission (monotone arrivals, the
-//! [`Overloaded`](ServeError::Overloaded) gate, the pending queue, id
-//! assignment, the [`Snapshot`] each job is pinned to), the drive loop, the
-//! choice of the next device (the earliest clock with runnable work), the
-//! [`Policy`] pick, the fault-aware fetch with per-copy retry and failover,
-//! fleet-clock charging and retire bookkeeping.
+//! [`ResidentSource`] cache, chunk reader and chaos attempt counters — only
+//! *delivers* chunks to it. The engine owns, exactly once: admission
+//! (monotone arrivals, the [`Overloaded`](ServeError::Overloaded) gate, the
+//! pending queue, id assignment, the [`Snapshot`] each job is pinned to),
+//! ranking and its charge on the session's home device, the drive loop, the
+//! choice of the next device (the earliest clock with something to
+//! deliver), the [`Policy`] pick, the fault-aware fetch with per-copy retry
+//! and failover, fleet-clock charging and retire bookkeeping.
 //!
-//! What differs between the four is how a job's member sessions fold into
-//! one output — a [`Group`], chosen by the constructor's type: `Plain`
-//! (`scheduler.rs`), `ImageVotes` (`image.rs`), `Scatter` (`fleet.rs`) or
-//! `Live` (`live.rs`).
+//! **Devices deliver, one session consumes in rank order.** What a session
+//! wants from device `d` is the first not-yet-delivered rank within
+//! [`LOOKAHEAD`] of its cursor whose reads are routed to `d`. A delivery — a
+//! payload, or "lost after `spent`" — ahead of the cursor waits in a
+//! rank-keyed buffer; after each delivery the session consumes whatever its
+//! cursor now stands on (see `Member::advance`) until its own stop rule
+//! fires. On one device the wanted chunk *is* the cursor rank, so nothing
+//! ever waits. Charging and counting happen at delivery: a speculative
+//! delivery the session never consumes was still fetched, charged and
+//! counted — the device did that work — and only its scan is skipped.
+//!
+//! What differs between the four servers is how a job's member sessions
+//! fold into one output — a [`Group`], chosen by the constructor's type:
+//! `Plain` (`scheduler.rs`, also the fleet's), `ImageVotes` (`image.rs`) or
+//! `Live` (`live.rs`). Grouping and device set are independent.
 //!
 //! A job sees one snapshot for its whole life: the one the engine was
 //! built over, or whatever its fold [pins](Group::pin) at admission. Chunk
@@ -38,14 +51,14 @@
 //! fleet no I/O; every fed session costs its scan CPU.
 //!
 //! A tick that cannot make progress while jobs are active is a scheduler
-//! bug, not a workload property (every active job always has a runnable
-//! member): it surfaces as a typed `Inconsistent("… stalled …")` error in
-//! every configuration.
+//! bug, not a workload property (an open session's cursor rank is always
+//! wanted from some device): it surfaces as a typed
+//! `Inconsistent("… stalled …")` error in every configuration.
 
 use crate::error::{Result, ServeError};
 use crate::fleet::LossScope;
 use crate::scheduler::{Policy, SchedulerConfig, ServeStats};
-use eff2_chaos::Fault;
+use eff2_chaos::{Fault, RetryPolicy};
 use eff2_core::search::{SearchParams, SearchResult};
 use eff2_core::session::{ChunkRanking, SearchSession};
 use eff2_core::snapshot::Snapshot;
@@ -63,22 +76,18 @@ use std::sync::Arc;
 /// which every policy tie-break inherits.
 pub(crate) type Key = (u64, u32);
 
-/// Whether a session needs no further chunk: its own stop rule fired or
-/// its ranking is exhausted.
-fn stopped(session: &SearchSession) -> bool {
-    session.stop_satisfied() || session.next_wanted().is_none()
-}
-
 /// A broken scheduling invariant, as the typed error the storage layer
 /// already uses for "this cannot happen on consistent state".
 pub(crate) fn inconsistent(what: &str) -> ServeError {
     ServeError::Storage(eff2_storage::Error::Inconsistent(what.to_string()))
 }
 
-/// How a job's member sessions fold into one output. The scheduling hooks
-/// ([`wanted`](Self::wanted), [`work`](Self::work), [`on_fed`](Self::on_fed),
-/// [`on_lost`](Self::on_lost)) default to the plain single-session
-/// behaviour.
+/// How far past its cursor a session takes deliveries, in ranks. Bounds
+/// the out-of-order deliveries buffered per session; the cursor rank is
+/// always wanted (or skipped), so any value ≥ 0 makes progress.
+const LOOKAHEAD: usize = 8;
+
+/// How a job's member sessions fold into one output.
 pub(crate) trait Group {
     /// What a caller submits.
     type Spec: Clone;
@@ -86,10 +95,6 @@ pub(crate) trait Group {
     type Job;
     /// What a finished job yields.
     type Output;
-
-    /// Whether a fair-share turn belongs to the whole job (whichever
-    /// device serves it) rather than to one member session.
-    const TURN_PER_JOB: bool = false;
 
     /// The snapshot jobs admitted from now on see — a fold over a mutable
     /// index returns its current epoch. `None` keeps serving the snapshot
@@ -105,8 +110,7 @@ pub(crate) trait Group {
         Ok(None)
     }
 
-    /// Opens a job: ranks (charging the ranking CPU through `cx`) and
-    /// opens one session per member on its device.
+    /// Opens a job: one [`Admission::open`] per member.
     fn admit(
         &mut self,
         cx: &mut Admission<'_>,
@@ -114,65 +118,21 @@ pub(crate) trait Group {
         params: &SearchParams,
     ) -> Result<Self::Job>;
 
-    /// The chunk `session` may be fed next, if any.
-    fn wanted(&self, _job: &Self::Job, session: &SearchSession) -> Option<usize> {
-        session.next_wanted()
-    }
-
-    /// The earliest-deadline tie-break: chunks still to consume.
-    fn work(&self, _job: &Self::Job, session: &SearchSession) -> usize {
-        session.remaining_work_estimate()
-    }
-
-    /// `session` was just fed `chunk`, its scan completing at fleet time
-    /// `at`. Returns whether the member is finished — the engine then
-    /// closes its session and hands the result to
-    /// [`on_done`](Self::on_done).
-    fn on_fed(
-        &mut self,
-        _job: &mut Self::Job,
-        session: &SearchSession,
-        _chunk: &SourcedChunk,
-        _at: VirtualDuration,
-    ) -> Result<bool> {
-        Ok(stopped(session))
-    }
-
-    /// `session` just skipped `chunk_id`, lost after `spent` of failed
-    /// attempts. Same contract as [`on_fed`](Self::on_fed).
-    fn on_lost(
-        &mut self,
-        _job: &mut Self::Job,
-        session: &SearchSession,
-        _chunk_id: usize,
-        _spent: VirtualDuration,
-        _at: VirtualDuration,
-    ) -> Result<bool> {
-        Ok(stopped(session))
-    }
-
     /// A member finished with `result` at fleet time `at`.
     fn on_done(
         &mut self,
-        _job: &mut Self::Job,
-        _member: u32,
-        _result: SearchResult,
-        _at: VirtualDuration,
-    ) {
-    }
+        job: &mut Self::Job,
+        member: u32,
+        result: SearchResult,
+        at: VirtualDuration,
+    );
 
     /// Whether the job is complete. Members still open then are torn
     /// down with it.
     fn finished(&self, job: &Self::Job) -> bool;
 
-    /// Folds a finished job into its output; a ranking it no longer needs
-    /// goes back to `spare`.
-    fn output(
-        &mut self,
-        spare: &mut Vec<ChunkRanking>,
-        retired: Retired,
-        job: Self::Job,
-    ) -> Result<Folded<Self::Output>>;
+    /// Folds a finished job into its output.
+    fn output(&mut self, retired: Retired, job: Self::Job) -> Result<Folded<Self::Output>>;
 }
 
 /// The engine-side facts of a job handed to [`Group::output`].
@@ -201,6 +161,9 @@ struct Node {
     /// By compaction generation, opened when the first job pinned to it
     /// lands here.
     shelves: BTreeMap<u64, Shelf>,
+    /// Whether any chunk's reads are routed here — then so are some of
+    /// every session's ranked chunks, a ranking being over all chunks.
+    serves: bool,
 }
 
 /// One device's view of one generation's chunk files.
@@ -256,11 +219,12 @@ impl Devices {
             Some((map, down, loss_scope)) => (Some(map), down, loss_scope),
             None => (None, vec![false], LossScope::Primary),
         };
-        let nodes = down
-            .iter()
-            .map(|_| Node {
+        let routed = map.as_deref().map(|m| m.routed_owners(&down));
+        let nodes = (0..down.len() as u32)
+            .map(|d| Node {
                 clock: PipelineClock::start_at(VirtualDuration::ZERO),
                 shelves: BTreeMap::new(),
+                serves: routed.as_ref().is_none_or(|routed| routed.contains(&d)),
             })
             .collect();
         Devices {
@@ -270,15 +234,112 @@ impl Devices {
             loss_scope,
         }
     }
+
+    /// The device reads of `chunk` are routed to — its first live owner —
+    /// or `None` when every copy is on a downed device.
+    fn route(&self, chunk: usize) -> Option<usize> {
+        match &self.map {
+            None => Some(0),
+            Some(map) => map.route(chunk, &self.down).map(|d| d as usize),
+        }
+    }
+
+    /// The `(rank, chunk)` `member` wants from `device`: the first
+    /// not-yet-delivered rank within [`LOOKAHEAD`] of its cursor whose
+    /// reads are routed there. The cursor rank is never delivered yet, so
+    /// it is the answer wherever it is routed — on one device, always.
+    fn wanted(&self, member: &Member, device: usize) -> Option<(usize, usize)> {
+        let cursor = member.session.cursor();
+        let next = member.session.next_wanted()?;
+        if self.route(next) == Some(device) {
+            return Some((cursor, next));
+        }
+        let ranking = member.session.ranking();
+        let end = ranking
+            .expanded_len()
+            .min(cursor.saturating_add(LOOKAHEAD + 1));
+        (cursor + 1..end)
+            .filter(|rank| !member.ahead.iter().any(|(ahead, ..)| ahead == rank))
+            .map(|rank| (rank, ranking.chunk_at(rank)))
+            .find(|&(_, chunk)| self.route(chunk) == Some(device))
+    }
+
+    /// Modelled cost of discovering that every owner of a chunk is down:
+    /// one probe per (downed) copy under `retry`.
+    fn down_probe_cost(&self, retry: &RetryPolicy) -> VirtualDuration {
+        let copies = self.map.as_deref().map_or(1, ShardMap::replication);
+        (0..copies as u32).fold(VirtualDuration::ZERO, |cost, probe| {
+            cost + retry.attempt_cost(probe)
+        })
+    }
+}
+
+/// What a device handed a session for one ranked chunk.
+enum Delivery {
+    /// A copy delivered the payload.
+    Chunk(SourcedChunk),
+    /// Every live copy failed, after `spent` of modelled probing.
+    Lost { spent: VirtualDuration },
 }
 
 /// One member session in flight.
 struct Member {
     session: SearchSession,
-    device: usize,
-    /// Cache-attribution tag with the device's [`ResidentSource`] for the
-    /// job's generation.
-    requester: u64,
+    /// The routed owner of the first-ranked chunk: ranking CPU is charged
+    /// there, deliveries from elsewhere count as cross-device fetches.
+    home: usize,
+    /// Cache-attribution tag per device (with its [`ResidentSource`] for
+    /// the job's generation); `None` where no ranked chunk is routed.
+    requesters: Vec<Option<u64>>,
+    /// Deliveries not yet consumed — at most [`LOOKAHEAD`] + 1 — each with
+    /// its rank and the fleet time its scan was charged to complete at.
+    ahead: Vec<(usize, Delivery, VirtualDuration)>,
+    /// Latest of the ranking charge and the consumed deliveries' times.
+    finish: VirtualDuration,
+}
+
+impl Member {
+    /// Takes `delivered` (nothing at admission), then consumes in rank
+    /// order for as long as the cursor rank is available: a delivered rank
+    /// is scanned or skipped, a rank no live device owns is skipped at the
+    /// down-probe cost (charged to the private clock only — no device did
+    /// work). Ends when the session's stop rule fires; deliveries still
+    /// waiting then were already charged to the device clocks. Returns the
+    /// unreachable ranks skipped.
+    fn advance(
+        &mut self,
+        delivered: Option<(usize, Delivery, VirtualDuration)>,
+        devices: &Devices,
+        retry: &RetryPolicy,
+    ) -> Result<u64> {
+        self.ahead.extend(delivered);
+        let mut unreachable = 0;
+        while !self.session.stop_satisfied() {
+            let cursor = self.session.cursor();
+            if let Some(pos) = self.ahead.iter().position(|(rank, ..)| *rank == cursor) {
+                let (_, delivery, at) = self.ahead.swap_remove(pos);
+                match delivery {
+                    Delivery::Chunk(chunk) => {
+                        self.session.step_with(&chunk)?;
+                    }
+                    Delivery::Lost { spent } => {
+                        self.session.skip_unavailable(spent)?;
+                    }
+                }
+                self.finish = self.finish.max(at);
+            } else if devices
+                .route(self.session.ranking().chunk_at(cursor))
+                .is_none()
+            {
+                self.session
+                    .skip_unavailable(devices.down_probe_cost(retry))?;
+                unreachable += 1;
+            } else {
+                break;
+            }
+        }
+        Ok(unreachable)
+    }
 }
 
 /// An admitted job: the engine-side facts plus the group's fold state.
@@ -287,9 +348,6 @@ struct Job<S> {
     deadline: VirtualDuration,
     /// What the job sees, fixed at admission.
     snapshot: Snapshot,
-    /// Device the ranking CPU was charged on; deliveries from any other
-    /// device count as cross-device fetches.
-    home: usize,
     /// Open members, ascending by member index.
     members: Vec<(u32, Member)>,
     state: S,
@@ -303,69 +361,67 @@ struct Pending<Q> {
     arrival: VirtualDuration,
 }
 
-/// What [`Group::admit`] works through: ranking buffers, the device
-/// clocks, and the member list of the job being opened.
+/// What [`Group::admit`] works through: the snapshot, the device set, and
+/// the member list of the job being opened.
 pub(crate) struct Admission<'a> {
     /// The snapshot the job is pinned to.
-    pub(crate) snapshot: &'a Snapshot,
-    nodes: &'a mut [Node],
-    cache_budget_bytes: u64,
+    snapshot: &'a Snapshot,
+    devices: &'a mut Devices,
+    config: &'a SchedulerConfig,
     spare: &'a mut Vec<ChunkRanking>,
-    home: usize,
+    stats: &'a mut ServeStats,
     members: Vec<(u32, Member)>,
 }
 
 impl Admission<'_> {
-    /// `device`'s fleet clock.
-    pub(crate) fn now(&self, device: usize) -> VirtualDuration {
-        self.nodes[device].clock.now()
+    /// Device 0's fleet clock.
+    pub(crate) fn now(&self) -> VirtualDuration {
+        self.devices.nodes[0].clock.now()
     }
 
-    /// Ranks every chunk for `query` into a recycled buffer.
-    pub(crate) fn rank(&mut self, query: &Vector) -> ChunkRanking {
-        let mut ranking = self.spare.pop().unwrap_or_default();
-        self.snapshot.rank_into(&mut ranking, query);
-        ranking
-    }
-
-    /// Charges one chunk-index ranking as CPU on `device` (the index
-    /// itself is memory-resident in the serving layer), makes it the
-    /// job's home, and returns when the ranking is done.
-    pub(crate) fn charge_rank(&mut self, device: usize) -> VirtualDuration {
-        self.home = device;
-        let rank_cpu = self.snapshot.model().rank_time(self.snapshot.n_chunks());
-        self.nodes[device]
-            .clock
-            .chunk_overlapped(VirtualDuration::ZERO, rank_cpu)
-    }
-
-    /// Opens `session` as `member` on `device`. A session that needs no
-    /// chunk at all (`k = 0`, an empty index, a zero-chunk stop rule)
-    /// comes straight back as its result instead.
+    /// Opens the session of `member` for `query`: ranks every chunk (into
+    /// a recycled buffer), charges the ranking as CPU on the session's
+    /// home device (the index itself is memory-resident in the serving
+    /// layer), draws one cache-attribution tag per device that routes any
+    /// of its chunks, and skips any unreachable ranks the cursor starts on.
+    /// Returns when the ranking is done, plus — for a session that needs
+    /// no delivery at all (`k = 0`, an empty index, a zero-chunk stop
+    /// rule, nothing reachable) — its result instead of an open member.
     pub(crate) fn open(
         &mut self,
         member: u32,
-        device: usize,
-        session: SearchSession,
-    ) -> Option<SearchResult> {
-        let requester = self.nodes[device]
-            .shelf(self.snapshot, self.cache_budget_bytes)
-            .source
-            .new_requester();
-        if stopped(&session) {
-            let (result, ranking) = session.into_result_and_ranking();
+        query: &Vector,
+        params: &SearchParams,
+    ) -> Result<(VirtualDuration, Option<SearchResult>)> {
+        let mut ranking = self.spare.pop().unwrap_or_default();
+        self.snapshot.rank_into(&mut ranking, query);
+        let budget = self.config.cache_budget_bytes;
+        let tag = |node: &mut Node| {
+            let shelf = node.serves.then(|| node.shelf(self.snapshot, budget));
+            shelf.map(|shelf| shelf.source.new_requester())
+        };
+        let requesters = self.devices.nodes.iter_mut().map(tag).collect();
+        let first = (!ranking.is_empty()).then(|| ranking.chunk_at(0));
+        let home = first.and_then(|c| self.devices.route(c)).unwrap_or(0);
+        let rank_cpu = self.snapshot.model().rank_time(self.snapshot.n_chunks());
+        let ranked_at = self.devices.nodes[home]
+            .clock
+            .chunk_overlapped(VirtualDuration::ZERO, rank_cpu);
+        let mut opened = Member {
+            session: self.snapshot.session_from_ranking(ranking, query, params),
+            home,
+            requesters,
+            ahead: Vec::new(),
+            finish: ranked_at,
+        };
+        self.stats.chunks_abandoned += opened.advance(None, self.devices, &self.config.retry)?;
+        if opened.session.stop_satisfied() {
+            let (result, ranking) = opened.session.into_result_and_ranking();
             self.spare.push(ranking);
-            return Some(result);
+            return Ok((ranked_at, Some(result)));
         }
-        self.members.push((
-            member,
-            Member {
-                session,
-                device,
-                requester,
-            },
-        ));
-        None
+        self.members.push((member, opened));
+        Ok((ranked_at, None))
     }
 }
 
@@ -484,13 +540,7 @@ impl<G: Group> Engine<G> {
         params: &SearchParams,
         arrival: VirtualDuration,
     ) -> Result<u64> {
-        if arrival.as_secs() < self.last_arrival.as_secs() {
-            return Err(ServeError::NonMonotoneArrival {
-                prev_secs: self.last_arrival.as_secs(),
-                next_secs: arrival.as_secs(),
-            });
-        }
-        self.last_arrival = arrival;
+        self.arrive(arrival)?;
         self.stats.submitted += 1;
         self.drain(Some(arrival))?;
         if self.jobs.len() >= self.config.max_active && self.pending.len() >= self.config.max_queued
@@ -551,10 +601,25 @@ impl<G: Group> Engine<G> {
         })
     }
 
-    /// Processes backlog until the fleet clock reaches `t`; devices idle
-    /// behind `t` then jump to it — what an arrival that is not a job (a
-    /// mutation) sees before it [charges](Self::charge) its own cost.
+    /// Moves the arrival frontier to `arrival`, refusing one that lies
+    /// behind it: every arrival, job or not, is on one timeline.
+    fn arrive(&mut self, arrival: VirtualDuration) -> Result<()> {
+        if arrival.as_secs() < self.last_arrival.as_secs() {
+            return Err(ServeError::NonMonotoneArrival {
+                prev_secs: self.last_arrival.as_secs(),
+                next_secs: arrival.as_secs(),
+            });
+        }
+        self.last_arrival = arrival;
+        Ok(())
+    }
+
+    /// An arrival at `t` that is not a job (a mutation): processes backlog
+    /// until the fleet clock reaches `t`; devices idle behind `t` then jump
+    /// to it — what the arrival sees before it [charges](Self::charge) its
+    /// own cost.
     pub(crate) fn advance_to(&mut self, t: VirtualDuration) -> Result<()> {
+        self.arrive(t)?;
         self.drain(Some(t))?;
         self.jump_to(t);
         Ok(())
@@ -620,22 +685,14 @@ impl<G: Group> Engine<G> {
     }
 
     /// The device the next tick runs on: the earliest clock among devices
-    /// with a runnable member (ties on the lower device id). One device
-    /// needs no search.
+    /// some member wants a chunk from (ties on the lower device id).
     fn next_device(&self) -> Option<usize> {
-        if self.devices.nodes.len() == 1 {
-            return Some(0);
-        }
         let mut best: Option<(f64, usize)> = None;
-        for job in self.jobs.values() {
-            for (_, m) in &job.members {
-                let now = self.devices.nodes[m.device].clock.now().as_secs();
-                let better = best.is_none_or(|(t, d)| {
-                    now.total_cmp(&t).then(m.device.cmp(&d)) == Ordering::Less
-                });
-                if better && self.group.wanted(&job.state, &m.session).is_some() {
-                    best = Some((now, m.device));
-                }
+        for (device, node) in self.devices.nodes.iter().enumerate() {
+            let now = node.clock.now().as_secs();
+            let earlier = best.is_none_or(|(t, _)| now.total_cmp(&t) == Ordering::Less);
+            if earlier && self.runnable(self.jobs.iter(), device).next().is_some() {
+                best = Some((now, device));
             }
         }
         best.map(|(_, device)| device)
@@ -671,19 +728,18 @@ impl<G: Group> Engine<G> {
             let snapshot = self.snapshot.clone();
             let mut cx = Admission {
                 snapshot: &snapshot,
-                nodes: &mut self.devices.nodes,
-                cache_budget_bytes: self.config.cache_budget_bytes,
+                devices: &mut self.devices,
+                config: &self.config,
                 spare: &mut self.spare,
-                home: 0,
+                stats: &mut self.stats,
                 members: Vec::new(),
             };
             let state = self.group.admit(&mut cx, &p.spec, &p.params)?;
-            let (home, members) = (cx.home, cx.members);
+            let members = cx.members;
             let job = Job {
                 arrival: p.arrival,
                 deadline: p.arrival + self.config.deadline,
                 snapshot,
-                home,
                 members,
                 state,
             };
@@ -696,34 +752,31 @@ impl<G: Group> Engine<G> {
         Ok(())
     }
 
-    /// The runnable `(key, member, chunk)` triples of `jobs` on `device`,
-    /// in key order.
+    /// The members of `jobs` that want a chunk from `device`, in key order,
+    /// each with the `(rank, chunk)` it wants.
     fn runnable<'a>(
         &'a self,
         jobs: impl Iterator<Item = (&'a u64, &'a Job<G::Job>)> + 'a,
         device: usize,
-    ) -> impl Iterator<Item = (Key, &'a Job<G::Job>, &'a Member, usize)> + 'a {
+    ) -> impl Iterator<Item = (Key, &'a Job<G::Job>, &'a Member, (usize, usize))> + 'a {
         jobs.flat_map(move |(id, job)| {
             job.members.iter().filter_map(move |(m, member)| {
-                if member.device != device {
-                    return None;
-                }
-                let chunk = self.group.wanted(&job.state, &member.session)?;
-                Some(((*id, *m), job, member, chunk))
+                Some(((*id, *m), job, member, self.devices.wanted(member, device)?))
             })
         })
     }
 
-    /// Which chunk to serve on `device` this tick, and to which sessions.
-    fn pick(&self, device: usize) -> Option<(usize, Vec<Key>)> {
+    /// Which chunk to serve on `device` this tick, and to which sessions
+    /// (each with the rank the chunk holds in its ranking).
+    fn pick(&self, device: usize) -> Option<(usize, Vec<(Key, usize)>)> {
         match self.config.policy {
             Policy::FairShare => {
                 let cursor = self.fair_cursor;
-                let (key, _, _, chunk) = self
+                let (key, _, _, (rank, chunk)) = self
                     .runnable(self.jobs.range(cursor.0..), device)
                     .find(|(key, ..)| *key > cursor)
                     .or_else(|| self.runnable(self.jobs.iter(), device).next())?;
-                Some((chunk, vec![key]))
+                Some((chunk, vec![(key, rank)]))
             }
             Policy::EarliestDeadline => {
                 // Key: (deadline, remaining-work estimate, key). A pure
@@ -732,28 +785,28 @@ impl<G: Group> Engine<G> {
                 // replay admission order); breaking ties by how little work
                 // a session has left lets short queries slip past
                 // equal-deadline long ones.
-                let mut best: Option<(Key, usize, f64, usize)> = None;
-                for (key, job, member, chunk) in self.runnable(self.jobs.iter(), device) {
+                let mut best: Option<((Key, usize), usize, f64, usize)> = None;
+                for (key, job, member, (rank, chunk)) in self.runnable(self.jobs.iter(), device) {
                     let d = job.deadline.as_secs();
-                    let w = self.group.work(&job.state, &member.session);
+                    let w = member.session.remaining_work_estimate();
                     let better = best.is_none_or(|(_, _, bd, bw)| match d.total_cmp(&bd) {
                         Ordering::Less => true,
                         Ordering::Equal => w < bw,
                         Ordering::Greater => false,
                     });
                     if better {
-                        best = Some((key, chunk, d, w));
+                        best = Some(((key, rank), chunk, d, w));
                     }
                 }
-                best.map(|(key, chunk, _, _)| (chunk, vec![key]))
+                best.map(|(fed, chunk, _, _)| (chunk, vec![fed]))
             }
             Policy::MostWantedChunk => {
                 // Tallied by (generation, chunk): the same chunk id under
                 // two generations names different bytes.
-                let mut wanted: BTreeMap<(u64, usize), Vec<Key>> = BTreeMap::new();
-                for (key, job, _, chunk) in self.runnable(self.jobs.iter(), device) {
+                let mut wanted: BTreeMap<(u64, usize), Vec<(Key, usize)>> = BTreeMap::new();
+                for (key, job, _, (rank, chunk)) in self.runnable(self.jobs.iter(), device) {
                     let bytes = (job.snapshot.generation(), chunk);
-                    wanted.entry(bytes).or_default().push(key);
+                    wanted.entry(bytes).or_default().push((key, rank));
                 }
                 let mut best: Option<((u64, usize), usize)> = None;
                 for (c, keys) in &wanted {
@@ -773,17 +826,13 @@ impl<G: Group> Engine<G> {
         let (chunk_id, fed) = self
             .pick(device)
             .ok_or_else(|| inconsistent("engine stalled: the ticking device has nothing to run"))?;
-        let Some(&first) = fed.first() else {
+        let Some(&(first, _)) = fed.first() else {
             return Err(inconsistent("engine stalled: a pick fed no session"));
         };
         if self.config.policy == Policy::FairShare {
-            self.fair_cursor = if G::TURN_PER_JOB {
-                (first.0, u32::MAX)
-            } else {
-                first
-            };
+            self.fair_cursor = first;
         }
-        let acquired = self.acquire(device, first, chunk_id)?;
+        let acquired = self.acquire(first, chunk_id)?;
         self.stats.ticks += 1;
         let model = *self.snapshot.model();
         let nodes = &mut self.devices.nodes;
@@ -826,38 +875,37 @@ impl<G: Group> Engine<G> {
                 (at, None)
             }
         };
-        for key in fed {
+        for (key, rank) in fed {
             // A job finished earlier in this tick took its members with
             // it (an image stop rule tearing down siblings).
             let Some(job) = self.jobs.get_mut(&key.0) else {
                 continue;
             };
-            if from.is_some_and(|from| job.home != from) {
-                self.cross_device_fetches += 1;
-            }
             let Job { members, state, .. } = job;
-            let Some(pos) = members.iter().position(|(m, member)| {
-                *m == key.1 && member.session.next_wanted() == Some(chunk_id)
-            }) else {
+            let Some(pos) = members.iter().position(|(m, _)| *m == key.1) else {
                 continue;
             };
-            let session = &mut members[pos].1.session;
-            let member_done = match &acquired {
+            let member = &mut members[pos].1;
+            if from.is_some_and(|from| member.home != from) {
+                self.cross_device_fetches += 1;
+            }
+            // Delivered — charged and counted — on this tick; scanned when
+            // the session's cursor gets there: for the cursor rank, now.
+            let delivery = match &acquired {
                 Acquired::Delivered { fetched, .. } => {
-                    session.step_with(&fetched.chunk)?;
                     self.stats.feeds += 1;
-                    self.group.on_fed(state, session, &fetched.chunk, at)?
+                    Delivery::Chunk(fetched.chunk.clone())
                 }
-                Acquired::Lost { spent } => {
-                    session.skip_unavailable(*spent)?;
-                    self.group.on_lost(state, session, chunk_id, *spent, at)?
-                }
+                Acquired::Lost { spent } => Delivery::Lost { spent: *spent },
             };
-            if member_done {
+            let delivered = Some((rank, delivery, at));
+            self.stats.chunks_abandoned +=
+                member.advance(delivered, &self.devices, &self.config.retry)?;
+            if member.session.stop_satisfied() {
                 let (m, member) = members.remove(pos);
                 let (result, ranking) = member.session.into_result_and_ranking();
                 self.spare.push(ranking);
-                self.group.on_done(state, m, result, at);
+                self.group.on_done(state, m, result, member.finish);
             }
             if self.group.finished(state) {
                 if let Some(job) = self.jobs.remove(&key.0) {
@@ -868,16 +916,16 @@ impl<G: Group> Engine<G> {
         Ok(())
     }
 
-    /// Fetches `chunk_id` for the session `first` ticking on `device`:
-    /// probe the owners in placement order (skipping statically-down
-    /// devices — routing knows they are down, no probe is spent), retrying
-    /// each live copy per [`SchedulerConfig::retry`] before failing over to
-    /// the next. Injected faults come from the plan under the device set's
+    /// Fetches `chunk_id` for the session `first`: probe the owners in
+    /// placement order (skipping statically-down devices — routing knows
+    /// they are down, no probe is spent), retrying each live copy per
+    /// [`SchedulerConfig::retry`] before failing over to the next.
+    /// Injected faults come from the plan under the device set's
     /// [`LossScope`]; real read errors retry through the same budget; each
     /// failed attempt is charged its timeout plus backoff, and the
     /// accumulated cost rides the delivery's injected latency. Without a
     /// plan this is one plain fetch from the first live owner.
-    fn acquire(&mut self, device: usize, first: Key, chunk_id: usize) -> Result<Acquired> {
+    fn acquire(&mut self, first: Key, chunk_id: usize) -> Result<Acquired> {
         let Devices {
             nodes,
             map,
@@ -886,11 +934,12 @@ impl<G: Group> Engine<G> {
         } = &mut self.devices;
         let owners: &[u32] = map.as_deref().map_or(&[0], |m| m.owners(chunk_id));
         let primary = owners.first().copied().unwrap_or(0);
-        let job = self
-            .jobs
-            .get(&first.0)
-            .ok_or_else(|| inconsistent("engine stalled: the picked job is gone"))?;
-        let members = job.members.as_slice();
+        let picked = self.jobs.get(&first.0).and_then(|job| {
+            let member = job.members.iter().find(|(m, _)| *m == first.1);
+            member.map(|(_, member)| (job, member))
+        });
+        let (job, member) =
+            picked.ok_or_else(|| inconsistent("engine stalled: the picked session is gone"))?;
         let plan = self.config.fault_plan;
         let retry = self.config.retry;
         let lost = plan.is_some_and(|p| p.is_permanently_lost(chunk_id));
@@ -901,18 +950,13 @@ impl<G: Group> Engine<G> {
             if down[o] {
                 continue;
             }
-            // The ticking session's own tag on its device; on a failover
-            // device the job's member there, or 0 when it has none.
-            let requester = members
-                .iter()
-                .find(|(m, member)| {
-                    if o == device {
-                        *m == first.1
-                    } else {
-                        member.device == o
-                    }
-                })
-                .map_or(0, |(_, member)| member.requester);
+            // The session's own tag on this device. A failover onto a
+            // device that routes none of its ranked chunks has none and
+            // borrows tag 0 — the tag of whichever session first drew one
+            // on that shelf — so `cross_query_hits` can miss (or invent) a
+            // crossing there: a known mis-attribution, kept so the figures
+            // stay comparable with earlier runs.
+            let requester = member.requesters[o].unwrap_or(0);
             let shelf = nodes[o].shelf(&job.snapshot, self.config.cache_budget_bytes);
             // Whether the permanent draw kills this copy.
             let lost_here = lost && (*loss_scope == LossScope::AllCopies || owner == primary);
@@ -998,7 +1042,7 @@ impl<G: Group> Engine<G> {
             deadline: job.deadline,
             snapshot: job.snapshot,
         };
-        let folded = self.group.output(&mut self.spare, retired, job.state)?;
+        let folded = self.group.output(retired, job.state)?;
         self.release(generation);
         self.stats.completed += 1;
         if folded.degraded {

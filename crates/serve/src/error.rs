@@ -10,11 +10,11 @@ pub enum ServeError {
         /// The configured queue capacity.
         capacity: usize,
     },
-    /// Queries must be submitted in non-decreasing arrival order — the
-    /// scheduler replays a trace, it is not an online reordering buffer.
+    /// Arrivals — queries and, on a live server, mutations — must be
+    /// offered in non-decreasing time order: the scheduler replays a
+    /// trace, it is not an online reordering buffer.
     NonMonotoneArrival {
-        /// Arrival time of the previously submitted query, in virtual
-        /// seconds.
+        /// Time of the previously offered arrival, in virtual seconds.
         prev_secs: f64,
         /// The offending (earlier) arrival time, in virtual seconds.
         next_secs: f64,

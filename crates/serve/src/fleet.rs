@@ -1,51 +1,43 @@
-//! Sharded fleet serving: scatter–gather search over partitioned chunks.
+//! Sharded fleet serving: one query session, N devices delivering chunks.
 //!
 //! The solo [`Scheduler`](crate::Scheduler) interleaves many queries over
-//! *one* simulated device. A [`FleetScheduler`] runs the same serving
-//! engine (`engine.rs`) on N shard nodes — each with its own disk/CPU
-//! clock and its own byte-budgeted resident cache — places chunks by a
-//! [`Placement`] policy (chunk-hash or centroid-locality, with R-way
-//! replication), and serves each query under the *scatter* fold:
-//!
-//! 1. the query's global [`ChunkRanking`] is split by routed owner into
-//!    per-shard **legs** ([`ChunkRanking::split_by_owner`]) — detached
-//!    [`SearchSession`]s that scan only their shard's chunks, in global
-//!    rank order restricted to the shard, under a scan-everything stop
-//!    rule (the gather's rule decides when the *query* stops);
-//! 2. a leg may run at most 8 global ranks past the gather cursor; a
-//!    fair-share turn belongs to the query, whichever shard serves it;
-//! 3. leg outcomes are buffered by global rank and drained into the
-//!    query's [`ScatterGather`], which merges neighbour snapshots, replays
-//!    the private-clock charges and evaluates the stop rule — so the
-//!    merged answer is **bit-identical** to the solo single-device run
-//!    (the determinism argument lives in `eff2_core::merge`).
+//! *one* simulated device. A [`FleetScheduler`] runs the same engine
+//! (`engine.rs`) under the same plain fold on N shard nodes — each with its
+//! own disk/CPU clock and byte-budgeted resident cache — with chunks placed
+//! by a [`Placement`] policy (chunk-hash or centroid-locality, R-way
+//! replicated). A fleet changes *where* a chunk is read, not what is
+//! scanned: every query is still one [`SearchSession`] over its global
+//! ranking, each shard delivers the ranked chunks routed to it (at most 8
+//! ranks ahead of the session's cursor), and the session consumes them
+//! strictly in rank order — so the answer is **bit-identical** to the solo
+//! run by construction. Ranking CPU is charged on the query's *home* shard,
+//! the routed owner of its first-ranked chunk.
 //!
 //! Replication turns permanent loss into **failover**: a read goes to the
 //! routed owner and falls back copy by copy (retry/backoff charged per
-//! probe); only when every copy fails is the chunk incorporated as lost,
+//! probe); only when every copy fails is the chunk delivered as lost,
 //! degrading the result exactly like the solo scheduler's abandoned
 //! chunks. Whole-shard-down faults ([`ShardFaultPlan`]) are static for the
-//! run: routing skips downed owners at admission, and a chunk with no live
-//! owner is pre-booked lost with its modelled probe cost.
+//! run: routing skips downed owners, and a chunk with no live owner is
+//! skipped, at its modelled probe cost, when the cursor reaches it.
 //!
 //! A fleet of one shard with replication 1 and no faults reproduces the
-//! solo scheduler bit-for-bit — same per-query results, same completions,
-//! same makespan.
+//! solo scheduler bit-for-bit. The device set is independent of the fold:
+//! [`ImageScheduler::on_fleet`](crate::ImageScheduler::on_fleet) runs image
+//! queries on the same shard nodes.
 
-use crate::engine::{Admission, Devices, Drained, Engine, Folded, Group, Retired};
+use crate::engine::{Devices, Drained, Engine};
 use crate::error::Result;
-use crate::scheduler::{Completion, Policy, SchedulerConfig, ServeReport};
+use crate::scheduler::{Plain, Policy, SchedulerConfig, ServeReport};
 use eff2_chaos::{FaultPlan, RetryPolicy, ShardFaultPlan};
-use eff2_core::merge::{LegOutcome, ScatterGather};
-use eff2_core::search::{SearchParams, StopRule};
-use eff2_core::session::{ChunkRanking, SearchSession};
+use eff2_core::search::SearchParams;
+#[cfg(doc)]
+use eff2_core::session::SearchSession;
 use eff2_core::snapshot::Snapshot;
 use eff2_core::CoarseQuantizer;
 use eff2_descriptor::Vector;
 use eff2_shard::{Placement, ShardMap};
 use eff2_storage::diskmodel::VirtualDuration;
-use eff2_storage::source::SourcedChunk;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Which copies a [`FaultPlan`]'s permanent-loss draw applies to.
@@ -115,6 +107,19 @@ impl FleetConfig {
             retry: RetryPolicy::none(),
         }
     }
+
+    /// The knobs shared with the solo scheduler.
+    pub(crate) fn scheduler(&self) -> SchedulerConfig {
+        SchedulerConfig {
+            policy: self.policy,
+            max_active: self.max_active,
+            max_queued: self.max_queued,
+            cache_budget_bytes: self.cache_budget_bytes,
+            deadline: self.deadline,
+            fault_plan: self.fault_plan,
+            retry: self.retry,
+        }
+    }
 }
 
 /// Everything a finished fleet run produced.
@@ -138,253 +143,42 @@ pub struct FleetReport {
     pub per_shard_primary_chunks: Vec<usize>,
 }
 
-/// How far past the gather cursor a leg may scan ahead, in global ranks.
-/// Bounds the buffered out-of-order outcomes per query; the rank-`cursor`
-/// chunk is always runnable, so any value ≥ 0 makes progress.
-const LOOKAHEAD: usize = 8;
-
-/// The scatter fold: one member per owning shard, gated by the lookahead
-/// window, merged by global rank.
-pub(crate) struct Scatter {
-    /// Chunk id → routed owner under the down mask (`u32::MAX` =
-    /// unreachable).
-    routed: Vec<u32>,
-    n_shards: usize,
-    /// Modelled cost of discovering that every owner of a chunk is down:
-    /// one probe per (downed) copy under the retry policy.
-    down_probe_cost: VirtualDuration,
-    /// Pre-booked unreachable ranks incorporated so far — lost chunks no
-    /// tick ever fetched.
-    unreachable_booked: u64,
+/// The shard nodes of `config` over `snapshot`'s chunks: builds the
+/// [`ShardMap`] (training the coarse quantizer for centroid-locality
+/// placement) and applies the static shard-down mask.
+pub(crate) fn devices(snapshot: &Snapshot, config: &FleetConfig) -> (Devices, Arc<ShardMap>) {
+    let n_shards = config.n_shards.max(1);
+    let n_chunks = snapshot.n_chunks();
+    let map = Arc::new(match config.placement {
+        Placement::ChunkHash => ShardMap::chunk_hash(n_chunks, n_shards, config.replication),
+        Placement::CentroidLocality => {
+            let quantizer = CoarseQuantizer::for_store(snapshot.store());
+            let cells: Vec<Vec<u32>> = quantizer
+                .cells()
+                .map(|(_, _, _, members)| members.to_vec())
+                .collect();
+            ShardMap::from_cells(&cells, n_chunks, n_shards, config.replication)
+        }
+    });
+    let down = config.shard_faults.down_mask(n_shards);
+    let placed = (Arc::clone(&map), down, config.loss_scope);
+    (Devices::new(Some(placed)), map)
 }
 
-/// A scatter job's state: the gather side of one query.
-pub(crate) struct ScatterJob {
-    gather: ScatterGather,
-    /// Leg outcomes waiting for the gather cursor, keyed by global rank:
-    /// `(chunk id, outcome, fleet completion time)`.
-    buffered: BTreeMap<usize, (usize, LegOutcome, VirtualDuration)>,
-    /// Chunk id → global rank in this query's ranking (`u32::MAX` for
-    /// unranked ids).
-    rank_of: Vec<u32>,
-    /// Global ranks whose chunk has no live owner, pre-booked lost with
-    /// the modelled probe cost (charged to the private clock only — no
-    /// shard did work).
-    unreachable: BTreeMap<usize, VirtualDuration>,
-    /// Fleet finish: running max over incorporated outcome times (seeded
-    /// with the admission ranking charge).
-    finish: VirtualDuration,
-}
-
-impl Scatter {
-    /// Buffers `outcome` for `chunk_id` at its global rank and drains the
-    /// gather: incorporate buffered (and pre-booked unreachable) outcomes
-    /// while the cursor rank is available, until the query's stop rule
-    /// fires. Leftover buffered outcomes of a stopped query are discarded
-    /// — that speculative leg work was already charged to the shard
-    /// clocks.
-    fn gather(
-        &mut self,
-        job: &mut ScatterJob,
-        buffer: Option<(usize, LegOutcome, VirtualDuration)>,
-    ) -> Result<()> {
-        if let Some((chunk_id, outcome, at)) = buffer {
-            let rank = job.rank_of.get(chunk_id).copied().unwrap_or(u32::MAX) as usize;
-            job.buffered.insert(rank, (chunk_id, outcome, at));
-        }
-        while !job.gather.stop_satisfied() {
-            let cursor = job.gather.cursor();
-            if let Some(spent) = job.unreachable.remove(&cursor) {
-                let chunk = job.gather.ranking().chunk_at(cursor);
-                job.gather.incorporate(chunk, &LegOutcome::Lost { spent })?;
-                self.unreachable_booked += 1;
-            } else if let Some((chunk, outcome, at)) = job.buffered.remove(&cursor) {
-                job.gather.incorporate(chunk, &outcome)?;
-                job.finish = job.finish.max(at);
-            } else {
-                break;
-            }
-        }
-        Ok(())
-    }
-}
-
-impl Group for Scatter {
-    type Spec = Vector;
-    type Job = ScatterJob;
-    type Output = Completion;
-
-    const TURN_PER_JOB: bool = true;
-
-    /// Ranks on the home shard (the routed owner of the first-ranked
-    /// chunk, 0 if none), splits the ranking into legs, pre-books
-    /// unreachable ranks and drains any the cursor already stands on.
-    fn admit(
-        &mut self,
-        cx: &mut Admission<'_>,
-        query: &Vector,
-        params: &SearchParams,
-    ) -> Result<ScatterJob> {
-        let ranking = cx.rank(query);
-        let first = (!ranking.is_empty()).then(|| ranking.chunk_at(0));
-        let home = match first.and_then(|c| self.routed.get(c)) {
-            Some(&s) if s != u32::MAX => s as usize,
-            _ => 0,
-        };
-        let finish = cx.charge_rank(home);
-        // The epoch's delta read is booked once, here; legs are ordinary
-        // sessions pinned to the same epoch (they filter its tombstones),
-        // whose own clocks and logs nobody reads.
-        let mut gather = ScatterGather::new(ranking, cx.snapshot.model(), params);
-        gather.apply_delta(query, cx.snapshot.delta());
-        // Legs never stop on their own: only the gather's snapshots reach
-        // the answer.
-        let leg_params = SearchParams {
-            stop: StopRule::Chunks(usize::MAX),
-            log_snapshots: false,
-            ..*params
-        };
-        let legs = gather.ranking().split_by_owner(&self.routed, self.n_shards);
-        for (shard, leg_ranking) in legs.into_iter().enumerate() {
-            if !leg_ranking.is_empty() {
-                let leg = cx
-                    .snapshot
-                    .session_from_ranking(leg_ranking, query, &leg_params);
-                // A leg that needs no chunk (k = 0) is simply not opened:
-                // the gather retires such a query straight away.
-                let _ = cx.open(shard as u32, shard, leg);
-            }
-        }
-        let mut rank_of = vec![u32::MAX; cx.snapshot.n_chunks()];
-        let mut unreachable = BTreeMap::new();
-        for rank in 0..gather.ranking().len() {
-            let chunk = gather.ranking().chunk_at(rank);
-            if let Some(slot) = rank_of.get_mut(chunk) {
-                *slot = rank as u32;
-            }
-            if self.routed.get(chunk).copied() == Some(u32::MAX) {
-                unreachable.insert(rank, self.down_probe_cost);
-            }
-        }
-        let mut job = ScatterJob {
-            gather,
-            buffered: BTreeMap::new(),
-            rank_of,
-            unreachable,
-            finish,
-        };
-        // The front ranks may be unreachable — drain them now so the
-        // cursor lands on a servable chunk (or the query retires).
-        self.gather(&mut job, None)?;
-        Ok(job)
-    }
-
-    /// The leg's next chunk, if it is within the lookahead window of the
-    /// gather cursor. The rank-`cursor` chunk is always runnable.
-    fn wanted(&self, job: &ScatterJob, leg: &SearchSession) -> Option<usize> {
-        let chunk = leg.next_wanted()?;
-        let rank = job.rank_of.get(chunk).copied().unwrap_or(u32::MAX) as usize;
-        (rank <= job.gather.cursor().saturating_add(LOOKAHEAD)).then_some(chunk)
-    }
-
-    fn work(&self, job: &ScatterJob, _: &SearchSession) -> usize {
-        job.gather.remaining_work_estimate()
-    }
-
-    /// Legs live as long as their query: never finished on their own.
-    fn on_fed(
-        &mut self,
-        job: &mut ScatterJob,
-        leg: &SearchSession,
-        chunk: &SourcedChunk,
-        at: VirtualDuration,
-    ) -> Result<bool> {
-        let outcome = LegOutcome::Scanned {
-            bytes_read: chunk.bytes_read,
-            count: chunk.payload.len() as u32,
-            entries: leg.neighbor_entries(),
-        };
-        self.gather(job, Some((chunk.id, outcome, at)))?;
-        Ok(false)
-    }
-
-    fn on_lost(
-        &mut self,
-        job: &mut ScatterJob,
-        _: &SearchSession,
-        chunk_id: usize,
-        spent: VirtualDuration,
-        at: VirtualDuration,
-    ) -> Result<bool> {
-        self.gather(job, Some((chunk_id, LegOutcome::Lost { spent }, at)))?;
-        Ok(false)
-    }
-
-    fn finished(&self, job: &ScatterJob) -> bool {
-        job.gather.stop_satisfied()
-    }
-
-    fn output(
-        &mut self,
-        spare: &mut Vec<ChunkRanking>,
-        retired: Retired,
-        job: ScatterJob,
-    ) -> Result<Folded<Completion>> {
-        let (result, ranking) = job.gather.into_result_and_ranking();
-        spare.push(ranking);
-        Ok(Completion::folded(retired, job.finish, result))
-    }
-}
-
-/// The sharded scatter–gather scheduler. See the [module docs](self).
+/// The sharded scheduler. See the [module docs](self).
 #[derive(Debug)]
 pub struct FleetScheduler {
-    engine: Engine<Scatter>,
+    engine: Engine<Plain>,
     map: Arc<ShardMap>,
 }
 
 impl FleetScheduler {
-    /// A fleet over `snapshot` with `config`. Builds the [`ShardMap`]
-    /// (training the coarse quantizer for centroid-locality placement) and
-    /// the static routing table up front.
+    /// A fleet over `snapshot` with `config`; the placement table is built
+    /// up front.
     pub fn new(snapshot: Snapshot, config: FleetConfig) -> FleetScheduler {
-        let n_shards = config.n_shards.max(1);
-        let n_chunks = snapshot.n_chunks();
-        let map = Arc::new(match config.placement {
-            Placement::ChunkHash => ShardMap::chunk_hash(n_chunks, n_shards, config.replication),
-            Placement::CentroidLocality => {
-                let quantizer = CoarseQuantizer::for_store(snapshot.store());
-                let cells: Vec<Vec<u32>> = quantizer
-                    .cells()
-                    .map(|(_, _, _, members)| members.to_vec())
-                    .collect();
-                ShardMap::from_cells(&cells, n_chunks, n_shards, config.replication)
-            }
-        });
-        let down = config.shard_faults.down_mask(n_shards);
-        let mut down_probe_cost = VirtualDuration::ZERO;
-        for probe in 0..map.replication() as u32 {
-            down_probe_cost += config.retry.attempt_cost(probe);
-        }
-        let scatter = Scatter {
-            routed: map.routed_owners(&down),
-            n_shards,
-            down_probe_cost,
-            unreachable_booked: 0,
-        };
-        let placed = (Arc::clone(&map), down, config.loss_scope);
-        let devices = Devices::new(Some(placed));
-        let engine_config = SchedulerConfig {
-            policy: config.policy,
-            max_active: config.max_active,
-            max_queued: config.max_queued,
-            cache_budget_bytes: config.cache_budget_bytes,
-            deadline: config.deadline,
-            fault_plan: config.fault_plan,
-            retry: config.retry,
-        };
+        let (devices, map) = devices(&snapshot, &config);
         FleetScheduler {
-            engine: Engine::new(snapshot, engine_config, devices, scatter),
+            engine: Engine::new(snapshot, config.scheduler(), devices, Plain),
             map,
         }
     }
@@ -427,8 +221,7 @@ impl FleetScheduler {
         Ok(Self::report(drained, &self.map))
     }
 
-    fn report(mut drained: Drained<Scatter>, map: &ShardMap) -> FleetReport {
-        drained.stats.chunks_abandoned += drained.group.unreachable_booked;
+    fn report(drained: Drained<Plain>, map: &ShardMap) -> FleetReport {
         FleetReport {
             cross_shard_fetches: drained.cross_device_fetches,
             failovers: drained.failovers,

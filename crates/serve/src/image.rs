@@ -4,9 +4,11 @@
 //! rule.
 //!
 //! The [`ImageScheduler`] is the crate's one serving engine (`engine.rs`)
-//! on a single device under the *image-votes* fold, so it shares the
-//! per-descriptor [`Scheduler`](crate::Scheduler)'s policies, cache,
-//! fleet clock and fault handling. The unit of admission is the image
+//! under the *image-votes* fold — on a single device
+//! ([`ImageScheduler::new`]) or on a fleet's shard nodes
+//! ([`ImageScheduler::on_fleet`]) — so it shares the per-descriptor
+//! [`Scheduler`](crate::Scheduler)'s policies, cache, fleet clock and
+//! fault handling. The unit of admission is the image
 //! query; the unit of scheduling stays the (descriptor session, chunk)
 //! pair, so [`Policy::MostWantedChunk`] fans one chunk read out across
 //! *sibling descriptors of the same image* as readily as across unrelated
@@ -30,10 +32,10 @@
 
 use crate::engine::{Admission, Devices, Drained, Engine, Folded, Group, Retired};
 use crate::error::Result;
+use crate::fleet::FleetConfig;
 use crate::scheduler::SchedulerConfig;
 use eff2_core::image::{ImageAggregator, ImageOutcome, ImageStopRule, DEFAULT_EVENT_TOP};
 use eff2_core::search::{ResultFidelity, SearchParams, SearchResult};
-use eff2_core::session::ChunkRanking;
 #[cfg(doc)]
 use eff2_core::session::SearchSession;
 use eff2_core::snapshot::Snapshot;
@@ -217,16 +219,14 @@ impl Group for ImageVotes {
             results: self
                 .keep_descriptor_results
                 .then(|| (0..n).map(|_| None).collect()),
-            finish: cx.now(0),
+            finish: cx.now(),
         };
         for (d, q) in spec.descriptors.iter().enumerate() {
             if job.agg.is_done() {
                 break;
             }
-            let ranking = cx.rank(q);
-            let ranked_at = cx.charge_rank(0);
-            let session = cx.snapshot.session_from_ranking(ranking, q, params);
-            if let Some(result) = cx.open(d as u32, 0, session) {
+            let (ranked_at, done) = cx.open(d as u32, q, params)?;
+            if let Some(result) = done {
                 self.on_done(&mut job, d as u32, result, ranked_at);
             }
             job.finish = job.finish.max(ranked_at);
@@ -251,12 +251,7 @@ impl Group for ImageVotes {
         job.agg.is_done()
     }
 
-    fn output(
-        &mut self,
-        _: &mut Vec<ChunkRanking>,
-        retired: Retired,
-        job: ImageJob,
-    ) -> Result<Folded<ImageCompletion>> {
+    fn output(&mut self, retired: Retired, job: ImageJob) -> Result<Folded<ImageCompletion>> {
         let outcome = job.agg.into_outcome(job.label);
         Ok(Folded {
             finish: job.finish,
@@ -288,6 +283,27 @@ impl ImageScheduler {
         };
         let devices = Devices::new(None);
         ImageScheduler(Engine::new(snapshot, config.scheduler, devices, votes))
+    }
+
+    /// The same scheduler over the shard nodes of `fleet` instead of one
+    /// device: placement, replication, failover and shard faults as in a
+    /// [`FleetScheduler`](crate::FleetScheduler), with `fleet`'s policy,
+    /// concurrency (counted in image queries), queue, cache, deadline,
+    /// fault plan and retry budget. Each descriptor session is ranked on
+    /// its own home shard. Per-descriptor results are not kept.
+    pub fn on_fleet(
+        snapshot: Snapshot,
+        fleet: &FleetConfig,
+        stop: ImageStopRule,
+        image_of: Arc<Vec<u32>>,
+    ) -> ImageScheduler {
+        let votes = ImageVotes {
+            image_of,
+            stop,
+            keep_descriptor_results: false,
+        };
+        let (devices, _) = crate::fleet::devices(&snapshot, fleet);
+        ImageScheduler(Engine::new(snapshot, fleet.scheduler(), devices, votes))
     }
 
     /// Image queries waiting for a slot.

@@ -16,17 +16,21 @@
 //! read (and one decoded payload) feeds them all. Fetches go through an
 //! optional fault plan with per-copy retry, failover and abandonment.
 //!
-//! Three public schedulers are that one engine under three folds over its
-//! member sessions, chosen by which constructor is called:
+//! In every configuration a query is one session over its global chunk
+//! ranking; a device only *delivers* chunks to it, and the session consumes
+//! them in rank order. Two independent choices make the three public
+//! schedulers — how a job's sessions fold into one output, and how many
+//! devices deliver:
 //!
-//! * [`Scheduler`] — one session per query on one device;
+//! * [`Scheduler`] — one session per query, one device;
+//! * [`FleetScheduler`] ([`fleet`]) — the same fold with the index
+//!   partitioned across N shard nodes by an [`eff2_shard::ShardMap`] (R-way
+//!   replication), replicated copies turning permanent chunk loss into
+//!   failover;
 //! * [`ImageScheduler`] ([`image`]) — one session per query descriptor,
 //!   folded into a per-image vote ranking that can abandon the remaining
-//!   siblings once the top-`m` images are stable or provably final;
-//! * [`FleetScheduler`] ([`fleet`]) — the index partitioned across N shard
-//!   nodes by an [`eff2_shard::ShardMap`] (R-way replication), each query
-//!   served scatter–gather with per-shard legs merged by global rank, and
-//!   replicated copies turning permanent chunk loss into failover.
+//!   siblings once the top-`m` images are stable or provably final; on one
+//!   device or ([`ImageScheduler::on_fleet`]) on a fleet's shard nodes.
 //!
 //! The load-bearing property, proptested in `tests/`: no matter the
 //! policy, the concurrency level, the shard count or the interleaving,
@@ -36,7 +40,7 @@
 //! each query computes.
 //!
 //! Serving under *live mutation* lives in [`live`]: a [`LiveServer`] is
-//! the same engine under a fourth fold, which merges query and
+//! the same engine under a third fold, which merges query and
 //! insert/delete arrivals on one fleet clock, pins each session to the
 //! index's current epoch snapshot at admission, and pays the online
 //! compactor's fold as background work, one slice after each serving

@@ -32,7 +32,6 @@ use crate::engine::{Admission, Devices, Engine, Folded, Group, Retired};
 use crate::error::Result;
 use crate::scheduler::{Plain, Policy, SchedulerConfig};
 use eff2_core::search::{SearchParams, SearchResult};
-use eff2_core::session::ChunkRanking;
 use eff2_core::snapshot::Snapshot;
 use eff2_descriptor::Vector;
 use eff2_epoch::{CompactionPlan, CompactionStats, MutableIndex};
@@ -242,12 +241,11 @@ impl Group for Live {
 
     fn output(
         &mut self,
-        spare: &mut Vec<ChunkRanking>,
         retired: Retired,
         (query, job): Self::Job,
     ) -> Result<Folded<LiveCompletion>> {
         let snapshot = retired.snapshot.clone();
-        let done = Plain.output(spare, retired, job)?;
+        let done = Plain.output(retired, job)?;
         Ok(Folded {
             finish: done.finish,
             degraded: done.degraded,
@@ -290,9 +288,12 @@ impl LiveServer {
         }
     }
 
-    /// Feeds one event arriving at `at`; events must arrive in
-    /// non-decreasing time order. Backlog is processed up to the arrival
-    /// instant first, so the event sees the fleet as it stands *at* `at`.
+    /// Feeds one event arriving at `at`; events — queries and mutations
+    /// alike — must arrive in non-decreasing time order
+    /// ([`ServeError::NonMonotoneArrival`](crate::ServeError::NonMonotoneArrival)
+    /// otherwise, and the event is not applied). Backlog is processed up to
+    /// the arrival instant first, so the event sees the fleet as it stands
+    /// *at* `at`.
     pub fn offer(&mut self, at: VirtualDuration, event: &LiveEvent) -> Result<()> {
         match event {
             LiveEvent::Query(query) => self.engine.submit(query, &self.params, at).map(drop),

@@ -20,7 +20,6 @@ use crate::engine::{inconsistent, Admission, Devices, Drained, Engine, Folded, G
 use crate::error::Result;
 use eff2_chaos::{FaultPlan, RetryPolicy};
 use eff2_core::search::{SearchParams, SearchResult};
-use eff2_core::session::ChunkRanking;
 #[cfg(doc)]
 use eff2_core::session::SearchSession;
 use eff2_core::snapshot::Snapshot;
@@ -170,9 +169,9 @@ pub struct ServeStats {
     /// served the read, indexed by shard id. The single-device scheduler is
     /// a one-shard fleet: `vec![disk_reads]`.
     pub disk_reads_by_shard: Vec<u64>,
-    /// Session feeds: total [`SearchSession::step_with`] calls. Equal
-    /// across policies for one workload; `fetches` is what sharing
-    /// shrinks.
+    /// Chunk deliveries to sessions, one per session a tick's chunk was
+    /// handed to. Equal across policies for one workload on one device;
+    /// `fetches` is what sharing shrinks.
     pub feeds: u64,
     /// Completions whose finish exceeded their deadline.
     pub deadline_misses: u64,
@@ -237,10 +236,8 @@ impl Group for Plain {
         query: &Vector,
         params: &SearchParams,
     ) -> Result<Self::Job> {
-        let ranking = cx.rank(query);
-        let ranked_at = cx.charge_rank(0);
-        let session = cx.snapshot.session_from_ranking(ranking, query, params);
-        Ok(cx.open(0, 0, session).map(|result| (result, ranked_at)))
+        let (ranked_at, done) = cx.open(0, query, params)?;
+        Ok(done.map(|result| (result, ranked_at)))
     }
 
     fn on_done(&mut self, job: &mut Self::Job, _: u32, result: SearchResult, at: VirtualDuration) {
@@ -251,12 +248,7 @@ impl Group for Plain {
         job.is_some()
     }
 
-    fn output(
-        &mut self,
-        _: &mut Vec<ChunkRanking>,
-        retired: Retired,
-        job: Self::Job,
-    ) -> Result<Folded<Completion>> {
+    fn output(&mut self, retired: Retired, job: Self::Job) -> Result<Folded<Completion>> {
         let (result, finish) =
             job.ok_or_else(|| inconsistent("plain job retired before its session finished"))?;
         Ok(Completion::folded(retired, finish, result))

@@ -1,6 +1,6 @@
-//! The fleet's load-bearing property: scatter–gather over ANY shard
-//! count, ANY replication factor, ANY placement policy and ANY stop rule
-//! merges every query to a result bit-identical to the single-device run
+//! The fleet's load-bearing property: serving over ANY shard count, ANY
+//! replication factor, ANY placement policy and ANY stop rule gives
+//! every query a result bit-identical to the single-device run
 //! (faults quiet) — and when a fault plan kills every copy, the fleet
 //! degrades exactly like the solo scheduler's permanent loss.
 

@@ -12,7 +12,7 @@ use eff2_core::chunkers::{ChunkFormer, SrTreeChunker};
 use eff2_core::search::SearchParams;
 use eff2_descriptor::{DescriptorSet, Vector};
 use eff2_epoch::MutableIndex;
-use eff2_serve::{merge_timelines, CompactionPolicy, LiveEvent, LiveServer};
+use eff2_serve::{merge_timelines, CompactionPolicy, LiveEvent, LiveServer, ServeError};
 use eff2_storage::diskmodel::{DiskModel, VirtualDuration};
 use proptest::prelude::*;
 
@@ -182,5 +182,35 @@ fn live_replays_are_bit_identical() {
         assert_eq!(x.snapshot.generation(), y.snapshot.generation());
         assert_eq!(x.snapshot.epoch(), y.snapshot.epoch());
         assert_bit_identical(&x.result, &y.result, &format!("replay q{}", x.id));
+    }
+}
+
+/// Queries and mutations share one timeline: an event behind the latest
+/// arrival of either kind is refused, so a query can never be pinned to an
+/// epoch holding a mutation from its own future.
+#[test]
+fn arrivals_behind_the_frontier_are_refused_whatever_their_kind() {
+    let set = lumpy_set(200);
+    let at = VirtualDuration::from_secs;
+    let insert = LiveEvent::Insert {
+        id: 50_000,
+        vector: set.vector_owned(3),
+    };
+    let query = LiveEvent::Query(set.vector_owned(7));
+    for (first, second) in [(&insert, &query), (&query, &insert)] {
+        let index = build_index("frontier", &set, &SrTreeChunker { leaf_size: 30 }, 30);
+        let mut server = LiveServer::new(index, SearchParams::exact(4), CompactionPolicy::Never);
+        server.offer(at(10.0), first).expect("first arrival");
+        let late = server.offer(at(5.0), second);
+        assert!(
+            matches!(late, Err(ServeError::NonMonotoneArrival { .. })),
+            "an arrival at 5 s after one at 10 s must be refused, got {late:?}"
+        );
+        server
+            .offer(at(10.0), second)
+            .expect("an equal instant is in order");
+        let (report, index) = server.finish().expect("finish");
+        assert_eq!(report.completions.len(), 1);
+        assert_eq!(index.epoch(), 1, "the refused event was not applied");
     }
 }

@@ -2,8 +2,9 @@
 //! index — inserts, deletes and supersedes folded through at least one
 //! installed compaction, plus a non-empty pending delta — is an ordinary
 //! [`Snapshot`], so [`Scheduler`], [`FleetScheduler`] and
-//! [`ImageScheduler`] serve it like any other, and every answer is
-//! bit-identical to the solo run on the same pin.
+//! [`ImageScheduler`] — on one device and on a fleet — serve it like any
+//! other, and every answer is bit-identical to the solo run on the same
+//! pin.
 
 mod common;
 
@@ -116,18 +117,22 @@ proptest! {
             .map(|s| FaultPlan::new(FaultConfig::lossy(s, 0.2)))
             .find(|plan| !plan.permanent_losses(pin.n_chunks()).is_empty())
             .expect("some seed loses a chunk");
-        let cells = Placement::ALL.map(|p| (p, None)).into_iter().chain([(
-            Placement::ChunkHash,
-            Some(lossy),
-        )]);
-        for (placement, fault_plan) in cells {
-            let mut config = FleetConfig::new(Policy::MostWantedChunk, 4, max_active);
-            config.placement = placement;
-            config.replication = 2;
-            config.max_queued = queries.len();
-            config.fault_plan = fault_plan;
-            config.loss_scope = LossScope::Primary;
-            let fleet = FleetScheduler::new(pin.clone(), config)
+        let cells: Vec<_> = Placement::ALL
+            .map(|p| (p, None))
+            .into_iter()
+            .chain([(Placement::ChunkHash, Some(lossy))])
+            .map(|(placement, fault_plan)| {
+                let mut config = FleetConfig::new(Policy::MostWantedChunk, 4, max_active);
+                config.placement = placement;
+                config.replication = 2;
+                config.max_queued = queries.len();
+                config.fault_plan = fault_plan;
+                config.loss_scope = LossScope::Primary;
+                (placement, fault_plan, config)
+            })
+            .collect();
+        for (placement, fault_plan, config) in &cells {
+            let fleet = FleetScheduler::new(pin.clone(), config.clone())
                 .serve_trace(&queries, &params)
                 .expect("fleet");
             prop_assert_eq!(fleet.report.completions.len(), queries.len());
@@ -165,6 +170,37 @@ proptest! {
             for (d, (got, want)) in results.iter().zip(&want_results).enumerate() {
                 let got = got.as_ref().expect("run-all abandons nothing");
                 assert_bit_identical(want, got, &format!("{tag}/d{d}"));
+            }
+        }
+
+        // Grouping × device set: the same image queries on the 4-shard
+        // fleet cells above. Which shard delivers a chunk changes nothing
+        // a descriptor session computes, so every outcome is the solo one.
+        for (placement, fault_plan, config) in &cells {
+            // Run-all must equal solo; an early-stop rule tears sessions
+            // (and their buffered deliveries) down and must still account
+            // for every descriptor.
+            let early = ImageStopRule::StableTop { m: 1, window: 1 };
+            for stop in [ImageStopRule::RunAll, early] {
+                let report = ImageScheduler::on_fleet(pin.clone(), config, stop, image_of.clone())
+                    .serve_trace(&image_trace, &params)
+                    .expect("image on fleet");
+                prop_assert_eq!(report.completions.len(), specs.len());
+                prop_assert_eq!(report.stats.images_degraded, 0);
+                for (c, s) in report.completions.iter().zip(&specs) {
+                    let o = &c.outcome;
+                    prop_assert_eq!(o.descriptors_spent + o.descriptors_abandoned, o.descriptors_total);
+                    if stop != ImageStopRule::RunAll {
+                        continue;
+                    }
+                    let (want, _) = solo_image_search(&pin, s.label, &s.descriptors, &params, &image_of)
+                        .expect("solo");
+                    let tag = format!("{}/lossy={}/img{}", placement.name(), fault_plan.is_some(), c.id);
+                    assert_same_ranking(&want.ranking, &o.ranking, &tag);
+                    prop_assert_eq!(o.descriptors_spent, want.descriptors_spent);
+                    prop_assert_eq!(o.chunks_read, want.chunks_read);
+                    prop_assert_eq!(o.fidelity, want.fidelity);
+                }
             }
         }
     }

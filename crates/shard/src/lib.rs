@@ -216,8 +216,8 @@ impl ShardMap {
     }
 
     /// Per-chunk routed owners under `down` in one vector: `u32::MAX`
-    /// marks an unreachable chunk. This is the `owner_of` table the
-    /// scatter–gather driver feeds to `ChunkRanking::split_by_owner`.
+    /// marks an unreachable chunk. This is the `owner_of` table
+    /// `ChunkRanking::split_by_owner` (the reference merge model) takes.
     pub fn routed_owners(&self, down: &[bool]) -> Vec<u32> {
         (0..self.owners.len())
             .map(|c| self.route(c, down).unwrap_or(u32::MAX))
