@@ -7,7 +7,7 @@ use eff2_bench::fixtures;
 use eff2_core::{ChunkRanking, CoarseQuantizer};
 use eff2_storage::diskmodel::{PipelineClock, VirtualDuration};
 use eff2_storage::prefetch::prefetch_chunks;
-use eff2_storage::ChunkData;
+use eff2_storage::{ChunkData, SingleFlight};
 use std::hint::black_box;
 
 /// Overlap ablation on *real* I/O: stream every chunk of the SR index and
@@ -32,7 +32,8 @@ fn overlap_ablation_real_io(c: &mut Criterion) {
     g.bench_function("prefetch_pipelined", |b| {
         b.iter(|| {
             let mut acc = 0.0f32;
-            for item in prefetch_chunks(store, order.clone(), 4).expect("prefetch") {
+            let alone = SingleFlight::new();
+            for item in prefetch_chunks(store, order.clone(), 4, alone, 0).expect("prefetch") {
                 acc += scan(&item.expect("chunk").payload);
             }
             black_box(acc)

@@ -3,8 +3,8 @@
 //!
 //! The decorator pulls each chunk from the inner source as usual, then
 //! consults the [`FaultPlan`] for the current attempt at that chunk:
-//! deliveries pass through (possibly with an injected latency spike,
-//! surfaced via [`ChunkStream::take_injected_delay`]), faults replace the
+//! deliveries pass through (a latency spike is added to the chunk's
+//! [`injected_delay`](SourcedChunk::injected_delay)), faults replace the
 //! successfully-read payload with the planned error. A faulted chunk is
 //! *consumed* — the stream does not fuse and continues with the next
 //! chunk — so retry layers re-request the chunk through a fresh stream
@@ -64,7 +64,6 @@ impl ChunkSource for FaultSource {
             inner: self.inner.open_stream(order)?,
             plan: self.plan,
             attempts: Arc::clone(&self.attempts),
-            pending_delay: VirtualDuration::ZERO,
         }))
     }
 }
@@ -73,12 +72,11 @@ struct FaultStream {
     inner: Box<dyn ChunkStream>,
     plan: FaultPlan,
     attempts: Arc<Mutex<BTreeMap<usize, u32>>>,
-    pending_delay: VirtualDuration,
 }
 
 impl ChunkStream for FaultStream {
     fn next_chunk(&mut self) -> Option<Result<SourcedChunk>> {
-        let chunk = match self.inner.next_chunk()? {
+        let mut chunk = match self.inner.next_chunk()? {
             // A real inner error passes through untouched (the inner
             // stream fuses itself, so the next pull ends the stream).
             Err(e) => return Some(Err(e)),
@@ -93,7 +91,7 @@ impl ChunkStream for FaultStream {
         };
         match self.plan.fault_for(chunk.id, attempt) {
             Fault::Deliver { delay } => {
-                self.pending_delay += self.inner.take_injected_delay() + delay;
+                chunk.injected_delay += delay;
                 Some(Ok(chunk))
             }
             Fault::Transient => Some(Err(Error::Io(std::io::Error::new(
@@ -117,10 +115,6 @@ impl ChunkStream for FaultStream {
                 spent: VirtualDuration::ZERO,
             })),
         }
-    }
-
-    fn take_injected_delay(&mut self) -> VirtualDuration {
-        std::mem::replace(&mut self.pending_delay, VirtualDuration::ZERO)
     }
 }
 
@@ -178,12 +172,13 @@ mod tests {
             FaultPlan::new(FaultConfig::quiet(1)),
         );
         let mut stream = source.open_stream(vec![2, 0, 1]).expect("open");
-        assert_eq!(
-            drain(stream.as_mut()),
-            vec![Ok(2), Ok(0), Ok(1)],
-            "rate-0 delivers every chunk in order"
-        );
-        assert_eq!(stream.take_injected_delay(), VirtualDuration::ZERO);
+        let mut ids = Vec::new();
+        while let Some(item) = stream.next_chunk() {
+            let chunk = item.expect("rate-0 delivers every chunk");
+            assert_eq!(chunk.injected_delay, VirtualDuration::ZERO);
+            ids.push(chunk.id);
+        }
+        assert_eq!(ids, vec![2, 0, 1], "in order");
     }
 
     #[test]
@@ -234,10 +229,10 @@ mod tests {
             FaultPlan::new(FaultConfig { ..config }),
         );
         let mut stream = source.open_stream(vec![0, 1]).expect("open");
-        stream.next_chunk().expect("item").expect("chunk");
-        let delay = stream.take_injected_delay();
-        assert_eq!(delay.as_secs().to_bits(), 0.004f64.to_bits());
-        // Taking resets the accumulator.
-        assert_eq!(stream.take_injected_delay(), VirtualDuration::ZERO);
+        // Each delivery carries its own spike, nothing accumulates across.
+        for _ in 0..2 {
+            let chunk = stream.next_chunk().expect("item").expect("chunk");
+            assert_eq!(chunk.injected_delay.as_secs().to_bits(), 0.004f64.to_bits());
+        }
     }
 }

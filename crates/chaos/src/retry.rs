@@ -3,7 +3,9 @@
 //! Each failed read attempt is charged to the *modelled* clock — a
 //! per-read timeout plus exponential backoff — never the wall clock, so
 //! chaos runs stay deterministic and the virtual-time figures honestly
-//! include the cost of recovering from faults. Errors are classified via
+//! include the cost of recovering from faults: what the failed attempts
+//! cost is added to the recovered chunk's
+//! [`injected_delay`](SourcedChunk::injected_delay). Errors are classified via
 //! [`Error::class`]: transient and corrupt reads are retried up to the
 //! budget; permanent errors (and an exhausted budget) become
 //! [`Error::ChunkLost`] with the accumulated modelled time attached, and
@@ -35,16 +37,16 @@ impl RetryPolicy {
         }
     }
 
-    /// `max_attempts` attempts with `timeout` per failure and exponential
+    /// `max_attempts` attempts (clamped to a minimum of 1 — a read is
+    /// always tried once) with `timeout` per failure and exponential
     /// backoff from `backoff_base`.
     pub fn new(
         max_attempts: u32,
         timeout: VirtualDuration,
         backoff_base: VirtualDuration,
     ) -> RetryPolicy {
-        assert!(max_attempts >= 1, "at least one attempt is required");
         RetryPolicy {
-            max_attempts,
+            max_attempts: max_attempts.max(1),
             timeout,
             backoff_base,
         }
@@ -85,7 +87,6 @@ impl ChunkSource for RetrySource {
             order,
             pos: 0,
             inner: Some(stream),
-            pending_delay: VirtualDuration::ZERO,
             failed: false,
         }))
     }
@@ -99,7 +100,6 @@ struct RetryStream {
     /// Current inner stream over `order[pos..]`; dropped on error and
     /// re-opened for the retry (every retry is a fresh read).
     inner: Option<Box<dyn ChunkStream>>,
-    pending_delay: VirtualDuration,
     failed: bool,
 }
 
@@ -129,10 +129,10 @@ impl ChunkStream for RetryStream {
             };
             match stream.next_chunk() {
                 None => return None,
-                Some(Ok(chunk)) => {
-                    // Surface both the inner stream's delay and the cost
-                    // of the failed attempts that preceded this success.
-                    self.pending_delay += stream.take_injected_delay() + spent;
+                Some(Ok(mut chunk)) => {
+                    // The failed attempts that preceded this success are
+                    // part of what the delivery cost.
+                    chunk.injected_delay += spent;
                     self.pos += 1;
                     return Some(Ok(chunk));
                 }
@@ -156,10 +156,6 @@ impl ChunkStream for RetryStream {
                 }
             }
         }
-    }
-
-    fn take_injected_delay(&mut self) -> VirtualDuration {
-        std::mem::replace(&mut self.pending_delay, VirtualDuration::ZERO)
     }
 }
 
@@ -211,16 +207,44 @@ mod tests {
     }
 
     #[test]
+    fn zero_attempts_is_clamped_to_one() {
+        let ms = VirtualDuration::from_ms(5.0);
+        let policy = RetryPolicy::new(0, ms, VirtualDuration::ZERO);
+        assert_eq!(policy, RetryPolicy::new(1, ms, VirtualDuration::ZERO));
+        // The fields are public: a literal zero behaves as one attempt too.
+        let store = store_with_chunks("zero", &[1]);
+        let plan = FaultPlan::new(FaultConfig::flaky(31, 1.0));
+        let source = RetrySource::new(
+            Arc::new(FaultSource::new(Arc::new(FileSource::new(&store)), plan)),
+            RetryPolicy {
+                max_attempts: 0,
+                ..policy
+            },
+        );
+        let mut stream = source.open_stream(vec![0]).expect("open");
+        match stream.next_chunk().expect("item") {
+            Err(Error::ChunkLost {
+                attempts, spent, ..
+            }) => {
+                assert_eq!(attempts, 1);
+                assert_eq!(spent, ms);
+            }
+            other => panic!("expected ChunkLost, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn passthrough_policy_is_transparent() {
         let store = store_with_chunks("pass", &[2, 3, 1]);
         let source = RetrySource::new(Arc::new(FileSource::new(&store)), RetryPolicy::none());
         let mut stream = source.open_stream(vec![1, 2, 0]).expect("open");
         let mut ids = Vec::new();
         while let Some(item) = stream.next_chunk() {
-            ids.push(item.expect("chunk").id);
+            let chunk = item.expect("chunk");
+            assert_eq!(chunk.injected_delay, VirtualDuration::ZERO);
+            ids.push(chunk.id);
         }
         assert_eq!(ids, vec![1, 2, 0]);
-        assert_eq!(stream.take_injected_delay(), VirtualDuration::ZERO);
     }
 
     #[test]
@@ -240,8 +264,10 @@ mod tests {
             let want_spent: VirtualDuration = (0..TRANSIENT_CLEAR)
                 .map(|a| policy.attempt_cost(a))
                 .fold(VirtualDuration::ZERO, |acc, c| acc + c);
-            let delay = stream.take_injected_delay();
-            assert_eq!(delay.as_secs().to_bits(), want_spent.as_secs().to_bits());
+            assert_eq!(
+                chunk.injected_delay.as_secs().to_bits(),
+                want_spent.as_secs().to_bits()
+            );
         }
         assert!(stream.next_chunk().is_none());
     }

@@ -1,6 +1,7 @@
 //! Chaos is only useful if it replays: the same seed must reproduce the
 //! same faults, the same degradation report and the same neighbours,
-//! bit for bit — and the acceptance properties of the fault model hold:
+//! bit for bit, whether the session pulls its chunks or is fed them — and
+//! the acceptance properties of the fault model hold:
 //! an all-transient schedule under a sufficient retry budget recovers a
 //! bit-identical answer (paying for the retries in modelled time), and a
 //! lossy schedule's degradation report matches the injected losses
@@ -8,7 +9,7 @@
 
 mod common;
 
-use common::{arb_former, assert_bit_identical, build_store, lumpy_set};
+use common::{arb_former, assert_bit_identical, build_store, drive_stepwise, lumpy_set};
 use eff2_chaos::plan::TRANSIENT_CLEAR;
 use eff2_chaos::{FaultConfig, FaultPlan, FaultSource, RetryPolicy, RetrySource};
 use eff2_core::search::search;
@@ -17,13 +18,27 @@ use eff2_core::{SearchParams, SearchResult, StopRule};
 use eff2_descriptor::Vector;
 use eff2_storage::diskmodel::{DiskModel, VirtualDuration};
 use eff2_storage::source::{ChunkSource, FileSource};
-use eff2_storage::ChunkStore;
+use eff2_storage::{ChunkStore, Error};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// Runs one search through the full chaos stack
-/// (`RetrySource(FaultSource(FileSource))`) with skipping enabled,
-/// returning the result and the fault layer (for attempt inspection).
+/// A fresh full chaos stack (`RetrySource(FaultSource(FileSource))`, its
+/// attempt counters at zero), plus the fault layer for attempt inspection.
+fn chaos_stack(
+    store: &ChunkStore,
+    config: FaultConfig,
+    policy: RetryPolicy,
+) -> (Arc<dyn ChunkSource>, Arc<FaultSource>) {
+    let fault = Arc::new(FaultSource::new(
+        Arc::new(FileSource::new(store)),
+        FaultPlan::new(config),
+    ));
+    let source = RetrySource::new(Arc::clone(&fault) as Arc<dyn ChunkSource>, policy);
+    (Arc::new(source), fault)
+}
+
+/// Runs one search pulling through a fresh chaos stack with skipping
+/// enabled, returning the result and the fault layer.
 fn chaos_run(
     store: &ChunkStore,
     model: &DiskModel,
@@ -32,16 +47,8 @@ fn chaos_run(
     config: FaultConfig,
     policy: RetryPolicy,
 ) -> (SearchResult, Arc<FaultSource>) {
-    let fault = Arc::new(FaultSource::new(
-        Arc::new(FileSource::new(store)),
-        FaultPlan::new(config),
-    ));
-    let source = Arc::new(RetrySource::new(
-        Arc::clone(&fault) as Arc<dyn ChunkSource>,
-        policy,
-    ));
-    let mut session =
-        SearchSession::with_source(store, model, query, params, source as Arc<dyn ChunkSource>);
+    let (source, fault) = chaos_stack(store, config, policy);
+    let mut session = SearchSession::with_source(store, model, query, params, source);
     session.set_skip_policy(SkipPolicy::SkipUnavailable);
     session.run_to_stop().expect("degraded run completes");
     (session.into_result(), fault)
@@ -102,6 +109,70 @@ proptest! {
         // domain wide enough that collision is impossible in practice).
         let other = FaultPlan::new(FaultConfig::lossy(seed ^ 0x9E37_79B9, 0.3));
         prop_assert_ne!(other.permanent_losses(4096), plan.permanent_losses(4096));
+    }
+
+    /// Pushed ≡ pulled under faults: a detached session *fed* the
+    /// deliveries of a chaos stack books the same retry, backoff and spike
+    /// charges as one *pulling* from a fresh copy of that stack — a
+    /// delivery's injected delay is part of the chunk, so it cannot be
+    /// left behind.
+    #[test]
+    fn a_fed_session_is_bit_identical_to_a_pulling_one_under_faults(
+        former in arb_former(),
+        n in 60usize..200,
+        seed in 0u64..1000,
+        k in 1usize..10,
+        transient_rate in 0.2f64..0.9,
+    ) {
+        let set = lumpy_set(n);
+        let store = build_store("fed", &set, former.as_ref());
+        let model = DiskModel::ata_2005();
+        let query = set.vector_owned(n / 3);
+        let params = SearchParams {
+            k,
+            stop: StopRule::ToCompletion,
+            prefetch_depth: 2,
+            log_snapshots: true,
+        };
+        // Flaky and spiky, with a few chunks gone for good: recoveries,
+        // delays and losses all occur.
+        let config = FaultConfig {
+            spike_rate: 0.5,
+            spike_ms: 3.0,
+            permanent_rate: 0.1,
+            ..FaultConfig::flaky(seed, transient_rate)
+        };
+        let policy = RetryPolicy::new(
+            TRANSIENT_CLEAR + 1,
+            VirtualDuration::from_ms(5.0),
+            VirtualDuration::from_ms(1.0),
+        );
+
+        let (source, _) = chaos_stack(&store, config, policy);
+        let mut pulling = SearchSession::with_source(&store, &model, &query, &params, source);
+        pulling.set_skip_policy(SkipPolicy::SkipUnavailable);
+        let pulled = drive_stepwise(pulling);
+
+        let (source, _) = chaos_stack(&store, config, policy);
+        let mut fed = SearchSession::detached(&store, &model, &query, &params);
+        let mut stream = source
+            .open_stream(fed.ranking().order_from(0))
+            .expect("open");
+        while !fed.stop_satisfied() {
+            match stream.next_chunk() {
+                None => break,
+                Some(Ok(chunk)) => {
+                    fed.step_with(&chunk).expect("step_with");
+                }
+                Some(Err(Error::ChunkLost { spent, .. })) => {
+                    fed.skip_unavailable(spent).expect("skip");
+                }
+                Some(Err(e)) => panic!("unexpected error: {e}"),
+            }
+        }
+        let fed = fed.into_result();
+
+        prop_assert_eq!(pulled.first_difference(&fed), None);
     }
 }
 

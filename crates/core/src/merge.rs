@@ -246,6 +246,8 @@ mod tests {
                     id: chunk,
                     payload: Arc::new(payload),
                     bytes_read: bytes,
+                    injected_delay: VirtualDuration::ZERO,
+                    from_disk: true,
                 };
                 leg.step_with(&sourced).expect("leg step");
                 let count = gather.ranking().count_of(chunk);

@@ -1,8 +1,6 @@
 //! The resumable search engine: [`ChunkRanking`] + [`SearchSession`].
 //!
-//! [`crate::search::search`] used to be a one-shot monolith — ranking,
-//! prefetching, scanning, logging and stop-rule checks fused into a single
-//! loop over one concrete reader. This module decomposes it:
+//! The §4.3 search in separable parts:
 //!
 //! * [`ChunkRanking`] is step 1 of §4.3 in isolation — centroid ranking
 //!   plus the suffix-minimum of chunk lower bounds — computed once and
@@ -13,18 +11,20 @@
 //!   paper's *anytime* contribution surfaced as an API;
 //! * stop rules are **predicates on session state**
 //!   ([`SearchSession::evaluate_rule`]), not control flow baked into the
-//!   loop. `search()` is now ranking + drive-to-stop, and
+//!   loop. `search()` is ranking + drive-to-stop, and
 //!   [`evaluate_stop_rules`] answers every `Chunks(n)` / `VirtualTime(t)` /
 //!   `ToCompletionEps` variant from ONE scan of the collection instead of
 //!   re-searching per rule.
 //!
 //! Chunks arrive through a pluggable [`ChunkSource`] (file reads,
-//! prefetching, or a shared resident cache). Every source reports the same
-//! modelled `bytes_read` per chunk, and the session feeds the same
-//! [`PipelineClock`] the monolith did, so the virtual-time accounting —
-//! and with it every reported figure — is bit-identical regardless of
-//! backend (the `batch_determinism` and `session_equivalence` tests pin
-//! this down).
+//! prefetching, or a shared resident cache), pulled by `step` or fed from
+//! outside through `step_with`. Either way a delivery is one
+//! [`SourcedChunk`], and the session charges its [`PipelineClock`] from
+//! that value alone — the `bytes_read` every source reports identically,
+//! plus the `injected_delay` fault and retry layers added — so every
+//! reported figure is bit-identical regardless of backend and of who
+//! drives (pinned by the `batch_determinism` and `session_equivalence`
+//! tests, and under faults by `eff2-chaos`'s determinism suite).
 
 use crate::coarse::CoarseQuantizer;
 use crate::neighbors::NeighborSet;
@@ -1053,8 +1053,7 @@ impl SearchSession {
             };
             match item {
                 Ok(chunk) => {
-                    let delay = stream.take_injected_delay();
-                    self.ingest(&chunk, delay);
+                    self.ingest(&chunk);
                     return Ok(self.core.log.events.last());
                 }
                 Err(e)
@@ -1086,11 +1085,11 @@ impl SearchSession {
     /// arrive in ranked order no matter who fetches them), otherwise the
     /// session refuses with [`Error::Inconsistent`].
     ///
-    /// All accounting — fused-kernel scan, per-query pipeline clock, log,
-    /// invariants — is identical to [`step`](Self::step), so a session fed
-    /// by an external driver produces bit-identical results to one pulling
-    /// from its own source, regardless of how many other sessions shared
-    /// the fetch.
+    /// All accounting — fused-kernel scan, per-query pipeline clock (the
+    /// chunk's injected delay included), log, invariants — is identical to
+    /// [`step`](Self::step), so a fed session produces bit-identical
+    /// results to one pulling from its own source, under faults too,
+    /// regardless of how many other sessions shared the fetch.
     ///
     /// [`Error::Inconsistent`]: eff2_storage::Error::Inconsistent
     pub fn step_with(&mut self, chunk: &SourcedChunk) -> Result<Option<&ChunkEvent>> {
@@ -1099,14 +1098,14 @@ impl SearchSession {
             return Ok(None);
         }
         self.core.check_next(chunk.id)?;
-        self.ingest(chunk, VirtualDuration::ZERO);
+        self.ingest(chunk);
         Ok(self.core.log.events.last())
     }
 
     /// The shared advance: scan `chunk` into the neighbour set, then book
-    /// it consumed (see [`SessionCore::chunk_consumed`] for
-    /// `injected_delay`).
-    fn ingest(&mut self, chunk: &SourcedChunk, injected_delay: VirtualDuration) {
+    /// it consumed, its [`injected_delay`](SourcedChunk::injected_delay)
+    /// included (see [`SessionCore::chunk_consumed`]).
+    fn ingest(&mut self, chunk: &SourcedChunk) {
         #[cfg(debug_assertions)]
         let stop_was_fired = self.stop_satisfied();
         if let Some(adc) = self.adc.as_mut() {
@@ -1159,7 +1158,7 @@ impl SearchSession {
             chunk.id,
             chunk.payload.len() as u32,
             chunk.bytes_read,
-            injected_delay,
+            chunk.injected_delay,
         );
         #[cfg(debug_assertions)]
         debug_assert!(
@@ -1500,6 +1499,8 @@ mod tests {
                 id,
                 payload: Arc::new(payload),
                 bytes_read,
+                injected_delay: VirtualDuration::ZERO,
+                from_disk: true,
             };
             fed.step_with(&chunk).expect("step_with").expect("event");
         }
@@ -1543,6 +1544,8 @@ mod tests {
             id: wrong,
             payload: Arc::new(payload),
             bytes_read,
+            injected_delay: VirtualDuration::ZERO,
+            from_disk: true,
         };
         assert!(
             session.step_with(&chunk).is_err(),

@@ -217,6 +217,8 @@ mod tests {
                     id,
                     payload: Arc::new(payload),
                     bytes_read,
+                    injected_delay: eff2_storage::VirtualDuration::ZERO,
+                    from_disk: true,
                 })
                 .expect("step_with");
         }

@@ -203,23 +203,14 @@ impl Lab {
         build_wall_secs: f64,
         quant: Option<&Codec>,
     ) -> EvalResult<IndexHandle> {
-        let store = match quant {
-            None => ChunkStore::create(
-                &self.cache_dir,
-                &file_name_of(label),
-                set,
-                chunks,
-                self.scale.page_size,
-            )?,
-            Some(codec) => ChunkStore::create_quantized(
-                &self.cache_dir,
-                &file_name_of(label),
-                set,
-                chunks,
-                self.scale.page_size,
-                codec,
-            )?,
-        };
+        let store = ChunkStore::build_checked(
+            &self.cache_dir,
+            &file_name_of(label),
+            set,
+            chunks,
+            self.scale.page_size,
+            quant,
+        )?;
         let retained = chunks.iter().map(|c| c.positions.len()).sum::<usize>();
         let mut sizes: Vec<usize> = chunks.iter().map(|c| c.positions.len()).collect();
         sizes.sort_unstable_by(|a, b| b.cmp(a));
@@ -322,33 +313,58 @@ impl Lab {
         )
     }
 
-    fn build_sr_index(&self, class: &str, snap: &BagSnapshot) -> EvalResult<IndexHandle> {
-        let label = format!("SR / {class}");
-        // The paper builds the SR-tree over the outlier-free collection of
-        // the matching BAG index, with leaves sized to BAG's average.
-        let retained: Vec<usize> = {
-            let mut positions: Vec<u32> = snap
-                .clusters
-                .iter()
-                .flat_map(|c| c.members.iter().copied())
-                .collect();
-            positions.sort_unstable();
-            positions.into_iter().map(|p| p as usize).collect()
+    /// Opens the SR-tree index cached as `label`, or builds it: `leaf`-sized
+    /// leaves over `set`, timed, and persisted — with `codec`-compressed
+    /// codes next to the raw descriptors when a codec (`sq8` or `pq`,
+    /// trained on `set`) is named.
+    fn sr_index(
+        &self,
+        label: &str,
+        set: &DescriptorSet,
+        leaf: usize,
+        outliers: usize,
+        codec: Option<&str>,
+    ) -> EvalResult<IndexHandle> {
+        if let Some(h) = self.try_open(label) {
+            return Ok(h);
+        }
+        let codes = codec.map_or(String::new(), |name| format!(" + {name} codes"));
+        let codec = match codec {
+            None => None,
+            Some("sq8") => Some(Codec::Sq8(Sq8Codec::from_set(set))),
+            Some("pq") => Some(Codec::Pq(PqCodec::from_set(set))),
+            Some(other) => return Err(format!("unknown codec {other:?} (want sq8 or pq)").into()),
         };
-        let subset = self.set.subset(&retained);
-        let leaf = snap.mean_cluster_size().round().max(2.0) as usize;
         // lint:allow(det.wall_clock): measures real formation cost, reported as wall seconds next to the virtual figures
         let wall = std::time::Instant::now();
-        let formation = SrTreeChunker { leaf_size: leaf }.form(&subset);
+        let formation = SrTreeChunker { leaf_size: leaf }.form(set);
         self.persist(
-            &label,
-            &format!("SR-tree static build (leaf = {leaf})"),
-            &subset,
+            label,
+            &format!("SR-tree static build (leaf = {leaf}){codes}"),
+            set,
             &formation.chunks,
-            snap.outliers.len(), // same outliers were removed up front
+            outliers,
             formation.cost.distance_ops,
             formation.cost.rounds,
             wall.elapsed().as_secs_f64(),
+            codec.as_ref(),
+        )
+    }
+
+    fn build_sr_index(&self, class: &str, snap: &BagSnapshot) -> EvalResult<IndexHandle> {
+        // The paper builds the SR-tree over the outlier-free collection of
+        // the matching BAG index, with leaves sized to BAG's average.
+        let members = snap.clusters.iter().flat_map(|c| c.members.iter());
+        let mut retained: Vec<usize> = members.map(|&p| p as usize).collect();
+        retained.sort_unstable();
+        let subset = self.set.subset(&retained);
+        let leaf = snap.mean_cluster_size().round().max(2.0) as usize;
+        // The same outliers were removed up front.
+        self.sr_index(
+            &format!("SR / {class}"),
+            &subset,
+            leaf,
+            snap.outliers.len(),
             None,
         )
     }
@@ -356,24 +372,7 @@ impl Lab {
     /// Builds (or opens) the SR-tree index of the Figure 6/7 sweep with the
     /// given leaf size, over the SMALL-class outlier-free collection.
     pub fn sweep_index(&self, subset: &DescriptorSet, leaf_size: usize) -> EvalResult<IndexHandle> {
-        let label = format!("SWEEP / {leaf_size}");
-        if let Some(h) = self.try_open(&label) {
-            return Ok(h);
-        }
-        // lint:allow(det.wall_clock): measures real formation cost, reported as wall seconds next to the virtual figures
-        let wall = std::time::Instant::now();
-        let formation = SrTreeChunker { leaf_size }.form(subset);
-        self.persist(
-            &label,
-            &format!("SR-tree static build (leaf = {leaf_size})"),
-            subset,
-            &formation.chunks,
-            0,
-            formation.cost.distance_ops,
-            formation.cost.rounds,
-            wall.elapsed().as_secs_f64(),
-            None,
-        )
+        self.sr_index(&format!("SWEEP / {leaf_size}"), subset, leaf_size, 0, None)
     }
 
     /// Builds (or opens) the serving-experiment index: an SR-tree over the
@@ -383,24 +382,7 @@ impl Lab {
     /// run.
     pub fn serving_index(&self) -> EvalResult<IndexHandle> {
         let leaf = self.scale.chunk_sizes()[1];
-        let label = format!("SERVE / {leaf}");
-        if let Some(h) = self.try_open(&label) {
-            return Ok(h);
-        }
-        // lint:allow(det.wall_clock): measures real formation cost, reported as wall seconds next to the virtual figures
-        let wall = std::time::Instant::now();
-        let formation = SrTreeChunker { leaf_size: leaf }.form(&self.set);
-        self.persist(
-            &label,
-            &format!("SR-tree static build (leaf = {leaf})"),
-            &self.set,
-            &formation.chunks,
-            0,
-            formation.cost.distance_ops,
-            formation.cost.rounds,
-            wall.elapsed().as_secs_f64(),
-            None,
-        )
+        self.sr_index(&format!("SERVE / {leaf}"), &self.set, leaf, 0, None)
     }
 
     /// Builds (or opens) the quantized twin of the serving index: the same
@@ -412,28 +394,7 @@ impl Lab {
     pub fn quantized_index(&self, codec_name: &str) -> EvalResult<IndexHandle> {
         let leaf = self.scale.chunk_sizes()[1];
         let label = format!("QUANT {} / {leaf}", codec_name.to_ascii_uppercase());
-        if let Some(h) = self.try_open(&label) {
-            return Ok(h);
-        }
-        let quant = match codec_name {
-            "sq8" => Codec::Sq8(Sq8Codec::from_set(&self.set)),
-            "pq" => Codec::Pq(PqCodec::from_set(&self.set)),
-            other => return Err(format!("unknown codec {other:?} (want sq8 or pq)").into()),
-        };
-        // lint:allow(det.wall_clock): measures real formation cost, reported as wall seconds next to the virtual figures
-        let wall = std::time::Instant::now();
-        let formation = SrTreeChunker { leaf_size: leaf }.form(&self.set);
-        self.persist(
-            &label,
-            &format!("SR-tree static build (leaf = {leaf}) + {codec_name} codes"),
-            &self.set,
-            &formation.chunks,
-            0,
-            formation.cost.distance_ops,
-            formation.cost.rounds,
-            wall.elapsed().as_secs_f64(),
-            Some(&quant),
-        )
+        self.sr_index(&label, &self.set, leaf, 0, Some(codec_name))
     }
 
     /// Builds (or opens) the second chaos-experiment index: an SR-tree
@@ -443,24 +404,7 @@ impl Lab {
     /// medium chunk — the loss curve depends on the chunker).
     pub fn chaos_index(&self) -> EvalResult<IndexHandle> {
         let leaf = self.scale.chunk_sizes()[0];
-        let label = format!("CHAOS / {leaf}");
-        if let Some(h) = self.try_open(&label) {
-            return Ok(h);
-        }
-        // lint:allow(det.wall_clock): measures real formation cost, reported as wall seconds next to the virtual figures
-        let wall = std::time::Instant::now();
-        let formation = SrTreeChunker { leaf_size: leaf }.form(&self.set);
-        self.persist(
-            &label,
-            &format!("SR-tree static build (leaf = {leaf})"),
-            &self.set,
-            &formation.chunks,
-            0,
-            formation.cost.distance_ops,
-            formation.cost.rounds,
-            wall.elapsed().as_secs_f64(),
-            None,
-        )
+        self.sr_index(&format!("CHAOS / {leaf}"), &self.set, leaf, 0, None)
     }
 
     /// The outlier-free collection of the SMALL class (what the paper's
@@ -484,35 +428,29 @@ impl Lab {
         Ok(self.set.subset(&positions))
     }
 
-    /// The DQ workload (cached).
-    pub fn dq(&self) -> EvalResult<Workload> {
-        let path = self
-            .cache_dir
-            .join(format!("dq-{}.json", self.scale.n_queries));
+    /// The workload cached as `name`, or the one `make` draws for the
+    /// scale's query count, saved.
+    fn workload(&self, name: &str, make: impl FnOnce(usize) -> Workload) -> EvalResult<Workload> {
+        let n = self.scale.n_queries;
+        let path = self.cache_dir.join(format!("{name}-{n}.json"));
         if path.exists() {
             return Ok(Workload::load(&path)?);
         }
-        let w = dq_workload(&self.set, self.scale.n_queries, self.scale.seed ^ 0xD0);
+        let w = make(n);
         w.save(&path)?;
         Ok(w)
     }
 
+    /// The DQ workload (cached).
+    pub fn dq(&self) -> EvalResult<Workload> {
+        self.workload("dq", |n| dq_workload(&self.set, n, self.scale.seed ^ 0xD0))
+    }
+
     /// The SQ workload (cached).
     pub fn sq(&self) -> EvalResult<Workload> {
-        let path = self
-            .cache_dir
-            .join(format!("sq-{}.json", self.scale.n_queries));
-        if path.exists() {
-            return Ok(Workload::load(&path)?);
-        }
-        let w = sq_workload(
-            &self.set,
-            self.scale.n_queries,
-            0.05,
-            self.scale.seed ^ 0x50,
-        );
-        w.save(&path)?;
-        Ok(w)
+        self.workload("sq", |n| {
+            sq_workload(&self.set, n, 0.05, self.scale.seed ^ 0x50)
+        })
     }
 
     /// Ground truth of `workload` against `handle` (cached).

@@ -102,7 +102,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "clock.discipline",
-        summary: "ChunkSource decorators forward take_injected_delay; every chunk-consuming path charges the pipeline clock",
+        summary: "every chunk-consuming path charges the pipeline clock",
     },
     RuleInfo {
         id: "err.box_error",

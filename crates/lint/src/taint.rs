@@ -10,11 +10,10 @@
 //!   deep in a helper crate.
 //! * `panic.reach` — an unwaived panic site must not be transitively
 //!   reachable from a public API of a panic-free crate.
-//! * `clock.discipline` — (a) a `ChunkStream` decorator whose
-//!   `next_chunk` delegates must forward `take_injected_delay`, or
-//!   injected fault delays silently vanish from the modelled timeline;
-//!   (b) a public API of a clocked crate must not consume chunks on a
-//!   path that never charges the pipeline/virtual clock.
+//! * `clock.discipline` — a public API of a clocked crate must not
+//!   consume chunks on a path that never charges the pipeline/virtual
+//!   clock. (What a delivery cost travels inside the delivered chunk, so
+//!   a stream decorator has nothing it could forget to forward.)
 //!
 //! Reachability is a per-entry BFS with parent pointers, so every finding
 //! carries its full `entry -> … -> source @ file:line` chain. The
@@ -23,7 +22,7 @@
 
 use crate::graph::Graph;
 use crate::rules::{Finding, Hop, DETERMINISTIC_CRATES};
-use crate::symbols::{CallTarget, Fact, FactKind, Symbol, SymbolId};
+use crate::symbols::{Fact, FactKind, Symbol, SymbolId};
 use std::collections::BTreeMap;
 
 /// Crates whose public APIs must be transitively panic-free: every
@@ -127,7 +126,6 @@ fn render_chain(chain: &[Hop], fact: &Fact, source_file: &str) -> String {
 pub(crate) fn analyze(graph: &Graph) -> Vec<Finding> {
     let mut findings = Vec::new();
     reachability_rules(graph, &mut findings);
-    decorator_rule(graph, &mut findings);
     clock_path_rule(graph, &mut findings);
     findings
 }
@@ -189,63 +187,7 @@ fn reachability_rules(graph: &Graph, findings: &mut Vec<Finding>) {
     }
 }
 
-/// `clock.discipline` (a): a `ChunkStream` impl whose `next_chunk`
-/// delegates to an inner stream must override `take_injected_delay` and
-/// forward it, or fault-injected delays disappear from the timeline.
-fn decorator_rule(graph: &Graph, findings: &mut Vec<Finding>) {
-    // Group ChunkStream impl methods by (crate, type).
-    let mut groups: BTreeMap<(String, String), Vec<&Symbol>> = BTreeMap::new();
-    for sym in &graph.symbols {
-        if sym.trait_name.as_deref() == Some("ChunkStream") {
-            if let Some(ty) = &sym.self_type {
-                groups
-                    .entry((sym.crate_name.clone(), ty.clone()))
-                    .or_default()
-                    .push(sym);
-            }
-        }
-    }
-    for ((_, ty), methods) in &groups {
-        let Some(next) = methods.iter().find(|s| s.name == "next_chunk") else {
-            continue;
-        };
-        let delegates = next
-            .calls
-            .iter()
-            .any(|c| matches!(&c.target, CallTarget::Method { name, .. } if name == "next_chunk"));
-        if !delegates {
-            continue; // a leaf stream, not a decorator
-        }
-        // Forwarding has two halves: the impl overrides
-        // `take_injected_delay` (so its own accumulator is drainable), and
-        // *some* method of the impl pulls the inner stream's delay — real
-        // decorators do the pull inside `next_chunk` and only drain a
-        // local field in `take_injected_delay` itself.
-        let overrides = methods.iter().any(|s| s.name == "take_injected_delay");
-        let pulls_inner = methods.iter().any(|s| {
-            s.calls.iter().any(|c| {
-                matches!(&c.target, CallTarget::Method { name, .. } if name == "take_injected_delay")
-            })
-        });
-        if !(overrides && pulls_inner) {
-            findings.push(Finding {
-                rule: "clock.discipline",
-                file: next.file.clone(),
-                line: next.line,
-                message: format!(
-                    "ChunkStream decorator `{ty}` delegates next_chunk but never forwards take_injected_delay — injected delays would be dropped from the modelled timeline"
-                ),
-                chain: vec![Hop {
-                    name: next.display_name(),
-                    file: next.file.clone(),
-                    line: next.line,
-                }],
-            });
-        }
-    }
-}
-
-/// `clock.discipline` (b): from a public API of a clocked crate, no path
+/// `clock.discipline`: from a public API of a clocked crate, no path
 /// may consume chunks without a modelled-time charge somewhere on it.
 fn clock_path_rule(graph: &Graph, findings: &mut Vec<Finding>) {
     let n = graph.symbols.len();

@@ -95,7 +95,6 @@ fixture_test!(hyg_waiver, "core", "hyg_waiver.rs");
 fixture_test!(waivers_ok, "core", "waivers_ok.rs");
 fixture_test!(tricky_lexing, "core", "tricky_lexing.rs");
 fixture_test!(clock_consume, "serve", "clock_consume_serve.rs");
-fixture_test!(clock_decorator, "chaos", "clock_decorator_chaos.rs");
 
 #[test]
 fn det_taint_crosses_crates_and_respects_waivers() {
@@ -320,7 +319,6 @@ fn every_rule_has_fixture_coverage() {
         include_str!("fixtures/taint_entry_core.rs"),
         include_str!("fixtures/reach_entry_storage.rs"),
         include_str!("fixtures/clock_consume_serve.rs"),
-        include_str!("fixtures/clock_decorator_chaos.rs"),
     ];
     for rule in eff2_lint::RULES {
         let covered = corpus

@@ -28,13 +28,14 @@
 //! delivery the session never consumes was still fetched, charged and
 //! counted — the device did that work — and only its scan is skipped.
 //!
-//! What differs between the four servers is how a job's member sessions
-//! fold into one output — a [`Group`], chosen by the constructor's type:
-//! `Plain` (`scheduler.rs`, also the fleet's), `ImageVotes` (`image.rs`) or
-//! `Live` (`live.rs`). Grouping and device set are independent.
+//! What differs between the servers is how a job's member sessions fold
+//! into one output — a [`Group`], chosen by the constructor's type: `Plain`
+//! (`scheduler.rs`; also the fleet's and the live server's) or `ImageVotes`
+//! (`image.rs`). Grouping and device set are independent.
 //!
 //! A job sees one snapshot for its whole life: the one the engine was
-//! built over, or whatever its fold [pins](Group::pin) at admission. Chunk
+//! built over, or — when the engine holds a mutable index ([`Live`]) — the
+//! epoch that index stands at when the job is admitted. Chunk
 //! ids of different generations name different bytes, so everything keyed
 //! by chunk — the device caches, the most-wanted-chunk tally — is keyed by
 //! `(generation, chunk)`, and a superseded generation's device state is let
@@ -57,6 +58,7 @@
 
 use crate::error::{Result, ServeError};
 use crate::fleet::LossScope;
+use crate::live::Live;
 use crate::scheduler::{Policy, SchedulerConfig, ServeStats};
 use eff2_chaos::{Fault, RetryPolicy};
 use eff2_core::search::{SearchParams, SearchResult};
@@ -65,7 +67,7 @@ use eff2_core::snapshot::Snapshot;
 use eff2_descriptor::Vector;
 use eff2_shard::ShardMap;
 use eff2_storage::diskmodel::{PipelineClock, VirtualDuration};
-use eff2_storage::source::{Fetched, ResidentSource, ResidentStats, SourcedChunk};
+use eff2_storage::source::{ResidentSource, ResidentStats, SourcedChunk};
 use eff2_storage::store::ChunkReader;
 use eff2_storage::ErrorClass;
 use std::cmp::Ordering;
@@ -95,20 +97,6 @@ pub(crate) trait Group {
     type Job;
     /// What a finished job yields.
     type Output;
-
-    /// The snapshot jobs admitted from now on see — a fold over a mutable
-    /// index returns its current epoch. `None` keeps serving the snapshot
-    /// the engine already holds.
-    fn pin(&mut self) -> Option<Snapshot> {
-        None
-    }
-
-    /// One `(io, cpu)` slice of background work, if any is outstanding.
-    /// The engine charges it on device 0 after every tick — and on its own
-    /// while nothing else is left to run.
-    fn background(&mut self) -> Result<Option<(VirtualDuration, VirtualDuration)>> {
-        Ok(None)
-    }
 
     /// Opens a job: one [`Admission::open`] per member.
     fn admit(
@@ -427,10 +415,11 @@ impl Admission<'_> {
 
 /// What one fault-aware fetch produced.
 enum Acquired {
-    /// A copy on device `from` delivered the chunk; `injected` is modelled
-    /// extra latency (spikes plus the cost of failed attempts).
+    /// A copy on device `from` delivered `chunk`; `injected` is the fleet's
+    /// extra latency (spikes plus the cost of failed attempts), which the
+    /// chunk does not carry — a session's private clock runs as if alone.
     Delivered {
-        fetched: Fetched,
+        chunk: SourcedChunk,
         injected: VirtualDuration,
         from: usize,
     },
@@ -452,7 +441,8 @@ pub(crate) struct Drained<G: Group> {
     pub(crate) cross_device_fetches: u64,
     /// Deliveries served by a non-primary copy.
     pub(crate) failovers: u64,
-    pub(crate) group: G,
+    /// The mutable index the engine held, if any.
+    pub(crate) live: Option<Live>,
 }
 
 /// The serving engine. See the [module docs](self).
@@ -461,7 +451,10 @@ pub(crate) struct Engine<G: Group> {
     snapshot: Snapshot,
     config: SchedulerConfig,
     devices: Devices,
-    pub(crate) group: G,
+    group: G,
+    /// A mutable index: each job is pinned to its current epoch at
+    /// admission, and its compactor is the engine's background work.
+    pub(crate) live: Option<Live>,
     last_arrival: VirtualDuration,
     next_id: u64,
     pending: VecDeque<Pending<G::Spec>>,
@@ -499,6 +492,7 @@ impl<G: Group> Engine<G> {
             },
             devices,
             group,
+            live: None,
             last_arrival: VirtualDuration::ZERO,
             next_id: 0,
             pending: VecDeque::new(),
@@ -597,7 +591,7 @@ impl<G: Group> Engine<G> {
             makespan: self.makespan,
             cross_device_fetches: self.cross_device_fetches,
             failovers: self.failovers,
-            group: self.group,
+            live: self.live,
         })
     }
 
@@ -632,9 +626,9 @@ impl<G: Group> Engine<G> {
 
     /// The drive loop: processes backlog until the next tick's device
     /// clock reaches `until` (or, with `None`, until nothing is left).
-    /// Every tick is followed by one slice of the fold's
-    /// [background work](Group::background); with no job left, device 0
-    /// pays the slices on their own.
+    /// Every tick is followed by one `(io, cpu)` slice of the index's
+    /// [background work](Live::background), charged on device 0; with no
+    /// job left, device 0 pays the slices on their own.
     fn drain(&mut self, until: Option<VirtualDuration>) -> Result<()> {
         loop {
             self.catch_up()?;
@@ -654,7 +648,11 @@ impl<G: Group> Engine<G> {
             if let Some(device) = device {
                 self.tick(device)?;
             }
-            match self.group.background()? {
+            let slice = match &mut self.live {
+                Some(live) => live.background()?,
+                None => None,
+            };
+            match slice {
                 Some((io, cpu)) => self.charge(io, cpu),
                 None if device.is_none() => return Ok(()),
                 None => {}
@@ -721,8 +719,8 @@ impl<G: Group> Engine<G> {
             // a device lagging behind the frontier had nothing it was
             // allowed to run.
             self.jump_to(p.arrival);
-            if let Some(pinned) = self.group.pin() {
-                let superseded = std::mem::replace(&mut self.snapshot, pinned);
+            if let Some(live) = &self.live {
+                let superseded = std::mem::replace(&mut self.snapshot, live.pin());
                 self.release(superseded.generation());
             }
             let snapshot = self.snapshot.clone();
@@ -838,12 +836,12 @@ impl<G: Group> Engine<G> {
         let nodes = &mut self.devices.nodes;
         let (at, from) = match &acquired {
             Acquired::Delivered {
-                fetched,
+                chunk,
                 injected,
                 from,
             } => {
                 self.stats.fetches += 1;
-                if fetched.from_disk {
+                if chunk.from_disk {
                     self.stats.disk_reads += 1;
                     self.stats.disk_reads_by_shard[*from] += 1;
                 }
@@ -852,13 +850,13 @@ impl<G: Group> Engine<G> {
                 // scans are CPU on the *ticking* device, one per fed
                 // session summed in key order, ready no earlier than the
                 // delivery.
-                let io = if fetched.from_disk {
-                    model.io_time(fetched.chunk.bytes_read) + *injected
+                let io = if chunk.from_disk {
+                    model.io_time(chunk.bytes_read) + *injected
                 } else {
                     *injected
                 };
                 let io_done = nodes[*from].clock.io_done_after(io);
-                let scan = model.scan_time(fetched.chunk.payload.len());
+                let scan = model.scan_time(chunk.payload.len());
                 let mut cpu = VirtualDuration::ZERO;
                 for _ in &fed {
                     cpu += scan;
@@ -892,9 +890,9 @@ impl<G: Group> Engine<G> {
             // Delivered — charged and counted — on this tick; scanned when
             // the session's cursor gets there: for the cursor rank, now.
             let delivery = match &acquired {
-                Acquired::Delivered { fetched, .. } => {
+                Acquired::Delivered { chunk, .. } => {
                     self.stats.feeds += 1;
-                    Delivery::Chunk(fetched.chunk.clone())
+                    Delivery::Chunk(chunk.clone())
                 }
                 Acquired::Lost { spent } => Delivery::Lost { spent: *spent },
             };
@@ -985,12 +983,12 @@ impl<G: Group> Engine<G> {
                             .source
                             .fetch_through(requester, chunk_id, &mut shelf.reader)
                         {
-                            Ok(fetched) => {
+                            Ok(chunk) => {
                                 if owner != primary {
                                     self.failovers += 1;
                                 }
                                 return Ok(Acquired::Delivered {
-                                    fetched,
+                                    chunk,
                                     injected: spent + delay,
                                     from: o,
                                 });

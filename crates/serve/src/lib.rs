@@ -40,12 +40,12 @@
 //! each query computes.
 //!
 //! Serving under *live mutation* lives in [`live`]: a [`LiveServer`] is
-//! the same engine under a third fold, which merges query and
-//! insert/delete arrivals on one fleet clock, pins each session to the
-//! index's current epoch snapshot at admission, and pays the online
-//! compactor's fold as background work, one slice after each serving
-//! tick — every completion stays bit-identical to a solo run against its
-//! pinned epoch. A pinned epoch is an ordinary
+//! the same engine under the [`Scheduler`]'s fold, holding a mutable
+//! index: it merges query and insert/delete arrivals on one fleet clock,
+//! pins each session to the index's current epoch snapshot at admission,
+//! and pays the online compactor's fold as background work, one slice
+//! after each serving tick — every completion stays bit-identical to a
+//! solo run against its pinned epoch. A pinned epoch is an ordinary
 //! [`Snapshot`](eff2_core::Snapshot), so the three schedulers above serve
 //! one just as well (`tests/pinned_epochs.rs`).
 

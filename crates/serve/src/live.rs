@@ -3,7 +3,7 @@
 //! tick with the search work.
 //!
 //! A [`LiveServer`] is the crate's one serving engine (`engine.rs`) on a
-//! single device under the *live* fold, which owns a [`MutableIndex`]:
+//! single device under the plain fold, holding a [`MutableIndex`]:
 //!
 //! * a **query** arrival is a job — the plain fold's one session per
 //!   query — pinned at admission to the index's current epoch
@@ -28,7 +28,7 @@
 //! completion's [`SearchResult`] is bit-identical to a solo run of the
 //! same query against the completion's own pinned snapshot.
 
-use crate::engine::{Admission, Devices, Engine, Folded, Group, Retired};
+use crate::engine::{inconsistent, Devices, Engine};
 use crate::error::Result;
 use crate::scheduler::{Plain, Policy, SchedulerConfig};
 use eff2_core::search::{SearchParams, SearchResult};
@@ -149,9 +149,8 @@ struct InFlightCompaction {
     cpu_per_tick: VirtualDuration,
 }
 
-/// The live fold: the plain fold's session handling over whatever epoch
-/// the index stands at when a query is admitted, with the compactor's
-/// fold as the engine's background work.
+/// What the engine holds of a mutable index: the epoch each admitted
+/// query is pinned to, and the compactor's fold as background work.
 pub(crate) struct Live {
     index: MutableIndex,
     policy: CompactionPolicy,
@@ -161,6 +160,32 @@ pub(crate) struct Live {
 }
 
 impl Live {
+    /// The epoch the index stands at — what a query admitted now sees.
+    pub(crate) fn pin(&self) -> Snapshot {
+        self.index.pin()
+    }
+
+    /// One `(io, cpu)` slice of the in-flight compaction, if there is one;
+    /// installs the new generation when the last slice is paid.
+    pub(crate) fn background(&mut self) -> Result<Option<(VirtualDuration, VirtualDuration)>> {
+        let Some(c) = self.compaction.as_mut() else {
+            return Ok(None);
+        };
+        let slice = (c.io_per_tick, c.cpu_per_tick);
+        self.stats.compaction_ticks += 1;
+        c.ticks_left -= 1;
+        if c.ticks_left == 0 {
+            if let Some(c) = self.compaction.take() {
+                let stats = self.index.install_compaction(c.plan)?;
+                self.stats.compactions += 1;
+                self.stats.max_installed_chunk =
+                    self.stats.max_installed_chunk.max(stats.max_chunk_after);
+                self.stats.compaction_log.push(stats);
+            }
+        }
+        Ok(Some(slice))
+    }
+
     /// Counts one applied mutation and starts a compaction when the
     /// policy says so: the fold is planned now (deterministically, from
     /// the pinned state) and its cost scheduled over one slice per folded
@@ -192,79 +217,12 @@ impl Live {
     }
 }
 
-impl Group for Live {
-    type Spec = Vector;
-    type Job = (Vector, <Plain as Group>::Job);
-    type Output = LiveCompletion;
-
-    fn pin(&mut self) -> Option<Snapshot> {
-        Some(self.index.pin())
-    }
-
-    /// Pays one slice of the in-flight compaction; installs the new
-    /// generation when the last slice is paid.
-    fn background(&mut self) -> Result<Option<(VirtualDuration, VirtualDuration)>> {
-        let Some(c) = self.compaction.as_mut() else {
-            return Ok(None);
-        };
-        let slice = (c.io_per_tick, c.cpu_per_tick);
-        self.stats.compaction_ticks += 1;
-        c.ticks_left -= 1;
-        if c.ticks_left == 0 {
-            if let Some(c) = self.compaction.take() {
-                let stats = self.index.install_compaction(c.plan)?;
-                self.stats.compactions += 1;
-                self.stats.max_installed_chunk =
-                    self.stats.max_installed_chunk.max(stats.max_chunk_after);
-                self.stats.compaction_log.push(stats);
-            }
-        }
-        Ok(Some(slice))
-    }
-
-    fn admit(
-        &mut self,
-        cx: &mut Admission<'_>,
-        query: &Vector,
-        params: &SearchParams,
-    ) -> Result<Self::Job> {
-        Ok((*query, Plain.admit(cx, query, params)?))
-    }
-
-    fn on_done(&mut self, job: &mut Self::Job, m: u32, result: SearchResult, at: VirtualDuration) {
-        Plain.on_done(&mut job.1, m, result, at);
-    }
-
-    fn finished(&self, job: &Self::Job) -> bool {
-        Plain.finished(&job.1)
-    }
-
-    fn output(
-        &mut self,
-        retired: Retired,
-        (query, job): Self::Job,
-    ) -> Result<Folded<LiveCompletion>> {
-        let snapshot = retired.snapshot.clone();
-        let done = Plain.output(retired, job)?;
-        Ok(Folded {
-            finish: done.finish,
-            degraded: done.degraded,
-            output: LiveCompletion {
-                id: done.output.id,
-                query,
-                arrival: done.output.arrival,
-                finish: done.finish,
-                snapshot,
-                result: done.output.result,
-            },
-        })
-    }
-}
-
 /// The live-mutation server. See the [module docs](self).
 pub struct LiveServer {
-    engine: Engine<Live>,
+    engine: Engine<Plain>,
     params: SearchParams,
+    /// Every query offered so far, by the id the engine gave it.
+    queries: Vec<Vector>,
 }
 
 impl LiveServer {
@@ -275,17 +233,25 @@ impl LiveServer {
             cache_budget_bytes: 0,
             ..SchedulerConfig::new(Policy::FairShare, usize::MAX)
         };
-        let live = Live {
+        let mut engine = Engine::new(index.pin(), config, Devices::new(None), Plain);
+        engine.live = Some(Live {
             policy,
             ops_since_compaction: 0,
             compaction: None,
             stats: LiveStats::default(),
             index,
-        };
+        });
         LiveServer {
-            engine: Engine::new(live.index.pin(), config, Devices::new(None), live),
+            engine,
             params,
+            queries: Vec::new(),
         }
+    }
+
+    /// The index the engine holds for this server.
+    fn live(&mut self) -> Result<&mut Live> {
+        let live = self.engine.live.as_mut();
+        live.ok_or_else(|| inconsistent("live server without its index"))
     }
 
     /// Feeds one event arriving at `at`; events — queries and mutations
@@ -296,15 +262,20 @@ impl LiveServer {
     /// *at* `at`.
     pub fn offer(&mut self, at: VirtualDuration, event: &LiveEvent) -> Result<()> {
         match event {
-            LiveEvent::Query(query) => self.engine.submit(query, &self.params, at).map(drop),
+            LiveEvent::Query(query) => {
+                // Admission is unbounded, so ids count the queries offered.
+                self.engine.submit(query, &self.params, at)?;
+                self.queries.push(*query);
+                Ok(())
+            }
             LiveEvent::Insert { id, vector } => {
                 self.engine.advance_to(at)?;
-                self.engine.group.index.insert(*id, *vector)?;
+                self.live()?.index.insert(*id, *vector)?;
                 self.book_mutation()
             }
             LiveEvent::Delete { id } => {
                 self.engine.advance_to(at)?;
-                self.engine.group.index.delete(*id)?;
+                self.live()?.index.delete(*id)?;
                 self.book_mutation()
             }
         }
@@ -327,9 +298,12 @@ impl LiveServer {
     /// installed generation intact) for further serving.
     pub fn finish(self) -> Result<(LiveReport, MutableIndex)> {
         let drained = self.engine.finish()?;
-        let Live {
+        let Some(Live {
             index, mut stats, ..
-        } = drained.group;
+        }) = drained.live
+        else {
+            return Err(inconsistent("live server without its index"));
+        };
         stats.queries = drained.stats.completed;
         stats.chunks_fed = drained.stats.feeds;
         let final_chunk_loads = index
@@ -338,8 +312,18 @@ impl LiveServer {
             .iter()
             .map(|m| m.count as usize)
             .collect();
+        let completions = drained.outputs.into_iter().zip(self.queries);
         let report = LiveReport {
-            completions: drained.outputs,
+            completions: completions
+                .map(|(done, query)| LiveCompletion {
+                    id: done.id,
+                    query,
+                    arrival: done.arrival,
+                    finish: done.finish,
+                    snapshot: done.snapshot,
+                    result: done.result,
+                })
+                .collect(),
             stats,
             final_chunk_loads,
             makespan: drained.makespan.max(drained.now),
@@ -350,21 +334,22 @@ impl LiveServer {
     /// Books one applied mutation: its manifest append is charged as
     /// fleet I/O, and the compaction policy is consulted.
     fn book_mutation(&mut self) -> Result<()> {
-        let model = self.engine.group.index.model();
+        let model = self.live()?.index.model();
         let append = model.io_time(eff2_storage::chunkfile::RECORD_BYTES as u64);
         self.engine.charge(append, VirtualDuration::ZERO);
-        self.engine.group.mutation_applied()
+        self.live()?.mutation_applied()
     }
 }
 
 impl std::fmt::Debug for LiveServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let live = &self.engine.group;
-        f.debug_struct("LiveServer")
-            .field("policy", &live.policy)
-            .field("active", &self.engine.active())
-            .field("generation", &live.index.generation())
-            .field("epoch", &live.index.epoch())
+        let mut out = f.debug_struct("LiveServer");
+        if let Some(live) = &self.engine.live {
+            out.field("policy", &live.policy)
+                .field("generation", &live.index.generation())
+                .field("epoch", &live.index.epoch());
+        }
+        out.field("active", &self.engine.active())
             .field("now", &self.engine.now())
             .finish()
     }

@@ -119,6 +119,10 @@ pub struct Completion {
     pub deadline: VirtualDuration,
     /// Fleet-clock time at which the query's last chunk scan completed.
     pub finish: VirtualDuration,
+    /// The epoch that answered it: the snapshot the query was pinned to at
+    /// admission. A solo [`Snapshot::search`] against it reproduces
+    /// `result` bit-for-bit.
+    pub snapshot: Snapshot,
     /// The per-query answer and log — bit-identical to a serial run.
     pub result: SearchResult,
 }
@@ -144,6 +148,7 @@ impl Completion {
                 arrival: retired.arrival,
                 deadline: retired.deadline,
                 finish,
+                snapshot: retired.snapshot,
                 result,
             },
         }

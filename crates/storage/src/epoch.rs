@@ -151,7 +151,16 @@ impl EpochManifest {
         }
         let generation = u64_at(body, 8, what)?;
         let folded_ops = u64_at(body, 16, what)?;
-        let n_ops = u64_at(body, 24, what)? as usize;
+        // The count is outside input: an op is at least a tag and an id, so
+        // the bytes present bound it before anything is sized by it.
+        let n_ops = u64_at(body, 24, what)?;
+        let room = body.len().saturating_sub(32);
+        if n_ops > (room / 5) as u64 {
+            return Err(Error::Inconsistent(format!(
+                "epoch manifest declares {n_ops} ops but carries {room} bytes of them"
+            )));
+        }
+        let n_ops = n_ops as usize;
         let mut ops = Vec::with_capacity(n_ops);
         let mut at = 32usize;
         for _ in 0..n_ops {
@@ -426,6 +435,34 @@ mod tests {
         assert!(matches!(
             EpochManifest::from_bytes(&bad[..8]),
             Err(Error::Truncated(_))
+        ));
+    }
+
+    #[test]
+    fn manifest_declaring_more_ops_than_it_carries_is_an_error_not_a_panic() {
+        // A checksum-correct manifest whose op count is 2^60: sizing a
+        // vector by it would abort on capacity overflow.
+        let mut bytes = EpochManifest {
+            generation: 0,
+            folded_ops: 0,
+            ops: vec![DeltaOp::Delete { id: 7 }],
+        }
+        .to_bytes();
+        bytes[24..32].copy_from_slice(&(1u64 << 60).to_le_bytes());
+        let body = bytes.len() - 4;
+        let sum = checksum(&bytes[4..body]);
+        bytes[body..].copy_from_slice(&sum.to_le_bytes());
+        assert!(matches!(
+            EpochManifest::from_bytes(&bytes),
+            Err(Error::Inconsistent(_))
+        ));
+        // One more than the bytes could hold is refused the same way.
+        bytes[24..32].copy_from_slice(&2u64.to_le_bytes());
+        let sum = checksum(&bytes[4..body]);
+        bytes[body..].copy_from_slice(&sum.to_le_bytes());
+        assert!(matches!(
+            EpochManifest::from_bytes(&bytes),
+            Err(Error::Inconsistent(_))
         ));
     }
 

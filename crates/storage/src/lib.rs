@@ -49,7 +49,7 @@ pub use error::{Error, ErrorClass, Result};
 pub use indexfile::ChunkMeta;
 pub use singleflight::{FlightOutcome, FlightStats, SingleFlight};
 pub use source::{
-    ChunkSource, ChunkStream, Fetched, FileSource, PrefetchSource, ReplicatedSource,
-    ResidentSource, ResidentStats, SourcedChunk,
+    ChunkSource, ChunkStream, FileSource, PrefetchSource, ResidentSource, ResidentStats,
+    SourcedChunk,
 };
 pub use store::{ChunkData, ChunkDef, ChunkStore};

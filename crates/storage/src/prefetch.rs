@@ -6,54 +6,38 @@
 //! chunks, to balance the I/O and CPU cost of the search" (§1.1). This
 //! module implements that overlap for real file I/O: a reader thread
 //! fetches chunks in ranked order ahead of the consumer, through a bounded
-//! channel whose depth is the prefetch window.
+//! channel whose depth is the prefetch window. What comes out of the
+//! channel is the same [`SourcedChunk`] every source delivers, so the
+//! iterator is itself the prefetch source's [`ChunkStream`].
 
-use crate::chunkfile::ChunkPayload;
+use crate::diskmodel::VirtualDuration;
 use crate::error::Result;
 use crate::singleflight::SingleFlight;
-use crate::store::{ChunkReader, ChunkStore};
+use crate::source::{read_through, ChunkStream, SourcedChunk};
+use crate::store::ChunkStore;
 use std::sync::mpsc::{sync_channel, Receiver};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// One prefetched chunk: its id, payload and on-disk (padded) byte span.
-///
-/// The payload is behind an `Arc`: when concurrent streams coalesce on one
-/// in-flight read (see [`SingleFlight`]) they all share the leader's
-/// decoded chunk without copying.
-#[derive(Debug)]
-pub struct PrefetchedChunk {
-    /// Chunk id within the store.
-    pub id: usize,
-    /// Decoded payload.
-    pub payload: Arc<ChunkPayload>,
-    /// Bytes transferred from disk (padded page span).
-    pub bytes_read: u64,
-}
-
-/// An iterator over chunks fetched by a background reader thread.
+/// The chunks fetched by a background reader thread, in the requested
+/// order — an iterator, and the [`ChunkStream`] of a
+/// [`PrefetchSource`](crate::source::PrefetchSource). The reader stops
+/// after the first error it sends, so the stream is fused by construction.
 #[derive(Debug)]
 pub struct PrefetchIter {
-    rx: Receiver<Result<PrefetchedChunk>>,
+    rx: Receiver<Result<SourcedChunk>>,
     handle: Option<JoinHandle<()>>,
 }
 
 /// Starts prefetching `order` (chunk ids) from `store` with a reader thread
 /// that stays at most `depth` chunks ahead of the consumer. A zero `depth`
 /// is refused with [`Error::Inconsistent`](crate::Error::Inconsistent).
+///
+/// Reads coalesce through the [`SingleFlight`] table `flight`: when several
+/// streams sharing one table want the same chunk at the same moment, only
+/// one reader thread touches the file and the rest share its decoded
+/// payload (`from_disk` says which). `requester` tags this stream in flight
+/// outcomes; a stream on its own passes a fresh table.
 pub fn prefetch_chunks(
-    store: &ChunkStore,
-    order: Vec<usize>,
-    depth: usize,
-) -> Result<PrefetchIter> {
-    prefetch_chunks_coalesced(store, order, depth, SingleFlight::new(), 0)
-}
-
-/// [`prefetch_chunks`] coalescing reads through a shared [`SingleFlight`]
-/// table: when several streams of one source want the same chunk at the
-/// same moment, only one reader thread touches the file and the rest share
-/// its decoded payload. `requester` tags this stream in flight outcomes.
-pub fn prefetch_chunks_coalesced(
     store: &ChunkStore,
     order: Vec<usize>,
     depth: usize,
@@ -72,22 +56,16 @@ pub fn prefetch_chunks_coalesced(
     let owned = store.clone();
     let (tx, rx) = sync_channel(depth);
     let handle = eff2_parallel::spawn(move || {
-        let mut reader: Option<ChunkReader> = None;
+        let mut reader = None;
         for id in order {
             let item = flight
-                .read(id, requester, || {
-                    let r = match reader.as_mut() {
-                        Some(r) => r,
-                        None => reader.insert(owned.reader()?),
-                    };
-                    let mut payload = ChunkPayload::default();
-                    let bytes_read = r.read_chunk(id, &mut payload)?;
-                    Ok((Arc::new(payload), bytes_read))
-                })
-                .map(|outcome| PrefetchedChunk {
+                .read(id, requester, || read_through(&owned, &mut reader, id))
+                .map(|outcome| SourcedChunk {
                     id,
                     payload: outcome.payload,
                     bytes_read: outcome.bytes_read,
+                    injected_delay: VirtualDuration::ZERO,
+                    from_disk: outcome.led,
                 });
             let failed = item.is_err();
             if tx.send(item).is_err() {
@@ -105,10 +83,16 @@ pub fn prefetch_chunks_coalesced(
 }
 
 impl Iterator for PrefetchIter {
-    type Item = Result<PrefetchedChunk>;
+    type Item = Result<SourcedChunk>;
 
     fn next(&mut self) -> Option<Self::Item> {
         self.rx.recv().ok()
+    }
+}
+
+impl ChunkStream for PrefetchIter {
+    fn next_chunk(&mut self) -> Option<Result<SourcedChunk>> {
+        self.next()
     }
 }
 
@@ -126,6 +110,7 @@ impl Drop for PrefetchIter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunkfile::ChunkPayload;
     use crate::store::ChunkDef;
     use eff2_descriptor::{Descriptor, DescriptorSet, Vector};
     use std::path::PathBuf;
@@ -156,10 +141,15 @@ mod tests {
         (store, set)
     }
 
+    /// A stream on its own: nothing to coalesce with.
+    fn prefetch(store: &ChunkStore, order: Vec<usize>, depth: usize) -> Result<PrefetchIter> {
+        prefetch_chunks(store, order, depth, SingleFlight::new(), 0)
+    }
+
     #[test]
     fn zero_depth_is_a_typed_error_not_a_panic() {
         let (store, _) = store_with_chunks("zero", &[3, 2]);
-        let refused = prefetch_chunks(&store, vec![0, 1], 0);
+        let refused = prefetch(&store, vec![0, 1], 0);
         assert!(matches!(refused, Err(crate::Error::Inconsistent(_))));
     }
 
@@ -167,7 +157,7 @@ mod tests {
     fn delivers_in_requested_order() {
         let (store, _) = store_with_chunks("order", &[3, 5, 2, 4]);
         let order = vec![2usize, 0, 3, 1];
-        let got: Vec<usize> = prefetch_chunks(&store, order.clone(), 2)
+        let got: Vec<usize> = prefetch(&store, order.clone(), 2)
             .expect("prefetch")
             .map(|r| r.expect("chunk").id)
             .collect();
@@ -178,7 +168,7 @@ mod tests {
     fn payloads_match_direct_reads() {
         let (store, _) = store_with_chunks("payload", &[4, 4, 4]);
         let mut reader = store.reader().expect("reader");
-        for item in prefetch_chunks(&store, vec![0, 1, 2], 1).expect("prefetch") {
+        for item in prefetch(&store, vec![0, 1, 2], 1).expect("prefetch") {
             let chunk = item.expect("chunk");
             let mut direct = ChunkPayload::default();
             let bytes = reader.read_chunk(chunk.id, &mut direct).expect("direct");
@@ -190,7 +180,7 @@ mod tests {
     #[test]
     fn early_drop_joins_cleanly() {
         let (store, _) = store_with_chunks("drop", &[2; 20]);
-        let mut iter = prefetch_chunks(&store, (0..20).collect(), 2).expect("prefetch");
+        let mut iter = prefetch(&store, (0..20).collect(), 2).expect("prefetch");
         let first = iter.next().expect("one item").expect("chunk");
         assert_eq!(first.id, 0);
         drop(iter); // must not hang or leak the thread
@@ -199,9 +189,7 @@ mod tests {
     #[test]
     fn bad_chunk_id_surfaces_error() {
         let (store, _) = store_with_chunks("bad", &[2, 2]);
-        let results: Vec<_> = prefetch_chunks(&store, vec![0, 9], 2)
-            .expect("prefetch")
-            .collect();
+        let results: Vec<_> = prefetch(&store, vec![0, 9], 2).expect("prefetch").collect();
         assert_eq!(results.len(), 2);
         assert!(results[0].is_ok());
         assert!(results[1].is_err());
@@ -210,7 +198,7 @@ mod tests {
     #[test]
     fn empty_order_yields_nothing() {
         let (store, _) = store_with_chunks("empty", &[2]);
-        let mut iter = prefetch_chunks(&store, vec![], 1).expect("prefetch");
+        let mut iter = prefetch(&store, vec![], 1).expect("prefetch");
         assert!(iter.next().is_none());
     }
 }

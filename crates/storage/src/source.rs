@@ -9,10 +9,17 @@
 //! `bytes_read` for a given chunk (the padded on-disk page span), so the
 //! virtual disk model charges identical I/O no matter which backend served
 //! the payload: the paper's reported figures do not depend on the source.
+//!
+//! **A delivery is one value.** Everything a consumer learns about one
+//! chunk's arrival — the payload, the bytes the model charges, whether it
+//! went to the disk, the modelled delay that fault-injection and retry
+//! decorators added on the way — is a field of its [`SourcedChunk`], so
+//! handing the chunk on *is* forwarding all of it.
 
 use crate::chunkfile::ChunkPayload;
-use crate::error::{Error, ErrorClass, Result};
-use crate::prefetch::{prefetch_chunks_coalesced, PrefetchIter};
+use crate::diskmodel::VirtualDuration;
+use crate::error::Result;
+use crate::prefetch::prefetch_chunks;
 use crate::singleflight::{FlightStats, SingleFlight};
 use crate::store::{ChunkReader, ChunkStore};
 use std::collections::BTreeMap;
@@ -28,7 +35,7 @@ fn lock_cache(cache: &Mutex<ResidentCache>) -> std::sync::MutexGuard<'_, Residen
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// One delivered chunk: its id, shared payload and on-disk byte span.
+/// One delivered chunk — everything known about the delivery.
 ///
 /// The payload is behind an `Arc` so cache-backed sources can hand the same
 /// decoded chunk to many concurrent queries without copying.
@@ -41,6 +48,15 @@ pub struct SourcedChunk {
     /// Bytes the disk model charges for this chunk (padded page span) —
     /// identical across sources, including cache hits.
     pub bytes_read: u64,
+    /// Modelled time this delivery took beyond the plain page transfer —
+    /// latency spikes, the timeouts and backoff of failed attempts. Zero
+    /// from every plain source; each decorator adds its own share, and the
+    /// consumer charges the sum to the virtual disk clock.
+    pub injected_delay: VirtualDuration,
+    /// Whether this delivery performed the disk read itself, as opposed to
+    /// being served from memory (a pinned cache entry, or a read another
+    /// requester had in flight).
+    pub from_disk: bool,
 }
 
 /// A stream of chunks in the order requested from [`ChunkSource::open_stream`].
@@ -51,16 +67,6 @@ pub struct SourcedChunk {
 pub trait ChunkStream: Send {
     /// Delivers the next chunk of the requested order, `None` when done.
     fn next_chunk(&mut self) -> Option<Result<SourcedChunk>>;
-
-    /// Modelled time the stream spent beyond the plain page transfer on the
-    /// chunk it just delivered — latency spikes, retry timeouts, backoff.
-    /// Consumers take (and thereby reset) the accumulator after a
-    /// successful [`ChunkStream::next_chunk`] and charge it to the virtual
-    /// disk clock. Plain streams never inject delay, so the default is
-    /// always-zero; decorators (fault injection, retry) override it.
-    fn take_injected_delay(&mut self) -> crate::diskmodel::VirtualDuration {
-        crate::diskmodel::VirtualDuration::ZERO
-    }
 }
 
 /// A backend that can deliver chunk payloads for a ranked id sequence.
@@ -73,12 +79,58 @@ pub trait ChunkSource: Send + Sync {
     fn open_stream(&self, order: Vec<usize>) -> Result<Box<dyn ChunkStream>>;
 }
 
+/// One disk read of chunk `id` through `reader`, which is opened on first
+/// use: the decoded payload, ready to share, and the bytes the model charges.
+pub(crate) fn read_through(
+    store: &ChunkStore,
+    reader: &mut Option<ChunkReader>,
+    id: usize,
+) -> Result<(Arc<ChunkPayload>, u64)> {
+    let r = match reader.as_mut() {
+        Some(r) => r,
+        None => reader.insert(store.reader()?),
+    };
+    let mut payload = ChunkPayload::default();
+    let bytes_read = r.read_chunk(id, &mut payload)?;
+    Ok((Arc::new(payload), bytes_read))
+}
+
+/// Delivers `order` one id at a time through `fetch`, fusing after the
+/// first error — the stream of every source that reads on demand.
+struct OrderedStream<F> {
+    order: std::vec::IntoIter<usize>,
+    fetch: F,
+    failed: bool,
+}
+
+fn ordered<F>(order: Vec<usize>, fetch: F) -> Box<dyn ChunkStream>
+where
+    F: FnMut(usize) -> Result<SourcedChunk> + Send + 'static,
+{
+    Box::new(OrderedStream {
+        order: order.into_iter(),
+        fetch,
+        failed: false,
+    })
+}
+
+impl<F: FnMut(usize) -> Result<SourcedChunk> + Send> ChunkStream for OrderedStream<F> {
+    fn next_chunk(&mut self) -> Option<Result<SourcedChunk>> {
+        if self.failed {
+            return None;
+        }
+        let item = (self.fetch)(self.order.next()?);
+        self.failed = item.is_err();
+        Some(item)
+    }
+}
+
 // ---------------------------------------------------------------------------
 // FileSource — one synchronous reader per stream.
 // ---------------------------------------------------------------------------
 
-/// Reads chunks synchronously through a [`ChunkReader`] — the behaviour of
-/// the original in-loop reader, expressed as a source.
+/// Reads chunks synchronously through a [`ChunkReader`]: every delivery is
+/// a disk read.
 #[derive(Clone, Debug)]
 pub struct FileSource {
     store: ChunkStore,
@@ -95,41 +147,18 @@ impl FileSource {
 
 impl ChunkSource for FileSource {
     fn open_stream(&self, order: Vec<usize>) -> Result<Box<dyn ChunkStream>> {
-        Ok(Box::new(FileStream {
-            reader: self.store.reader()?,
-            order,
-            pos: 0,
-            failed: false,
-        }))
-    }
-}
-
-struct FileStream {
-    reader: ChunkReader,
-    order: Vec<usize>,
-    pos: usize,
-    failed: bool,
-}
-
-impl ChunkStream for FileStream {
-    fn next_chunk(&mut self) -> Option<Result<SourcedChunk>> {
-        if self.failed {
-            return None;
-        }
-        let id = self.order.get(self.pos).copied()?;
-        self.pos += 1;
-        let mut payload = ChunkPayload::default();
-        match self.reader.read_chunk(id, &mut payload) {
-            Ok(bytes_read) => Some(Ok(SourcedChunk {
+        let store = self.store.clone();
+        let mut reader = Some(store.reader()?);
+        Ok(ordered(order, move |id| {
+            let (payload, bytes_read) = read_through(&store, &mut reader, id)?;
+            Ok(SourcedChunk {
                 id,
-                payload: Arc::new(payload),
+                payload,
                 bytes_read,
-            })),
-            Err(e) => {
-                self.failed = true;
-                Some(Err(e))
-            }
-        }
+                injected_delay: VirtualDuration::ZERO,
+                from_disk: true,
+            })
+        }))
     }
 }
 
@@ -178,40 +207,13 @@ impl PrefetchSource {
 impl ChunkSource for PrefetchSource {
     fn open_stream(&self, order: Vec<usize>) -> Result<Box<dyn ChunkStream>> {
         let requester = self.next_requester.fetch_add(1, Ordering::Relaxed);
-        Ok(Box::new(PrefetchStream {
-            iter: prefetch_chunks_coalesced(
-                &self.store,
-                order,
-                self.depth,
-                self.flight.clone(),
-                requester,
-            )?,
-            failed: false,
-        }))
-    }
-}
-
-struct PrefetchStream {
-    iter: PrefetchIter,
-    failed: bool,
-}
-
-impl ChunkStream for PrefetchStream {
-    fn next_chunk(&mut self) -> Option<Result<SourcedChunk>> {
-        if self.failed {
-            return None;
-        }
-        match self.iter.next()? {
-            Ok(chunk) => Some(Ok(SourcedChunk {
-                id: chunk.id,
-                payload: chunk.payload,
-                bytes_read: chunk.bytes_read,
-            })),
-            Err(e) => {
-                self.failed = true;
-                Some(Err(e))
-            }
-        }
+        Ok(Box::new(prefetch_chunks(
+            &self.store,
+            order,
+            self.depth,
+            self.flight.clone(),
+            requester,
+        )?))
     }
 }
 
@@ -256,7 +258,7 @@ struct ResidentEntry {
 /// LRU victim itself is already unambiguous (ticks are unique), so the
 /// swap changes no observable behaviour, only removes the nondeterminism
 /// hazard.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct ResidentCache {
     entries: BTreeMap<usize, ResidentEntry>,
     budget: u64,
@@ -375,17 +377,6 @@ pub struct ResidentSource {
     next_requester: Arc<AtomicU64>,
 }
 
-/// One chunk delivered by [`ResidentSource::fetch`], tagged with whether it
-/// came off the disk (this requester led the read) or from memory (pinned
-/// entry or a read someone else had in flight).
-#[derive(Clone, Debug)]
-pub struct Fetched {
-    /// The delivered chunk.
-    pub chunk: SourcedChunk,
-    /// Whether this request performed the underlying disk read.
-    pub from_disk: bool,
-}
-
 impl ResidentSource {
     /// A resident source over `store` pinning at most `budget_bytes` of
     /// decoded chunk data. Clones share the same cache.
@@ -393,14 +384,8 @@ impl ResidentSource {
         ResidentSource {
             store: store.clone(),
             cache: Arc::new(Mutex::new(ResidentCache {
-                entries: BTreeMap::new(),
                 budget: budget_bytes,
-                used: 0,
-                tick: 0,
-                hits: 0,
-                cross_query_hits: 0,
-                misses: 0,
-                evictions: 0,
+                ..ResidentCache::default()
             })),
             flight: SingleFlight::new(),
             next_requester: Arc::new(AtomicU64::new(0)),
@@ -430,28 +415,23 @@ impl ResidentSource {
     /// Random-access delivery of chunk `id` on behalf of `requester`:
     /// cache lookup, then a single-flight read on a miss. This is the
     /// entry point the serving scheduler uses — no stream, no fixed order.
-    pub fn fetch(&self, requester: u64, id: usize) -> Result<Fetched> {
-        self.fetch_through(requester, id, &mut None)
-    }
-
-    /// [`fetch`](Self::fetch) reusing a caller-held reader across calls
-    /// (opened lazily on the first miss; an all-hit caller never touches
-    /// the disk).
+    /// `reader` is the caller's to keep across calls: it is opened on the
+    /// first miss, so an all-hit caller never touches the disk.
     pub fn fetch_through(
         &self,
         requester: u64,
         id: usize,
         reader: &mut Option<ChunkReader>,
-    ) -> Result<Fetched> {
-        if let Some((payload, bytes_read)) = lock_cache(&self.cache).lookup(id, requester) {
-            return Ok(Fetched {
-                chunk: SourcedChunk {
-                    id,
-                    payload,
-                    bytes_read,
-                },
-                from_disk: false,
-            });
+    ) -> Result<SourcedChunk> {
+        let delivered = |(payload, bytes_read), from_disk| SourcedChunk {
+            id,
+            payload,
+            bytes_read,
+            injected_delay: VirtualDuration::ZERO,
+            from_disk,
+        };
+        if let Some(hit) = lock_cache(&self.cache).lookup(id, requester) {
+            return Ok(delivered(hit, false));
         }
 
         // Miss: read outside the lock, coalescing with any read of the
@@ -467,13 +447,7 @@ impl ResidentSource {
                 found_published = true;
                 return Ok(hit);
             }
-            let r = match reader.as_mut() {
-                Some(r) => r,
-                None => reader.insert(self.store.reader()?),
-            };
-            let mut payload = ChunkPayload::default();
-            let bytes_read = r.read_chunk(id, &mut payload)?;
-            let payload = Arc::new(payload);
+            let (payload, bytes_read) = read_through(&self.store, reader, id)?;
             let mut cache = lock_cache(&self.cache);
             cache.note_miss();
             cache.insert(id, Arc::clone(&payload), bytes_read, requester);
@@ -483,194 +457,21 @@ impl ResidentSource {
         if !outcome.led {
             lock_cache(&self.cache).note_coalesced_hit(outcome.leader != requester);
         }
-        Ok(Fetched {
-            chunk: SourcedChunk {
-                id,
-                payload: outcome.payload,
-                bytes_read: outcome.bytes_read,
-            },
-            from_disk: outcome.led && !found_published,
-        })
+        Ok(delivered(
+            (outcome.payload, outcome.bytes_read),
+            outcome.led && !found_published,
+        ))
     }
 }
 
 impl ChunkSource for ResidentSource {
     fn open_stream(&self, order: Vec<usize>) -> Result<Box<dyn ChunkStream>> {
-        Ok(Box::new(ResidentStream {
-            source: self.clone(),
-            requester: self.new_requester(),
-            reader: None,
-            order,
-            pos: 0,
-            failed: false,
+        let source = self.clone();
+        let requester = self.new_requester();
+        let mut reader = None;
+        Ok(ordered(order, move |id| {
+            source.fetch_through(requester, id, &mut reader)
         }))
-    }
-}
-
-struct ResidentStream {
-    source: ResidentSource,
-    requester: u64,
-    /// Opened on the first cache miss — an all-hit stream never touches disk.
-    reader: Option<ChunkReader>,
-    order: Vec<usize>,
-    pos: usize,
-    failed: bool,
-}
-
-impl ChunkStream for ResidentStream {
-    fn next_chunk(&mut self) -> Option<Result<SourcedChunk>> {
-        if self.failed {
-            return None;
-        }
-        let id = self.order.get(self.pos).copied()?;
-        self.pos += 1;
-        match self
-            .source
-            .fetch_through(self.requester, id, &mut self.reader)
-        {
-            Ok(fetched) => Some(Ok(fetched.chunk)),
-            Err(e) => {
-                self.failed = true;
-                Some(Err(e))
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// ReplicatedSource — R-way failover across copy sources.
-// ---------------------------------------------------------------------------
-
-/// A [`ChunkSource`] decorator with R-way replica failover: each chunk is
-/// fetched from the first of `copies` (primary first, per chunk) that can
-/// deliver it. A copy that fails with a **permanent**-class error hands
-/// over to the next copy; transient-class errors propagate (retry layers
-/// sit *inside* a copy's stack, not above it). Only when every copy fails
-/// permanently does the stream report the chunk as
-/// [`ChunkLost`](crate::Error::ChunkLost), with the modelled time of
-/// every failed copy's attempts accumulated into `spent`.
-///
-/// `copy_order` maps a chunk to the order its copies are tried in (e.g. a
-/// shard map's owner list); chunks it returns an empty order for are
-/// immediately lost. With a single copy and an identity order this is a
-/// bit-identical passthrough.
-pub struct ReplicatedSource {
-    copies: Vec<Arc<dyn ChunkSource>>,
-    copy_order: Arc<dyn Fn(usize) -> Vec<u32> + Send + Sync>,
-}
-
-impl ReplicatedSource {
-    /// A replicated view over `copies` where every chunk tries the copies
-    /// in index order — uniform replication.
-    pub fn new(copies: Vec<Arc<dyn ChunkSource>>) -> ReplicatedSource {
-        let n = copies.len() as u32;
-        ReplicatedSource {
-            copies,
-            copy_order: Arc::new(move |_| (0..n).collect()),
-        }
-    }
-
-    /// A replicated view with a per-chunk copy order (a placement map's
-    /// owner list). Indices out of range of `copies` are skipped.
-    pub fn with_copy_order(
-        copies: Vec<Arc<dyn ChunkSource>>,
-        copy_order: Arc<dyn Fn(usize) -> Vec<u32> + Send + Sync>,
-    ) -> ReplicatedSource {
-        ReplicatedSource { copies, copy_order }
-    }
-}
-
-impl ChunkSource for ReplicatedSource {
-    fn open_stream(&self, order: Vec<usize>) -> Result<Box<dyn ChunkStream>> {
-        Ok(Box::new(ReplicatedStream {
-            copies: self.copies.clone(),
-            copy_order: self.copy_order.clone(),
-            order,
-            pos: 0,
-            injected: crate::diskmodel::VirtualDuration::ZERO,
-            failed: false,
-        }))
-    }
-}
-
-struct ReplicatedStream {
-    copies: Vec<Arc<dyn ChunkSource>>,
-    copy_order: Arc<dyn Fn(usize) -> Vec<u32> + Send + Sync>,
-    order: Vec<usize>,
-    pos: usize,
-    injected: crate::diskmodel::VirtualDuration,
-    failed: bool,
-}
-
-impl ChunkStream for ReplicatedStream {
-    fn next_chunk(&mut self) -> Option<Result<SourcedChunk>> {
-        if self.failed {
-            return None;
-        }
-        let id = self.order.get(self.pos).copied()?;
-        self.pos += 1;
-        let mut spent = crate::diskmodel::VirtualDuration::ZERO;
-        let mut attempts = 0u32;
-        for copy_ix in (self.copy_order)(id) {
-            let Some(copy) = self.copies.get(copy_ix as usize) else {
-                continue;
-            };
-            // One single-chunk stream per failover hop: replica reads are
-            // the exception, so per-chunk opens keep the common path (the
-            // primary delivering) as cheap as the underlying source.
-            let mut stream = match copy.open_stream(vec![id]) {
-                Ok(s) => s,
-                Err(e) if e.class() == ErrorClass::Permanent => {
-                    attempts += 1;
-                    continue;
-                }
-                Err(e) => {
-                    self.failed = true;
-                    return Some(Err(e));
-                }
-            };
-            match stream.next_chunk() {
-                Some(Ok(chunk)) => {
-                    // Failed earlier copies' modelled cost rides the
-                    // injected-delay channel, like a retry layer's backoff.
-                    self.injected += spent + stream.take_injected_delay();
-                    return Some(Ok(chunk));
-                }
-                Some(Err(e)) => match e.class() {
-                    ErrorClass::Permanent => {
-                        if let Error::ChunkLost {
-                            spent: s,
-                            attempts: a,
-                            ..
-                        } = &e
-                        {
-                            spent += *s;
-                            attempts += *a;
-                        } else {
-                            attempts += 1;
-                        }
-                        spent += stream.take_injected_delay();
-                    }
-                    _ => {
-                        self.failed = true;
-                        return Some(Err(e));
-                    }
-                },
-                None => {
-                    attempts += 1;
-                }
-            }
-        }
-        self.failed = true;
-        Some(Err(Error::ChunkLost {
-            chunk: id,
-            attempts,
-            spent,
-        }))
-    }
-
-    fn take_injected_delay(&mut self) -> crate::diskmodel::VirtualDuration {
-        std::mem::take(&mut self.injected)
     }
 }
 
@@ -728,6 +529,8 @@ mod tests {
             assert_eq!(chunk.id, id);
             assert_eq!(*chunk.payload, direct);
             assert_eq!(chunk.bytes_read, bytes);
+            assert!(chunk.from_disk, "every file delivery is a disk read");
+            assert_eq!(chunk.injected_delay, VirtualDuration::ZERO);
         }
     }
 
@@ -759,6 +562,8 @@ mod tests {
                 assert_eq!(a.id, b.id, "pass {pass}");
                 assert_eq!(a.payload, b.payload, "pass {pass}");
                 assert_eq!(a.bytes_read, b.bytes_read, "pass {pass}");
+                assert_eq!(b.from_disk, pass == 0, "only the first delivery reads");
+                assert_eq!(b.injected_delay, VirtualDuration::ZERO);
             }
         }
         let stats = resident.stats();
@@ -820,15 +625,17 @@ mod tests {
     fn cross_query_hits_are_attributed() {
         let store = store_with_chunks("xquery", &[3]);
         let resident = ResidentSource::new(&store, u64::MAX);
+        let mut reader = None;
+        let mut fetch = |tag| resident.fetch_through(tag, 0, &mut reader).expect("fetch");
         let tag_a = resident.new_requester();
-        let first = resident.fetch(tag_a, 0).expect("fetch a");
+        let first = fetch(tag_a);
         assert!(first.from_disk);
-        let again = resident.fetch(tag_a, 0).expect("refetch a");
+        let again = fetch(tag_a);
         assert!(!again.from_disk);
         let tag_b = resident.new_requester();
-        let other = resident.fetch(tag_b, 0).expect("fetch b");
+        let other = fetch(tag_b);
         assert!(!other.from_disk);
-        assert_eq!(first.chunk.payload, other.chunk.payload);
+        assert_eq!(first.payload, other.payload);
         let stats = resident.stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 2);
@@ -899,154 +706,6 @@ mod tests {
             assert!(stream.next_chunk().expect("first").is_ok());
             assert!(stream.next_chunk().expect("second").is_err());
             assert!(stream.next_chunk().is_none(), "stream must fuse");
-        }
-    }
-
-    /// A copy source whose listed chunks are permanently unreadable.
-    struct HoleySource {
-        inner: FileSource,
-        holes: Vec<usize>,
-        spent_ms: f64,
-    }
-
-    struct HoleyStream {
-        inner: Box<dyn ChunkStream>,
-        holes: Vec<usize>,
-        spent_ms: f64,
-        order: Vec<usize>,
-        pos: usize,
-    }
-
-    impl ChunkSource for HoleySource {
-        fn open_stream(&self, order: Vec<usize>) -> Result<Box<dyn ChunkStream>> {
-            Ok(Box::new(HoleyStream {
-                inner: self.inner.open_stream(
-                    order
-                        .iter()
-                        .copied()
-                        .filter(|c| !self.holes.contains(c))
-                        .collect(),
-                )?,
-                holes: self.holes.clone(),
-                spent_ms: self.spent_ms,
-                order,
-                pos: 0,
-            }))
-        }
-    }
-
-    impl ChunkStream for HoleyStream {
-        fn next_chunk(&mut self) -> Option<Result<SourcedChunk>> {
-            let id = self.order.get(self.pos).copied()?;
-            self.pos += 1;
-            if self.holes.contains(&id) {
-                Some(Err(Error::ChunkLost {
-                    chunk: id,
-                    attempts: 1,
-                    spent: crate::diskmodel::VirtualDuration::from_ms(self.spent_ms),
-                }))
-            } else {
-                self.inner.next_chunk()
-            }
-        }
-    }
-
-    #[test]
-    fn replicated_single_copy_is_a_passthrough() {
-        let store = store_with_chunks("repl_pass", &[2, 2, 2]);
-        let direct = drain(&FileSource::new(&store), vec![0, 1, 2]);
-        let replicated = ReplicatedSource::new(vec![Arc::new(FileSource::new(&store))]);
-        let via = drain(&replicated, vec![0, 1, 2]);
-        assert_eq!(direct.len(), via.len());
-        for (d, v) in direct.iter().zip(via.iter()) {
-            assert_eq!(d.id, v.id);
-            assert_eq!(d.bytes_read, v.bytes_read);
-            assert_eq!(d.payload.ids, v.payload.ids);
-        }
-    }
-
-    #[test]
-    fn failover_masks_a_primary_loss_and_charges_its_cost() {
-        let store = store_with_chunks("repl_fail", &[2, 2, 2]);
-        let primary = HoleySource {
-            inner: FileSource::new(&store),
-            holes: vec![1],
-            spent_ms: 25.0,
-        };
-        let replica = FileSource::new(&store);
-        let replicated = ReplicatedSource::new(vec![Arc::new(primary), Arc::new(replica)]);
-        let mut stream = replicated.open_stream(vec![0, 1, 2]).expect("open");
-        let a = stream.next_chunk().expect("c0").expect("ok");
-        assert_eq!(a.id, 0);
-        assert_eq!(stream.take_injected_delay().as_ms(), 0.0);
-        let b = stream.next_chunk().expect("c1").expect("ok");
-        assert_eq!(b.id, 1, "replica must deliver the primary's hole");
-        assert!(
-            (stream.take_injected_delay().as_ms() - 25.0).abs() < 1e-9,
-            "failed primary's spent must ride the injected-delay channel"
-        );
-        let c = stream.next_chunk().expect("c2").expect("ok");
-        assert_eq!(c.id, 2);
-    }
-
-    #[test]
-    fn all_copies_lost_reports_chunk_lost_with_summed_spent() {
-        let store = store_with_chunks("repl_lost", &[2, 2]);
-        let copies: Vec<Arc<dyn ChunkSource>> = (0..3)
-            .map(|_| {
-                Arc::new(HoleySource {
-                    inner: FileSource::new(&store),
-                    holes: vec![0],
-                    spent_ms: 10.0,
-                }) as Arc<dyn ChunkSource>
-            })
-            .collect();
-        let replicated = ReplicatedSource::new(copies);
-        let mut stream = replicated.open_stream(vec![0]).expect("open");
-        match stream.next_chunk().expect("item") {
-            Err(Error::ChunkLost {
-                chunk,
-                attempts,
-                spent,
-            }) => {
-                assert_eq!(chunk, 0);
-                assert_eq!(attempts, 3);
-                assert!((spent.as_ms() - 30.0).abs() < 1e-9);
-            }
-            other => panic!("expected ChunkLost, got {other:?}"),
-        }
-        assert!(stream.next_chunk().is_none(), "stream must fuse");
-    }
-
-    #[test]
-    fn copy_order_routes_primaries_per_chunk() {
-        let store = store_with_chunks("repl_order", &[2, 2]);
-        // Copy 0 is missing chunk 0; copy 1 is missing chunk 1. A per-chunk
-        // order that starts chunk 0 on copy 1 (and vice versa) never fails
-        // over at all.
-        let c0 = HoleySource {
-            inner: FileSource::new(&store),
-            holes: vec![0],
-            spent_ms: 5.0,
-        };
-        let c1 = HoleySource {
-            inner: FileSource::new(&store),
-            holes: vec![1],
-            spent_ms: 5.0,
-        };
-        let replicated = ReplicatedSource::with_copy_order(
-            vec![Arc::new(c0), Arc::new(c1)],
-            Arc::new(|chunk| if chunk == 0 { vec![1, 0] } else { vec![0, 1] }),
-        );
-        let mut stream = replicated.open_stream(vec![0, 1]).expect("open");
-        for want in [0usize, 1] {
-            let got = stream.next_chunk().expect("item").expect("ok");
-            assert_eq!(got.id, want);
-            assert_eq!(
-                stream.take_injected_delay().as_ms(),
-                0.0,
-                "well-routed reads never pay failover cost"
-            );
         }
     }
 

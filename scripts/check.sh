@@ -92,6 +92,10 @@ rm -rf "$EXP9_OUT"
 
 # A compile-and-run smoke of the bench targets, nothing more: figures for
 # claims come from `perfbench --out` / `--compare` (see BENCHMARK.json).
+# Every bench target is compiled; only the six named below are run.
+echo "==> cargo bench --no-run (all twelve bench targets compile)"
+cargo bench -p eff2-bench --no-run
+
 echo "==> criterion benches (reduced sampling: kernels, batch_search, scheduler, fleet, compaction, image_vote)"
 EFF2_BENCH_SCALE=4000 cargo bench -p eff2-bench \
   --bench kernels --bench batch_search --bench scheduler_throughput --bench fleet \
