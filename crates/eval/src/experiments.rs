@@ -1,37 +1,112 @@
 //! The experiments: each function regenerates one or more of the paper's
-//! tables/figures, prints aligned tables and writes CSV series next to
-//! them.
+//! tables/figures as a [`Report`]. [`EXPERIMENTS`] is the one list of them
+//! — usage text, dispatch and `all` are read off it — and [`run`] the one
+//! place a report is printed and its CSV series saved.
 // lint:allow-file(panic.index): result tables are sized by the experiment grid that indexes them
 
 use crate::lab::{IndexHandle, Lab};
+use crate::report::{yes_no, Report};
 use crate::EvalResult;
 use eff2_chaos::plan::TRANSIENT_CLEAR;
 use eff2_chaos::{Fault, FaultConfig, FaultPlan, FaultSource, RetryPolicy, RetrySource};
 use eff2_core::chunkers::{ChunkFormer, RoundRobinChunker, SrTreeChunker};
 use eff2_core::coarse::CoarseQuantizer;
-use eff2_core::image::{solo_image_search, ImageStopRule};
+use eff2_core::image::{solo_image_search, ImageOutcome, ImageStopRule};
 use eff2_core::search::{search, SearchParams, SearchResult, StopRule};
 use eff2_core::session::{evaluate_stop_rules, SearchSession, SkipPolicy};
 use eff2_core::snapshot::Snapshot;
 use eff2_core::{search_quantized_with, search_two_level};
-use eff2_descriptor::Vector;
+use eff2_descriptor::{DimensionStats, Vector};
 use eff2_epoch::MutableIndex;
 use eff2_metrics::{
     avg_spent_fraction, descriptors_spent_curve, fleet_quality_curve, image_precision_at,
     imbalance_factor, precision_at, GroundTruth, LatencySummary, QualityCurve, Table,
 };
 use eff2_serve::{
-    merge_timelines, CompactionPolicy, FleetConfig, FleetScheduler, ImageConfig, ImageQuerySpec,
-    ImageScheduler, LiveEvent, LiveServer, Policy, Scheduler, SchedulerConfig,
+    merge_timelines, CompactionPolicy, Completion, FleetConfig, FleetScheduler, ImageConfig,
+    ImageQuerySpec, ImageScheduler, LiveEvent, LiveServer, Policy, Scheduler, SchedulerConfig,
+    ServeReport,
 };
 use eff2_shard::Placement;
 use eff2_storage::diskmodel::VirtualDuration;
 use eff2_storage::source::{ChunkSource, FileSource};
 use eff2_workload::{
     image_of_map, image_queries, poisson_arrivals, skewed_mutation_trace, zipf_assignments,
-    MutationOp,
+    MutationOp, Workload,
 };
 use std::sync::Arc;
+
+// ---------------------------------------------------------------------------
+// The registry and its runner
+// ---------------------------------------------------------------------------
+
+/// One `eff2-eval` command: its name, a one-line summary for the usage
+/// text, and the function that runs it.
+pub type Experiment = (&'static str, &'static str, fn(&Lab) -> EvalResult<Report>);
+
+/// Every command, in the order `all` runs them. Adding an experiment is
+/// one entry here plus its function.
+#[rustfmt::skip]
+pub const EXPERIMENTS: &[Experiment] = &[
+    ("gen", "generate (or load) the synthetic collection and print stats", collection),
+    ("indexes", "build the six chunk indexes (BAG + SR at three sizes)", indexes),
+    ("table1", "Table 1  — chunk index properties", table1),
+    ("fig1", "Figure 1 — sizes of the 30 largest chunks", fig1),
+    ("exp1", "Figures 2–5 and Table 2 — quality vs time, six indexes", exp1),
+    ("table2", "Table 2 only (runs/loads exp1 curves)", table2),
+    ("exp2", "Figures 6–7 — the chunk-size sweep", exp2),
+    ("exp3", "the stop-rule sweep — every rule answered from one scan", exp3),
+    ("exp4", "the serving sweep — scheduler policies × concurrency levels", exp4),
+    ("exp5", "the chaos sweep — quality degradation under injected chunk loss", exp5),
+    ("exp6", "the quantization sweep — ADC scans, rerank depths, two-level ranking", exp6),
+    ("exp7", "the sharded-fleet sweep — shards × replication × placement, with failover", exp7),
+    ("exp8", "the live-mutation sweep — ingest rate × compaction policy × chunker", exp8),
+    ("exp9", "the image-query sweep — vote aggregation, stop rules × windows × concurrency", exp9),
+];
+
+/// The registry entries `command` names — all of them for `all` — or
+/// `None` for a command nobody registered.
+pub fn resolve(command: &str) -> Option<&'static [Experiment]> {
+    if command == "all" {
+        return Some(EXPERIMENTS);
+    }
+    let at = EXPERIMENTS.iter().position(|(name, ..)| *name == command)?;
+    EXPERIMENTS.get(at..=at)
+}
+
+/// The CLI usage text; its command list is the registry.
+pub fn usage() -> String {
+    let mut text = String::from(
+        "usage: eff2-eval <command> [--scale N] [--queries N] [--seed S] [--out DIR]\n\ncommands:\n",
+    );
+    for (name, summary, _) in EXPERIMENTS {
+        text += &format!("  {name:<8} {summary}\n");
+    }
+    text + "  all      everything above, in order\n"
+}
+
+/// Runs `selected` in order on `lab`: prints each report and saves its CSV
+/// series under [`Lab::results_dir`]; once everything is printed, names
+/// every failed gate on stderr. Returns the process exit status: 1 if any
+/// gate failed, 0 otherwise.
+pub fn run(selected: &[Experiment], lab: &Lab) -> EvalResult<i32> {
+    let dir = lab.results_dir()?;
+    let mut failed = Vec::new();
+    for (name, _, experiment) in selected {
+        let report = experiment(lab)?;
+        print!("{}", report.text);
+        report.save_csvs(&dir)?;
+        failed.extend(report.failed().iter().map(|gate| format!("{name}: {gate}")));
+    }
+    for gate in &failed {
+        eprintln!("gate failed — {gate}");
+    }
+    Ok(i32::from(!failed.is_empty()))
+}
+
+// ---------------------------------------------------------------------------
+// Shared pieces
+// ---------------------------------------------------------------------------
 
 /// The neighbour counts Figures 6/7 trace (scaled to the configured k).
 pub fn sweep_neighbor_marks(k: usize) -> Vec<usize> {
@@ -52,13 +127,150 @@ fn fmt_f(x: f64, digits: usize) -> String {
     }
 }
 
+/// A table whose columns are `first` followed by `rest`.
+fn table_with(title: &str, first: &str, rest: impl Iterator<Item = String>) -> Table {
+    let headers: Vec<String> = std::iter::once(first.to_string()).chain(rest).collect();
+    let headers: Vec<&str> = headers.iter().map(String::as_str).collect();
+    Table::new(title, &headers)
+}
+
+/// The DQ workload, which experiment `who` cannot run without.
+fn dq_of(lab: &Lab, who: &str) -> EvalResult<Workload> {
+    let dq = lab.dq()?;
+    if dq.is_empty() {
+        return Err(format!("{who} needs a non-empty DQ workload").into());
+    }
+    Ok(dq)
+}
+
+/// Search parameters as every experiment runs them: prefetch depth 2, no
+/// per-chunk snapshots.
+fn search_params(k: usize, stop: StopRule) -> SearchParams {
+    SearchParams {
+        k,
+        stop,
+        prefetch_depth: 2,
+        log_snapshots: false,
+    }
+}
+
+/// A retry budget that always clears transient faults
+/// ([`TRANSIENT_CLEAR`]` + 1` attempts).
+fn clearing_retry() -> RetryPolicy {
+    RetryPolicy::new(
+        TRANSIENT_CLEAR + 1,
+        VirtualDuration::from_ms(5.0),
+        VirtualDuration::from_ms(1.0),
+    )
+}
+
+/// Precision of `result` against query `qi`'s ground truth.
+fn precision_of(result: &SearchResult, truth: &GroundTruth, qi: usize) -> f64 {
+    let ids: Vec<u32> = result.neighbors.iter().map(|n| n.id).collect();
+    precision_at(&ids, &truth.ids[qi])
+}
+
+// ---------------------------------------------------------------------------
+// The serving-sweep scaffold (experiments 4, 7, 8 and 9)
+// ---------------------------------------------------------------------------
+
+/// The per-descriptor stop rule the serving sweeps run under.
+const SERVING_STOP: StopRule = StopRule::ToCompletionEps(0.5);
+
+/// What a serving sweep offers its schedulers.
+struct Offered {
+    /// Each query answered alone, one at a time — the answers every
+    /// scheduled run must reproduce bit for bit.
+    serial: Vec<SearchResult>,
+    /// The arrival rate of `trace`.
+    rate_qps: f64,
+    /// The queries as a Poisson arrival trace.
+    trace: Vec<(Vector, VirtualDuration)>,
+}
+
+/// Answers `queries` serially on `snap`, then offers them as a Poisson
+/// trace at `load`× the serial service rate: past 1× the device saturates,
+/// a backlog of concurrent sessions builds up, and the policies genuinely
+/// contend for the next chunk.
+fn offer(
+    snap: &Snapshot,
+    queries: &[Vector],
+    params: &SearchParams,
+    load: f64,
+    seed: u64,
+) -> EvalResult<Offered> {
+    let mut serial = Vec::with_capacity(queries.len());
+    let mut serial_secs = 0.0f64;
+    for query in queries {
+        let r = snap.search(query, params)?;
+        serial_secs += r.log.total_virtual.as_secs();
+        serial.push(r);
+    }
+    let rate_qps = load * queries.len() as f64 / serial_secs.max(1e-9);
+    let arrivals = poisson_arrivals(queries.len(), rate_qps, seed).arrivals;
+    let timed = queries.iter().zip(&arrivals);
+    let trace = timed.map(|(q, &t)| (*q, VirtualDuration::from_secs(t)));
+    Ok(Offered {
+        serial,
+        rate_qps,
+        trace: trace.collect(),
+    })
+}
+
+/// Whether `report` completed every query of `serial`, each bit-identical
+/// to its serial answer in the one sense the workspace has:
+/// [`SearchResult::first_difference`] finds nothing.
+fn reproduces(report: &ServeReport, serial: &[SearchResult]) -> bool {
+    let same = |c: &Completion| serial[c.id as usize].first_difference(&c.result).is_none();
+    report.stats.rejected == 0
+        && report.completions.len() == serial.len()
+        && report.completions.iter().all(same)
+}
+
+/// The summary (p50, p99, …) of a run's arrival-to-finish latencies.
+fn latency_summary(latencies: impl Iterator<Item = VirtualDuration>) -> LatencySummary {
+    LatencySummary::from_secs(&latencies.map(|l| l.as_secs()).collect::<Vec<_>>())
+}
+
+// ---------------------------------------------------------------------------
+// The collection and its indexes
+// ---------------------------------------------------------------------------
+
+/// `gen`: generates (or loads) the collection and prints its size and
+/// first-dimension statistics.
+pub fn collection(lab: &Lab) -> EvalResult<Report> {
+    let stats = DimensionStats::compute(&lab.set);
+    let mut report = Report::default();
+    report.line(&format!(
+        "collection: {} descriptors, dim mean[0] = {:.3}, var[0] = {:.3}",
+        stats.count, stats.mean[0], stats.variance[0]
+    ));
+    Ok(report)
+}
+
+/// `indexes`: builds (or opens) the six chunk indexes and lists them.
+pub fn indexes(lab: &Lab) -> EvalResult<Report> {
+    let mut report = Report::default();
+    for h in lab.six_indexes()? {
+        report.line(&format!(
+            "{:<14} chunks = {:>6}  mean size = {:>8.1}  outliers = {:>7} ({:.1}%)",
+            h.meta.label,
+            h.meta.n_chunks,
+            h.meta.mean_chunk_size,
+            h.meta.discarded,
+            100.0 * h.meta.discarded as f64 / h.meta.total_input.max(1) as f64,
+        ));
+    }
+    Ok(report)
+}
+
 // ---------------------------------------------------------------------------
 // Table 1
 // ---------------------------------------------------------------------------
 
 /// Regenerates **Table 1**: properties of the BAG and SR-tree chunk
 /// indexes (retained/discarded descriptors, chunk counts, mean sizes).
-pub fn table1(lab: &Lab) -> EvalResult<String> {
+pub fn table1(lab: &Lab) -> EvalResult<Report> {
     let six = lab.six_indexes()?;
     let mut t = Table::new(
         "Table 1. Properties of the BAG and SR-tree chunk indexes",
@@ -90,9 +302,6 @@ pub fn table1(lab: &Lab) -> EvalResult<String> {
             fmt_f(sr.mean_chunk_size, 0),
         ]);
     }
-    let rendered = t.render();
-    let dir = lab.results_dir()?;
-    t.save_csv(&dir.join("table1.csv"))?;
 
     // Formation-cost side table (the §5.2 "12 days vs 3 hours" discussion).
     let mut cost = Table::new(
@@ -112,8 +321,10 @@ pub fn table1(lab: &Lab) -> EvalResult<String> {
             fmt_f(h.meta.build_wall_secs, 2),
         ]);
     }
-    cost.save_csv(&dir.join("table1_formation_cost.csv"))?;
-    Ok(format!("{rendered}\n{}", cost.render()))
+    let mut report = Report::default();
+    report.table("table1.csv", t).line("");
+    report.table("table1_formation_cost.csv", cost);
+    Ok(report)
 }
 
 // ---------------------------------------------------------------------------
@@ -123,31 +334,24 @@ pub fn table1(lab: &Lab) -> EvalResult<String> {
 /// Regenerates **Figure 1**: sizes of the 30 largest chunks of each of the
 /// six indexes (the paper plots these on a log scale — BAG's head chunks
 /// are orders of magnitude above its mean).
-pub fn fig1(lab: &Lab) -> EvalResult<String> {
+pub fn fig1(lab: &Lab) -> EvalResult<Report> {
     let six = lab.six_indexes()?;
-    let headers: Vec<String> = std::iter::once("Rank".to_string())
-        .chain(six.iter().map(|h| h.meta.label.clone()))
-        .collect();
-    let mut t = Table::new(
+    let mut t = table_with(
         "Figure 1. Size of the largest chunks (descriptors)",
-        &headers.iter().map(String::as_str).collect::<Vec<_>>(),
+        "Rank",
+        six.iter().map(|h| h.meta.label.clone()),
     );
     for rank in 0..30 {
         let mut row = vec![(rank + 1).to_string()];
         for h in &six {
-            row.push(
-                h.meta
-                    .largest_sizes
-                    .get(rank)
-                    .map(|s| s.to_string())
-                    .unwrap_or_else(|| "—".into()),
-            );
+            let size = h.meta.largest_sizes.get(rank);
+            row.push(size.map_or_else(|| "—".into(), |s| s.to_string()));
         }
         t.row(row);
     }
-    let rendered = t.render();
-    t.save_csv(&lab.results_dir()?.join("fig1.csv"))?;
-    Ok(rendered)
+    let mut report = Report::default();
+    report.table("fig1.csv", t);
+    Ok(report)
 }
 
 // ---------------------------------------------------------------------------
@@ -170,9 +374,7 @@ pub fn exp1_curves(lab: &Lab) -> EvalResult<Exp1Curves> {
     let mut per_index = Vec::with_capacity(6);
     for h in &six {
         eprintln!("[exp1] evaluating {} …", h.meta.label);
-        let cd = lab.curve(h, &dq)?;
-        let cs = lab.curve(h, &sq)?;
-        per_index.push((h.meta.label.clone(), cd, cs));
+        per_index.push((h.meta.label.clone(), lab.curve(h, &dq)?, lab.curve(h, &sq)?));
     }
     Ok(Exp1Curves {
         per_index,
@@ -180,89 +382,9 @@ pub fn exp1_curves(lab: &Lab) -> EvalResult<Exp1Curves> {
     })
 }
 
-fn curve_figure(
-    lab: &Lab,
-    curves: &Exp1Curves,
-    title: &str,
-    file: &str,
-    pick: impl Fn(&(String, QualityCurve, QualityCurve)) -> &QualityCurve,
-    value: impl Fn(&QualityCurve, usize) -> f64,
-    digits: usize,
-) -> EvalResult<String> {
-    let headers: Vec<String> = std::iter::once("Neighbors".to_string())
-        .chain(curves.per_index.iter().map(|(l, _, _)| l.clone()))
-        .collect();
-    let mut t = Table::new(
-        title,
-        &headers.iter().map(String::as_str).collect::<Vec<_>>(),
-    );
-    for m in 1..=curves.k {
-        let mut row = vec![m.to_string()];
-        for entry in &curves.per_index {
-            row.push(fmt_f(value(pick(entry), m), digits));
-        }
-        t.row(row);
-    }
-    let rendered = t.render();
-    t.save_csv(&lab.results_dir()?.join(file))?;
-    Ok(rendered)
-}
-
-/// Regenerates **Figure 2** (chunks read vs neighbours found, DQ).
-pub fn fig2(lab: &Lab, curves: &Exp1Curves) -> EvalResult<String> {
-    curve_figure(
-        lab,
-        curves,
-        "Figure 2. Chunks read to find nearest neighbors (DQ)",
-        "fig2.csv",
-        |e| &e.1,
-        |c, m| c.chunks_for(m),
-        1,
-    )
-}
-
-/// Regenerates **Figure 3** (chunks read vs neighbours found, SQ).
-pub fn fig3(lab: &Lab, curves: &Exp1Curves) -> EvalResult<String> {
-    curve_figure(
-        lab,
-        curves,
-        "Figure 3. Chunks read to find nearest neighbors (SQ)",
-        "fig3.csv",
-        |e| &e.2,
-        |c, m| c.chunks_for(m),
-        1,
-    )
-}
-
-/// Regenerates **Figure 4** (virtual elapsed time vs neighbours found, DQ).
-pub fn fig4(lab: &Lab, curves: &Exp1Curves) -> EvalResult<String> {
-    curve_figure(
-        lab,
-        curves,
-        "Figure 4. Elapsed virtual time (s) to find nearest neighbors (DQ)",
-        "fig4.csv",
-        |e| &e.1,
-        |c, m| c.time_for(m),
-        3,
-    )
-}
-
-/// Regenerates **Figure 5** (virtual elapsed time vs neighbours found, SQ).
-pub fn fig5(lab: &Lab, curves: &Exp1Curves) -> EvalResult<String> {
-    curve_figure(
-        lab,
-        curves,
-        "Figure 5. Elapsed virtual time (s) to find nearest neighbors (SQ)",
-        "fig5.csv",
-        |e| &e.2,
-        |c, m| c.time_for(m),
-        3,
-    )
-}
-
-/// Regenerates **Table 2**: average virtual time to run queries to
-/// completion, per index and workload.
-pub fn table2(lab: &Lab, curves: &Exp1Curves) -> EvalResult<String> {
+/// **Table 2**: average virtual time to run queries to completion, per
+/// index and workload.
+fn table2_of(curves: &Exp1Curves) -> Table {
     let mut t = Table::new(
         "Table 2. Time to completion (virtual seconds)",
         &["Chunk sizes", "BAG DQ", "BAG SQ", "SR DQ", "SR SQ"],
@@ -277,27 +399,45 @@ pub fn table2(lab: &Lab, curves: &Exp1Curves) -> EvalResult<String> {
             fmt_f(pair[1].2.avg_completion_secs, 2),
         ]);
     }
-    let rendered = t.render();
-    t.save_csv(&lab.results_dir()?.join("table2.csv"))?;
-    Ok(rendered)
+    t
 }
 
-/// Runs the whole of Experiment 1, returning the concatenated report
-/// (Figures 2–5 and Table 2).
-pub fn exp1(lab: &Lab) -> EvalResult<String> {
+/// Regenerates **Table 2** alone (running or loading the exp1 curves).
+pub fn table2(lab: &Lab) -> EvalResult<Report> {
+    let mut report = Report::default();
+    report.table("table2.csv", table2_of(&exp1_curves(lab)?));
+    Ok(report)
+}
+
+/// Runs the whole of Experiment 1: **Figures 2–3** (chunks read vs
+/// neighbours found), **Figures 4–5** (virtual elapsed time vs neighbours
+/// found) — each over DQ, then SQ — and **Table 2**.
+pub fn exp1(lab: &Lab) -> EvalResult<Report> {
     let curves = exp1_curves(lab)?;
-    let mut out = String::new();
-    for part in [
-        fig2(lab, &curves)?,
-        fig3(lab, &curves)?,
-        fig4(lab, &curves)?,
-        fig5(lab, &curves)?,
-        table2(lab, &curves)?,
+    let chunks: fn(&QualityCurve, usize) -> f64 = QualityCurve::chunks_for;
+    let mut report = Report::default();
+    for (no, what, value, digits) in [
+        (2, "Chunks read", chunks, 1),
+        (4, "Elapsed virtual time (s)", QualityCurve::time_for, 3),
     ] {
-        out.push_str(&part);
-        out.push('\n');
+        for (no, workload, over_sq) in [(no, "DQ", false), (no + 1, "SQ", true)] {
+            let mut t = table_with(
+                &format!("Figure {no}. {what} to find nearest neighbors ({workload})"),
+                "Neighbors",
+                curves.per_index.iter().map(|(label, ..)| label.clone()),
+            );
+            for m in 1..=curves.k {
+                let mut row = vec![m.to_string()];
+                for (_, dq, sq) in &curves.per_index {
+                    row.push(fmt_f(value(if over_sq { sq } else { dq }, m), digits));
+                }
+                t.row(row);
+            }
+            report.table(&format!("fig{no}.csv"), t).line("");
+        }
     }
-    Ok(out)
+    report.table("table2.csv", table2_of(&curves)).line("");
+    Ok(report)
 }
 
 // ---------------------------------------------------------------------------
@@ -307,25 +447,23 @@ pub fn exp1(lab: &Lab) -> EvalResult<String> {
 /// Regenerates **Figures 6 and 7**: time to find 1/10/20/25/28/30
 /// neighbours as a function of the (SR-tree) chunk size, over 16 chunk
 /// indexes on the outlier-free collection.
-pub fn exp2(lab: &Lab) -> EvalResult<String> {
+pub fn exp2(lab: &Lab) -> EvalResult<Report> {
     let six = lab.six_indexes()?;
     let subset = lab.small_retained_subset(&six)?;
     let marks = sweep_neighbor_marks(lab.scale.k);
     let dq = lab.dq()?;
     let sq = lab.sq()?;
 
-    let mut out = String::new();
+    let mut report = Report::default();
     for (fig_no, workload) in [(6, &dq), (7, &sq)] {
-        let headers: Vec<String> = std::iter::once("Chunk size".to_string())
-            .chain(marks.iter().map(|m| format!("{m} nbr")))
-            .chain(std::iter::once("completion".to_string()))
-            .collect();
-        let mut t = Table::new(
+        let found = marks.iter().map(|m| format!("{m} nbr"));
+        let mut t = table_with(
             &format!(
                 "Figure {fig_no}. Virtual time (s) to find neighbors vs chunk size ({})",
                 workload.name
             ),
-            &headers.iter().map(String::as_str).collect::<Vec<_>>(),
+            "Chunk size",
+            found.chain(std::iter::once("completion".to_string())),
         );
         for &size in &lab.scale.sweep_sizes() {
             let handle = lab.sweep_index(&subset, size)?;
@@ -338,12 +476,9 @@ pub fn exp2(lab: &Lab) -> EvalResult<String> {
             row.push(fmt_f(curve.avg_completion_secs, 2));
             t.row(row);
         }
-        let rendered = t.render();
-        t.save_csv(&lab.results_dir()?.join(format!("fig{fig_no}.csv")))?;
-        out.push_str(&rendered);
-        out.push('\n');
+        report.table(&format!("fig{fig_no}.csv"), t).line("");
     }
-    Ok(out)
+    Ok(report)
 }
 
 // ---------------------------------------------------------------------------
@@ -384,16 +519,12 @@ fn rule_label(rule: &StopRule) -> String {
 /// answers *all* rules from one scan per query
 /// ([`evaluate_stop_rules`]) — each row is still bit-identical to an
 /// individual run with that rule, but the collection is read once.
-pub fn exp3(lab: &Lab) -> EvalResult<String> {
+pub fn exp3(lab: &Lab) -> EvalResult<Report> {
     let six = lab.six_indexes()?;
     let dq = lab.dq()?;
     let rules = exp3_rules();
-    let params = SearchParams {
-        k: lab.scale.k,
-        stop: StopRule::ToCompletion, // ignored: the ladder drives the scan
-        prefetch_depth: 2,
-        log_snapshots: false,
-    };
+    // The stop rule here is ignored: the ladder drives the scan.
+    let params = search_params(lab.scale.k, StopRule::ToCompletion);
 
     let mut t = Table::new(
         "Experiment 3. Stop-rule sweep (DQ, one scan per query)",
@@ -419,8 +550,7 @@ pub fn exp3(lab: &Lab) -> EvalResult<String> {
             let results = evaluate_stop_rules(&h.store, &lab.model, query, &params, &rules)?;
             shared_reads += results.iter().map(|r| r.log.chunks_read).max().unwrap_or(0);
             for (ri, result) in results.iter().enumerate() {
-                let ids: Vec<u32> = result.neighbors.iter().map(|n| n.id).collect();
-                precision[ri] += precision_at(&ids, &truth.ids[qi]);
+                precision[ri] += precision_of(result, &truth, qi);
                 chunks[ri] += result.log.chunks_read as f64;
                 secs[ri] += result.log.total_virtual.as_secs();
                 exact[ri] += result.log.completed as usize;
@@ -439,15 +569,17 @@ pub fn exp3(lab: &Lab) -> EvalResult<String> {
             ]);
         }
     }
-    let rendered = t.render();
-    t.save_csv(&lab.results_dir()?.join("exp3.csv"))?;
-    Ok(format!(
-        "{rendered}\nOne scan per query answered all {} rules: {} chunk reads \
-         (individual runs would have read {}).\n",
+    let mut report = Report::default();
+    report.table("exp3.csv", t).line("").line(&format!(
+        "One scan per query answered all {} rules: {shared_reads} chunk reads \
+         (individual runs would have read {per_rule_reads}).",
         rules.len(),
-        shared_reads,
-        per_rule_reads
-    ))
+    ));
+    report.values = vec![
+        ("shared chunk reads", shared_reads as u64),
+        ("per-rule chunk reads", per_rule_reads as u64),
+    ];
+    Ok(report)
 }
 
 // ---------------------------------------------------------------------------
@@ -455,71 +587,35 @@ pub fn exp3(lab: &Lab) -> EvalResult<String> {
 // ---------------------------------------------------------------------------
 
 /// The concurrency levels (active-session slots) experiment 4 sweeps.
-pub fn exp4_concurrency() -> Vec<usize> {
-    vec![2, 8, 32]
-}
-
-/// Whether two results are bit-identical in the one sense the workspace
-/// has: [`SearchResult::first_difference`] finds nothing.
-fn results_bit_identical(a: &SearchResult, b: &SearchResult) -> bool {
-    a.first_difference(b).is_none()
-}
+const EXP4_CONCURRENCY: [usize; 3] = [2, 8, 32];
 
 /// Regenerates **Experiment 4**: the multi-query serving sweep. A Poisson
-/// arrival trace of the DQ workload is offered at twice the serial service
-/// rate to the interleaved [`Scheduler`], for every policy at every
+/// arrival trace of the DQ workload is offered at four times the serial
+/// service rate to the interleaved [`Scheduler`], for every policy at every
 /// concurrency level. Each run reports fleet throughput, latency
 /// percentiles, answer quality and chunk traffic — and every per-query
 /// result is bit-compared against the serial one-query-at-a-time
 /// reference, which scheduling must never change.
-pub fn exp4(lab: &Lab) -> EvalResult<String> {
-    let handle = lab.serving_index()?;
-    let handle = &handle;
-    let dq = lab.dq()?;
-    if dq.is_empty() {
-        return Err("exp4 needs a non-empty DQ workload".into());
-    }
+pub fn exp4(lab: &Lab) -> EvalResult<Report> {
+    let handle = &lab.serving_index()?;
+    let dq = dq_of(lab, "exp4")?;
     let truth = lab.truth(handle, &dq)?;
-    let params = SearchParams {
-        k: lab.scale.k,
-        stop: StopRule::ToCompletionEps(0.5),
-        prefetch_depth: 2,
-        log_snapshots: false,
-    };
+    let params = search_params(lab.scale.k, SERVING_STOP);
     let snap = Snapshot::new(handle.store.clone(), lab.model);
 
-    // Serial reference: one query at a time, each over its own private
-    // source — the answers every scheduled run must reproduce bit for bit.
     eprintln!("[exp4] serial reference over {} queries …", dq.len());
-    let mut serial = Vec::with_capacity(dq.len());
-    let mut serial_secs = 0.0f64;
+    let offered = offer(&snap, &dq.queries, &params, 4.0, lab.scale.seed ^ 0xA4)?;
     let mut serial_precision = 0.0f64;
-    for (qi, query) in dq.queries.iter().enumerate() {
-        let r = snap.search(query, &params)?;
-        serial_secs += r.log.total_virtual.as_secs();
-        let ids: Vec<u32> = r.neighbors.iter().map(|n| n.id).collect();
-        serial_precision += precision_at(&ids, &truth.ids[qi]);
-        serial.push(r);
+    for (qi, r) in offered.serial.iter().enumerate() {
+        serial_precision += precision_of(r, &truth, qi);
     }
     serial_precision /= dq.len() as f64;
 
-    // Offer four times the serial service rate: the device saturates, a
-    // backlog of concurrent sessions builds up, and the policies genuinely
-    // contend for the next chunk.
-    let rate_qps = 4.0 * dq.len() as f64 / serial_secs.max(1e-9);
-    let arrivals = poisson_arrivals(dq.len(), rate_qps, lab.scale.seed ^ 0xA4);
-    let trace: Vec<(Vector, VirtualDuration)> = dq
-        .queries
-        .iter()
-        .zip(arrivals.arrivals.iter())
-        .map(|(q, &t)| (*q, VirtualDuration::from_secs(t)))
-        .collect();
-
     let mut t = Table::new(
         &format!(
-            "Experiment 4. Serving under load (DQ, Poisson at {rate_qps:.1} q/s, \
+            "Experiment 4. Serving under load (DQ, Poisson at {:.1} q/s, \
              {} — 4× serial capacity)",
-            handle.meta.label
+            offered.rate_qps, handle.meta.label
         ),
         &[
             "Policy",
@@ -538,31 +634,29 @@ pub fn exp4(lab: &Lab) -> EvalResult<String> {
         "Experiment 4 fleet quality curves",
         &["Policy", "Active", "t_secs", "completed", "mean_precision"],
     );
-    // (concurrency, policy) → chunk fetches, for the sharing summary.
-    let mut fetch_counts: Vec<(usize, Policy, u64)> = Vec::new();
+    let mut sharing = Vec::new();
     let mut all_identical = true;
 
-    for &active in &exp4_concurrency() {
+    for active in EXP4_CONCURRENCY {
+        // Chunk fetches of the two policies the sharing summary compares.
+        let (mut fair, mut mwc) = (0u64, 0u64);
         for policy in Policy::ALL {
             eprintln!("[exp4] {} × {active} active …", policy.name());
             let mut config = SchedulerConfig::new(policy, active);
             config.max_queued = dq.len(); // admit everything: compare full runs
-            let report = Scheduler::new(snap.clone(), config).serve_trace(&trace, &params)?;
+            let report =
+                Scheduler::new(snap.clone(), config).serve_trace(&offered.trace, &params)?;
 
-            let mut identical =
-                report.stats.rejected == 0 && report.completions.len() == serial.len();
+            let identical = reproduces(&report, &offered.serial);
+            all_identical = all_identical && identical;
             let mut precision = 0.0f64;
             let mut quality_points = Vec::with_capacity(report.completions.len());
             for c in &report.completions {
-                let qi = c.id as usize;
-                identical = identical && results_bit_identical(&serial[qi], &c.result);
-                let ids: Vec<u32> = c.result.neighbors.iter().map(|n| n.id).collect();
-                let p = precision_at(&ids, &truth.ids[qi]);
+                let p = precision_of(&c.result, &truth, c.id as usize);
                 precision += p;
                 quality_points.push((c.finish.as_secs(), p));
             }
             precision /= report.completions.len().max(1) as f64;
-            all_identical = all_identical && identical;
             for point in fleet_quality_curve(&quality_points) {
                 quality.row(vec![
                     policy.name().to_string(),
@@ -573,7 +667,7 @@ pub fn exp4(lab: &Lab) -> EvalResult<String> {
                 ]);
             }
 
-            let lat = LatencySummary::from_secs(&report.latencies_secs());
+            let lat = latency_summary(report.completions.iter().map(|c| c.latency()));
             t.row(vec![
                 policy.name().to_string(),
                 active.to_string(),
@@ -584,42 +678,32 @@ pub fn exp4(lab: &Lab) -> EvalResult<String> {
                 report.stats.fetches.to_string(),
                 report.stats.disk_reads.to_string(),
                 report.stats.cache.cross_query_hits.to_string(),
-                if identical { "yes" } else { "NO" }.to_string(),
+                yes_no(identical).to_string(),
             ]);
-            fetch_counts.push((active, policy, report.stats.fetches));
+            match policy {
+                Policy::FairShare => fair = report.stats.fetches,
+                Policy::MostWantedChunk => mwc = report.stats.fetches,
+                Policy::EarliestDeadline => {}
+            }
         }
-    }
-
-    let rendered = t.render();
-    let dir = lab.results_dir()?;
-    t.save_csv(&dir.join("exp4.csv"))?;
-    quality.save_csv(&dir.join("exp4_quality.csv"))?;
-
-    let fetches_of = |active: usize, policy: Policy| {
-        fetch_counts
-            .iter()
-            .find(|(a, p, _)| *a == active && *p == policy)
-            .map(|(_, _, f)| *f)
-            .unwrap_or(0)
-    };
-    let mut out = format!("{rendered}\nSerial mean precision: {serial_precision:.3}.\n");
-    for &active in &exp4_concurrency() {
-        let fair = fetches_of(active, Policy::FairShare);
-        let mwc = fetches_of(active, Policy::MostWantedChunk);
-        let saved = if fair > 0 {
-            100.0 * (fair.saturating_sub(mwc)) as f64 / fair as f64
-        } else {
-            0.0
-        };
-        out.push_str(&format!(
+        let saved = 100.0 * fair.saturating_sub(mwc) as f64 / fair.max(1) as f64;
+        sharing.push(format!(
             "At {active} concurrent sessions: most-wanted-chunk fetched {mwc} chunks \
-             vs fair-share {fair} ({saved:.0}% fewer).\n"
+             vs fair-share {fair} ({saved:.0}% fewer)."
         ));
     }
-    out.push_str(&format!(
-        "All per-query results bit-identical to serial under every policy: {}.\n",
-        if all_identical { "yes" } else { "NO" }
-    ));
+
+    let mut out = Report::default();
+    out.table("exp4.csv", t).line("");
+    out.csv_only("exp4_quality.csv", quality);
+    out.line(&format!("Serial mean precision: {serial_precision:.3}."));
+    for line in &sharing {
+        out.line(line);
+    }
+    out.gate(
+        "All per-query results bit-identical to serial under every policy",
+        all_identical,
+    );
     Ok(out)
 }
 
@@ -629,26 +713,7 @@ pub fn exp4(lab: &Lab) -> EvalResult<String> {
 
 /// The fault rates experiment 5 sweeps (permanent loss at the rate,
 /// transient faults at half of it).
-pub fn exp5_rates() -> Vec<f64> {
-    vec![0.0, 0.05, 0.1, 0.2, 0.4]
-}
-
-/// The retry policies experiment 5 compares: give up on the first failure
-/// vs a budget that always clears transient faults
-/// ([`TRANSIENT_CLEAR`]` + 1` attempts).
-pub fn exp5_policies() -> Vec<(&'static str, RetryPolicy)> {
-    vec![
-        ("none", RetryPolicy::none()),
-        (
-            "retry",
-            RetryPolicy::new(
-                TRANSIENT_CLEAR + 1,
-                VirtualDuration::from_ms(5.0),
-                VirtualDuration::from_ms(1.0),
-            ),
-        ),
-    ]
-}
+const EXP5_RATES: [f64; 5] = [0.0, 0.05, 0.1, 0.2, 0.4];
 
 /// The fault schedule for one exp5 cell: permanent loss at `rate`,
 /// transient faults at half the rate, keyed by the lab seed so every run
@@ -677,13 +742,11 @@ fn exp5_run(
     for query in queries {
         // A fresh fault source per query: attempt counters reset, so each
         // query observes the plan's schedule from attempt zero.
-        let source: Arc<dyn ChunkSource> = match plan {
-            None => Arc::new(FileSource::new(&handle.store)),
+        let file: Arc<dyn ChunkSource> = Arc::new(FileSource::new(&handle.store));
+        let source = match plan {
+            None => file,
             Some(plan) => Arc::new(RetrySource::new(
-                Arc::new(FaultSource::new(
-                    Arc::new(FileSource::new(&handle.store)),
-                    plan,
-                )),
+                Arc::new(FaultSource::new(file, plan)),
                 retry,
             )),
         };
@@ -705,19 +768,16 @@ fn exp5_doomed(plan: &FaultPlan, policy: &RetryPolicy, chunk: usize) -> bool {
 /// Regenerates **Experiment 5**: the quality-degradation curve under
 /// injected chunk loss. For two chunk granularities the DQ workload runs
 /// under a fixed chunk-budget stop rule while the fault rate sweeps
-/// upward, once per retry policy. Every faulted search must complete with
+/// upward, once per retry policy — give up on the first failure vs
+/// [`clearing_retry`]. Every faulted search must complete with
 /// an honest [`Degradation`](eff2_core::search::Degradation) report; the
 /// rate-0 stack must be bit-identical to the undecorated search; and
 /// because the injected loss sets are nested across rates, precision must
 /// be monotonically non-increasing in the fault rate.
-pub fn exp5(lab: &Lab) -> EvalResult<String> {
+pub fn exp5(lab: &Lab) -> EvalResult<Report> {
     let handles = [lab.serving_index()?, lab.chaos_index()?];
-    let dq = lab.dq()?;
-    if dq.is_empty() {
-        return Err("exp5 needs a non-empty DQ workload".into());
-    }
-    let rates = exp5_rates();
-    let policies = exp5_policies();
+    let dq = dq_of(lab, "exp5")?;
+    let policies = [("none", RetryPolicy::none()), ("retry", clearing_retry())];
 
     let mut t = Table::new(
         "Experiment 5. Quality degradation under chunk loss (DQ, fixed chunk budget)",
@@ -741,12 +801,7 @@ pub fn exp5(lab: &Lab) -> EvalResult<String> {
         // A fixed budget strictly inside the collection: lost chunks
         // consume it, so quality honestly pays for every loss.
         let budget = (n_chunks * 3 / 5).max(1);
-        let params = SearchParams {
-            k: lab.scale.k,
-            stop: StopRule::Chunks(budget),
-            prefetch_depth: 2,
-            log_snapshots: false,
-        };
+        let params = search_params(lab.scale.k, StopRule::Chunks(budget));
         let truth = lab.truth(handle, &dq)?;
         eprintln!(
             "[exp5] {} baseline ({} chunks, budget {budget}) …",
@@ -756,14 +811,14 @@ pub fn exp5(lab: &Lab) -> EvalResult<String> {
 
         for (policy_name, policy) in &policies {
             let mut prev_precision = f64::INFINITY;
-            for &rate in &rates {
+            for rate in EXP5_RATES {
                 eprintln!("[exp5] {} {policy_name} rate {rate} …", handle.meta.label);
                 let plan = exp5_plan(lab, rate);
                 let results = exp5_run(lab, handle, &dq.queries, &params, Some(plan), *policy)?;
 
                 if rate == 0.0 {
                     for (b, r) in baseline.iter().zip(results.iter()) {
-                        bit_identical = bit_identical && results_bit_identical(b, r);
+                        bit_identical = bit_identical && b.first_difference(r).is_none();
                     }
                 }
                 let mut precision = 0.0f64;
@@ -772,8 +827,7 @@ pub fn exp5(lab: &Lab) -> EvalResult<String> {
                 let mut secs = 0.0f64;
                 let mut degraded = 0usize;
                 for (qi, r) in results.iter().enumerate() {
-                    let ids: Vec<u32> = r.neighbors.iter().map(|n| n.id).collect();
-                    precision += precision_at(&ids, &truth.ids[qi]);
+                    precision += precision_of(r, &truth, qi);
                     let d = &r.log.degradation;
                     lost_chunks += d.chunks_lost;
                     lost_descriptors += d.descriptors_lost;
@@ -805,16 +859,21 @@ pub fn exp5(lab: &Lab) -> EvalResult<String> {
         }
     }
 
-    let rendered = t.render();
-    t.save_csv(&lab.results_dir()?.join("exp5.csv"))?;
-    Ok(format!(
-        "{rendered}\nRate-0 chaos stack bit-identical to the undecorated search: {}.\n\
-         All faulted searches completed with degradation reports: {}.\n\
-         Precision monotonically non-increasing in fault rate: {}.\n",
-        if bit_identical { "yes" } else { "NO" },
-        if all_reported { "yes" } else { "NO" },
-        if monotone { "yes" } else { "NO" },
-    ))
+    let mut report = Report::default();
+    report.table("exp5.csv", t).line("");
+    report.gate(
+        "Rate-0 chaos stack bit-identical to the undecorated search",
+        bit_identical,
+    );
+    report.gate(
+        "All faulted searches completed with degradation reports",
+        all_reported,
+    );
+    report.gate(
+        "Precision monotonically non-increasing in fault rate",
+        monotone,
+    );
+    Ok(report)
 }
 
 // ---------------------------------------------------------------------------
@@ -823,26 +882,23 @@ pub fn exp5(lab: &Lab) -> EvalResult<String> {
 
 /// The rerank depths experiment 6 sweeps: the ADC scan keeps an `R·k`
 /// candidate pool and the exact tail rescores it down to `k`.
-pub fn exp6_rerank_mults() -> Vec<usize> {
-    vec![1, 2, 4, 8]
-}
+const EXP6_RERANK_MULTS: [usize; 4] = [1, 2, 4, 8];
 
 /// The codecs experiment 6 compares (the names
 /// [`Lab::quantized_index`](crate::lab::Lab::quantized_index) accepts).
-pub fn exp6_codecs() -> Vec<&'static str> {
-    vec!["sq8", "pq"]
-}
+const EXP6_CODECS: [&str; 2] = ["sq8", "pq"];
 
-/// Neighbour lists bitwise equal: same ids, same distance bits.
-fn neighbors_bit_identical(a: &SearchResult, b: &SearchResult) -> bool {
-    a.neighbors.len() == b.neighbors.len()
-        && a.neighbors
-            .iter()
-            .zip(b.neighbors.iter())
-            .all(|(x, y)| x.id == y.id && x.dist.to_bits() == y.dist.to_bits())
+/// Neighbour lists of every query bitwise equal: same ids, same distance
+/// bits.
+fn neighbors_bit_identical(a: &[SearchResult], b: &[SearchResult]) -> bool {
+    fn bits(r: &SearchResult) -> impl Iterator<Item = (u32, u32)> + '_ {
+        r.neighbors.iter().map(|n| (n.id, n.dist.to_bits()))
+    }
+    a.len() == b.len() && a.iter().zip(b).all(|(a, b)| bits(a).eq(bits(b)))
 }
 
 /// Per-query averages of one exp6 grid cell.
+#[derive(Default)]
 struct Exp6Cell {
     precision: f64,
     bytes: f64,
@@ -853,16 +909,9 @@ struct Exp6Cell {
 
 fn exp6_cell(results: &[SearchResult], truth: &GroundTruth) -> Exp6Cell {
     let nq = results.len().max(1) as f64;
-    let mut c = Exp6Cell {
-        precision: 0.0,
-        bytes: 0.0,
-        rerank_bytes: 0.0,
-        secs: 0.0,
-        evals: 0.0,
-    };
+    let mut c = Exp6Cell::default();
     for (qi, r) in results.iter().enumerate() {
-        let ids: Vec<u32> = r.neighbors.iter().map(|n| n.id).collect();
-        c.precision += precision_at(&ids, &truth.ids[qi]);
+        c.precision += precision_of(r, truth, qi);
         c.bytes += r.log.bytes_read as f64;
         c.rerank_bytes += r.log.rerank_bytes as f64;
         c.secs += r.log.total_virtual.as_secs();
@@ -892,14 +941,8 @@ fn exp6_v2_v3_compatible(base: &IndexHandle, quant: &IndexHandle) -> EvalResult<
     for i in 0..base.store.n_chunks() {
         r2.read_chunk(i, &mut p2)?;
         r3.read_chunk(i, &mut p3)?;
-        let same = p2.ids == p3.ids
-            && p2.packed.len() == p3.packed.len()
-            && p2
-                .packed
-                .iter()
-                .zip(p3.packed.iter())
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-        if !same {
+        let bits3 = p3.packed.iter().map(|f| f.to_bits());
+        if p2.ids != p3.ids || !p2.packed.iter().map(|f| f.to_bits()).eq(bits3) {
             return Ok(false);
         }
     }
@@ -918,12 +961,9 @@ fn exp6_v2_v3_compatible(base: &IndexHandle, quant: &IndexHandle) -> EvalResult<
 /// two-level ranking leaves to-completion answers bit-identical while
 /// spending fewer centroid evaluations; and the v3 raw region read back
 /// equals the v2 store byte for byte.
-pub fn exp6(lab: &Lab) -> EvalResult<String> {
+pub fn exp6(lab: &Lab) -> EvalResult<Report> {
     let base = lab.serving_index()?;
-    let dq = lab.dq()?;
-    if dq.is_empty() {
-        return Err("exp6 needs a non-empty DQ workload".into());
-    }
+    let dq = dq_of(lab, "exp6")?;
     let truth = lab.truth(&base, &dq)?;
     let k = lab.scale.k;
     let n_chunks = base.store.n_chunks();
@@ -933,20 +973,9 @@ pub fn exp6(lab: &Lab) -> EvalResult<String> {
     // scan saw: R·k ≥ n, the exact-recovery regime.
     let full_mult = retained.div_ceil(k.max(1)).max(1);
 
-    let full = SearchParams {
-        k,
-        stop: StopRule::Chunks(n_chunks),
-        prefetch_depth: 2,
-        log_snapshots: false,
-    };
-    let partial = SearchParams {
-        stop: StopRule::Chunks(budget),
-        ..full
-    };
-    let complete = SearchParams {
-        stop: StopRule::ToCompletion,
-        ..full
-    };
+    let full = search_params(k, StopRule::Chunks(n_chunks));
+    let partial = search_params(k, StopRule::Chunks(budget));
+    let complete = search_params(k, StopRule::ToCompletion);
 
     let mut t = Table::new(
         "Experiment 6. Quantized descriptors: ADC scan + exact rerank tail vs raw scan (DQ)",
@@ -970,15 +999,14 @@ pub fn exp6(lab: &Lab) -> EvalResult<String> {
     );
     let coarse_raw = CoarseQuantizer::for_store(&base.store);
     let run_raw = |params: &SearchParams, two_level: bool| -> EvalResult<Vec<SearchResult>> {
-        let mut out = Vec::with_capacity(dq.len());
-        for q in &dq.queries {
-            out.push(if two_level {
-                search_two_level(&base.store, &lab.model, q, params, &coarse_raw)?
+        let one = |q| {
+            if two_level {
+                search_two_level(&base.store, &lab.model, q, params, &coarse_raw)
             } else {
-                search(&base.store, &lab.model, q, params)?
-            });
-        }
-        Ok(out)
+                search(&base.store, &lab.model, q, params)
+            }
+        };
+        dq.queries.iter().map(|q| Ok(one(q)?)).collect()
     };
     let raw_full = run_raw(&full, false)?;
     let raw_part = run_raw(&partial, false)?;
@@ -986,10 +1014,7 @@ pub fn exp6(lab: &Lab) -> EvalResult<String> {
     let two_done = run_raw(&complete, true)?;
     let two_part = run_raw(&partial, true)?;
 
-    let two_level_exact = raw_done
-        .iter()
-        .zip(two_done.iter())
-        .all(|(a, b)| neighbors_bit_identical(a, b));
+    let two_level_exact = neighbors_bit_identical(&raw_done, &two_done);
     let raw_part_cell = exp6_cell(&raw_part, &truth);
     let raw_done_cell = exp6_cell(&raw_done, &truth);
     let two_done_cell = exp6_cell(&two_done, &truth);
@@ -1015,8 +1040,16 @@ pub fn exp6(lab: &Lab) -> EvalResult<String> {
     push_row("raw", "2-level", "—", "3/5", &exp6_cell(&two_part, &truth));
 
     // --- Quantized sweep --------------------------------------------------
+    let run_quant = |qh: &IndexHandle,
+                     params: &SearchParams,
+                     r_mult: usize,
+                     coarse: Option<&CoarseQuantizer>|
+     -> EvalResult<Vec<SearchResult>> {
+        let one = |q| search_quantized_with(&qh.store, &lab.model, q, params, r_mult, coarse);
+        dq.queries.iter().map(|q| Ok(one(q)?)).collect()
+    };
     let mut quants = Vec::new();
-    for name in exp6_codecs() {
+    for name in EXP6_CODECS {
         quants.push((name, lab.quantized_index(name)?));
     }
     let mut monotone = true;
@@ -1029,19 +1062,9 @@ pub fn exp6(lab: &Lab) -> EvalResult<String> {
         for two_level in [false, true] {
             let ranking = if two_level { "2-level" } else { "flat" };
             let mut prev = -1.0f64;
-            for &r_mult in &exp6_rerank_mults() {
+            for r_mult in EXP6_RERANK_MULTS {
                 eprintln!("[exp6] {} {ranking} R={r_mult} …", qh.meta.label);
-                let mut results = Vec::with_capacity(dq.len());
-                for q in &dq.queries {
-                    results.push(search_quantized_with(
-                        &qh.store,
-                        &lab.model,
-                        q,
-                        &partial,
-                        r_mult,
-                        two_level.then_some(&coarse_q),
-                    )?);
-                }
+                let results = run_quant(qh, &partial, r_mult, two_level.then_some(&coarse_q))?;
                 let cell = exp6_cell(&results, &truth);
                 monotone = monotone && cell.precision >= prev;
                 prev = cell.precision;
@@ -1049,12 +1072,8 @@ pub fn exp6(lab: &Lab) -> EvalResult<String> {
                     && cell.bytes < raw_part_cell.bytes
                     && best.as_ref().is_none_or(|b| cell.bytes < b.3)
                 {
-                    best = Some((
-                        format!("{name}/{ranking}"),
-                        r_mult,
-                        cell.precision,
-                        cell.bytes,
-                    ));
+                    let codec = format!("{name}/{ranking}");
+                    best = Some((codec, r_mult, cell.precision, cell.bytes));
                 }
                 push_row(name, ranking, &r_mult.to_string(), "3/5", &cell);
             }
@@ -1065,54 +1084,51 @@ pub fn exp6(lab: &Lab) -> EvalResult<String> {
             "[exp6] {} flat R={full_mult} (full budget) …",
             qh.meta.label
         );
-        let mut results = Vec::with_capacity(dq.len());
-        for q in &dq.queries {
-            results.push(search_quantized_with(
-                &qh.store, &lab.model, q, &full, full_mult, None,
-            )?);
-        }
-        tail_exact = tail_exact
-            && raw_full
-                .iter()
-                .zip(results.iter())
-                .all(|(a, b)| neighbors_bit_identical(a, b));
-        push_row(
-            name,
-            "flat",
-            &full_mult.to_string(),
-            "full",
-            &exp6_cell(&results, &truth),
-        );
+        let results = run_quant(qh, &full, full_mult, None)?;
+        tail_exact = tail_exact && neighbors_bit_identical(&raw_full, &results);
+        let cell = exp6_cell(&results, &truth);
+        push_row(name, "flat", &full_mult.to_string(), "full", &cell);
     }
-
     let compat = exp6_v2_v3_compatible(&base, &quants[0].1)?;
 
-    let rendered = t.render();
-    t.save_csv(&lab.results_dir()?.join("exp6.csv"))?;
-    let best_line = match &best {
-        Some((codec, r, p, b)) => format!(
-            "yes ({codec}, R = {r}: precision {} vs {}, bytes {} vs {})",
+    let mut report = Report::default();
+    report.table("exp6.csv", t).line("");
+    report.gate(
+        "Rerank tail bit-identical to the uncompressed baseline at full budget",
+        tail_exact,
+    );
+    report.gate(
+        "Precision monotonically non-decreasing in rerank depth",
+        monotone,
+    );
+    report.gate_with(
+        "Neighbor ids unchanged under two-level ranking",
+        two_level_exact,
+        &format!(
+            " ({} vs {} centroid evals per query to completion, {}x fewer)",
+            fmt_f(raw_done_cell.evals, 1),
+            fmt_f(two_done_cell.evals, 1),
+            fmt_f(evals_factor, 1),
+        ),
+    );
+    report.gate("v2 and v3 chunk files read-compatible", compat);
+    // An observation, not a gate: whether any cell qualifies depends on the
+    // scale (none does at the 2,500-descriptor smoke).
+    let best_figures = best.as_ref().map_or(String::new(), |(codec, r, p, b)| {
+        format!(
+            " ({codec}, R = {r}: precision {} vs {}, bytes {} vs {})",
             fmt_f(*p, 3),
             fmt_f(raw_part_cell.precision, 3),
             fmt_f(*b, 0),
             fmt_f(raw_part_cell.bytes, 0),
-        ),
-        None => "NO".to_string(),
-    };
-    Ok(format!(
-        "{rendered}\nRerank tail bit-identical to the uncompressed baseline at full budget: {}.\n\
-         Precision monotonically non-decreasing in rerank depth: {}.\n\
-         Neighbor ids unchanged under two-level ranking: {} ({} vs {} centroid evals per query to completion, {}x fewer).\n\
-         v2 and v3 chunk files read-compatible: {}.\n\
-         Quantized scan within 0.01 of the raw same-budget baseline with fewer bytes: {best_line}.\n",
-        if tail_exact { "yes" } else { "NO" },
-        if monotone { "yes" } else { "NO" },
-        if two_level_exact { "yes" } else { "NO" },
-        fmt_f(raw_done_cell.evals, 1),
-        fmt_f(two_done_cell.evals, 1),
-        fmt_f(evals_factor, 1),
-        if compat { "yes" } else { "NO" },
-    ))
+        )
+    });
+    report.line(&format!(
+        "Quantized scan within 0.01 of the raw same-budget baseline with fewer bytes: \
+         {}{best_figures}.",
+        yes_no(best.is_some()),
+    ));
+    Ok(report)
 }
 
 // ---------------------------------------------------------------------------
@@ -1120,14 +1136,10 @@ pub fn exp6(lab: &Lab) -> EvalResult<String> {
 // ---------------------------------------------------------------------------
 
 /// The shard counts experiment 7 sweeps.
-pub fn exp7_shards() -> Vec<usize> {
-    vec![1, 4, 16]
-}
+const EXP7_SHARDS: [usize; 3] = [1, 4, 16];
 
 /// The replication factors experiment 7 sweeps.
-pub fn exp7_replication() -> Vec<usize> {
-    vec![1, 2, 3]
-}
+const EXP7_REPLICATION: [usize; 3] = [1, 2, 3];
 
 /// Finds a fault seed whose plan permanently loses at least one (and at
 /// most a handful of) chunks of an `n_chunks`-chunk store — the canonical
@@ -1156,19 +1168,10 @@ fn exp7_lossy_plan(base_seed: u64, n_chunks: usize) -> FaultPlan {
 /// cross-shard chunk traffic and primary-placement imbalance, and a
 /// permanent-chunk-loss scenario shows replication turning today's
 /// `Degraded` results into failover events.
-pub fn exp7(lab: &Lab) -> EvalResult<String> {
-    let handle = lab.serving_index()?;
-    let handle = &handle;
-    let dq = lab.dq()?;
-    if dq.is_empty() {
-        return Err("exp7 needs a non-empty DQ workload".into());
-    }
-    let params = SearchParams {
-        k: lab.scale.k,
-        stop: StopRule::ToCompletionEps(0.5),
-        prefetch_depth: 2,
-        log_snapshots: false,
-    };
+pub fn exp7(lab: &Lab) -> EvalResult<Report> {
+    let handle = &lab.serving_index()?;
+    let dq = dq_of(lab, "exp7")?;
+    let params = search_params(lab.scale.k, SERVING_STOP);
     let snap = Snapshot::new(handle.store.clone(), lab.model);
 
     // Zipf-skew the query stream: a few hot queries dominate, so shards
@@ -1176,31 +1179,17 @@ pub fn exp7(lab: &Lab) -> EvalResult<String> {
     let picks = zipf_assignments(dq.len(), dq.len(), 0.8, lab.scale.seed ^ 0xA7);
     let queries: Vec<Vector> = picks.iter().map(|&p| dq.queries[p as usize]).collect();
 
-    // Serial reference: the answers every fleet cell must reproduce.
-    eprintln!("[exp7] serial reference over {} queries …", queries.len());
-    let mut serial = Vec::with_capacity(queries.len());
-    let mut serial_secs = 0.0f64;
-    for query in &queries {
-        let r = snap.search(query, &params)?;
-        serial_secs += r.log.total_virtual.as_secs();
-        serial.push(r);
-    }
-
     // 16× the serial service rate: far past single-device saturation — the
     // regime where a fleet is the only way to keep latency bounded.
-    let rate_qps = 16.0 * queries.len() as f64 / serial_secs.max(1e-9);
-    let arrivals = poisson_arrivals(queries.len(), rate_qps, lab.scale.seed ^ 0xA7);
-    let trace: Vec<(Vector, VirtualDuration)> = queries
-        .iter()
-        .zip(arrivals.arrivals.iter())
-        .map(|(q, &t)| (*q, VirtualDuration::from_secs(t)))
-        .collect();
+    eprintln!("[exp7] serial reference over {} queries …", queries.len());
+    let offered = offer(&snap, &queries, &params, 16.0, lab.scale.seed ^ 0xA7)?;
+    let trace = &offered.trace;
 
     let mut t = Table::new(
         &format!(
-            "Experiment 7. Sharded fleet serving (DQ Zipf-skewed, Poisson at {rate_qps:.1} q/s, \
+            "Experiment 7. Sharded fleet serving (DQ Zipf-skewed, Poisson at {:.1} q/s, \
              {} — 16× serial capacity)",
-            handle.meta.label
+            offered.rate_qps, handle.meta.label
         ),
         &[
             "Shards",
@@ -1218,12 +1207,13 @@ pub fn exp7(lab: &Lab) -> EvalResult<String> {
     );
     let mut all_identical = true;
     let mut imbalance_populated = true;
-    // (shards, repl) → cross-shard fetches per placement, for the
-    // locality-vs-hash comparison.
-    let mut cross_of: Vec<(usize, usize, Placement, u64)> = Vec::new();
+    // Does centroid-locality placement actually keep chunk traffic on the
+    // query's home shard? Compared with chunk-hash cell by cell.
+    let mut locality_wins = false;
 
-    for &n_shards in &exp7_shards() {
-        for &replication in &exp7_replication() {
+    for n_shards in EXP7_SHARDS {
+        for replication in EXP7_REPLICATION {
+            let (mut hash_cross, mut locality_cross) = (0u64, 0u64);
             for placement in Placement::ALL {
                 eprintln!(
                     "[exp7] {n_shards} shard(s) × R{replication} × {} …",
@@ -1234,29 +1224,21 @@ pub fn exp7(lab: &Lab) -> EvalResult<String> {
                 config.replication = replication;
                 config.max_queued = trace.len(); // admit everything: compare full runs
                 let fleet =
-                    FleetScheduler::new(snap.clone(), config).serve_trace(&trace, &params)?;
+                    FleetScheduler::new(snap.clone(), config).serve_trace(trace, &params)?;
                 let report = &fleet.report;
 
-                let mut identical =
-                    report.stats.rejected == 0 && report.completions.len() == serial.len();
-                for c in &report.completions {
-                    identical =
-                        identical && results_bit_identical(&serial[c.id as usize], &c.result);
-                }
+                let identical = reproduces(report, &offered.serial);
                 all_identical = all_identical && identical;
                 imbalance_populated = imbalance_populated
                     && fleet.imbalance_factor.is_finite()
                     && fleet.imbalance_factor >= 1.0;
-                cross_of.push((n_shards, replication, placement, fleet.cross_shard_fetches));
+                match placement {
+                    Placement::ChunkHash => hash_cross = fleet.cross_shard_fetches,
+                    Placement::CentroidLocality => locality_cross = fleet.cross_shard_fetches,
+                }
 
-                let lat = LatencySummary::from_secs(&report.latencies_secs());
-                let max_shard_reads = report
-                    .stats
-                    .disk_reads_by_shard
-                    .iter()
-                    .copied()
-                    .max()
-                    .unwrap_or(0);
+                let lat = latency_summary(report.completions.iter().map(|c| c.latency()));
+                let shard_reads = report.stats.disk_reads_by_shard.iter();
                 t.row(vec![
                     n_shards.to_string(),
                     replication.to_string(),
@@ -1265,42 +1247,23 @@ pub fn exp7(lab: &Lab) -> EvalResult<String> {
                     fmt_f(lat.p50_secs, 3),
                     fmt_f(lat.p99_secs, 3),
                     report.stats.disk_reads.to_string(),
-                    max_shard_reads.to_string(),
+                    shard_reads.copied().max().unwrap_or(0).to_string(),
                     fleet.cross_shard_fetches.to_string(),
                     fmt_f(fleet.imbalance_factor, 2),
-                    if identical { "yes" } else { "NO" }.to_string(),
+                    yes_no(identical).to_string(),
                 ]);
             }
+            locality_wins = locality_wins || (n_shards > 1 && locality_cross < hash_cross);
         }
     }
-
-    // Does centroid-locality placement actually keep chunk traffic on the
-    // query's home shard? Compare the placements cell by cell.
-    let locality_wins = cross_of.iter().any(|&(s, r, p, cross)| {
-        s > 1
-            && p == Placement::CentroidLocality
-            && cross_of.iter().any(|&(s2, r2, p2, hash_cross)| {
-                s2 == s && r2 == r && p2 == Placement::ChunkHash && cross < hash_cross
-            })
-    });
 
     // The failover scenario: a fault plan permanently loses a chunk or
     // two. Without replication every full scan that wants a lost chunk
     // degrades — exactly today's behaviour. With R ≥ 2 the read fails over
     // to a replica and the answer stays exact.
-    let full_scan = SearchParams {
-        stop: StopRule::Chunks(usize::MAX),
-        ..params
-    };
-    let n_failover_queries = queries.len().min(8);
-    let failover_trace: Vec<(Vector, VirtualDuration)> =
-        trace.iter().take(n_failover_queries).cloned().collect();
+    let full_scan = search_params(lab.scale.k, StopRule::Chunks(usize::MAX));
+    let failover_trace = &trace[..trace.len().min(8)];
     let plan = exp7_lossy_plan(lab.scale.seed ^ 0xA7, handle.store.n_chunks());
-    let retry = RetryPolicy::new(
-        TRANSIENT_CLEAR + 1,
-        VirtualDuration::from_ms(5.0),
-        VirtualDuration::from_ms(1.0),
-    );
     let mut f = Table::new(
         "Experiment 7 failover: permanent chunk loss under replication (full scans)",
         &["Repl", "Degraded", "Exact", "Failovers", "Chunks abandoned"],
@@ -1308,21 +1271,18 @@ pub fn exp7(lab: &Lab) -> EvalResult<String> {
     let mut r1_degraded = 0usize;
     let mut higher_r_all_exact = true;
     let mut higher_r_failed_over = true;
-    for &replication in &exp7_replication() {
+    for replication in EXP7_REPLICATION {
         let mut config = FleetConfig::new(Policy::MostWantedChunk, 4, 4);
         config.replication = replication;
         config.max_queued = failover_trace.len();
         config.fault_plan = Some(plan);
-        config.retry = retry;
+        config.retry = clearing_retry();
         let fleet =
-            FleetScheduler::new(snap.clone(), config).serve_trace(&failover_trace, &full_scan)?;
-        let degraded = fleet
-            .report
-            .completions
-            .iter()
+            FleetScheduler::new(snap.clone(), config).serve_trace(failover_trace, &full_scan)?;
+        let completions = &fleet.report.completions;
+        let degraded = (completions.iter())
             .filter(|c| c.result.log.degradation.is_degraded())
             .count();
-        let exact = fleet.report.completions.len() - degraded;
         if replication == 1 {
             r1_degraded = degraded;
         } else {
@@ -1332,32 +1292,40 @@ pub fn exp7(lab: &Lab) -> EvalResult<String> {
         f.row(vec![
             replication.to_string(),
             degraded.to_string(),
-            exact.to_string(),
+            (completions.len() - degraded).to_string(),
             fleet.failovers.to_string(),
             fleet.report.stats.chunks_abandoned.to_string(),
         ]);
     }
     let failover_masks = r1_degraded > 0 && higher_r_all_exact && higher_r_failed_over;
 
-    let rendered = t.render();
-    let dir = lab.results_dir()?;
-    t.save_csv(&dir.join("exp7.csv"))?;
-    f.save_csv(&dir.join("exp7_failover.csv"))?;
-    Ok(format!(
-        "{rendered}\n{}\n\
-         All merged fleet answers bit-identical to solo under every cell: {}.\n\
-         Imbalance factor populated for both placements in every cell: {}.\n\
-         Centroid-locality fetched fewer cross-shard chunks than chunk-hash in at least one cell: {}.\n\
-         Replication masked permanent chunk loss as failover: {} \
-         (R=1 degraded {} of {} full scans; R>=2 all exact with failovers).\n",
-        f.render(),
-        if all_identical { "yes" } else { "NO" },
-        if imbalance_populated { "yes" } else { "NO" },
-        if locality_wins { "yes" } else { "NO" },
-        if failover_masks { "yes" } else { "NO" },
-        r1_degraded,
-        n_failover_queries,
-    ))
+    let mut out = Report::default();
+    out.table("exp7.csv", t).line("");
+    out.table("exp7_failover.csv", f).line("");
+    out.gate(
+        "All merged fleet answers bit-identical to solo under every cell",
+        all_identical,
+    );
+    out.gate(
+        "Imbalance factor populated for both placements in every cell",
+        imbalance_populated,
+    );
+    // An observation, not a gate: locality is a property of the workload's
+    // skew, not an invariant of the fleet.
+    out.line(&format!(
+        "Centroid-locality fetched fewer cross-shard chunks than chunk-hash in at least \
+         one cell: {}.",
+        yes_no(locality_wins),
+    ));
+    out.gate_with(
+        "Replication masked permanent chunk loss as failover",
+        failover_masks,
+        &format!(
+            " (R=1 degraded {r1_degraded} of {} full scans; R>=2 all exact with failovers)",
+            failover_trace.len(),
+        ),
+    );
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -1366,32 +1334,14 @@ pub fn exp7(lab: &Lab) -> EvalResult<String> {
 
 /// The ingest-rate multipliers experiment 8 sweeps: mutation arrivals at
 /// this multiple of the query arrival rate.
-pub fn exp8_ingest_multipliers() -> Vec<f64> {
-    vec![0.5, 4.0]
-}
+const EXP8_INGEST_MULTIPLIERS: [f64; 2] = [0.5, 4.0];
 
 /// Experiment 8's target chunk size. Fixed rather than scale-derived:
 /// rebalancing operates at chunk granularity, so the sweep needs enough
 /// chunks that a skewed ingest stream can actually concentrate load — at
 /// the scale-derived MEDIUM leaf a tiny lab has ~10 chunks and the whole
 /// mutation stream fits inside one average chunk's worth of delta.
-pub fn exp8_target_chunk() -> usize {
-    32
-}
-
-/// The effective per-bucket scan loads of a live index: the physical
-/// descriptor count of every final-generation chunk, plus — when delta
-/// inserts are still unfolded — one extra bucket for the delta chunk,
-/// which *every* query scans in full. Under `Never` the skewed inserts
-/// pile up there, which is exactly the hot spot online compaction folds
-/// away.
-fn exp8_effective_loads(report_loads: &[usize], pending_inserts: usize) -> Vec<usize> {
-    let mut loads = report_loads.to_vec();
-    if pending_inserts > 0 {
-        loads.push(pending_inserts);
-    }
-    loads
-}
+const EXP8_TARGET_CHUNK: usize = 32;
 
 /// Regenerates **Experiment 8**: the live-mutation sweep. A skewed
 /// (Zipf-anchored) stream of inserts and deletes is merged with the
@@ -1403,21 +1353,13 @@ fn exp8_effective_loads(report_loads: &[usize], pending_inserts: usize) -> Vec<u
 /// is checked on every installed generation, and the final imbalance
 /// factor shows online compaction absorbing the skewed ingest that a
 /// never-compacting index accumulates in its delta chunk.
-pub fn exp8(lab: &Lab) -> EvalResult<String> {
-    let dq = lab.dq()?;
-    if dq.is_empty() {
-        return Err("exp8 needs a non-empty DQ workload".into());
-    }
-    let params = SearchParams {
-        k: lab.scale.k,
-        stop: StopRule::ToCompletionEps(0.5),
-        prefetch_depth: 2,
-        log_snapshots: false,
-    };
-    let leaf = exp8_target_chunk();
+pub fn exp8(lab: &Lab) -> EvalResult<Report> {
+    let dq = dq_of(lab, "exp8")?;
+    let params = search_params(lab.scale.k, SERVING_STOP);
+    let leaf = EXP8_TARGET_CHUNK;
     let n_ops = (lab.set.len() / 10).clamp(120, 1_500);
     let trigger = (n_ops / 3).max(8);
-    let policies = vec![CompactionPolicy::Never, CompactionPolicy::EveryOps(trigger)];
+    let policies = [CompactionPolicy::Never, CompactionPolicy::EveryOps(trigger)];
     let chunkers: Vec<(&str, Box<dyn ChunkFormer>)> = vec![
         ("sr-tree", Box::new(SrTreeChunker { leaf_size: leaf })),
         (
@@ -1455,83 +1397,61 @@ pub fn exp8(lab: &Lab) -> EvalResult<String> {
 
     let mut all_identical = true;
     let mut bound_ok = true;
-    let mut compaction_ran_everywhere = true;
-    // (chunker, multiplier) → final imbalance factor per policy name.
-    let mut imbalances: Vec<(String, f64, String, f64)> = Vec::new();
+    // Per (chunker × rate) pair: compaction ran in the compacting cell,
+    // which ended better balanced than the never-compacting one.
+    let mut compaction_helps = true;
 
     for (cname, former) in &chunkers {
         let formation = former.form(&lab.set);
+        // A pristine generation-0 index of this chunker in a fresh `cell`
+        // directory.
+        let fresh_index = |cell: String| -> EvalResult<MutableIndex> {
+            let dir = cells_dir.join(cell);
+            std::fs::remove_dir_all(&dir).ok();
+            std::fs::create_dir_all(&dir)?;
+            Ok(MutableIndex::create(
+                &dir,
+                "live",
+                &lab.set,
+                &formation.chunks,
+                lab.scale.page_size,
+                None,
+                lab.model,
+                leaf,
+            )?)
+        };
 
-        // Serial reference over the pristine generation-0 index: sets the
-        // query arrival rate (2× serial capacity) the whole chunker row
-        // shares.
-        let ref_dir = cells_dir.join(format!("{cname}-ref"));
-        std::fs::remove_dir_all(&ref_dir).ok();
-        std::fs::create_dir_all(&ref_dir)?;
-        let reference = MutableIndex::create(
-            &ref_dir,
-            "live",
-            &lab.set,
-            &formation.chunks,
-            lab.scale.page_size,
-            None,
-            lab.model,
-            leaf,
-        )?;
-        let pristine = reference.pin();
-        let mut serial_secs = 0.0f64;
-        for query in &dq.queries {
-            serial_secs += pristine.search(query, &params)?.log.total_virtual.as_secs();
-        }
-        let query_rate = 2.0 * dq.len() as f64 / serial_secs.max(1e-9);
-        let arrivals = poisson_arrivals(dq.len(), query_rate, lab.scale.seed ^ 0xA8);
-        let queries: Vec<(Vector, VirtualDuration)> = dq
-            .queries
-            .iter()
-            .zip(arrivals.arrivals.iter())
-            .map(|(q, &at)| (*q, VirtualDuration::from_secs(at)))
-            .collect();
+        // Serial reference over the pristine index: sets the query arrival
+        // rate (2× serial capacity) the whole chunker row shares.
+        let reference = fresh_index(format!("{cname}-ref"))?;
+        let seed = lab.scale.seed ^ 0xA8;
+        let offered = offer(&reference.pin(), &dq.queries, &params, 2.0, seed)?;
 
-        for &mult in &exp8_ingest_multipliers() {
+        for mult in EXP8_INGEST_MULTIPLIERS {
             let mtrace = skewed_mutation_trace(
                 &lab.set,
                 n_ops,
                 0.9,
-                mult * query_rate,
+                mult * offered.rate_qps,
                 1.1,
                 lab.scale.seed ^ 0xE8,
             );
-            let mutations: Vec<(VirtualDuration, LiveEvent)> = mtrace
-                .events
-                .iter()
-                .map(|e| {
-                    let event = match &e.op {
-                        MutationOp::Insert { id, vector } => LiveEvent::Insert {
-                            id: *id,
-                            vector: *vector,
-                        },
-                        MutationOp::Delete { id } => LiveEvent::Delete { id: *id },
-                    };
-                    (VirtualDuration::from_secs(e.at_secs), event)
-                })
+            let as_event = |op: &MutationOp| match op {
+                MutationOp::Insert { id, vector } => LiveEvent::Insert {
+                    id: *id,
+                    vector: *vector,
+                },
+                MutationOp::Delete { id } => LiveEvent::Delete { id: *id },
+            };
+            let mutations: Vec<(VirtualDuration, LiveEvent)> = (mtrace.events.iter())
+                .map(|e| (VirtualDuration::from_secs(e.at_secs), as_event(&e.op)))
                 .collect();
-            let trace = merge_timelines(&queries, &mutations);
+            let trace = merge_timelines(&offered.trace, &mutations);
 
+            let mut never_imbalance = f64::NAN;
             for policy in &policies {
                 eprintln!("[exp8] {cname} × {mult}× ingest × {} …", policy.name());
-                let cell_dir = cells_dir.join(format!("{cname}-x{mult}-{}", policy.name()));
-                std::fs::remove_dir_all(&cell_dir).ok();
-                std::fs::create_dir_all(&cell_dir)?;
-                let index = MutableIndex::create(
-                    &cell_dir,
-                    "live",
-                    &lab.set,
-                    &formation.chunks,
-                    lab.scale.page_size,
-                    None,
-                    lab.model,
-                    leaf,
-                )?;
+                let index = fresh_index(format!("{cname}-x{mult}-{}", policy.name()))?;
                 let server = LiveServer::new(index, params, *policy);
                 let (report, final_index) = server.serve_trace(&trace)?;
 
@@ -1540,27 +1460,33 @@ pub fn exp8(lab: &Lab) -> EvalResult<String> {
                 let mut identical = report.completions.len() == dq.len();
                 for c in &report.completions {
                     let solo = c.snapshot.search(&c.query, &params)?;
-                    identical = identical && results_bit_identical(&solo, &c.result);
+                    identical = identical && solo.first_difference(&c.result).is_none();
                 }
                 all_identical = all_identical && identical;
-
                 if report.stats.compactions > 0 {
                     bound_ok = bound_ok && report.stats.max_installed_chunk <= 2 * leaf;
-                } else if matches!(policy, CompactionPolicy::EveryOps(_)) {
-                    compaction_ran_everywhere = false;
                 }
 
+                // The effective per-bucket scan loads: every chunk of the
+                // final generation, plus — when delta inserts are still
+                // unfolded — one bucket for the delta chunk, which *every*
+                // query scans in full. Under `Never` the skewed inserts
+                // pile up there: the hot spot online compaction folds away.
                 let pending = final_index.pin().delta().inserts.len();
-                let loads = exp8_effective_loads(&report.final_chunk_loads, pending);
+                let mut loads = report.final_chunk_loads.clone();
+                loads.extend((pending > 0).then_some(pending));
                 let imbalance = imbalance_factor(&loads);
-                imbalances.push((format!("{cname}-x{mult}"), mult, policy.name(), imbalance));
+                match policy {
+                    CompactionPolicy::Never => never_imbalance = imbalance,
+                    _ => {
+                        compaction_helps = compaction_helps
+                            && report.stats.compactions > 0
+                            && imbalance < never_imbalance;
+                    }
+                }
 
-                let latencies: Vec<f64> = report
-                    .completions
-                    .iter()
-                    .map(|c| c.latency().as_secs())
-                    .collect();
-                let lat = LatencySummary::from_secs(&latencies);
+                let lat = latency_summary(report.completions.iter().map(|c| c.latency()));
+                let max_chunk = report.final_chunk_loads.iter().max();
                 t.row(vec![
                     (*cname).to_string(),
                     fmt_f(mult, 1),
@@ -1570,60 +1496,34 @@ pub fn exp8(lab: &Lab) -> EvalResult<String> {
                     report.stats.compactions.to_string(),
                     final_index.generation().to_string(),
                     final_index.epoch().to_string(),
-                    report
-                        .final_chunk_loads
-                        .iter()
-                        .max()
-                        .copied()
-                        .unwrap_or(0)
-                        .to_string(),
+                    max_chunk.copied().unwrap_or(0).to_string(),
                     pending.to_string(),
                     fmt_f(imbalance, 3),
                     fmt_f(lat.p50_secs, 3),
                     fmt_f(lat.p99_secs, 3),
                     fmt_f(report.stats.compaction_cost_secs, 3),
-                    if identical { "yes" } else { "NO" }.to_string(),
+                    yes_no(identical).to_string(),
                 ]);
             }
         }
     }
 
-    // Per (chunker × rate) pair: the compacting cell must end better
-    // balanced than the never-compacting one.
-    let mut compaction_reduces = true;
-    let pairs: std::collections::BTreeSet<String> =
-        imbalances.iter().map(|(k, _, _, _)| k.clone()).collect();
-    for pair in &pairs {
-        let of = |policy_prefix: &str| {
-            imbalances
-                .iter()
-                .find(|(k, _, p, _)| k == pair && p.starts_with(policy_prefix))
-                .map(|(_, _, _, f)| *f)
-        };
-        if let (Some(never), Some(compacting)) = (of("never"), of("every-")) {
-            compaction_reduces = compaction_reduces && compacting < never;
-        } else {
-            compaction_reduces = false;
-        }
-    }
-
-    let rendered = t.render();
-    let dir = lab.results_dir()?;
-    t.save_csv(&dir.join("exp8.csv"))?;
-    Ok(format!(
-        "{rendered}\n\
-         Every served result bit-identical to a solo run on its pinned epoch snapshot: {}.\n\
-         Compactor kept every installed chunk within 2x the target size: {}.\n\
-         Online compaction ran in every compacting cell and reduced the final imbalance \
-         factor vs never-compacting under skewed ingest: {}.\n",
-        if all_identical { "yes" } else { "NO" },
-        if bound_ok { "yes" } else { "NO" },
-        if compaction_ran_everywhere && compaction_reduces {
-            "yes"
-        } else {
-            "NO"
-        },
-    ))
+    let mut out = Report::default();
+    out.table("exp8.csv", t).line("");
+    out.gate(
+        "Every served result bit-identical to a solo run on its pinned epoch snapshot",
+        all_identical,
+    );
+    out.gate(
+        "Compactor kept every installed chunk within 2x the target size",
+        bound_ok,
+    );
+    out.gate(
+        "Online compaction ran in every compacting cell and reduced the final imbalance \
+         factor vs never-compacting under skewed ingest",
+        compaction_helps,
+    );
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -1631,25 +1531,25 @@ pub fn exp8(lab: &Lab) -> EvalResult<String> {
 // ---------------------------------------------------------------------------
 
 /// Experiment 9's stability windows for the `StableTop` stop rule.
-pub fn exp9_stability_windows() -> Vec<usize> {
-    vec![1, 2, 3]
-}
+const EXP9_STABILITY_WINDOWS: [usize; 3] = [1, 2, 3];
 
 /// Experiment 9's image-concurrency levels.
-pub fn exp9_concurrency() -> Vec<usize> {
-    vec![1, 4]
-}
+const EXP9_CONCURRENCY: [usize; 2] = [1, 4];
 
 /// Descriptors per image query. Large enough that an early-terminating
 /// stop rule has real room to save work (the gate wants ≤ 0.5× the
 /// sessions of a full run).
-pub fn exp9_per_query() -> usize {
-    24
+const EXP9_PER_QUERY: usize = 24;
+
+/// An image ranking as comparable bits: images, votes, best-distance bits.
+fn ranking_bits(outcome: &ImageOutcome) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
+    let votes = outcome.ranking.iter();
+    votes.map(|v| (v.image, v.votes, v.best_dist.to_bits()))
 }
 
 /// Regenerates **Experiment 9**: the image-query quality-vs-time sweep.
 /// The collection's descriptors are partitioned into images by a
-/// Zipf-skewed map; each query is a set of [`exp9_per_query`] descriptors
+/// Zipf-skewed map; each query is a set of [`EXP9_PER_QUERY`] descriptors
 /// drawn from one source image and served through the
 /// [`ImageScheduler`] — one search session per descriptor, most-wanted-
 /// chunk fan-out shared across siblings — under every image stop rule ×
@@ -1659,7 +1559,7 @@ pub fn exp9_per_query() -> usize {
 /// claim at image granularity: an early-terminating cell must reach
 /// ≥ 0.95 of the full run's precision@10 while completing ≤ 0.5× the
 /// descriptor sessions.
-pub fn exp9(lab: &Lab) -> EvalResult<String> {
+pub fn exp9(lab: &Lab) -> EvalResult<Report> {
     let handle = lab.serving_index()?;
     let snap = Snapshot::new(handle.store.clone(), lab.model);
     let m = 10usize;
@@ -1679,15 +1579,12 @@ pub fn exp9(lab: &Lab) -> EvalResult<String> {
         &lab.set,
         &image_of,
         n_queries,
-        exp9_per_query(),
+        EXP9_PER_QUERY,
         lab.scale.seed ^ 0x1A9,
     );
 
     // Ground truth: exact per-descriptor searches, every descriptor spent.
-    eprintln!(
-        "[exp9] exact image truth over {n_queries} queries × {} descriptors …",
-        exp9_per_query()
-    );
+    eprintln!("[exp9] exact image truth over {n_queries} queries × {EXP9_PER_QUERY} descriptors …");
     let exact = SearchParams::exact(k);
     let mut truths: Vec<Vec<u32>> = Vec::with_capacity(queries.len());
     for q in &queries {
@@ -1697,12 +1594,7 @@ pub fn exp9(lab: &Lab) -> EvalResult<String> {
 
     // The serving sweep runs each descriptor under the approximate stop
     // the quality-vs-time experiments use.
-    let params = SearchParams {
-        k,
-        stop: StopRule::ToCompletionEps(0.5),
-        prefetch_depth: 2,
-        log_snapshots: false,
-    };
+    let params = search_params(k, SERVING_STOP);
     // Solo reference under the same per-descriptor params: the answer the
     // run-to-completion cells must reproduce bit for bit.
     let mut solo = Vec::with_capacity(queries.len());
@@ -1713,33 +1605,29 @@ pub fn exp9(lab: &Lab) -> EvalResult<String> {
     // The stop rules watch a *head* prefix (top-3): the tail of a vote
     // ranking churns until almost every descriptor is spent, but the head
     // settles after a fraction of them — exactly the paper's trade-off.
-    // Quality is still measured over the full top-10.
+    // Quality is still measured over the full top-10. `RunAll` leads, so
+    // each concurrency level measures its full-run reference first.
     let stop_m = 3usize;
     let mut stops = vec![ImageStopRule::RunAll];
-    for window in exp9_stability_windows() {
+    for window in EXP9_STABILITY_WINDOWS {
         stops.push(ImageStopRule::StableTop { m: stop_m, window });
     }
     stops.push(ImageStopRule::CertifiedTop { m: stop_m });
 
-    let trace: Vec<(ImageQuerySpec, VirtualDuration)> = queries
-        .iter()
-        .enumerate()
+    let trace: Vec<(ImageQuerySpec, VirtualDuration)> = (queries.iter().enumerate())
         .map(|(i, q)| {
-            (
-                ImageQuerySpec {
-                    label: q.image,
-                    descriptors: q.descriptors.clone(),
-                },
-                VirtualDuration::from_ms(i as f64),
-            )
+            let spec = ImageQuerySpec {
+                label: q.image,
+                descriptors: q.descriptors.clone(),
+            };
+            (spec, VirtualDuration::from_ms(i as f64))
         })
         .collect();
 
     let mut t = Table::new(
         &format!(
-            "Experiment 9. Image-level queries ({n_queries} queries × {} descriptors, \
-             {n_images} images, k = {k}, precision@{m} vs the exact image ranking)",
-            exp9_per_query(),
+            "Experiment 9. Image-level queries ({n_queries} queries × {EXP9_PER_QUERY} \
+             descriptors, {n_images} images, k = {k}, precision@{m} vs the exact image ranking)",
         ),
         &[
             "Stop rule",
@@ -1769,10 +1657,15 @@ pub fn exp9(lab: &Lab) -> EvalResult<String> {
 
     let mut all_identical = true;
     let mut accounting_exact = true;
-    // (stop label, active, spent, precision) per cell, for the gate.
-    let mut cells: Vec<(String, usize, u64, f64)> = Vec::new();
+    // The quality-vs-time gate: some early-terminating cell must hold
+    // ≥ 95 % of its concurrency level's full-run precision while completing
+    // at most half the descriptor sessions. The hit with the fewest
+    // sessions: (stop label, active, relative precision, session ratio).
+    let mut gate_hit: Option<(String, usize, f64, f64)> = None;
 
-    for &active in &exp9_concurrency() {
+    for active in EXP9_CONCURRENCY {
+        // This level's full run: (descriptor sessions spent, precision).
+        let mut full = (0u64, 0.0f64);
         for &stop in &stops {
             eprintln!("[exp9] {} × {active} active …", stop.label());
             let mut config = ImageConfig::new(Policy::MostWantedChunk, active, stop);
@@ -1780,7 +1673,7 @@ pub fn exp9(lab: &Lab) -> EvalResult<String> {
             let report = ImageScheduler::new(snap.clone(), config, Arc::clone(&image_of))
                 .serve_trace(&trace, &params)?;
 
-            let outcomes: Vec<&eff2_core::image::ImageOutcome> =
+            let outcomes: Vec<&ImageOutcome> =
                 report.completions.iter().map(|c| &c.outcome).collect();
             let mut precision = 0.0f64;
             let mut certified = 0usize;
@@ -1790,46 +1683,30 @@ pub fn exp9(lab: &Lab) -> EvalResult<String> {
                     && o.descriptors_spent + o.descriptors_abandoned == o.descriptors_total;
                 let truth = &truths[c.id as usize];
                 precision += image_precision_at(&o.top_images(m), truth, m);
-                if o.certificate {
-                    certified += 1;
-                }
+                certified += usize::from(o.certificate);
                 if matches!(stop, ImageStopRule::RunAll) {
                     let want = &solo[c.id as usize];
-                    let same = want.ranking.len() == o.ranking.len()
-                        && want.ranking.iter().zip(o.ranking.iter()).all(|(w, g)| {
-                            w.image == g.image
-                                && w.votes == g.votes
-                                && w.best_dist.to_bits() == g.best_dist.to_bits()
-                        });
-                    all_identical = all_identical && same;
+                    all_identical = all_identical && ranking_bits(want).eq(ranking_bits(o));
                 }
             }
             let nq = report.completions.len().max(1);
             precision /= nq as f64;
             let cert_rate = certified as f64 / nq as f64;
-            let spent_frac = avg_spent_fraction(&outcomes);
-            cells.push((
-                stop.label(),
-                active,
-                report.stats.descriptors_spent,
-                precision,
-            ));
-            // The RunAll cell leads each concurrency level, so the full-run
-            // reference is always in `cells` by the time any cell needs it
-            // (for RunAll itself this is a self-comparison: rel = 1).
-            let rel = cells
-                .iter()
-                .find(|(label, a, _, _)| label == "run-all" && *a == active)
-                .map_or(
-                    1.0,
-                    |(_, _, _, full)| {
-                        if *full > 0.0 {
-                            precision / full
-                        } else {
-                            1.0
-                        }
-                    },
-                );
+            let spent = report.stats.descriptors_spent;
+            let early = !matches!(stop, ImageStopRule::RunAll);
+            if !early {
+                full = (spent, precision);
+            }
+            let rel = if full.1 > 0.0 {
+                precision / full.1
+            } else {
+                1.0
+            };
+            let ratio = spent as f64 / full.0.max(1) as f64;
+            let fewest = gate_hit.as_ref().is_none_or(|(.., best)| ratio < *best);
+            if early && rel >= 0.95 && ratio <= 0.5 && fewest {
+                gate_hit = Some((stop.label(), active, rel, ratio));
+            }
 
             for point in descriptors_spent_curve(&outcomes, &truths, m) {
                 spent_curve.row(vec![
@@ -1841,18 +1718,13 @@ pub fn exp9(lab: &Lab) -> EvalResult<String> {
                 ]);
             }
 
-            let latencies: Vec<f64> = report
-                .completions
-                .iter()
-                .map(|c| c.latency().as_secs())
-                .collect();
-            let lat = LatencySummary::from_secs(&latencies);
+            let lat = latency_summary(report.completions.iter().map(|c| c.latency()));
             t.row(vec![
                 stop.label(),
                 active.to_string(),
-                report.stats.descriptors_spent.to_string(),
+                spent.to_string(),
                 report.stats.descriptors_abandoned.to_string(),
-                fmt_f(spent_frac, 3),
+                fmt_f(avg_spent_fraction(&outcomes), 3),
                 fmt_f(precision, 3),
                 fmt_f(rel, 3),
                 fmt_f(cert_rate, 2),
@@ -1864,59 +1736,28 @@ pub fn exp9(lab: &Lab) -> EvalResult<String> {
         }
     }
 
-    // The quality-vs-time gate: some early-terminating cell must hold
-    // ≥ 95 % of its concurrency level's full-run precision while
-    // completing at most half the descriptor sessions.
-    let full_of = |active: usize| {
-        cells
-            .iter()
-            .find(|(label, a, _, _)| label == "run-all" && *a == active)
-            .map(|(_, _, spent, precision)| (*spent, *precision))
-    };
-    let mut gate_hit: Option<(String, usize, f64, f64)> = None;
-    for (label, active, spent, precision) in &cells {
-        let Some((full_spent, full_precision)) = full_of(*active) else {
-            continue;
-        };
-        let rel = if full_precision > 0.0 {
-            precision / full_precision
-        } else {
-            1.0
-        };
-        let ratio = *spent as f64 / full_spent.max(1) as f64;
-        if label != "run-all" && rel >= 0.95 && ratio <= 0.5 {
-            let better = gate_hit
-                .as_ref()
-                .is_none_or(|(_, _, _, best_ratio)| ratio < *best_ratio);
-            if better {
-                gate_hit = Some((label.clone(), *active, rel, ratio));
-            }
-        }
-    }
-
-    let rendered = t.render();
-    let dir = lab.results_dir()?;
-    t.save_csv(&dir.join("exp9.csv"))?;
-    spent_curve.save_csv(&dir.join("exp9_spent.csv"))?;
-
-    let mut out = format!(
-        "{rendered}\nRun-to-completion cells bit-identical to the solo image reference: {}.\n\
-         Descriptor accounting exact in every cell: {}.\n",
-        if all_identical { "yes" } else { "NO" },
-        if accounting_exact { "yes" } else { "NO" },
+    let mut out = Report::default();
+    out.table("exp9.csv", t).line("");
+    out.csv_only("exp9_spent.csv", spent_curve);
+    out.gate(
+        "Run-to-completion cells bit-identical to the solo image reference",
+        all_identical,
     );
-    match &gate_hit {
-        Some((label, active, rel, ratio)) => out.push_str(&format!(
+    out.gate(
+        "Descriptor accounting exact in every cell",
+        accounting_exact,
+    );
+    if let Some((label, active, rel, ratio)) = &gate_hit {
+        out.line(&format!(
             "Best early-stop cell: {label} at {active} active — {rel:.3} of full-run \
-             precision@{m} using {ratio:.2}x the descriptor sessions.\n\
-             An early-terminating cell reached >=0.95 of full-run precision@{m} at <=0.5x \
-             the descriptor sessions: yes.\n"
-        )),
-        None => out.push_str(&format!(
-            "An early-terminating cell reached >=0.95 of full-run precision@{m} at <=0.5x \
-             the descriptor sessions: NO.\n"
-        )),
+             precision@{m} using {ratio:.2}x the descriptor sessions."
+        ));
     }
+    let reached = format!(
+        "An early-terminating cell reached >=0.95 of full-run precision@{m} at <=0.5x \
+         the descriptor sessions"
+    );
+    out.gate(&reached, gate_hit.is_some());
     Ok(out)
 }
 
@@ -1933,6 +1774,41 @@ mod tests {
         Lab::prepare(scale, &dir).expect("prepare")
     }
 
+    /// Runs `experiment` the way [`run`] does — CSV series saved under the
+    /// lab's results directory — and hands back its report, which must
+    /// have written exactly the `csvs` files and hold all of its `gates`
+    /// gates.
+    fn smoke(
+        tag: &str,
+        experiment: fn(&Lab) -> EvalResult<Report>,
+        csvs: &[&str],
+        gates: usize,
+    ) -> Report {
+        let lab = tiny_lab(tag);
+        let report = experiment(&lab).expect("experiment");
+        let dir = lab.results_dir().expect("results dir");
+        report.save_csvs(&dir).expect("save csvs");
+        let saved: Vec<&str> = report.tables.iter().map(|(csv, _)| csv.as_str()).collect();
+        assert_eq!(saved, csvs);
+        for csv in csvs {
+            assert!(dir.join(csv).exists(), "missing {csv}");
+        }
+        assert_eq!(report.gates.len(), gates, "{}", report.text);
+        assert_eq!(report.failed(), Vec::<&str>::new(), "{}", report.text);
+        report
+    }
+
+    /// The integer in `report`'s table `csv`, row `key`, column `column`.
+    fn count(report: &Report, csv: &str, key: &[&str], column: &str) -> u64 {
+        let (_, table) = report
+            .tables
+            .iter()
+            .find(|(name, _)| name == csv)
+            .expect("table");
+        let cell = table.cell(key, column).expect("cell");
+        cell.parse().expect("an integer cell")
+    }
+
     #[test]
     fn sweep_marks_respect_k() {
         assert_eq!(sweep_neighbor_marks(30), vec![1, 10, 20, 25, 28, 30]);
@@ -1941,207 +1817,141 @@ mod tests {
     }
 
     #[test]
+    fn registry_names_are_unique_and_all_in_the_usage_text() {
+        let usage = usage();
+        for (i, (name, summary, _)) in EXPERIMENTS.iter().enumerate() {
+            assert!(
+                EXPERIMENTS[..i].iter().all(|(earlier, ..)| earlier != name),
+                "{name} is registered twice"
+            );
+            assert!(
+                usage.contains(&format!("  {name:<8} {summary}\n")),
+                "{name} is missing from the usage text"
+            );
+            let one = resolve(name).expect("a registered name resolves");
+            assert_eq!(one.len(), 1);
+            assert_eq!(one[0].0, *name);
+        }
+        assert!(resolve("exp0").is_none() && resolve("").is_none());
+    }
+
+    #[test]
+    fn all_runs_in_registry_order() {
+        let all: Vec<&str> = resolve("all").expect("all").iter().map(|e| e.0).collect();
+        let registry: Vec<&str> = EXPERIMENTS.iter().map(|e| e.0).collect();
+        assert_eq!(all, registry);
+        assert!(all.ends_with(&["exp7", "exp8", "exp9"]));
+    }
+
+    #[test]
+    fn a_failed_gate_turns_the_exit_status_to_one() {
+        fn holds(_: &Lab) -> EvalResult<Report> {
+            let mut report = Report::default();
+            report.gate("Holds", true);
+            Ok(report)
+        }
+        fn breaks(_: &Lab) -> EvalResult<Report> {
+            let mut report = Report::default();
+            report.gate("Breaks", false);
+            Ok(report)
+        }
+        let lab = tiny_lab("status");
+        let (holds, breaks): (Experiment, Experiment) =
+            (("holds", "", holds), ("breaks", "", breaks));
+        assert_eq!(run(&[holds], &lab).expect("run"), 0);
+        // Every report is still printed; one NO anywhere fails the run.
+        assert_eq!(run(&[holds, breaks, holds], &lab).expect("run"), 1);
+    }
+
+    #[test]
     fn table1_and_fig1_render() {
-        let lab = tiny_lab("t1");
-        let t1 = table1(&lab).expect("table1");
+        let t1 = smoke(
+            "t1",
+            table1,
+            &["table1.csv", "table1_formation_cost.csv"],
+            0,
+        )
+        .text;
         assert!(t1.contains("SMALL") && t1.contains("LARGE"));
         assert!(t1.contains("BAG"));
-        let f1 = fig1(&lab).expect("fig1");
+        let f1 = smoke("t1", fig1, &["fig1.csv"], 0).text;
         assert!(f1.lines().count() > 30);
-        assert!(lab.results_dir().unwrap().join("table1.csv").exists());
-        assert!(lab.results_dir().unwrap().join("fig1.csv").exists());
+    }
+
+    #[test]
+    fn exp1_smoke() {
+        let csvs = ["fig2.csv", "fig3.csv", "fig4.csv", "fig5.csv", "table2.csv"];
+        let report = smoke("e1", exp1, &csvs, 0).text;
+        for fig in ["Figure 2", "Figure 3", "Figure 4", "Figure 5", "Table 2"] {
+            assert!(report.contains(fig), "missing {fig}");
+        }
     }
 
     #[test]
     fn exp3_smoke() {
-        let lab = tiny_lab("e3");
-        let report = exp3(&lab).expect("exp3");
-        assert!(report.contains("Experiment 3"));
-        assert!(report.contains("completion"), "missing the exact rule row");
+        let report = smoke("e3", exp3, &["exp3.csv"], 0);
+        assert!(report.text.contains("Experiment 3"));
         assert!(
-            report.contains("One scan per query answered all 9 rules"),
+            report.text.contains("completion"),
+            "missing the exact rule row"
+        );
+        assert!(
+            report
+                .text
+                .contains("One scan per query answered all 9 rules"),
             "missing the shared-scan summary"
         );
-        assert!(lab.results_dir().unwrap().join("exp3.csv").exists());
         // The single scan must be strictly cheaper than per-rule re-runs:
         // the ladder contains rules of different depths.
-        let summary = report
-            .lines()
-            .rev()
-            .find(|l| l.contains("One scan"))
-            .expect("summary line");
-        let nums: Vec<usize> = summary
-            .split(|c: char| !c.is_ascii_digit())
-            .filter(|s| !s.is_empty())
-            .map(|s| s.parse().unwrap())
-            .collect();
-        // nums = [9, shared, individual] from the summary sentence.
-        assert_eq!(nums[0], 9);
-        assert!(nums[1] < nums[2], "shared scan should read fewer chunks");
+        let [(_, shared), (_, per_rule)] = report.values[..] else {
+            panic!("exp3 records its two read counts: {:?}", report.values);
+        };
+        assert!(shared < per_rule, "shared scan should read fewer chunks");
     }
 
     #[test]
     fn exp4_smoke() {
-        let lab = tiny_lab("e4");
-        let report = exp4(&lab).expect("exp4");
-        assert!(report.contains("Experiment 4"));
-        assert!(
-            report.contains("bit-identical to serial under every policy: yes"),
-            "scheduling changed an answer:\n{report}"
-        );
-        assert!(lab.results_dir().unwrap().join("exp4.csv").exists());
-        assert!(lab.results_dir().unwrap().join("exp4_quality.csv").exists());
+        let report = smoke("e4", exp4, &["exp4.csv", "exp4_quality.csv"], 1);
         // At the highest concurrency level, co-scheduling sessions that
         // want the same chunk must read strictly fewer chunks than
         // round-robin.
-        let top = *exp4_concurrency().last().unwrap();
-        let summary = report
-            .lines()
-            .find(|l| l.starts_with(&format!("At {top} concurrent sessions")))
-            .expect("sharing summary line");
-        let nums: Vec<u64> = summary
-            .split(|c: char| !c.is_ascii_digit())
-            .filter(|s| !s.is_empty())
-            .map(|s| s.parse().unwrap())
-            .collect();
-        // nums = [top, mwc_fetches, fair_fetches, percent_saved].
-        assert_eq!(nums[0] as usize, top);
+        let top = EXP4_CONCURRENCY[2].to_string();
+        let fetches =
+            |policy: Policy| count(&report, "exp4.csv", &[policy.name(), &top], "Fetches");
         assert!(
-            nums[1] < nums[2],
-            "most-wanted-chunk should fetch strictly fewer chunks: {summary}"
+            fetches(Policy::MostWantedChunk) < fetches(Policy::FairShare),
+            "most-wanted-chunk should fetch strictly fewer chunks:\n{}",
+            report.text
         );
     }
 
     #[test]
     fn exp5_smoke() {
-        let lab = tiny_lab("e5");
-        let report = exp5(&lab).expect("exp5");
-        assert!(report.contains("Experiment 5"));
-        assert!(
-            report.contains("Rate-0 chaos stack bit-identical to the undecorated search: yes"),
-            "rate-0 decoration changed an answer:\n{report}"
-        );
-        assert!(
-            report.contains("All faulted searches completed with degradation reports: yes"),
-            "a faulted search aborted or lied about its losses:\n{report}"
-        );
-        assert!(
-            report.contains("Precision monotonically non-increasing in fault rate: yes"),
-            "quality rose with the fault rate:\n{report}"
-        );
-        assert!(lab.results_dir().unwrap().join("exp5.csv").exists());
+        smoke("e5", exp5, &["exp5.csv"], 3);
     }
 
     #[test]
     fn exp6_smoke() {
-        let lab = tiny_lab("e6");
-        let report = exp6(&lab).expect("exp6");
-        assert!(report.contains("Experiment 6"));
-        assert!(
-            report.contains(
-                "Rerank tail bit-identical to the uncompressed baseline at full budget: yes"
-            ),
-            "full-budget rerank tail changed an answer:\n{report}"
-        );
-        assert!(
-            report.contains("Precision monotonically non-decreasing in rerank depth: yes"),
-            "deeper rerank pools lost quality:\n{report}"
-        );
-        assert!(
-            report.contains("Neighbor ids unchanged under two-level ranking: yes"),
-            "two-level ranking changed an answer:\n{report}"
-        );
-        assert!(
-            report.contains("v2 and v3 chunk files read-compatible: yes"),
-            "the v3 raw region diverged from the v2 layout:\n{report}"
-        );
-        assert!(lab.results_dir().unwrap().join("exp6.csv").exists());
+        smoke("e6", exp6, &["exp6.csv"], 4);
     }
 
     #[test]
     fn exp7_smoke() {
-        let lab = tiny_lab("e7");
-        let report = exp7(&lab).expect("exp7");
-        assert!(report.contains("Experiment 7"));
-        assert!(
-            report.contains("All merged fleet answers bit-identical to solo under every cell: yes"),
-            "sharding changed an answer:\n{report}"
-        );
-        assert!(
-            report.contains("Imbalance factor populated for both placements in every cell: yes"),
-            "a placement cell reported no imbalance factor:\n{report}"
-        );
-        assert!(
-            report.contains("Replication masked permanent chunk loss as failover: yes"),
-            "replication failed to mask a permanent chunk loss:\n{report}"
-        );
-        assert!(lab.results_dir().unwrap().join("exp7.csv").exists());
-        assert!(lab
-            .results_dir()
-            .unwrap()
-            .join("exp7_failover.csv")
-            .exists());
+        smoke("e7", exp7, &["exp7.csv", "exp7_failover.csv"], 3);
     }
 
     #[test]
     fn exp8_smoke() {
-        let lab = tiny_lab("e8");
-        let report = exp8(&lab).expect("exp8");
-        assert!(report.contains("Experiment 8"));
-        assert!(
-            report.contains(
-                "Every served result bit-identical to a solo run on its pinned epoch snapshot: yes"
-            ),
-            "mutation changed a pinned answer:\n{report}"
-        );
-        assert!(
-            report.contains("Compactor kept every installed chunk within 2x the target size: yes"),
-            "a compaction installed an oversized chunk:\n{report}"
-        );
-        assert!(
-            report.contains(
-                "Online compaction ran in every compacting cell and reduced the final \
-                 imbalance factor vs never-compacting under skewed ingest: yes"
-            ),
-            "compaction failed to rebalance the skewed ingest:\n{report}"
-        );
-        assert!(lab.results_dir().unwrap().join("exp8.csv").exists());
+        smoke("e8", exp8, &["exp8.csv"], 3);
     }
 
     #[test]
     fn exp9_smoke() {
-        let lab = tiny_lab("e9");
-        let report = exp9(&lab).expect("exp9");
-        assert!(report.contains("Experiment 9"));
-        assert!(
-            report
-                .contains("Run-to-completion cells bit-identical to the solo image reference: yes"),
-            "interleaving changed an image ranking:\n{report}"
-        );
-        assert!(
-            report.contains("Descriptor accounting exact in every cell: yes"),
-            "a descriptor session went unaccounted:\n{report}"
-        );
-        assert!(
-            report.contains(
-                "An early-terminating cell reached >=0.95 of full-run precision@10 at <=0.5x \
-                 the descriptor sessions: yes"
-            ),
-            "no early-stop cell met the quality-vs-time gate:\n{report}"
-        );
-        assert!(lab.results_dir().unwrap().join("exp9.csv").exists());
-        assert!(lab.results_dir().unwrap().join("exp9_spent.csv").exists());
-    }
-
-    #[test]
-    fn exp1_smoke() {
-        let lab = tiny_lab("e1");
-        let report = exp1(&lab).expect("exp1");
-        for fig in ["Figure 2", "Figure 3", "Figure 4", "Figure 5", "Table 2"] {
-            assert!(report.contains(fig), "missing {fig}");
-        }
-        for f in ["fig2.csv", "fig3.csv", "fig4.csv", "fig5.csv", "table2.csv"] {
-            assert!(lab.results_dir().unwrap().join(f).exists(), "missing {f}");
-        }
+        let report = smoke("e9", exp9, &["exp9.csv", "exp9_spent.csv"], 3);
+        // Descriptor sessions spent by the full run vs the tightest
+        // early-stop rule at 4-way concurrency: early stopping must spend
+        // strictly fewer sessions.
+        let spent = |rule: &str| count(&report, "exp9.csv", &[rule, "4"], "Spent");
+        assert!(spent("stable-top3-w1") < spent("run-all"));
     }
 }

@@ -5,16 +5,9 @@
 //! The experiment harness: everything needed to regenerate the paper's
 //! tables and figures at a configurable scale.
 //!
-//! | Paper artefact | Harness entry point |
-//! |----------------|---------------------|
-//! | Table 1 (chunk index properties) | [`experiments::table1`] |
-//! | Figure 1 (30 largest chunks) | [`experiments::fig1`] |
-//! | Figures 2–3 (chunks read vs neighbours, DQ/SQ) | [`experiments::exp1`] |
-//! | Figures 4–5 (elapsed time vs neighbours, DQ/SQ) | [`experiments::exp1`] |
-//! | Table 2 (time to completion) | [`experiments::exp1`] |
-//! | Figures 6–7 (optimal chunk size, DQ/SQ) | [`experiments::exp2`] |
-//! | Serving under load (beyond the paper: scheduler policies × concurrency) | [`experiments::exp4`] |
-//! | Quality under chunk loss (beyond the paper: fault rate × retry policy) | [`experiments::exp5`] |
+//! Every artefact — the paper's tables and figures, and the sweeps beyond
+//! it — is one entry of [`experiments::EXPERIMENTS`]: a function from the
+//! [`Lab`] to a [`Report`] whose gates fail the run when they print `NO`.
 //!
 //! The default scale is 100,000 descriptors (the paper used 5,017,298 — see
 //! DESIGN.md §5 for the substitution rationale); chunk-size targets scale
@@ -24,9 +17,11 @@
 
 pub mod experiments;
 pub mod lab;
+pub mod report;
 pub mod scale;
 
 pub use lab::{IndexHandle, IndexMeta, Lab};
+pub use report::Report;
 pub use scale::Scale;
 
 /// Harness-level result type (errors cross crate boundaries).

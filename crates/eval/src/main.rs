@@ -2,150 +2,74 @@
 //!
 //! ```text
 //! eff2-eval <command> [--scale N] [--queries N] [--seed S] [--out DIR]
-//!
-//! commands:
-//!   gen      generate (or load) the synthetic collection and print stats
-//!   indexes  build the six chunk indexes (BAG + SR at three sizes)
-//!   table1   Table 1  — chunk index properties
-//!   fig1     Figure 1 — sizes of the 30 largest chunks
-//!   exp1     Figures 2–5 and Table 2 — quality vs time, six indexes
-//!   table2   Table 2 only (runs/loads exp1 curves)
-//!   exp2     Figures 6–7 — the chunk-size sweep
-//!   exp3     the stop-rule sweep — every rule answered from one scan
-//!   exp4     the serving sweep — scheduler policies × concurrency levels
-//!   exp5     the chaos sweep — quality degradation under injected chunk loss
-//!   exp6     the quantization sweep — ADC scans, rerank depths, two-level ranking
-//!   exp7     the sharded-fleet sweep — shards × replication × placement, with failover
-//!   exp8     the live-mutation sweep — ingest rate × compaction policy × chunker
-//!   exp9     the image-query sweep — vote aggregation, stop rules × windows × concurrency
-//!   all      everything above, in order
 //! ```
 //!
-//! Environment variables `EFF2_SCALE`, `EFF2_QUERIES`, `EFF2_SEED` provide
-//! defaults for the corresponding flags.
-// lint:allow-file(panic.index): argv and table access follows explicit length checks in the CLI parser
+//! The commands are the entries of
+//! [`EXPERIMENTS`](eff2_eval::experiments::EXPERIMENTS) plus `all`; run
+//! the binary without arguments to have them listed. Exit status: 0 when
+//! every gate of every report held, 1 when one printed `NO` (or the run
+//! hit an error), 2 for a command or flag nobody knows — refused before
+//! anything is generated or written.
 
 use eff2_eval::experiments;
-use eff2_eval::{EvalResult, Lab, Scale};
-use std::path::{Path, PathBuf};
+use eff2_eval::{Lab, Scale};
+use std::path::PathBuf;
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: eff2-eval <gen|indexes|table1|fig1|exp1|table2|exp2|exp3|exp4|exp5|exp6|exp7|exp8|exp9|all> \
-         [--scale N] [--queries N] [--seed S] [--out DIR]"
-    );
+    eprint!("{}", experiments::usage());
     std::process::exit(2);
+}
+
+fn parsed<T: std::str::FromStr>(value: &str) -> T {
+    value.parse().unwrap_or_else(|_| usage())
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
+    let Some((command, flags)) = args.split_first() else {
         usage();
-    }
-    let command = args[0].clone();
-    let mut scale = Scale::from_env();
+    };
+    let Some(selected) = experiments::resolve(command) else {
+        eprintln!("unknown command {command}");
+        usage();
+    };
+    let mut scale = Scale::new(100_000);
     let mut out = PathBuf::from("results");
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                scale.n_descriptors = parse_next(&args, &mut i);
-            }
-            "--queries" => {
-                scale.n_queries = parse_next(&args, &mut i);
-            }
-            "--seed" => {
-                scale.seed = parse_next(&args, &mut i);
-            }
-            "--out" => {
-                i += 1;
-                out = PathBuf::from(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
+    let mut flags = flags.iter();
+    while let Some(flag) = flags.next() {
+        let value = flags.next().unwrap_or_else(|| usage());
+        match flag.as_str() {
+            "--scale" => scale.n_descriptors = parsed(value),
+            "--queries" => scale.n_queries = parsed(value),
+            "--seed" => scale.seed = parsed(value),
+            "--out" => out = PathBuf::from(value),
             other => {
                 eprintln!("unknown flag {other}");
                 usage();
             }
         }
-        i += 1;
     }
 
-    if let Err(e) = run(&command, scale, &out) {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    }
-}
-
-fn parse_next<T: std::str::FromStr>(args: &[String], i: &mut usize) -> T {
-    *i += 1;
-    args.get(*i)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| usage())
-}
-
-fn run(command: &str, scale: Scale, out: &Path) -> EvalResult<()> {
     // lint:allow(det.wall_clock): CLI progress reporting only; results carry virtual times
     let started = std::time::Instant::now();
-    let lab = Lab::prepare(scale, out)?;
-    eprintln!(
-        "[lab] collection: {} descriptors (target {}), cache {}",
-        lab.set.len(),
-        scale.n_descriptors,
-        lab.cache_dir.display()
-    );
-
-    match command {
-        "gen" => {
-            let stats = eff2_descriptor::DimensionStats::compute(&lab.set);
-            println!(
-                "collection: {} descriptors, dim mean[0] = {:.3}, var[0] = {:.3}",
-                stats.count, stats.mean[0], stats.variance[0]
-            );
+    let status = Lab::prepare(scale, &out).and_then(|lab| {
+        eprintln!(
+            "[lab] collection: {} descriptors (target {}), cache {}",
+            lab.set.len(),
+            scale.n_descriptors,
+            lab.cache_dir.display()
+        );
+        experiments::run(selected, &lab)
+    });
+    match status {
+        Ok(status) => {
+            let secs = started.elapsed().as_secs_f64();
+            eprintln!("[done] {command} in {secs:.1}s");
+            std::process::exit(status)
         }
-        "indexes" => {
-            for h in lab.six_indexes()? {
-                println!(
-                    "{:<14} chunks = {:>6}  mean size = {:>8.1}  outliers = {:>7} ({:.1}%)",
-                    h.meta.label,
-                    h.meta.n_chunks,
-                    h.meta.mean_chunk_size,
-                    h.meta.discarded,
-                    100.0 * h.meta.discarded as f64 / h.meta.total_input.max(1) as f64,
-                );
-            }
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(1);
         }
-        "table1" => print!("{}", experiments::table1(&lab)?),
-        "fig1" => print!("{}", experiments::fig1(&lab)?),
-        "exp1" => print!("{}", experiments::exp1(&lab)?),
-        "table2" => {
-            let curves = experiments::exp1_curves(&lab)?;
-            print!("{}", experiments::table2(&lab, &curves)?);
-        }
-        "exp2" => print!("{}", experiments::exp2(&lab)?),
-        "exp3" => print!("{}", experiments::exp3(&lab)?),
-        "exp4" => print!("{}", experiments::exp4(&lab)?),
-        "exp5" => print!("{}", experiments::exp5(&lab)?),
-        "exp6" => print!("{}", experiments::exp6(&lab)?),
-        "exp7" => print!("{}", experiments::exp7(&lab)?),
-        "exp8" => print!("{}", experiments::exp8(&lab)?),
-        "exp9" => print!("{}", experiments::exp9(&lab)?),
-        "all" => {
-            print!("{}", experiments::table1(&lab)?);
-            print!("{}", experiments::fig1(&lab)?);
-            print!("{}", experiments::exp1(&lab)?);
-            print!("{}", experiments::exp2(&lab)?);
-            print!("{}", experiments::exp3(&lab)?);
-            print!("{}", experiments::exp4(&lab)?);
-            print!("{}", experiments::exp5(&lab)?);
-            print!("{}", experiments::exp6(&lab)?);
-            print!("{}", experiments::exp7(&lab)?);
-            print!("{}", experiments::exp8(&lab)?);
-            print!("{}", experiments::exp9(&lab)?);
-        }
-        _ => usage(),
     }
-    eprintln!(
-        "[done] {command} in {:.1}s",
-        started.elapsed().as_secs_f64()
-    );
-    Ok(())
 }

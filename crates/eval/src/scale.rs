@@ -46,27 +46,6 @@ impl Scale {
         }
     }
 
-    /// Reads the scale from `EFF2_SCALE` / `EFF2_QUERIES` / `EFF2_SEED`
-    /// environment variables, defaulting to 100,000 descriptors and 1,000
-    /// queries.
-    pub fn from_env() -> Self {
-        let n = std::env::var("EFF2_SCALE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(100_000);
-        let mut s = Scale::new(n);
-        if let Some(q) = std::env::var("EFF2_QUERIES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-        {
-            s.n_queries = q;
-        }
-        if let Some(seed) = std::env::var("EFF2_SEED").ok().and_then(|v| v.parse().ok()) {
-            s.seed = seed;
-        }
-        s
-    }
-
     /// The linear shrink factor relative to the paper.
     pub fn shrink(&self) -> f64 {
         self.n_descriptors as f64 / PAPER_N as f64

@@ -46,6 +46,15 @@ impl Table {
         self.rows.is_empty()
     }
 
+    /// The cell under `column` in the first row whose leading cells are
+    /// `key`.
+    pub fn cell(&self, key: &[&str], column: &str) -> Option<&str> {
+        let col = self.headers.iter().position(|h| h == column)?;
+        let mut rows = self.rows.iter();
+        let row = rows.find(|row| row.iter().zip(key).all(|(cell, k)| cell == k))?;
+        row.get(col).map(String::as_str)
+    }
+
     /// Renders the table with aligned columns.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.chars().count()).collect();
@@ -137,6 +146,9 @@ mod tests {
         // Header and rows share the same width.
         assert_eq!(lines[1].len(), lines[3].len());
         assert!(lines[4].contains("long-name"));
+        assert_eq!(t.cell(&["long-name"], "count"), Some("12345"));
+        assert_eq!(t.cell(&["missing"], "count"), None);
+        assert_eq!(t.cell(&["a"], "no such column"), None);
     }
 
     #[test]

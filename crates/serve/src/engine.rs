@@ -146,12 +146,9 @@ pub(crate) struct Folded<O> {
 /// generation it is serving.
 struct Node {
     clock: PipelineClock,
-    /// By compaction generation, opened when the first job pinned to it
-    /// lands here.
+    /// By compaction generation, opened by the first fetch here on behalf
+    /// of a job pinned to it.
     shelves: BTreeMap<u64, Shelf>,
-    /// Whether any chunk's reads are routed here — then so are some of
-    /// every session's ranked chunks, a ranking being over all chunks.
-    serves: bool,
 }
 
 /// One device's view of one generation's chunk files.
@@ -207,12 +204,10 @@ impl Devices {
             Some((map, down, loss_scope)) => (Some(map), down, loss_scope),
             None => (None, vec![false], LossScope::Primary),
         };
-        let routed = map.as_deref().map(|m| m.routed_owners(&down));
-        let nodes = (0..down.len() as u32)
-            .map(|d| Node {
+        let nodes = (down.iter())
+            .map(|_| Node {
                 clock: PipelineClock::start_at(VirtualDuration::ZERO),
                 shelves: BTreeMap::new(),
-                serves: routed.as_ref().is_none_or(|routed| routed.contains(&d)),
             })
             .collect();
         Devices {
@@ -276,9 +271,6 @@ struct Member {
     /// The routed owner of the first-ranked chunk: ranking CPU is charged
     /// there, deliveries from elsewhere count as cross-device fetches.
     home: usize,
-    /// Cache-attribution tag per device (with its [`ResidentSource`] for
-    /// the job's generation); `None` where no ranked chunk is routed.
-    requesters: Vec<Option<u64>>,
     /// Deliveries not yet consumed — at most [`LOOKAHEAD`] + 1 — each with
     /// its rank and the fleet time its scan was charged to complete at.
     ahead: Vec<(usize, Delivery, VirtualDuration)>,
@@ -370,8 +362,7 @@ impl Admission<'_> {
     /// Opens the session of `member` for `query`: ranks every chunk (into
     /// a recycled buffer), charges the ranking as CPU on the session's
     /// home device (the index itself is memory-resident in the serving
-    /// layer), draws one cache-attribution tag per device that routes any
-    /// of its chunks, and skips any unreachable ranks the cursor starts on.
+    /// layer), and skips any unreachable ranks the cursor starts on.
     /// Returns when the ranking is done, plus — for a session that needs
     /// no delivery at all (`k = 0`, an empty index, a zero-chunk stop
     /// rule, nothing reachable) — its result instead of an open member.
@@ -383,12 +374,6 @@ impl Admission<'_> {
     ) -> Result<(VirtualDuration, Option<SearchResult>)> {
         let mut ranking = self.spare.pop().unwrap_or_default();
         self.snapshot.rank_into(&mut ranking, query);
-        let budget = self.config.cache_budget_bytes;
-        let tag = |node: &mut Node| {
-            let shelf = node.serves.then(|| node.shelf(self.snapshot, budget));
-            shelf.map(|shelf| shelf.source.new_requester())
-        };
-        let requesters = self.devices.nodes.iter_mut().map(tag).collect();
         let first = (!ranking.is_empty()).then(|| ranking.chunk_at(0));
         let home = first.and_then(|c| self.devices.route(c)).unwrap_or(0);
         let rank_cpu = self.snapshot.model().rank_time(self.snapshot.n_chunks());
@@ -398,7 +383,6 @@ impl Admission<'_> {
         let mut opened = Member {
             session: self.snapshot.session_from_ranking(ranking, query, params),
             home,
-            requesters,
             ahead: Vec::new(),
             finish: ranked_at,
         };
@@ -932,12 +916,12 @@ impl<G: Group> Engine<G> {
         } = &mut self.devices;
         let owners: &[u32] = map.as_deref().map_or(&[0], |m| m.owners(chunk_id));
         let primary = owners.first().copied().unwrap_or(0);
-        let picked = self.jobs.get(&first.0).and_then(|job| {
-            let member = job.members.iter().find(|(m, _)| *m == first.1);
-            member.map(|(_, member)| (job, member))
-        });
-        let (job, member) =
-            picked.ok_or_else(|| inconsistent("engine stalled: the picked session is gone"))?;
+        let job = (self.jobs.get(&first.0))
+            .ok_or_else(|| inconsistent("engine stalled: the picked session is gone"))?;
+        // The cache-attribution tag: the session's key, the same on every
+        // device, so a hit is a cross-query hit exactly when a different
+        // session brought the chunk in.
+        let requester = (first.0 << 32) | u64::from(first.1);
         let plan = self.config.fault_plan;
         let retry = self.config.retry;
         let lost = plan.is_some_and(|p| p.is_permanently_lost(chunk_id));
@@ -948,13 +932,6 @@ impl<G: Group> Engine<G> {
             if down[o] {
                 continue;
             }
-            // The session's own tag on this device. A failover onto a
-            // device that routes none of its ranked chunks has none and
-            // borrows tag 0 — the tag of whichever session first drew one
-            // on that shelf — so `cross_query_hits` can miss (or invent) a
-            // crossing there: a known mis-attribution, kept so the figures
-            // stay comparable with earlier runs.
-            let requester = member.requesters[o].unwrap_or(0);
             let shelf = nodes[o].shelf(&job.snapshot, self.config.cache_budget_bytes);
             // Whether the permanent draw kills this copy.
             let lost_here = lost && (*loss_scope == LossScope::AllCopies || owner == primary);

@@ -381,6 +381,47 @@ mod tests {
     }
 
     #[test]
+    fn a_failover_hit_on_a_replica_only_shard_is_cross_query_iff_another_session_read_it() {
+        // Fewer chunks than shards: some shard holds replicas but is no
+        // chunk's primary, so routing sends it nothing and only a failover
+        // ever lands there.
+        let (snap, set) = snapshot("replicaonly", 90, 30);
+        let (n_chunks, n_shards) = (snap.n_chunks(), 16);
+        assert!(n_chunks < n_shards);
+        let map = ShardMap::chunk_hash(n_chunks, n_shards, 2);
+        let primaries = map.primary_counts();
+        assert!(
+            (0..n_chunks).any(|c| primaries[map.owners(c)[1] as usize] == 0),
+            "the scenario needs a replica-only shard"
+        );
+        // Every primary is lost for good, so every read fails over. The
+        // sessions run one after the other: the first reads each replica
+        // from disk, every later one finds it in the replica shard's cache.
+        let run = |n_sessions: usize| {
+            let mut config = FleetConfig::new(Policy::FairShare, n_shards, 1);
+            config.replication = 2;
+            config.max_queued = n_sessions;
+            config.fault_plan = Some(FaultPlan::new(FaultConfig::lossy(7, 1.0)));
+            config.retry = retry(2, 5.0);
+            let fleet = FleetScheduler::new(snap.clone(), config)
+                .serve_trace(&trace(&set, n_sessions, 60_000.0), &scan_all(8))
+                .expect("fleet");
+            assert_eq!(fleet.report.stats.sessions_degraded, 0);
+            assert_eq!(fleet.failovers, (n_sessions * n_chunks) as u64);
+            fleet.report.stats.cache
+        };
+        let alone = run(1);
+        assert_eq!((alone.hits, alone.cross_query_hits), (0, 0));
+        let three = run(3);
+        assert_eq!(three.misses, n_chunks as u64);
+        assert_eq!(three.hits, 2 * n_chunks as u64);
+        assert_eq!(
+            three.cross_query_hits, three.hits,
+            "every hit found a chunk that a different session brought in"
+        );
+    }
+
+    #[test]
     fn all_copies_lost_degrades_exactly_like_the_solo_scheduler() {
         let (snap, set) = snapshot("allcopies", 600, 25);
         let params = scan_all(8);

@@ -212,17 +212,6 @@ impl ServeReport {
             0.0
         }
     }
-
-    /// Fleet latencies in virtual seconds, sorted ascending.
-    pub fn latencies_secs(&self) -> Vec<f64> {
-        let mut out: Vec<f64> = self
-            .completions
-            .iter()
-            .map(|c| c.latency().as_secs())
-            .collect();
-        out.sort_by(f64::total_cmp);
-        out
-    }
 }
 
 /// The plain fold: a job is one session, finished when that session's own
