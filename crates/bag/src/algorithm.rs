@@ -207,12 +207,6 @@ impl<'a> Bag<'a> {
     pub fn run_pass(&mut self) -> PassStats {
         self.passes += 1;
         let n = self.clusters.len();
-        let r_max = self
-            .clusters
-            .iter()
-            .map(|c| c.radius)
-            .fold(0.0f32, f32::max);
-
         let mut slots: Vec<Option<Cluster>> = std::mem::take(&mut self.clusters)
             .into_iter()
             .map(Some)
@@ -339,19 +333,6 @@ impl<'a> Bag<'a> {
         self.exact_tests += exact_tests;
         self.exhaustive_tests += exhaustive_tests;
         self.history.push(stats);
-        if std::env::var_os("EFF2_BAG_VERBOSE").is_some() {
-            // lint:allow(hyg.print): multi-hour formation progress, explicitly opted into via EFF2_BAG_VERBOSE
-            eprintln!(
-                "[bag] pass {:>3}: {:>7} -> {:>7} clusters ({} survivors, {} merges, {} destroyed, r_max {:.2})",
-                stats.pass,
-                stats.clusters_before,
-                stats.clusters_after,
-                stats.survivors,
-                stats.merges,
-                stats.destroyed,
-                r_max,
-            );
-        }
         stats
     }
 

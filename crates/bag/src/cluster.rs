@@ -123,17 +123,6 @@ impl Cluster {
         a.radius = tight;
         a
     }
-
-    /// Recomputes `tight_radius` from scratch (diagnostic; the incremental
-    /// path maintains it exactly already).
-    pub fn recompute_tight_radius(&mut self, set: &DescriptorSet) {
-        self.tight_radius = max_dist_sq_gather(
-            self.centroid.as_array(),
-            as_rows(set.packed()),
-            &self.members,
-        )
-        .sqrt();
-    }
 }
 
 #[cfg(test)]
@@ -216,9 +205,9 @@ mod tests {
         let mut m = Cluster::singleton(0, &set);
         m = Cluster::merge(m, Cluster::singleton(1, &set), &set);
         m = Cluster::merge(m, Cluster::singleton(2, &set), &set);
-        let incremental = m.tight_radius;
-        m.recompute_tight_radius(&set);
-        assert!((m.tight_radius - incremental).abs() < 1e-5);
+        let from_scratch =
+            max_dist_sq_gather(m.centroid.as_array(), as_rows(set.packed()), &m.members).sqrt();
+        assert!((m.tight_radius - from_scratch).abs() < 1e-5);
     }
 
     #[test]

@@ -174,11 +174,6 @@ impl CoarseQuantizer {
         self.radii.get(c).copied()
     }
 
-    /// Member chunk ids of cell `c`, ascending.
-    pub fn cell_members(&self, c: usize) -> &[u32] {
-        self.members.get(c).map_or(&[], Vec::as_slice)
-    }
-
     /// Iterates `(cell, center, radius, members)` over all cells.
     pub fn cells(&self) -> impl Iterator<Item = (usize, &Vector, f32, &[u32])> {
         self.centers
@@ -272,7 +267,7 @@ mod tests {
         let b = CoarseQuantizer::for_store(&store);
         assert_eq!(a.n_cells(), b.n_cells());
         for c in 0..a.n_cells() {
-            assert_eq!(a.cell_members(c), b.cell_members(c));
+            assert_eq!(a.members[c], b.members[c]);
             assert_eq!(a.radius(c).map(f32::to_bits), b.radius(c).map(f32::to_bits));
             let (ca, cb) = (a.center(c).expect("center"), b.center(c).expect("center"));
             for i in 0..DIM {

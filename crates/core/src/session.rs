@@ -336,16 +336,6 @@ impl ChunkRanking {
         self.ranked[rank].1 as usize
     }
 
-    /// The query-to-centroid distance of the chunk at `rank`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rank >= self.len()` (see [`Self::chunk_at`]).
-    pub fn centroid_dist(&self, rank: usize) -> f32 {
-        // lint:allow(panic.index): rank < len is a documented precondition
-        self.ranked[rank].0
-    }
-
     /// Descriptors held by chunk `chunk_id` (0 for out-of-range ids).
     pub fn count_of(&self, chunk_id: usize) -> u32 {
         self.counts.get(chunk_id).copied().unwrap_or(0)
@@ -908,11 +898,6 @@ impl SearchSession {
         self.skip = policy;
     }
 
-    /// The session's current [`SkipPolicy`].
-    pub fn skip_policy(&self) -> SkipPolicy {
-        self.skip
-    }
-
     /// The ranking this session scans in.
     pub fn ranking(&self) -> &ChunkRanking {
         &self.core.ranking
@@ -1377,7 +1362,7 @@ mod tests {
         let ranking = ChunkRanking::rank(&store, &model, &q);
         assert_eq!(ranking.len(), store.n_chunks());
         for rank in 1..ranking.len() {
-            assert!(ranking.centroid_dist(rank) >= ranking.centroid_dist(rank - 1));
+            assert!(ranking.ranked[rank].0 >= ranking.ranked[rank - 1].0);
         }
         // The remaining bound is non-decreasing as chunks are consumed.
         for processed in 1..=ranking.len() {
@@ -1457,8 +1442,8 @@ mod tests {
             );
             for rank in 0..fresh.len() {
                 assert_eq!(
-                    scratch.centroid_dist(rank).to_bits(),
-                    fresh.centroid_dist(rank).to_bits()
+                    scratch.ranked[rank].0.to_bits(),
+                    fresh.ranked[rank].0.to_bits()
                 );
             }
             for processed in 0..=fresh.len() {
@@ -1621,7 +1606,7 @@ mod tests {
         });
         let mut session =
             SearchSession::with_source(&store, &model, &q, &SearchParams::exact(5), source);
-        assert_eq!(session.skip_policy(), SkipPolicy::Abort);
+        assert_eq!(session.skip, SkipPolicy::Abort);
         assert!(matches!(
             session.step(),
             Err(eff2_storage::Error::ChunkLost { .. })

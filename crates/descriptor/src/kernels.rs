@@ -360,100 +360,6 @@ fn adc_rows_into(codes: &[u8], cb: usize, out: &mut [f32], one: impl Fn(&[u8]) -
     }
 }
 
-/// Fused asymmetric block scan: blocked [`adc_l2_sq`] distances offered
-/// straight to `best`, skipping candidates the current kth distance
-/// already prunes — the ADC twin of [`scan_block_into`]. Distances never
-/// touch memory and the retained set equals row-by-row [`adc_l2_sq`]
-/// offers exactly (the [`NeighborSet`] total order is offer-order
-/// independent).
-///
-/// # Panics
-///
-/// Panics if `codes.len()` is not a multiple of the prepared query's
-/// `code_bytes()` or if there is not exactly one id per code row.
-pub fn adc_scan_block_into(
-    prep: &PreparedQuery,
-    codes: &[u8],
-    ids: &[u32],
-    best: &mut NeighborSet,
-) {
-    let cb = prep.code_bytes();
-    assert!(
-        codes.len().is_multiple_of(cb),
-        "code data must be a multiple of code_bytes"
-    );
-    let n = codes.len() / cb;
-    assert_eq!(n, ids.len(), "one id per code row");
-    if best.k() == 0 {
-        return;
-    }
-    match prep {
-        PreparedQuery::Sq8 { q, lo, step } => {
-            adc_scan_rows(codes, cb, ids, best, |code| adc_sq8_one(q, lo, step, code));
-        }
-        PreparedQuery::Pq { lut, m, k } => {
-            adc_scan_rows(codes, cb, ids, best, |code| adc_pq_one(lut, *m, *k, code));
-        }
-    }
-}
-
-/// Blocked scan driver shared by the [`adc_scan_block_into`] arms.
-#[inline(always)]
-fn adc_scan_rows(
-    codes: &[u8],
-    cb: usize,
-    ids: &[u32],
-    best: &mut NeighborSet,
-    one: impl Fn(&[u8]) -> f32,
-) {
-    let row = |r: usize| &codes[r * cb..(r + 1) * cb];
-    let n = ids.len();
-    let mut i = 0;
-    while i + BLOCK <= n {
-        let d = [
-            one(row(i)),
-            one(row(i + 1)),
-            one(row(i + 2)),
-            one(row(i + 3)),
-        ];
-        // Same conservative block prune as `scan_block_into`.
-        let kth = best.kth_dist_sq();
-        for (j, &dj) in d.iter().enumerate() {
-            if dj <= kth {
-                best.offer(ids[i + j], dj);
-            }
-        }
-        i += BLOCK;
-    }
-    for (j, &id) in ids.iter().enumerate().skip(i) {
-        best.offer(id, one(row(j)));
-    }
-}
-
-/// Index of the nearest row to `q` among `rows`, with its squared
-/// distance; `None` for an empty slice. Ties resolve to the smallest
-/// index (same determinism rule as [`NeighborSet`]).
-pub fn nearest_row(q: &[f32; DIM], rows: &[[f32; DIM]]) -> Option<(usize, f32)> {
-    let mut best: Option<(usize, f32)> = None;
-    let mut i = 0;
-    while i + BLOCK <= rows.len() {
-        let d = l2_sq_x4(q, &rows[i], &rows[i + 1], &rows[i + 2], &rows[i + 3]);
-        for (j, &dj) in d.iter().enumerate() {
-            if best.is_none_or(|(_, bd)| dj < bd) {
-                best = Some((i + j, dj));
-            }
-        }
-        i += BLOCK;
-    }
-    for (j, row) in rows.iter().enumerate().skip(i) {
-        let dj = l2_sq(q, row);
-        if best.is_none_or(|(_, bd)| dj < bd) {
-            best = Some((j, dj));
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -598,29 +504,7 @@ mod tests {
                 let code = &codes[r * cb..(r + 1) * cb];
                 assert_eq!(d.to_bits(), adc_l2_sq(&prep, code).to_bits(), "row {r}");
             }
-            // Fused scan retains exactly what row-wise offers retain.
-            let ids: Vec<u32> = (0..set.len() as u32).collect();
-            let mut fused = NeighborSet::new(7);
-            adc_scan_block_into(&prep, &codes, &ids, &mut fused);
-            let mut rowwise = NeighborSet::new(7);
-            for (r, &id) in ids.iter().enumerate() {
-                rowwise.offer(id, adc_l2_sq(&prep, &codes[r * cb..(r + 1) * cb]));
-            }
-            assert_eq!(fused.sorted(), rowwise.sorted(), "codec {}", codec.name());
         }
-    }
-
-    #[test]
-    fn adc_scan_k_zero_is_noop() {
-        use crate::descriptor::DescriptorSet;
-        use crate::quant::{DescriptorCodec, Sq8Codec};
-        let codec = Sq8Codec::from_set(&DescriptorSet::new());
-        let prep = codec.prepare(&[0.0; DIM]);
-        let codes = vec![0u8; 8 * DIM];
-        let ids: Vec<u32> = (0..8).collect();
-        let mut set = NeighborSet::new(0);
-        adc_scan_block_into(&prep, &codes, &ids, &mut set);
-        assert!(set.is_empty());
     }
 
     #[test]
@@ -631,14 +515,5 @@ mod tests {
         let codec = Sq8Codec::from_set(&DescriptorSet::new());
         let prep = codec.prepare(&[0.0; DIM]);
         adc_l2_sq_batch(&prep, &[0u8; DIM + 1], &mut Vec::new());
-    }
-
-    #[test]
-    fn nearest_row_finds_exact_match_and_breaks_ties_low() {
-        let v = |x: f32| Vector::splat(x).0;
-        let rows = [v(5.0), v(1.0), v(3.0), v(1.0), v(9.0), v(2.0)];
-        let (idx, d) = nearest_row(&v(1.0), &rows).expect("non-empty");
-        assert_eq!((idx, d), (1, 0.0));
-        assert!(nearest_row(&v(0.0), &[]).is_none());
     }
 }

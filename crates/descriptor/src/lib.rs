@@ -43,10 +43,7 @@ pub mod vector;
 pub use descriptor::{Descriptor, DescriptorId, DescriptorSet, ImageId};
 pub use error::{Error, Result};
 pub use gen::{CollectionSpec, SyntheticCollection};
-pub use kernels::{
-    adc_l2_sq, adc_l2_sq_batch, adc_l2_sq_x4, adc_scan_block_into, as_rows, l2_sq_x4,
-    scan_block_into,
-};
+pub use kernels::{adc_l2_sq, adc_l2_sq_batch, adc_l2_sq_x4, as_rows, l2_sq_x4, scan_block_into};
 pub use neighbors::{Neighbor, NeighborSet};
 pub use quant::{Codec, DescriptorCodec, PqCodec, PreparedQuery, Sq8Codec};
 pub use stats::{DimensionStats, TrimmedRanges};

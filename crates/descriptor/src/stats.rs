@@ -74,17 +74,6 @@ impl DimensionStats {
             count: n,
         }
     }
-
-    /// The dimension with the largest variance (SR-tree split heuristic).
-    pub fn max_variance_dim(&self) -> usize {
-        let mut best = 0;
-        for d in 1..DIM {
-            if self.variance[d] > self.variance[best] {
-                best = d;
-            }
-        }
-        best
-    }
 }
 
 /// Per-dimension value ranges with a fraction trimmed from each tail.
@@ -185,18 +174,6 @@ mod tests {
         for d in 0..DIM {
             assert!((s.variance[d] - 2.0).abs() < 1e-5);
         }
-    }
-
-    #[test]
-    fn max_variance_dim_detects_spread() {
-        let mut set = DescriptorSet::new();
-        for i in 0..10u32 {
-            let mut v = Vector::splat(1.0);
-            v[7] = i as f32 * 100.0; // dimension 7 has by far the most spread
-            set.push(Descriptor::new(i, v));
-        }
-        let s = DimensionStats::compute(&set);
-        assert_eq!(s.max_variance_dim(), 7);
     }
 
     #[test]

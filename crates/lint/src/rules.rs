@@ -86,7 +86,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "det.wall_clock",
-        summary: "no Instant::now/SystemTime outside storage::diskmodel and the bench crate",
+        summary: "no Instant::now/SystemTime outside storage::diskmodel",
     },
     RuleInfo {
         id: "det.float_accum",
@@ -146,11 +146,10 @@ pub(crate) const DETERMINISTIC_CRATES: &[&str] = &[
 /// their job, so `hyg.print` does not apply.
 const CLI_CRATES: &[&str] = &["eval", "lint"];
 
-/// Files exempt from `det.wall_clock` (and hence from wall-clock taint):
-/// storage::diskmodel *owns* the virtual clock, and bench measures wall
-/// time by design.
+/// The one file exempt from `det.wall_clock` (and hence from wall-clock
+/// taint): storage::diskmodel *owns* the virtual clock.
 pub(crate) fn wall_clock_exempt(crate_name: &str, rel_path: &str) -> bool {
-    crate_name == "bench" || (crate_name == "storage" && rel_path.ends_with("diskmodel.rs"))
+    crate_name == "storage" && rel_path.ends_with("diskmodel.rs")
 }
 
 /// Crates exempt from `det.thread_spawn` (and thread-spawn taint):

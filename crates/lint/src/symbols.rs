@@ -521,7 +521,7 @@ impl Extractor<'_> {
     }
 
     /// Records a fact at `at`, applying the same ownership exemptions as
-    /// the line rules (bench/diskmodel wall clock, parallel threads).
+    /// the line rules (diskmodel wall clock, parallel threads).
     fn collect_fact(&self, at: usize, sym: &mut Symbol) {
         let line = self.tok(at).map_or(0, |t| t.line);
         let mut push = |kind: FactKind, what: String| {

@@ -26,8 +26,8 @@ use crate::symbols::{Fact, FactKind, Symbol, SymbolId};
 use std::collections::BTreeMap;
 
 /// Crates whose public APIs must be transitively panic-free: every
-/// library crate (the `eval`/`lint` binaries and `bench` own their
-/// process and may abort it).
+/// library crate (the `eval`/`lint` binaries own their process and may
+/// abort it).
 pub(crate) const PANIC_FREE_CRATES: &[&str] = &[
     "bag",
     "chaos",

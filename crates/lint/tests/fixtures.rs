@@ -284,9 +284,8 @@ fn hyg_print_exempts_cli_crates() {
 }
 
 #[test]
-fn wall_clock_exempts_bench_and_the_disk_model() {
+fn wall_clock_exempts_the_disk_model() {
     let source = include_str!("fixtures/det_wall_clock.rs");
-    assert_eq!(findings_of("bench", "fixture.rs", source), Vec::new());
     assert_eq!(
         findings_of("storage", "crates/storage/src/diskmodel.rs", source),
         Vec::new()

@@ -1,6 +1,5 @@
 //! det.wall_clock: host-clock reads in deterministic crates. The harness
-//! also lints this file as the bench crate and as storage's diskmodel.rs,
-//! both of which are exempt.
+//! also lints this file as storage's diskmodel.rs, which is exempt.
 
 pub fn positive_instant() -> std::time::Instant {
     std::time::Instant::now() //~ det.wall_clock

@@ -43,6 +43,35 @@ fn workspace_has_no_unwaived_interprocedural_findings() {
 }
 
 #[test]
+fn workspace_has_one_benchmark_harness() {
+    // Every number a claim may cite comes from `perfbench/` (its own
+    // workspace, declared in BENCHMARK.json). A `[[bench]]` target or a
+    // criterion dependency in this workspace would be a second harness
+    // that no claim may cite — keep it from growing back.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut manifests = vec![
+        root.join("Cargo.toml"),
+        root.join("examples/Cargo.toml"),
+        root.join("tests/Cargo.toml"),
+    ];
+    for members in ["crates", "shims"] {
+        let dir = std::fs::read_dir(root.join(members)).expect("list workspace members");
+        manifests.extend(dir.map(|e| e.expect("dir entry").path().join("Cargo.toml")));
+    }
+    assert!(manifests.len() > 3, "member manifests were found");
+    for manifest in manifests {
+        let text = std::fs::read_to_string(&manifest).expect("read manifest");
+        for needle in ["[[bench]]", "[profile.bench]", "criterion"] {
+            assert!(
+                !text.contains(needle),
+                "{} mentions `{needle}`: benchmarks live in perfbench/",
+                manifest.display()
+            );
+        }
+    }
+}
+
+#[test]
 fn workspace_findings_render_as_json() {
     // The JSON mode must stay parseable by eff2-json itself (round-trip on
     // the clean-workspace empty array, plus a synthetic finding).

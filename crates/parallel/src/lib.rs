@@ -18,7 +18,7 @@
 //!   `DESIGN.md` §kernels for why search parallelism stops at the query
 //!   boundary.
 //! * `EFF2_THREADS` caps the worker count process-wide (useful for the
-//!   thread-scaling bench and for forcing sequential execution in tests).
+//!   thread-count determinism diff and for forcing sequential execution).
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -62,7 +62,7 @@ where
 }
 
 /// [`par_map`] with an explicit worker count (`threads == 1` runs inline).
-pub fn par_map_threads<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
+fn par_map_threads<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -92,7 +92,7 @@ where
 }
 
 /// [`try_par_map`] with an explicit worker count.
-pub fn try_par_map_threads<T, R, E, F>(threads: usize, items: &[T], f: F) -> Result<Vec<R>, E>
+fn try_par_map_threads<T, R, E, F>(threads: usize, items: &[T], f: F) -> Result<Vec<R>, E>
 where
     T: Sync,
     R: Send,
@@ -102,12 +102,12 @@ where
     try_par_map_scratch_threads(threads, items, || (), |(), i, t| f(i, t))
 }
 
-/// [`try_par_map_threads`] with per-worker scratch state: each worker calls
-/// `init()` once and threads the resulting value through every item it
-/// claims (rayon's `map_init` shape). The scratch is for *reuse* —
-/// allocation-heavy buffers, ranking scratch — and must not influence
-/// results: output values still depend only on `(index, item)`, which is
-/// what keeps the order-preserving determinism guarantee intact.
+/// [`try_par_map`] with an explicit worker count and per-worker scratch
+/// state: each worker calls `init()` once and threads that value through
+/// every item it claims (rayon's `map_init` shape). The scratch is for
+/// *reuse* — allocation-heavy buffers, ranking scratch — and must not
+/// influence results: output values still depend only on `(index, item)`,
+/// which is what keeps the order-preserving determinism guarantee intact.
 pub fn try_par_map_scratch_threads<T, R, E, S, I, F>(
     threads: usize,
     items: &[T],

@@ -214,15 +214,6 @@ impl ShardMap {
             .copied()
             .find(|&s| !down.get(s as usize).copied().unwrap_or(false))
     }
-
-    /// Per-chunk routed owners under `down` in one vector: `u32::MAX`
-    /// marks an unreachable chunk. This is the `owner_of` table
-    /// `ChunkRanking::split_by_owner` (the reference merge model) takes.
-    pub fn routed_owners(&self, down: &[bool]) -> Vec<u32> {
-        (0..self.owners.len())
-            .map(|c| self.route(c, down).unwrap_or(u32::MAX))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -327,15 +318,6 @@ mod tests {
             // Everything down: unreachable.
             assert_eq!(map.route(c, &[true; 4]), None);
         }
-    }
-
-    #[test]
-    fn routed_owners_mark_unreachable_with_max() {
-        let map = ShardMap::chunk_hash(30, 3, 1);
-        let all_up = map.routed_owners(&[false; 3]);
-        assert!(all_up.iter().all(|&s| (s as usize) < 3));
-        let all_down = map.routed_owners(&[true; 3]);
-        assert!(all_down.iter().all(|&s| s == u32::MAX));
     }
 
     #[test]

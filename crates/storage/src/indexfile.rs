@@ -50,14 +50,6 @@ pub struct ChunkMeta {
     pub count: u32,
 }
 
-impl ChunkMeta {
-    /// The §4.3 lower bound on the distance from `q` to any descriptor in
-    /// this chunk: `max(0, d(q, centroid) − radius)`.
-    pub fn min_possible_dist(&self, q: &Vector) -> f32 {
-        (self.centroid.dist(q) - self.radius).max(0.0)
-    }
-}
-
 /// Writes the index file for `metas` (ordered as the chunk file).
 pub fn write_index<W: Write>(metas: &[ChunkMeta], page_size: u32, writer: W) -> Result<()> {
     let mut w = BufWriter::new(writer);
@@ -187,22 +179,5 @@ mod tests {
         write_index(&[meta(0), meta(1)], 4096, &mut buf).expect("write");
         buf.truncate(buf.len() - 10);
         assert!(matches!(read_index(&buf[..]), Err(Error::Truncated(_))));
-    }
-
-    #[test]
-    fn min_possible_dist_lower_bounds() {
-        let m = ChunkMeta {
-            centroid: Vector::ZERO,
-            radius: 3.0,
-            offset: 0,
-            byte_len: 0,
-            count: 0,
-        };
-        // Query inside the sphere → 0.
-        assert_eq!(m.min_possible_dist(&Vector::ZERO), 0.0);
-        // Query at per-dim 2.0 → distance sqrt(96) ≈ 9.8 → bound ≈ 6.8.
-        let q = Vector::splat(2.0);
-        let expect = (96f32).sqrt() - 3.0;
-        assert!((m.min_possible_dist(&q) - expect).abs() < 1e-5);
     }
 }

@@ -20,7 +20,7 @@ use crate::chunkfile::ChunkPayload;
 use crate::diskmodel::VirtualDuration;
 use crate::error::Result;
 use crate::prefetch::prefetch_chunks;
-use crate::singleflight::{FlightStats, SingleFlight};
+use crate::singleflight::SingleFlight;
 use crate::store::{ChunkReader, ChunkStore};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -194,13 +194,6 @@ impl PrefetchSource {
             flight: SingleFlight::new(),
             next_requester: Arc::new(AtomicU64::new(0)),
         }
-    }
-
-    /// Read-coalescing counters across every stream of this source (and its
-    /// clones): how many chunk reads actually hit the file versus joined a
-    /// read already in flight.
-    pub fn flight_stats(&self) -> FlightStats {
-        self.flight.stats()
     }
 }
 
@@ -689,7 +682,7 @@ mod tests {
         let b = drain(&source.clone(), vec![2, 1, 0]);
         assert_eq!(a.len(), 3);
         assert_eq!(b.len(), 3);
-        let stats = source.flight_stats();
+        let stats = source.flight.stats();
         assert_eq!(stats.reads + stats.coalesced, 6);
         assert!(stats.reads >= 3, "distinct chunks cannot coalesce");
     }

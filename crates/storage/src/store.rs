@@ -277,11 +277,6 @@ impl ChunkStore {
         self.inner.codec.as_ref()
     }
 
-    /// Whether readers opened from this handle deliver quantized codes.
-    pub fn is_quantized(&self) -> bool {
-        self.quantized
-    }
-
     /// A handle whose readers deliver quantized codes from the v3 quant
     /// region. Every other aspect (metas, paths, page size) is shared
     /// with this handle, so chunk ids and rankings carry over unchanged.
@@ -563,7 +558,7 @@ mod tests {
         let store =
             ChunkStore::create_quantized(&dir, "q", &set, &chunks, 512, &codec).expect("create");
         assert_eq!(store.codec(), Some(&codec));
-        assert!(!store.is_quantized());
+        assert!(!store.quantized);
 
         // Raw reads work exactly as on a v2 store.
         let mut raw_payload = ChunkPayload::default();
@@ -579,7 +574,7 @@ mod tests {
         // The quantized view delivers codes for the same ids, charging
         // strictly fewer modelled bytes.
         let qview = store.quantized_view().expect("view");
-        assert!(qview.is_quantized());
+        assert!(qview.quantized);
         let mut q_payload = ChunkPayload::default();
         let q_bytes = qview
             .reader()
@@ -590,7 +585,7 @@ mod tests {
         assert!(q_payload.packed.is_empty());
         assert_eq!(q_payload.codes.len(), 6 * codec.code_bytes());
         assert!(q_bytes < raw_bytes, "{q_bytes} !< {raw_bytes}");
-        assert!(!qview.raw_view().is_quantized());
+        assert!(!qview.raw_view().quantized);
 
         // Reopening parses the codec back from the file.
         let reopened = ChunkStore::open(store.chunk_path(), store.index_path()).expect("open");

@@ -36,17 +36,6 @@ impl ArrivalTrace {
     pub fn is_empty(&self) -> bool {
         self.arrivals.is_empty()
     }
-
-    /// Average offered load in queries per second (0 for traces shorter
-    /// than two arrivals).
-    pub fn offered_qps(&self) -> f64 {
-        match (self.arrivals.first(), self.arrivals.last()) {
-            (Some(first), Some(last)) if *last > *first && self.arrivals.len() > 1 => {
-                (self.arrivals.len() - 1) as f64 / (last - first)
-            }
-            _ => 0.0,
-        }
-    }
 }
 
 /// `n` Poisson arrivals at an average of `rate_qps` queries per second:
@@ -121,7 +110,7 @@ mod tests {
             assert!(a > last, "strictly increasing (gaps are positive)");
             last = a;
         }
-        let qps = t.offered_qps();
+        let qps = (t.len() - 1) as f64 / (last - t.arrivals[0]);
         assert!(
             (qps - 100.0).abs() < 10.0,
             "offered rate {qps} should be ≈100"
@@ -151,18 +140,12 @@ mod tests {
         }
         // 23 arrivals over 4 full gaps (bursts at 0, 0.25, 0.5, 0.75, 1.0).
         assert_eq!(a.arrivals.last().copied(), Some(1.0));
-        let qps = a.offered_qps();
-        assert!(
-            (qps - 22.0).abs() < 1e-12,
-            "offered rate {qps} should be 22"
-        );
     }
 
     #[test]
     fn zero_gap_bursts_land_at_the_same_instant() {
         let t = burst_arrivals(6, 2, 0.0);
         assert_eq!(t.arrivals, vec![0.0; 6]);
-        assert_eq!(t.offered_qps(), 0.0, "no time elapses, no defined rate");
     }
 
     #[test]
@@ -188,7 +171,6 @@ mod tests {
         // positive gap, however small, keeps bursts at distinct instants.
         let t = burst_arrivals(4, 2, 1e-9);
         assert_eq!(t.arrivals, vec![0.0, 0.0, 1e-9, 1e-9]);
-        assert!(t.offered_qps() > 0.0);
     }
 
     #[test]
@@ -213,7 +195,6 @@ mod tests {
     fn empty_traces_are_fine() {
         assert!(poisson_arrivals(0, 10.0, 0).is_empty());
         assert!(burst_arrivals(0, 4, 1.0).is_empty());
-        assert_eq!(burst_arrivals(0, 4, 1.0).offered_qps(), 0.0);
     }
 
     #[test]

@@ -62,14 +62,6 @@ impl MutationTrace {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// Inserts in the trace.
-    pub fn n_inserts(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e.op, MutationOp::Insert { .. }))
-            .count()
-    }
 }
 
 /// Number of hot anchor descriptors the Zipf law ranks.
@@ -173,7 +165,11 @@ mod tests {
         for w in t.events.windows(2) {
             assert!(w[0].at_secs <= w[1].at_secs, "arrivals must not go back");
         }
-        let inserts = t.n_inserts();
+        let inserts = t
+            .events
+            .iter()
+            .filter(|e| matches!(e.op, MutationOp::Insert { .. }))
+            .count();
         assert!(
             (220..=380).contains(&inserts),
             "~75% of 400 ops should be inserts, got {inserts}"

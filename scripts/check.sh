@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Full local gate: formatting, release build (incl. examples), tests, and
-# clippy with warnings denied.
-# Run from anywhere; operates on the workspace containing this script.
+# Full local gate: formatting, release build, tests, lint, eval and example
+# smokes, clippy with warnings denied. It measures no wall time: figures for
+# claims come from `perfbench`. Run from anywhere.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -14,9 +14,6 @@ cargo fmt --check
 
 echo "==> cargo build --release"
 cargo build --release
-
-echo "==> cargo build --release -p eff2-examples (all example binaries)"
-cargo build --release -p eff2-examples
 
 echo "==> cargo test -q"
 cargo test -q
@@ -45,17 +42,10 @@ for exp in exp4 exp5 exp6 exp7 exp8 exp9; do
 done
 rm -rf "$EVAL_OUT"
 
-# A compile-and-run smoke of the bench targets, nothing more: figures for
-# claims come from `perfbench --out` / `--compare` (see BENCHMARK.json).
-# Every bench target is compiled; only the six named below are run.
-echo "==> cargo bench --no-run (all twelve bench targets compile)"
-cargo bench -p eff2-bench --no-run
-
-echo "==> criterion benches (reduced sampling: kernels, batch_search, scheduler, fleet, compaction, image_vote)"
-EFF2_BENCH_SCALE=4000 cargo bench -p eff2-bench \
-  --bench kernels --bench batch_search --bench scheduler_throughput --bench fleet \
-  --bench compaction --bench image_vote -- \
-  --sample-size 10 --warm-up-time 0.5 --measurement-time 1
+echo "==> example binaries run (the public API end to end; temp dirs only)"
+for example in quickstart copyright_search chunk_size_tuning approximate_vs_exact medrank_baseline; do
+  cargo run --release -q -p eff2-examples --bin "$example" >/dev/null
+done
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
