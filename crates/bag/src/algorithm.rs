@@ -28,7 +28,7 @@ pub struct BagConfig {
     /// Candidate engine (see [`EngineKind`]).
     pub engine: EngineKind,
     /// Skip runs of provably idle passes in one step (see
-    /// [`Bag::stall_skip`]). Exactness-preserving: the skipped passes could
+    /// `Bag::stall_skip`). Exactness-preserving: the skipped passes could
     /// not have merged or destroyed anything, only inflated radii, which
     /// the skip applies directly. Disable to mimic the paper's
     /// pass-by-pass execution (the ablation benches do).
@@ -95,29 +95,15 @@ impl BagConfig {
 
 /// Statistics of one pass.
 #[derive(Clone, Copy, Debug)]
-pub struct PassStats {
-    /// 1-based pass number.
-    pub pass: usize,
-    /// Cluster count at the start of the pass.
-    pub clusters_before: usize,
+pub(crate) struct PassStats {
     /// Merges performed.
     pub merges: usize,
-    /// Clusters destroyed at the end of the pass (members re-singletoned).
-    pub destroyed: usize,
-    /// Cluster count at the end of the pass (after destruction, including
-    /// the singletons reborn from destroyed clusters).
-    pub clusters_after: usize,
     /// Clusters that *survived* destruction this pass. Termination compares
     /// this against the user target: the reborn singletons are raw material
     /// for the next pass, not clusters in their own right — otherwise the
     /// count could never fall below the outlier population and the paper's
     /// 8–12 % unabsorbed outliers at termination would be impossible.
     pub survivors: usize,
-    /// Exact merged-radius evaluations performed.
-    pub exact_tests: u64,
-    /// Merge tests the paper's exhaustive scan would have performed — the
-    /// faithful formation-cost model ("almost 12 days" at 5M descriptors).
-    pub exhaustive_equivalent_tests: u64,
 }
 
 /// The outcome of running BAG down to a target cluster count.
@@ -157,9 +143,6 @@ impl BagSnapshot {
     }
 }
 
-/// Convenience alias: the result of [`Bag::run_to`].
-pub type BagResult = BagSnapshot;
-
 /// A BAG clustering run over a borrowed collection.
 #[derive(Debug)]
 pub struct Bag<'a> {
@@ -198,13 +181,8 @@ impl<'a> Bag<'a> {
         }
     }
 
-    /// Per-pass statistics so far.
-    pub fn history(&self) -> &[PassStats] {
-        &self.history
-    }
-
     /// Executes one pass: scan, merge, inflate, destroy.
-    pub fn run_pass(&mut self) -> PassStats {
+    pub(crate) fn run_pass(&mut self) -> PassStats {
         self.passes += 1;
         let n = self.clusters.len();
         let mut slots: Vec<Option<Cluster>> = std::mem::take(&mut self.clusters)
@@ -320,14 +298,8 @@ impl<'a> Bag<'a> {
         let destroyed = self.destroy_small(&mut next, self.cfg.destroy_fraction, None);
 
         let stats = PassStats {
-            pass: self.passes,
-            clusters_before: n,
             merges,
-            destroyed,
-            clusters_after: next.len(),
             survivors: pre_destruction - destroyed,
-            exact_tests,
-            exhaustive_equivalent_tests: exhaustive_tests,
         };
         self.clusters = next;
         self.exact_tests += exact_tests;
@@ -453,7 +425,7 @@ impl<'a> Bag<'a> {
     ///
     /// Returns `None` when no pair can ever become viable (only
     /// non-growing clusters remain).
-    pub fn stall_skip(&self) -> Option<usize> {
+    pub(crate) fn stall_skip(&self) -> Option<usize> {
         let n = self.clusters.len();
         if n < 2 {
             return None;
@@ -810,9 +782,9 @@ mod tests {
         let snap = bag.run_to(3);
         assert!(snap.converged, "absorption must eventually converge");
         assert!(
-            bag.history().len() * 4 < snap.passes,
+            bag.history.len() * 4 < snap.passes,
             "executed {} passes for {} virtual ones — skip not engaging",
-            bag.history().len(),
+            bag.history.len(),
             snap.passes
         );
     }
@@ -835,7 +807,6 @@ mod tests {
         let set = grouped_set();
         let mut bag = Bag::new(&set, cfg(EngineKind::Pruned));
         let snap = bag.run_to(6);
-        assert_eq!(bag.history().len(), snap.passes);
-        assert_eq!(bag.history()[0].clusters_before, set.len());
+        assert_eq!(bag.history.len(), snap.passes);
     }
 }

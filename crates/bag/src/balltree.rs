@@ -28,7 +28,7 @@ struct Node {
 }
 
 /// A static ball tree over `(point, payload)` pairs.
-pub struct BallTree {
+pub(crate) struct BallTree {
     nodes: Vec<Node>,
     /// Points and payloads, reordered so every node owns a contiguous range.
     points: Vec<Vector>,
@@ -87,16 +87,6 @@ impl BallTree {
         node.right = right;
         node.start = left_start;
         node_id
-    }
-
-    /// Number of indexed points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the tree is empty.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
     }
 
     /// Appends the payloads of every point within distance `r` of `q`
@@ -212,7 +202,7 @@ mod tests {
     fn range_matches_brute_force() {
         let pts = points(500);
         let tree = BallTree::build(pts.clone());
-        assert_eq!(tree.len(), 500);
+        assert_eq!(tree.points.len(), 500);
         for (qi, r) in [(0usize, 5.0f32), (123, 15.0), (456, 40.0), (77, 0.5)] {
             let q = pts[qi].0;
             let mut got = Vec::new();
@@ -243,7 +233,7 @@ mod tests {
     #[test]
     fn empty_tree() {
         let tree = BallTree::build(Vec::new());
-        assert!(tree.is_empty());
+        assert!(tree.points.is_empty());
         let mut out = Vec::new();
         tree.range(&Vector::ZERO, 100.0, &mut out);
         assert!(out.is_empty());

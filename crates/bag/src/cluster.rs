@@ -30,7 +30,7 @@ pub struct Cluster {
 
 impl Cluster {
     /// A singleton cluster of radius zero.
-    pub fn singleton(pos: u32, set: &DescriptorSet) -> Cluster {
+    pub(crate) fn singleton(pos: u32, set: &DescriptorSet) -> Cluster {
         let v = set.vector_owned(pos as usize);
         let mut sum = [0.0f64; DIM];
         for (s, &x) in sum.iter_mut().zip(v.as_slice()) {
@@ -56,7 +56,7 @@ impl Cluster {
     }
 
     /// The centroid the union of `a` and `b` would have (exact).
-    pub fn merged_centroid(a: &Cluster, b: &Cluster) -> Vector {
+    pub(crate) fn merged_centroid(a: &Cluster, b: &Cluster) -> Vector {
         let n = (a.len() + b.len()) as f64;
         let mut c = Vector::ZERO;
         for d in 0..DIM {
@@ -68,7 +68,7 @@ impl Cluster {
     /// Cheap *upper* bound on the merged minimum bounding radius: every
     /// member of `x` lies within `tight_radius` of `x.centroid`, so it lies
     /// within `d(c_new, c_x) + x.tight_radius` of the new centroid.
-    pub fn merged_radius_upper(a: &Cluster, b: &Cluster, c_new: &Vector) -> f32 {
+    pub(crate) fn merged_radius_upper(a: &Cluster, b: &Cluster, c_new: &Vector) -> f32 {
         let ra = c_new.dist(&a.centroid) + a.tight_radius;
         let rb = c_new.dist(&b.centroid) + b.tight_radius;
         ra.max(rb)
@@ -83,7 +83,7 @@ impl Cluster {
     /// `max_m d(c_new, m) ≥ d(c_new, c_x)` (the centroid of x is a convex
     /// combination of x's members, so the farthest member is at least as
     /// far from `c_new` as `c_x` is).
-    pub fn merged_radius_lower(a: &Cluster, b: &Cluster, c_new: &Vector) -> f32 {
+    pub(crate) fn merged_radius_lower(a: &Cluster, b: &Cluster, c_new: &Vector) -> f32 {
         let da = c_new.dist(&a.centroid);
         let db = c_new.dist(&b.centroid);
         (a.tight_radius - da)
@@ -95,7 +95,7 @@ impl Cluster {
 
     /// Exact merged minimum bounding radius — O(|a| + |b|) member scan,
     /// blocked gather over the collection's packed storage.
-    pub fn merged_radius_exact(
+    pub(crate) fn merged_radius_exact(
         a: &Cluster,
         b: &Cluster,
         c_new: &Vector,

@@ -52,7 +52,7 @@ pub enum EngineKind {
 ///
 /// `slots` indexes into the pass's cluster table; `None` entries are
 /// consumed/destroyed clusters and never returned.
-pub enum CandidateEngine {
+pub(crate) enum CandidateEngine {
     /// See [`EngineKind::Exhaustive`].
     Exhaustive {
         /// Number of slots in the pass table.
@@ -98,7 +98,7 @@ const PIVOT_PERCENTILE: f64 = 0.90;
 
 /// The two-level candidate index: a ball tree of small-radius clusters plus
 /// an explicit list of large-radius ones.
-pub struct PrunedIndex {
+pub(crate) struct PrunedIndex {
     tree: BallTree,
     /// Every slot with radius above the pivot.
     big: Vec<u32>,

@@ -29,7 +29,7 @@
 //! The paper stresses that BAG "does not use any indexing scheme to
 //! facilitate the merge process" and that clustering 5M descriptors took
 //! almost **12 days**. This crate provides both that faithful
-//! [`engine::ExhaustiveEngine`] and a [`engine::GridEngine`] that prunes
+//! `engine::ExhaustiveEngine` and a `engine::GridEngine` that prunes
 //! merge candidates with a uniform grid over centroids; the two produce
 //! identical clusterings (property-tested), the grid engine merely skips
 //! candidate pairs that provably cannot satisfy the merge rule. Both count
@@ -41,6 +41,6 @@ pub mod balltree;
 pub mod cluster;
 pub mod engine;
 
-pub use algorithm::{Bag, BagConfig, BagResult, BagSnapshot, PassStats};
+pub use algorithm::{Bag, BagConfig, BagSnapshot};
 pub use cluster::Cluster;
-pub use engine::{CandidateEngine, EngineKind};
+pub use engine::EngineKind;

@@ -19,7 +19,7 @@
 //!   [`ChunkLost`](eff2_storage::Error::ChunkLost) the search core can
 //!   skip under a `SkipPolicy`;
 //! * [`shard`] — [`ShardFaultPlan`]: whole-shard-down schedules for the
-//!   replicated serving fleet (eff2-serve's scatter–gather failover).
+//!   replicated serving fleet (eff2-serve's copy-by-copy failover).
 //!
 //! With every fault rate at zero the decorators are bit-identical
 //! passthroughs: same `ChunkEvent` traces, same neighbours, same virtual

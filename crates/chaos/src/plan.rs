@@ -101,7 +101,7 @@ fn mix(mut z: u64) -> u64 {
 }
 
 /// A uniform draw in `[0, 1)` from the mixed inputs.
-pub(crate) fn unit(seed: u64, chunk: u64, salt: u64, attempt: u64) -> f64 {
+fn unit(seed: u64, chunk: u64, salt: u64, attempt: u64) -> f64 {
     let h = mix(seed ^ mix(chunk ^ salt) ^ mix(attempt.wrapping_mul(salt)));
     // 53 high bits -> exactly representable dyadic rational in [0, 1).
     (h >> 11) as f64 / (1u64 << 53) as f64

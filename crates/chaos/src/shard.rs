@@ -3,42 +3,28 @@
 //! A [`ShardFaultPlan`] decrees which shard *nodes* are unavailable for
 //! the duration of a run — the coarse-grained failure mode replication
 //! exists for. Like every other schedule in this crate it is a pure
-//! function of its inputs: the same seed and shard count always down the
-//! same shards, so fleet chaos runs are replayable and tests can assert
-//! the routing consequences exactly.
+//! function of its inputs, so fleet chaos runs are replayable and tests
+//! can assert the routing consequences exactly.
 //!
 //! Shard-down is modelled as a *static* property of the run (the node is
 //! down before the first query arrives and stays down). That keeps routing
-//! deterministic per query — the scatter–gather driver computes each
-//! chunk's live owner once, at admission — and matches the recovery story:
-//! a node that dies mid-epoch is drained and the epoch replayed, exactly
-//! as the deterministic-replay design (DESIGN.md) prescribes.
+//! deterministic per query — a chunk's live owner is a function of the
+//! placement map and the down flags alone, whenever the serving engine
+//! asks — and matches the recovery story: a node that dies mid-epoch is
+//! drained and the epoch replayed, exactly as the deterministic-replay
+//! design (DESIGN.md) prescribes.
 
-use crate::plan::unit;
-
-/// Salt for the per-shard down draw (distinct from the chunk-level salts
-/// in [`crate::plan`]).
-const SHARD_SALT: u64 = 0xd6e8_feb8_6659_fd93;
-
-/// A seeded (or explicit) schedule of downed shard nodes.
+/// An explicit schedule of downed shard nodes.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ShardFaultPlan {
-    /// Explicitly downed shard ids (sorted, deduplicated).
+    /// Downed shard ids (sorted, deduplicated).
     fixed: Vec<u32>,
-    /// Seed for the per-shard random draw (unused when `down_rate` is 0).
-    seed: u64,
-    /// Probability any given shard is down for the run.
-    down_rate: f64,
 }
 
 impl ShardFaultPlan {
     /// No shard is ever down.
     pub fn none() -> ShardFaultPlan {
-        ShardFaultPlan {
-            fixed: Vec::new(),
-            seed: 0,
-            down_rate: 0.0,
-        }
+        ShardFaultPlan { fixed: Vec::new() }
     }
 
     /// Exactly the listed shards are down.
@@ -46,39 +32,20 @@ impl ShardFaultPlan {
         let mut fixed = shards.to_vec();
         fixed.sort_unstable();
         fixed.dedup();
-        ShardFaultPlan {
-            fixed,
-            seed: 0,
-            down_rate: 0.0,
-        }
-    }
-
-    /// Each shard is down independently with probability `down_rate`,
-    /// drawn once per shard from `seed`.
-    pub fn seeded(seed: u64, down_rate: f64) -> ShardFaultPlan {
-        ShardFaultPlan {
-            fixed: Vec::new(),
-            seed,
-            down_rate,
-        }
+        ShardFaultPlan { fixed }
     }
 
     /// Whether anything can ever be down under this plan.
     pub fn is_quiet(&self) -> bool {
-        self.fixed.is_empty() && self.down_rate == 0.0
-    }
-
-    /// Whether shard `shard` is down for the run.
-    pub fn is_down(&self, shard: u32) -> bool {
-        self.fixed.binary_search(&shard).is_ok()
-            || (self.down_rate > 0.0
-                && unit(self.seed, u64::from(shard), SHARD_SALT, 0) < self.down_rate)
+        self.fixed.is_empty()
     }
 
     /// The down flags for a fleet of `n_shards` nodes — the routing table
     /// input (`ShardMap::route` takes exactly this shape).
     pub fn down_mask(&self, n_shards: usize) -> Vec<bool> {
-        (0..n_shards).map(|s| self.is_down(s as u32)).collect()
+        (0..n_shards)
+            .map(|s| self.fixed.binary_search(&(s as u32)).is_ok())
+            .collect()
     }
 }
 
@@ -98,22 +65,5 @@ mod tests {
         let plan = ShardFaultPlan::fixed(&[3, 1, 3]);
         assert!(!plan.is_quiet());
         assert_eq!(plan.down_mask(5), vec![false, true, false, true, false]);
-    }
-
-    #[test]
-    fn seeded_draw_is_deterministic() {
-        let a = ShardFaultPlan::seeded(99, 0.5);
-        let b = ShardFaultPlan::seeded(99, 0.5);
-        assert_eq!(a.down_mask(64), b.down_mask(64));
-    }
-
-    #[test]
-    fn seeded_rate_fires_near_nominal() {
-        let plan = ShardFaultPlan::seeded(7, 0.25);
-        let downed = plan.down_mask(4000).iter().filter(|&&d| d).count();
-        assert!(
-            (700..1300).contains(&downed),
-            "0.25 down-rate over 4000 shards fired {downed} times"
-        );
     }
 }

@@ -6,7 +6,7 @@
 //! quality-vs-time study sweeps:
 //!
 //! * [`search_two_level`] — exact `f32` scan, but the ranking is
-//!   two-level ([`ChunkRanking::rank_two_level`]): coarse cells first,
+//!   two-level (`ChunkRanking::rank_two_level`): coarse cells first,
 //!   chunks expanded wave by wave. Under the to-completion rule the
 //!   answer is provably identical to the flat search — only the
 //!   centroid-evaluation count changes;
@@ -85,9 +85,13 @@ mod tests {
     use eff2_descriptor::quant::{Codec, PqCodec, Sq8Codec};
     use eff2_descriptor::{Descriptor, DescriptorSet};
     use std::path::PathBuf;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("eff2_adc_{tag}"));
+        static SEQ: AtomicUsize = AtomicUsize::new(0);
+        let unique = SEQ.fetch_add(1, Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("eff2_adc_{tag}_{}_{unique}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
         dir
     }

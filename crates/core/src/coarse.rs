@@ -7,7 +7,7 @@
 //! clusters the chunk centroids into a few k-means **cells** so ranking
 //! becomes two-level: rank the cells (a handful of distance evaluations),
 //! then expand only the best cells to chunk granularity as the scan
-//! consumes them ([`ChunkRanking::rank_two_level`]).
+//! consumes them (`ChunkRanking::rank_two_level`).
 //!
 //! Exactness is preserved by a conservative cell radius: for every member
 //! chunk `m` of cell `c`,
@@ -27,7 +27,6 @@
 //! `eff2-descriptor`.
 //!
 //! [`ChunkRanking::rank`]: crate::session::ChunkRanking::rank
-//! [`ChunkRanking::rank_two_level`]: crate::session::ChunkRanking::rank_two_level
 
 use eff2_descriptor::{Vector, DIM};
 use eff2_storage::indexfile::ChunkMeta;
@@ -35,13 +34,13 @@ use eff2_storage::ChunkStore;
 
 /// Lloyd iterations for the coarse k-means. Fixed (not convergence-tested)
 /// so training cost and results are deterministic functions of the input.
-pub const COARSE_TRAIN_ITERS: usize = 8;
+pub(crate) const COARSE_TRAIN_ITERS: usize = 8;
 
 /// A k-means clustering of chunk centroids with conservative cell radii.
 ///
 /// Built once per store by [`CoarseQuantizer::for_store`] (or with an
 /// explicit cell count via [`CoarseQuantizer::train`]) and shared by every
-/// query's [`rank_two_level`](crate::session::ChunkRanking::rank_two_level).
+/// query's `rank_two_level`.
 #[derive(Clone, Debug)]
 pub struct CoarseQuantizer {
     /// Cell centers (k-means centroids of the chunk centroids).
@@ -57,12 +56,12 @@ impl CoarseQuantizer {
     /// The default cell count: `ceil(sqrt(n_chunks))`, the classic
     /// balance point where ranking cost `n_cells + expanded_members` is
     /// minimised when expansion stops after a few cells.
-    pub fn default_cells(n_chunks: usize) -> usize {
+    pub(crate) fn default_cells(n_chunks: usize) -> usize {
         (n_chunks as f64).sqrt().ceil() as usize
     }
 
     /// Trains a coarse quantizer over `store`'s chunk centroids with
-    /// [`default_cells`](Self::default_cells).
+    /// `default_cells`.
     pub fn for_store(store: &ChunkStore) -> CoarseQuantizer {
         CoarseQuantizer::train(
             store.metas(),
@@ -155,23 +154,13 @@ impl CoarseQuantizer {
     }
 
     /// Number of cells (including empty ones).
-    pub fn n_cells(&self) -> usize {
+    pub(crate) fn n_cells(&self) -> usize {
         self.centers.len()
     }
 
     /// Whether the quantizer holds no cells (empty store).
     pub fn is_empty(&self) -> bool {
         self.centers.is_empty()
-    }
-
-    /// The center of cell `c`.
-    pub fn center(&self, c: usize) -> Option<&Vector> {
-        self.centers.get(c)
-    }
-
-    /// The conservative radius of cell `c` (see module docs).
-    pub fn radius(&self, c: usize) -> Option<f32> {
-        self.radii.get(c).copied()
     }
 
     /// Iterates `(cell, center, radius, members)` over all cells.
@@ -191,9 +180,13 @@ mod tests {
     use crate::chunkers::{ChunkFormer, SrTreeChunker};
     use eff2_descriptor::{Descriptor, DescriptorSet};
     use std::path::PathBuf;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("eff2_coarse_{tag}"));
+        static SEQ: AtomicUsize = AtomicUsize::new(0);
+        let unique = SEQ.fetch_add(1, Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("eff2_coarse_{tag}_{}_{unique}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
         dir
     }
@@ -268,8 +261,8 @@ mod tests {
         assert_eq!(a.n_cells(), b.n_cells());
         for c in 0..a.n_cells() {
             assert_eq!(a.members[c], b.members[c]);
-            assert_eq!(a.radius(c).map(f32::to_bits), b.radius(c).map(f32::to_bits));
-            let (ca, cb) = (a.center(c).expect("center"), b.center(c).expect("center"));
+            assert_eq!(a.radii[c].to_bits(), b.radii[c].to_bits());
+            let (ca, cb) = (&a.centers[c], &b.centers[c]);
             for i in 0..DIM {
                 assert_eq!(ca[i].to_bits(), cb[i].to_bits());
             }

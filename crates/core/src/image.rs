@@ -11,7 +11,7 @@
 //!   is commutative (votes sum, distances take a running minimum), so the
 //!   ranking is independent of the order descriptor results arrive in —
 //!   which is what makes interleaved serving bit-identical to solo runs.
-//! * [`ImageStopRule`] / [`ImageStopTracker`] are the cross-descriptor
+//! * [`ImageStopRule`] / `ImageStopTracker` are the cross-descriptor
 //!   early-termination rules: stop absorbing descriptor results once the
 //!   top-`m` image ranking has been stable for `S` consecutive
 //!   completions (the heuristic from *Minimizing the Number of Matching
@@ -75,8 +75,6 @@ pub struct ImageVoteAccumulator {
     /// Image id → (votes, best distance). A BTreeMap so iteration (and
     /// with it the ranking's tie-break on equal keys) is deterministic.
     tallies: BTreeMap<u32, (u32, f32)>,
-    /// Descriptor result sets folded in so far.
-    absorbed: usize,
     /// Neighbours whose descriptor id had no image mapping — counted
     /// honestly rather than silently dropped.
     unmapped: u64,
@@ -90,7 +88,6 @@ impl ImageVoteAccumulator {
             image_of,
             k,
             tallies: BTreeMap::new(),
-            absorbed: 0,
             unmapped: 0,
         }
     }
@@ -110,16 +107,10 @@ impl ImageVoteAccumulator {
                 slot.1 = n.dist;
             }
         }
-        self.absorbed += 1;
-    }
-
-    /// Descriptor result sets absorbed so far.
-    pub fn absorbed(&self) -> usize {
-        self.absorbed
     }
 
     /// Neighbours that mapped to no image (out-of-range descriptor ids).
-    pub fn unmapped(&self) -> u64 {
+    pub(crate) fn unmapped(&self) -> u64 {
         self.unmapped
     }
 
@@ -161,7 +152,7 @@ impl ImageVoteAccumulator {
     /// one, with `remaining` descriptor searches still outstanding — the
     /// `R·k` vote-margin argument from the [module docs](self). Trivially
     /// true when nothing is outstanding.
-    pub fn certified_top_m(&self, m: usize, remaining: usize) -> bool {
+    pub(crate) fn certified_top_m(&self, m: usize, remaining: usize) -> bool {
         if remaining == 0 || m == 0 {
             return true;
         }
@@ -194,7 +185,7 @@ pub enum ImageStopRule {
         window: usize,
     },
     /// Stop as soon as the vote margins *prove* the top-`m` prefix final
-    /// ([`ImageVoteAccumulator::certified_top_m`]) — never wrong, usually
+    /// (`ImageVoteAccumulator::certified_top_m`) — never wrong, usually
     /// later than [`StableTop`](Self::StableTop).
     CertifiedTop {
         /// Prefix length the certificate covers.
@@ -225,7 +216,7 @@ impl ImageStopRule {
 /// completions. Feed it [`observe`](Self::observe) after every absorbed
 /// result; it answers whether the remaining searches should be abandoned.
 #[derive(Clone, Debug)]
-pub struct ImageStopTracker {
+pub(crate) struct ImageStopTracker {
     rule: ImageStopRule,
     /// Last observed top-`m` prefix (`StableTop` only).
     last_top: Option<Vec<u32>>,
@@ -243,17 +234,12 @@ impl ImageStopTracker {
         }
     }
 
-    /// The rule being tracked.
-    pub fn rule(&self) -> ImageStopRule {
-        self.rule
-    }
-
     /// Observes the accumulator state after a descriptor completion, with
     /// `remaining` searches still outstanding. Returns `true` when the
     /// rule says to abandon them. Never fires with nothing left to
     /// abandon — a fired stop would then be indistinguishable from (and
     /// is) a completed run.
-    pub fn observe(&mut self, acc: &ImageVoteAccumulator, remaining: usize) -> bool {
+    pub(crate) fn observe(&mut self, acc: &ImageVoteAccumulator, remaining: usize) -> bool {
         if remaining == 0 {
             return false;
         }
@@ -374,18 +360,13 @@ impl ImageAggregator {
     }
 
     /// Descriptor searches not yet absorbed or abandoned.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.total - self.spent - self.abandoned
     }
 
     /// Whether every descriptor is accounted for (absorbed + abandoned).
     pub fn is_done(&self) -> bool {
         self.spent + self.abandoned == self.total
-    }
-
-    /// The vote tally so far.
-    pub fn accumulator(&self) -> &ImageVoteAccumulator {
-        &self.acc
     }
 
     /// Absorbs one completed descriptor search: votes, counters, fidelity

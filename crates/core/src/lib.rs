@@ -51,7 +51,7 @@ pub use chunkers::{
 };
 pub use coarse::CoarseQuantizer;
 pub use image::{
-    solo_image_search, ImageAggregator, ImageOutcome, ImageStopRule, ImageStopTracker, ImageVote,
+    solo_image_search, ImageAggregator, ImageOutcome, ImageStopRule, ImageVote,
     ImageVoteAccumulator, ImageVoteEvent,
 };
 pub use index::BuiltIndex;

@@ -5,7 +5,7 @@
 //! tests and the benchmark's frozen `core.merge.incorporate_us` probe.
 //!
 //! Here a query's flat [`ChunkRanking`] is split into per-shard *legs*
-//! ([`ChunkRanking::split_by_owner`]); each leg is a detached
+//! (`ChunkRanking::split_by_owner`); each leg is a detached
 //! [`SearchSession`](crate::session::SearchSession) scanning only its
 //! shard's chunks. The [`ScatterGather`] is the **gather side**, and it is a
 //! search session too — the same per-query state a scanning session keeps
@@ -33,9 +33,7 @@
 
 use crate::search::{SearchParams, SearchResult};
 use crate::session::{ChunkRanking, SessionCore};
-use eff2_descriptor::Vector;
 use eff2_storage::diskmodel::{DiskModel, VirtualDuration};
-use eff2_storage::epoch::FoldedDelta;
 use eff2_storage::Result;
 
 /// One leg-reported outcome for a single ranked chunk, buffered by the
@@ -75,16 +73,6 @@ impl ScatterGather {
         ScatterGather {
             core: SessionCore::new(ranking, model, params),
         }
-    }
-
-    /// Pins the gather to a mutated epoch, before the first outcome: the
-    /// delta's live rows are offered and their read booked here, once per
-    /// query, exactly as a solo session books them
-    /// (`SearchSession::apply_delta`). Legs of the same epoch filter its
-    /// tombstones from their scans; whatever delta rows they re-report are
-    /// refused like any id the gather already holds.
-    pub fn apply_delta(&mut self, query: &Vector, delta: &FoldedDelta) {
-        self.core.apply_delta(query, delta);
     }
 
     /// The global ranking this gather merges over.
@@ -161,14 +149,19 @@ mod tests {
     use crate::session::SearchSession;
     use eff2_descriptor::{Descriptor, DescriptorSet, Vector};
     use eff2_storage::chunkfile::ChunkPayload;
+    use eff2_storage::epoch::FoldedDelta;
     use eff2_storage::source::SourcedChunk;
     use eff2_storage::ChunkStore;
     use std::collections::BTreeMap;
     use std::path::PathBuf;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("eff2_merge_{tag}"));
+        static SEQ: AtomicUsize = AtomicUsize::new(0);
+        let unique = SEQ.fetch_add(1, Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("eff2_merge_{tag}_{}_{unique}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
         dir
     }
@@ -223,7 +216,7 @@ mod tests {
             .collect();
         let legs_rankings = ranking.split_by_owner(&owner_of, n_shards);
         let mut gather = ScatterGather::new(ranking, &model, params);
-        gather.apply_delta(&query, delta);
+        gather.core.apply_delta(&query, delta);
 
         // Drive every leg to exhaustion, buffering outcomes by global rank.
         let leg_params = SearchParams {

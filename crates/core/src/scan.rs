@@ -81,7 +81,7 @@ mod tests {
     fn store_scan_matches_memory_scan() {
         let set = set_of(200);
         let formation = SrTreeChunker { leaf_size: 32 }.form(&set);
-        let dir = std::env::temp_dir().join("eff2_scan_store");
+        let dir = std::env::temp_dir().join(format!("eff2_scan_store_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
         let store = eff2_storage::ChunkStore::create(&dir, "scan", &set, &formation.chunks, 512)
             .expect("create");

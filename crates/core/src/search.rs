@@ -281,7 +281,7 @@ pub fn search_with_source(
 ///
 /// Parallelism stops at the query boundary: each query runs the full
 /// sequential [`search`] with its own chunk stream and its own
-/// [`PipelineClock`], so the per-query virtual-time accounting — and with
+/// `PipelineClock`, so the per-query virtual-time accounting — and with
 /// it every [`ChunkEvent`] field (rank, chunk id, count, bytes,
 /// `completed_at`, kth distance, top-k snapshot) — is bit-identical to a
 /// one-query-at-a-time run. The determinism test asserts exactly that.
@@ -341,9 +341,13 @@ mod tests {
     use crate::scan::scan_knn;
     use eff2_descriptor::{Descriptor, DescriptorSet};
     use std::path::PathBuf;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("eff2_search_{tag}"));
+        static SEQ: AtomicUsize = AtomicUsize::new(0);
+        let unique = SEQ.fetch_add(1, Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("eff2_search_{tag}_{}_{unique}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
         dir
     }

@@ -10,7 +10,7 @@
 //!   caller can pause, inspect intermediate quality, and resume — the
 //!   paper's *anytime* contribution surfaced as an API;
 //! * stop rules are **predicates on session state**
-//!   ([`SearchSession::evaluate_rule`]), not control flow baked into the
+//!   (`SearchSession::evaluate_rule`), not control flow baked into the
 //!   loop. `search()` is ranking + drive-to-stop, and
 //!   [`evaluate_stop_rules`] answers every `Chunks(n)` / `VirtualTime(t)` /
 //!   `ToCompletionEps` variant from ONE scan of the collection instead of
@@ -81,11 +81,11 @@ struct PendingCell {
 /// bound among **all** remaining chunks, not just the next one.
 ///
 /// A ranking is either **flat** ([`rank`](Self::rank): every chunk ranked
-/// up front) or **two-level** ([`rank_two_level`](Self::rank_two_level):
+/// up front) or **two-level** (`rank_two_level`:
 /// coarse cells ranked up front, member chunks expanded lazily wave by
 /// wave as the scan consumes them). In the two-level form the suffix
 /// minimum is floored by the best bound among the still-pending cells, so
-/// [`remaining_bound`](Self::remaining_bound) stays a true lower bound on
+/// `remaining_bound` stays a true lower bound on
 /// every unscanned descriptor and the to-completion stop rule stays exact.
 #[derive(Clone, Debug)]
 pub struct ChunkRanking {
@@ -177,7 +177,7 @@ impl ChunkRanking {
     /// them. Costs `n_cells` centroid evaluations up front instead of
     /// `n_chunks`; [`centroid_evals`](Self::centroid_evals) tracks the
     /// running total as cells expand.
-    pub fn rank_two_level(
+    pub(crate) fn rank_two_level(
         store: &ChunkStore,
         model: &DiskModel,
         query: &Vector,
@@ -267,7 +267,7 @@ impl ChunkRanking {
     }
 
     /// Whether any coarse cell is still awaiting expansion.
-    pub fn has_pending(&self) -> bool {
+    pub(crate) fn has_pending(&self) -> bool {
         !self.pending.is_empty()
     }
 
@@ -287,7 +287,7 @@ impl ChunkRanking {
     /// cell's bound, and the remaining pending floor can only rise, so
     /// [`remaining_bound`](Self::remaining_bound) never decreases at any
     /// consumed position — a fired to-completion proof stays fired.
-    pub fn expand_wave(&mut self, query: &Vector) -> bool {
+    pub(crate) fn expand_wave(&mut self, query: &Vector) -> bool {
         let Some(cell) = self.pending.pop() else {
             return false;
         };
@@ -337,13 +337,13 @@ impl ChunkRanking {
     }
 
     /// Descriptors held by chunk `chunk_id` (0 for out-of-range ids).
-    pub fn count_of(&self, chunk_id: usize) -> u32 {
+    pub(crate) fn count_of(&self, chunk_id: usize) -> u32 {
         self.counts.get(chunk_id).copied().unwrap_or(0)
     }
 
     /// Best lower bound on any descriptor in the chunks still unread after
     /// `processed` chunks (`+∞` once every chunk has been read).
-    pub fn remaining_bound(&self, processed: usize) -> f32 {
+    pub(crate) fn remaining_bound(&self, processed: usize) -> f32 {
         self.suffix_min_bound
             .get(processed)
             .copied()
@@ -355,18 +355,19 @@ impl ChunkRanking {
         self.index_read_time
     }
 
-    /// Splits a **flat** ranking into one per-shard leg ranking: leg `s`
-    /// holds exactly the ranked entries whose chunk `owner_of` maps to `s`,
-    /// in the same relative order as the global ranking. Chunks whose owner
-    /// is out of range (e.g. `u32::MAX` for "no live owner") appear in no
-    /// leg — the scatter–gather driver accounts for them as lost up front.
+    /// Test support for the reference merge model (`crate::merge`'s tests
+    /// are its only caller). Splits a **flat** ranking into one per-shard
+    /// leg ranking: leg `s` holds exactly the ranked entries whose chunk
+    /// `owner_of` maps to `s`, in the same relative order as the global
+    /// ranking. Chunks whose owner is out of range appear in no leg.
     ///
     /// Legs carry no index-read charge and no centroid evaluations: those
     /// are global, paid once by the gather side. Each leg's suffix bounds
     /// are rebuilt over its own entries, which keeps them valid (a subset's
     /// suffix minimum only over-approximates the global one, and legs are
     /// never asked to prove completion — the gather merge is).
-    pub fn split_by_owner(&self, owner_of: &[u32], n_shards: usize) -> Vec<ChunkRanking> {
+    #[cfg(test)]
+    pub(crate) fn split_by_owner(&self, owner_of: &[u32], n_shards: usize) -> Vec<ChunkRanking> {
         debug_assert!(
             !self.has_pending(),
             "split_by_owner requires a flat (fully expanded) ranking"
@@ -761,7 +762,7 @@ impl SearchSession {
     /// the best `rerank_mult · k` ADC candidates, and — after the scan —
     /// [`rerank_tail`](Self::rerank_tail) re-scores them against the raw
     /// `f32` records so the final top-`k` uses exact distances. With
-    /// `coarse` the ranking is two-level ([`ChunkRanking::rank_two_level`]).
+    /// `coarse` the ranking is two-level (`ChunkRanking::rank_two_level`).
     ///
     /// Completion proofs from this session are with respect to the ADC
     /// distances (the scanned representation); treat `completed` as "the
@@ -812,7 +813,7 @@ impl SearchSession {
     /// A session over a pre-computed ranking (see
     /// [`ChunkRanking::rank_into`] for buffer reuse); behaviourally
     /// identical to [`with_source`](Self::with_source).
-    pub fn from_ranking(
+    pub(crate) fn from_ranking(
         ranking: ChunkRanking,
         model: &DiskModel,
         query: &Vector,
@@ -885,7 +886,7 @@ impl SearchSession {
     /// Completion stays exact over the epoch's live set: the remaining
     /// bound is a lower bound over a superset of the live base rows, and
     /// the delta rows are all consumed up front.
-    pub fn apply_delta(&mut self, delta: &Arc<FoldedDelta>) {
+    pub(crate) fn apply_delta(&mut self, delta: &Arc<FoldedDelta>) {
         self.core.apply_delta(&self.query, delta);
         if !delta.tombstones.is_empty() {
             self.delta = Some(Arc::clone(delta));
@@ -942,7 +943,7 @@ impl SearchSession {
     }
 
     /// Whether every ranked chunk has been processed (scanned or skipped).
-    pub fn is_exhausted(&self) -> bool {
+    pub(crate) fn is_exhausted(&self) -> bool {
         self.exhausted || self.core.cursor() == self.core.ranking.len()
     }
 
@@ -1162,7 +1163,7 @@ impl SearchSession {
     /// the kth distance never increases), which is what lets
     /// [`evaluate_rules`](Self::evaluate_rules) serve many rules from one
     /// scan.
-    pub fn evaluate_rule(&self, rule: StopRule) -> Option<bool> {
+    pub(crate) fn evaluate_rule(&self, rule: StopRule) -> Option<bool> {
         self.core.evaluate_rule(rule)
     }
 
@@ -1248,7 +1249,7 @@ impl SearchSession {
     /// A [`SearchResult`] snapshot of the current state, finalised as if
     /// the search had stopped here under `rule`. Cheap relative to the
     /// scan (clones the log); the session remains usable.
-    pub fn result_for_rule(&self, rule: StopRule) -> SearchResult {
+    pub(crate) fn result_for_rule(&self, rule: StopRule) -> SearchResult {
         self.core.result_for_rule(rule)
     }
 
@@ -1329,9 +1330,15 @@ mod tests {
     use eff2_descriptor::{Descriptor, DescriptorSet};
     use eff2_storage::source::FileSource;
     use std::path::PathBuf;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("eff2_session_{tag}"));
+        static SEQ: AtomicUsize = AtomicUsize::new(0);
+        let unique = SEQ.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!(
+            "eff2_session_{tag}_{}_{unique}",
+            std::process::id()
+        ));
         std::fs::create_dir_all(&dir).expect("mkdir");
         dir
     }

@@ -150,9 +150,15 @@ mod tests {
     use crate::search::search;
     use eff2_descriptor::{Descriptor, DescriptorSet};
     use std::path::PathBuf;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("eff2_snapshot_{tag}"));
+        static SEQ: AtomicUsize = AtomicUsize::new(0);
+        let unique = SEQ.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!(
+            "eff2_snapshot_{tag}_{}_{unique}",
+            std::process::id()
+        ));
         std::fs::create_dir_all(&dir).expect("mkdir");
         dir
     }

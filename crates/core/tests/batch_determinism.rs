@@ -25,7 +25,7 @@ fn lumpy_set(n: usize) -> DescriptorSet {
 }
 
 fn build_store(tag: &str, set: &DescriptorSet, former: &dyn ChunkFormer) -> ChunkStore {
-    let dir = std::env::temp_dir().join(format!("eff2_batch_det_{tag}"));
+    let dir = std::env::temp_dir().join(format!("eff2_batch_det_{tag}_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir");
     let formation = former.form(set);
     ChunkStore::create(&dir, "ix", set, &formation.chunks, 512).expect("create")

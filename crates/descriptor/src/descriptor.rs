@@ -107,7 +107,7 @@ impl DescriptorSet {
     /// The first attributed push switches the set into image-tracking mode;
     /// descriptors pushed earlier without attribution are assigned the
     /// sentinel `u32::MAX`.
-    pub fn push_with_image(&mut self, d: Descriptor, image: ImageId) {
+    pub(crate) fn push_with_image(&mut self, d: Descriptor, image: ImageId) {
         let n_before = self.ids.len();
         self.image_of
             .get_or_insert_with(|| vec![u32::MAX; n_before])
@@ -155,7 +155,7 @@ impl DescriptorSet {
     }
 
     /// Whether image attribution is tracked.
-    pub fn has_images(&self) -> bool {
+    pub(crate) fn has_images(&self) -> bool {
         self.image_of.is_some()
     }
 

@@ -99,7 +99,7 @@ impl CollectionSpec {
 
     /// Expected number of descriptors this spec will generate (approximate;
     /// the realised count varies with per-image draws).
-    pub fn expected_len(&self) -> usize {
+    pub(crate) fn expected_len(&self) -> usize {
         self.n_images * self.mean_descriptors_per_image
     }
 }

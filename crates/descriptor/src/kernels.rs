@@ -4,7 +4,7 @@
 //! chunk is one squared-distance evaluation against the query (§4.3). The
 //! canonical [`l2_sq`] kernel accumulates into lanes so LLVM vectorises
 //! *within* one row; the kernels here additionally process rows in blocks
-//! of [`BLOCK`], which
+//! of `BLOCK`, which
 //!
 //! * shares the query loads across the block and gives the CPU `BLOCK`
 //!   independent reductions to overlap, and
@@ -26,7 +26,7 @@ use crate::vector::{l2_sq, sum_lanes, DIM, LANES};
 /// Rows per block. Four rows keeps all accumulators in registers on
 /// every x86-64/aarch64 target while already saturating the gain; eight
 /// measured no better (see `EXPERIMENTS.md`).
-pub const BLOCK: usize = 4;
+pub(crate) const BLOCK: usize = 4;
 
 /// Reinterprets a packed row-major buffer as `DIM`-sized rows.
 ///
@@ -273,7 +273,7 @@ fn adc_pq_lanes<const SUB: usize, const PER: usize>(lut: &[f32], k: usize, code:
 ///
 /// Reproduces `l2_sq(q, decode(code))` **bit for bit**: each per-component
 /// term is computed by exactly the float operations the codec's
-/// `decode_into` would perform, accumulated into the same [`LANES`]
+/// `decode_into` would perform, accumulated into the same `LANES`
 /// scheme (component `i` → lane `i % LANES`, combined by the fixed
 /// pairwise rule) as [`l2_sq`]. For SQ8 the decode (`lo + code·step`)
 /// fuses into the distance; for PQ each component's squared difference is
@@ -288,20 +288,6 @@ pub fn adc_l2_sq(prep: &PreparedQuery, code: &[u8]) -> f32 {
         PreparedQuery::Sq8 { q, lo, step } => adc_sq8_one(q, lo, step, code),
         PreparedQuery::Pq { lut, m, k } => adc_pq_one(lut, *m, *k, code),
     }
-}
-
-/// Asymmetric squared distances from a prepared query to four codes.
-///
-/// Four independent [`adc_l2_sq`] reductions, so
-/// `adc_l2_sq_x4(p, a, b, c, d)[0] == adc_l2_sq(p, a)` exactly.
-#[inline]
-pub fn adc_l2_sq_x4(prep: &PreparedQuery, c0: &[u8], c1: &[u8], c2: &[u8], c3: &[u8]) -> [f32; 4] {
-    [
-        adc_l2_sq(prep, c0),
-        adc_l2_sq(prep, c1),
-        adc_l2_sq(prep, c2),
-        adc_l2_sq(prep, c3),
-    ]
 }
 
 /// Blocked asymmetric distances from a prepared query to a packed code

@@ -15,7 +15,7 @@
 //! This crate provides:
 //!
 //! * [`Vector`] — the fixed 24-dimensional point type and its distance
-//!   kernels ([`l2_sq`], [`l2`]);
+//!   kernel ([`l2_sq`]);
 //! * [`Descriptor`] / [`DescriptorSet`] — identified descriptors and a
 //!   structure-of-arrays collection container;
 //! * [`codec`] — the 100-byte-per-descriptor binary collection format;
@@ -43,8 +43,8 @@ pub mod vector;
 pub use descriptor::{Descriptor, DescriptorId, DescriptorSet, ImageId};
 pub use error::{Error, Result};
 pub use gen::{CollectionSpec, SyntheticCollection};
-pub use kernels::{adc_l2_sq, adc_l2_sq_batch, adc_l2_sq_x4, as_rows, l2_sq_x4, scan_block_into};
+pub use kernels::{adc_l2_sq, adc_l2_sq_batch, as_rows, l2_sq_x4, scan_block_into};
 pub use neighbors::{Neighbor, NeighborSet};
 pub use quant::{Codec, DescriptorCodec, PqCodec, PreparedQuery, Sq8Codec};
 pub use stats::{DimensionStats, TrimmedRanges};
-pub use vector::{l2, l2_sq, l2_sq_batch, l2_sq_serial, Vector, DIM, LANES};
+pub use vector::{l2_sq, l2_sq_batch, l2_sq_serial, Vector, DIM};

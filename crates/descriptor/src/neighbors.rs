@@ -161,7 +161,7 @@ impl NeighborSet {
     /// The current kth-best (i.e. worst retained) squared distance, or
     /// `f32::INFINITY` while fewer than `k` neighbours are held (any
     /// candidate would still be accepted).
-    pub fn kth_dist_sq(&self) -> f32 {
+    pub(crate) fn kth_dist_sq(&self) -> f32 {
         if self.is_full() {
             self.heap.peek().map_or(f32::INFINITY, |e| e.dist_sq)
         } else {

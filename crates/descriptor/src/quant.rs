@@ -31,9 +31,9 @@ use crate::stats::DimensionStats;
 use crate::vector::DIM;
 
 /// Number of PQ subspaces in the default geometry (4 dims each).
-pub const PQ_M: usize = 6;
+pub(crate) const PQ_M: usize = 6;
 /// Codewords per PQ subspace in the default geometry.
-pub const PQ_K: usize = 16;
+pub(crate) const PQ_K: usize = 16;
 /// K-means refinement rounds used by [`PqCodec::train`].
 const PQ_TRAIN_ITERS: usize = 8;
 /// Training-sample cap: collections larger than this are strided down so
@@ -204,7 +204,7 @@ pub struct PqCodec {
 
 impl PqCodec {
     /// Trains a codebook over `set` with the default geometry
-    /// ([`PQ_M`] × [`PQ_K`]).
+    /// (`PQ_M` × `PQ_K`).
     pub fn from_set(set: &DescriptorSet) -> Self {
         Self::train(set, PQ_M, PQ_K)
     }
@@ -357,12 +357,12 @@ pub enum Codec {
 }
 
 /// On-disk kind tag for [`Codec::Sq8`].
-pub const CODEC_KIND_SQ8: u32 = 1;
+pub(crate) const CODEC_KIND_SQ8: u32 = 1;
 /// On-disk kind tag for [`Codec::Pq`].
-pub const CODEC_KIND_PQ: u32 = 2;
+pub(crate) const CODEC_KIND_PQ: u32 = 2;
 
 impl Codec {
-    /// The on-disk kind tag ([`CODEC_KIND_SQ8`] / [`CODEC_KIND_PQ`]).
+    /// The on-disk kind tag (`CODEC_KIND_SQ8` / `CODEC_KIND_PQ`).
     pub fn kind(&self) -> u32 {
         match self {
             Codec::Sq8(_) => CODEC_KIND_SQ8,

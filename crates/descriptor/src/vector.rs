@@ -187,15 +187,15 @@ impl std::ops::IndexMut<usize> for Vector {
 /// Accumulator lanes of the canonical distance kernel. [`DIM`] (24) is an
 /// exact multiple, so the lane loop has no remainder and LLVM maps the
 /// accumulator array straight onto one 8-wide SIMD register.
-pub const LANES: usize = 8;
+pub(crate) const LANES: usize = 8;
 const _: () = assert!(DIM.is_multiple_of(LANES), "DIM must be a multiple of LANES");
 
 /// Squared Euclidean distance between two 24-dimensional points.
 ///
 /// This is *the* hot kernel: every chunk scan evaluates it once per stored
-/// descriptor. It accumulates into [`LANES`] independent partial sums
+/// descriptor. It accumulates into `LANES` independent partial sums
 /// (component `i` goes to lane `i % LANES`) and combines them in the fixed
-/// pairwise order of [`sum_lanes`]. The lane split is what lets the
+/// pairwise order of `sum_lanes`. The lane split is what lets the
 /// autovectorizer emit wide SIMD — a single running sum is a serial
 /// dependency chain LLVM must not reassociate (see [`l2_sq_serial`]). The
 /// lane order is part of the kernel's defined semantics: every distance
@@ -236,12 +236,6 @@ pub fn l2_sq_serial(a: &[f32; DIM], b: &[f32; DIM]) -> f32 {
         acc += d * d;
     }
     acc
-}
-
-/// Euclidean distance between two 24-dimensional points.
-#[inline]
-pub fn l2(a: &[f32; DIM], b: &[f32; DIM]) -> f32 {
-    l2_sq(a, b).sqrt()
 }
 
 /// Squared Euclidean distance between a query and a flat slice of packed

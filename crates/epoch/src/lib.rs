@@ -43,7 +43,7 @@ use std::sync::Arc;
 /// Base file name of compaction generation `g`: generation zero keeps the
 /// plain index name (read-compat with stores created before the epoch
 /// layer), later generations append `.g<N>`.
-pub fn generation_name(name: &str, generation: u64) -> String {
+pub(crate) fn generation_name(name: &str, generation: u64) -> String {
     if generation == 0 {
         name.to_string()
     } else {

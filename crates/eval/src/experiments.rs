@@ -1,5 +1,5 @@
 //! The experiments: each function regenerates one or more of the paper's
-//! tables/figures as a [`Report`]. [`EXPERIMENTS`] is the one list of them
+//! tables/figures as a [`Report`]. `EXPERIMENTS` is the one list of them
 //! — usage text, dispatch and `all` are read off it — and [`run`] the one
 //! place a report is printed and its CSV series saved.
 // lint:allow-file(panic.index): result tables are sized by the experiment grid that indexes them
@@ -42,12 +42,12 @@ use std::sync::Arc;
 
 /// One `eff2-eval` command: its name, a one-line summary for the usage
 /// text, and the function that runs it.
-pub type Experiment = (&'static str, &'static str, fn(&Lab) -> EvalResult<Report>);
+pub(crate) type Experiment = (&'static str, &'static str, fn(&Lab) -> EvalResult<Report>);
 
 /// Every command, in the order `all` runs them. Adding an experiment is
 /// one entry here plus its function.
 #[rustfmt::skip]
-pub const EXPERIMENTS: &[Experiment] = &[
+pub(crate) const EXPERIMENTS: &[Experiment] = &[
     ("gen", "generate (or load) the synthetic collection and print stats", collection),
     ("indexes", "build the six chunk indexes (BAG + SR at three sizes)", indexes),
     ("table1", "Table 1  — chunk index properties", table1),
@@ -86,7 +86,7 @@ pub fn usage() -> String {
 }
 
 /// Runs `selected` in order on `lab`: prints each report and saves its CSV
-/// series under [`Lab::results_dir`]; once everything is printed, names
+/// series under `Lab::results_dir`; once everything is printed, names
 /// every failed gate on stderr. Returns the process exit status: 1 if any
 /// gate failed, 0 otherwise.
 pub fn run(selected: &[Experiment], lab: &Lab) -> EvalResult<i32> {
@@ -249,7 +249,7 @@ pub fn collection(lab: &Lab) -> EvalResult<Report> {
 }
 
 /// `indexes`: builds (or opens) the six chunk indexes and lists them.
-pub fn indexes(lab: &Lab) -> EvalResult<Report> {
+pub(crate) fn indexes(lab: &Lab) -> EvalResult<Report> {
     let mut report = Report::default();
     for h in lab.six_indexes()? {
         report.line(&format!(
@@ -270,7 +270,7 @@ pub fn indexes(lab: &Lab) -> EvalResult<Report> {
 
 /// Regenerates **Table 1**: properties of the BAG and SR-tree chunk
 /// indexes (retained/discarded descriptors, chunk counts, mean sizes).
-pub fn table1(lab: &Lab) -> EvalResult<Report> {
+pub(crate) fn table1(lab: &Lab) -> EvalResult<Report> {
     let six = lab.six_indexes()?;
     let mut t = Table::new(
         "Table 1. Properties of the BAG and SR-tree chunk indexes",
@@ -334,7 +334,7 @@ pub fn table1(lab: &Lab) -> EvalResult<Report> {
 /// Regenerates **Figure 1**: sizes of the 30 largest chunks of each of the
 /// six indexes (the paper plots these on a log scale — BAG's head chunks
 /// are orders of magnitude above its mean).
-pub fn fig1(lab: &Lab) -> EvalResult<Report> {
+pub(crate) fn fig1(lab: &Lab) -> EvalResult<Report> {
     let six = lab.six_indexes()?;
     let mut t = table_with(
         "Figure 1. Size of the largest chunks (descriptors)",
@@ -403,7 +403,7 @@ fn table2_of(curves: &Exp1Curves) -> Table {
 }
 
 /// Regenerates **Table 2** alone (running or loading the exp1 curves).
-pub fn table2(lab: &Lab) -> EvalResult<Report> {
+pub(crate) fn table2(lab: &Lab) -> EvalResult<Report> {
     let mut report = Report::default();
     report.table("table2.csv", table2_of(&exp1_curves(lab)?));
     Ok(report)
@@ -412,7 +412,7 @@ pub fn table2(lab: &Lab) -> EvalResult<Report> {
 /// Runs the whole of Experiment 1: **Figures 2–3** (chunks read vs
 /// neighbours found), **Figures 4–5** (virtual elapsed time vs neighbours
 /// found) — each over DQ, then SQ — and **Table 2**.
-pub fn exp1(lab: &Lab) -> EvalResult<Report> {
+pub(crate) fn exp1(lab: &Lab) -> EvalResult<Report> {
     let curves = exp1_curves(lab)?;
     let chunks: fn(&QualityCurve, usize) -> f64 = QualityCurve::chunks_for;
     let mut report = Report::default();
@@ -447,7 +447,7 @@ pub fn exp1(lab: &Lab) -> EvalResult<Report> {
 /// Regenerates **Figures 6 and 7**: time to find 1/10/20/25/28/30
 /// neighbours as a function of the (SR-tree) chunk size, over 16 chunk
 /// indexes on the outlier-free collection.
-pub fn exp2(lab: &Lab) -> EvalResult<Report> {
+pub(crate) fn exp2(lab: &Lab) -> EvalResult<Report> {
     let six = lab.six_indexes()?;
     let subset = lab.small_retained_subset(&six)?;
     let marks = sweep_neighbor_marks(lab.scale.k);
@@ -489,7 +489,7 @@ pub fn exp2(lab: &Lab) -> EvalResult<Report> {
 /// time budgets, relaxed-completion factors and exact completion — the
 /// quality/time trade-off knobs of §4.3, all answered from a single scan
 /// per query.
-pub fn exp3_rules() -> Vec<StopRule> {
+pub(crate) fn exp3_rules() -> Vec<StopRule> {
     vec![
         StopRule::Chunks(1),
         StopRule::Chunks(2),
@@ -519,7 +519,7 @@ fn rule_label(rule: &StopRule) -> String {
 /// answers *all* rules from one scan per query
 /// ([`evaluate_stop_rules`]) — each row is still bit-identical to an
 /// individual run with that rule, but the collection is read once.
-pub fn exp3(lab: &Lab) -> EvalResult<Report> {
+pub(crate) fn exp3(lab: &Lab) -> EvalResult<Report> {
     let six = lab.six_indexes()?;
     let dq = lab.dq()?;
     let rules = exp3_rules();
@@ -596,7 +596,7 @@ const EXP4_CONCURRENCY: [usize; 3] = [2, 8, 32];
 /// percentiles, answer quality and chunk traffic — and every per-query
 /// result is bit-compared against the serial one-query-at-a-time
 /// reference, which scheduling must never change.
-pub fn exp4(lab: &Lab) -> EvalResult<Report> {
+pub(crate) fn exp4(lab: &Lab) -> EvalResult<Report> {
     let handle = &lab.serving_index()?;
     let dq = dq_of(lab, "exp4")?;
     let truth = lab.truth(handle, &dq)?;
@@ -774,7 +774,7 @@ fn exp5_doomed(plan: &FaultPlan, policy: &RetryPolicy, chunk: usize) -> bool {
 /// rate-0 stack must be bit-identical to the undecorated search; and
 /// because the injected loss sets are nested across rates, precision must
 /// be monotonically non-increasing in the fault rate.
-pub fn exp5(lab: &Lab) -> EvalResult<Report> {
+pub(crate) fn exp5(lab: &Lab) -> EvalResult<Report> {
     let handles = [lab.serving_index()?, lab.chaos_index()?];
     let dq = dq_of(lab, "exp5")?;
     let policies = [("none", RetryPolicy::none()), ("retry", clearing_retry())];
@@ -961,7 +961,7 @@ fn exp6_v2_v3_compatible(base: &IndexHandle, quant: &IndexHandle) -> EvalResult<
 /// two-level ranking leaves to-completion answers bit-identical while
 /// spending fewer centroid evaluations; and the v3 raw region read back
 /// equals the v2 store byte for byte.
-pub fn exp6(lab: &Lab) -> EvalResult<Report> {
+pub(crate) fn exp6(lab: &Lab) -> EvalResult<Report> {
     let base = lab.serving_index()?;
     let dq = dq_of(lab, "exp6")?;
     let truth = lab.truth(&base, &dq)?;
@@ -1168,7 +1168,7 @@ fn exp7_lossy_plan(base_seed: u64, n_chunks: usize) -> FaultPlan {
 /// cross-shard chunk traffic and primary-placement imbalance, and a
 /// permanent-chunk-loss scenario shows replication turning today's
 /// `Degraded` results into failover events.
-pub fn exp7(lab: &Lab) -> EvalResult<Report> {
+pub(crate) fn exp7(lab: &Lab) -> EvalResult<Report> {
     let handle = &lab.serving_index()?;
     let dq = dq_of(lab, "exp7")?;
     let params = search_params(lab.scale.k, SERVING_STOP);
@@ -1353,7 +1353,7 @@ const EXP8_TARGET_CHUNK: usize = 32;
 /// is checked on every installed generation, and the final imbalance
 /// factor shows online compaction absorbing the skewed ingest that a
 /// never-compacting index accumulates in its delta chunk.
-pub fn exp8(lab: &Lab) -> EvalResult<Report> {
+pub(crate) fn exp8(lab: &Lab) -> EvalResult<Report> {
     let dq = dq_of(lab, "exp8")?;
     let params = search_params(lab.scale.k, SERVING_STOP);
     let leaf = EXP8_TARGET_CHUNK;
@@ -1559,7 +1559,7 @@ fn ranking_bits(outcome: &ImageOutcome) -> impl Iterator<Item = (u32, u32, u32)>
 /// claim at image granularity: an early-terminating cell must reach
 /// ≥ 0.95 of the full run's precision@10 while completing ≤ 0.5× the
 /// descriptor sessions.
-pub fn exp9(lab: &Lab) -> EvalResult<Report> {
+pub(crate) fn exp9(lab: &Lab) -> EvalResult<Report> {
     let handle = lab.serving_index()?;
     let snap = Snapshot::new(handle.store.clone(), lab.model);
     let m = 10usize;

@@ -22,13 +22,13 @@ use eff2_workload::{dq_workload, sq_workload, Workload};
 use std::path::{Path, PathBuf};
 
 /// The three chunk-size classes of the paper's Table 1.
-pub const SIZE_CLASSES: [&str; 3] = ["SMALL", "MEDIUM", "LARGE"];
+pub(crate) const SIZE_CLASSES: [&str; 3] = ["SMALL", "MEDIUM", "LARGE"];
 
 /// Cache format version: bump whenever the generator, the chunk formers or
 /// the cost model change in a way that invalidates cached artefacts.
 /// v3: chunk files grew per-chunk checksums (format v2), so older cached
 /// stores no longer open.
-pub const CACHE_VERSION: u32 = 3;
+pub(crate) const CACHE_VERSION: u32 = 3;
 
 /// Metadata recorded for every built index (Table 1's raw material).
 #[derive(Clone, Debug)]
@@ -380,7 +380,7 @@ impl Lab {
     /// on this rather than the Table 1 indexes so the serving sweep does
     /// not pay for (or depend on the degeneracies of) a BAG clustering
     /// run.
-    pub fn serving_index(&self) -> EvalResult<IndexHandle> {
+    pub(crate) fn serving_index(&self) -> EvalResult<IndexHandle> {
         let leaf = self.scale.chunk_sizes()[1];
         self.sr_index(&format!("SERVE / {leaf}"), &self.set, leaf, 0, None)
     }
@@ -391,7 +391,7 @@ impl Lab {
     /// codes next to the raw descriptors. Experiment 6 runs ADC scans over
     /// these and compares against the uncompressed
     /// [`serving_index`](Self::serving_index).
-    pub fn quantized_index(&self, codec_name: &str) -> EvalResult<IndexHandle> {
+    pub(crate) fn quantized_index(&self, codec_name: &str) -> EvalResult<IndexHandle> {
         let leaf = self.scale.chunk_sizes()[1];
         let label = format!("QUANT {} / {leaf}", codec_name.to_ascii_uppercase());
         self.sr_index(&label, &self.set, leaf, 0, Some(codec_name))
@@ -402,7 +402,7 @@ impl Lab {
     /// experiment 5 sweeps fault rates over two chunk granularities
     /// (losing one small chunk costs fewer descriptors than losing one
     /// medium chunk — the loss curve depends on the chunker).
-    pub fn chaos_index(&self) -> EvalResult<IndexHandle> {
+    pub(crate) fn chaos_index(&self) -> EvalResult<IndexHandle> {
         let leaf = self.scale.chunk_sizes()[0];
         self.sr_index(&format!("CHAOS / {leaf}"), &self.set, leaf, 0, None)
     }
@@ -497,7 +497,7 @@ impl Lab {
     }
 
     /// Directory where experiment outputs (tables, CSVs) are written.
-    pub fn results_dir(&self) -> EvalResult<PathBuf> {
+    pub(crate) fn results_dir(&self) -> EvalResult<PathBuf> {
         let dir = self.out_dir.join(format!(
             "n{}-seed{}",
             self.scale.n_descriptors, self.scale.seed

@@ -6,7 +6,7 @@
 //! tables and figures at a configurable scale.
 //!
 //! Every artefact — the paper's tables and figures, and the sweeps beyond
-//! it — is one entry of [`experiments::EXPERIMENTS`]: a function from the
+//! it — is one entry of `experiments::EXPERIMENTS`: a function from the
 //! [`Lab`] to a [`Report`] whose gates fail the run when they print `NO`.
 //!
 //! The default scale is 100,000 descriptors (the paper used 5,017,298 — see
@@ -26,4 +26,4 @@ pub use scale::Scale;
 
 /// Harness-level result type (errors cross crate boundaries).
 // lint:allow(err.box_error): the eval binary is the top-level sink aggregating every crate's typed Error for CLI reporting
-pub type EvalResult<T> = Result<T, Box<dyn std::error::Error + Send + Sync>>;
+pub(crate) type EvalResult<T> = Result<T, Box<dyn std::error::Error + Send + Sync>>;

@@ -8,13 +8,13 @@
 //! `"<sentence>: NO."`, and one `NO` fails the whole run — tests read
 //! [`Report::failed`] and `scripts/check.sh` the binary's exit status,
 //! never the prose. A verdict nothing answers for is an observation: a
-//! plain line spelt with the same [`yes_no`].
+//! plain line spelt with the same `yes_no`.
 
 use eff2_metrics::Table;
 use std::path::Path;
 
 /// A verdict as reports and table cells spell it.
-pub fn yes_no(ok: bool) -> &'static str {
+pub(crate) fn yes_no(ok: bool) -> &'static str {
     if ok {
         "yes"
     } else {
@@ -44,7 +44,7 @@ impl Report {
     }
 
     /// Appends a table that is saved as `csv` but not printed.
-    pub fn csv_only(&mut self, csv: &str, table: Table) -> &mut Self {
+    pub(crate) fn csv_only(&mut self, csv: &str, table: Table) -> &mut Self {
         self.tables.push((csv.to_string(), table));
         self
     }
@@ -57,13 +57,13 @@ impl Report {
     }
 
     /// Appends a gate: `sentence` must hold or the run fails.
-    pub fn gate(&mut self, sentence: &str, ok: bool) -> &mut Self {
+    pub(crate) fn gate(&mut self, sentence: &str, ok: bool) -> &mut Self {
         self.gate_with(sentence, ok, "")
     }
 
     /// A [`gate`](Self::gate) printed with the figures behind it (`detail`)
     /// after the verdict.
-    pub fn gate_with(&mut self, sentence: &str, ok: bool, detail: &str) -> &mut Self {
+    pub(crate) fn gate_with(&mut self, sentence: &str, ok: bool, detail: &str) -> &mut Self {
         self.gates.push((sentence.to_string(), ok));
         self.line(&format!("{sentence}: {}{detail}.", yes_no(ok)))
     }
@@ -75,7 +75,7 @@ impl Report {
     }
 
     /// Writes every table's series into `dir` under its CSV name.
-    pub fn save_csvs(&self, dir: &Path) -> std::io::Result<()> {
+    pub(crate) fn save_csvs(&self, dir: &Path) -> std::io::Result<()> {
         for (csv, table) in &self.tables {
             table.save_csv(&dir.join(csv))?;
         }

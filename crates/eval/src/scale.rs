@@ -10,13 +10,13 @@
 // lint:allow-file(panic.index): scale tables have compile-time-known entries
 
 /// The paper's collection size.
-pub const PAPER_N: usize = 5_017_298;
+pub(crate) const PAPER_N: usize = 5_017_298;
 /// The paper's mean BAG chunk sizes for SMALL / MEDIUM / LARGE (Table 1).
-pub const PAPER_CHUNK_SIZES: [f64; 3] = [947.0, 1_711.0, 2_486.0];
+pub(crate) const PAPER_CHUNK_SIZES: [f64; 3] = [947.0, 1_711.0, 2_486.0];
 /// The paper's k (precision within the top 30).
-pub const PAPER_K: usize = 30;
+pub(crate) const PAPER_K: usize = 30;
 /// The paper's Figure 6/7 chunk-size sweep bounds.
-pub const PAPER_SWEEP: (f64, f64) = (100.0, 100_000.0);
+pub(crate) const PAPER_SWEEP: (f64, f64) = (100.0, 100_000.0);
 
 /// Experiment scale parameters.
 #[derive(Clone, Copy, Debug)]
@@ -47,7 +47,7 @@ impl Scale {
     }
 
     /// The linear shrink factor relative to the paper.
-    pub fn shrink(&self) -> f64 {
+    pub(crate) fn shrink(&self) -> f64 {
         self.n_descriptors as f64 / PAPER_N as f64
     }
 
@@ -56,7 +56,7 @@ impl Scale {
     /// chunk still dwarfs the answer set. When the floor binds, the paper's
     /// 1 : 1.81 : 2.63 size ratios are re-applied on top of it so the three
     /// classes stay distinct at any scale.
-    pub fn chunk_sizes(&self) -> [usize; 3] {
+    pub(crate) fn chunk_sizes(&self) -> [usize; 3] {
         let f = self.shrink().sqrt();
         let base = ((PAPER_CHUNK_SIZES[0] * f) as usize).max(4 * self.k) as f64;
         [
@@ -68,7 +68,7 @@ impl Scale {
 
     /// BAG termination targets (cluster counts) that should realise
     /// [`Scale::chunk_sizes`] assuming ≈10 % outliers.
-    pub fn bag_targets(&self) -> [usize; 3] {
+    pub(crate) fn bag_targets(&self) -> [usize; 3] {
         let retained = self.n_descriptors as f64 * 0.9;
         self.chunk_sizes()
             .map(|size| ((retained / size as f64) as usize).max(2))

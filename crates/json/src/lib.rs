@@ -149,7 +149,7 @@ impl Json {
     }
 
     /// The number as `f32`.
-    pub fn as_f32(&self) -> Result<f32> {
+    pub(crate) fn as_f32(&self) -> Result<f32> {
         self.as_f64().map(|v| v as f32)
     }
 

@@ -16,7 +16,7 @@
 /// What a token is, at the granularity the rules care about.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TokenKind {
-    /// An identifier or keyword (rules distinguish via [`is_keyword`]).
+    /// An identifier or keyword (rules distinguish via `is_keyword`).
     Ident,
     /// A lifetime such as `'a` (or a loop label).
     Lifetime,
@@ -51,7 +51,7 @@ pub struct Token {
 
 impl Token {
     /// Whether this token is any kind of comment.
-    pub fn is_comment(&self) -> bool {
+    pub(crate) fn is_comment(&self) -> bool {
         matches!(
             self.kind,
             TokenKind::LineComment
@@ -62,7 +62,7 @@ impl Token {
     }
 
     /// Whether this token is a given punctuation character.
-    pub fn is_punct(&self, c: char) -> bool {
+    pub(crate) fn is_punct(&self, c: char) -> bool {
         self.kind == TokenKind::Punct && self.text.starts_with(c)
     }
 
@@ -74,7 +74,7 @@ impl Token {
 
 /// Rust's reserved words (strict and 2018+), used to tell `v[i]` indexing
 /// apart from syntax like `mut [u8]` or `let [a, b] = …`.
-pub fn is_keyword(s: &str) -> bool {
+pub(crate) fn is_keyword(s: &str) -> bool {
     matches!(
         s,
         "as" | "async"

@@ -1,7 +1,7 @@
 //! CLI for the workspace invariant auditor.
 //!
 //! ```text
-//! eff2-lint [--deny] [--json] [--rules] [--root <path>] [--changed-since <git-ref>]
+//! eff2-lint [--deny] [--json] [--rules] [--root <path>]
 //! ```
 //!
 //! * `--deny`  — exit non-zero if any finding remains (CI gate mode).
@@ -9,11 +9,6 @@
 //! * `--rules` — list the known rule ids and exit.
 //! * `--root`  — workspace root (default: walk up from the current
 //!   directory to the first `Cargo.toml` containing `[workspace]`).
-//! * `--changed-since <git-ref>` — restrict *reporting* to findings in
-//!   files changed since `<git-ref>`. The call graph is still built over
-//!   the whole workspace (a changed helper can taint an unchanged entry
-//!   and vice versa — an entry finding is reported if the entry's file
-//!   changed), only the report is filtered.
 //!
 //! Every run ends with a timing line on stderr —
 //! `lint: N files, M symbols, K ms` — so lint cost is tracked as the
@@ -37,48 +32,14 @@ fn find_workspace_root() -> Option<PathBuf> {
     }
 }
 
-/// Workspace-relative paths of files changed since `git_ref`, per
-/// `git diff --name-only` (plus untracked files, which `diff` omits).
-fn changed_files(root: &std::path::Path, git_ref: &str) -> std::io::Result<Vec<String>> {
-    let mut files = Vec::new();
-    let invocations = vec![
-        vec!["diff", "--name-only", git_ref],
-        vec!["ls-files", "--others", "--exclude-standard"],
-    ];
-    for extra in &invocations {
-        let out = std::process::Command::new("git")
-            .args(extra)
-            .current_dir(root)
-            .output()
-            .map_err(|e| std::io::Error::other(format!("failed to run git: {e}")))?;
-        if !out.status.success() {
-            return Err(std::io::Error::other(format!(
-                "git {} failed: {}",
-                extra.join(" "),
-                String::from_utf8_lossy(&out.stderr).trim()
-            )));
-        }
-        files.extend(
-            String::from_utf8_lossy(&out.stdout)
-                .lines()
-                .map(|l| l.trim().to_string())
-                .filter(|l| !l.is_empty()),
-        );
-    }
-    Ok(files)
-}
-
 fn usage() {
-    eprintln!(
-        "usage: eff2-lint [--deny] [--json] [--rules] [--root <path>] [--changed-since <git-ref>]"
-    );
+    eprintln!("usage: eff2-lint [--deny] [--json] [--rules] [--root <path>]");
 }
 
 fn main() -> ExitCode {
     let mut deny = false;
     let mut json = false;
     let mut root: Option<PathBuf> = None;
-    let mut since: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -91,14 +52,6 @@ fn main() -> ExitCode {
                 return ExitCode::SUCCESS;
             }
             "--root" => root = args.next().map(PathBuf::from),
-            "--changed-since" => {
-                since = args.next();
-                if since.is_none() {
-                    eprintln!("eff2-lint: --changed-since needs a git ref");
-                    usage();
-                    return ExitCode::from(2);
-                }
-            }
             other => {
                 eprintln!("eff2-lint: unknown argument `{other}`");
                 usage();
@@ -124,18 +77,7 @@ fn main() -> ExitCode {
         }
     };
     let elapsed_ms = started.elapsed().as_millis();
-
-    let mut findings = report.findings;
-    if let Some(git_ref) = &since {
-        let changed = match changed_files(&root, git_ref) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("eff2-lint: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        findings.retain(|f| changed.iter().any(|c| c == &f.file));
-    }
+    let findings = report.findings;
 
     if json {
         println!("{}", eff2_lint::findings_to_json(&findings));

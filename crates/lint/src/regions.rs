@@ -231,7 +231,7 @@ mod tests {
 
     #[test]
     fn stacked_attributes_are_skipped() {
-        let src = "#[cfg(test)]\n#[allow(dead_code)]\nmod t { fn inner() { target(); } }";
+        let src = "#[cfg(test)]\n#[allow(unused)]\nmod t { fn inner() { target(); } }";
         assert!(test_flag_of(src, "target"));
     }
 

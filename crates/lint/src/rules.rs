@@ -5,8 +5,8 @@
 //! `macro_rules!` bodies (see [`crate::regions`]); comments, doc comments
 //! and string literals are skipped by construction of the token stream.
 //!
-//! The site detectors live on [`View`] so the line rules and the symbol
-//! pass's fact extractor ([`crate::symbols`]) agree *exactly* on what
+//! The site detectors live on `View` so the line rules and the symbol
+//! pass's fact extractor (`crate::symbols`) agree *exactly* on what
 //! constitutes a panic or nondeterminism site: an unwaived line finding
 //! and an interprocedural fact are always the same token pattern.
 
@@ -123,7 +123,7 @@ pub const RULES: &[RuleInfo] = &[
 ];
 
 /// Whether `id` names a known rule.
-pub fn is_rule(id: &str) -> bool {
+pub(crate) fn is_rule(id: &str) -> bool {
     RULES.iter().any(|r| r.id == id)
 }
 
@@ -599,7 +599,7 @@ impl Scan<'_> {
 
 /// Runs every token rule over one file, returning unsuppressed raw
 /// findings (waiver handling happens in [`crate::engine`]).
-pub fn apply(
+pub(crate) fn apply(
     crate_name: &str,
     rel_path: &str,
     tokens: &[Token],

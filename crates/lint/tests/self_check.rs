@@ -5,7 +5,10 @@
 //! crate, or waiver without a reason fails the test suite, not just the
 //! optional CLI run.
 
-use std::path::Path;
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
+
+use eff2_lint::{lexer, regions};
 
 #[test]
 fn workspace_lints_clean() {
@@ -152,4 +155,186 @@ fn findings_come_out_sorted_and_deterministic() {
     let mut sorted = keys.clone();
     sorted.sort();
     assert_eq!(keys, sorted, "findings must come out pre-sorted");
+}
+
+/// Collects every `.rs` file under `dir` (sorted), if it exists.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    let mut paths: Vec<PathBuf> = entries.map(|e| e.expect("dir entry").path()).collect();
+    paths.sort();
+    for path in paths {
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Types no other crate names but that must stay `pub` because a public
+/// signature or field mentions them. Nothing else belongs here: a function,
+/// constant or unmentioned type that trips the guard becomes `pub(crate)`.
+const PUBLIC_BY_SIGNATURE: &[(&str, &str)] = &[
+    ("ArrivalTrace", "returned by workload::poisson_arrivals"),
+    ("BuiltIndex", "returned by core Snapshot::build"),
+    ("ChunkEvent", "returned by core SearchSession::step"),
+    ("Cluster", "element of the field bag BagSnapshot::clusters"),
+    (
+        "Degradation",
+        "type of the field core SearchLog::degradation",
+    ),
+    ("DeltaPin", "returned by storage DeltaChunk::pin"),
+    (
+        "DescriptorId",
+        "type of the field descriptor Descriptor::id",
+    ),
+    ("Exp1Curves", "returned by eval experiments::exp1_curves"),
+    (
+        "FleetQualityPoint",
+        "returned by metrics::fleet_quality_curve",
+    ),
+    (
+        "FleetReport",
+        "returned by serve FleetScheduler::serve_trace",
+    ),
+    (
+        "FormationCost",
+        "type of the field core ChunkFormation::cost",
+    ),
+    (
+        "ImageCompletion",
+        "element of the field serve ImageServeReport::completions",
+    ),
+    ("ImageId", "returned by descriptor DescriptorSet::image"),
+    (
+        "ImageQualityPoint",
+        "returned by metrics::descriptors_spent_curve",
+    ),
+    (
+        "ImageServeStats",
+        "type of the field serve ImageServeReport::stats",
+    ),
+    ("IndexHandle", "returned by eval Lab::six_indexes"),
+    ("IndexMeta", "type of the field eval IndexHandle::meta"),
+    ("LeafChunk", "returned by srtree::chunks_from_collection"),
+    ("LintReport", "returned by lint::lint_files"),
+    (
+        "LiveCompletion",
+        "element of the field serve LiveReport::completions",
+    ),
+    ("LiveStats", "type of the field serve LiveReport::stats"),
+    ("MedrankResult", "returned by medrank MedrankIndex::knn"),
+    (
+        "MutationEvent",
+        "element of the field workload MutationTrace::events",
+    ),
+    (
+        "MutationTrace",
+        "returned by workload::skewed_mutation_trace",
+    ),
+    ("Region", "returned by lint regions::classify"),
+    (
+        "Report",
+        "returned by the experiment functions eval experiments::resolve hands out",
+    ),
+    ("RuleInfo", "element of the constant lint::RULES"),
+    ("SearchLog", "type of the field core SearchResult::log"),
+    ("Token", "returned by lint lexer::lex"),
+];
+
+#[test]
+fn every_public_item_is_named_outside_its_crate() {
+    // `pub` is a claim that another crate needs the item. rustc cannot
+    // check the claim (and so cannot report the item dead), so this does:
+    // every item a library crate declares `pub` must occur as an
+    // identifier in some file outside that crate's `src/` — another crate,
+    // an integration test, an example or perfbench. Names the check cannot
+    // see through (`new`, `len`) pass by coincidence; what it does catch
+    // is handed to rustc, whose `dead_code` is denied workspace-wide.
+    const ITEM_KINDS: &[&str] = &["fn", "struct", "enum", "trait", "type", "const", "static"];
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut files = Vec::new();
+    for dir in [
+        "crates",
+        "examples",
+        "tests",
+        "perfbench/src",
+        "perfbench/tests",
+    ] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    // Per file: the library `src/` it belongs to (if any) and the
+    // identifiers it names; per library: the items it declares `pub`
+    // outside test regions.
+    let mut named: Vec<(Option<PathBuf>, BTreeSet<String>)> = Vec::new();
+    let mut declared: BTreeSet<(PathBuf, String)> = BTreeSet::new();
+    for file in &files {
+        let rel = file.strip_prefix(&root).expect("under the root");
+        let parts: Vec<_> = rel.iter().collect();
+        let src = match parts.as_slice() {
+            // `src/main.rs` is the binary: a crate of its own that reaches
+            // the library only through what is `pub`.
+            [c, name, s, rest @ ..] if *c == "crates" && *s == "src" && *rest != ["main.rs"] => {
+                Some(Path::new(c).join(name).join(s))
+            }
+            _ => None,
+        };
+        let tokens = lexer::lex(&std::fs::read_to_string(file).expect("read source"));
+        let regions = regions::classify(&tokens);
+        let code = regions::code_indices(&tokens);
+        for (at, &i) in code.iter().enumerate() {
+            let Some(src) = &src else { break };
+            if regions[i].test || !tokens[i].is_ident("pub") {
+                continue;
+            }
+            // `pub(crate)` has a `(` here and matches neither arm.
+            let after: Vec<&str> = (code[at + 1..].iter().take(3))
+                .map(|&j| tokens[j].text.as_str())
+                .collect();
+            let name = match after[..] {
+                ["const", "fn", name] => name,
+                [kind, name, ..] if ITEM_KINDS.contains(&kind) => name,
+                _ => continue,
+            };
+            declared.insert((src.clone(), name.to_string()));
+        }
+        let idents = (code.iter().map(|&i| &tokens[i]))
+            .filter(|t| t.kind == lexer::TokenKind::Ident)
+            .map(|t| t.text.clone())
+            .collect();
+        named.push((src, idents));
+    }
+    assert!(declared.len() > 300, "the walk found the library crates");
+
+    let unnamed: Vec<&(PathBuf, String)> = (declared.iter())
+        .filter(|(src, name)| {
+            !(named.iter()).any(|(of, idents)| of.as_ref() != Some(src) && idents.contains(name))
+        })
+        .collect();
+    assert!(PUBLIC_BY_SIGNATURE.len() <= 30);
+    let allowed = |name: &str| {
+        PUBLIC_BY_SIGNATURE
+            .iter()
+            .any(|(n, why)| *n == name && !why.is_empty())
+    };
+    let offenders: Vec<String> = (unnamed.iter())
+        .filter(|(_, name)| !allowed(name))
+        .map(|(src, name)| format!("{}: {name}", src.display()))
+        .collect();
+    assert!(
+        offenders.is_empty(),
+        "{} public item(s) are named by no file outside their crate's src/ — make them \
+         pub(crate) and delete what rustc then reports dead:\n{}",
+        offenders.len(),
+        offenders.join("\n")
+    );
+    let stale: Vec<&str> = (PUBLIC_BY_SIGNATURE.iter().map(|(n, _)| *n))
+        .filter(|n| !unnamed.iter().any(|(_, name)| name == n))
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "allowlisted but named elsewhere (or gone): {stale:?}"
+    );
 }

@@ -30,5 +30,5 @@ pub use image::{
     avg_spent_fraction, descriptors_spent_curve, image_precision_at, ImageQualityPoint,
 };
 pub use latency::{fleet_quality_curve, FleetQualityPoint, LatencySummary};
-pub use table::{write_csv, Table};
+pub use table::Table;
 pub use truth::GroundTruth;

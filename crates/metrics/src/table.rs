@@ -99,7 +99,7 @@ impl Table {
 
 /// Writes rows of string cells as a CSV file (quoting cells containing
 /// commas or quotes).
-pub fn write_csv<'a, R>(path: &Path, headers: &[&str], rows: R) -> std::io::Result<()>
+pub(crate) fn write_csv<'a, R>(path: &Path, headers: &[&str], rows: R) -> std::io::Result<()>
 where
     R: IntoIterator<Item = &'a [String]>,
 {

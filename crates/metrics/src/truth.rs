@@ -52,7 +52,7 @@ impl GroundTruth {
 
     /// The truth set of query `qi` as a sorted vector (for fast
     /// intersection tests).
-    pub fn sorted_set(&self, qi: usize) -> Vec<u32> {
+    pub(crate) fn sorted_set(&self, qi: usize) -> Vec<u32> {
         let mut s = self.ids.get(qi).cloned().unwrap_or_default();
         s.sort_unstable();
         s

@@ -491,11 +491,6 @@ impl<G: Group> Engine<G> {
         }
     }
 
-    /// Jobs waiting for a slot.
-    pub(crate) fn queued(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Jobs currently in flight.
     pub(crate) fn active(&self) -> usize {
         self.jobs.len()

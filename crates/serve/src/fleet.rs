@@ -125,7 +125,7 @@ impl FleetConfig {
 /// Everything a finished fleet run produced.
 #[derive(Clone, Debug)]
 pub struct FleetReport {
-    /// Completions, fleet counters ([`ServeStats::disk_reads_by_shard`]
+    /// Completions, fleet counters (`ServeStats::disk_reads_by_shard`
     /// is per shard node) and makespan — the same shape the solo
     /// scheduler reports, so eval code handles both.
     pub report: ServeReport,
@@ -181,33 +181,6 @@ impl FleetScheduler {
             engine: Engine::new(snapshot, config.scheduler(), devices, Plain),
             map,
         }
-    }
-
-    /// Queries waiting for a slot.
-    pub fn queued(&self) -> usize {
-        self.engine.queued()
-    }
-
-    /// Queries currently in flight.
-    pub fn active(&self) -> usize {
-        self.engine.active()
-    }
-
-    /// Offers one query arriving at virtual time `arrival` — the same
-    /// admission contract as [`Scheduler::submit`](crate::Scheduler::submit).
-    pub fn submit(
-        &mut self,
-        query: &Vector,
-        params: &SearchParams,
-        arrival: VirtualDuration,
-    ) -> Result<u64> {
-        self.engine.submit(query, params, arrival)
-    }
-
-    /// Drains every admitted query and returns the report.
-    pub fn finish(self) -> Result<FleetReport> {
-        let drained = self.engine.finish()?;
-        Ok(Self::report(drained, &self.map))
     }
 
     /// Submits a whole trace (already in arrival order) and drains;

@@ -113,7 +113,7 @@ impl ImageCompletion {
 /// Fleet-level counters for an image-scheduler run.
 #[derive(Clone, Debug, Default)]
 pub struct ImageServeStats {
-    /// Image queries offered to [`ImageScheduler::submit`].
+    /// Image queries offered to the scheduler.
     pub submitted: u64,
     /// Image queries refused by admission control.
     pub rejected: u64,
@@ -304,36 +304,6 @@ impl ImageScheduler {
         };
         let (devices, _) = crate::fleet::devices(&snapshot, fleet);
         ImageScheduler(Engine::new(snapshot, fleet.scheduler(), devices, votes))
-    }
-
-    /// Image queries waiting for a slot.
-    pub fn queued(&self) -> usize {
-        self.0.queued()
-    }
-
-    /// The fleet clock.
-    pub fn now(&self) -> VirtualDuration {
-        self.0.now()
-    }
-
-    /// Offers one image query arriving at virtual time `arrival`, with
-    /// `params` governing each of its descriptor searches. Returns the
-    /// image's id, or
-    /// [`ServeError::Overloaded`](crate::ServeError::Overloaded) if the
-    /// wait queue is full (the query is counted as rejected and the run
-    /// continues).
-    pub fn submit(
-        &mut self,
-        spec: &ImageQuerySpec,
-        params: &SearchParams,
-        arrival: VirtualDuration,
-    ) -> Result<u64> {
-        self.0.submit(spec, params, arrival)
-    }
-
-    /// Drains every admitted image query and returns the report.
-    pub fn finish(self) -> Result<ImageServeReport> {
-        self.0.finish().map(ImageServeReport::from)
     }
 
     /// Submits a whole trace of `(spec, arrival)` pairs (already in
@@ -629,11 +599,15 @@ mod tests {
         let mut sched = ImageScheduler::new(snap, config, image_of);
         let s = spec(&set, 0, &[0, 5]);
         let t0 = VirtualDuration::ZERO;
-        sched.submit(&s, &params, t0).expect("first admitted");
-        sched.submit(&s, &params, t0).expect("second queued");
-        let third = sched.submit(&s, &params, t0);
+        sched.0.submit(&s, &params, t0).expect("first admitted");
+        sched.0.submit(&s, &params, t0).expect("second queued");
+        let third = sched.0.submit(&s, &params, t0);
         assert!(matches!(third, Err(ServeError::Overloaded { .. })));
-        let report = sched.finish().expect("finish");
+        let report = sched
+            .0
+            .finish()
+            .map(ImageServeReport::from)
+            .expect("finish");
         assert_eq!(report.stats.submitted, 3);
         assert_eq!(report.stats.rejected, 1);
         assert_eq!(report.stats.completed, 2);
@@ -650,13 +624,14 @@ mod tests {
             image_of,
         );
         sched
+            .0
             .submit(
                 &spec(&set, 0, &[0]),
                 &params,
                 VirtualDuration::from_secs(1.0),
             )
             .expect("submit");
-        let out = sched.submit(
+        let out = sched.0.submit(
             &spec(&set, 1, &[1]),
             &params,
             VirtualDuration::from_secs(0.5),

@@ -71,8 +71,8 @@ pub struct SchedulerConfig {
     /// Sessions interleaved at once (the concurrency level). Clamped to a
     /// minimum of 1.
     pub max_active: usize,
-    /// Admitted-but-waiting queries beyond which [`Scheduler::submit`]
-    /// returns [`ServeError::Overloaded`](crate::ServeError::Overloaded).
+    /// Admitted-but-waiting queries beyond which an arriving query is
+    /// refused with [`ServeError::Overloaded`](crate::ServeError::Overloaded).
     pub max_queued: usize,
     /// Byte budget of the shared decoded-chunk cache.
     pub cache_budget_bytes: u64,
@@ -158,7 +158,7 @@ impl Completion {
 /// Fleet-level counters.
 #[derive(Clone, Debug, Default)]
 pub struct ServeStats {
-    /// Queries offered to [`Scheduler::submit`].
+    /// Queries offered to the scheduler.
     pub submitted: u64,
     /// Queries refused by admission control.
     pub rejected: u64,
@@ -251,8 +251,7 @@ impl Group for Plain {
 
 /// The interleaved multi-query scheduler. See the [module docs](self).
 ///
-/// Drive it with [`submit`](Self::submit) in arrival order, then
-/// [`finish`](Self::finish) to drain; or hand it a whole trace via
+/// Hand it a whole trace, in arrival order, via
 /// [`serve_trace`](Self::serve_trace).
 #[derive(Debug)]
 pub struct Scheduler(Engine<Plain>);
@@ -261,42 +260,6 @@ impl Scheduler {
     /// A scheduler over `snapshot` with `config`.
     pub fn new(snapshot: Snapshot, config: SchedulerConfig) -> Scheduler {
         Scheduler(Engine::new(snapshot, config, Devices::new(None), Plain))
-    }
-
-    /// Queries waiting for a slot.
-    pub fn queued(&self) -> usize {
-        self.0.queued()
-    }
-
-    /// Sessions currently interleaved.
-    pub fn active(&self) -> usize {
-        self.0.active()
-    }
-
-    /// The fleet clock.
-    pub fn now(&self) -> VirtualDuration {
-        self.0.now()
-    }
-
-    /// Offers one query arriving at virtual time `arrival`. The scheduler
-    /// first catches up — processing backlog until the fleet clock reaches
-    /// the arrival — so admission control sees the queue as it stands *at*
-    /// the arrival instant. Returns the query's id, or
-    /// [`ServeError::Overloaded`](crate::ServeError::Overloaded) if the
-    /// wait queue is full (the query is counted as rejected and the run
-    /// continues).
-    pub fn submit(
-        &mut self,
-        query: &Vector,
-        params: &SearchParams,
-        arrival: VirtualDuration,
-    ) -> Result<u64> {
-        self.0.submit(query, params, arrival)
-    }
-
-    /// Drains every admitted query and returns the report.
-    pub fn finish(self) -> Result<ServeReport> {
-        self.0.finish().map(ServeReport::from)
     }
 
     /// Submits a whole trace of `(query, arrival)` pairs (already in
@@ -397,9 +360,9 @@ mod tests {
         let q = set.vector_owned(0);
         // All arrive before the first chunk of work can complete.
         let t0 = VirtualDuration::ZERO;
-        sched.submit(&q, &params, t0).expect("first admitted");
-        sched.submit(&q, &params, t0).expect("second queued");
-        let third = sched.submit(&q, &params, t0);
+        sched.0.submit(&q, &params, t0).expect("first admitted");
+        sched.0.submit(&q, &params, t0).expect("second queued");
+        let third = sched.0.submit(&q, &params, t0);
         assert!(
             matches!(
                 third,
@@ -410,7 +373,7 @@ mod tests {
             ),
             "third must be rejected, got {third:?}"
         );
-        let report = sched.finish().expect("finish");
+        let report = sched.0.finish().map(ServeReport::from).expect("finish");
         assert_eq!(report.stats.submitted, 3);
         assert_eq!(report.stats.rejected, 1);
         assert_eq!(report.stats.completed, 2);
@@ -425,9 +388,10 @@ mod tests {
         let mut sched = Scheduler::new(snap.clone(), config);
         let far = VirtualDuration::from_secs(100.0);
         sched
+            .0
             .submit(&set.vector_owned(3), &params, far)
             .expect("submit");
-        let report = sched.finish().expect("finish");
+        let report = sched.0.finish().map(ServeReport::from).expect("finish");
         let Some(c) = report.completions.first() else {
             panic!("one completion expected");
         };
@@ -448,13 +412,14 @@ mod tests {
         let params = SearchParams::exact(3);
         let mut sched = Scheduler::new(snap, SchedulerConfig::new(Policy::FairShare, 2));
         sched
+            .0
             .submit(
                 &set.vector_owned(0),
                 &params,
                 VirtualDuration::from_secs(1.0),
             )
             .expect("submit");
-        let out = sched.submit(
+        let out = sched.0.submit(
             &set.vector_owned(1),
             &params,
             VirtualDuration::from_secs(0.5),
@@ -516,11 +481,15 @@ mod tests {
         // Same arrival, same deadline: the long query is admitted first,
         // so a FIFO tie-break would serve all 8 of its chunks before the
         // one-chunk query gets a turn.
-        let a = sched.submit(&set.vector_owned(0), &long, t0).expect("long");
+        let a = sched
+            .0
+            .submit(&set.vector_owned(0), &long, t0)
+            .expect("long");
         let b = sched
+            .0
             .submit(&set.vector_owned(7), &short, t0)
             .expect("short");
-        let report = sched.finish().expect("finish");
+        let report = sched.0.finish().map(ServeReport::from).expect("finish");
         assert_eq!(report.stats.completed, 2);
         let finish_of = |id: u64| {
             report

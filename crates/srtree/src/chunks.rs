@@ -9,8 +9,6 @@
 //! lives in [`crate::bulk::centroid_and_radius`].
 
 use crate::bulk::{build_leaf_partitions, centroid_and_radius};
-use crate::node::Node;
-use crate::tree::SRTree;
 use eff2_descriptor::{DescriptorSet, Vector};
 
 /// One chunk produced from an SR-tree leaf: member positions plus the
@@ -37,38 +35,6 @@ impl LeafChunk {
     }
 }
 
-/// Extracts one chunk per leaf of `tree`, throwing away the upper levels.
-pub fn extract_chunks(tree: &SRTree) -> Vec<LeafChunk> {
-    let mut out = Vec::new();
-    collect_leaves(&tree.root().node, &mut out);
-    out
-}
-
-fn collect_leaves(node: &Node, out: &mut Vec<LeafChunk>) {
-    match node {
-        Node::Leaf { entries } => {
-            if entries.is_empty() {
-                return;
-            }
-            let centroid = Vector::mean(entries.iter().map(|e| &e.vector).collect::<Vec<_>>());
-            let radius = entries
-                .iter()
-                .map(|e| centroid.dist(&e.vector))
-                .fold(0.0f32, f32::max);
-            out.push(LeafChunk {
-                positions: entries.iter().map(|e| e.pos).collect(),
-                centroid,
-                radius,
-            });
-        }
-        Node::Internal { children } => {
-            for c in children {
-                collect_leaves(&c.node, out);
-            }
-        }
-    }
-}
-
 /// The experiments' fast path: partition `set` into uniform leaves of
 /// `leaf_size` and summarise each, without materialising the tree's upper
 /// levels (which would be thrown away anyway).
@@ -92,7 +58,6 @@ pub fn chunks_from_collection(set: &DescriptorSet, leaf_size: usize) -> Vec<Leaf
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bulk::{bulk_build, BulkConfig};
     use eff2_descriptor::{Descriptor, DIM};
 
     fn spread_set(n: usize) -> DescriptorSet {
@@ -110,14 +75,7 @@ mod tests {
     #[test]
     fn extract_covers_collection() {
         let set = spread_set(500);
-        let tree = bulk_build(
-            &set,
-            BulkConfig {
-                leaf_size: 32,
-                internal_fanout: 8,
-            },
-        );
-        let chunks = extract_chunks(&tree);
+        let chunks = chunks_from_collection(&set, 32);
         let total: usize = chunks.iter().map(|c| c.len()).sum();
         assert_eq!(total, 500);
         let mut seen = vec![false; 500];
@@ -132,58 +90,13 @@ mod tests {
     #[test]
     fn chunk_summaries_cover_members() {
         let set = spread_set(400);
-        for chunks in [
-            extract_chunks(&bulk_build(
-                &set,
-                BulkConfig {
-                    leaf_size: 50,
-                    internal_fanout: 6,
-                },
-            )),
-            chunks_from_collection(&set, 50),
-        ] {
-            for c in &chunks {
-                assert!(!c.is_empty());
-                for &p in &c.positions {
-                    let d = c.centroid.dist(&set.vector_owned(p as usize));
-                    assert!(d <= c.radius * (1.0 + 1e-5) + 1e-4);
-                }
+        for c in &chunks_from_collection(&set, 50) {
+            assert!(!c.is_empty());
+            for &p in &c.positions {
+                let d = c.centroid.dist(&set.vector_owned(p as usize));
+                assert!(d <= c.radius * (1.0 + 1e-5) + 1e-4);
             }
         }
-    }
-
-    #[test]
-    fn fast_path_matches_tree_path() {
-        // Both paths wrap the same partitioning, so chunk memberships must
-        // be identical (as sets of position sets).
-        let set = spread_set(600);
-        let via_tree: Vec<Vec<u32>> = extract_chunks(&bulk_build(
-            &set,
-            BulkConfig {
-                leaf_size: 64,
-                internal_fanout: 4,
-            },
-        ))
-        .into_iter()
-        .map(|c| {
-            let mut p = c.positions;
-            p.sort_unstable();
-            p
-        })
-        .collect();
-        let via_fast: Vec<Vec<u32>> = chunks_from_collection(&set, 64)
-            .into_iter()
-            .map(|c| {
-                let mut p = c.positions;
-                p.sort_unstable();
-                p
-            })
-            .collect();
-        let mut a = via_tree;
-        let mut b = via_fast;
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -199,7 +112,5 @@ mod tests {
     #[test]
     fn empty_collection_yields_no_chunks() {
         assert!(chunks_from_collection(&DescriptorSet::new(), 10).is_empty());
-        let tree = bulk_build(&DescriptorSet::new(), BulkConfig::default());
-        assert!(extract_chunks(&tree).is_empty());
     }
 }

@@ -13,7 +13,7 @@ use eff2_descriptor::{Vector, DIM};
 
 /// A minimum bounding rectangle in descriptor space.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Rect {
+pub(crate) struct Rect {
     /// Lower corner.
     pub min: Vector,
     /// Upper corner.
@@ -21,14 +21,6 @@ pub struct Rect {
 }
 
 impl Rect {
-    /// The degenerate rectangle covering exactly `point`.
-    pub fn point(point: &Vector) -> Self {
-        Rect {
-            min: *point,
-            max: *point,
-        }
-    }
-
     /// The "empty" rectangle: any union with it yields the other operand.
     pub fn empty() -> Self {
         Rect {
@@ -37,13 +29,8 @@ impl Rect {
         }
     }
 
-    /// Whether the rectangle contains no points.
-    pub fn is_empty(&self) -> bool {
-        (0..DIM).any(|d| self.min[d] > self.max[d])
-    }
-
     /// Grows `self` to cover `point`.
-    pub fn expand_point(&mut self, point: &Vector) {
+    pub(crate) fn expand_point(&mut self, point: &Vector) {
         for d in 0..DIM {
             if point[d] < self.min[d] {
                 self.min[d] = point[d];
@@ -55,7 +42,7 @@ impl Rect {
     }
 
     /// Grows `self` to cover `other`.
-    pub fn expand_rect(&mut self, other: &Rect) {
+    pub(crate) fn expand_rect(&mut self, other: &Rect) {
         for d in 0..DIM {
             if other.min[d] < self.min[d] {
                 self.min[d] = other.min[d];
@@ -66,29 +53,14 @@ impl Rect {
         }
     }
 
-    /// The union of two rectangles.
-    pub fn union(mut self, other: &Rect) -> Rect {
-        self.expand_rect(other);
-        self
-    }
-
     /// Whether `point` lies inside (inclusive).
     pub fn contains(&self, point: &Vector) -> bool {
         (0..DIM).all(|d| self.min[d] <= point[d] && point[d] <= self.max[d])
     }
 
     /// Whether `other` lies entirely inside `self` (inclusive).
-    pub fn contains_rect(&self, other: &Rect) -> bool {
+    pub(crate) fn contains_rect(&self, other: &Rect) -> bool {
         (0..DIM).all(|d| self.min[d] <= other.min[d] && other.max[d] <= self.max[d])
-    }
-
-    /// The centre of the rectangle.
-    pub fn center(&self) -> Vector {
-        let mut c = Vector::ZERO;
-        for d in 0..DIM {
-            c[d] = 0.5 * (self.min[d] + self.max[d]);
-        }
-        c
     }
 
     /// Sum of edge lengths — the R\*-tree "margin" used as a split goodness
@@ -96,7 +68,7 @@ impl Rect {
     /// Accumulated serially in dimension order so the value is bit-identical
     /// everywhere this is computed (it feeds split decisions, hence tree
     /// shape, hence every trace).
-    pub fn margin(&self) -> f32 {
+    pub(crate) fn margin(&self) -> f32 {
         let mut acc = 0.0f32;
         for d in 0..DIM {
             acc += (self.max[d] - self.min[d]).max(0.0);
@@ -107,7 +79,7 @@ impl Rect {
     /// Squared minimum distance from `q` to any point of the rectangle
     /// (zero when `q` is inside).
     #[inline]
-    pub fn min_dist_sq(&self, q: &Vector) -> f32 {
+    pub(crate) fn min_dist_sq(&self, q: &Vector) -> f32 {
         let mut acc = 0.0f32;
         for d in 0..DIM {
             let x = q[d];
@@ -127,7 +99,7 @@ impl Rect {
 
     /// The farthest distance from `center` to any corner of the rectangle —
     /// the SR-tree's rectangle-derived bound on a node's sphere radius.
-    pub fn max_dist_from(&self, center: &Vector) -> f32 {
+    pub(crate) fn max_dist_from(&self, center: &Vector) -> f32 {
         let mut acc = 0.0f32;
         for d in 0..DIM {
             let lo = (center[d] - self.min[d]).abs();
@@ -141,7 +113,7 @@ impl Rect {
 
 /// A bounding sphere.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Sphere {
+pub(crate) struct Sphere {
     /// Centre of the sphere.
     pub center: Vector,
     /// Radius of the sphere.
@@ -166,19 +138,13 @@ impl Sphere {
     /// Squared minimum distance from `q` to the sphere surface/interior
     /// (zero inside).
     #[inline]
-    pub fn min_dist_sq(&self, q: &Vector) -> f32 {
+    pub(crate) fn min_dist_sq(&self, q: &Vector) -> f32 {
         let d = self.center.dist(q) - self.radius;
         if d <= 0.0 {
             0.0
         } else {
             d * d
         }
-    }
-
-    /// Minimum (non-squared) distance from `q` to the sphere.
-    #[inline]
-    pub fn min_dist(&self, q: &Vector) -> f32 {
-        (self.center.dist(q) - self.radius).max(0.0)
     }
 }
 
@@ -189,7 +155,7 @@ impl Sphere {
 /// individual mindists, which is the (safe, and standard) bound the SR-tree
 /// uses for pruning.
 #[inline]
-pub fn region_min_dist_sq(rect: &Rect, sphere: &Sphere, q: &Vector) -> f32 {
+pub(crate) fn region_min_dist_sq(rect: &Rect, sphere: &Sphere, q: &Vector) -> f32 {
     rect.min_dist_sq(q).max(sphere.min_dist_sq(q))
 }
 
@@ -203,16 +169,21 @@ mod tests {
 
     #[test]
     fn empty_rect_union_is_identity() {
-        let r = Rect::point(&v(3.0));
-        let u = Rect::empty().union(&r);
+        let r = Rect {
+            min: v(3.0),
+            max: v(3.0),
+        };
+        let mut u = Rect::empty();
+        u.expand_rect(&r);
         assert_eq!(u, r);
-        assert!(Rect::empty().is_empty());
-        assert!(!u.is_empty());
     }
 
     #[test]
     fn expand_point_grows_bounds() {
-        let mut r = Rect::point(&v(0.0));
+        let mut r = Rect {
+            min: v(0.0),
+            max: v(0.0),
+        };
         r.expand_point(&v(2.0));
         assert_eq!(r.min, v(0.0));
         assert_eq!(r.max, v(2.0));
@@ -259,7 +230,6 @@ mod tests {
             min: v(0.0),
             max: v(2.0),
         };
-        assert_eq!(r.center(), v(1.0));
         assert_eq!(r.margin(), 2.0 * DIM as f32);
     }
 
@@ -286,7 +256,6 @@ mod tests {
         let q = v(1.0);
         assert!(!s.contains(&q));
         let expect = (DIM as f32).sqrt() - 2.0;
-        assert!((s.min_dist(&q) - expect).abs() < 1e-5);
         assert!((s.min_dist_sq(&q) - expect * expect).abs() < 1e-4);
     }
 

@@ -22,17 +22,16 @@
 //!   partitioning that guarantees every leaf holds the requested number of
 //!   descriptors (±1) and is *roundish* because splits follow the widest
 //!   dimension. This is what the paper's experiments use.
-//! * [`chunks::extract_chunks`] / [`chunks::chunks_from_collection`] — the
-//!   paper's adaptation: take the leaves as chunks (with centroid and
-//!   minimum bounding radius) and discard the upper levels.
+//! * [`chunks::chunks_from_collection`] — the paper's adaptation: take the
+//!   leaves as chunks (with centroid and minimum bounding radius) and
+//!   discard the upper levels.
 
 pub mod bulk;
 pub mod chunks;
-pub mod geometry;
-pub mod node;
+mod geometry;
+mod node;
 pub mod tree;
 
 pub use bulk::{bulk_build, BulkConfig};
-pub use chunks::{chunks_from_collection, extract_chunks, LeafChunk};
-pub use geometry::{Rect, Sphere};
+pub use chunks::{chunks_from_collection, LeafChunk};
 pub use tree::{SRTree, SRTreeConfig};

@@ -15,7 +15,7 @@ use eff2_descriptor::Vector;
 /// One point stored in a leaf: its position in the backing collection plus
 /// a copy of the vector for scan locality.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LeafEntry {
+pub(crate) struct LeafEntry {
     /// Position of the descriptor in the backing [`eff2_descriptor::DescriptorSet`].
     pub pos: u32,
     /// The descriptor vector.
@@ -24,7 +24,7 @@ pub struct LeafEntry {
 
 /// An SR-tree node.
 #[derive(Debug)]
-pub enum Node {
+pub(crate) enum Node {
     /// A leaf holding points.
     Leaf {
         /// The stored points.
@@ -39,30 +39,16 @@ pub enum Node {
 
 impl Node {
     /// Creates an empty leaf.
-    pub fn empty_leaf() -> Node {
+    pub(crate) fn empty_leaf() -> Node {
         Node::Leaf {
             entries: Vec::new(),
-        }
-    }
-
-    /// Whether this node is a leaf.
-    pub fn is_leaf(&self) -> bool {
-        matches!(self, Node::Leaf { .. })
-    }
-
-    /// Number of immediate entries (points for leaves, children for
-    /// internal nodes).
-    pub fn fan(&self) -> usize {
-        match self {
-            Node::Leaf { entries } => entries.len(),
-            Node::Internal { children } => children.len(),
         }
     }
 }
 
 /// An owned subtree plus its region summary.
 #[derive(Debug)]
-pub struct ChildRef {
+pub(crate) struct ChildRef {
     /// The owned subtree.
     pub node: Box<Node>,
     /// Minimum bounding rectangle of all points below.
@@ -88,7 +74,7 @@ impl ChildRef {
     /// Recomputes this reference's summary from its node's current
     /// immediate entries (children summaries are trusted, not recursed
     /// into — maintenance is O(fan-out) per level).
-    pub fn refresh(&mut self) {
+    pub(crate) fn refresh(&mut self) {
         let (rect, sphere, count) = summary_of(&self.node);
         self.rect = rect;
         self.sphere = sphere;
@@ -97,7 +83,7 @@ impl ChildRef {
 }
 
 /// Computes (rect, sphere, count) for a node from its immediate entries.
-pub fn summary_of(node: &Node) -> (Rect, Sphere, usize) {
+pub(crate) fn summary_of(node: &Node) -> (Rect, Sphere, usize) {
     match node {
         Node::Leaf { entries } => {
             let mut rect = Rect::empty();
@@ -197,7 +183,7 @@ mod tests {
     fn empty_leaf_summary() {
         let (rect, sphere, count) = summary_of(&Node::empty_leaf());
         assert_eq!(count, 0);
-        assert!(rect.is_empty());
+        assert_eq!(rect, Rect::empty());
         assert_eq!(sphere.radius, 0.0);
     }
 
@@ -256,19 +242,5 @@ mod tests {
         assert_eq!(c.count, 2);
         assert!(c.rect.contains(&Vector::splat(10.0)));
         assert!(c.sphere.contains(&Vector::splat(10.0)));
-    }
-
-    #[test]
-    fn fan_counts_immediate_entries() {
-        let leaf = Node::Leaf {
-            entries: vec![entry(0, 0.0), entry(1, 1.0)],
-        };
-        assert_eq!(leaf.fan(), 2);
-        assert!(leaf.is_leaf());
-        let internal = Node::Internal {
-            children: vec![ChildRef::summarise(Box::new(leaf))],
-        };
-        assert_eq!(internal.fan(), 1);
-        assert!(!internal.is_leaf());
     }
 }

@@ -91,11 +91,6 @@ impl SRTree {
         }
     }
 
-    /// Creates an empty tree with default parameters.
-    pub fn with_defaults() -> Self {
-        Self::new(SRTreeConfig::default())
-    }
-
     /// Number of points stored.
     pub fn len(&self) -> usize {
         self.len
@@ -109,22 +104,6 @@ impl SRTree {
     /// The tree's configuration.
     pub fn config(&self) -> &SRTreeConfig {
         &self.config
-    }
-
-    /// Height of the tree (a lone leaf has height 1).
-    pub fn height(&self) -> usize {
-        let mut h = 1;
-        let mut node: &Node = &self.root.node;
-        while let Node::Internal { children } = node {
-            h += 1;
-            node = &children[0].node;
-        }
-        h
-    }
-
-    /// Borrows the root reference (used by chunk extraction and tests).
-    pub fn root(&self) -> &ChildRef {
-        &self.root
     }
 
     /// Assembles a tree from a pre-built root (the static build path).
@@ -532,9 +511,9 @@ mod tests {
 
     #[test]
     fn empty_tree() {
-        let tree = SRTree::with_defaults();
+        let tree = SRTree::new(SRTreeConfig::default());
         assert!(tree.is_empty());
-        assert_eq!(tree.height(), 1);
+        assert!(matches!(*tree.root.node, Node::Leaf { .. }));
         assert!(tree.knn(&Vector::ZERO, 5).is_empty());
         tree.validate();
     }
@@ -543,7 +522,7 @@ mod tests {
     fn insert_below_capacity_stays_single_leaf() {
         let (tree, _) = build(10, SRTreeConfig::default());
         assert_eq!(tree.len(), 10);
-        assert_eq!(tree.height(), 1);
+        assert!(matches!(*tree.root.node, Node::Leaf { .. }));
         tree.validate();
     }
 
@@ -556,7 +535,11 @@ mod tests {
         };
         let (tree, _) = build(200, cfg);
         assert_eq!(tree.len(), 200);
-        assert!(tree.height() >= 3, "height {}", tree.height());
+        // The tree is balanced, so one internal child means three levels.
+        let Node::Internal { children } = &*tree.root.node else {
+            panic!("200 points overflow one leaf");
+        };
+        assert!(matches!(*children[0].node, Node::Internal { .. }));
         tree.validate();
     }
 

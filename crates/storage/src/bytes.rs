@@ -10,7 +10,11 @@
 use crate::error::{Error, Result};
 
 /// Reads `N` bytes at `at`, or reports `what` as truncated.
-pub fn array_at<const N: usize>(buf: &[u8], at: usize, what: &'static str) -> Result<[u8; N]> {
+pub(crate) fn array_at<const N: usize>(
+    buf: &[u8],
+    at: usize,
+    what: &'static str,
+) -> Result<[u8; N]> {
     at.checked_add(N)
         .and_then(|end| buf.get(at..end))
         .and_then(|s| <[u8; N]>::try_from(s).ok())
@@ -18,12 +22,12 @@ pub fn array_at<const N: usize>(buf: &[u8], at: usize, what: &'static str) -> Re
 }
 
 /// Little-endian `u32` at byte offset `at`.
-pub fn u32_at(buf: &[u8], at: usize, what: &'static str) -> Result<u32> {
+pub(crate) fn u32_at(buf: &[u8], at: usize, what: &'static str) -> Result<u32> {
     Ok(u32::from_le_bytes(array_at(buf, at, what)?))
 }
 
 /// Little-endian `u64` at byte offset `at`.
-pub fn u64_at(buf: &[u8], at: usize, what: &'static str) -> Result<u64> {
+pub(crate) fn u64_at(buf: &[u8], at: usize, what: &'static str) -> Result<u64> {
     Ok(u64::from_le_bytes(array_at(buf, at, what)?))
 }
 

@@ -40,33 +40,33 @@ pub const MAGIC: [u8; 4] = *b"EFCH";
 /// version-3 file embeds unchanged).
 pub const VERSION: u32 = 2;
 /// Format version of chunk files carrying a quantized region.
-pub const VERSION_QUANT: u32 = 3;
+pub(crate) const VERSION_QUANT: u32 = 3;
 /// Header size (one full page is reserved so chunk 0 starts page-aligned,
 /// but the logical header is this many bytes).
 pub const HEADER_BYTES: usize = 24;
 /// Logical header size of a version-3 file (the v2 header plus codec
 /// kind, codec blob length and quant-region start).
-pub const HEADER_BYTES_QUANT: usize = 40;
+pub(crate) const HEADER_BYTES_QUANT: usize = 40;
 /// Bytes per descriptor record.
 pub const RECORD_BYTES: usize = 4 + DIM * 4;
 /// Bytes of the per-chunk checksum stored after the body.
-pub const CHECKSUM_BYTES: u64 = 4;
+pub(crate) const CHECKSUM_BYTES: u64 = 4;
 
 /// Rounds `len` up to a multiple of `page_size`.
-pub fn pad_to_page(len: u64, page_size: u64) -> u64 {
+pub(crate) fn pad_to_page(len: u64, page_size: u64) -> u64 {
     assert!(page_size > 0, "page size must be positive");
     len.div_ceil(page_size) * page_size
 }
 
 /// On-disk page span of a chunk with `byte_len` bytes of records: body plus
 /// trailing checksum, padded to full pages.
-pub fn chunk_span(byte_len: u64, page_size: u64) -> u64 {
+pub(crate) fn chunk_span(byte_len: u64, page_size: u64) -> u64 {
     pad_to_page(byte_len + CHECKSUM_BYTES, page_size)
 }
 
 /// FNV-1a over a chunk body; cheap, deterministic, and sensitive to single
 /// flipped bytes anywhere in the record block.
-pub fn checksum(body: &[u8]) -> u32 {
+pub(crate) fn checksum(body: &[u8]) -> u32 {
     let mut hash = 0x811c_9dc5u32;
     for &b in body {
         hash ^= u32::from(b);
@@ -158,7 +158,7 @@ fn write_raw_region<W: Write>(
 ///
 /// `chunks` gives each chunk's member positions into `set`. The first page
 /// is the header; every chunk starts on a page boundary.
-pub fn write_chunks<W: Write>(
+pub(crate) fn write_chunks<W: Write>(
     set: &DescriptorSet,
     chunks: &[Vec<u32>],
     page_size: u32,
@@ -177,11 +177,11 @@ pub fn write_chunks<W: Write>(
 }
 
 /// Per-chunk raw-region locations as `(offset, byte_len, count)` triples.
-pub type ChunkLocations = Vec<(u64, u32, u32)>;
+pub(crate) type ChunkLocations = Vec<(u64, u32, u32)>;
 
 /// On-disk byte length of one chunk's quantized record block (ids plus
 /// codes, before checksum and padding).
-pub fn quant_byte_len(count: u32, code_bytes: usize) -> u64 {
+pub(crate) fn quant_byte_len(count: u32, code_bytes: usize) -> u64 {
     u64::from(count) * (4 + code_bytes as u64)
 }
 
@@ -189,7 +189,7 @@ pub fn quant_byte_len(count: u32, code_bytes: usize) -> u64 {
 /// the quantized region. Returns the raw `(offset, byte_len, count)`
 /// triples for the index file plus the quant-region start offset (the
 /// per-chunk quant offsets follow arithmetically from the counts).
-pub fn write_chunks_quantized<W: Write>(
+pub(crate) fn write_chunks_quantized<W: Write>(
     set: &DescriptorSet,
     chunks: &[Vec<u32>],
     page_size: u32,
@@ -250,7 +250,7 @@ pub fn write_chunks_quantized<W: Write>(
 
 /// Parsed header of a chunk file.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ChunkFileHeader {
+pub(crate) struct ChunkFileHeader {
     /// Format version ([`VERSION`] or [`VERSION_QUANT`]).
     pub version: u32,
     /// Page size the file was written with.
@@ -268,7 +268,7 @@ pub struct ChunkFileHeader {
 }
 
 /// Reads and validates the chunk-file header (version 2 or 3).
-pub fn read_header<R: Read>(reader: &mut R) -> Result<ChunkFileHeader> {
+pub(crate) fn read_header<R: Read>(reader: &mut R) -> Result<ChunkFileHeader> {
     let mut buf = [0u8; HEADER_BYTES];
     reader
         .read_exact(&mut buf)
@@ -347,7 +347,7 @@ impl ChunkPayload {
 /// into `payload`, reusing its buffers and verifying the stored checksum.
 /// Returns the number of bytes read from disk — the padded page span,
 /// which is what the disk transfers.
-pub fn read_chunk_at<R: Read + Seek>(
+pub(crate) fn read_chunk_at<R: Read + Seek>(
     reader: &mut R,
     meta: &ChunkMeta,
     page_size: u32,
@@ -384,7 +384,7 @@ pub fn read_chunk_at<R: Read + Seek>(
 /// `payload` (ids + codes; `packed` stays empty), verifying the stored
 /// checksum. Returns the padded page span the disk model charges — for a
 /// compressing codec this is strictly smaller than the raw chunk's span.
-pub fn read_quant_chunk_at<R: Read + Seek>(
+pub(crate) fn read_quant_chunk_at<R: Read + Seek>(
     reader: &mut R,
     quant_offset: u64,
     count: u32,

@@ -150,7 +150,7 @@ impl DiskModel {
     }
 
     /// Total cost of reading and ranking an `n`-entry chunk index
-    /// (`index_bytes` from [`crate::indexfile::index_file_bytes`]).
+    /// (`index_bytes` from `crate::indexfile::index_file_bytes`).
     pub fn index_read_time(&self, n_chunks: usize, index_bytes: u64) -> VirtualDuration {
         self.io_time(index_bytes) + self.rank_time(n_chunks)
     }

@@ -26,9 +26,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Magic bytes of an epoch manifest file.
-pub const EPOCH_MAGIC: [u8; 4] = *b"EFEP";
+pub(crate) const EPOCH_MAGIC: [u8; 4] = *b"EFEP";
 /// Format version of epoch manifests.
-pub const EPOCH_VERSION: u32 = 1;
+pub(crate) const EPOCH_VERSION: u32 = 1;
 
 /// One mutation appended to the delta log.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -394,7 +394,7 @@ mod tests {
 
     #[test]
     fn manifest_save_load_and_read_compat() {
-        let dir = std::env::temp_dir().join("eff2_epoch_manifest");
+        let dir = std::env::temp_dir().join(format!("eff2_epoch_manifest_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
         // No manifest on disk: generation 0, empty delta (read-compat).
         let _ = std::fs::remove_file(epoch_path(&dir, "ix"));

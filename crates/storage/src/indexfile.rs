@@ -31,7 +31,7 @@ pub const MAGIC: [u8; 4] = *b"EFIX";
 /// Current format version.
 pub const VERSION: u32 = 1;
 /// Bytes per index entry.
-pub const ENTRY_BYTES: usize = DIM * 4 + 4 + 8 + 4 + 4;
+pub(crate) const ENTRY_BYTES: usize = DIM * 4 + 4 + 8 + 4 + 4;
 /// Header size in bytes.
 pub const HEADER_BYTES: usize = 16;
 
@@ -121,7 +121,7 @@ pub fn read_index<R: Read>(reader: R) -> Result<(Vec<ChunkMeta>, u32)> {
 /// Total size in bytes of an index file holding `n` entries — the quantity
 /// the cost model charges when the search "reads the chunk index"
 /// (≈50 ms in the paper's measurements).
-pub fn index_file_bytes(n: usize) -> u64 {
+pub(crate) fn index_file_bytes(n: usize) -> u64 {
     HEADER_BYTES as u64 + (n as u64) * ENTRY_BYTES as u64
 }
 

@@ -47,7 +47,6 @@ pub use diskmodel::{DiskModel, PipelineClock, VirtualDuration};
 pub use epoch::{DeltaChunk, DeltaOp, DeltaPin, EpochManifest, FoldedDelta};
 pub use error::{Error, ErrorClass, Result};
 pub use indexfile::ChunkMeta;
-pub use singleflight::{FlightOutcome, FlightStats, SingleFlight};
 pub use source::{
     ChunkSource, ChunkStream, FileSource, PrefetchSource, ResidentSource, ResidentStats,
     SourcedChunk,

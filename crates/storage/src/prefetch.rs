@@ -23,7 +23,7 @@ use std::thread::JoinHandle;
 /// [`PrefetchSource`](crate::source::PrefetchSource). The reader stops
 /// after the first error it sends, so the stream is fused by construction.
 #[derive(Debug)]
-pub struct PrefetchIter {
+pub(crate) struct PrefetchIter {
     rx: Receiver<Result<SourcedChunk>>,
     handle: Option<JoinHandle<()>>,
 }
@@ -37,7 +37,7 @@ pub struct PrefetchIter {
 /// one reader thread touches the file and the rest share its decoded
 /// payload (`from_disk` says which). `requester` tags this stream in flight
 /// outcomes; a stream on its own passes a fresh table.
-pub fn prefetch_chunks(
+pub(crate) fn prefetch_chunks(
     store: &ChunkStore,
     order: Vec<usize>,
     depth: usize,
@@ -114,9 +114,15 @@ mod tests {
     use crate::store::ChunkDef;
     use eff2_descriptor::{Descriptor, DescriptorSet, Vector};
     use std::path::PathBuf;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("eff2_prefetch_{tag}"));
+        static SEQ: AtomicUsize = AtomicUsize::new(0);
+        let unique = SEQ.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!(
+            "eff2_prefetch_{tag}_{}_{unique}",
+            std::process::id()
+        ));
         std::fs::create_dir_all(&dir).expect("mkdir");
         dir
     }

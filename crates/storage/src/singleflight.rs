@@ -4,7 +4,7 @@
 //! Under a multi-query serving load many sessions rank the same hot chunks
 //! near the front, so several threads ask for one chunk at almost the same
 //! moment. Without coalescing each caller pays the read (and, for a cache,
-//! each charges a miss). [`SingleFlight`] keeps a table of in-flight chunk
+//! each charges a miss). `SingleFlight` keeps a table of in-flight chunk
 //! ids: the first requester becomes the *leader* and performs the read;
 //! everyone else blocks on the leader's slot and receives the same decoded
 //! payload when it lands. The table holds no payloads of its own — a slot
@@ -20,9 +20,11 @@ use crate::error::{Error, Result};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-/// Counters describing a [`SingleFlight`] table's behaviour.
+/// Counters describing a [`SingleFlight`] table's behaviour: what the
+/// coalescing tests synchronise on and assert.
+#[cfg(test)]
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FlightStats {
+pub(crate) struct FlightStats {
     /// Underlying reads performed (one per leader).
     pub reads: u64,
     /// Requests that joined an in-flight read instead of issuing their own.
@@ -31,7 +33,7 @@ pub struct FlightStats {
 
 /// What one request received: the shared payload plus who produced it.
 #[derive(Clone, Debug)]
-pub struct FlightOutcome {
+pub(crate) struct FlightOutcome {
     /// Decoded payload, shared with every coalesced requester.
     pub payload: Arc<ChunkPayload>,
     /// On-disk (padded page span) bytes of the chunk, as the leader read it.
@@ -68,7 +70,7 @@ struct Table {
 
 /// A shared in-flight read table; clones coalesce against each other.
 #[derive(Clone, Debug, Default)]
-pub struct SingleFlight {
+pub(crate) struct SingleFlight {
     table: Arc<Mutex<Table>>,
 }
 
@@ -86,6 +88,7 @@ impl SingleFlight {
     }
 
     /// A snapshot of the coalescing counters.
+    #[cfg(test)]
     pub fn stats(&self) -> FlightStats {
         let table = lock(&self.table);
         FlightStats {

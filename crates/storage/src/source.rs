@@ -166,7 +166,7 @@ impl ChunkSource for FileSource {
 // PrefetchSource — background reader thread per stream.
 // ---------------------------------------------------------------------------
 
-/// Delivers chunks through [`prefetch_chunks`]: a reader thread stays up to
+/// Delivers chunks through `prefetch_chunks`: a reader thread stays up to
 /// `depth` chunks ahead of the consumer, overlapping real file I/O with
 /// processing (the overlap §1.1 of the paper argues for).
 #[derive(Clone, Debug)]
@@ -401,7 +401,7 @@ impl ResidentSource {
     /// A fresh requester tag for hit attribution. Streams draw one per
     /// [`open_stream`](ChunkSource::open_stream); random-access callers
     /// (the serving scheduler) draw one per query session.
-    pub fn new_requester(&self) -> u64 {
+    pub(crate) fn new_requester(&self) -> u64 {
         self.next_requester.fetch_add(1, Ordering::Relaxed)
     }
 
@@ -474,9 +474,13 @@ mod tests {
     use crate::store::ChunkDef;
     use eff2_descriptor::{Descriptor, DescriptorSet, Vector};
     use std::path::PathBuf;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("eff2_source_{tag}"));
+        static SEQ: AtomicUsize = AtomicUsize::new(0);
+        let unique = SEQ.fetch_add(1, Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("eff2_source_{tag}_{}_{unique}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
         dir
     }

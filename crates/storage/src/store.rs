@@ -378,6 +378,7 @@ impl ChunkReader {
 mod tests {
     use super::*;
     use eff2_descriptor::{Descriptor, DIM};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn sample_set(n: usize) -> DescriptorSet {
         (0..n)
@@ -402,7 +403,10 @@ mod tests {
     }
 
     fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("eff2_store_{tag}"));
+        static SEQ: AtomicUsize = AtomicUsize::new(0);
+        let unique = SEQ.fetch_add(1, Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("eff2_store_{tag}_{}_{unique}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
         dir
     }

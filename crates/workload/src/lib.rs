@@ -20,7 +20,7 @@ pub mod image;
 pub mod mutations;
 pub mod skew;
 
-pub use arrivals::{burst_arrivals, poisson_arrivals, ArrivalTrace};
+pub use arrivals::{poisson_arrivals, ArrivalTrace};
 pub use image::{image_of_map, image_queries, ImageQuery};
 pub use mutations::{skewed_mutation_trace, MutationEvent, MutationOp, MutationTrace};
 pub use skew::zipf_assignments;
@@ -133,7 +133,11 @@ pub fn sq_workload(set: &DescriptorSet, n_queries: usize, trim: f32, seed: u64) 
 
 /// Builds an SQ workload from precomputed ranges (lets several workloads
 /// share one range analysis).
-pub fn sq_workload_from_ranges(ranges: &TrimmedRanges, n_queries: usize, seed: u64) -> Workload {
+pub(crate) fn sq_workload_from_ranges(
+    ranges: &TrimmedRanges,
+    n_queries: usize,
+    seed: u64,
+) -> Workload {
     let mut rng = StdRng::seed_from_u64(seed);
     let queries = (0..n_queries)
         .map(|_| {

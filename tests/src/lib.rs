@@ -3,6 +3,7 @@
 
 use eff2_descriptor::{DescriptorSet, SyntheticCollection};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A deterministic synthetic collection for integration tests.
 pub fn test_collection(n: usize, seed: u64) -> DescriptorSet {
@@ -11,7 +12,9 @@ pub fn test_collection(n: usize, seed: u64) -> DescriptorSet {
 
 /// A scratch directory unique to `tag`.
 pub fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("eff2_it_{tag}"));
+    static SEQ: AtomicUsize = AtomicUsize::new(0);
+    let unique = SEQ.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("eff2_it_{tag}_{}_{unique}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     dir
 }
