@@ -164,7 +164,7 @@ impl Json {
     }
 
     /// The number as `u32`.
-    pub fn as_u32(&self) -> Result<u32> {
+    pub(crate) fn as_u32(&self) -> Result<u32> {
         let v = self.as_u64()?;
         u32::try_from(v).map_err(|_| JsonError {
             message: format!("{v} does not fit in u32"),

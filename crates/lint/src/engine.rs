@@ -1,5 +1,8 @@
 //! The lint driver: file walking, waiver handling, finding suppression.
 //!
+//! Every rule is a line rule ([`crate::rules`]): a finding points at the
+//! offending token, so it is waived (or fixed) where it lives.
+//!
 //! ## Waiver grammar
 //!
 //! ```text
@@ -14,27 +17,10 @@
 //! a missing reason, an unknown rule id, or a waiver that suppresses
 //! nothing are themselves findings (`hyg.waiver`) — waivers must stay
 //! load-bearing and auditable.
-//!
-//! ## Interprocedural chains and waivers
-//!
-//! The interprocedural rules (`det.taint`, `panic.reach`,
-//! `clock.discipline`) report at the *entry point* with chain evidence
-//! down to the source site. A chain can be cut at either end:
-//!
-//! * **at the source** — a waiver on the source line citing either the
-//!   matching line rule (`det.hash_container`, `panic.unwrap`, …) or the
-//!   interprocedural rule removes the fact from propagation entirely (it
-//!   was audited where it lives, so no caller needs to re-waive it);
-//! * **at the entry** — a waiver on the entry's `fn` line citing the
-//!   interprocedural rule suppresses that entry's findings like any other
-//!   line waiver.
 
 use crate::lexer::{lex, Token, TokenKind};
-use crate::regions::{classify, code_indices, Region};
+use crate::regions::{classify, code_indices};
 use crate::rules::{apply, is_rule, Finding};
-use crate::symbols::{self, FactKind, Symbol};
-use crate::{graph, taint};
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 #[derive(Debug)]
@@ -52,25 +38,13 @@ impl Waiver {
     }
 }
 
-/// One analyzed file: its token stream, region map and waivers.
-struct Unit<'a> {
-    crate_name: &'a str,
-    rel_path: &'a str,
-    tokens: Vec<Token>,
-    regions: Vec<Region>,
-    code: Vec<usize>,
-    waivers: Vec<Waiver>,
-}
-
-/// The outcome of linting a set of files, plus workload stats for the
+/// The outcome of linting a set of files, plus the file count for the
 /// timing line.
 pub struct LintReport {
     /// All unsuppressed findings, sorted by `(file, line, rule)`.
     pub findings: Vec<Finding>,
     /// Number of files analyzed.
     pub files: usize,
-    /// Number of `fn` symbols extracted for the call graph.
-    pub symbols: usize,
 }
 
 /// Parses every waiver out of the comment tokens; malformed waivers are
@@ -94,7 +68,7 @@ fn parse_waivers(rel_path: &str, tokens: &[Token]) -> (Vec<Waiver>, Vec<Finding>
             let file_scope = rest.starts_with("-file");
             let body = rest.strip_prefix("-file").unwrap_or(rest);
             let mut bad = |message: String| {
-                findings.push(Finding::local("hyg.waiver", rel_path, t.line, message));
+                findings.push(Finding::new("hyg.waiver", rel_path, t.line, message));
             };
             let Some(args) = body.strip_prefix('(') else {
                 bad("malformed waiver: expected `lint:allow(<rule>): <reason>`".to_string());
@@ -132,138 +106,57 @@ fn parse_waivers(rel_path: &str, tokens: &[Token]) -> (Vec<Waiver>, Vec<Finding>
     (waivers, findings)
 }
 
-/// Removes facts whose source site carries a waiver citing the matching
-/// line rule or the propagating interprocedural rule; such waivers are
-/// load-bearing (marked used). `ChargeClock` facts are never cut — a
-/// waiver cannot *un-charge* a clock.
-fn cut_waived_facts(sym: &mut Symbol, waivers: &mut [Waiver]) {
-    sym.facts.retain(|fact| {
-        if fact.kind == FactKind::ChargeClock {
-            return true;
-        }
-        let mut cut = false;
-        for w in waivers.iter_mut() {
-            let cites =
-                Some(w.rule.as_str()) == fact.kind.line_rule() || w.rule == fact.kind.taint_rule();
-            if cites && (w.file_scope || fact.line == w.line || fact.line == w.line + 1) {
-                w.used = true;
-                cut = true;
-            }
-        }
-        !cut
-    });
-}
-
-/// Lints a set of files as one unit: line rules per file, then the
-/// interprocedural pass (symbol extraction → call graph → taint) across
-/// all of them together.
-///
-/// Each input is `(crate_name, rel_path, source)`. Findings are sorted by
-/// `(file, line, rule, message)` so output — including `--json` — is
-/// bit-stable across runs and platforms.
-pub fn lint_files(files: &[(String, String, String)]) -> LintReport {
-    let mut units: Vec<Unit> = Vec::with_capacity(files.len());
-    let mut findings: Vec<Finding> = Vec::new();
-    for (crate_name, rel_path, source) in files {
-        let tokens = lex(source);
-        let regions = classify(&tokens);
-        let code = code_indices(&tokens);
-        let (waivers, malformed) = parse_waivers(rel_path, &tokens);
-        findings.extend(malformed);
-        units.push(Unit {
-            crate_name,
-            rel_path,
-            tokens,
-            regions,
-            code,
-            waivers,
-        });
-    }
-    let unit_by_file: BTreeMap<String, usize> = units
-        .iter()
-        .enumerate()
-        .map(|(i, u)| (u.rel_path.to_string(), i))
-        .collect();
-
-    // Line rules + symbol extraction, per file.
-    let mut raw: Vec<Finding> = Vec::new();
-    let mut all_symbols: Vec<Symbol> = Vec::new();
-    for u in &units {
-        raw.extend(apply(
-            u.crate_name,
-            u.rel_path,
-            &u.tokens,
-            &u.regions,
-            &u.code,
-        ));
-        all_symbols.extend(symbols::extract(
-            u.crate_name,
-            u.rel_path,
-            &u.tokens,
-            &u.regions,
-            &u.code,
-        ));
-    }
-    let symbol_count = all_symbols.len();
-
-    // Source-site waivers cut facts before propagation.
-    for sym in &mut all_symbols {
-        let Some(&ui) = unit_by_file.get(sym.file.as_str()) else {
-            continue;
-        };
-        if let Some(unit) = units.get_mut(ui) {
-            cut_waived_facts(sym, &mut unit.waivers);
-        }
-    }
-
-    // The interprocedural pass over the whole set.
-    let graph = graph::build(all_symbols);
-    raw.extend(taint::analyze(&graph));
-
-    // Waiver suppression at the reporting site (line rules: the offending
-    // line; interprocedural rules: the entry point).
-    for f in raw {
-        let waived = unit_by_file
-            .get(f.file.as_str())
-            .and_then(|&ui| units.get_mut(ui))
-            .and_then(|u| u.waivers.iter_mut().find(|w| w.covers(f.rule, f.line)));
-        match waived {
+/// Lints one file: every line rule, then suppression by the file's own
+/// waivers. An unused waiver is a `hyg.waiver` finding.
+fn lint_file(crate_name: &str, rel_path: &str, source: &str) -> Vec<Finding> {
+    let tokens = lex(source);
+    let regions = classify(&tokens);
+    let code = code_indices(&tokens);
+    let (mut waivers, mut findings) = parse_waivers(rel_path, &tokens);
+    for f in apply(crate_name, rel_path, &tokens, &regions, &code) {
+        match waivers.iter_mut().find(|w| w.covers(f.rule, f.line)) {
             Some(w) => w.used = true,
             None => findings.push(f),
         }
     }
-    for u in &units {
-        for w in u.waivers.iter().filter(|w| !w.used) {
-            findings.push(Finding::local(
-                "hyg.waiver",
-                u.rel_path,
-                w.line,
-                format!(
-                    "waiver for `{}` suppresses nothing — remove it or fix its placement",
-                    w.rule
-                ),
-            ));
-        }
+    for w in waivers.iter().filter(|w| !w.used) {
+        findings.push(Finding::new(
+            "hyg.waiver",
+            rel_path,
+            w.line,
+            format!(
+                "waiver for `{}` suppresses nothing — remove it or fix its placement",
+                w.rule
+            ),
+        ));
     }
-    // No dedup: two identical sites on one line (`v[v[1]]`) are two
-    // findings. The taint pass already keys its reports by (entry,
-    // source, kind), so interprocedural findings never duplicate.
+    findings
+}
+
+/// Lints a set of files. Each input is `(crate_name, rel_path, source)`.
+///
+/// Findings are sorted by `(file, line, rule, message)` so output is
+/// bit-stable across runs and platforms. No dedup: two identical sites on
+/// one line (`v[v[1]]`) are two findings.
+pub fn lint_files(files: &[(String, String, String)]) -> LintReport {
+    let mut findings: Vec<Finding> = files
+        .iter()
+        .flat_map(|(crate_name, rel_path, source)| lint_file(crate_name, rel_path, source))
+        .collect();
     findings.sort_by(|a, b| {
         (&a.file, a.line, a.rule, &a.message).cmp(&(&b.file, b.line, b.rule, &b.message))
     });
     LintReport {
         findings,
         files: files.len(),
-        symbols: symbol_count,
     }
 }
 
-/// Lints a single file's source text (line rules plus whatever the
-/// interprocedural pass can see within the one file).
+/// Lints a single file's source text.
 ///
-/// `crate_name` selects crate-scoped rules (e.g. determinism applies to
-/// `core`/`storage`/`metrics`/`eval`); `rel_path` is used verbatim in
-/// findings and for file-scoped rule exemptions.
+/// `crate_name` selects the crate-scoped exemptions (thread spawns in
+/// `parallel`, prints in the CLI crates); `rel_path` is used verbatim in
+/// findings.
 pub fn lint_source(crate_name: &str, rel_path: &str, source: &str) -> Vec<Finding> {
     lint_files(&[(
         crate_name.to_string(),
@@ -290,7 +183,7 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 }
 
 /// Lints every `crates/*/src/**/*.rs` file under the workspace `root`,
-/// returning findings plus file/symbol counts for the timing line.
+/// returning findings plus the file count for the timing line.
 pub fn lint_workspace_report(root: &Path) -> std::io::Result<LintReport> {
     let crates_dir = root.join("crates");
     let mut crate_dirs: Vec<PathBuf> = std::fs::read_dir(&crates_dir)?
@@ -326,49 +219,10 @@ pub fn lint_workspace_report(root: &Path) -> std::io::Result<LintReport> {
 
 /// Lints every `crates/*/src/**/*.rs` file under the workspace `root`.
 ///
-/// Findings are sorted by `(file, line, rule)` so output (and the JSON
-/// mode) is bit-stable across runs and platforms.
+/// Findings are sorted by `(file, line, rule)` so output is bit-stable
+/// across runs and platforms.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
     Ok(lint_workspace_report(root)?.findings)
-}
-
-/// Renders findings as a JSON array (via `eff2-json`):
-/// `[{"rule": …, "file": …, "line": …, "message": …, "chain": […]}, …]`.
-/// The `chain` field is the call-chain evidence for interprocedural
-/// findings (`[{"fn": …, "file": …, "line": …}, …]`), empty for line
-/// rules.
-pub fn findings_to_json(findings: &[Finding]) -> String {
-    let arr = eff2_json::Json::Arr(
-        findings
-            .iter()
-            .map(|f| {
-                eff2_json::Json::obj(vec![
-                    ("rule", eff2_json::Json::Str(f.rule.to_string())),
-                    ("file", eff2_json::Json::Str(f.file.clone())),
-                    ("line", eff2_json::Json::num(f64::from(f.line))),
-                    ("message", eff2_json::Json::Str(f.message.clone())),
-                    (
-                        "chain",
-                        eff2_json::Json::Arr(
-                            f.chain
-                                .iter()
-                                .map(|h| {
-                                    eff2_json::Json::obj(vec![
-                                        ("fn", eff2_json::Json::Str(h.name.clone())),
-                                        ("file", eff2_json::Json::Str(h.file.clone())),
-                                        ("line", eff2_json::Json::num(f64::from(h.line))),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ])
-            })
-            .collect(),
-    );
-    let mut out = String::new();
-    arr.write(&mut out);
-    out
 }
 
 #[cfg(test)]
@@ -395,110 +249,5 @@ mod tests {
         let got = lint_source("descriptor", "x.rs", src);
         assert_eq!(got.len(), 1);
         assert_eq!(got.first().map(|f| f.rule), Some("hyg.waiver"));
-    }
-
-    #[test]
-    fn json_output_shape() {
-        let src = "fn f() { None::<u8>.unwrap(); }\n";
-        let findings = lint_source("core", "crates/core/src/x.rs", src);
-        let json = findings_to_json(&findings);
-        let parsed = eff2_json::Json::parse(&json).expect("valid json");
-        let arr = parsed.as_arr().expect("array");
-        assert_eq!(arr.len(), 1);
-        let first = arr.first().expect("one finding");
-        assert_eq!(
-            first
-                .field("rule")
-                .and_then(|r| r.as_str().map(String::from)),
-            Ok("panic.unwrap".to_string())
-        );
-        assert_eq!(first.field("line").and_then(|l| l.as_u32()), Ok(1));
-        assert!(first
-            .field("chain")
-            .and_then(|c| c.as_arr().map(|a| a.is_empty()))
-            .unwrap_or(false));
-    }
-
-    #[test]
-    fn cross_file_taint_is_reported_with_chain() {
-        let files = vec![
-            (
-                "core".to_string(),
-                "crates/core/src/lib.rs".to_string(),
-                "pub fn api() { eff2_srtree::mid(); }\n".to_string(),
-            ),
-            (
-                "srtree".to_string(),
-                "crates/srtree/src/lib.rs".to_string(),
-                "pub fn mid() { leaf(); }\nfn leaf() { let m = HashMap::new(); m.iter(); }\n"
-                    .to_string(),
-            ),
-        ];
-        let report = lint_files(&files);
-        let taint: Vec<&Finding> = report
-            .findings
-            .iter()
-            .filter(|f| f.rule == "det.taint")
-            .collect();
-        // `api` is the only deterministic-crate entry (srtree is not in
-        // DETERMINISTIC_CRATES); it reaches the HashMap at depth 2.
-        assert_eq!(taint.len(), 1, "{:?}", report.findings);
-        let api = taint
-            .iter()
-            .find(|f| f.file == "crates/core/src/lib.rs")
-            .expect("entry finding in core");
-        assert_eq!(api.chain.len(), 3);
-        assert!(api
-            .message
-            .contains("-> HashMap @ crates/srtree/src/lib.rs:2"));
-    }
-
-    #[test]
-    fn source_site_waiver_cuts_the_chain() {
-        let files = vec![
-            (
-                "core".to_string(),
-                "crates/core/src/lib.rs".to_string(),
-                "pub fn api() { eff2_srtree::mid(); }\n".to_string(),
-            ),
-            (
-                "srtree".to_string(),
-                "crates/srtree/src/lib.rs".to_string(),
-                "pub fn mid() {\n    // lint:allow(det.taint): local map, iteration order never observed\n    let m = HashMap::new(); m.iter();\n}\n"
-                    .to_string(),
-            ),
-        ];
-        let report = lint_files(&files);
-        assert!(
-            report.findings.is_empty(),
-            "waiver at source should cut every chain: {:?}",
-            report.findings
-        );
-    }
-
-    #[test]
-    fn entry_waiver_cuts_only_that_entry() {
-        let files = vec![
-            (
-                "core".to_string(),
-                "crates/core/src/lib.rs".to_string(),
-                "// lint:allow(det.taint): debug-only API, never feeds traces\npub fn api() { eff2_srtree::mid(); }\npub fn api2() { eff2_srtree::mid(); }\n".to_string(),
-            ),
-            (
-                "srtree".to_string(),
-                "crates/srtree/src/lib.rs".to_string(),
-                "pub fn mid() { let m = HashMap::new(); m.iter(); }\n".to_string(),
-            ),
-        ];
-        let report = lint_files(&files);
-        let taint: Vec<&Finding> = report
-            .findings
-            .iter()
-            .filter(|f| f.rule == "det.taint")
-            .collect();
-        // `api` is waived at its entry; `api2` — same source, different
-        // entry — still reports.
-        assert_eq!(taint.len(), 1, "{:?}", report.findings);
-        assert_eq!(taint.first().map(|f| f.line), Some(3));
     }
 }

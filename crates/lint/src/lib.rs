@@ -14,21 +14,17 @@
 //! self-contained: a minimal Rust lexer ([`lexer`]), a region classifier
 //! that understands `#[cfg(test)]` modules, attributes and `macro_rules!`
 //! bodies ([`regions`]), and a token-pattern rule engine ([`rules`],
-//! driven by [`engine`]). Findings carry `file:line` spans and stable rule
-//! ids, and can be emitted as JSON (via `eff2-json`) for tooling.
+//! driven by [`engine`]). Every rule is a line rule: it fires at the
+//! offending site, in every crate, and findings carry `file:line` spans
+//! and stable rule ids.
 //!
 //! Run it with `cargo run --release -p eff2-lint -- --deny`; see
 //! `DESIGN.md` §10 for the rule table and waiver grammar.
 
 pub mod engine;
-mod graph;
 pub mod lexer;
 pub mod regions;
 pub mod rules;
-mod symbols;
-mod taint;
 
-pub use engine::{
-    findings_to_json, lint_files, lint_source, lint_workspace, lint_workspace_report, LintReport,
-};
-pub use rules::{Finding, Hop, RuleInfo, RULES};
+pub use engine::{lint_files, lint_source, lint_workspace, lint_workspace_report, LintReport};
+pub use rules::{Finding, RuleInfo, RULES};

@@ -1,18 +1,17 @@
 //! CLI for the workspace invariant auditor.
 //!
 //! ```text
-//! eff2-lint [--deny] [--json] [--rules] [--root <path>]
+//! eff2-lint [--deny] [--rules] [--root <path>]
 //! ```
 //!
 //! * `--deny`  — exit non-zero if any finding remains (CI gate mode).
-//! * `--json`  — emit findings as a JSON array instead of text lines.
 //! * `--rules` — list the known rule ids and exit.
 //! * `--root`  — workspace root (default: walk up from the current
 //!   directory to the first `Cargo.toml` containing `[workspace]`).
 //!
-//! Every run ends with a timing line on stderr —
-//! `lint: N files, M symbols, K ms` — so lint cost is tracked as the
-//! workspace grows (check.sh asserts its presence).
+//! Findings print as `file:line: [rule] message`. Every run ends with a
+//! timing line on stderr — `lint: N files, K ms` — so lint cost is tracked
+//! as the workspace grows (check.sh asserts its presence).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -33,18 +32,16 @@ fn find_workspace_root() -> Option<PathBuf> {
 }
 
 fn usage() {
-    eprintln!("usage: eff2-lint [--deny] [--json] [--rules] [--root <path>]");
+    eprintln!("usage: eff2-lint [--deny] [--rules] [--root <path>]");
 }
 
 fn main() -> ExitCode {
     let mut deny = false;
-    let mut json = false;
     let mut root: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--deny" => deny = true,
-            "--json" => json = true,
             "--rules" => {
                 for rule in eff2_lint::RULES {
                     println!("{:<20} {}", rule.id, rule.summary);
@@ -79,23 +76,15 @@ fn main() -> ExitCode {
     let elapsed_ms = started.elapsed().as_millis();
     let findings = report.findings;
 
-    if json {
-        println!("{}", eff2_lint::findings_to_json(&findings));
-    } else {
-        for f in &findings {
-            println!("{}:{}: [{}] {}", f.file, f.line, f.rule, f.message);
-        }
-        if findings.is_empty() {
-            println!("eff2-lint: workspace clean");
-        } else {
-            println!("eff2-lint: {} finding(s)", findings.len());
-        }
+    for f in &findings {
+        println!("{}:{}: [{}] {}", f.file, f.line, f.rule, f.message);
     }
-    // Stderr so `--json` stdout stays machine-parseable.
-    eprintln!(
-        "lint: {} files, {} symbols, {} ms",
-        report.files, report.symbols, elapsed_ms
-    );
+    if findings.is_empty() {
+        println!("eff2-lint: workspace clean");
+    } else {
+        println!("eff2-lint: {} finding(s)", findings.len());
+    }
+    eprintln!("lint: {} files, {} ms", report.files, elapsed_ms);
     if deny && !findings.is_empty() {
         return ExitCode::FAILURE;
     }

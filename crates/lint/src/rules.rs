@@ -1,28 +1,14 @@
 //! The rule set: panic-freedom, determinism, error-taxonomy and hygiene.
 //!
-//! Each line rule is a token-pattern check with a crate/file scope. Rules
-//! fire only on code tokens outside test regions, attributes and
-//! `macro_rules!` bodies (see [`crate::regions`]); comments, doc comments
-//! and string literals are skipped by construction of the token stream.
-//!
-//! The site detectors live on `View` so the line rules and the symbol
-//! pass's fact extractor (`crate::symbols`) agree *exactly* on what
-//! constitutes a panic or nondeterminism site: an unwaived line finding
-//! and an interprocedural fact are always the same token pattern.
+//! Each rule is a token-pattern check that applies in every crate; the
+//! only exemptions are `det.thread_spawn` in `parallel` (it owns the raw
+//! threads) and `hyg.print` in the CLI crates. Rules fire only on code
+//! tokens outside test regions, attributes and `macro_rules!` bodies (see
+//! [`crate::regions`]); comments, doc comments and string literals are
+//! skipped by construction of the token stream.
 
 use crate::lexer::{is_keyword, Token, TokenKind};
 use crate::regions::Region;
-
-/// One hop of call-chain evidence: a function and where it is defined.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Hop {
-    /// The function's display name (`crate::Type::method` style).
-    pub name: String,
-    /// Path of the defining file, relative to the workspace root.
-    pub file: String,
-    /// 1-based line of the `fn` item.
-    pub line: u32,
-}
 
 /// A single reported problem.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -35,20 +21,15 @@ pub struct Finding {
     pub line: u32,
     /// Human-readable description of the problem.
     pub message: String,
-    /// Call-chain evidence for interprocedural rules, entry first, the
-    /// function containing the source site last. Empty for line rules.
-    pub chain: Vec<Hop>,
 }
 
 impl Finding {
-    /// A line-local finding (no call chain).
-    pub(crate) fn local(rule: &'static str, file: &str, line: u32, message: String) -> Self {
+    pub(crate) fn new(rule: &'static str, file: &str, line: u32, message: String) -> Self {
         Finding {
             rule,
             file: file.to_string(),
             line,
             message,
-            chain: Vec::new(),
         }
     }
 }
@@ -77,32 +58,20 @@ pub const RULES: &[RuleInfo] = &[
         summary: "no direct slice/array indexing `x[i]` in non-test library code",
     },
     RuleInfo {
-        id: "panic.reach",
-        summary: "no unwaived panic site transitively reachable from a public API of a panic-free crate",
-    },
-    RuleInfo {
         id: "det.hash_container",
-        summary: "no HashMap/HashSet in trace-producing crates (core/storage/chaos/serve/shard/metrics/eval/descriptor)",
+        summary: "no HashMap/HashSet — iteration order is nondeterministic",
     },
     RuleInfo {
         id: "det.wall_clock",
-        summary: "no Instant::now/SystemTime outside storage::diskmodel",
+        summary: "no Instant::now/SystemTime — use the virtual DiskModel clock",
     },
     RuleInfo {
         id: "det.float_accum",
-        summary: "no float .sum()/.product() in trace-producing crates — accumulate via kernels",
+        summary: "no float .sum()/.product() — accumulate via kernels or a serial loop",
     },
     RuleInfo {
         id: "det.thread_spawn",
         summary: "no std::thread::spawn outside crates/parallel — use the eff2-parallel wrappers",
-    },
-    RuleInfo {
-        id: "det.taint",
-        summary: "no nondeterminism source transitively reachable from a public API of a deterministic crate",
-    },
-    RuleInfo {
-        id: "clock.discipline",
-        summary: "every chunk-consuming path charges the pipeline clock",
     },
     RuleInfo {
         id: "err.box_error",
@@ -127,37 +96,14 @@ pub(crate) fn is_rule(id: &str) -> bool {
     RULES.iter().any(|r| r.id == id)
 }
 
-/// Crates whose outputs feed traces or reported figures: HashMap/HashSet
-/// iteration order and ad-hoc float accumulation are banned here, and
-/// `det.taint` guards their public APIs transitively.
-pub(crate) const DETERMINISTIC_CRATES: &[&str] = &[
-    "core",
-    "storage",
-    "chaos",
-    "serve",
-    "shard",
-    "metrics",
-    "eval",
-    "descriptor",
-    "epoch",
-];
-
 /// Crates that are command-line binaries: printing to stdout/stderr is
 /// their job, so `hyg.print` does not apply.
 const CLI_CRATES: &[&str] = &["eval", "lint"];
 
-/// The one file exempt from `det.wall_clock` (and hence from wall-clock
-/// taint): storage::diskmodel *owns* the virtual clock.
-pub(crate) fn wall_clock_exempt(crate_name: &str, rel_path: &str) -> bool {
-    crate_name == "storage" && rel_path.ends_with("diskmodel.rs")
-}
-
-/// Crates exempt from `det.thread_spawn` (and thread-spawn taint):
-/// eff2-parallel owns raw threads — its wrappers pin worker counts and
-/// merge order so everyone else stays deterministic.
-pub(crate) fn thread_spawn_exempt(crate_name: &str) -> bool {
-    crate_name == "parallel"
-}
+/// The crate exempt from `det.thread_spawn`: eff2-parallel owns raw
+/// threads — its wrappers pin worker counts and merge order so everyone
+/// else stays deterministic.
+const THREAD_CRATE: &str = "parallel";
 
 /// Integer primitive names: `.sum::<usize>()` over these is deterministic
 /// regardless of order, so `det.float_accum` permits it.
@@ -180,39 +126,33 @@ fn is_integer_type(s: &str) -> bool {
 
 /// How a `.sum()`/`.product()` site is written, for message wording.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum AccumShape {
+enum AccumShape {
     /// Bare `.sum()` — the accumulator type is hidden.
     Bare,
     /// `.sum::<f32>()` — an explicitly non-integer turbofish.
     FloatTurbofish,
 }
 
-/// A window over one file's code tokens. Both the line rules and the
-/// symbol pass's fact extractor call these detectors, so a "site" means
-/// the same thing everywhere.
+/// A window over one file's code tokens, with one detector per site
+/// shape the rules look for.
 #[derive(Clone, Copy)]
-pub(crate) struct View<'a> {
+struct View<'a> {
     tokens: &'a [Token],
     code: &'a [usize],
 }
 
 impl<'a> View<'a> {
-    pub(crate) fn new(tokens: &'a [Token], code: &'a [usize]) -> Self {
+    fn new(tokens: &'a [Token], code: &'a [usize]) -> Self {
         View { tokens, code }
     }
 
-    /// Number of code tokens in the view.
-    pub(crate) fn len(&self) -> usize {
-        self.code.len()
-    }
-
     /// The token at code position `code_pos`.
-    pub(crate) fn tok(&self, code_pos: usize) -> Option<&'a Token> {
+    fn tok(&self, code_pos: usize) -> Option<&'a Token> {
         self.code.get(code_pos).and_then(|&i| self.tokens.get(i))
     }
 
     /// The raw token-stream index backing code position `code_pos`.
-    pub(crate) fn raw_index(&self, code_pos: usize) -> Option<usize> {
+    fn raw_index(&self, code_pos: usize) -> Option<usize> {
         self.code.get(code_pos).copied()
     }
 
@@ -223,7 +163,7 @@ impl<'a> View<'a> {
     }
 
     /// `.unwrap(` / `.expect(`: returns the method name.
-    pub(crate) fn unwrap_site(&self, at: usize) -> Option<&'a str> {
+    fn unwrap_site(&self, at: usize) -> Option<&'a str> {
         let t = self.tok(at)?;
         if t.kind != TokenKind::Ident || !matches!(t.text.as_str(), "unwrap" | "expect") {
             return None;
@@ -234,7 +174,7 @@ impl<'a> View<'a> {
     }
 
     /// `panic!` / `unreachable!` / `todo!` / `unimplemented!`: the macro name.
-    pub(crate) fn panic_macro_site(&self, at: usize) -> Option<&'a str> {
+    fn panic_macro_site(&self, at: usize) -> Option<&'a str> {
         let t = self.tok(at)?;
         if t.kind != TokenKind::Ident
             || !matches!(
@@ -250,7 +190,7 @@ impl<'a> View<'a> {
     }
 
     /// Direct indexing `x[i]` (an opening `[` right after a value).
-    pub(crate) fn index_site(&self, at: usize) -> bool {
+    fn index_site(&self, at: usize) -> bool {
         let Some(t) = self.tok(at) else { return false };
         if !t.is_punct('[') || at == 0 {
             return false;
@@ -266,14 +206,14 @@ impl<'a> View<'a> {
     }
 
     /// `HashMap` / `HashSet` mention: returns the container name.
-    pub(crate) fn hash_container_site(&self, at: usize) -> Option<&'a str> {
+    fn hash_container_site(&self, at: usize) -> Option<&'a str> {
         let t = self.tok(at)?;
         (t.kind == TokenKind::Ident && matches!(t.text.as_str(), "HashMap" | "HashSet"))
             .then_some(t.text.as_str())
     }
 
     /// `SystemTime` mention or `Instant::now`: a short site label.
-    pub(crate) fn wall_clock_site(&self, at: usize) -> Option<&'static str> {
+    fn wall_clock_site(&self, at: usize) -> Option<&'static str> {
         let t = self.tok(at)?;
         if t.kind != TokenKind::Ident {
             return None;
@@ -292,7 +232,7 @@ impl<'a> View<'a> {
 
     /// `.sum()` / `.product()` with a hidden or non-integer accumulator:
     /// returns the method name and how the site is written.
-    pub(crate) fn float_accum_site(&self, at: usize) -> Option<(&'a str, AccumShape)> {
+    fn float_accum_site(&self, at: usize) -> Option<(&'a str, AccumShape)> {
         let t = self.tok(at)?;
         if t.kind != TokenKind::Ident || !matches!(t.text.as_str(), "sum" | "product") {
             return None;
@@ -318,43 +258,13 @@ impl<'a> View<'a> {
     }
 
     /// `thread::spawn(`.
-    pub(crate) fn thread_spawn_site(&self, at: usize) -> bool {
+    fn thread_spawn_site(&self, at: usize) -> bool {
         let Some(t) = self.tok(at) else { return false };
         t.kind == TokenKind::Ident
             && t.text == "thread"
             && self.path_sep(at + 1)
             && self.tok(at + 3).is_some_and(|c| c.is_ident("spawn"))
             && self.tok(at + 4).is_some_and(|d| d.is_punct('('))
-    }
-
-    /// A chunk-consuming call: `.next_chunk(` / `.fetch_through(`.
-    /// Returns the method name.
-    pub(crate) fn chunk_consume_site(&self, at: usize) -> Option<&'a str> {
-        let t = self.tok(at)?;
-        if t.kind != TokenKind::Ident || !matches!(t.text.as_str(), "next_chunk" | "fetch_through")
-        {
-            return None;
-        }
-        let after_dot = at > 0 && self.tok(at - 1).is_some_and(|p| p.is_punct('.'));
-        let called = self.tok(at + 1).is_some_and(|n| n.is_punct('('));
-        (after_dot && called).then_some(t.text.as_str())
-    }
-
-    /// A modelled-time charge: a call to one of the `PipelineClock` /
-    /// virtual-clock charge methods. Returns the method name.
-    pub(crate) fn clock_charge_site(&self, at: usize) -> Option<&'a str> {
-        let t = self.tok(at)?;
-        if t.kind != TokenKind::Ident
-            || !matches!(
-                t.text.as_str(),
-                "chunk_overlapped" | "chunk_serial" | "io_done_after" | "cpu_after"
-            )
-        {
-            return None;
-        }
-        let after_dot = at > 0 && self.tok(at - 1).is_some_and(|p| p.is_punct('.'));
-        let called = self.tok(at + 1).is_some_and(|n| n.is_punct('('));
-        (after_dot && called).then_some(t.text.as_str())
     }
 }
 
@@ -378,11 +288,7 @@ impl Scan<'_> {
     fn report(&mut self, rule: &'static str, code_pos: usize, message: String) {
         let line = self.view.tok(code_pos).map_or(0, |t| t.line);
         self.findings
-            .push(Finding::local(rule, self.rel_path, line, message));
-    }
-
-    fn in_deterministic_crate(&self) -> bool {
-        DETERMINISTIC_CRATES.contains(&self.crate_name)
+            .push(Finding::new(rule, self.rel_path, line, message));
     }
 
     // ----- panic-freedom ---------------------------------------------------
@@ -423,9 +329,6 @@ impl Scan<'_> {
     // ----- determinism -----------------------------------------------------
 
     fn det_hash_container(&mut self, at: usize) {
-        if !self.in_deterministic_crate() {
-            return;
-        }
         if let Some(name) = self.view.hash_container_site(at) {
             let name = name.to_string();
             self.report(
@@ -437,9 +340,6 @@ impl Scan<'_> {
     }
 
     fn det_wall_clock(&mut self, at: usize) {
-        if wall_clock_exempt(self.crate_name, self.rel_path) {
-            return;
-        }
         match self.view.wall_clock_site(at) {
             Some("SystemTime") => self.report(
                 "det.wall_clock",
@@ -458,9 +358,6 @@ impl Scan<'_> {
     }
 
     fn det_float_accum(&mut self, at: usize) {
-        if !self.in_deterministic_crate() {
-            return;
-        }
         if let Some((name, shape)) = self.view.float_accum_site(at) {
             let name = name.to_string();
             let message = match shape {
@@ -476,7 +373,7 @@ impl Scan<'_> {
     }
 
     fn det_thread_spawn(&mut self, at: usize) {
-        if thread_spawn_exempt(self.crate_name) {
+        if self.crate_name == THREAD_CRATE {
             return;
         }
         if self.view.thread_spawn_site(at) {

@@ -1,7 +1,6 @@
-//! det.float_accum in codebook-training-shaped code: the descriptor crate
-//! is inside the determinism scope, so the k-means update and distortion
-//! loops must accumulate serially (or via the kernels), never through a
-//! hidden float `.sum()`.
+//! det.float_accum in codebook-training-shaped code: the k-means update
+//! and distortion loops must accumulate serially (or via the kernels),
+//! never through a hidden float `.sum()`.
 
 /// A training pass that averages one component of the assigned
 /// sub-vectors the lazy way.

@@ -1,6 +1,4 @@
-//! det.hash_container: randomized-iteration containers in deterministic
-//! crates. The harness also lints this file as a non-deterministic crate
-//! and expects silence.
+//! det.hash_container: randomized-iteration containers, in any crate.
 
 use std::collections::HashMap; //~ det.hash_container
 use std::collections::HashSet; //~ det.hash_container

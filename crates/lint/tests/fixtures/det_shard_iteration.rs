@@ -1,7 +1,6 @@
-//! Shard placement feeds routed-owner tables and imbalance figures, so
-//! the `shard` crate sits inside the determinism scope: iterating chunk →
-//! shard assignments in hash order would scramble primary election and
-//! the per-shard counts the experiments report.
+//! Shard placement feeds routed-owner tables and imbalance figures:
+//! iterating chunk → shard assignments in hash order would scramble
+//! primary election and the per-shard counts the experiments report.
 
 use std::collections::BTreeMap;
 use std::collections::HashMap; //~ det.hash_container

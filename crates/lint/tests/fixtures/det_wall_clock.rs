@@ -1,5 +1,4 @@
-//! det.wall_clock: host-clock reads in deterministic crates. The harness
-//! also lints this file as storage's diskmodel.rs, which is exempt.
+//! det.wall_clock: host-clock reads, in any crate.
 
 pub fn positive_instant() -> std::time::Instant {
     std::time::Instant::now() //~ det.wall_clock

@@ -91,7 +91,9 @@ pub fn read_index<R: Read>(reader: R) -> Result<(Vec<ChunkMeta>, u32)> {
     let n = u32_at(&header, 8, what)? as usize;
     let page_size = u32_at(&header, 12, what)?;
 
-    let mut metas = Vec::with_capacity(n);
+    // `n` comes from the file: the vector grows as entries actually arrive,
+    // so a forged count ends in `Truncated`, never in a huge allocation.
+    let mut metas = Vec::new();
     let mut buf = vec![0u8; ENTRY_BYTES];
     for _ in 0..n {
         r.read_exact(&mut buf)

@@ -175,6 +175,16 @@ impl ChunkStore {
                 header.page_size, page_size
             )));
         }
+        let header_bytes = if header.version == chunkfile::VERSION_QUANT {
+            chunkfile::HEADER_BYTES_QUANT
+        } else {
+            chunkfile::HEADER_BYTES
+        };
+        if (page_size as usize) < header_bytes {
+            return Err(Error::Inconsistent(format!(
+                "page size {page_size} cannot hold the {header_bytes}-byte chunk file header"
+            )));
+        }
         if header.n_chunks as usize != metas.len() {
             return Err(Error::Inconsistent(format!(
                 "chunk count: chunk file {} vs index file {}",
@@ -184,7 +194,13 @@ impl ChunkStore {
         }
         let file_len = std::fs::metadata(chunk_path)?.len();
         for (i, m) in metas.iter().enumerate() {
-            let end = m.offset + chunkfile::chunk_span(u64::from(m.byte_len), u64::from(page_size));
+            let span = chunkfile::chunk_span(u64::from(m.byte_len), u64::from(page_size));
+            let end = m.offset.checked_add(span).ok_or_else(|| {
+                Error::Inconsistent(format!(
+                    "chunk {i} at offset {} overflows the file address space",
+                    m.offset
+                ))
+            })?;
             if end > file_len {
                 return Err(Error::Inconsistent(format!(
                     "chunk {i} extends to byte {end} beyond file of {file_len} bytes"
@@ -493,6 +509,50 @@ mod tests {
             ChunkStore::open(store.chunk_path(), store.index_path()),
             Err(Error::Inconsistent(_))
         ));
+    }
+
+    /// Creates a three-chunk store, lets `forge` patch the bytes of its
+    /// chunk file and index file, and reopens it.
+    fn open_forged(tag: &str, forge: impl FnOnce(&mut [u8], &mut [u8])) -> Result<ChunkStore> {
+        let dir = tmp_dir(tag);
+        let set = sample_set(12);
+        let chunks = defs(&[&[0, 1, 2, 3], &[4, 5], &[6, 7, 8, 9, 10, 11]], &set);
+        let store = ChunkStore::create(&dir, "f", &set, &chunks, 256).expect("create");
+        let mut chunk = std::fs::read(store.chunk_path()).expect("read chunk file");
+        let mut index = std::fs::read(store.index_path()).expect("read index file");
+        forge(&mut chunk, &mut index);
+        std::fs::write(store.chunk_path(), &chunk).expect("rewrite chunk file");
+        std::fs::write(store.index_path(), &index).expect("rewrite index file");
+        ChunkStore::open(store.chunk_path(), store.index_path())
+    }
+
+    #[test]
+    fn open_refuses_a_forged_chunk_count_without_allocating_for_it() {
+        // Bit 31 of the index's `n_chunks`: reserving that many entries up
+        // front aborts the process on allocation failure.
+        let got = open_forged("forgedcount", |_, index| index[11] ^= 0x80);
+        assert!(matches!(got, Err(Error::Truncated(_))), "{got:?}");
+    }
+
+    #[test]
+    fn open_refuses_a_page_size_too_small_for_the_header() {
+        // Page size 0 in both files passes the cross-check and would reach
+        // `pad_to_page`'s assertion.
+        let got = open_forged("forgedpage", |chunk, index| {
+            chunk[8..12].copy_from_slice(&0u32.to_le_bytes());
+            index[12..16].copy_from_slice(&0u32.to_le_bytes());
+        });
+        assert!(matches!(got, Err(Error::Inconsistent(_))), "{got:?}");
+    }
+
+    #[test]
+    fn open_refuses_a_chunk_offset_whose_span_overflows() {
+        // Entry 0's `offset` sits after the header, centroid and radius.
+        let at = indexfile::HEADER_BYTES + DIM * 4 + 4;
+        let got = open_forged("forgedoffset", |_, index| {
+            index[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        });
+        assert!(matches!(got, Err(Error::Inconsistent(_))), "{got:?}");
     }
 
     #[test]

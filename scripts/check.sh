@@ -26,11 +26,11 @@ echo "==> cargo test perfbench (the benchmark's smoke + contract tests, against 
 # against eff2-serve's public surface before the benchmark itself runs.
 cargo test --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> eff2-lint --deny (workspace invariant audit, incl. interprocedural rules)"
+echo "==> eff2-lint --deny (workspace invariant audit)"
 LINT_ERR="$(mktemp)"
 cargo run --release -p eff2-lint -- --deny 2>"$LINT_ERR"
 cat "$LINT_ERR" >&2
-# The timing line ("lint: N files, M symbols, K ms") tracks analysis cost
+# The timing line ("lint: N files, K ms") tracks analysis cost
 # as the workspace grows; its absence means the audit did not really run.
 grep -q "^lint: " "$LINT_ERR"
 rm -f "$LINT_ERR"
