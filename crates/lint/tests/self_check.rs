@@ -33,15 +33,8 @@ fn workspace_has_one_benchmark_harness() {
     // criterion dependency in this workspace would be a second harness
     // that no claim may cite — keep it from growing back.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let mut manifests = vec![
-        root.join("Cargo.toml"),
-        root.join("examples/Cargo.toml"),
-        root.join("tests/Cargo.toml"),
-    ];
-    for members in ["crates", "shims"] {
-        let dir = std::fs::read_dir(root.join(members)).expect("list workspace members");
-        manifests.extend(dir.map(|e| e.expect("dir entry").path().join("Cargo.toml")));
-    }
+    let mut manifests = vec![root.join("Cargo.toml")];
+    manifests.extend(member_dirs(&root).iter().map(|m| m.join("Cargo.toml")));
     assert!(manifests.len() > 3, "member manifests were found");
     for manifest in manifests {
         let text = std::fs::read_to_string(&manifest).expect("read manifest");
@@ -53,6 +46,80 @@ fn workspace_has_one_benchmark_harness() {
             );
         }
     }
+}
+
+/// The directories of the workspace members (`members` in the root
+/// manifest), sorted.
+fn member_dirs(root: &Path) -> Vec<PathBuf> {
+    let mut dirs = vec![root.join("examples"), root.join("tests")];
+    for members in ["crates", "shims"] {
+        let dir = std::fs::read_dir(root.join(members)).expect("list workspace members");
+        dirs.extend(dir.map(|e| e.expect("dir entry").path()));
+    }
+    dirs.sort();
+    dirs
+}
+
+/// The `[dependencies]` and `[dev-dependencies]` keys of a manifest, in
+/// both the inline (`name = …`) and the table (`[dependencies.name]`) form.
+fn dependency_keys(manifest: &str) -> Vec<String> {
+    const SECTIONS: [&str; 2] = ["dependencies", "dev-dependencies"];
+    let mut keys = Vec::new();
+    let mut in_section = false;
+    for line in manifest.lines().map(str::trim) {
+        if let Some(header) = line.strip_prefix('[') {
+            let header = header.trim_end_matches(']');
+            in_section = SECTIONS.contains(&header);
+            let table = SECTIONS
+                .iter()
+                .find_map(|s| header.strip_prefix(s)?.strip_prefix('.'));
+            keys.extend(table.map(str::to_string));
+        } else if in_section && !line.starts_with('#') {
+            keys.extend(line.split_once('=').map(|(key, _)| key.trim().to_string()));
+        }
+    }
+    keys
+}
+
+#[test]
+fn every_manifest_dependency_is_named_by_its_package() {
+    // A dependency no source file names still compiles, links and couples
+    // the crate graph. Every key in a member's `[dependencies]` and
+    // `[dev-dependencies]`, with `-` read as `_`, must occur as an
+    // identifier in some `.rs` file of that package.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut checked = 0;
+    let mut unnamed = Vec::new();
+    for package in member_dirs(&root) {
+        let manifest = package.join("Cargo.toml");
+        let mut files = Vec::new();
+        rust_files(&package, &mut files);
+        let mut idents = BTreeSet::new();
+        for file in &files {
+            let tokens = lexer::lex(&std::fs::read_to_string(file).expect("read source"));
+            let code = regions::code_indices(&tokens);
+            idents.extend(
+                (code.iter().map(|&i| &tokens[i]))
+                    .filter(|t| t.kind == lexer::TokenKind::Ident)
+                    .map(|t| t.text.clone()),
+            );
+        }
+        let text = std::fs::read_to_string(&manifest).expect("read manifest");
+        for key in dependency_keys(&text) {
+            checked += 1;
+            if !idents.contains(&key.replace('-', "_")) {
+                let rel = manifest.strip_prefix(&root).expect("under the root");
+                unnamed.push(format!("{}: {key}", rel.display()));
+            }
+        }
+    }
+    assert!(checked > 50, "the walk found the member manifests");
+    assert!(
+        unnamed.is_empty(),
+        "{} dependenc(ies) are named by no source file of their package — delete them:\n{}",
+        unnamed.len(),
+        unnamed.join("\n")
+    );
 }
 
 #[test]

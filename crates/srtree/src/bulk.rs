@@ -13,91 +13,11 @@
 //!
 //! Every leaf ends up with either `⌊n/L⌋` or `⌈n/L⌉` points — the uniform
 //! size the paper relies on — and leaves are *roundish* because splits
-//! always cut the widest spread. The upper levels are then assembled
-//! bottom-up with a fixed fan-out, yielding a complete, valid [`SRTree`].
+//! always cut the widest spread. The upper levels of the tree are never
+//! built: the paper throws them away, so the leaves are the whole result.
 // lint:allow-file(panic.index): partition boundaries are derived from the lengths of the slices they cut
 
-use crate::node::{ChildRef, LeafEntry, Node};
-use crate::tree::{SRTree, SRTreeConfig};
 use eff2_descriptor::{DescriptorSet, Vector, DIM};
-
-/// Parameters of the static build.
-#[derive(Clone, Copy, Debug)]
-pub struct BulkConfig {
-    /// Target number of points per leaf — the paper's "parameter to control
-    /// the size of the leaves".
-    pub leaf_size: usize,
-    /// Fan-out of the internal levels assembled above the leaves.
-    pub internal_fanout: usize,
-}
-
-impl Default for BulkConfig {
-    fn default() -> Self {
-        BulkConfig {
-            leaf_size: 64,
-            internal_fanout: 16,
-        }
-    }
-}
-
-/// Statically builds an SR-tree over every descriptor in `set`.
-///
-/// # Panics
-///
-/// Panics if `leaf_size == 0` or `internal_fanout < 2`.
-pub fn bulk_build(set: &DescriptorSet, cfg: BulkConfig) -> SRTree {
-    assert!(cfg.leaf_size > 0, "leaf size must be positive");
-    assert!(
-        cfg.internal_fanout >= 2,
-        "internal fan-out must be at least 2"
-    );
-
-    let tree_cfg = SRTreeConfig {
-        // The dynamic invariants must admit what the static build produces.
-        leaf_capacity: cfg.leaf_size.max(2),
-        internal_capacity: cfg.internal_fanout,
-        ..SRTreeConfig::default()
-    };
-    if set.is_empty() {
-        return SRTree::new(tree_cfg);
-    }
-
-    let leaves = build_leaf_partitions(set, cfg.leaf_size);
-
-    // Materialise the leaves.
-    let mut level: Vec<ChildRef> = leaves
-        .into_iter()
-        .map(|positions| {
-            let entries: Vec<LeafEntry> = positions
-                .into_iter()
-                .map(|pos| LeafEntry {
-                    pos,
-                    vector: set.vector_owned(pos as usize),
-                })
-                .collect();
-            ChildRef::summarise(Box::new(Node::Leaf { entries }))
-        })
-        .collect();
-
-    // Assemble internal levels bottom-up. Adjacent leaves come from
-    // adjacent recursion branches, so grouping in order preserves locality.
-    while level.len() > 1 {
-        let mut next = Vec::with_capacity(level.len().div_ceil(cfg.internal_fanout));
-        let mut iter = level.into_iter().peekable();
-        while iter.peek().is_some() {
-            let group: Vec<ChildRef> = iter.by_ref().take(cfg.internal_fanout).collect();
-            next.push(ChildRef::summarise(Box::new(Node::Internal {
-                children: group,
-            })));
-        }
-        level = next;
-    }
-    let Some(root) = level.pop() else {
-        return SRTree::new(tree_cfg);
-    };
-    let len = root.count;
-    SRTree::from_parts(root, tree_cfg, len)
-}
 
 /// Partitions the positions `0..set.len()` into leaves of uniform size
 /// (every leaf holds `⌊n/L⌋` or `⌈n/L⌉` points, `L = ceil(n/leaf_size)`).
@@ -257,50 +177,6 @@ mod tests {
     fn empty_collection_yields_no_leaves() {
         let set = DescriptorSet::new();
         assert!(build_leaf_partitions(&set, 10).is_empty());
-    }
-
-    #[test]
-    fn bulk_tree_is_valid_and_complete() {
-        let set = spread_set(2_000);
-        let tree = bulk_build(
-            &set,
-            BulkConfig {
-                leaf_size: 50,
-                internal_fanout: 8,
-            },
-        );
-        assert_eq!(tree.len(), 2_000);
-        // Capacity-checked: 40 leaves under a fan-out of 8 take three levels.
-        tree.validate();
-    }
-
-    #[test]
-    fn bulk_tree_knn_matches_brute_force() {
-        let set = spread_set(800);
-        let tree = bulk_build(
-            &set,
-            BulkConfig {
-                leaf_size: 32,
-                internal_fanout: 8,
-            },
-        );
-        let q = set.vector_owned(137);
-        let got = tree.knn(&q, 5);
-        // Brute force.
-        let mut want: Vec<(f32, u32)> = (0..set.len())
-            .map(|i| (q.dist_sq(&set.vector_owned(i)), i as u32))
-            .collect();
-        want.sort_by(|a, b| a.0.total_cmp(&b.0));
-        for (g, w) in got.iter().zip(want.iter()) {
-            assert!((g.dist_sq - w.0).abs() < 1e-4);
-        }
-    }
-
-    #[test]
-    fn bulk_empty_collection() {
-        let tree = bulk_build(&DescriptorSet::new(), BulkConfig::default());
-        assert!(tree.is_empty());
-        tree.validate();
     }
 
     #[test]

@@ -2,10 +2,10 @@
 
 //! # eff2-srtree
 //!
-//! An SR-tree (Katayama & Satoh, *"The SR-tree: An Index Structure for
-//! High-Dimensional Nearest Neighbor Queries"*, SIGMOD 1997) over
-//! 24-dimensional image descriptors, built for the chunk-formation study of
-//! the eff2 paper (§2):
+//! The static build of the SR-tree (Katayama & Satoh, *"The SR-tree: An
+//! Index Structure for High-Dimensional Nearest Neighbor Queries"*, SIGMOD
+//! 1997) over 24-dimensional image descriptors, reduced to what the
+//! chunk-formation study of the eff2 paper (§2) keeps of it:
 //!
 //! > *"we adapted the SR-tree to yield chunks, by making two minor changes
 //! > to the code. First, we added a parameter to control the size of the
@@ -14,24 +14,17 @@
 //! > static build method, as it was much faster and guaranteed uniform leaf
 //! > size."*
 //!
-//! Three public surfaces:
+//! Two public surfaces:
 //!
-//! * [`SRTree`] — the dynamic index: insert with R\*-style forced
-//!   reinsertion, bounding *sphere ∩ rectangle* regions, exact k-NN search.
-//! * [`bulk::bulk_build`] — the static build: a variance-split recursive
-//!   partitioning that guarantees every leaf holds the requested number of
-//!   descriptors (±1) and is *roundish* because splits follow the widest
-//!   dimension. This is what the paper's experiments use.
+//! * [`bulk::build_leaf_partitions`] — the static build's leaf level: a
+//!   variance-split recursive partitioning that guarantees every leaf holds
+//!   the requested number of descriptors (±1) and is *roundish* because
+//!   splits follow the widest dimension.
 //! * [`chunks::chunks_from_collection`] — the paper's adaptation: take the
 //!   leaves as chunks (with centroid and minimum bounding radius) and
-//!   discard the upper levels.
+//!   discard the upper levels, which are therefore never built.
 
 pub mod bulk;
 pub mod chunks;
-mod geometry;
-mod node;
-pub mod tree;
 
-pub use bulk::{bulk_build, BulkConfig};
 pub use chunks::{chunks_from_collection, LeafChunk};
-pub use tree::{SRTree, SRTreeConfig};

@@ -1,10 +1,8 @@
-//! Property-based tests for the SR-tree: structural invariants under
-//! arbitrary insert sequences, exact k-NN vs brute force, and the static
-//! build's uniform-leaf guarantee.
+//! Property-based tests for the SR-tree's static build: the uniform-leaf
+//! guarantee over arbitrary point sets.
 
 use eff2_descriptor::{Descriptor, DescriptorSet, Vector, DIM};
 use eff2_srtree::bulk::build_leaf_partitions;
-use eff2_srtree::{bulk_build, BulkConfig, SRTree, SRTreeConfig};
 use proptest::prelude::*;
 
 fn arb_vector() -> impl Strategy<Value = Vector> {
@@ -15,73 +13,8 @@ fn arb_points(max: usize) -> impl Strategy<Value = Vec<Vector>> {
     proptest::collection::vec(arb_vector(), 1..max)
 }
 
-fn arb_config() -> impl Strategy<Value = SRTreeConfig> {
-    (2usize..20, 2usize..10, 0.0f32..0.45, 0.05f32..0.5).prop_map(|(leaf, fan, reinsert, fill)| {
-        SRTreeConfig {
-            leaf_capacity: leaf,
-            internal_capacity: fan,
-            reinsert_fraction: reinsert,
-            min_fill: fill,
-        }
-    })
-}
-
-fn brute_knn(points: &[Vector], q: &Vector, k: usize) -> Vec<f32> {
-    let mut d: Vec<f32> = points.iter().map(|p| q.dist_sq(p)).collect();
-    d.sort_by(f32::total_cmp);
-    d.truncate(k);
-    d
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn invariants_hold_after_any_insert_sequence(points in arb_points(200), cfg in arb_config()) {
-        let mut tree = SRTree::new(cfg);
-        for (i, p) in points.iter().enumerate() {
-            tree.insert(i as u32, *p);
-        }
-        prop_assert_eq!(tree.len(), points.len());
-        tree.validate();
-    }
-
-    #[test]
-    fn knn_is_exact(points in arb_points(300), k in 1usize..12) {
-        let mut tree = SRTree::new(SRTreeConfig {
-            leaf_capacity: 8,
-            internal_capacity: 4,
-            ..SRTreeConfig::default()
-        });
-        for (i, p) in points.iter().enumerate() {
-            tree.insert(i as u32, *p);
-        }
-        let q = points[points.len() / 3];
-        let got: Vec<f32> = tree.knn(&q, k).into_iter().map(|n| n.dist_sq).collect();
-        let want = brute_knn(&points, &q, k);
-        prop_assert_eq!(got.len(), want.len());
-        for (g, w) in got.iter().zip(want.iter()) {
-            prop_assert!((g - w).abs() <= 1e-3 * (1.0 + w.abs()), "{} vs {}", g, w);
-        }
-    }
-
-    #[test]
-    fn every_inserted_point_is_findable(points in arb_points(150)) {
-        let mut tree = SRTree::new(SRTreeConfig {
-            leaf_capacity: 6,
-            internal_capacity: 4,
-            ..SRTreeConfig::default()
-        });
-        for (i, p) in points.iter().enumerate() {
-            tree.insert(i as u32, *p);
-        }
-        // Querying each point for k=1 must return distance 0.
-        for p in points.iter().step_by(7) {
-            let nn = tree.knn(p, 1);
-            prop_assert_eq!(nn.len(), 1);
-            prop_assert_eq!(nn[0].dist_sq, 0.0);
-        }
-    }
 
     #[test]
     fn static_build_leaves_are_uniform(points in arb_points(400), leaf in 2usize..50) {
@@ -104,31 +37,5 @@ proptest! {
             }
         }
         prop_assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn bulk_and_dynamic_agree_on_knn(points in arb_points(200), k in 1usize..8) {
-        let set: DescriptorSet = points
-            .iter()
-            .enumerate()
-            .map(|(i, p)| Descriptor::new(i as u32, *p))
-            .collect();
-        let bulk = bulk_build(&set, BulkConfig { leaf_size: 10, internal_fanout: 5 });
-        bulk.validate();
-        let mut dynamic = SRTree::new(SRTreeConfig {
-            leaf_capacity: 10,
-            internal_capacity: 5,
-            ..SRTreeConfig::default()
-        });
-        for (i, p) in points.iter().enumerate() {
-            dynamic.insert(i as u32, *p);
-        }
-        let q = points[0];
-        let a: Vec<f32> = bulk.knn(&q, k).into_iter().map(|n| n.dist_sq).collect();
-        let b: Vec<f32> = dynamic.knn(&q, k).into_iter().map(|n| n.dist_sq).collect();
-        prop_assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b.iter()) {
-            prop_assert!((x - y).abs() <= 1e-3 * (1.0 + x.abs()));
-        }
     }
 }

@@ -147,7 +147,7 @@ impl ChunkStore {
 
         let quant_offsets = match codec {
             None => Vec::new(),
-            Some(c) => quant_offsets_from(quant_start, &metas, c.code_bytes(), page_size),
+            Some(c) => quant_offsets_from(quant_start, &metas, c.code_bytes(), page_size)?.0,
         };
         let total_descriptors = metas.iter().map(|m| u64::from(m.count)).sum::<u64>();
         Ok(ChunkStore {
@@ -208,7 +208,14 @@ impl ChunkStore {
             }
         }
         let (codec, quant_offsets) = if header.version == chunkfile::VERSION_QUANT {
-            // The codec blob sits right after the header page.
+            // The codec blob sits right after the header page; bound its
+            // declared length by the file before allocating for it.
+            let blob_len = u64::from(header.codec_blob_len);
+            if blob_len > file_len.saturating_sub(u64::from(page_size)) {
+                return Err(Error::Inconsistent(format!(
+                    "codec parameter blob of {blob_len} bytes extends beyond file of {file_len} bytes"
+                )));
+            }
             chunk_reader.seek(SeekFrom::Start(u64::from(page_size)))?;
             let mut blob = vec![0u8; header.codec_blob_len as usize];
             chunk_reader
@@ -220,19 +227,12 @@ impl ChunkStore {
                     header.codec_kind, header.codec_blob_len
                 ))
             })?;
-            let offsets =
-                quant_offsets_from(header.quant_start, &metas, codec.code_bytes(), page_size);
-            if let (Some(&last), Some(m)) = (offsets.last(), metas.last()) {
-                let end = last
-                    + chunkfile::chunk_span(
-                        chunkfile::quant_byte_len(m.count, codec.code_bytes()),
-                        u64::from(page_size),
-                    );
-                if end > file_len {
-                    return Err(Error::Inconsistent(format!(
-                        "quant region extends to byte {end} beyond file of {file_len} bytes"
-                    )));
-                }
+            let (offsets, end) =
+                quant_offsets_from(header.quant_start, &metas, codec.code_bytes(), page_size)?;
+            if end > file_len {
+                return Err(Error::Inconsistent(format!(
+                    "quant region extends to byte {end} beyond file of {file_len} bytes"
+                )));
             }
             (Some(codec), offsets)
         } else {
@@ -331,23 +331,30 @@ impl ChunkStore {
 }
 
 /// Per-chunk offsets into the quant region, derived from the chunk counts
-/// (the quant region stores chunks in id order, each page-padded).
+/// (the quant region stores chunks in id order, each page-padded), plus the
+/// byte the region ends at. A `quant_start` from which the region would
+/// run past the end of the file address space is [`Error::Inconsistent`].
 fn quant_offsets_from(
     quant_start: u64,
     metas: &[ChunkMeta],
     code_bytes: usize,
     page_size: u32,
-) -> Vec<u64> {
+) -> Result<(Vec<u64>, u64)> {
     let mut offsets = Vec::with_capacity(metas.len());
     let mut at = quant_start;
-    for m in metas {
+    for (i, m) in metas.iter().enumerate() {
         offsets.push(at);
-        at += chunkfile::chunk_span(
+        let span = chunkfile::chunk_span(
             chunkfile::quant_byte_len(m.count, code_bytes),
             u64::from(page_size),
         );
+        at = at.checked_add(span).ok_or_else(|| {
+            Error::Inconsistent(format!(
+                "quant chunk {i} at offset {at} overflows the file address space"
+            ))
+        })?;
     }
-    offsets
+    Ok((offsets, at))
 }
 
 /// A sequential reader over a store's chunk file.
@@ -518,6 +525,29 @@ mod tests {
         let set = sample_set(12);
         let chunks = defs(&[&[0, 1, 2, 3], &[4, 5], &[6, 7, 8, 9, 10, 11]], &set);
         let store = ChunkStore::create(&dir, "f", &set, &chunks, 256).expect("create");
+        reopen_forged(&store, forge)
+    }
+
+    /// [`open_forged`] for a format-v3 store: only the chunk file, whose
+    /// header carries the codec blob length and the quant-region start, is
+    /// patched.
+    fn open_forged_v3(tag: &str, forge: impl FnOnce(&mut [u8])) -> Result<ChunkStore> {
+        use eff2_descriptor::Sq8Codec;
+        let dir = tmp_dir(tag);
+        let set = sample_set(12);
+        let chunks = defs(&[&[0, 1, 2, 3], &[4, 5], &[6, 7, 8, 9, 10, 11]], &set);
+        let codec = Codec::Sq8(Sq8Codec::from_set(&set));
+        let store =
+            ChunkStore::create_quantized(&dir, "f", &set, &chunks, 512, &codec).expect("create");
+        reopen_forged(&store, |chunk, _| forge(chunk))
+    }
+
+    /// Patches `store`'s chunk file and index file in place with `forge`,
+    /// then opens them again.
+    fn reopen_forged(
+        store: &ChunkStore,
+        forge: impl FnOnce(&mut [u8], &mut [u8]),
+    ) -> Result<ChunkStore> {
         let mut chunk = std::fs::read(store.chunk_path()).expect("read chunk file");
         let mut index = std::fs::read(store.index_path()).expect("read index file");
         forge(&mut chunk, &mut index);
@@ -553,6 +583,31 @@ mod tests {
             index[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         });
         assert!(matches!(got, Err(Error::Inconsistent(_))), "{got:?}");
+    }
+
+    #[test]
+    fn open_refuses_a_quant_start_whose_region_overflows() {
+        // `quant_start` is header bytes 32..40. Adding chunk 0's span to
+        // this one overflows; wrapped, the offsets point into the header.
+        let got = open_forged_v3("forgedquant", |chunk| {
+            chunk[32..40].copy_from_slice(&(u64::MAX - 8).to_le_bytes());
+        });
+        assert!(matches!(got, Err(Error::Inconsistent(_))), "{got:?}");
+    }
+
+    #[test]
+    fn open_refuses_a_codec_blob_longer_than_the_file() {
+        // `codec_blob_len` is header bytes 28..32; sizing the blob buffer
+        // from it reserves 4 GiB before any read can fail.
+        let got = open_forged_v3("forgedblob", |chunk| {
+            chunk[28..32].copy_from_slice(&u32::MAX.to_le_bytes());
+        });
+        match got {
+            Err(Error::Inconsistent(why)) => {
+                assert!(why.contains(&u32::MAX.to_string()), "{why}");
+            }
+            other => panic!("expected Error::Inconsistent, got {other:?}"),
+        }
     }
 
     #[test]
