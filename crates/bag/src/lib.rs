@@ -29,9 +29,9 @@
 //! The paper stresses that BAG "does not use any indexing scheme to
 //! facilitate the merge process" and that clustering 5M descriptors took
 //! almost **12 days**. This crate provides both that faithful
-//! `engine::ExhaustiveEngine` and a `engine::GridEngine` that prunes
-//! merge candidates with a uniform grid over centroids; the two produce
-//! identical clusterings (property-tested), the grid engine merely skips
+//! [`EngineKind::Exhaustive`] and an [`EngineKind::Pruned`] engine that
+//! prunes merge candidates with a ball tree over centroids; the two produce
+//! identical clusterings (property-tested), the pruned engine merely skips
 //! candidate pairs that provably cannot satisfy the merge rule. Both count
 //! the merge tests the *exhaustive* scan would have performed, so formation
 //! cost can be reported faithfully.

@@ -287,11 +287,10 @@ pub fn search_with_source(
 /// one-query-at-a-time run. The determinism test asserts exactly that.
 /// Results come back in query order.
 ///
-/// Two resources are pooled across the batch without affecting results:
-/// each worker thread recycles one [`ChunkRanking`] buffer across its
-/// queries ([`ChunkRanking::rank_into`]), and all workers draw from one
-/// [`PrefetchSource`] whose single-flight table coalesces concurrent reads
-/// of the same chunk into one disk access.
+/// Each worker thread recycles one [`ChunkRanking`] buffer across its
+/// queries ([`ChunkRanking::rank_into`]) without affecting results, and all
+/// workers share one [`PrefetchSource`] — a store handle and a depth; every
+/// query's stream reads its own chunks.
 pub fn search_batch(
     store: &ChunkStore,
     model: &DiskModel,

@@ -6,7 +6,7 @@
 //! re-running an experiment binary reuses all prior artefacts — in
 //! particular the BAG clustering, which is by far the most expensive step
 //! (the paper needed 12 days for its 5 M collection; at the default
-//! 200 k scale the grid-accelerated run takes minutes).
+//! 100 k scale the pruned-engine run takes minutes).
 // lint:allow-file(panic.index): artefact tables are sized by the lab pipeline that indexes them
 
 use crate::scale::Scale;

@@ -3,7 +3,7 @@
 //! One scheduler owns a fleet of concurrent [`SearchSession`]s over one
 //! [`Snapshot`] and advances them *chunk by chunk*: each tick it picks one
 //! chunk by [`Policy`], fetches it once through a shared `ResidentSource`
-//! (single-flight + byte-budgeted cache), and feeds it to the session(s)
+//! (a byte-budgeted cache), and feeds it to the session(s)
 //! that want it via [`SearchSession::step_with`]. Because a session's own
 //! virtual-clock accounting is identical whether it pulls chunks
 //! ([`SearchSession::step`]) or is fed them, every per-query

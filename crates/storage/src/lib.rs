@@ -39,7 +39,6 @@ pub mod epoch;
 pub mod error;
 pub mod indexfile;
 pub mod prefetch;
-pub mod singleflight;
 pub mod source;
 pub mod store;
 

@@ -12,7 +12,6 @@
 
 use crate::diskmodel::VirtualDuration;
 use crate::error::Result;
-use crate::singleflight::SingleFlight;
 use crate::source::{read_through, ChunkStream, SourcedChunk};
 use crate::store::ChunkStore;
 use std::sync::mpsc::{sync_channel, Receiver};
@@ -31,18 +30,10 @@ pub(crate) struct PrefetchIter {
 /// Starts prefetching `order` (chunk ids) from `store` with a reader thread
 /// that stays at most `depth` chunks ahead of the consumer. A zero `depth`
 /// is refused with [`Error::Inconsistent`](crate::Error::Inconsistent).
-///
-/// Reads coalesce through the [`SingleFlight`] table `flight`: when several
-/// streams sharing one table want the same chunk at the same moment, only
-/// one reader thread touches the file and the rest share its decoded
-/// payload (`from_disk` says which). `requester` tags this stream in flight
-/// outcomes; a stream on its own passes a fresh table.
 pub(crate) fn prefetch_chunks(
     store: &ChunkStore,
     order: Vec<usize>,
     depth: usize,
-    flight: SingleFlight,
-    requester: u64,
 ) -> Result<PrefetchIter> {
     if depth == 0 {
         return Err(crate::Error::Inconsistent(
@@ -51,21 +42,19 @@ pub(crate) fn prefetch_chunks(
     }
     // The reader thread needs its own handle; the store is a cheap
     // `Arc`-backed clone, and the file itself is opened lazily on the
-    // first read this thread actually leads (a fully coalesced stream
-    // never opens the file).
+    // first read (an empty order never opens it).
     let owned = store.clone();
     let (tx, rx) = sync_channel(depth);
     let handle = eff2_parallel::spawn(move || {
         let mut reader = None;
         for id in order {
-            let item = flight
-                .read(id, requester, || read_through(&owned, &mut reader, id))
-                .map(|outcome| SourcedChunk {
+            let item =
+                read_through(&owned, &mut reader, id).map(|(payload, bytes_read)| SourcedChunk {
                     id,
-                    payload: outcome.payload,
-                    bytes_read: outcome.bytes_read,
+                    payload,
+                    bytes_read,
                     injected_delay: VirtualDuration::ZERO,
-                    from_disk: outcome.led,
+                    from_disk: true,
                 });
             let failed = item.is_err();
             if tx.send(item).is_err() {
@@ -147,15 +136,10 @@ mod tests {
         (store, set)
     }
 
-    /// A stream on its own: nothing to coalesce with.
-    fn prefetch(store: &ChunkStore, order: Vec<usize>, depth: usize) -> Result<PrefetchIter> {
-        prefetch_chunks(store, order, depth, SingleFlight::new(), 0)
-    }
-
     #[test]
     fn zero_depth_is_a_typed_error_not_a_panic() {
         let (store, _) = store_with_chunks("zero", &[3, 2]);
-        let refused = prefetch(&store, vec![0, 1], 0);
+        let refused = prefetch_chunks(&store, vec![0, 1], 0);
         assert!(matches!(refused, Err(crate::Error::Inconsistent(_))));
     }
 
@@ -163,7 +147,7 @@ mod tests {
     fn delivers_in_requested_order() {
         let (store, _) = store_with_chunks("order", &[3, 5, 2, 4]);
         let order = vec![2usize, 0, 3, 1];
-        let got: Vec<usize> = prefetch(&store, order.clone(), 2)
+        let got: Vec<usize> = prefetch_chunks(&store, order.clone(), 2)
             .expect("prefetch")
             .map(|r| r.expect("chunk").id)
             .collect();
@@ -174,7 +158,7 @@ mod tests {
     fn payloads_match_direct_reads() {
         let (store, _) = store_with_chunks("payload", &[4, 4, 4]);
         let mut reader = store.reader().expect("reader");
-        for item in prefetch(&store, vec![0, 1, 2], 1).expect("prefetch") {
+        for item in prefetch_chunks(&store, vec![0, 1, 2], 1).expect("prefetch") {
             let chunk = item.expect("chunk");
             let mut direct = ChunkPayload::default();
             let bytes = reader.read_chunk(chunk.id, &mut direct).expect("direct");
@@ -186,7 +170,7 @@ mod tests {
     #[test]
     fn early_drop_joins_cleanly() {
         let (store, _) = store_with_chunks("drop", &[2; 20]);
-        let mut iter = prefetch(&store, (0..20).collect(), 2).expect("prefetch");
+        let mut iter = prefetch_chunks(&store, (0..20).collect(), 2).expect("prefetch");
         let first = iter.next().expect("one item").expect("chunk");
         assert_eq!(first.id, 0);
         drop(iter); // must not hang or leak the thread
@@ -195,7 +179,9 @@ mod tests {
     #[test]
     fn bad_chunk_id_surfaces_error() {
         let (store, _) = store_with_chunks("bad", &[2, 2]);
-        let results: Vec<_> = prefetch(&store, vec![0, 9], 2).expect("prefetch").collect();
+        let results: Vec<_> = prefetch_chunks(&store, vec![0, 9], 2)
+            .expect("prefetch")
+            .collect();
         assert_eq!(results.len(), 2);
         assert!(results[0].is_ok());
         assert!(results[1].is_err());
@@ -204,7 +190,7 @@ mod tests {
     #[test]
     fn empty_order_yields_nothing() {
         let (store, _) = store_with_chunks("empty", &[2]);
-        let mut iter = prefetch(&store, vec![], 1).expect("prefetch");
+        let mut iter = prefetch_chunks(&store, vec![], 1).expect("prefetch");
         assert!(iter.next().is_none());
     }
 }

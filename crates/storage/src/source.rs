@@ -20,7 +20,6 @@ use crate::chunkfile::ChunkPayload;
 use crate::diskmodel::VirtualDuration;
 use crate::error::Result;
 use crate::prefetch::prefetch_chunks;
-use crate::singleflight::SingleFlight;
 use crate::store::{ChunkReader, ChunkStore};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,8 +53,7 @@ pub struct SourcedChunk {
     /// consumer charges the sum to the virtual disk clock.
     pub injected_delay: VirtualDuration,
     /// Whether this delivery performed the disk read itself, as opposed to
-    /// being served from memory (a pinned cache entry, or a read another
-    /// requester had in flight).
+    /// being served from a pinned cache entry.
     pub from_disk: bool,
 }
 
@@ -173,10 +171,6 @@ impl ChunkSource for FileSource {
 pub struct PrefetchSource {
     store: ChunkStore,
     depth: usize,
-    /// Shared across clones: streams of the same source coalesce
-    /// overlapping in-flight reads into one.
-    flight: SingleFlight,
-    next_requester: Arc<AtomicU64>,
 }
 
 impl PrefetchSource {
@@ -191,22 +185,13 @@ impl PrefetchSource {
         PrefetchSource {
             store: store.clone(),
             depth,
-            flight: SingleFlight::new(),
-            next_requester: Arc::new(AtomicU64::new(0)),
         }
     }
 }
 
 impl ChunkSource for PrefetchSource {
     fn open_stream(&self, order: Vec<usize>) -> Result<Box<dyn ChunkStream>> {
-        let requester = self.next_requester.fetch_add(1, Ordering::Relaxed);
-        Ok(Box::new(prefetch_chunks(
-            &self.store,
-            order,
-            self.depth,
-            self.flight.clone(),
-            requester,
-        )?))
+        Ok(Box::new(prefetch_chunks(&self.store, order, self.depth)?))
     }
 }
 
@@ -217,8 +202,7 @@ impl ChunkSource for PrefetchSource {
 /// Counters describing a [`ResidentSource`]'s cache behaviour.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ResidentStats {
-    /// Chunk requests served from memory (pinned entry, or a payload shared
-    /// from a read another requester had in flight).
+    /// Chunk requests served from a pinned entry.
     pub hits: u64,
     /// Of those hits, how many were served by a chunk a *different*
     /// requester brought in — the cross-query sharing a serving scheduler
@@ -264,9 +248,8 @@ struct ResidentCache {
 }
 
 impl ResidentCache {
-    /// A pinned-entry hit, counted and attributed; `None` says nothing
-    /// about miss accounting — the caller charges the miss (or a
-    /// coalesced hit) once it knows who actually performed the read.
+    /// A pinned-entry hit, counted and attributed; on `None` the caller
+    /// reads the chunk and charges the miss.
     fn lookup(&mut self, id: usize, requester: u64) -> Option<(Arc<ChunkPayload>, u64)> {
         self.tick += 1;
         let tick = self.tick;
@@ -279,30 +262,9 @@ impl ResidentCache {
         Some((Arc::clone(&e.payload), e.bytes_read))
     }
 
-    /// [`lookup`](Self::lookup) for a requester that has already been
-    /// charged one failed lookup for `id` and has since won the flight
-    /// slot: a hit is an ordinary hit, a miss leaves tick and counters
-    /// alone, so a single-threaded run (where this never hits) cannot tell
-    /// the re-check happened.
-    fn recheck(&mut self, id: usize, requester: u64) -> Option<(Arc<ChunkPayload>, u64)> {
-        if !self.entries.contains_key(&id) {
-            return None;
-        }
-        self.lookup(id, requester)
-    }
-
-    /// Charges a disk read to whoever led it.
+    /// Charges one disk read.
     fn note_miss(&mut self) {
         self.misses += 1;
-    }
-
-    /// Charges a request that shared another requester's in-flight read —
-    /// served from memory, so it counts as a hit.
-    fn note_coalesced_hit(&mut self, cross_query: bool) {
-        self.hits += 1;
-        if cross_query {
-            self.cross_query_hits += 1;
-        }
     }
 
     fn insert(&mut self, id: usize, payload: Arc<ChunkPayload>, bytes_read: u64, inserted_by: u64) {
@@ -364,9 +326,6 @@ fn payload_bytes(p: &ChunkPayload) -> u64 {
 pub struct ResidentSource {
     store: ChunkStore,
     cache: Arc<Mutex<ResidentCache>>,
-    /// Concurrent misses for one chunk coalesce into one read: the leader
-    /// pays the miss, everyone else records a (cross-query) hit.
-    flight: SingleFlight,
     next_requester: Arc<AtomicU64>,
 }
 
@@ -380,7 +339,6 @@ impl ResidentSource {
                 budget: budget_bytes,
                 ..ResidentCache::default()
             })),
-            flight: SingleFlight::new(),
             next_requester: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -406,10 +364,11 @@ impl ResidentSource {
     }
 
     /// Random-access delivery of chunk `id` on behalf of `requester`:
-    /// cache lookup, then a single-flight read on a miss. This is the
-    /// entry point the serving scheduler uses — no stream, no fixed order.
-    /// `reader` is the caller's to keep across calls: it is opened on the
-    /// first miss, so an all-hit caller never touches the disk.
+    /// cache lookup, then a disk read on a miss. This is the entry point
+    /// the serving scheduler uses — no stream, no fixed order. `reader` is
+    /// the caller's to keep across calls: it is opened on the first miss,
+    /// so an all-hit caller never touches the disk. Two threads that miss
+    /// one chunk at once each read it and each book a miss.
     pub fn fetch_through(
         &self,
         requester: u64,
@@ -426,34 +385,12 @@ impl ResidentSource {
         if let Some(hit) = lock_cache(&self.cache).lookup(id, requester) {
             return Ok(delivered(hit, false));
         }
-
-        // Miss: read outside the lock, coalescing with any read of the
-        // same chunk already in flight. Between the failed lookup above and
-        // winning the flight slot an earlier leader may have finished, so a
-        // new leader looks again before going to disk; and it publishes
-        // what it read (and books its miss) inside the closure, while its
-        // slot still stands — there is no moment at which the chunk is in
-        // neither the flight table nor the cache.
-        let mut found_published = false;
-        let outcome = self.flight.read(id, requester, || {
-            if let Some(hit) = lock_cache(&self.cache).recheck(id, requester) {
-                found_published = true;
-                return Ok(hit);
-            }
-            let (payload, bytes_read) = read_through(&self.store, reader, id)?;
-            let mut cache = lock_cache(&self.cache);
-            cache.note_miss();
-            cache.insert(id, Arc::clone(&payload), bytes_read, requester);
-            Ok((payload, bytes_read))
-        })?;
-
-        if !outcome.led {
-            lock_cache(&self.cache).note_coalesced_hit(outcome.leader != requester);
-        }
-        Ok(delivered(
-            (outcome.payload, outcome.bytes_read),
-            outcome.led && !found_published,
-        ))
+        // Miss: read outside the lock, then publish.
+        let (payload, bytes_read) = read_through(&self.store, reader, id)?;
+        let mut cache = lock_cache(&self.cache);
+        cache.note_miss();
+        cache.insert(id, Arc::clone(&payload), bytes_read, requester);
+        Ok(delivered((payload, bytes_read), true))
     }
 }
 
@@ -542,6 +479,7 @@ mod tests {
             assert_eq!(a.id, b.id);
             assert_eq!(a.payload, b.payload);
             assert_eq!(a.bytes_read, b.bytes_read);
+            assert!(b.from_disk, "every prefetch delivery is a disk read");
         }
     }
 
@@ -643,52 +581,95 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_same_chunk_requests_charge_one_miss() {
-        let store = store_with_chunks("oneflight", &[4]);
-        // Many rounds, each over a cold cache: a requester that misses
-        // early and reaches the flight table late must find the chunk in
-        // one or the other, and the window is narrow.
-        for round in 0..300 {
+    fn threads_sharing_one_cache_deliver_file_bytes_and_count_every_request() {
+        let store = store_with_chunks("threads", &[3, 5, 2, 4]);
+        // Chunk 1 comes twice, so every thread's second request for it is a
+        // hit, whoever inserted it: nothing is evicted, and a racing insert
+        // replaces the entry rather than dropping it.
+        let order = vec![1usize, 3, 0, 1, 2];
+        let from_file = drain(&FileSource::new(&store), order.clone());
+        let costs: BTreeMap<usize, u64> = from_file
+            .iter()
+            .map(|c| (c.id, payload_bytes(&c.payload)))
+            .collect();
+        let distinct = costs.len();
+        let n = 4usize;
+        // Every assertion holds under any interleaving; the rounds only
+        // make the racing paths likely to run.
+        for round in 0..20 {
             let resident = ResidentSource::new(&store, u64::MAX);
-            let n = 8usize;
             let barrier = std::sync::Barrier::new(n);
             std::thread::scope(|scope| {
                 for _ in 0..n {
-                    let resident = resident.clone();
-                    let barrier = &barrier;
+                    let (resident, order) = (resident.clone(), order.clone());
+                    let (barrier, from_file) = (&barrier, &from_file);
                     scope.spawn(move || {
                         barrier.wait();
-                        let got = drain(&resident, vec![0]);
-                        assert_eq!(got.len(), 1);
-                        assert_eq!(got[0].payload.len(), 4);
+                        let got = drain(&resident, order);
+                        assert_eq!(got.len(), from_file.len(), "round {round}");
+                        for (a, b) in from_file.iter().zip(&got) {
+                            assert_eq!(a.id, b.id, "round {round}");
+                            assert_eq!(a.payload, b.payload, "round {round}");
+                            assert_eq!(a.bytes_read, b.bytes_read, "round {round}");
+                        }
                     });
                 }
             });
             let stats = resident.stats();
             assert_eq!(
-                stats.misses, 1,
-                "round {round}: coalesced, only the leader pays the read"
+                stats.hits + stats.misses,
+                (n * order.len()) as u64,
+                "round {round}: every request is a hit or a miss"
             );
-            assert_eq!(stats.hits, n as u64 - 1, "round {round}");
+            assert!(stats.misses >= distinct as u64, "round {round}");
+            assert!(
+                stats.misses <= (n * distinct) as u64,
+                "round {round}: a thread misses each chunk at most once"
+            );
+            assert_eq!(stats.evictions, 0, "round {round}");
+            assert_eq!(stats.resident_chunks, distinct, "round {round}");
             assert_eq!(
-                stats.cross_query_hits,
-                n as u64 - 1,
-                "round {round}: every stream carries its own requester tag"
+                stats.resident_bytes,
+                costs.values().sum::<u64>(),
+                "round {round}: one copy of each chunk"
             );
         }
     }
 
     #[test]
-    fn prefetch_clones_share_flight_accounting() {
-        let store = store_with_chunks("pf_flight", &[2, 2, 2]);
-        let source = PrefetchSource::new(&store, 2);
-        let a = drain(&source, vec![0, 1, 2]);
-        let b = drain(&source.clone(), vec![2, 1, 0]);
-        assert_eq!(a.len(), 3);
-        assert_eq!(b.len(), 3);
-        let stats = source.flight.stats();
-        assert_eq!(stats.reads + stats.coalesced, 6);
-        assert!(stats.reads >= 3, "distinct chunks cannot coalesce");
+    fn inserting_a_resident_chunk_replaces_it() {
+        let payload = |n: usize| {
+            Arc::new(ChunkPayload {
+                ids: (0..n as u32).collect(),
+                packed: vec![0.0; n],
+                codes: Vec::new(),
+            })
+        };
+        let (a, b) = (payload(2), payload(3));
+        let (cost_a, cost_b) = (payload_bytes(&a), payload_bytes(&b));
+
+        let mut roomy = ResidentCache {
+            budget: u64::MAX,
+            ..ResidentCache::default()
+        };
+        roomy.insert(0, Arc::clone(&a), 512, 0);
+        roomy.insert(0, Arc::clone(&a), 512, 1);
+        assert_eq!(roomy.entries.len(), 1);
+        assert_eq!(roomy.used, cost_a, "one copy's cost");
+        assert_eq!(roomy.evictions, 0);
+
+        // Exactly full: replacing chunk 1 must not evict chunk 0.
+        let mut full = ResidentCache {
+            budget: cost_a + cost_b,
+            ..ResidentCache::default()
+        };
+        full.insert(0, Arc::clone(&a), 512, 0);
+        full.insert(1, Arc::clone(&b), 512, 0);
+        full.insert(1, Arc::clone(&b), 512, 1);
+        assert_eq!(full.entries.keys().copied().collect::<Vec<_>>(), [0, 1]);
+        assert_eq!(full.used, full.budget);
+        assert_eq!(full.evictions, 0);
+        assert_eq!(full.entries.get(&1).map(|e| e.inserted_by), Some(1));
     }
 
     #[test]

@@ -165,7 +165,7 @@ mod tests {
         // Anchors are drawn via member descriptors, so the hot image
         // (which owns the most descriptors) should anchor the most
         // queries.
-        let mut counts = vec![0usize; 16];
+        let mut counts = [0usize; 16];
         for q in &queries {
             counts[q.image as usize] += 1;
         }

@@ -47,8 +47,8 @@ for example in quickstart copyright_search chunk_size_tuning approximate_vs_exac
   cargo run --release -q -p eff2-examples --bin "$example" >/dev/null
 done
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> git status --porcelain unchanged by the run"
 test "$(git status --porcelain)" = "$TREE_BEFORE"
