@@ -111,7 +111,7 @@ impl ScatterGather {
                     .chunk_consumed(chunk_id, *count, *bytes_read, VirtualDuration::ZERO);
             }
             LegOutcome::Lost { spent } => {
-                self.core.chunk_lost(*spent);
+                self.core.chunk_lost(*spent)?;
             }
         }
         Ok(())
@@ -123,10 +123,9 @@ impl ScatterGather {
         self.core.stop_satisfied()
     }
 
-    /// Finalises the merged answer under the query's own stop rule and
-    /// hands the ranking back for reuse.
-    pub fn into_result_and_ranking(self) -> (SearchResult, ChunkRanking) {
-        self.core.into_result_and_ranking()
+    /// Finalises the merged answer under the query's own stop rule.
+    pub fn into_result(self) -> SearchResult {
+        self.core.into_result()
     }
 }
 
@@ -264,7 +263,7 @@ mod tests {
             let (chunk, outcome) = buffered.get(&cursor).expect("outcome for rank");
             gather.incorporate(*chunk, outcome).expect("incorporate");
         }
-        let (got, _) = gather.into_result_and_ranking();
+        let got = gather.into_result();
 
         assert_eq!(want.first_difference(&got), None);
     }
@@ -362,7 +361,7 @@ mod tests {
             .incorporate(first, &LegOutcome::Lost { spent })
             .expect("loss");
         assert_eq!(gather.cursor(), 1);
-        let (result, _) = gather.into_result_and_ranking();
+        let result = gather.into_result();
         assert_eq!(result.log.degradation.chunks_lost, 1);
         assert_eq!(result.log.degradation.lost_chunks, vec![first]);
         assert!(result.log.degradation.descriptors_lost > 0);
@@ -394,7 +393,7 @@ mod tests {
         want.offer(7, x);
         want.offer(3, y);
         assert_eq!(want.sorted_ids(), vec![3, 7]);
-        let (got, _) = gather.into_result_and_ranking();
+        let got = gather.into_result();
         assert_eq!(got.neighbors, want.sorted());
         assert_eq!(got.log.events[0].topk_ids, want.sorted_ids());
     }
@@ -410,7 +409,13 @@ mod tests {
         };
         let ranking = ChunkRanking::rank(&store, &model, &query);
         assert!(ScatterGather::new(ranking, &model, &k_zero).stop_satisfied());
-        let empty = ScatterGather::new(ChunkRanking::default(), &model, &SearchParams::exact(3));
+        let no_chunks = ChunkStore::create(&tmp_dir("nochunks"), "ix", &lumpy_set(0), &[], 512)
+            .expect("create");
+        let empty = ScatterGather::new(
+            ChunkRanking::rank(&no_chunks, &model, &query),
+            &model,
+            &SearchParams::exact(3),
+        );
         assert!(
             empty.stop_satisfied(),
             "nothing ranked, nothing to wait for"

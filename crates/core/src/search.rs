@@ -25,7 +25,7 @@
 //! for all of the paper's quality-vs-time figures.
 
 use crate::neighbors::Neighbor;
-use crate::session::{ChunkRanking, SearchSession};
+use crate::session::SearchSession;
 use eff2_descriptor::Vector;
 use eff2_storage::diskmodel::{DiskModel, VirtualDuration};
 use eff2_storage::source::{ChunkSource, PrefetchSource};
@@ -277,7 +277,9 @@ pub fn search_with_source(
     SearchSession::with_source(store, model, query, params, source).run()
 }
 
-/// Executes a batch of queries in parallel over a shared read-only store.
+/// Executes a batch of queries in parallel over a shared read-only store,
+/// on up to `threads` workers (the batch probe sweeps this;
+/// [`eff2_parallel::max_threads`] is the default count).
 ///
 /// Parallelism stops at the query boundary: each query runs the full
 /// sequential [`search`] with its own chunk stream and its own
@@ -287,21 +289,8 @@ pub fn search_with_source(
 /// one-query-at-a-time run. The determinism test asserts exactly that.
 /// Results come back in query order.
 ///
-/// Each worker thread recycles one [`ChunkRanking`] buffer across its
-/// queries ([`ChunkRanking::rank_into`]) without affecting results, and all
-/// workers share one [`PrefetchSource`] — a store handle and a depth; every
-/// query's stream reads its own chunks.
-pub fn search_batch(
-    store: &ChunkStore,
-    model: &DiskModel,
-    queries: &[Vector],
-    params: &SearchParams,
-) -> Result<Vec<SearchResult>> {
-    search_batch_threads(store, model, queries, params, eff2_parallel::max_threads())
-}
-
-/// [`search_batch`] with an explicit worker-thread count (the batch bench
-/// sweeps this; `search_batch` itself uses [`eff2_parallel::max_threads`]).
+/// All workers share one [`PrefetchSource`] — a store handle and a depth;
+/// every query's stream reads its own chunks.
 pub fn search_batch_threads(
     store: &ChunkStore,
     model: &DiskModel,
@@ -310,27 +299,9 @@ pub fn search_batch_threads(
     threads: usize,
 ) -> Result<Vec<SearchResult>> {
     let source: Arc<dyn ChunkSource> = Arc::new(PrefetchSource::new(store, params.prefetch_depth));
-    // The per-worker scratch only recycles allocations — ranking *contents*
-    // are fully rewritten per query, so results cannot depend on it.
-    eff2_parallel::try_par_map_scratch_threads(
-        threads,
-        queries,
-        ChunkRanking::default,
-        |scratch, _, q| {
-            scratch.rank_into(store, model, q);
-            let mut session = SearchSession::from_ranking(
-                std::mem::take(scratch),
-                model,
-                q,
-                params,
-                Arc::clone(&source),
-            );
-            session.run_to_stop()?;
-            let (result, ranking) = session.into_result_and_ranking();
-            *scratch = ranking;
-            Ok(result)
-        },
-    )
+    eff2_parallel::try_par_map_threads(threads, queries, |_, q| {
+        SearchSession::with_source(store, model, q, params, Arc::clone(&source)).run()
+    })
 }
 
 #[cfg(test)]

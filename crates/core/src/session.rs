@@ -97,13 +97,10 @@ pub struct ChunkRanking {
     /// **and** every pending cell; the final entry is the pending floor
     /// (`+∞` when nothing is pending).
     suffix_min_bound: Vec<f32>,
-    /// Descriptor count per chunk id (store order) — what a skipped chunk
-    /// costs the degradation report.
-    counts: Vec<u32>,
-    /// `(centroid, radius)` per chunk id (store order) — what wave
-    /// expansion and the suffix rebuild need without going back to the
-    /// store.
-    chunk_geo: Vec<(Vector, f32)>,
+    /// The ranked store, held by handle (an `Arc` clone): wave expansion,
+    /// the suffix rebuild and the degradation report read each chunk's
+    /// centroid, radius and count from its metas, never from a copy.
+    store: ChunkStore,
     /// Coarse cells not yet expanded, sorted by `(dist, cell)` descending
     /// so `pop()` yields the nearest. Empty for flat rankings.
     pending: Vec<PendingCell>,
@@ -116,58 +113,28 @@ pub struct ChunkRanking {
     index_read_time: VirtualDuration,
 }
 
-impl Default for ChunkRanking {
-    /// An empty ranking holding no chunks — the reusable-buffer seed for
-    /// [`ChunkRanking::rank_into`].
-    fn default() -> ChunkRanking {
-        ChunkRanking {
-            ranked: Vec::new(),
-            suffix_min_bound: Vec::new(),
-            counts: Vec::new(),
-            chunk_geo: Vec::new(),
-            pending: Vec::new(),
-            evals: 0,
-            total: 0,
-            index_read_time: VirtualDuration::ZERO,
-        }
-    }
-}
-
 impl ChunkRanking {
     /// Ranks every chunk of `store` for `query` and charges the index read
     /// under `model`. Pure computation over the in-memory index — no I/O.
     pub fn rank(store: &ChunkStore, model: &DiskModel, query: &Vector) -> ChunkRanking {
-        let mut ranking = ChunkRanking::default();
-        ranking.rank_into(store, model, query);
-        ranking
-    }
-
-    /// [`rank`](Self::rank) into `self`, reusing its buffers: repeated
-    /// rankings (a batch worker, a serving scheduler admitting query after
-    /// query) allocate nothing once the vectors have grown to the store
-    /// size. The result is identical to a fresh [`rank`](Self::rank).
-    pub fn rank_into(&mut self, store: &ChunkStore, model: &DiskModel, query: &Vector) {
         let metas = store.metas();
-        let n_chunks = metas.len();
-        self.ranked.clear();
-        self.ranked.extend(
-            metas
-                .iter()
-                .enumerate()
-                .map(|(i, m)| (m.centroid.dist(query), i as u32)),
-        );
-        self.ranked
-            .sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        self.counts.clear();
-        self.counts.extend(metas.iter().map(|m| m.count));
-        self.chunk_geo.clear();
-        self.chunk_geo
-            .extend(metas.iter().map(|m| (m.centroid, m.radius)));
-        self.pending.clear();
-        self.evals = n_chunks as u64;
-        self.total = n_chunks;
-        self.index_read_time = model.index_read_time(n_chunks, store.index_bytes());
-        self.rebuild_suffix();
+        let mut ranked: Vec<(f32, u32)> = metas
+            .iter()
+            .enumerate()
+            .map(|(i, m)| (m.centroid.dist(query), i as u32))
+            .collect();
+        ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut ranking = ChunkRanking {
+            ranked,
+            suffix_min_bound: Vec::new(),
+            store: store.clone(),
+            pending: Vec::new(),
+            evals: metas.len() as u64,
+            total: metas.len(),
+            index_read_time: model.index_read_time(metas.len(), store.index_bytes()),
+        };
+        ranking.rebuild_suffix();
+        ranking
     }
 
     /// Ranks `store`'s chunks **two-level**: the coarse cells of `coarse`
@@ -183,13 +150,14 @@ impl ChunkRanking {
         query: &Vector,
         coarse: &CoarseQuantizer,
     ) -> ChunkRanking {
-        let metas = store.metas();
         let mut ranking = ChunkRanking {
-            counts: metas.iter().map(|m| m.count).collect(),
-            chunk_geo: metas.iter().map(|m| (m.centroid, m.radius)).collect(),
+            ranked: Vec::new(),
+            suffix_min_bound: Vec::new(),
+            store: store.clone(),
+            pending: Vec::new(),
             evals: coarse.n_cells() as u64,
-            index_read_time: model.index_read_time(metas.len(), store.index_bytes()),
-            ..ChunkRanking::default()
+            total: 0,
+            index_read_time: model.index_read_time(store.n_chunks(), store.index_bytes()),
         };
         ranking.pending.extend(
             coarse
@@ -229,6 +197,7 @@ impl ChunkRanking {
             .fold(f32::INFINITY, |m, c| m.min(c.bound));
         self.suffix_min_bound.clear();
         self.suffix_min_bound.resize(self.ranked.len() + 1, floor);
+        let metas = self.store.metas();
         let mut best = floor;
         for (slot, &(dist, id)) in self
             .suffix_min_bound
@@ -236,7 +205,7 @@ impl ChunkRanking {
             .zip(self.ranked.iter())
             .rev()
         {
-            let radius = self.chunk_geo.get(id as usize).map_or(0.0, |g| g.1);
+            let radius = metas.get(id as usize).map_or(0.0, |m| m.radius);
             best = best.min((dist - radius).max(0.0));
             *slot = best;
         }
@@ -292,11 +261,11 @@ impl ChunkRanking {
             return false;
         };
         let start = self.ranked.len();
+        let metas = self.store.metas();
         self.ranked.extend(cell.members.iter().map(|&chunk| {
-            let dist = self
-                .chunk_geo
+            let dist = metas
                 .get(chunk as usize)
-                .map_or(f32::INFINITY, |g| g.0.dist(query));
+                .map_or(f32::INFINITY, |m| m.centroid.dist(query));
             (dist, chunk)
         }));
         self.evals += cell.members.len() as u64;
@@ -338,7 +307,7 @@ impl ChunkRanking {
 
     /// Descriptors held by chunk `chunk_id` (0 for out-of-range ids).
     pub(crate) fn count_of(&self, chunk_id: usize) -> u32 {
-        self.counts.get(chunk_id).copied().unwrap_or(0)
+        self.store.metas().get(chunk_id).map_or(0, |m| m.count)
     }
 
     /// Best lower bound on any descriptor in the chunks still unread after
@@ -374,9 +343,13 @@ impl ChunkRanking {
         );
         let mut legs: Vec<ChunkRanking> = (0..n_shards)
             .map(|_| ChunkRanking {
-                counts: self.counts.clone(),
-                chunk_geo: self.chunk_geo.clone(),
-                ..ChunkRanking::default()
+                ranked: Vec::new(),
+                suffix_min_bound: Vec::new(),
+                store: self.store.clone(),
+                pending: Vec::new(),
+                evals: 0,
+                total: 0,
+                index_read_time: VirtualDuration::ZERO,
             })
             .collect();
         for &(dist, chunk) in &self.ranked {
@@ -509,7 +482,7 @@ impl SessionCore {
             // though the leg ranks only a subset — size it by the id space,
             // not the rank count.
             #[cfg(debug_assertions)]
-            invariants: StepInvariants::new(ranking.counts.len().max(ranking.len())),
+            invariants: StepInvariants::new(ranking.store.n_chunks()),
             ranking,
         }
     }
@@ -529,19 +502,32 @@ impl SessionCore {
     /// rank (payloads and outcomes arrive in ranked order no matter who
     /// produced them).
     pub(crate) fn check_next(&self, chunk_id: usize) -> Result<()> {
+        let wanted = self.chunk_at_cursor()?;
+        if chunk_id != wanted {
+            return Err(eff2_storage::Error::Inconsistent(format!(
+                "rank {} wants chunk {wanted}, was given chunk {chunk_id}",
+                self.cursor()
+            )));
+        }
+        Ok(())
+    }
+
+    /// The chunk at the cursor rank. There is none past the last rank, and
+    /// none *yet* past a two-level ranking's expanded waves: only
+    /// [`SearchSession::step`] expands the next wave.
+    fn chunk_at_cursor(&self) -> Result<usize> {
         let cursor = self.cursor();
         if cursor >= self.ranking.len() {
             return Err(eff2_storage::Error::Inconsistent(
                 "every ranked chunk is already consumed".to_string(),
             ));
         }
-        let wanted = self.ranking.chunk_at(cursor);
-        if chunk_id != wanted {
+        if cursor >= self.ranking.expanded_len() {
             return Err(eff2_storage::Error::Inconsistent(format!(
-                "rank {cursor} wants chunk {wanted}, was given chunk {chunk_id}"
+                "rank {cursor} is in a coarse cell not yet expanded: only step() expands waves"
             )));
         }
-        Ok(())
+        Ok(self.ranking.chunk_at(cursor))
     }
 
     /// Books the chunk at the cursor as scanned — its candidates are
@@ -605,19 +591,20 @@ impl SessionCore {
         self.log.descriptors_scanned += delta.inserts.len() as u64;
     }
 
-    /// Consumes the chunk at the cursor (which must exist) *without* its
-    /// candidates: the chunk goes into the degradation report and `charge`
-    /// — what the failed delivery cost — onto the clock as I/O with no
-    /// overlapping CPU. Returns the lost chunk id.
-    pub(crate) fn chunk_lost(&mut self, charge: VirtualDuration) -> usize {
-        let id = self.ranking.chunk_at(self.cursor());
+    /// Consumes the chunk at the cursor *without* its candidates: the
+    /// chunk goes into the degradation report and `charge` — what the
+    /// failed delivery cost — onto the clock as I/O with no overlapping
+    /// CPU. Returns the lost chunk id, or `Error::Inconsistent` when the
+    /// cursor names no chunk (see `chunk_at_cursor`).
+    pub(crate) fn chunk_lost(&mut self, charge: VirtualDuration) -> Result<usize> {
+        let id = self.chunk_at_cursor()?;
         #[cfg(debug_assertions)]
         self.invariants.mark_seen(id);
         let _ = self.clock.chunk_overlapped(charge, VirtualDuration::ZERO);
         self.log.degradation.chunks_lost += 1;
         self.log.degradation.descriptors_lost += u64::from(self.ranking.count_of(id));
         self.log.degradation.lost_chunks.push(id);
-        id
+        Ok(id)
     }
 
     /// See [`SearchSession::evaluate_rule`].
@@ -684,12 +671,11 @@ impl SessionCore {
         self.finish(self.log.clone(), self.completed_for(rule))
     }
 
-    /// The final result under the query's own stop rule, plus the ranking
-    /// for recycling.
-    pub(crate) fn into_result_and_ranking(mut self) -> (SearchResult, ChunkRanking) {
+    /// The final result under the query's own stop rule.
+    pub(crate) fn into_result(mut self) -> SearchResult {
         let completed = self.completed_for(self.params.stop);
         let log = std::mem::take(&mut self.log);
-        (self.finish(log, completed), self.ranking)
+        self.finish(log, completed)
     }
 }
 
@@ -810,9 +796,8 @@ impl SearchSession {
         SearchSession::from_parts(ranking, model, query, params, Some(source))
     }
 
-    /// A session over a pre-computed ranking (see
-    /// [`ChunkRanking::rank_into`] for buffer reuse); behaviourally
-    /// identical to [`with_source`](Self::with_source).
+    /// [`with_source`](Self::with_source) over a pre-computed ranking (a
+    /// two-level one, say).
     pub(crate) fn from_ranking(
         ranking: ChunkRanking,
         model: &DiskModel,
@@ -984,7 +969,7 @@ impl SearchSession {
                 "no ranked chunk left to skip".to_string(),
             ));
         }
-        Ok(self.core.chunk_lost(charge))
+        self.core.chunk_lost(charge)
     }
 
     /// Advances the scan by exactly one chunk and returns its event, or
@@ -1255,15 +1240,7 @@ impl SearchSession {
 
     /// Consumes the session into its final result under its own stop rule.
     pub fn into_result(self) -> SearchResult {
-        self.into_result_and_ranking().0
-    }
-
-    /// [`into_result`](Self::into_result) that also hands the
-    /// [`ChunkRanking`] back for reuse — the batch drivers recycle it
-    /// through [`ChunkRanking::rank_into`] so each worker allocates ranking
-    /// buffers once, not once per query.
-    pub fn into_result_and_ranking(self) -> (SearchResult, ChunkRanking) {
-        self.core.into_result_and_ranking()
+        self.core.into_result()
     }
 
     /// Answers every rule in `rules` from this one session — the
@@ -1431,35 +1408,54 @@ mod tests {
         assert_eq!(at_stop.log.chunks_read, 2);
     }
 
+    /// A detached driver cannot expand waves: feeding or skipping a
+    /// two-level session at a rank past its expanded waves is refused with
+    /// a typed error instead of indexing past the expanded order.
     #[test]
-    fn rank_into_reuses_buffers_and_matches_fresh_rank() {
-        let set = lumpy_set(300);
-        let store = build_store("rankinto", &set, 30);
+    fn two_level_session_refuses_feeds_and_skips_past_its_expanded_waves() {
+        use eff2_descriptor::{Codec, Sq8Codec};
+        let set = lumpy_set(800);
+        let formation = SrTreeChunker { leaf_size: 25 }.form(&set);
+        let codec = Codec::Sq8(Sq8Codec::from_set(&set));
+        let store = ChunkStore::create_quantized(
+            &tmp_dir("twolevel"),
+            "ix",
+            &set,
+            &formation.chunks,
+            512,
+            &codec,
+        )
+        .expect("create");
+        let coarse = CoarseQuantizer::for_store(&store);
         let model = DiskModel::ata_2005();
-        let mut scratch = ChunkRanking::default();
-        for qpos in [0usize, 57, 123, 299] {
-            let q = set.vector_owned(qpos);
-            scratch.rank_into(&store, &model, &q);
-            let fresh = ChunkRanking::rank(&store, &model, &q);
-            assert_eq!(scratch.len(), fresh.len());
-            assert_eq!(scratch.order(), fresh.order());
-            assert_eq!(
-                scratch.index_read_time().as_secs().to_bits(),
-                fresh.index_read_time().as_secs().to_bits()
-            );
-            for rank in 0..fresh.len() {
-                assert_eq!(
-                    scratch.ranked[rank].0.to_bits(),
-                    fresh.ranked[rank].0.to_bits()
-                );
-            }
-            for processed in 0..=fresh.len() {
-                assert_eq!(
-                    scratch.remaining_bound(processed).to_bits(),
-                    fresh.remaining_bound(processed).to_bits()
-                );
-            }
+        let q = set.vector_owned(5);
+        let params = SearchParams::exact(5);
+        let mut session =
+            SearchSession::open_quantized(&store, &model, &q, &params, 2, Some(&coarse))
+                .expect("open");
+        session.step().expect("step").expect("event");
+        while session.cursor() < session.ranking().expanded_len() {
+            session.step().expect("step").expect("event");
         }
+        assert!(
+            session.cursor() < session.ranking().len(),
+            "cells are still pending"
+        );
+        assert!(matches!(
+            session.skip_unavailable(VirtualDuration::ZERO),
+            Err(eff2_storage::Error::Inconsistent(_))
+        ));
+        let chunk = SourcedChunk {
+            id: 0,
+            payload: Arc::new(ChunkPayload::default()),
+            bytes_read: 0,
+            injected_delay: VirtualDuration::ZERO,
+            from_disk: true,
+        };
+        assert!(matches!(
+            session.step_with(&chunk),
+            Err(eff2_storage::Error::Inconsistent(_))
+        ));
     }
 
     #[test]

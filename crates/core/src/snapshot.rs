@@ -22,7 +22,7 @@
 //! `eff2_epoch::MutableIndex::pin` is the one that pins a mutated epoch.
 
 use crate::search::{SearchParams, SearchResult};
-use crate::session::{ChunkRanking, SearchSession};
+use crate::session::SearchSession;
 use eff2_descriptor::Vector;
 use eff2_storage::diskmodel::DiskModel;
 use eff2_storage::epoch::FoldedDelta;
@@ -97,32 +97,12 @@ impl Snapshot {
         self.store.n_chunks()
     }
 
-    /// Ranks all chunks for `query` (allocating fresh buffers).
-    pub fn rank(&self, query: &Vector) -> ChunkRanking {
-        ChunkRanking::rank(&self.store, &self.model, query)
-    }
-
-    /// Ranks all chunks for `query` into `ranking`, reusing its buffers.
-    pub fn rank_into(&self, ranking: &mut ChunkRanking, query: &Vector) {
-        ranking.rank_into(&self.store, &self.model, query);
-    }
-
-    /// A detached session for `query`, pinned to this epoch: the delta is
-    /// applied before the first step, so the caller only feeds base chunks
-    /// through [`SearchSession::step_with`] — the scheduler's mode.
+    /// A detached session for `query`, ranked over this snapshot's store
+    /// and pinned to this epoch: the delta is applied before the first
+    /// step, so the caller only feeds base chunks through
+    /// [`SearchSession::step_with`] — the scheduler's mode.
     pub fn session(&self, query: &Vector, params: &SearchParams) -> SearchSession {
-        self.session_from_ranking(self.rank(query), query, params)
-    }
-
-    /// [`session`](Self::session) over a pre-computed ranking (see
-    /// [`rank_into`](Self::rank_into) for buffer reuse).
-    pub fn session_from_ranking(
-        &self,
-        ranking: ChunkRanking,
-        query: &Vector,
-        params: &SearchParams,
-    ) -> SearchSession {
-        let mut session = SearchSession::detached_from_ranking(ranking, &self.model, query, params);
+        let mut session = SearchSession::detached(&self.store, &self.model, query, params);
         session.apply_delta(&self.delta);
         session
     }
@@ -208,9 +188,7 @@ mod tests {
         let snap = build_index("feed", 200);
         let q = Vector::splat(3.0);
         let params = SearchParams::exact(4);
-        let mut ranking = ChunkRanking::default();
-        snap.rank_into(&mut ranking, &q);
-        let mut session = snap.session_from_ranking(ranking, &q, &params);
+        let mut session = snap.session(&q, &params);
         let mut reader = snap.store().reader().expect("reader");
         while let Some(id) = session.next_wanted() {
             if session.stop_satisfied() {

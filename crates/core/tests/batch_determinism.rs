@@ -1,4 +1,4 @@
-//! `search_batch` must be observationally identical to running `search`
+//! `search_batch_threads` must be observationally identical to running `search`
 //! once per query: parallelism stops at the query boundary, so every
 //! per-query `ChunkEvent` trace — rank, chunk id, count, bytes read,
 //! virtual completion time, kth distance, top-k snapshot — is required to
@@ -7,8 +7,9 @@
 
 use eff2_core::chunkers::{ChunkFormer, RoundRobinChunker, SrTreeChunker};
 use eff2_core::search::search;
-use eff2_core::{search_batch, search_batch_threads, SearchParams, SearchResult, StopRule};
+use eff2_core::{search_batch_threads, SearchParams, SearchResult, StopRule};
 use eff2_descriptor::{Descriptor, DescriptorSet, Vector};
+use eff2_parallel::max_threads;
 use eff2_storage::diskmodel::{DiskModel, VirtualDuration};
 use eff2_storage::ChunkStore;
 
@@ -101,7 +102,7 @@ fn default_batch_matches_sequential() {
         .iter()
         .map(|q| search(&store, &model, q, &params).expect("sequential"))
         .collect();
-    let par = search_batch(&store, &model, &qs, &params).expect("batch");
+    let par = search_batch_threads(&store, &model, &qs, &params, max_threads()).expect("batch");
     for (i, (s, p)) in seq.iter().zip(par.iter()).enumerate() {
         assert_bit_identical(s, p, &format!("default/q{i}"));
     }
@@ -114,11 +115,13 @@ fn batch_of_one_and_empty_batch() {
     let model = DiskModel::ata_2005();
     let params = SearchParams::exact(5);
     let empty: Vec<Vector> = Vec::new();
-    assert!(search_batch(&store, &model, &empty, &params)
-        .expect("empty batch")
-        .is_empty());
+    assert!(
+        search_batch_threads(&store, &model, &empty, &params, max_threads())
+            .expect("empty batch")
+            .is_empty()
+    );
     let one = vec![set.vector_owned(3)];
-    let got = search_batch(&store, &model, &one, &params).expect("one");
+    let got = search_batch_threads(&store, &model, &one, &params, max_threads()).expect("one");
     assert_eq!(got.len(), 1);
     let want = search(&store, &model, &one[0], &params).expect("seq");
     assert_bit_identical(&want, &got[0], "single");

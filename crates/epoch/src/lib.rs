@@ -11,10 +11,10 @@
 //!
 //! The MVCC contract:
 //!
-//! * **Writers never block readers.** Mutations append to the in-memory
-//!   delta chunk and the manifest; the base files are never touched.
-//! * **Readers pin epochs.** [`MutableIndex::pin`] folds the current
-//!   delta prefix into a [`Snapshot`] — an `Arc`-backed view that
+//! * **Writers never block readers.** Mutations append to the manifest's
+//!   op log and persist it; the base files are never touched.
+//! * **Readers pin epochs.** [`MutableIndex::pin`] folds the pending ops
+//!   into a [`Snapshot`] — an `Arc`-backed view that
 //!   stays bit-for-bit stable no matter what writers append or the
 //!   compactor folds afterwards. Every in-flight search sees exactly one
 //!   epoch.
@@ -35,7 +35,7 @@ use eff2_descriptor::quant::Codec;
 use eff2_descriptor::{Descriptor, DescriptorSet, Vector, DIM};
 use eff2_storage::chunkfile::ChunkPayload;
 use eff2_storage::diskmodel::{DiskModel, VirtualDuration};
-use eff2_storage::epoch::{epoch_path, DeltaChunk, DeltaOp, EpochManifest};
+use eff2_storage::epoch::{epoch_path, DeltaOp, EpochManifest, FoldedDelta};
 use eff2_storage::{ChunkDef, ChunkStore, Error, Result};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -128,9 +128,9 @@ pub struct MutableIndex {
     /// chunks over `2 * target` and merges chunks under `target / 4`.
     target_chunk_size: usize,
     base: ChunkStore,
-    generation: u64,
-    folded_ops: u64,
-    delta: DeltaChunk,
+    /// The mutation state, held once and saved as is: the base
+    /// generation, the ops past compactions folded, and the pending log.
+    manifest: EpochManifest,
 }
 
 impl MutableIndex {
@@ -155,9 +155,7 @@ impl MutableIndex {
             page_size,
             target_chunk_size: target_chunk_size.max(1),
             base,
-            generation: 0,
-            folded_ops: 0,
-            delta: DeltaChunk::new(),
+            manifest: EpochManifest::empty(),
         };
         index.save_manifest()?;
         Ok(index)
@@ -186,9 +184,7 @@ impl MutableIndex {
             page_size: base.page_size(),
             target_chunk_size: target_chunk_size.max(1),
             base,
-            generation: manifest.generation,
-            folded_ops: manifest.folded_ops,
-            delta: DeltaChunk::from_ops(manifest.ops),
+            manifest,
         })
     }
 
@@ -204,19 +200,19 @@ impl MutableIndex {
 
     /// Current compaction generation.
     pub fn generation(&self) -> u64 {
-        self.generation
+        self.manifest.generation
     }
 
     /// The epoch counter: total mutations ever applied (folded into past
     /// generations plus still pending in the delta). Monotone across
     /// mutations and invariant under compaction.
     pub fn epoch(&self) -> u64 {
-        self.folded_ops + self.delta.len() as u64
+        self.manifest.folded_ops + self.manifest.ops.len() as u64
     }
 
-    /// Ops pending in the delta chunk (not yet folded).
+    /// Ops pending in the delta (not yet folded).
     pub fn delta_len(&self) -> usize {
-        self.delta.len()
+        self.manifest.ops.len()
     }
 
     /// The rebalancing target (descriptors per chunk).
@@ -227,7 +223,7 @@ impl MutableIndex {
     /// Appends an insert (or, for an id already in the base, an update —
     /// the delta row supersedes the base copy) and persists the manifest.
     pub fn insert(&mut self, id: u32, vector: Vector) -> Result<()> {
-        self.delta.push(DeltaOp::Insert { id, vector });
+        self.manifest.ops.push(DeltaOp::Insert { id, vector });
         self.save_manifest()
     }
 
@@ -235,25 +231,25 @@ impl MutableIndex {
     /// was never inserted is a no-op at read time (the tombstone matches
     /// nothing).
     pub fn delete(&mut self, id: u32) -> Result<()> {
-        self.delta.push(DeltaOp::Delete { id });
+        self.manifest.ops.push(DeltaOp::Delete { id });
         self.save_manifest()
     }
 
-    /// Pins the current epoch: folds the delta prefix as of now into an
-    /// immutable [`Snapshot`]. Later mutations, compactions and
-    /// generation swaps never change what this snapshot serves.
+    /// Pins the current epoch: folds the pending ops as of now into an
+    /// immutable [`Snapshot`]. The fold is a value of its own, so later
+    /// mutations, compactions and generation swaps never change what this
+    /// snapshot serves.
     pub fn pin(&self) -> Snapshot {
-        let pin = self.delta.pin();
         Snapshot::new(self.base.clone(), self.model).at_epoch(
-            self.generation,
-            self.folded_ops + pin.len() as u64,
-            Arc::new(pin.fold()),
+            self.manifest.generation,
+            self.epoch(),
+            Arc::new(FoldedDelta::from_ops(&self.manifest.ops)),
         )
     }
 
-    /// Folds the current delta prefix and the base generation into a
-    /// freshly written, rebalanced next generation — without installing
-    /// it. The returned plan is installed with
+    /// Folds the pending ops and the base generation into a freshly
+    /// written, rebalanced next generation — without installing it. The
+    /// returned plan is installed with
     /// [`install_compaction`](Self::install_compaction); mutations
     /// appended in between survive as the delta tail. Old generation
     /// files are left on disk so outstanding pins stay valid.
@@ -267,8 +263,8 @@ impl MutableIndex {
     /// 3. chunks over `2 * target` rows are split along their
     ///    widest-spread dimension into runs of at most `target`.
     pub fn begin_compaction(&self) -> Result<CompactionPlan> {
-        let pin = self.delta.pin();
-        let folded = pin.fold();
+        let ops_folded = self.manifest.ops.len();
+        let folded = FoldedDelta::from_ops(&self.manifest.ops);
         let target = self.target_chunk_size;
 
         // Stream the old generation through the raw reader, dropping
@@ -342,7 +338,7 @@ impl MutableIndex {
             });
         }
 
-        let generation = self.generation + 1;
+        let generation = self.manifest.generation + 1;
         let gen_name = generation_name(&self.name, generation);
         let store = ChunkStore::build_checked(
             &self.dir,
@@ -366,36 +362,46 @@ impl MutableIndex {
             max_chunk_after: max_after,
             splits,
             merges,
-            ops_folded: pin.len(),
+            ops_folded,
             bytes_read,
             bytes_written,
             descriptors: set.len() as u64,
         };
         Ok(CompactionPlan {
             generation,
-            ops_folded: pin.len(),
+            ops_folded,
             store,
             stats,
         })
     }
 
     /// Swaps a finished plan in: the plan's generation becomes the base,
-    /// the folded delta prefix is dropped (ops appended since
+    /// the folded prefix of the op log is dropped (ops appended since
     /// [`begin_compaction`](Self::begin_compaction) remain pending) and
     /// the manifest is persisted. Pins taken against the old generation
     /// keep serving it — its files are not deleted.
+    ///
+    /// A plan for another generation, or one folding more ops than are
+    /// pending (planned through another handle on the same files, say), is
+    /// refused with [`Error::Inconsistent`] and changes nothing.
     pub fn install_compaction(&mut self, plan: CompactionPlan) -> Result<CompactionStats> {
-        if plan.generation != self.generation + 1 {
+        if plan.generation != self.manifest.generation + 1 {
             return Err(Error::Inconsistent(format!(
                 "compaction plan targets generation {} but the index is at {}",
-                plan.generation, self.generation
+                plan.generation, self.manifest.generation
             )));
         }
-        let tail: Vec<DeltaOp> = self.delta.ops()[plan.ops_folded..].to_vec();
+        if plan.ops_folded > self.manifest.ops.len() {
+            return Err(Error::Inconsistent(format!(
+                "compaction plan folds {} ops but the index has {} pending",
+                plan.ops_folded,
+                self.manifest.ops.len()
+            )));
+        }
+        self.manifest.ops.drain(..plan.ops_folded);
+        self.manifest.generation = plan.generation;
+        self.manifest.folded_ops += plan.ops_folded as u64;
         self.base = plan.store;
-        self.generation = plan.generation;
-        self.folded_ops += plan.ops_folded as u64;
-        self.delta = DeltaChunk::from_ops(tail);
         self.save_manifest()?;
         Ok(plan.stats)
     }
@@ -409,12 +415,7 @@ impl MutableIndex {
     }
 
     fn save_manifest(&self) -> Result<()> {
-        let manifest = EpochManifest {
-            generation: self.generation,
-            folded_ops: self.folded_ops,
-            ops: self.delta.ops().to_vec(),
-        };
-        manifest.save(&epoch_path(&self.dir, &self.name))
+        self.manifest.save(&epoch_path(&self.dir, &self.name))
     }
 }
 

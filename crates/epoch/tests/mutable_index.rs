@@ -215,6 +215,25 @@ fn compaction_is_deterministic() {
     }
 }
 
+/// A plan folds the ops pending when it was begun. Installing it into a
+/// handle holding fewer — one opened before the writes — is refused, and
+/// the refused handle is unchanged.
+#[test]
+fn install_refuses_a_plan_that_folds_more_ops_than_are_pending() {
+    let (dir, mut index) = build("overfold", 300);
+    let mut stale = MutableIndex::open(&dir, "live", DiskModel::ata_2005(), TARGET).expect("open");
+    for i in 0..3 {
+        index.insert(7_600 + i, Vector::splat(1.0)).expect("insert");
+    }
+    let plan = index.begin_compaction().expect("begin");
+    let got = stale.install_compaction(plan);
+    assert!(
+        matches!(got, Err(eff2_storage::Error::Inconsistent(_))),
+        "{got:?}"
+    );
+    assert_eq!((stale.generation(), stale.epoch()), (0, 0));
+}
+
 #[test]
 fn writes_during_compaction_survive_as_the_delta_tail() {
     let (_dir, mut index) = build("tail", 300);

@@ -187,7 +187,6 @@ const PUBLIC_BY_SIGNATURE: &[(&str, &str)] = &[
         "Degradation",
         "type of the field core SearchLog::degradation",
     ),
-    ("DeltaPin", "returned by storage DeltaChunk::pin"),
     (
         "DescriptorId",
         "type of the field descriptor Descriptor::id",

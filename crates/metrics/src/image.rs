@@ -2,8 +2,7 @@
 //!
 //! The descriptor-level curves ([`crate::curves`]) measure quality per
 //! chunk read; image queries add one more axis — quality per *descriptor
-//! search spent*. An [`ImageOutcome`](eff2_core::image::ImageOutcome)
-//! records its top-`m` snapshot after every absorbed descriptor
+//! search spent*. An [`ImageOutcome`] records its top-`m` snapshot after every absorbed descriptor
 //! completion, so a workload of image queries yields a
 //! descriptors-spent curve: how image precision@m grows as a fraction of
 //! the query set is consumed — the paper's "a fraction of the query

@@ -17,8 +17,12 @@
 //!   clocks, event logs) must live *inside* one item. See
 //!   `DESIGN.md` §kernels for why search parallelism stops at the query
 //!   boundary.
+//! * **Workers carry nothing between items.** Each item is one call of
+//!   `f(index, item)`; there is no per-worker scratch, so no state can
+//!   leak from one item into the next.
 //! * `EFF2_THREADS` caps the worker count process-wide (useful for the
-//!   thread-count determinism diff and for forcing sequential execution).
+//!   thread-count determinism diff and for forcing sequential execution);
+//!   [`try_par_map_threads`] takes an explicit count instead.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -91,45 +95,19 @@ where
     try_par_map_threads(max_threads(), items, f)
 }
 
-/// [`try_par_map`] with an explicit worker count.
-fn try_par_map_threads<T, R, E, F>(threads: usize, items: &[T], f: F) -> Result<Vec<R>, E>
+/// [`try_par_map`] with an explicit worker count (`threads == 1` runs
+/// inline).
+pub fn try_par_map_threads<T, R, E, F>(threads: usize, items: &[T], f: F) -> Result<Vec<R>, E>
 where
     T: Sync,
     R: Send,
     E: Send,
     F: Fn(usize, &T) -> Result<R, E> + Sync,
 {
-    try_par_map_scratch_threads(threads, items, || (), |(), i, t| f(i, t))
-}
-
-/// [`try_par_map`] with an explicit worker count and per-worker scratch
-/// state: each worker calls `init()` once and threads that value through
-/// every item it claims (rayon's `map_init` shape). The scratch is for
-/// *reuse* — allocation-heavy buffers, ranking scratch — and must not
-/// influence results: output values still depend only on `(index, item)`,
-/// which is what keeps the order-preserving determinism guarantee intact.
-pub fn try_par_map_scratch_threads<T, R, E, S, I, F>(
-    threads: usize,
-    items: &[T],
-    init: I,
-    f: F,
-) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> Result<R, E> + Sync,
-{
     let n = items.len();
     let threads = threads.clamp(1, n.max(1));
     if threads == 1 || n <= 1 {
-        let mut scratch = init();
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, t)| f(&mut scratch, i, t))
-            .collect();
+        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
 
     // Workers claim indices from a shared cursor and buffer (index, value)
@@ -142,7 +120,6 @@ where
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
-                    let mut scratch = init();
                     let mut local: Vec<(usize, R)> = Vec::new();
                     loop {
                         if failed.load(Ordering::Relaxed) {
@@ -155,7 +132,7 @@ where
                         let Some(item) = items.get(i) else {
                             break;
                         };
-                        match f(&mut scratch, i, item) {
+                        match f(i, item) {
                             Ok(r) => local.push((i, r)),
                             Err(e) => {
                                 let mut slot = first_err
@@ -263,24 +240,6 @@ mod tests {
             // among observed failures ⇒ equals 37 here because item 37 is
             // always claimed (claims are in order).
             assert_eq!(got, Err(37), "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn scratch_variant_matches_sequential() {
-        let items: Vec<usize> = (0..300).collect();
-        let want: Vec<usize> = items.iter().map(|&x| x * 4).collect();
-        for threads in [1, 3, 8] {
-            let got = try_par_map_scratch_threads(threads, &items, Vec::<usize>::new, {
-                |scratch: &mut Vec<usize>, i, &x| {
-                    // Per-worker scratch accumulates arbitrarily; results
-                    // must still depend only on (index, item).
-                    scratch.push(x);
-                    Ok::<usize, ()>(x * 3 + i)
-                }
-            })
-            .expect("infallible");
-            assert_eq!(got, want, "threads = {threads}");
         }
     }
 

@@ -62,7 +62,7 @@ use crate::live::Live;
 use crate::scheduler::{Policy, SchedulerConfig, ServeStats};
 use eff2_chaos::{Fault, RetryPolicy};
 use eff2_core::search::{SearchParams, SearchResult};
-use eff2_core::session::{ChunkRanking, SearchSession};
+use eff2_core::session::SearchSession;
 use eff2_core::snapshot::Snapshot;
 use eff2_descriptor::Vector;
 use eff2_shard::ShardMap;
@@ -348,7 +348,6 @@ pub(crate) struct Admission<'a> {
     snapshot: &'a Snapshot,
     devices: &'a mut Devices,
     config: &'a SchedulerConfig,
-    spare: &'a mut Vec<ChunkRanking>,
     stats: &'a mut ServeStats,
     members: Vec<(u32, Member)>,
 }
@@ -359,9 +358,8 @@ impl Admission<'_> {
         self.devices.nodes[0].clock.now()
     }
 
-    /// Opens the session of `member` for `query`: ranks every chunk (into
-    /// a recycled buffer), charges the ranking as CPU on the session's
-    /// home device (the index itself is memory-resident in the serving
+    /// Opens the session of `member` for `query`: ranks every chunk,
+    /// charges the ranking as CPU on the session's home device (the index itself is memory-resident in the serving
     /// layer), and skips any unreachable ranks the cursor starts on.
     /// Returns when the ranking is done, plus — for a session that needs
     /// no delivery at all (`k = 0`, an empty index, a zero-chunk stop
@@ -372,8 +370,8 @@ impl Admission<'_> {
         query: &Vector,
         params: &SearchParams,
     ) -> Result<(VirtualDuration, Option<SearchResult>)> {
-        let mut ranking = self.spare.pop().unwrap_or_default();
-        self.snapshot.rank_into(&mut ranking, query);
+        let session = self.snapshot.session(query, params);
+        let ranking = session.ranking();
         let first = (!ranking.is_empty()).then(|| ranking.chunk_at(0));
         let home = first.and_then(|c| self.devices.route(c)).unwrap_or(0);
         let rank_cpu = self.snapshot.model().rank_time(self.snapshot.n_chunks());
@@ -381,16 +379,14 @@ impl Admission<'_> {
             .clock
             .chunk_overlapped(VirtualDuration::ZERO, rank_cpu);
         let mut opened = Member {
-            session: self.snapshot.session_from_ranking(ranking, query, params),
+            session,
             home,
             ahead: Vec::new(),
             finish: ranked_at,
         };
         self.stats.chunks_abandoned += opened.advance(None, self.devices, &self.config.retry)?;
         if opened.session.stop_satisfied() {
-            let (result, ranking) = opened.session.into_result_and_ranking();
-            self.spare.push(ranking);
-            return Ok((ranked_at, Some(result)));
+            return Ok((ranked_at, Some(opened.session.into_result())));
         }
         self.members.push((member, opened));
         Ok((ranked_at, None))
@@ -445,9 +441,6 @@ pub(crate) struct Engine<G: Group> {
     jobs: BTreeMap<u64, Job<G::Job>>,
     /// Last turn served by [`Policy::FairShare`].
     fair_cursor: Key,
-    /// Ranking buffers recycled from finished sessions
-    /// ([`ChunkRanking::rank_into`]).
-    spare: Vec<ChunkRanking>,
     /// Finished jobs' outputs by job id.
     outputs: BTreeMap<u64, G::Output>,
     makespan: VirtualDuration,
@@ -482,7 +475,6 @@ impl<G: Group> Engine<G> {
             pending: VecDeque::new(),
             jobs: BTreeMap::new(),
             fair_cursor: (u64::MAX, u32::MAX),
-            spare: Vec::new(),
             outputs: BTreeMap::new(),
             makespan: VirtualDuration::ZERO,
             stats,
@@ -707,7 +699,6 @@ impl<G: Group> Engine<G> {
                 snapshot: &snapshot,
                 devices: &mut self.devices,
                 config: &self.config,
-                spare: &mut self.spare,
                 stats: &mut self.stats,
                 members: Vec::new(),
             };
@@ -880,8 +871,7 @@ impl<G: Group> Engine<G> {
                 member.advance(delivered, &self.devices, &self.config.retry)?;
             if member.session.stop_satisfied() {
                 let (m, member) = members.remove(pos);
-                let (result, ranking) = member.session.into_result_and_ranking();
-                self.spare.push(ranking);
+                let result = member.session.into_result();
                 self.group.on_done(state, m, result, member.finish);
             }
             if self.group.finished(state) {

@@ -54,8 +54,7 @@ pub enum LossScope {
     AllCopies,
 }
 
-/// Fleet scheduler knobs. The solo [`SchedulerConfig`](crate::SchedulerConfig)
-/// fields keep their meaning; the additions configure the shard layer.
+/// Fleet scheduler knobs. The solo [`SchedulerConfig`] fields keep their meaning; the additions configure the shard layer.
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
     /// The per-shard chunk-pick policy.

@@ -9,7 +9,7 @@
 //!   query — pinned at admission to the index's current epoch
 //!   ([`MutableIndex::pin`]): it sees exactly that [`Snapshot`] for its
 //!   whole life, no matter what later events do;
-//! * a **mutation** arrival appends to the delta chunk (and is charged
+//! * a **mutation** arrival appends to the index's op log (and is charged
 //!   its manifest append on the fleet clock);
 //! * when the [`CompactionPolicy`] fires, the compactor's fold is planned
 //!   immediately ([`MutableIndex::begin_compaction`] — the fold is a pure

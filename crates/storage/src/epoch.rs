@@ -3,19 +3,18 @@
 //!
 //! Mutability is strictly *additive on disk*. The immutable chunk + index
 //! file pair of a generation stays exactly as [`crate::store::ChunkStore`]
-//! wrote it; writers append [`DeltaOp`]s to an in-memory [`DeltaChunk`]
-//! whose persistent form is the **epoch manifest** (`name.epoch`): the
-//! current generation number, how many ops past compactions have folded
-//! in, and the not-yet-folded tail of the op log. Opening a plain v2/v3
-//! pair that never had a manifest is generation 0 with an empty delta —
-//! full read-compat with every store ever written.
+//! wrote it; writers append [`DeltaOp`]s to the op log of an
+//! [`EpochManifest`], persisted as the **epoch manifest** (`name.epoch`):
+//! the current generation number, how many ops past compactions have
+//! folded in, and the not-yet-folded tail of the op log. Opening a plain
+//! v2/v3 pair that never had a manifest is generation 0 with an empty
+//! delta — full read-compat with every store ever written.
 //!
-//! Readers never see the mutable structures directly: they take a
-//! [`DeltaPin`] — an `Arc` onto the op vector plus a prefix length — and
-//! fold it once into a [`FoldedDelta`] (tombstones over the base plus the
-//! live delta rows). Appends clone-on-write past outstanding pins
-//! (`Arc::make_mut`), so a pinned epoch keeps its exact prefix no matter
-//! how the log grows or when the compactor folds it.
+//! Readers never see the op log: pinning an epoch folds the ops pending at
+//! that moment into a [`FoldedDelta`] (tombstones over the base plus the
+//! live delta rows) held behind an `Arc`. The fold is a value of its own,
+//! so a pinned epoch stays exactly as it was no matter how the log grows
+//! or when the compactor drains it.
 
 use crate::bytes::{u32_at, u64_at};
 use crate::chunkfile::{checksum, RECORD_BYTES};
@@ -23,7 +22,6 @@ use crate::error::{Error, Result};
 use eff2_descriptor::{Vector, DIM};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// Magic bytes of an epoch manifest file.
 pub(crate) const EPOCH_MAGIC: [u8; 4] = *b"EFEP";
@@ -228,90 +226,6 @@ impl EpochManifest {
     }
 }
 
-/// The in-memory mutable delta chunk: an append-only op log shared with
-/// outstanding pins through an `Arc`. Appending past a pin clones the
-/// vector (`Arc::make_mut`), so every pin keeps its exact prefix forever.
-#[derive(Clone, Debug, Default)]
-pub struct DeltaChunk {
-    ops: Arc<Vec<DeltaOp>>,
-}
-
-impl DeltaChunk {
-    /// An empty delta.
-    pub fn new() -> DeltaChunk {
-        DeltaChunk::default()
-    }
-
-    /// A delta seeded from a manifest's op tail.
-    pub fn from_ops(ops: Vec<DeltaOp>) -> DeltaChunk {
-        DeltaChunk { ops: Arc::new(ops) }
-    }
-
-    /// Appends one op. O(1) amortised while nothing is pinned; clones the
-    /// log once when a pin is outstanding.
-    pub fn push(&mut self, op: DeltaOp) {
-        Arc::make_mut(&mut self.ops).push(op);
-    }
-
-    /// Ops appended so far.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether the delta is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// The full op log, append order.
-    pub fn ops(&self) -> &[DeltaOp] {
-        &self.ops
-    }
-
-    /// Pins the current prefix: the returned [`DeltaPin`] sees exactly the
-    /// ops appended so far, no matter what is appended (or folded) later.
-    pub fn pin(&self) -> DeltaPin {
-        DeltaPin {
-            ops: Arc::clone(&self.ops),
-            len: self.ops.len(),
-        }
-    }
-
-    /// Drops every op (the compactor folded them into a new generation).
-    pub fn clear(&mut self) {
-        self.ops = Arc::new(Vec::new());
-    }
-}
-
-/// An immutable view of a delta prefix — what an epoch snapshot holds.
-#[derive(Clone, Debug)]
-pub struct DeltaPin {
-    ops: Arc<Vec<DeltaOp>>,
-    len: usize,
-}
-
-impl DeltaPin {
-    /// The pinned ops (the prefix of the log at pin time).
-    pub fn ops(&self) -> &[DeltaOp] {
-        self.ops.get(..self.len).unwrap_or(&[])
-    }
-
-    /// Number of pinned ops.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the pin covers no ops.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Folds the pinned prefix into its net effect (see [`FoldedDelta`]).
-    pub fn fold(&self) -> FoldedDelta {
-        FoldedDelta::from_ops(self.ops())
-    }
-}
-
 /// The net effect of a delta prefix, ready for searching:
 ///
 /// * `tombstones` — ids whose **base-generation** rows are dead, either
@@ -466,32 +380,33 @@ mod tests {
         ));
     }
 
+    /// Every truncated prefix and every single-bit flip of a small
+    /// manifest is a typed error: never `Ok`, never a panic.
     #[test]
-    fn pins_are_immune_to_later_appends() {
-        let mut delta = DeltaChunk::new();
-        delta.push(DeltaOp::Insert {
-            id: 1,
-            vector: v(1.0),
-        });
-        let pin = delta.pin();
-        delta.push(DeltaOp::Delete { id: 1 });
-        delta.push(DeltaOp::Insert {
-            id: 2,
-            vector: v(2.0),
-        });
-        assert_eq!(pin.len(), 1);
-        assert_eq!(
-            pin.ops(),
-            &[DeltaOp::Insert {
-                id: 1,
-                vector: v(1.0)
-            }]
-        );
-        assert_eq!(delta.len(), 3);
-        // Clearing (compaction) leaves the pin untouched too.
-        delta.clear();
-        assert_eq!(pin.len(), 1);
-        assert!(delta.is_empty());
+    fn every_truncation_and_bit_flip_of_a_manifest_is_an_error() {
+        let bytes = EpochManifest {
+            generation: 2,
+            folded_ops: 5,
+            ops: vec![
+                DeltaOp::Insert {
+                    id: 3,
+                    vector: v(0.5),
+                },
+                DeltaOp::Delete { id: 8 },
+            ],
+        }
+        .to_bytes();
+        assert_eq!(bytes.len(), 36 + (5 + DIM * 4) + 5);
+        for len in 0..bytes.len() {
+            let got = EpochManifest::from_bytes(&bytes[..len]);
+            assert!(got.is_err(), "a {len}-byte prefix parsed: {got:?}");
+        }
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let got = EpochManifest::from_bytes(&flipped);
+            assert!(got.is_err(), "flipping bit {bit} parsed: {got:?}");
+        }
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub mod source;
 pub mod store;
 
 pub use diskmodel::{DiskModel, PipelineClock, VirtualDuration};
-pub use epoch::{DeltaChunk, DeltaOp, DeltaPin, EpochManifest, FoldedDelta};
+pub use epoch::{DeltaOp, EpochManifest, FoldedDelta};
 pub use error::{Error, ErrorClass, Result};
 pub use indexfile::ChunkMeta;
 pub use source::{

@@ -63,7 +63,10 @@ impl ChunkStore {
     /// Returns [`Error::Inconsistent`] if a chunk references a position
     /// outside `set` — chunk formers produce positions from the same
     /// collection by construction, so such a definition cannot be written
-    /// as a coherent pair of files.
+    /// as a coherent pair of files. A page size too small for the
+    /// chunk-file header (24 bytes; 40 for
+    /// [`create_quantized`](Self::create_quantized)) is refused the same
+    /// way, before anything is written.
     pub fn create(
         dir: &Path,
         name: &str,
@@ -105,6 +108,11 @@ impl ChunkStore {
         page_size: u32,
         codec: Option<&Codec>,
     ) -> Result<ChunkStore> {
+        let header_bytes = match codec {
+            None => chunkfile::HEADER_BYTES,
+            Some(_) => chunkfile::HEADER_BYTES_QUANT,
+        };
+        page_holds_header(page_size, header_bytes)?;
         for (ci, c) in chunks.iter().enumerate() {
             for &p in &c.positions {
                 if p as usize >= set.len() {
@@ -180,16 +188,19 @@ impl ChunkStore {
         } else {
             chunkfile::HEADER_BYTES
         };
-        if (page_size as usize) < header_bytes {
-            return Err(Error::Inconsistent(format!(
-                "page size {page_size} cannot hold the {header_bytes}-byte chunk file header"
-            )));
-        }
+        page_holds_header(page_size, header_bytes)?;
         if header.n_chunks as usize != metas.len() {
             return Err(Error::Inconsistent(format!(
                 "chunk count: chunk file {} vs index file {}",
                 header.n_chunks,
                 metas.len()
+            )));
+        }
+        let total_descriptors = metas.iter().map(|m| u64::from(m.count)).sum::<u64>();
+        if header.total_descriptors != total_descriptors {
+            return Err(Error::Inconsistent(format!(
+                "descriptor count: chunk file {} vs index file {total_descriptors}",
+                header.total_descriptors
             )));
         }
         let file_len = std::fs::metadata(chunk_path)?.len();
@@ -242,7 +253,7 @@ impl ChunkStore {
             inner: Arc::new(StoreInner {
                 chunk_path: chunk_path.to_path_buf(),
                 index_path: index_path.to_path_buf(),
-                total_descriptors: header.total_descriptors,
+                total_descriptors,
                 metas,
                 page_size,
                 codec,
@@ -328,6 +339,17 @@ impl ChunkStore {
             store: self.clone(),
         })
     }
+}
+
+/// Refuses a page size smaller than the chunk-file header it must hold
+/// (`header_bytes`: 24 for a v2 file, 40 for v3).
+fn page_holds_header(page_size: u32, header_bytes: usize) -> Result<()> {
+    if (page_size as usize) < header_bytes {
+        return Err(Error::Inconsistent(format!(
+            "page size {page_size} cannot hold the {header_bytes}-byte chunk file header"
+        )));
+    }
+    Ok(())
 }
 
 /// Per-chunk offsets into the quant region, derived from the chunk counts
@@ -573,6 +595,39 @@ mod tests {
             index[12..16].copy_from_slice(&0u32.to_le_bytes());
         });
         assert!(matches!(got, Err(Error::Inconsistent(_))), "{got:?}");
+    }
+
+    #[test]
+    fn every_bit_flip_in_the_chunk_file_header_is_refused() {
+        let dir = tmp_dir("headerflips");
+        let set = sample_set(12);
+        let chunks = defs(&[&[0, 1, 2, 3], &[4, 5], &[6, 7, 8, 9, 10, 11]], &set);
+        let store = ChunkStore::create(&dir, "h", &set, &chunks, 256).expect("create");
+        let clean = std::fs::read(store.chunk_path()).expect("read chunk file");
+        for bit in 0..chunkfile::HEADER_BYTES * 8 {
+            let mut flipped = clean.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            std::fs::write(store.chunk_path(), &flipped).expect("rewrite chunk file");
+            let got = ChunkStore::open(store.chunk_path(), store.index_path());
+            assert!(got.is_err(), "header bit {bit} flipped, opened: {got:?}");
+        }
+    }
+
+    #[test]
+    fn create_refuses_a_page_size_too_small_for_the_header_before_writing() {
+        use eff2_descriptor::Sq8Codec;
+        let set = sample_set(12);
+        let chunks = defs(&[&[0, 1, 2, 3], &[4, 5]], &set);
+        let codec = Codec::Sq8(Sq8Codec::from_set(&set));
+        for page_size in [0u32, 16] {
+            let dir = tmp_dir("tinypage");
+            let raw = ChunkStore::create(&dir, "r", &set, &chunks, page_size);
+            assert!(matches!(raw, Err(Error::Inconsistent(_))), "{raw:?}");
+            let quant = ChunkStore::create_quantized(&dir, "q", &set, &chunks, page_size, &codec);
+            assert!(matches!(quant, Err(Error::Inconsistent(_))), "{quant:?}");
+            assert!(!dir.join("r.chunks").exists(), "page size {page_size}");
+            assert!(!dir.join("q.chunks").exists(), "page size {page_size}");
+        }
     }
 
     #[test]

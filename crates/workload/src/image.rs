@@ -5,8 +5,7 @@
 //! on top of the collection:
 //!
 //! 1. [`image_of_map`] partitions the collection's descriptors into
-//!    images — a Zipf-skewed assignment (via
-//!    [`zipf_assignments`](crate::skew::zipf_assignments)), so some
+//!    images — a Zipf-skewed assignment (via [`zipf_assignments`]), so some
 //!    images own many descriptors and some few, like real photo
 //!    collections;
 //! 2. [`image_queries`] samples query images and, for each, draws a set

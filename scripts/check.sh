@@ -50,6 +50,9 @@ done
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings denied: no dangling doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> git status --porcelain unchanged by the run"
 test "$(git status --porcelain)" = "$TREE_BEFORE"
 

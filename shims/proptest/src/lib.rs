@@ -215,7 +215,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::Range;
 
-    /// Lengths acceptable to [`vec`]: an exact `usize` or a `Range<usize>`.
+    /// Lengths acceptable to [`vec()`]: an exact `usize` or a `Range<usize>`.
     pub trait IntoLenRange {
         /// Lower (inclusive) and upper (exclusive) length bounds.
         fn bounds(&self) -> (usize, usize);
@@ -241,7 +241,7 @@ pub mod collection {
         VecStrategy { element, lo, hi }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         lo: usize,
