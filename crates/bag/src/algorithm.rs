@@ -1,6 +1,10 @@
 //! The BAG pass loop: merging, radius inflation, per-pass destruction,
 //! termination and outlier extraction.
-// lint:allow-file(panic.index): slot and partition tables are indexed by ids the pass itself allocates and keeps dense
+
+#![expect(
+    clippy::indexing_slicing,
+    reason = "slot and partition tables are indexed by ids the pass itself allocates and keeps dense"
+)]
 
 use crate::cluster::Cluster;
 use crate::engine::{CandidateEngine, EngineKind};

@@ -9,7 +9,11 @@
 //! most of the distance lives in the other 21 coordinates). A ball tree
 //! prunes with the true metric: a subtree is visited only if
 //! `d(q, center) ≤ R + radius`.
-// lint:allow-file(panic.index): tree arrays are indexed by node ids the builder allocates contiguously
+
+#![expect(
+    clippy::indexing_slicing,
+    reason = "tree arrays are indexed by node ids the builder allocates contiguously"
+)]
 
 use eff2_descriptor::{l2_sq_x4, Vector, DIM};
 

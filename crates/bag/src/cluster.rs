@@ -7,7 +7,11 @@
 //! each pass, "making their radius non-minimal"; merge decisions compare
 //! against the maintained radius, while the merged cluster's new radius is
 //! recomputed exactly.
-// lint:allow-file(panic.index): member lists and DIM-bounded component loops stay inside lengths computed in this module
+
+#![expect(
+    clippy::indexing_slicing,
+    reason = "member lists and DIM-bounded component loops stay inside lengths computed in this module"
+)]
 
 use eff2_descriptor::kernels::{as_rows, max_dist_sq_gather};
 use eff2_descriptor::{DescriptorSet, Vector, DIM};

@@ -34,7 +34,11 @@
 //! The union is a superset of the viable candidates, and both engines feed
 //! the same exact merge test, so clusterings are identical (see the
 //! cross-engine property tests).
-// lint:allow-file(panic.index): slots index the pass's own cluster table, and the pivot index is clamped into the non-empty radius list
+
+#![expect(
+    clippy::indexing_slicing,
+    reason = "slots index the pass's own cluster table, and the pivot index is clamped into the non-empty radius list"
+)]
 
 use crate::balltree::BallTree;
 use crate::cluster::Cluster;

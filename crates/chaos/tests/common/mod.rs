@@ -1,7 +1,12 @@
 //! Shared fixtures for the chaos integration tests: a lumpy collection,
 //! stores over arbitrary chunkers, and the bit-identity assertion the
 //! equivalence suites use.
-#![allow(dead_code)]
+
+#![cfg(test)]
+#![allow(
+    dead_code,
+    reason = "each test binary uses its own subset of the shared fixtures"
+)]
 
 use eff2_core::chunkers::{
     ChunkFormer, HybridChunker, RandomChunker, RoundRobinChunker, SrTreeChunker,

@@ -7,6 +7,8 @@
 //! lossy schedule's degradation report matches the injected losses
 //! exactly, chunk by chunk and descriptor by descriptor.
 
+#![cfg(test)]
+
 mod common;
 
 use common::{arb_former, assert_bit_identical, build_store, drive_stepwise, lumpy_set};

@@ -5,6 +5,8 @@
 //! through every source kind, chunker and stop rule, even with the
 //! skip-unavailable policy armed.
 
+#![cfg(test)]
+
 mod common;
 
 use common::{arb_former, arb_stop, assert_bit_identical, build_store, drive_stepwise, lumpy_set};

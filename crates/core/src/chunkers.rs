@@ -8,7 +8,11 @@
 //! priority, but attempts to achieve the smallest possible intra-chunk
 //! dissimilarity"; [`HybridChunker`] implements that.
 
-// lint:allow-file(panic.index): chunk-formation bookkeeping (membership tables, centroid arrays, partition maps) indexes dense position tables this module builds and keeps in bounds by construction
+#![expect(
+    clippy::indexing_slicing,
+    reason = "chunk-formation bookkeeping (membership tables, centroid arrays, partition maps) indexes dense position tables this module builds and keeps in bounds by construction"
+)]
+
 use eff2_bag::{Bag, BagConfig};
 use eff2_descriptor::{DescriptorSet, Vector, DIM};
 use eff2_srtree::chunks_from_collection;
@@ -333,8 +337,10 @@ impl ChunkFormer for HybridChunker {
             ops += (l * l) as u64;
 
             let mut moved = 0usize;
-            // Indexed loop: the body reassigns `chunk_of[p]` on a move.
-            #[allow(clippy::needless_range_loop)]
+            #[expect(
+                clippy::needless_range_loop,
+                reason = "the body reassigns `chunk_of[p]` on a move"
+            )]
             for p in 0..set.len() {
                 let from = chunk_of[p] as usize;
                 if membership[from].len() <= lo {

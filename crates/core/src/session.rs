@@ -300,8 +300,11 @@ impl ChunkRanking {
     ///
     /// Panics if `rank >= self.len()`; ranks come from iterating the
     /// ranking itself, so an out-of-range rank is a caller bug.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "rank < len is a documented precondition"
+    )]
     pub fn chunk_at(&self, rank: usize) -> usize {
-        // lint:allow(panic.index): rank < len is a documented precondition
         self.ranked[rank].1 as usize
     }
 
@@ -475,7 +478,10 @@ impl SessionCore {
                 index_read_time: ranking.index_read_time(),
                 ..SearchLog::default()
             },
-            // lint:allow(det.wall_clock): log.wall is informational; it never feeds the virtual clock or modelled figures
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "log.wall is informational; it never feeds the virtual clock or modelled figures"
+            )]
             wall_start: std::time::Instant::now(),
             // The seen-set is indexed by chunk *id*, which for a per-shard
             // leg ranking (split_by_owner) spans the whole store even

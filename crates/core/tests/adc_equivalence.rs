@@ -8,6 +8,8 @@
 //! property pins the two-level exact scan: only `centroid_evals` may
 //! differ from the flat search, never the answer.
 
+#![cfg(test)]
+
 use eff2_core::chunkers::{ChunkFormer, SrTreeChunker};
 use eff2_core::search::search;
 use eff2_core::{

@@ -5,6 +5,8 @@
 //! be *bit-identical* to the sequential run, under every stop rule and
 //! regardless of worker-thread count.
 
+#![cfg(test)]
+
 use eff2_core::chunkers::{ChunkFormer, RoundRobinChunker, SrTreeChunker};
 use eff2_core::search::search;
 use eff2_core::{search_batch_threads, SearchParams, SearchResult, StopRule};

@@ -7,6 +7,8 @@
 //! whose chunk file vanishes or truncates between session construction and
 //! the first `step()` surfaces a clean `Err`, never a panic.
 
+#![cfg(test)]
+
 use eff2_bag::BagConfig;
 use eff2_core::chunkers::{
     BagChunker, ChunkFormer, HybridChunker, RandomChunker, RoundRobinChunker, SrTreeChunker,

@@ -18,7 +18,11 @@
 //! [24..)   count × { id u32 le, components 24 × f32 le }   -- 100 B each
 //! [...]    count × { image u32 le }                         -- if flag set
 //! ```
-// lint:allow-file(panic.index): record slicing uses constant offsets inside fixed-size header/record buffers
+
+#![expect(
+    clippy::indexing_slicing,
+    reason = "record slicing uses constant offsets inside fixed-size header/record buffers"
+)]
 
 use crate::descriptor::DescriptorSet;
 use crate::error::{Error, Result};
@@ -103,13 +107,11 @@ pub fn read_collection<R: Read>(reader: R) -> Result<DescriptorSet> {
     let count = u64::from_le_bytes(field(&header, 12, 0, 0)?);
     let flags = u32::from_le_bytes(field(&header, 20, 0, 0)?);
 
-    let n = usize::try_from(count).map_err(|_| Error::Truncated {
-        expected_records: count,
-        found_records: 0,
-    })?;
-
-    let mut data = Vec::with_capacity(n * DIM);
-    let mut ids = Vec::with_capacity(n);
+    // The vectors grow as records arrive: the header's count is untrusted
+    // input, and a forged one must end as truncation, not as an allocation
+    // the size of the count.
+    let mut data = Vec::new();
+    let mut ids = Vec::new();
     let mut record = vec![0u8; RECORD_BYTES];
     for rec in 0..count {
         read_exact_or_truncated(&mut r, &mut record, count, rec)?;
@@ -125,7 +127,7 @@ pub fn read_collection<R: Read>(reader: R) -> Result<DescriptorSet> {
     }
 
     let image_of = if flags & FLAG_IMAGES != 0 {
-        let mut map = Vec::with_capacity(n);
+        let mut map = Vec::new();
         let mut buf = [0u8; 4];
         for rec in 0..count {
             read_exact_or_truncated(&mut r, &mut buf, count, rec)?;
@@ -284,6 +286,24 @@ mod tests {
             read_collection(&buf[..]),
             Err(Error::Truncated { .. })
         ));
+    }
+
+    #[test]
+    fn forged_record_count_is_truncation() {
+        // A bare header claiming more records than memory can hold must
+        // fail on the first missing record, before allocating for them.
+        for count in [1u64 << 40, u64::MAX / 2] {
+            let mut buf = Vec::new();
+            write_collection(&DescriptorSet::new(), &mut buf).expect("write");
+            buf[12..20].copy_from_slice(&count.to_le_bytes());
+            match read_collection(&buf[..]) {
+                Err(Error::Truncated {
+                    expected_records,
+                    found_records: 0,
+                }) if expected_records == count => {}
+                other => panic!("expected Truncated for count {count}, got {other:?}"),
+            }
+        }
     }
 
     #[test]

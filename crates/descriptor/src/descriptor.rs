@@ -11,7 +11,11 @@
 //! memory, and identifiers in a parallel `u32` buffer. An optional parallel
 //! image map records which image each descriptor came from — the paper keeps
 //! this association to aggregate descriptor hits into image-level answers.
-// lint:allow-file(panic.index): SoA accessors rely on the data.len() == len * DIM invariant every constructor maintains
+
+#![expect(
+    clippy::indexing_slicing,
+    reason = "SoA accessors rely on the data.len() == len * DIM invariant every constructor maintains"
+)]
 
 use crate::vector::{Vector, DIM};
 
@@ -124,11 +128,14 @@ impl DescriptorSet {
 
     /// The vector of descriptor `i` as a fixed-size array reference.
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "hot-path accessor; the SoA length invariant is maintained by every constructor"
+    )]
     pub fn vector(&self, i: usize) -> &[f32; DIM] {
         let start = i * DIM;
         self.data[start..start + DIM]
             .try_into()
-            // lint:allow(panic.unwrap): hot-path accessor; the SoA length invariant is maintained by every constructor
             .expect("SoA invariant: data.len() == len * DIM")
     }
 

@@ -21,7 +21,11 @@
 //!    that BAG discards (Table 1).
 //!
 //! Determinism: the generator is fully reproducible from `seed`.
-// lint:allow-file(panic.index): DIM-bounded component loops of the synthetic generator
+
+#![expect(
+    clippy::indexing_slicing,
+    reason = "DIM-bounded component loops of the synthetic generator"
+)]
 
 use crate::descriptor::{Descriptor, DescriptorSet, ImageId};
 use crate::vector::{Vector, DIM};
@@ -297,7 +301,7 @@ mod tests {
         let spec = CollectionSpec::sized(20_000, 13);
         let c = SyntheticCollection::generate(spec);
         // Coarse grid occupancy: bucket by sign pattern of first 8 dims.
-        let mut buckets = std::collections::HashMap::new();
+        let mut buckets = std::collections::BTreeMap::new();
         for i in 0..c.set.len() {
             let v = c.set.vector(i);
             let mut key = 0u32;

@@ -17,7 +17,11 @@
 //! block scan: distances stay in registers (no per-chunk distance buffer)
 //! and a whole block is skipped against the current kth distance before
 //! any heap traffic happens.
-// lint:allow-file(panic.index): blocked distance kernels index fixed-size lane arrays at compile-time-constant offsets
+
+#![expect(
+    clippy::indexing_slicing,
+    reason = "blocked distance kernels index fixed-size lane arrays at compile-time-constant offsets"
+)]
 
 use crate::neighbors::NeighborSet;
 use crate::quant::PreparedQuery;
@@ -173,9 +177,12 @@ pub fn max_dist_sq_gather(q: &[f32; DIM], rows: &[[f32; DIM]], positions: &[u32]
 #[inline(always)]
 fn adc_sq8_one(q: &[f32; DIM], lo: &[f32; DIM], step: &[f32; DIM], code: &[u8]) -> f32 {
     assert_eq!(code.len(), DIM, "SQ8 code is one byte per dimension");
+    #[expect(
+        clippy::unreachable,
+        reason = "the conversion cannot fail — length asserted above"
+    )]
     let code: &[u8; DIM] = match code.try_into() {
         Ok(a) => a,
-        // lint:allow(panic.macro): the conversion cannot fail — length asserted above
         Err(_) => unreachable!("length asserted above"),
     };
     let mut acc = [0.0f32; LANES];
@@ -240,9 +247,12 @@ fn adc_pq_lanes<const SUB: usize, const PER: usize>(lut: &[f32], k: usize, code:
     for group in &mut groups {
         for (p, &c) in group.iter().enumerate() {
             let base = ((j + p) * k + usize::from(c).min(k - 1)) * SUB;
+            #[expect(
+                clippy::unreachable,
+                reason = "the conversion cannot fail — slice is SUB long by construction"
+            )]
             let terms: &[f32; SUB] = match lut[base..base + SUB].try_into() {
                 Ok(a) => a,
-                // lint:allow(panic.macro): the conversion cannot fail — slice is SUB long by construction
                 Err(_) => unreachable!("slice is SUB long by construction"),
             };
             for (t, &term) in terms.iter().enumerate() {

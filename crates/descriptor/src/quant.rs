@@ -24,7 +24,11 @@
 //! Everything here is deterministic: codebook training uses fixed stride
 //! initialisation, a fixed iteration count, and `f64` accumulation in
 //! storage order, so the same collection always yields the same codec.
-// lint:allow-file(panic.index): DIM/M-bounded component arithmetic over fixed-size code and codebook tables
+
+#![expect(
+    clippy::indexing_slicing,
+    reason = "DIM/M-bounded component arithmetic over fixed-size code and codebook tables"
+)]
 
 use crate::descriptor::DescriptorSet;
 use crate::stats::DimensionStats;
@@ -64,10 +68,11 @@ pub trait DescriptorCodec {
 ///
 /// Variants mirror the codecs; dispatch happens once per block, not per
 /// component, and the hot loops below stay monomorphic.
-// Built once per query and passed by reference into the kernels; boxing
-// the Sq8 tables would put every hot-loop load behind a pointer to save
-// 264 bytes of one-per-query state.
-#[allow(clippy::large_enum_variant)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "built once per query and passed by reference into the kernels; boxing the Sq8 \
+              tables would put every hot-loop load behind a pointer to save 264 bytes"
+)]
 #[derive(Clone, Debug)]
 pub enum PreparedQuery {
     /// Scalar-quantizer query: the raw query plus the affine table, so the

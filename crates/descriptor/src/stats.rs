@@ -6,7 +6,11 @@
 //! (§5.3). [`TrimmedRanges`] computes exactly that. [`DimensionStats`]
 //! additionally exposes means and variances, which the SR-tree's static
 //! build uses to pick split dimensions.
-// lint:allow-file(panic.index): histogram buckets are clamped into their fixed range before indexing
+
+#![expect(
+    clippy::indexing_slicing,
+    reason = "histogram buckets are clamped into their fixed range before indexing"
+)]
 
 use crate::descriptor::DescriptorSet;
 use crate::vector::DIM;

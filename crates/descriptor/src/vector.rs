@@ -7,7 +7,11 @@
 //! (`[f32; 24]`) so the compiler can fully unroll and vectorise them, and
 //! they stay in the *squared* domain; callers take the square root only at
 //! API boundaries where a true metric is required.
-// lint:allow-file(panic.index): DIM-bounded component arithmetic over [f32; DIM] arrays
+
+#![expect(
+    clippy::indexing_slicing,
+    reason = "DIM-bounded component arithmetic over [f32; DIM] arrays"
+)]
 
 /// Dimensionality of the local image descriptors used throughout the paper.
 pub const DIM: usize = 24;
@@ -67,9 +71,12 @@ impl Vector {
     /// violation everywhere it is used.
     #[inline]
     pub fn from_slice(slice: &[f32]) -> Self {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic contract; every call site passes a DIM-length slice"
+        )]
         let arr: [f32; DIM] = slice
             .try_into()
-            // lint:allow(panic.unwrap): documented panic contract; every call site passes a DIM-length slice
             .expect("descriptor slice must have 24 dims");
         Vector(arr)
     }

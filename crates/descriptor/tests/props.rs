@@ -2,6 +2,8 @@
 //! codec round-trips, statistics invariants, and the blocked/fused
 //! distance kernels against the single-row kernel.
 
+#![cfg(test)]
+
 use eff2_descriptor::kernels::max_dist_sq_gather;
 use eff2_descriptor::{
     adc_l2_sq, adc_l2_sq_batch, as_rows, codec, l2_sq, l2_sq_serial, scan_block_into, Codec,

@@ -1,4 +1,3 @@
-// lint:allow-file(panic.index): compaction bookkeeping (groups, centroids, starvation flags) is sized one-entry-per-base-chunk at fold time and indexed by destinations computed over those same tables
 #![warn(missing_docs)]
 
 //! # eff2-epoch
@@ -29,6 +28,11 @@
 //! destinations, split dimension and row order) are total orders over
 //! `(value, id)` — two compactions of the same logical state produce
 //! byte-identical files.
+
+#![expect(
+    clippy::indexing_slicing,
+    reason = "compaction bookkeeping (groups, centroids, starvation flags) is sized one-entry-per-base-chunk at fold time and indexed by destinations computed over those same tables"
+)]
 
 use eff2_core::Snapshot;
 use eff2_descriptor::quant::Codec;
@@ -136,7 +140,10 @@ pub struct MutableIndex {
 impl MutableIndex {
     /// Creates generation zero from `set`/`chunks` (the same inputs as
     /// [`ChunkStore::build_checked`]) and an empty manifest.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the build inputs of ChunkStore::build_checked plus the directory and name"
+    )]
     pub fn create(
         dir: &Path,
         name: &str,

@@ -2,6 +2,8 @@
 //! mutations are durable, compaction preserves the live set, bounds chunk
 //! sizes, and is deterministic.
 
+#![cfg(test)]
+
 use eff2_core::chunkers::{ChunkFormer, SrTreeChunker};
 use eff2_core::{SearchParams, SearchResult};
 use eff2_descriptor::{Descriptor, DescriptorSet, Vector};

@@ -5,6 +5,8 @@
 //! disk throughout. Mutations after adoption land in the manifest only:
 //! the original generation-0 file pair never changes.
 
+#![cfg(test)]
+
 use eff2_core::chunkers::{ChunkFormer, SrTreeChunker};
 use eff2_core::search::{SearchParams, SearchResult, StopRule};
 use eff2_core::Snapshot;

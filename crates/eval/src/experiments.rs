@@ -2,7 +2,11 @@
 //! tables/figures as a [`Report`]. `EXPERIMENTS` is the one list of them
 //! — usage text, dispatch and `all` are read off it — and [`run`] the one
 //! place a report is printed and its CSV series saved.
-// lint:allow-file(panic.index): result tables are sized by the experiment grid that indexes them
+
+#![expect(
+    clippy::indexing_slicing,
+    reason = "result tables are sized by the experiment grid that indexes them"
+)]
 
 use crate::lab::{IndexHandle, Lab};
 use crate::report::{yes_no, Report};

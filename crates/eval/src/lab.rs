@@ -7,7 +7,6 @@
 //! particular the BAG clustering, which is by far the most expensive step
 //! (the paper needed 12 days for its 5 M collection; at the default
 //! 100 k scale the pruned-engine run takes minutes).
-// lint:allow-file(panic.index): artefact tables are sized by the lab pipeline that indexes them
 
 use crate::scale::Scale;
 use crate::EvalResult;
@@ -190,7 +189,10 @@ impl Lab {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one cached index: its label, description, inputs and build measurements"
+    )]
     fn persist(
         &self,
         label: &str,
@@ -269,7 +271,10 @@ impl Lab {
             max_passes: 500,
             ..BagConfig::default()
         };
-        // lint:allow(det.wall_clock): measures real formation cost, reported as wall seconds next to the virtual figures
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "measures real formation cost, reported as wall seconds next to the virtual figures"
+        )]
         let wall = std::time::Instant::now();
         let mut bag = Bag::new(&self.set, cfg);
         let snaps = bag.run_with_checkpoints(&[targets[0], targets[1], targets[2]]);
@@ -335,7 +340,10 @@ impl Lab {
             Some("pq") => Some(Codec::Pq(PqCodec::from_set(set))),
             Some(other) => return Err(format!("unknown codec {other:?} (want sq8 or pq)").into()),
         };
-        // lint:allow(det.wall_clock): measures real formation cost, reported as wall seconds next to the virtual figures
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "measures real formation cost, reported as wall seconds next to the virtual figures"
+        )]
         let wall = std::time::Instant::now();
         let formation = SrTreeChunker { leaf_size: leaf }.form(set);
         self.persist(

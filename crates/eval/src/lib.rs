@@ -15,6 +15,12 @@
 //! stay in the paper's operating regime. Timings are reported on the
 //! simulated 2005 testbed ([`eff2_storage::DiskModel::ata_2005`]).
 
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "the experiment harness reports to the terminal: tables on stdout, progress on stderr"
+)]
+
 pub mod experiments;
 pub mod lab;
 pub mod report;
@@ -25,5 +31,4 @@ pub use report::Report;
 pub use scale::Scale;
 
 /// Harness-level result type (errors cross crate boundaries).
-// lint:allow(err.box_error): the eval binary is the top-level sink aggregating every crate's typed Error for CLI reporting
 pub(crate) type EvalResult<T> = Result<T, Box<dyn std::error::Error + Send + Sync>>;

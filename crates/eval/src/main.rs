@@ -11,6 +11,11 @@
 //! hit an error), 2 for a command or flag nobody knows — refused before
 //! anything is generated or written.
 
+#![expect(
+    clippy::print_stderr,
+    reason = "a command-line binary: usage, progress and errors go to stderr"
+)]
+
 use eff2_eval::experiments;
 use eff2_eval::{Lab, Scale};
 use std::path::PathBuf;
@@ -50,7 +55,10 @@ fn main() {
         }
     }
 
-    // lint:allow(det.wall_clock): CLI progress reporting only; results carry virtual times
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "CLI progress reporting only; results carry virtual times"
+    )]
     let started = std::time::Instant::now();
     let status = Lab::prepare(scale, &out).and_then(|lab| {
         eprintln!(

@@ -7,7 +7,6 @@
 //! divides chunk *size* and chunk *count* by √s each, keeping both in a
 //! regime where (a) a chunk holds far more than k = 30 descriptors and
 //! (b) there are enough chunks for ranking to matter.
-// lint:allow-file(panic.index): scale tables have compile-time-known entries
 
 /// The paper's collection size.
 pub(crate) const PAPER_N: usize = 5_017_298;

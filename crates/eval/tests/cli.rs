@@ -1,5 +1,7 @@
 //! The `eff2-eval` binary's exit-status contract, driven end to end.
 
+#![cfg(test)]
+
 use std::path::PathBuf;
 use std::process::{Command, Output};
 

@@ -1,4 +1,3 @@
-// lint:allow-file(panic.index): the parser cursor is bounded by the length checks of the tokenizer loop
 #![warn(missing_docs)]
 
 //! # eff2-json
@@ -12,6 +11,11 @@
 //! float formatting, so every `f32`/`f64`/`u32` value survives a
 //! write/parse cycle bit-exactly (integers up to 2^53 are exact).
 //! Non-finite numbers are written as `null` and parse back as `f64::NAN`.
+
+#![expect(
+    clippy::indexing_slicing,
+    reason = "the parser cursor is bounded by the length checks of the tokenizer loop"
+)]
 
 use std::fmt;
 
@@ -248,7 +252,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(JsonError {
@@ -321,11 +325,20 @@ fn expect_literal(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<()> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json> {
+/// How deeply arrays and objects may nest. The parser recurses once per
+/// level, so an unbounded document from disk could overflow the stack;
+/// every writer in the workspace nests fewer than ten levels.
+const MAX_DEPTH: usize = 128;
+
+/// Parses the value at `*pos`, which sits inside `depth` open containers.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json> {
     skip_ws(bytes, pos);
     let Some(&b) = bytes.get(*pos) else {
         return parse_err("unexpected end of input", *pos);
     };
+    if matches!(b, b'[' | b'{') && depth >= MAX_DEPTH {
+        return parse_err(format!("nesting deeper than {MAX_DEPTH} levels"), *pos);
+    }
     match b {
         b'n' => expect_literal(bytes, pos, "null").map(|()| Json::Null),
         b't' => expect_literal(bytes, pos, "true").map(|()| Json::Bool(true)),
@@ -340,7 +353,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -368,7 +381,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json> {
                     return parse_err("expected `:`", *pos);
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -599,6 +612,18 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad} should fail");
         }
+    }
+
+    #[test]
+    fn rejects_unbounded_nesting() {
+        // Deep enough to overflow the stack of a parser that recurses
+        // without bound; the bounded one stops at the 129th bracket.
+        let err = Json::parse(&"[".repeat(1_000_000)).expect_err("too deep");
+        assert_eq!(err.offset, MAX_DEPTH);
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&objects).is_err());
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_limit).is_ok());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 /// What a token is, at the granularity the rules care about.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TokenKind {
-    /// An identifier or keyword (rules distinguish via `is_keyword`).
+    /// An identifier or keyword.
     Ident,
     /// A lifetime such as `'a` (or a loop label).
     Lifetime,
@@ -70,51 +70,6 @@ impl Token {
     pub fn is_ident(&self, s: &str) -> bool {
         self.kind == TokenKind::Ident && self.text == s
     }
-}
-
-/// Rust's reserved words (strict and 2018+), used to tell `v[i]` indexing
-/// apart from syntax like `mut [u8]` or `let [a, b] = …`.
-pub(crate) fn is_keyword(s: &str) -> bool {
-    matches!(
-        s,
-        "as" | "async"
-            | "await"
-            | "box"
-            | "break"
-            | "const"
-            | "continue"
-            | "crate"
-            | "dyn"
-            | "else"
-            | "enum"
-            | "extern"
-            | "false"
-            | "fn"
-            | "for"
-            | "if"
-            | "impl"
-            | "in"
-            | "let"
-            | "loop"
-            | "match"
-            | "mod"
-            | "move"
-            | "mut"
-            | "pub"
-            | "ref"
-            | "return"
-            | "static"
-            | "struct"
-            | "super"
-            | "trait"
-            | "true"
-            | "type"
-            | "unsafe"
-            | "use"
-            | "where"
-            | "while"
-            | "yield"
-    )
 }
 
 struct Lexer {

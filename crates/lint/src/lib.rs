@@ -2,29 +2,28 @@
 
 //! # eff2-lint
 //!
-//! A from-scratch static-analysis pass over the eff2 workspace. The
+//! The workspace's token rules: the checks clippy has no lint for. The
 //! ROADMAP's north star is a production server that must not panic, must
 //! stay deterministic (bit-identical traces are what make the paper's
 //! figures reproducible), and must surface every failure through the
-//! workspace error taxonomy. Until now those guarantees were enforced
-//! only by runtime trace tests; this crate checks them *mechanically*,
-//! against the source itself.
+//! workspace error taxonomy. The panic, determinism and hygiene rules are
+//! clippy lints, denied in the workspace manifest and configured in
+//! `clippy.toml`; this crate adds float accumulation order
+//! (`det.float_accum`) and the error taxonomy (`err.box_error`,
+//! `err.string_error`).
 //!
-//! crates.io is unreachable in the build environment, so everything is
-//! self-contained: a minimal Rust lexer ([`lexer`]), a region classifier
-//! that understands `#[cfg(test)]` modules, attributes and `macro_rules!`
-//! bodies ([`regions`]), and a token-pattern rule engine ([`rules`],
-//! driven by [`engine`]). Every rule is a line rule: it fires at the
-//! offending site, in every crate, and findings carry `file:line` spans
-//! and stable rule ids.
-//!
-//! Run it with `cargo run --release -p eff2-lint -- --deny`; see
-//! `DESIGN.md` §10 for the rule table and waiver grammar.
+//! It is a minimal Rust lexer ([`lexer`]), a region classifier that
+//! understands `#[cfg(test)]` modules, attributes and `macro_rules!`
+//! bodies ([`regions`]), and the token-pattern rules ([`rules`], driven by
+//! [`engine`]). Every rule is a line rule: it fires at the offending site,
+//! in every crate, and findings carry `file:line` spans and stable rule
+//! ids. The `workspace_lints_clean` test runs them over the workspace;
+//! see `DESIGN.md` §10 for the rule table.
 
 pub mod engine;
 pub mod lexer;
 pub mod regions;
 pub mod rules;
 
-pub use engine::{lint_files, lint_source, lint_workspace, lint_workspace_report, LintReport};
+pub use engine::{lint_files, lint_source, lint_workspace};
 pub use rules::{Finding, RuleInfo, RULES};

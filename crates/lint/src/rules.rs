@@ -1,19 +1,21 @@
-//! The rule set: panic-freedom, determinism, error-taxonomy and hygiene.
+//! The token rules clippy has no lint for: float accumulation order and
+//! the error taxonomy.
 //!
 //! Each rule is a token-pattern check that applies in every crate; the
-//! only exemptions are `det.thread_spawn` in `parallel` (it owns the raw
-//! threads) and `hyg.print` in the CLI crates. Rules fire only on code
-//! tokens outside test regions, attributes and `macro_rules!` bodies (see
-//! [`crate::regions`]); comments, doc comments and string literals are
-//! skipped by construction of the token stream.
+//! only exemption is `err.box_error` in `eval`, the binary that reports
+//! every crate's typed error. Rules fire only on code tokens outside test
+//! regions, attributes and `macro_rules!` bodies (see [`crate::regions`]);
+//! comments, doc comments and string literals are skipped by construction
+//! of the token stream. The panic, determinism and hygiene rules are
+//! clippy lints, denied in the workspace manifest.
 
-use crate::lexer::{is_keyword, Token, TokenKind};
+use crate::lexer::{Token, TokenKind};
 use crate::regions::Region;
 
 /// A single reported problem.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
-    /// Stable rule identifier (e.g. `panic.unwrap`).
+    /// Stable rule identifier (e.g. `det.float_accum`).
     pub rule: &'static str,
     /// Path of the offending file, relative to the workspace root.
     pub file: String,
@@ -34,10 +36,10 @@ impl Finding {
     }
 }
 
-/// Description of one rule, for `--rules` listings and the docs table.
+/// Description of one rule, for the docs table.
 #[derive(Clone, Copy, Debug)]
 pub struct RuleInfo {
-    /// Stable identifier cited by waivers.
+    /// Stable identifier, printed with every finding.
     pub id: &'static str,
     /// One-line description.
     pub summary: &'static str,
@@ -46,32 +48,8 @@ pub struct RuleInfo {
 /// Every rule this auditor knows, in reporting order.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
-        id: "panic.unwrap",
-        summary: "no .unwrap()/.expect() in non-test library code",
-    },
-    RuleInfo {
-        id: "panic.macro",
-        summary: "no panic!/unreachable!/todo!/unimplemented! in non-test library code",
-    },
-    RuleInfo {
-        id: "panic.index",
-        summary: "no direct slice/array indexing `x[i]` in non-test library code",
-    },
-    RuleInfo {
-        id: "det.hash_container",
-        summary: "no HashMap/HashSet — iteration order is nondeterministic",
-    },
-    RuleInfo {
-        id: "det.wall_clock",
-        summary: "no Instant::now/SystemTime — use the virtual DiskModel clock",
-    },
-    RuleInfo {
         id: "det.float_accum",
         summary: "no float .sum()/.product() — accumulate via kernels or a serial loop",
-    },
-    RuleInfo {
-        id: "det.thread_spawn",
-        summary: "no std::thread::spawn outside crates/parallel — use the eff2-parallel wrappers",
     },
     RuleInfo {
         id: "err.box_error",
@@ -81,29 +59,11 @@ pub const RULES: &[RuleInfo] = &[
         id: "err.string_error",
         summary: "no Result<_, String> — use the workspace Error taxonomy",
     },
-    RuleInfo {
-        id: "hyg.print",
-        summary: "no println!/eprintln!/print!/eprint!/dbg! in library crates",
-    },
-    RuleInfo {
-        id: "hyg.waiver",
-        summary: "every lint:allow waiver cites a known rule, a non-empty reason, and suppresses something",
-    },
 ];
 
-/// Whether `id` names a known rule.
-pub(crate) fn is_rule(id: &str) -> bool {
-    RULES.iter().any(|r| r.id == id)
-}
-
-/// Crates that are command-line binaries: printing to stdout/stderr is
-/// their job, so `hyg.print` does not apply.
-const CLI_CRATES: &[&str] = &["eval", "lint"];
-
-/// The crate exempt from `det.thread_spawn`: eff2-parallel owns raw
-/// threads — its wrappers pin worker counts and merge order so everyone
-/// else stays deterministic.
-const THREAD_CRATE: &str = "parallel";
+/// The crate exempt from `err.box_error`: the eval binary is the top-level
+/// sink that reports every crate's typed `Error` on the command line.
+const ERROR_SINK_CRATE: &str = "eval";
 
 /// Integer primitive names: `.sum::<usize>()` over these is deterministic
 /// regardless of order, so `det.float_accum` permits it.
@@ -162,74 +122,6 @@ impl<'a> View<'a> {
             && self.tok(at + 1).is_some_and(|b| b.is_punct(':'))
     }
 
-    /// `.unwrap(` / `.expect(`: returns the method name.
-    fn unwrap_site(&self, at: usize) -> Option<&'a str> {
-        let t = self.tok(at)?;
-        if t.kind != TokenKind::Ident || !matches!(t.text.as_str(), "unwrap" | "expect") {
-            return None;
-        }
-        let after_dot = at > 0 && self.tok(at - 1).is_some_and(|p| p.is_punct('.'));
-        let called = self.tok(at + 1).is_some_and(|n| n.is_punct('('));
-        (after_dot && called).then_some(t.text.as_str())
-    }
-
-    /// `panic!` / `unreachable!` / `todo!` / `unimplemented!`: the macro name.
-    fn panic_macro_site(&self, at: usize) -> Option<&'a str> {
-        let t = self.tok(at)?;
-        if t.kind != TokenKind::Ident
-            || !matches!(
-                t.text.as_str(),
-                "panic" | "unreachable" | "todo" | "unimplemented"
-            )
-        {
-            return None;
-        }
-        self.tok(at + 1)
-            .is_some_and(|n| n.is_punct('!'))
-            .then_some(t.text.as_str())
-    }
-
-    /// Direct indexing `x[i]` (an opening `[` right after a value).
-    fn index_site(&self, at: usize) -> bool {
-        let Some(t) = self.tok(at) else { return false };
-        if !t.is_punct('[') || at == 0 {
-            return false;
-        }
-        let Some(prev) = self.tok(at - 1) else {
-            return false;
-        };
-        match prev.kind {
-            TokenKind::Ident => !is_keyword(&prev.text),
-            TokenKind::Punct => matches!(prev.text.chars().next(), Some(')') | Some(']')),
-            _ => false,
-        }
-    }
-
-    /// `HashMap` / `HashSet` mention: returns the container name.
-    fn hash_container_site(&self, at: usize) -> Option<&'a str> {
-        let t = self.tok(at)?;
-        (t.kind == TokenKind::Ident && matches!(t.text.as_str(), "HashMap" | "HashSet"))
-            .then_some(t.text.as_str())
-    }
-
-    /// `SystemTime` mention or `Instant::now`: a short site label.
-    fn wall_clock_site(&self, at: usize) -> Option<&'static str> {
-        let t = self.tok(at)?;
-        if t.kind != TokenKind::Ident {
-            return None;
-        }
-        if t.text == "SystemTime" {
-            return Some("SystemTime");
-        }
-        if t.text == "Instant"
-            && self.path_sep(at + 1)
-            && self.tok(at + 3).is_some_and(|c| c.is_ident("now"))
-        {
-            return Some("Instant::now");
-        }
-        None
-    }
-
     /// `.sum()` / `.product()` with a hidden or non-integer accumulator:
     /// returns the method name and how the site is written.
     fn float_accum_site(&self, at: usize) -> Option<(&'a str, AccumShape)> {
@@ -256,16 +148,6 @@ impl<'a> View<'a> {
         }
         None
     }
-
-    /// `thread::spawn(`.
-    fn thread_spawn_site(&self, at: usize) -> bool {
-        let Some(t) = self.tok(at) else { return false };
-        t.kind == TokenKind::Ident
-            && t.text == "thread"
-            && self.path_sep(at + 1)
-            && self.tok(at + 3).is_some_and(|c| c.is_ident("spawn"))
-            && self.tok(at + 4).is_some_and(|d| d.is_punct('('))
-    }
 }
 
 struct Scan<'a> {
@@ -291,71 +173,7 @@ impl Scan<'_> {
             .push(Finding::new(rule, self.rel_path, line, message));
     }
 
-    // ----- panic-freedom ---------------------------------------------------
-
-    fn panic_unwrap(&mut self, at: usize) {
-        if let Some(name) = self.view.unwrap_site(at) {
-            let name = name.to_string();
-            self.report(
-                "panic.unwrap",
-                at,
-                format!(".{name}() can panic — return the workspace Error instead"),
-            );
-        }
-    }
-
-    fn panic_macro(&mut self, at: usize) {
-        if let Some(name) = self.view.panic_macro_site(at) {
-            let name = name.to_string();
-            self.report(
-                "panic.macro",
-                at,
-                format!("{name}! aborts the caller — return the workspace Error instead"),
-            );
-        }
-    }
-
-    fn panic_index(&mut self, at: usize) {
-        if self.view.index_site(at) {
-            self.report(
-                "panic.index",
-                at,
-                "direct indexing can panic — prefer .get()/iterators or a bounds-checked helper"
-                    .to_string(),
-            );
-        }
-    }
-
     // ----- determinism -----------------------------------------------------
-
-    fn det_hash_container(&mut self, at: usize) {
-        if let Some(name) = self.view.hash_container_site(at) {
-            let name = name.to_string();
-            self.report(
-                "det.hash_container",
-                at,
-                format!("{name} iteration order is nondeterministic — use BTreeMap/BTreeSet or an index vector"),
-            );
-        }
-    }
-
-    fn det_wall_clock(&mut self, at: usize) {
-        match self.view.wall_clock_site(at) {
-            Some("SystemTime") => self.report(
-                "det.wall_clock",
-                at,
-                "SystemTime makes output depend on the host clock — use the virtual DiskModel clock"
-                    .to_string(),
-            ),
-            Some(_) => self.report(
-                "det.wall_clock",
-                at,
-                "Instant::now makes output depend on the host — use the virtual DiskModel clock"
-                    .to_string(),
-            ),
-            None => {}
-        }
-    }
 
     fn det_float_accum(&mut self, at: usize) {
         if let Some((name, shape)) = self.view.float_accum_site(at) {
@@ -372,23 +190,12 @@ impl Scan<'_> {
         }
     }
 
-    fn det_thread_spawn(&mut self, at: usize) {
-        if self.crate_name == THREAD_CRATE {
-            return;
-        }
-        if self.view.thread_spawn_site(at) {
-            self.report(
-                "det.thread_spawn",
-                at,
-                "std::thread::spawn forks unmanaged concurrency — use the eff2-parallel wrappers"
-                    .to_string(),
-            );
-        }
-    }
-
     // ----- error taxonomy --------------------------------------------------
 
     fn err_box_error(&mut self, at: usize) {
+        if self.crate_name == ERROR_SINK_CRATE {
+            return;
+        }
         let Some(t) = self.view.tok(at) else { return };
         if !t.is_ident("Box") || !self.view.tok(at + 1).is_some_and(|n| n.is_punct('<')) {
             return;
@@ -465,37 +272,9 @@ impl Scan<'_> {
             }
         }
     }
-
-    // ----- hygiene ---------------------------------------------------------
-
-    fn hyg_print(&mut self, at: usize) {
-        if CLI_CRATES.contains(&self.crate_name) {
-            return;
-        }
-        let Some(t) = self.view.tok(at) else { return };
-        if t.kind != TokenKind::Ident
-            || !matches!(
-                t.text.as_str(),
-                "println" | "eprintln" | "print" | "eprint" | "dbg"
-            )
-        {
-            return;
-        }
-        if self.view.tok(at + 1).is_some_and(|n| n.is_punct('!')) {
-            let name = t.text.clone();
-            self.report(
-                "hyg.print",
-                at,
-                format!(
-                    "{name}! in a library crate pollutes consumers' output — remove or gate it"
-                ),
-            );
-        }
-    }
 }
 
-/// Runs every token rule over one file, returning unsuppressed raw
-/// findings (waiver handling happens in [`crate::engine`]).
+/// Runs every token rule over one file.
 pub(crate) fn apply(
     crate_name: &str,
     rel_path: &str,
@@ -514,16 +293,9 @@ pub(crate) fn apply(
         if scan.skipped(at) {
             continue;
         }
-        scan.panic_unwrap(at);
-        scan.panic_macro(at);
-        scan.panic_index(at);
-        scan.det_hash_container(at);
-        scan.det_wall_clock(at);
         scan.det_float_accum(at);
-        scan.det_thread_spawn(at);
         scan.err_box_error(at);
         scan.err_string_error(at);
-        scan.hyg_print(at);
     }
     scan.findings
 }

@@ -2,8 +2,8 @@
 //! cfg(test) modules and macro bodies. Only the marked lines may fire.
 
 pub fn strings() -> String {
-    let a = "v.unwrap() and panic!(x) inside a plain string";
-    let b = r#"raw: v.expect("quoted") and data[0]"#;
+    let a = "v.iter().sum() and Result<(), String> inside a plain string";
+    let b = r#"raw: v.product() and "quoted" Result<u8, String>"#;
     let c = r##"nested r#"hash"# raw"##;
     format!("{a}{b}{c}")
 }
@@ -21,28 +21,27 @@ pub fn numbers(v: &[f32]) -> f32 {
     m + r + v.iter().copied().fold(0.0f32, f32::max)
 }
 
-//// A plain divider comment mentioning .unwrap() and panic!().
+//// A plain divider comment mentioning .sum() and Result<(), String>.
 
 macro_rules! in_macro_body {
     ($v:expr) => {
-        $v.unwrap()
+        $v.iter().sum()
     };
 }
 
 #[cfg(test)]
 mod outer {
     mod inner {
-        pub fn deeply_nested_test_code() {
-            Vec::<u32>::new().pop().unwrap();
-            let v = vec![1u32];
-            let _ = v[0];
+        pub fn deeply_nested_test_code() -> Result<(), String> {
+            let _total: f32 = [1.0f32].iter().sum();
+            Ok(())
         }
     }
 }
 
 #[cfg(not(test))]
 pub mod shipped {
-    pub fn not_a_test_region(v: &[u32]) -> u32 {
-        v[0] //~ panic.index
+    pub fn not_a_test_region(v: &[f32]) -> f32 {
+        v.iter().sum() //~ det.float_accum
     }
 }

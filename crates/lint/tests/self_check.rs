@@ -1,9 +1,12 @@
-//! The auditor's own acceptance test: the real workspace must lint clean.
+//! The workspace's own acceptance tests: the real workspace must pass
+//! the token rules, and the clippy configuration must carry the rest.
 //!
 //! This is what keeps the invariants *enforced* rather than aspirational —
-//! any new `.unwrap()` in a library path, `HashMap` in any crate, or
-//! waiver without a reason fails the test suite, not just the optional
-//! CLI run.
+//! a new float `.sum()` or `Result<_, String>` in a library path, or a
+//! lint dropped from the clippy table, fails the test suite, not just the
+//! optional `scripts/check.sh` run.
+
+#![cfg(test)]
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -58,6 +61,131 @@ fn member_dirs(root: &Path) -> Vec<PathBuf> {
     }
     dirs.sort();
     dirs
+}
+
+/// The `key = value` lines of one `[table]` of a TOML manifest, trimmed,
+/// comments skipped.
+fn table_entries(manifest: &str, table: &str) -> Vec<(String, String)> {
+    let mut entries = Vec::new();
+    let mut inside = false;
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            inside = line == format!("[{table}]");
+        } else if inside && !line.starts_with('#') {
+            entries.extend(
+                (line.split_once('=')).map(|(k, v)| (k.trim().to_string(), v.trim().to_string())),
+            );
+        }
+    }
+    entries
+}
+
+#[test]
+fn clippy_carries_the_panic_and_determinism_rules() {
+    // The panic-freedom, determinism and hygiene rules are clippy lints.
+    // `scripts/check.sh` runs clippy; this pins its configuration in the
+    // test suite, so dropping a lint or exempting a crate fails here too.
+    const DENIED: &[&str] = &[
+        "unwrap_used",
+        "expect_used",
+        "panic",
+        "unreachable",
+        "todo",
+        "unimplemented",
+        "indexing_slicing",
+        "disallowed_types",
+        "disallowed_methods",
+        "print_stdout",
+        "print_stderr",
+        "dbg_macro",
+        "allow_attributes",
+        "allow_attributes_without_reason",
+    ];
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let manifest = std::fs::read_to_string(root.join("Cargo.toml")).expect("read root manifest");
+    let levels = table_entries(&manifest, "workspace.lints.clippy");
+    for lint in DENIED {
+        assert!(
+            levels.iter().any(|(k, v)| k == lint && v == "\"deny\""),
+            "`{lint}` is not \"deny\" in [workspace.lints.clippy]: {levels:?}"
+        );
+    }
+
+    // The disallowed paths, and test code exempt from exactly the rules
+    // it was exempt from before: never from determinism or `dbg!`.
+    let config = std::fs::read_to_string(root.join("clippy.toml")).expect("read clippy.toml");
+    for path in [
+        "std::collections::HashMap",
+        "std::collections::HashSet",
+        "std::time::SystemTime",
+        "std::time::Instant::now",
+        "std::thread::spawn",
+    ] {
+        assert!(
+            config.contains(&format!("path = \"{path}\"")),
+            "clippy.toml does not disallow `{path}`"
+        );
+    }
+    for key in ["unwrap", "expect", "panic", "indexing-slicing", "print"] {
+        assert!(
+            config.contains(&format!("allow-{key}-in-tests = true")),
+            "clippy.toml lacks allow-{key}-in-tests"
+        );
+    }
+    assert!(
+        !config.contains("allow-dbg-in-tests"),
+        "dbg! stays denied in tests"
+    );
+
+    // No member opts out of the workspace table.
+    for member in member_dirs(&root) {
+        let text = std::fs::read_to_string(member.join("Cargo.toml")).expect("read manifest");
+        assert!(
+            table_entries(&text, "lints").contains(&("workspace".into(), "true".into())),
+            "{} lacks `[lints] workspace = true`",
+            member.display()
+        );
+    }
+
+    // `allow_attributes` sees only outer attributes: an inner
+    // `#![allow(clippy::…)]` would still silence a lint without an
+    // expectation that must be fulfilled.
+    let mut files = Vec::new();
+    for dir in ["crates", "examples", "tests", "shims"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    let mut allows = Vec::new();
+    for file in &files {
+        let tokens = lexer::lex(&std::fs::read_to_string(file).expect("read source"));
+        let regions = regions::classify(&tokens);
+        let code = regions::code_indices(&tokens);
+        for (at, &i) in code.iter().enumerate() {
+            if !regions[i].attr || !tokens[i].is_ident("allow") {
+                continue;
+            }
+            let args = code[at + 1..].iter().map(|&j| &tokens[j]);
+            let mut depth = 0;
+            for t in args {
+                match (t.kind, t.text.as_str()) {
+                    (lexer::TokenKind::Punct, "(") => depth += 1,
+                    (lexer::TokenKind::Punct, ")") => depth -= 1,
+                    _ if t.is_ident("clippy") => {
+                        let rel = file.strip_prefix(&root).expect("under the root");
+                        allows.push(format!("{}:{}", rel.display(), t.line));
+                    }
+                    _ => {}
+                }
+                if depth == 0 {
+                    break;
+                }
+            }
+        }
+    }
+    assert!(files.len() > 100, "the walk found the sources");
+    assert!(
+        allows.is_empty(),
+        "allow(clippy::…) hides a lint; use #[expect(…, reason = \"…\")]: {allows:?}"
+    );
 }
 
 /// The `[dependencies]` and `[dev-dependencies]` keys of a manifest, in
@@ -130,20 +258,19 @@ fn findings_come_out_sorted_and_deterministic() {
         (
             "core".to_string(),
             "b.rs".to_string(),
-            "pub fn f(v: &[u8]) -> u8 {\n    let m = std::collections::HashMap::new();\n    v[0]\n}\n".to_string(),
+            "pub fn f(v: &[f32]) -> Result<f32, String> {\n    let w: f32 = v.iter().product();\n    Ok(w + v.iter().sum::<f32>())\n}\n".to_string(),
         ),
         (
             "core".to_string(),
             "a.rs".to_string(),
-            "pub fn g(x: Option<u8>) -> u8 {\n    x.unwrap()\n}\n".to_string(),
+            "pub fn g(v: &[f32]) -> f32 {\n    v.iter().sum()\n}\n".to_string(),
         ),
     ];
     let first = eff2_lint::lint_files(&inputs);
     let second = eff2_lint::lint_files(&inputs);
-    assert_eq!(first.findings, second.findings);
-    assert!(!first.findings.is_empty());
+    assert_eq!(first, second);
+    assert!(!first.is_empty());
     let keys: Vec<(String, u32, String, String)> = first
-        .findings
         .iter()
         .map(|f| {
             (
@@ -221,7 +348,6 @@ const PUBLIC_BY_SIGNATURE: &[(&str, &str)] = &[
     ("IndexHandle", "returned by eval Lab::six_indexes"),
     ("IndexMeta", "type of the field eval IndexHandle::meta"),
     ("LeafChunk", "returned by srtree::chunks_from_collection"),
-    ("LintReport", "returned by lint::lint_files"),
     (
         "LiveCompletion",
         "element of the field serve LiveReport::completions",

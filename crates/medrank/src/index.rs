@@ -1,6 +1,10 @@
 //! The Medrank index: random-line projections and the median-rank cursor
 //! walk.
-// lint:allow-file(panic.index): rank arrays are sized to the collection by the builder that indexes them
+
+#![expect(
+    clippy::indexing_slicing,
+    reason = "rank arrays are sized to the collection by the builder that indexes them"
+)]
 
 use eff2_descriptor::{DescriptorSet, Vector, DIM};
 use eff2_storage::diskmodel::{DiskModel, VirtualDuration};

@@ -9,7 +9,11 @@
 //!
 //! [`quality_curve`] runs every query of a workload to completion against
 //! one chunk store and produces exactly those series.
-// lint:allow-file(panic.index): aligned series share one length established at construction
+
+#![expect(
+    clippy::indexing_slicing,
+    reason = "aligned series share one length established at construction"
+)]
 
 use crate::truth::GroundTruth;
 use eff2_core::search::{SearchParams, StopRule};

@@ -30,9 +30,13 @@ use std::sync::Mutex;
 /// Spawns a detached worker thread.
 ///
 /// Every long-lived thread in the workspace is created through this helper
-/// (the auditor's `det.thread_spawn` rule bans raw `std::thread::spawn`
-/// outside this crate), so thread provenance stays auditable in one place
-/// and future policy — naming, stack sizes, counting — has a single home.
+/// (clippy's `disallowed_methods` bans raw `std::thread::spawn` everywhere
+/// else), so thread provenance stays auditable in one place and future
+/// policy — naming, stack sizes, counting — has a single home.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one sanctioned raw spawn: every other thread goes through this helper"
+)]
 pub fn spawn<T, F>(f: F) -> std::thread::JoinHandle<T>
 where
     F: FnOnce() -> T + Send + 'static,

@@ -1,4 +1,3 @@
-// lint:allow-file(panic.index): device vectors are sized by the device count at construction and indexed by device ids the engine or the ShardMap produced
 //! The one serving loop behind [`Scheduler`](crate::Scheduler),
 //! [`ImageScheduler`](crate::ImageScheduler),
 //! [`FleetScheduler`](crate::FleetScheduler) and
@@ -55,6 +54,11 @@
 //! bug, not a workload property (an open session's cursor rank is always
 //! wanted from some device): it surfaces as a typed
 //! `Inconsistent("… stalled …")` error in every configuration.
+
+#![expect(
+    clippy::indexing_slicing,
+    reason = "device vectors are sized by the device count at construction and indexed by device ids the engine or the ShardMap produced"
+)]
 
 use crate::error::{Result, ServeError};
 use crate::fleet::LossScope;

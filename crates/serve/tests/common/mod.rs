@@ -3,7 +3,12 @@
 //! bit-identity assertions every equivalence suite uses. Shared by the
 //! integration files here and (through `#[path]` in `src/lib.rs`) by the
 //! unit-test modules inside the crate.
-#![allow(dead_code)]
+
+#![cfg(test)]
+#![allow(
+    dead_code,
+    reason = "each test binary uses its own subset of the shared fixtures"
+)]
 
 use eff2_chaos::RetryPolicy;
 use eff2_core::chunkers::{ChunkFormer, RoundRobinChunker, SrTreeChunker};

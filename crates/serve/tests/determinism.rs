@@ -4,6 +4,8 @@
 //! to running the same queries serially, one at a time. Scheduling is
 //! allowed to change fleet timing — never what a query computes.
 
+#![cfg(test)]
+
 mod common;
 
 use common::{arb_former, arb_policy, arb_stop, assert_bit_identical, build_snapshot, lumpy_set};

@@ -4,6 +4,8 @@
 //! (faults quiet) — and when a fault plan kills every copy, the fleet
 //! degrades exactly like the solo scheduler's permanent loss.
 
+#![cfg(test)]
+
 mod common;
 
 use common::{assert_bit_identical, retry, scan_all, snapshot, trace};

@@ -11,6 +11,8 @@
 //! actual dump under `CARGO_TARGET_TMPDIR/golden/`; if the change is
 //! intended, copy that file over the checked-in one.
 
+#![cfg(test)]
+
 mod common;
 
 use common::{lumpy_set, retry, rr_map, snapshot, spec, tmp_dir, trace};

@@ -9,6 +9,8 @@
 //! 3. `descriptors_spent + descriptors_abandoned == descriptors_total`,
 //!    always, per query and in the fleet totals.
 
+#![cfg(test)]
+
 mod common;
 
 use common::{
@@ -150,7 +152,7 @@ proptest! {
 
         let m = match image_stop {
             ImageStopRule::StableTop { m, .. } | ImageStopRule::CertifiedTop { m } => m,
-            ImageStopRule::RunAll => unreachable!("strategy never draws RunAll"),
+            ImageStopRule::RunAll => panic!("strategy never draws RunAll"),
         };
         let mut fleet_spent = 0u64;
         let mut fleet_abandoned = 0u64;

@@ -5,6 +5,8 @@
 //! pinned at admission. Mutation changes *which* epoch a query sees,
 //! never what a pinned epoch computes.
 
+#![cfg(test)]
+
 mod common;
 
 use common::{arb_former, arb_stop, assert_bit_identical, lumpy_set, tmp_dir};

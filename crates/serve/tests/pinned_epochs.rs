@@ -6,6 +6,8 @@
 //! other, and every answer is bit-identical to the solo run on the same
 //! pin.
 
+#![cfg(test)]
+
 mod common;
 
 use common::{

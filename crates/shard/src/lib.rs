@@ -121,7 +121,6 @@ impl ShardMap {
         let mut primary_of: Vec<Option<u32>> = vec![None; n_chunks];
         let mut load = vec![0usize; n_shards];
         for cell in order {
-            // lint:allow(panic.index): full-range slice of an empty literal cannot panic
             let members = cells.get(cell).map_or(&[][..], Vec::as_slice);
             if members.is_empty() {
                 continue;

@@ -15,7 +15,11 @@
 //! size the paper relies on — and leaves are *roundish* because splits
 //! always cut the widest spread. The upper levels of the tree are never
 //! built: the paper throws them away, so the leaves are the whole result.
-// lint:allow-file(panic.index): partition boundaries are derived from the lengths of the slices they cut
+
+#![expect(
+    clippy::indexing_slicing,
+    reason = "partition boundaries are derived from the lengths of the slices they cut"
+)]
 
 use eff2_descriptor::{DescriptorSet, Vector, DIM};
 

@@ -1,6 +1,8 @@
 //! Property-based tests for the SR-tree's static build: the uniform-leaf
 //! guarantee over arbitrary point sets.
 
+#![cfg(test)]
+
 use eff2_descriptor::{Descriptor, DescriptorSet, Vector, DIM};
 use eff2_srtree::bulk::build_leaf_partitions;
 use proptest::prelude::*;

@@ -2,7 +2,7 @@
 //!
 //! The on-disk decoders used to pull fixed-width fields out of byte
 //! buffers with `buf[a..b].try_into().expect("fixed slice")` — provably
-//! fine on the happy path, but a panic pattern the `eff2-lint` auditor
+//! fine on the happy path, but a panic pattern clippy's `expect_used`
 //! rightly flags: a server decoding untrusted or corrupted files must
 //! surface short buffers as [`Error::Truncated`], never abort. These
 //! helpers make the bounds check part of the return type.

@@ -171,7 +171,6 @@ impl EpochManifest {
                     let mut vector = Vector::ZERO;
                     for d in 0..DIM {
                         let bits = u32_at(body, at + d * 4, what)?;
-                        // lint:allow(panic.index): d < DIM bounds the [f32; DIM] vector
                         vector[d] = f32::from_bits(bits);
                     }
                     at += DIM * 4;

@@ -230,8 +230,8 @@ struct ResidentEntry {
 
 /// The shared LRU state. Entries live in a `BTreeMap` so every traversal
 /// (eviction scans, stats, debug dumps) visits chunks in the same order on
-/// every run — the auditor's `det.hash_container` rule bans randomized
-/// iteration from crates feeding the deterministic search pipeline. The
+/// every run — clippy's `disallowed_types` bans randomized iteration from
+/// crates feeding the deterministic search pipeline. The
 /// LRU victim itself is already unambiguous (ticks are unique), so the
 /// swap changes no observable behaviour, only removes the nondeterminism
 /// hazard.

@@ -1,6 +1,8 @@
 //! Property-based tests for the storage layer: codec round-trips with
 //! arbitrary chunk layouts and page sizes, and cost-model monotonicity.
 
+#![cfg(test)]
+
 use eff2_descriptor::{Descriptor, DescriptorSet, Vector, DIM};
 use eff2_storage::chunkfile::ChunkPayload;
 use eff2_storage::diskmodel::{DiskModel, PipelineClock, VirtualDuration};

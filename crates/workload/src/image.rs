@@ -88,19 +88,31 @@ pub fn image_queries(
     let n_images = image_of.iter().take(set.len()).map(|&i| i + 1).max();
     let mut members: Vec<Vec<u32>> = vec![Vec::new(); n_images.unwrap_or(0) as usize];
     for (pos, &image) in image_of.iter().take(set.len()).enumerate() {
-        // lint:allow(panic.index): members was sized to max(image) + 1 above
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "members was sized to max(image) + 1 above"
+        )]
         members[image as usize].push(pos as u32);
     }
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n_queries)
         .map(|_| {
             let anchor = rng.gen_range(0..set.len());
-            // lint:allow(panic.index): anchor < set.len() <= image_of.len(), asserted above
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "anchor < set.len() <= image_of.len(), asserted above"
+            )]
             let image = image_of[anchor];
-            // lint:allow(panic.index): members was sized to max(image) + 1 above
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "members was sized to max(image) + 1 above"
+            )]
             let pool = &members[image as usize];
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "pool holds at least the anchor descriptor"
+            )]
             let source_positions: Vec<u32> = (0..per_query)
-                // lint:allow(panic.index): pool holds at least the anchor descriptor
                 .map(|_| pool[rng.gen_range(0..pool.len())])
                 .collect();
             let descriptors = source_positions

@@ -1,4 +1,3 @@
-// lint:allow-file(panic.index): query tables are sized by the workload spec that indexes them
 #![warn(missing_docs)]
 
 //! # eff2-workload
@@ -14,6 +13,11 @@
 //! The paper uses 1,000 queries of each kind, runs each to every chunk
 //! index round-robin, and averages the metrics; [`Workload`] is the query
 //! container those experiments iterate over.
+
+#![expect(
+    clippy::indexing_slicing,
+    reason = "query tables are sized by the workload spec that indexes them"
+)]
 
 pub mod arrivals;
 pub mod image;

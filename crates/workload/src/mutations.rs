@@ -112,7 +112,6 @@ pub fn skewed_mutation_trace(
                 let pos = (anchor as usize * 97) % set.len();
                 let mut vector = set.vector_owned(pos);
                 for d in 0..DIM {
-                    // lint:allow(panic.index): d < DIM bounds the [f32; DIM] vector
                     vector[d] += rng.gen_range(-0.25f32..0.25);
                 }
                 let id = next_id;

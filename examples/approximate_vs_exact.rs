@@ -10,12 +10,21 @@
 //! cargo run --release -p eff2-examples --bin approximate_vs_exact
 //! ```
 
+#![expect(
+    clippy::print_stdout,
+    reason = "an example shows its results on stdout"
+)]
+
 use eff2_bag::BagConfig;
 use eff2_core::{evaluate_stop_rules, BagChunker, SearchParams, Snapshot, SrTreeChunker, StopRule};
 use eff2_descriptor::SyntheticCollection;
 use eff2_metrics::precision_at;
 use eff2_storage::diskmodel::{DiskModel, VirtualDuration};
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the per-rule tables have one entry per stop rule, and evaluate_stop_rules returns one result per rule"
+)]
 fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     let set = SyntheticCollection::with_size(15_000, 11).set;
     let dir = std::env::temp_dir().join("eff2_approx_vs_exact");

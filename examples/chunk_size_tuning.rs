@@ -11,6 +11,11 @@
 //! cargo run --release -p eff2-examples --bin chunk_size_tuning
 //! ```
 
+#![expect(
+    clippy::print_stdout,
+    reason = "an example shows its results on stdout"
+)]
+
 use eff2_core::StopRule;
 use eff2_core::{SearchParams, Snapshot, SrTreeChunker};
 use eff2_descriptor::SyntheticCollection;

@@ -13,10 +13,15 @@
 //! cargo run --release -p eff2-examples --bin copyright_search
 //! ```
 
+#![expect(
+    clippy::print_stdout,
+    reason = "an example shows its results on stdout"
+)]
+
 use eff2_core::{SearchParams, Snapshot, SrTreeChunker};
 use eff2_descriptor::{CollectionSpec, SyntheticCollection, Vector};
 use eff2_storage::DiskModel;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     let collection = SyntheticCollection::generate(CollectionSpec::sized(30_000, 21));
@@ -62,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
             SearchParams::approximate(5, 2),
         ),
     ] {
-        let mut votes: HashMap<u32, usize> = HashMap::new();
+        let mut votes: BTreeMap<u32, usize> = BTreeMap::new();
         let mut virtual_total = 0.0;
         for q in &suspect {
             let r = built.index.search(q, &params)?;

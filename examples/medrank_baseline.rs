@@ -12,6 +12,11 @@
 //! cargo run --release -p eff2-examples --bin medrank_baseline
 //! ```
 
+#![expect(
+    clippy::print_stdout,
+    reason = "an example shows its results on stdout"
+)]
+
 use eff2_core::{SearchParams, Snapshot, SrTreeChunker};
 use eff2_descriptor::SyntheticCollection;
 use eff2_medrank::{MedrankIndex, MedrankParams};

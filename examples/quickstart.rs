@@ -5,6 +5,11 @@
 //! cargo run --release -p eff2-examples --bin quickstart
 //! ```
 
+#![expect(
+    clippy::print_stdout,
+    reason = "an example shows its results on stdout"
+)]
+
 use eff2_core::{SearchParams, SearchSession, Snapshot, SrTreeChunker};
 use eff2_descriptor::SyntheticCollection;
 use eff2_storage::DiskModel;

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Full local gate: formatting, release build, tests, lint, eval and example
-# smokes, clippy with warnings denied. It measures no wall time: figures for
-# claims come from `perfbench`. Run from anywhere.
+# Full local gate: formatting, clippy with warnings denied (the panic,
+# determinism and hygiene rules), release build, tests, eval and example
+# smokes, rustdoc. It measures no wall time: figures for claims come from
+# `perfbench`. Run from anywhere.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -11,6 +12,9 @@ TREE_BEFORE="$(git status --porcelain)"
 
 echo "==> cargo fmt --check"
 cargo fmt --check
+
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo build --release"
 cargo build --release
@@ -26,15 +30,6 @@ echo "==> cargo test perfbench (the benchmark's smoke + contract tests, against 
 # against eff2-serve's public surface before the benchmark itself runs.
 cargo test --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> eff2-lint --deny (workspace invariant audit)"
-LINT_ERR="$(mktemp)"
-cargo run --release -p eff2-lint -- --deny 2>"$LINT_ERR"
-cat "$LINT_ERR" >&2
-# The timing line ("lint: N files, K ms") tracks analysis cost
-# as the workspace grows; its absence means the audit did not really run.
-grep -q "^lint: " "$LINT_ERR"
-rm -f "$LINT_ERR"
-
 echo "==> eval smokes (tiny-scale exp4..exp9; a gate that prints NO is a non-zero exit)"
 EVAL_OUT="$(mktemp -d)"
 for exp in exp4 exp5 exp6 exp7 exp8 exp9; do
@@ -46,9 +41,6 @@ echo "==> example binaries run (the public API end to end; temp dirs only)"
 for example in quickstart copyright_search chunk_size_tuning approximate_vs_exact medrank_baseline; do
   cargo run --release -q -p eff2-examples --bin "$example" >/dev/null
 done
-
-echo "==> cargo clippy --workspace --all-targets -- -D warnings"
-cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc --workspace --no-deps (rustdoc warnings denied: no dangling doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline

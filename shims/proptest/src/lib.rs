@@ -129,6 +129,7 @@ impl<T> Union<T> {
 
 impl<T> Strategy for Union<T> {
     type Value = T;
+    #[expect(clippy::indexing_slicing, reason = "`i` is drawn from `0..arms.len()`")]
     fn generate(&self, rng: &mut TestRng) -> T {
         use rand::Rng;
         let i = rng.gen_range(0..self.arms.len());

@@ -11,6 +11,10 @@ pub fn test_collection(n: usize, seed: u64) -> DescriptorSet {
 }
 
 /// A scratch directory unique to `tag`.
+#[expect(
+    clippy::expect_used,
+    reason = "a test helper: a test cannot run without its scratch directory"
+)]
 pub fn scratch_dir(tag: &str) -> PathBuf {
     static SEQ: AtomicUsize = AtomicUsize::new(0);
     let unique = SEQ.fetch_add(1, Ordering::Relaxed);

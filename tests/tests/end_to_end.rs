@@ -1,6 +1,8 @@
 //! End-to-end integration: generate → form chunks → persist → reopen →
 //! search → measure, across every chunk-forming strategy.
 
+#![cfg(test)]
+
 use eff2_bag::BagConfig;
 use eff2_core::chunkers::{
     BagChunker, ChunkFormer, HybridChunker, RandomChunker, RoundRobinChunker, SrTreeChunker,

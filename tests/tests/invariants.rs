@@ -1,6 +1,8 @@
 //! Cross-crate property tests: the system-level invariants that hold for
 //! any collection and any chunk-forming strategy.
 
+#![cfg(test)]
+
 use eff2_bag::{Bag, BagConfig, EngineKind};
 use eff2_core::chunkers::{ChunkFormer, RoundRobinChunker, SrTreeChunker};
 use eff2_core::{scan_knn, SearchParams, Snapshot};

@@ -2,6 +2,8 @@
 //! synthetic collection at test scale. These are the automated versions of
 //! EXPERIMENTS.md's "shape expectations".
 
+#![cfg(test)]
+
 use eff2_eval::experiments::{exp1_curves, sweep_neighbor_marks};
 use eff2_eval::{Lab, Scale};
 use std::sync::OnceLock;
