@@ -23,7 +23,7 @@ use crate::search::{SearchParams, SearchResult};
 use crate::session::{ChunkRanking, SearchSession};
 use eff2_descriptor::Vector;
 use eff2_storage::diskmodel::DiskModel;
-use eff2_storage::source::PrefetchSource;
+use eff2_storage::source::FileSource;
 use eff2_storage::{ChunkStore, Result};
 use std::sync::Arc;
 
@@ -41,7 +41,7 @@ pub fn search_two_level(
     coarse: &CoarseQuantizer,
 ) -> Result<SearchResult> {
     let ranking = ChunkRanking::rank_two_level(store, model, query, coarse);
-    let source = Arc::new(PrefetchSource::new(store, params.prefetch_depth));
+    let source = Arc::new(FileSource::new(store));
     SearchSession::from_ranking(ranking, model, query, params, source).run()
 }
 

@@ -12,8 +12,9 @@
 //!    their centroids (the index file read — ≈50 ms on the paper's
 //!    hardware);
 //! 2. **scan** chunks in ranked order, fetching each chunk's descriptors
-//!    and updating the current k-nearest-neighbour set — I/O overlapped
-//!    with CPU through a prefetching pipeline;
+//!    and updating the current k-nearest-neighbour set — the query's own
+//!    thread reads each chunk, and the modelled clock overlaps each
+//!    chunk's I/O with CPU;
 //! 3. **stop** according to a [`StopRule`]: after a fixed number of chunks,
 //!    after a time threshold, or *to completion* — when `k` neighbours are
 //!    known and no remaining chunk's lower bound

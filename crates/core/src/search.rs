@@ -28,7 +28,7 @@ use crate::neighbors::Neighbor;
 use crate::session::SearchSession;
 use eff2_descriptor::Vector;
 use eff2_storage::diskmodel::{DiskModel, VirtualDuration};
-use eff2_storage::source::{ChunkSource, PrefetchSource};
+use eff2_storage::source::{ChunkSource, FileSource};
 use eff2_storage::{ChunkStore, Result};
 use std::sync::Arc;
 
@@ -57,7 +57,11 @@ pub struct SearchParams {
     pub k: usize,
     /// Stop rule.
     pub stop: StopRule,
-    /// How many chunks the pipelined reader may fetch ahead.
+    /// How many chunks a [`PrefetchSource`](eff2_storage::PrefetchSource)
+    /// reads ahead, for a caller that passes one to [`search_with_source`]
+    /// or [`SearchSession::with_source`]. The default source of [`search`],
+    /// [`SearchSession::open`] and the other one-call drivers reads on the
+    /// calling thread and ignores it.
     pub prefetch_depth: usize,
     /// Record a top-k identifier snapshot in every [`ChunkEvent`] (needed
     /// for precision-of-intermediate-results curves; costs k words per
@@ -254,8 +258,9 @@ impl SearchResult {
 /// Executes one query against a chunk store under the given cost model.
 ///
 /// This is ranking + drive-to-stop over a [`SearchSession`] with the
-/// default prefetching source — see [`crate::session`] for the resumable
-/// form and for answering many stop rules from one scan.
+/// default source, which reads each chunk on the calling thread — see
+/// [`crate::session`] for the resumable form and for answering many stop
+/// rules from one scan.
 pub fn search(
     store: &ChunkStore,
     model: &DiskModel,
@@ -289,8 +294,8 @@ pub fn search_with_source(
 /// one-query-at-a-time run. The determinism test asserts exactly that.
 /// Results come back in query order.
 ///
-/// All workers share one [`PrefetchSource`] — a store handle and a depth;
-/// every query's stream reads its own chunks.
+/// All workers share one [`FileSource`] — a store handle; every query's
+/// stream reads its own chunks on its worker's thread.
 pub fn search_batch_threads(
     store: &ChunkStore,
     model: &DiskModel,
@@ -298,7 +303,7 @@ pub fn search_batch_threads(
     params: &SearchParams,
     threads: usize,
 ) -> Result<Vec<SearchResult>> {
-    let source: Arc<dyn ChunkSource> = Arc::new(PrefetchSource::new(store, params.prefetch_depth));
+    let source: Arc<dyn ChunkSource> = Arc::new(FileSource::new(store));
     eff2_parallel::try_par_map_threads(threads, queries, |_, q| {
         SearchSession::with_source(store, model, q, params, Arc::clone(&source)).run()
     })
@@ -507,8 +512,11 @@ mod tests {
 
     /// A zero prefetch window is a typed error at the first step, not a
     /// panic — and a `k = 0` query, which opens no stream, tolerates it.
+    /// The window belongs to a [`PrefetchSource`], the one source that
+    /// reads `prefetch_depth`.
     #[test]
     fn zero_prefetch_depth_is_refused_without_panicking() {
+        use eff2_storage::source::PrefetchSource;
         let set = lumpy_set(100);
         let store = build_store("depth0", &set, &SrTreeChunker { leaf_size: 25 });
         let model = DiskModel::ata_2005();
@@ -516,14 +524,13 @@ mod tests {
             prefetch_depth: 0,
             ..SearchParams::exact(3)
         };
-        let refused = search(&store, &model, &Vector::ZERO, &params);
+        let search_depth0 = |params: &SearchParams| {
+            let source = Arc::new(PrefetchSource::new(&store, params.prefetch_depth));
+            search_with_source(&store, &model, &Vector::ZERO, params, source)
+        };
+        let refused = search_depth0(&params);
         assert!(matches!(refused, Err(eff2_storage::Error::Inconsistent(_))));
-        let empty = search(
-            &store,
-            &model,
-            &Vector::ZERO,
-            &SearchParams { k: 0, ..params },
-        );
+        let empty = search_depth0(&SearchParams { k: 0, ..params });
         assert_eq!(empty.expect("no stream is opened").log.chunks_read, 0);
     }
 

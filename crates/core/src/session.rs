@@ -16,8 +16,8 @@
 //!   `ToCompletionEps` variant from ONE scan of the collection instead of
 //!   re-searching per rule.
 //!
-//! Chunks arrive through a pluggable [`ChunkSource`] (file reads,
-//! prefetching, or a shared resident cache), pulled by `step` or fed from
+//! Chunks arrive through a pluggable [`ChunkSource`] (file reads on the
+//! calling thread, or a shared resident cache), pulled by `step` or fed from
 //! outside through `step_with`. Either way a delivery is one
 //! [`SourcedChunk`], and the session charges its [`PipelineClock`] from
 //! that value alone — the `bytes_read` every source reports identically,
@@ -35,7 +35,7 @@ use eff2_descriptor::{
 use eff2_storage::chunkfile::ChunkPayload;
 use eff2_storage::diskmodel::{DiskModel, PipelineClock, VirtualDuration};
 use eff2_storage::epoch::FoldedDelta;
-use eff2_storage::source::{ChunkSource, ChunkStream, PrefetchSource, SourcedChunk};
+use eff2_storage::source::{ChunkSource, ChunkStream, FileSource, SourcedChunk};
 use eff2_storage::{ChunkStore, ErrorClass, Result};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -733,16 +733,17 @@ struct AdcScan {
 }
 
 impl SearchSession {
-    /// A session over the default source — a [`PrefetchSource`] with the
-    /// window depth from `params`, the same pipelined reader the one-shot
-    /// search always used.
+    /// A session over the default source — a [`FileSource`]: the session's
+    /// own thread reads each chunk when it steps to it. The modelled
+    /// I/O–CPU overlap is the [`PipelineClock`]'s and does not depend on
+    /// the source.
     pub fn open(
         store: &ChunkStore,
         model: &DiskModel,
         query: &Vector,
         params: &SearchParams,
     ) -> SearchSession {
-        let source = Arc::new(PrefetchSource::new(store, params.prefetch_depth));
+        let source = Arc::new(FileSource::new(store));
         SearchSession::with_source(store, model, query, params, source)
     }
 
@@ -776,7 +777,7 @@ impl SearchSession {
             Some(c) => ChunkRanking::rank_two_level(&quant, model, query, c),
             None => ChunkRanking::rank(&quant, model, query),
         };
-        let source = Arc::new(PrefetchSource::new(&quant, params.prefetch_depth));
+        let source = Arc::new(FileSource::new(&quant));
         let mut session = SearchSession::from_parts(ranking, model, query, params, Some(source));
         session.core.neighbors = NeighborSet::new(params.k.saturating_mul(rerank_mult.max(1)));
         session.adc = Some(AdcScan {

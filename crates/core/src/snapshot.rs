@@ -107,9 +107,9 @@ impl Snapshot {
         session
     }
 
-    /// Executes one query serially over a private prefetching source — the
-    /// solo reference run that interleaved schedules (under mutation or
-    /// not) are bit-compared against.
+    /// Executes one query serially over a private file source, reading on
+    /// the calling thread — the solo reference run that interleaved
+    /// schedules (under mutation or not) are bit-compared against.
     pub fn search(&self, query: &Vector, params: &SearchParams) -> Result<SearchResult> {
         let mut session = SearchSession::open(&self.store, &self.model, query, params);
         session.apply_delta(&self.delta);

@@ -27,7 +27,7 @@
 //! the chunk counts and the codec's `code_bytes`, so the index file needs
 //! no new fields and v2 readers of the raw region keep working unchanged.
 
-use crate::bytes::{array_at, f32_at, u32_at, u64_at};
+use crate::bytes::{array_at, u32_at, u64_at};
 use crate::error::{Error, Result};
 use crate::indexfile::ChunkMeta;
 use eff2_descriptor::quant::{Codec, DescriptorCodec};
@@ -343,49 +343,61 @@ impl ChunkPayload {
     }
 }
 
+/// Reads the checksummed block at `offset` — `byte_len` body bytes and the
+/// checksum after them, not the page padding — into `buf`, which the
+/// caller reuses across reads, and returns the verified body. A short read
+/// is [`Error::Truncated`] as `what`; a checksum mismatch is
+/// [`Error::Corrupt`] at `offset`.
+fn read_checked_body<'a, R: Read + Seek>(
+    reader: &mut R,
+    buf: &'a mut Vec<u8>,
+    offset: u64,
+    byte_len: u64,
+    what: &'static str,
+) -> Result<&'a [u8]> {
+    reader.seek(SeekFrom::Start(offset))?;
+    // Every byte of the resized buffer is overwritten by `read_exact`, or
+    // the read fails: nothing of an earlier chunk survives into this one.
+    buf.resize((byte_len + CHECKSUM_BYTES) as usize, 0);
+    reader.read_exact(buf).map_err(|_| Error::Truncated(what))?;
+    let (body, stored) = buf.split_last_chunk::<4>().ok_or(Error::Truncated(what))?;
+    let (expected, found) = (u32::from_le_bytes(*stored), checksum(body));
+    if expected != found {
+        return Err(Error::Corrupt {
+            offset,
+            expected,
+            found,
+        });
+    }
+    Ok(body)
+}
+
 /// Reads one chunk (located by its index entry) from a seekable chunk file
-/// into `payload`, reusing its buffers and verifying the stored checksum.
-/// Returns the number of bytes read from disk — the padded page span,
-/// which is what the disk transfers.
+/// into `payload`, reusing its buffers and `buf` and verifying the stored
+/// checksum. Returns the number of bytes the disk model charges — the
+/// padded page span, which is what the disk transfers.
 pub(crate) fn read_chunk_at<R: Read + Seek>(
     reader: &mut R,
+    buf: &mut Vec<u8>,
     meta: &ChunkMeta,
     page_size: u32,
     payload: &mut ChunkPayload,
 ) -> Result<u64> {
     payload.clear();
-    reader.seek(SeekFrom::Start(meta.offset))?;
-    let padded = chunk_span(u64::from(meta.byte_len), u64::from(page_size));
-    let mut raw = vec![0u8; padded as usize];
-    reader
-        .read_exact(&mut raw)
-        .map_err(|_| Error::Truncated("chunk body"))?;
-    let body = raw
-        .get(..meta.byte_len as usize)
-        .ok_or(Error::Truncated("chunk body"))?;
-    let stored = raw
-        .get(meta.byte_len as usize..meta.byte_len as usize + CHECKSUM_BYTES as usize)
-        .and_then(|b| b.try_into().ok())
-        .map(u32::from_le_bytes)
-        .ok_or(Error::Truncated("chunk checksum"))?;
-    let computed = checksum(body);
-    if stored != computed {
-        return Err(Error::Corrupt {
-            offset: meta.offset,
-            expected: stored,
-            found: computed,
-        });
-    }
+    let byte_len = u64::from(meta.byte_len);
+    let body = read_checked_body(reader, buf, meta.offset, byte_len, "chunk body")?;
     decode_records(body, meta.count, payload)?;
-    Ok(padded)
+    Ok(chunk_span(byte_len, u64::from(page_size)))
 }
 
 /// Reads one chunk's quantized records from a v3 file's quant region into
-/// `payload` (ids + codes; `packed` stays empty), verifying the stored
-/// checksum. Returns the padded page span the disk model charges — for a
-/// compressing codec this is strictly smaller than the raw chunk's span.
+/// `payload` (ids + codes; `packed` stays empty), reusing `buf` and
+/// verifying the stored checksum. Returns the padded page span the disk
+/// model charges — for a compressing codec this is strictly smaller than
+/// the raw chunk's span.
 pub(crate) fn read_quant_chunk_at<R: Read + Seek>(
     reader: &mut R,
+    buf: &mut Vec<u8>,
     quant_offset: u64,
     count: u32,
     code_bytes: usize,
@@ -393,45 +405,14 @@ pub(crate) fn read_quant_chunk_at<R: Read + Seek>(
     payload: &mut ChunkPayload,
 ) -> Result<u64> {
     payload.clear();
-    reader.seek(SeekFrom::Start(quant_offset))?;
     let byte_len = quant_byte_len(count, code_bytes);
-    let padded = chunk_span(byte_len, u64::from(page_size));
-    let mut raw = vec![0u8; padded as usize];
-    reader
-        .read_exact(&mut raw)
-        .map_err(|_| Error::Truncated("quantized chunk body"))?;
-    let body = raw
-        .get(..byte_len as usize)
-        .ok_or(Error::Truncated("quantized chunk body"))?;
-    let stored = raw
-        .get(byte_len as usize..byte_len as usize + CHECKSUM_BYTES as usize)
-        .and_then(|b| b.try_into().ok())
-        .map(u32::from_le_bytes)
-        .ok_or(Error::Truncated("quantized chunk checksum"))?;
-    let computed = checksum(body);
-    if stored != computed {
-        return Err(Error::Corrupt {
-            offset: quant_offset,
-            expected: stored,
-            found: computed,
-        });
-    }
-    let ids_bytes = count as usize * 4;
-    let (id_region, code_region) = (
-        body.get(..ids_bytes)
-            .ok_or(Error::Truncated("quantized chunk ids"))?,
-        body.get(ids_bytes..)
-            .ok_or(Error::Truncated("quantized chunk codes"))?,
-    );
-    payload.ids.reserve(count as usize);
-    for rec in id_region.chunks_exact(4) {
-        payload.ids.push(u32_at(rec, 0, "quantized chunk record")?);
-    }
-    payload.codes.extend_from_slice(code_region);
-    Ok(padded)
+    let body = read_checked_body(reader, buf, quant_offset, byte_len, "quantized chunk body")?;
+    decode_quant_records(body, count, code_bytes, payload)?;
+    Ok(chunk_span(byte_len, u64::from(page_size)))
 }
 
-/// Decodes `count` records from `raw` into `payload`.
+/// Decodes `count` records from `raw` into `payload`: one length check,
+/// then one pass over fixed-size records.
 pub fn decode_records(raw: &[u8], count: u32, payload: &mut ChunkPayload) -> Result<()> {
     if raw.len() != count as usize * RECORD_BYTES {
         return Err(Error::Inconsistent(format!(
@@ -440,14 +421,45 @@ pub fn decode_records(raw: &[u8], count: u32, payload: &mut ChunkPayload) -> Res
             count
         )));
     }
-    payload.ids.reserve(count as usize);
-    payload.packed.reserve(count as usize * DIM);
-    for rec in raw.chunks_exact(RECORD_BYTES) {
-        payload.ids.push(u32_at(rec, 0, "chunk record")?);
-        for d in 0..DIM {
-            payload.packed.push(f32_at(rec, 4 + d * 4, "chunk record")?);
-        }
+    // A record is `1 + DIM` little-endian words: the id, then the
+    // components. The length check above leaves no remainder.
+    let (words, _) = raw.as_chunks::<4>();
+    let (records, _) = words.as_chunks::<{ 1 + DIM }>();
+    payload.ids.reserve(records.len());
+    payload.packed.reserve(records.len() * DIM);
+    for [id, components @ ..] in records {
+        payload.ids.push(u32::from_le_bytes(*id));
+        payload
+            .packed
+            .extend(components.iter().map(|c| f32::from_le_bytes(*c)));
     }
+    Ok(())
+}
+
+/// Decodes a quant-region body of `count` records — `count` ids, then
+/// `count × code_bytes` code bytes — into `payload`: one length check, then
+/// one pass over the ids and one copy of the codes.
+pub(crate) fn decode_quant_records(
+    body: &[u8],
+    count: u32,
+    code_bytes: usize,
+    payload: &mut ChunkPayload,
+) -> Result<()> {
+    let ids_bytes = count as usize * 4;
+    let (ids, codes) = body
+        .split_at_checked(ids_bytes)
+        .filter(|(_, codes)| codes.len() == count as usize * code_bytes)
+        .ok_or_else(|| {
+            Error::Inconsistent(format!(
+                "quantized chunk body of {} bytes cannot hold {count} records of {code_bytes} code bytes",
+                body.len()
+            ))
+        })?;
+    let (ids, _) = ids.as_chunks::<4>();
+    payload
+        .ids
+        .extend(ids.iter().map(|id| u32::from_le_bytes(*id)));
+    payload.codes.extend_from_slice(codes);
     Ok(())
 }
 
@@ -497,7 +509,8 @@ mod tests {
                 byte_len: *blen,
                 count: *count,
             };
-            let read = read_chunk_at(&mut cursor, &meta, page, &mut payload).expect("read");
+            let read = read_chunk_at(&mut cursor, &mut Vec::new(), &meta, page, &mut payload)
+                .expect("read");
             assert_eq!(read % u64::from(page), 0);
             assert_eq!(payload.len(), chunks[ci].len());
             for (k, &pos) in chunks[ci].iter().enumerate() {
@@ -541,7 +554,6 @@ mod tests {
         let page = 256u32;
         let mut buf = Vec::new();
         let locs = write_chunks(&set, &chunks, page, &mut buf).expect("write");
-        buf.truncate(buf.len() - 100);
         let meta = ChunkMeta {
             centroid: Vector::ZERO,
             radius: 0.0,
@@ -549,11 +561,33 @@ mod tests {
             byte_len: locs[0].1,
             count: locs[0].2,
         };
+        // The reader reads the body and the checksum, not the padding
+        // (a store refuses a file too short for its padded spans at open):
+        // cutting only padding leaves a whole, checksummed chunk.
+        let checksum_end = (meta.offset + u64::from(meta.byte_len) + CHECKSUM_BYTES) as usize;
         let mut payload = ChunkPayload::default();
-        assert!(matches!(
-            read_chunk_at(&mut Cursor::new(&buf), &meta, page, &mut payload),
-            Err(Error::Truncated(_))
-        ));
+        let padding_cut = &buf[..checksum_end];
+        read_chunk_at(
+            &mut Cursor::new(padding_cut),
+            &mut Vec::new(),
+            &meta,
+            page,
+            &mut payload,
+        )
+        .expect("body and checksum are intact");
+        // One byte of the checksum or the body missing is a short read.
+        for end in [checksum_end - 1, checksum_end - 100] {
+            assert!(matches!(
+                read_chunk_at(
+                    &mut Cursor::new(&buf[..end]),
+                    &mut Vec::new(),
+                    &meta,
+                    page,
+                    &mut payload
+                ),
+                Err(Error::Truncated(_))
+            ));
+        }
     }
 
     #[test]
@@ -575,7 +609,14 @@ mod tests {
             byte_len: locs[0].1,
             count: locs[0].2,
         };
-        read_chunk_at(&mut Cursor::new(&buf), &meta0, page, &mut payload).expect("clean chunk");
+        read_chunk_at(
+            &mut Cursor::new(&buf),
+            &mut Vec::new(),
+            &meta0,
+            page,
+            &mut payload,
+        )
+        .expect("clean chunk");
         // Chunk 1 is detected as corrupt, with the damage located.
         let meta1 = ChunkMeta {
             centroid: Vector::ZERO,
@@ -584,7 +625,13 @@ mod tests {
             byte_len: locs[1].1,
             count: locs[1].2,
         };
-        match read_chunk_at(&mut Cursor::new(&buf), &meta1, page, &mut payload) {
+        match read_chunk_at(
+            &mut Cursor::new(&buf),
+            &mut Vec::new(),
+            &meta1,
+            page,
+            &mut payload,
+        ) {
             Err(Error::Corrupt {
                 offset,
                 expected,
@@ -651,7 +698,8 @@ mod tests {
                 byte_len: *blen,
                 count: *count,
             };
-            read_chunk_at(&mut cursor, &meta, page, &mut payload).expect("raw read");
+            read_chunk_at(&mut cursor, &mut Vec::new(), &meta, page, &mut payload)
+                .expect("raw read");
             assert_eq!(payload.len(), chunks[ci].len());
             assert!(payload.codes.is_empty());
         }
@@ -675,6 +723,7 @@ mod tests {
         for members in &chunks {
             let span = read_quant_chunk_at(
                 &mut cursor,
+                &mut Vec::new(),
                 offset,
                 members.len() as u32,
                 cb,
@@ -710,6 +759,7 @@ mod tests {
         assert!(matches!(
             read_quant_chunk_at(
                 &mut Cursor::new(&buf),
+                &mut Vec::new(),
                 quant_start,
                 8,
                 codec.code_bytes(),
@@ -740,6 +790,154 @@ mod tests {
             decode_records(&raw, 3, &mut payload),
             Err(Error::Inconsistent(_))
         ));
+    }
+
+    /// The per-field decoder [`decode_records`] replaced, kept as the
+    /// reference the bulk pass must match bit for bit.
+    fn decode_records_scalar(raw: &[u8], count: u32, payload: &mut ChunkPayload) -> Result<()> {
+        use crate::bytes::f32_at;
+        if raw.len() != count as usize * RECORD_BYTES {
+            return Err(Error::Inconsistent(format!(
+                "chunk body of {} bytes cannot hold {} records",
+                raw.len(),
+                count
+            )));
+        }
+        for rec in raw.chunks_exact(RECORD_BYTES) {
+            payload.ids.push(u32_at(rec, 0, "chunk record")?);
+            for d in 0..DIM {
+                payload.packed.push(f32_at(rec, 4 + d * 4, "chunk record")?);
+            }
+        }
+        Ok(())
+    }
+
+    /// The per-field quant-region decoder [`decode_quant_records`]
+    /// replaced, kept as its reference.
+    fn decode_quant_records_scalar(
+        body: &[u8],
+        count: u32,
+        code_bytes: usize,
+        payload: &mut ChunkPayload,
+    ) -> Result<()> {
+        if body.len() as u64 != quant_byte_len(count, code_bytes) {
+            return Err(Error::Inconsistent(format!(
+                "quantized chunk body of {} bytes cannot hold {count} records of {code_bytes} code bytes",
+                body.len()
+            )));
+        }
+        let (id_region, code_region) = body.split_at(count as usize * 4);
+        for rec in id_region.chunks_exact(4) {
+            payload.ids.push(u32_at(rec, 0, "quantized chunk record")?);
+        }
+        payload.codes.extend_from_slice(code_region);
+        Ok(())
+    }
+
+    /// Bit patterns a decoder must carry through unchanged: quiet and
+    /// signalling NaNs of both signs, ±0.0, ±inf, and the smallest and
+    /// largest subnormals of both signs.
+    const SPECIAL_BITS: [u32; 12] = [
+        0x7fc0_0000,
+        0x7f80_0001,
+        0xffc0_0001,
+        0xff80_0001,
+        0x0000_0000,
+        0x8000_0000,
+        0x7f80_0000,
+        0xff80_0000,
+        0x0000_0001,
+        0x8000_0001,
+        0x007f_ffff,
+        0x807f_ffff,
+    ];
+
+    /// A little-endian word: a special pattern about a third of the time,
+    /// otherwise random bits.
+    fn arb_word() -> impl proptest::prelude::Strategy<Value = u32> {
+        use proptest::prelude::*;
+        (0usize..36, 0u32..u32::MAX)
+            .prop_map(|(pick, random)| SPECIAL_BITS.get(pick).copied().unwrap_or(random))
+    }
+
+    fn le_bytes(words: &[u32]) -> Vec<u8> {
+        words.iter().flat_map(|w| w.to_le_bytes()).collect()
+    }
+
+    fn bits(payload: &ChunkPayload) -> (Vec<u32>, Vec<u32>, Vec<u8>) {
+        let packed = payload.packed.iter().map(|f| f.to_bits()).collect();
+        (payload.ids.clone(), packed, payload.codes.clone())
+    }
+
+    /// The `Inconsistent` message, or `None` for success or another error.
+    fn inconsistent(got: Result<()>) -> Option<String> {
+        match got {
+            Err(Error::Inconsistent(why)) => Some(why),
+            _ => None,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn bulk_record_decode_matches_the_scalar_reference(
+            count in 0u32..40,
+            words in proptest::collection::vec(arb_word(), 42 * (1 + DIM)),
+            skew in 1usize..2 * RECORD_BYTES,
+        ) {
+            let raw = le_bytes(&words[..count as usize * (1 + DIM)]);
+            let (mut bulk, mut scalar) = (ChunkPayload::default(), ChunkPayload::default());
+            proptest::prop_assert!(decode_records(&raw, count, &mut bulk).is_ok());
+            proptest::prop_assert!(decode_records_scalar(&raw, count, &mut scalar).is_ok());
+            proptest::prop_assert_eq!(bits(&bulk), bits(&scalar));
+            proptest::prop_assert_eq!(bulk.len(), count as usize);
+
+            // Every wrong body length is the same `Inconsistent`.
+            let longer = le_bytes(&words[..(count as usize + 2) * (1 + DIM)]);
+            let mut wrong: Vec<(&[u8], u32)> =
+                vec![(&raw, count + 1), (&longer[..raw.len() + skew], count)];
+            if let Some(shorter) = raw.len().checked_sub(skew) {
+                wrong.push((&raw[..shorter], count));
+            }
+            for (body, claimed) in wrong {
+                let a = inconsistent(decode_records(body, claimed, &mut ChunkPayload::default()));
+                let b = inconsistent(decode_records_scalar(body, claimed, &mut ChunkPayload::default()));
+                proptest::prop_assert!(a.is_some(), "{} bytes as {claimed} records decoded", body.len());
+                proptest::prop_assert_eq!(a, b);
+            }
+        }
+
+        #[test]
+        fn bulk_quant_decode_matches_the_scalar_reference(
+            count in 0u32..40,
+            code_bytes in 1usize..40,
+            words in proptest::collection::vec(arb_word(), 40 * 11),
+            skew in 1usize..80,
+        ) {
+            let bytes = le_bytes(&words);
+            let len = quant_byte_len(count, code_bytes) as usize;
+            let body = &bytes[..len];
+            let (mut bulk, mut scalar) = (ChunkPayload::default(), ChunkPayload::default());
+            proptest::prop_assert!(decode_quant_records(body, count, code_bytes, &mut bulk).is_ok());
+            proptest::prop_assert!(
+                decode_quant_records_scalar(body, count, code_bytes, &mut scalar).is_ok()
+            );
+            proptest::prop_assert_eq!(bits(&bulk), bits(&scalar));
+            proptest::prop_assert_eq!(bulk.len(), count as usize);
+
+            let mut wrong: Vec<(&[u8], u32)> = vec![(body, count + 1), (&bytes[..len + skew], count)];
+            if let Some(shorter) = len.checked_sub(skew) {
+                wrong.push((&bytes[..shorter], count));
+            }
+            for (body, claimed) in wrong {
+                let mut sink = ChunkPayload::default();
+                let a = inconsistent(decode_quant_records(body, claimed, code_bytes, &mut sink));
+                let b = inconsistent(decode_quant_records_scalar(body, claimed, code_bytes, &mut sink));
+                proptest::prop_assert!(a.is_some(), "{} bytes as {claimed} records decoded", body.len());
+                proptest::prop_assert_eq!(a, b);
+            }
+        }
     }
 
     #[test]

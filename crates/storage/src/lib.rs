@@ -17,15 +17,19 @@
 //! > chunk file."*
 //!
 //! * [`chunkfile`] / [`indexfile`] — binary codecs for the two files;
-//! * [`store::ChunkStore`] — create/open a chunk index, read chunks;
+//! * [`store::ChunkStore`] — create/open a chunk index, read chunks (a
+//!   [`store::ChunkReader`] reuses one buffer and reads no page padding);
 //! * [`epoch`] — the additive mutability layer: an append-only delta op
 //!   log with pinnable prefixes plus the epoch manifest that persists it
 //!   next to the (still write-once) chunk/index files;
-//! * [`prefetch`] — a pipelined reader that overlaps chunk I/O with
-//!   processing (the overlap that motivates uniform chunk sizes);
+//! * [`prefetch`] — a reader thread that fetches chunks ahead of the
+//!   consumer; no product driver opens one, because on a warm page cache
+//!   the hand-off costs more than the overlap saves (the modelled overlap
+//!   lives in [`PipelineClock`]);
 //! * [`source`] — the [`ChunkSource`]/[`ChunkStream`] abstraction over chunk
-//!   delivery: plain file reads, prefetching, or a byte-budgeted resident
-//!   cache shared across queries — all charging identical modelled I/O;
+//!   delivery: plain file reads on the consumer's thread (the default),
+//!   prefetching, or a byte-budgeted resident cache shared across queries —
+//!   all charging identical modelled I/O;
 //! * [`diskmodel`] — the simulated 2005 testbed (Dell 2.8 GHz P4, 40 GB ATA
 //!   disk): a deterministic virtual clock calibrated so that reading and
 //!   processing an SR-tree chunk of ≈2.5 k descriptors costs ≈10 ms,

@@ -9,6 +9,13 @@
 //! channel whose depth is the prefetch window. What comes out of the
 //! channel is the same [`SourcedChunk`] every source delivers, so the
 //! iterator is itself the prefetch source's [`ChunkStream`].
+//!
+//! No product driver opens one. On a warm page cache a chunk's scan is a
+//! few microseconds, so the thread start and the per-chunk hand-off cost
+//! more than the overlap saves; the one-call drivers read on the query's
+//! own thread through a [`FileSource`](crate::source::FileSource). The
+//! overlap the paper's figures rest on is modelled by
+//! [`PipelineClock`](crate::PipelineClock), whatever the source.
 
 use crate::diskmodel::VirtualDuration;
 use crate::error::Result;

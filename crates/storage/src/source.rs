@@ -5,10 +5,12 @@
 //! source decides **how** the bytes arrive — a plain file reader
 //! ([`FileSource`]), a pipelined background reader ([`PrefetchSource`]), or
 //! a shared in-memory cache ([`ResidentSource`]) — while the search core
-//! stays oblivious. Crucially, every source reports the same
-//! `bytes_read` for a given chunk (the padded on-disk page span), so the
-//! virtual disk model charges identical I/O no matter which backend served
-//! the payload: the paper's reported figures do not depend on the source.
+//! stays oblivious. [`FileSource`] is the default of every one-call search
+//! driver: the consumer's own thread reads each chunk. Crucially, every
+//! source reports the same `bytes_read` for a given chunk (the padded
+//! on-disk page span), so the virtual disk model charges identical I/O no
+//! matter which backend served the payload: the paper's reported figures
+//! do not depend on the source.
 //!
 //! **A delivery is one value.** Everything a consumer learns about one
 //! chunk's arrival — the payload, the bytes the model charges, whether it
@@ -127,8 +129,9 @@ impl<F: FnMut(usize) -> Result<SourcedChunk> + Send> ChunkStream for OrderedStre
 // FileSource — one synchronous reader per stream.
 // ---------------------------------------------------------------------------
 
-/// Reads chunks synchronously through a [`ChunkReader`]: every delivery is
-/// a disk read.
+/// Reads chunks synchronously through a [`ChunkReader`] on the consumer's
+/// thread: every delivery is a disk read. The default source of the
+/// one-call search drivers.
 #[derive(Clone, Debug)]
 pub struct FileSource {
     store: ChunkStore,
@@ -166,7 +169,8 @@ impl ChunkSource for FileSource {
 
 /// Delivers chunks through `prefetch_chunks`: a reader thread stays up to
 /// `depth` chunks ahead of the consumer, overlapping real file I/O with
-/// processing (the overlap §1.1 of the paper argues for).
+/// processing (the overlap §1.1 of the paper argues for). No product
+/// driver opens one: see [`crate::prefetch`] for why.
 #[derive(Clone, Debug)]
 pub struct PrefetchSource {
     store: ChunkStore,

@@ -205,6 +205,16 @@ impl ChunkStore {
         }
         let file_len = std::fs::metadata(chunk_path)?.len();
         for (i, m) in metas.iter().enumerate() {
+            // A forged `byte_len` would be charged by the disk model and
+            // fail every read of the chunk: refuse it here instead.
+            if u64::from(m.byte_len) != u64::from(m.count) * chunkfile::RECORD_BYTES as u64 {
+                return Err(Error::Inconsistent(format!(
+                    "chunk {i} records {} bytes for {} descriptors of {} bytes each",
+                    m.byte_len,
+                    m.count,
+                    chunkfile::RECORD_BYTES
+                )));
+            }
             let span = chunkfile::chunk_span(u64::from(m.byte_len), u64::from(page_size));
             let end = m.offset.checked_add(span).ok_or_else(|| {
                 Error::Inconsistent(format!(
@@ -335,7 +345,8 @@ impl ChunkStore {
     /// `ChunkStore` value it was created from.
     pub fn reader(&self) -> Result<ChunkReader> {
         Ok(ChunkReader {
-            file: BufReader::new(File::open(&self.inner.chunk_path)?),
+            file: File::open(&self.inner.chunk_path)?,
+            buf: Vec::new(),
             store: self.clone(),
         })
     }
@@ -379,17 +390,22 @@ fn quant_offsets_from(
     Ok((offsets, at))
 }
 
-/// A sequential reader over a store's chunk file.
+/// A reader over a store's chunk file: one file handle and one byte buffer,
+/// both reused for every chunk it reads.
 #[derive(Debug)]
 pub struct ChunkReader {
     store: ChunkStore,
-    file: BufReader<File>,
+    file: File,
+    /// The body and checksum of the chunk read last. Its capacity grows to
+    /// the largest chunk read, so a warm reader allocates nothing per read.
+    buf: Vec<u8>,
 }
 
 impl ChunkReader {
     /// Reads chunk `id` into `payload` (buffers reused); returns the number
-    /// of bytes transferred from disk (the padded page span). A reader
-    /// opened from a [quantized view](ChunkStore::quantized_view) fills
+    /// of bytes the disk model charges (the padded page span). Only the
+    /// body and its checksum are read, not the padding. A reader opened
+    /// from a [quantized view](ChunkStore::quantized_view) fills
     /// `payload.codes` from the quant region — a strictly smaller span
     /// for a compressing codec — instead of `payload.packed`.
     pub fn read_chunk(&mut self, id: usize, payload: &mut ChunkPayload) -> Result<u64> {
@@ -407,6 +423,7 @@ impl ChunkReader {
             })?;
             chunkfile::read_quant_chunk_at(
                 &mut self.file,
+                &mut self.buf,
                 quant_offset,
                 meta.count,
                 codec.code_bytes(),
@@ -414,7 +431,13 @@ impl ChunkReader {
                 payload,
             )
         } else {
-            chunkfile::read_chunk_at(&mut self.file, meta, inner.page_size, payload)
+            chunkfile::read_chunk_at(
+                &mut self.file,
+                &mut self.buf,
+                meta,
+                inner.page_size,
+                payload,
+            )
         }
     }
 }
@@ -641,6 +664,21 @@ mod tests {
     }
 
     #[test]
+    fn open_refuses_an_index_entry_whose_byte_len_disagrees_with_its_count() {
+        // Entry 1's `byte_len` sits after entry 0, then the centroid,
+        // radius and offset. One record short still fits the file, so
+        // only the count cross-check can refuse it.
+        let at = indexfile::HEADER_BYTES + indexfile::ENTRY_BYTES + DIM * 4 + 4 + 8;
+        let got = open_forged("forgedbytelen", |_, index| {
+            index[at..at + 4].copy_from_slice(&(chunkfile::RECORD_BYTES as u32).to_le_bytes());
+        });
+        match got {
+            Err(Error::Inconsistent(why)) => assert!(why.contains("chunk 1 "), "{why}"),
+            other => panic!("expected Error::Inconsistent, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn open_refuses_a_quant_start_whose_region_overflows() {
         // `quant_start` is header bytes 32..40. Adding chunk 0's span to
         // this one overflows; wrapped, the offsets point into the header.
@@ -804,6 +842,102 @@ mod tests {
             ChunkStore::open(store.chunk_path(), store.index_path()),
             Err(Error::Inconsistent(_))
         ));
+    }
+
+    /// Every chunk of `view`, each read through a reader of its own.
+    fn fresh_reads(view: &ChunkStore) -> Vec<(ChunkPayload, u64)> {
+        (0..view.n_chunks())
+            .map(|id| {
+                let mut payload = ChunkPayload::default();
+                let bytes = view
+                    .reader()
+                    .expect("reader")
+                    .read_chunk(id, &mut payload)
+                    .expect("fresh read");
+                (payload, bytes)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_reader_reuses_its_buffer_without_leaking_bytes_between_chunks() {
+        use eff2_descriptor::Sq8Codec;
+        let dir = tmp_dir("reuse");
+        let set: DescriptorSet = (0..40)
+            .map(|i| Descriptor::new(1000 + i, Vector::splat(i as f32 * 0.5 - 7.0)))
+            .collect();
+        // Counts 12, 1, 9, 3, 15: chunk 4 (last in the file) is the biggest.
+        let groups: [&[u32]; 5] = [
+            &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11],
+            &[12],
+            &[13, 14, 15, 16, 17, 18, 19, 20, 21],
+            &[22, 23, 24],
+            &[25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39],
+        ];
+        let chunks = defs(&groups, &set);
+        let codec = Codec::Sq8(Sq8Codec::from_set(&set));
+        let store =
+            ChunkStore::create_quantized(&dir, "u", &set, &chunks, 256, &codec).expect("create");
+        let quant = store.quantized_view().expect("view");
+        // Big before small, so every later read is shorter than the buffer.
+        let order = [4usize, 0, 2, 3, 1, 4, 1, 0];
+        for view in [store.raw_view(), quant.clone()] {
+            let want = fresh_reads(&view);
+            let mut reader = view.reader().expect("reader");
+            let mut payload = ChunkPayload::default();
+            for &id in &order {
+                let bytes = reader.read_chunk(id, &mut payload).expect("read");
+                assert_eq!((&payload, bytes), (&want[id].0, want[id].1), "chunk {id}");
+            }
+        }
+
+        // Cut the file inside the last quant chunk's body, after open.
+        let want = fresh_reads(&quant);
+        let mut reader = quant.reader().expect("reader");
+        let mut payload = ChunkPayload::default();
+        reader.read_chunk(4, &mut payload).expect("whole");
+        let end = store.inner.quant_offsets[4] + 10;
+        File::options()
+            .write(true)
+            .open(store.chunk_path())
+            .expect("open for truncation")
+            .set_len(end)
+            .expect("truncate");
+        assert!(matches!(
+            reader.read_chunk(4, &mut payload),
+            Err(Error::Truncated(_))
+        ));
+        for id in [0usize, 3, 1] {
+            let bytes = reader.read_chunk(id, &mut payload).expect("earlier chunk");
+            assert_eq!((&payload, bytes), (&want[id].0, want[id].1), "chunk {id}");
+        }
+
+        // The same for the raw region: cut inside chunk 4's body.
+        let raw = store.raw_view();
+        let mut reader = raw.reader().expect("reader");
+        let want: Vec<_> = (0..4)
+            .map(|id| {
+                let mut payload = ChunkPayload::default();
+                let bytes = reader.read_chunk(id, &mut payload).expect("before the cut");
+                (payload, bytes)
+            })
+            .collect();
+        reader.read_chunk(4, &mut payload).expect("whole");
+        let end = store.metas()[4].offset + 700;
+        File::options()
+            .write(true)
+            .open(store.chunk_path())
+            .expect("open for truncation")
+            .set_len(end)
+            .expect("truncate");
+        assert!(matches!(
+            reader.read_chunk(4, &mut payload),
+            Err(Error::Truncated(_))
+        ));
+        for id in [2usize, 0, 3, 1] {
+            let bytes = reader.read_chunk(id, &mut payload).expect("earlier chunk");
+            assert_eq!((&payload, bytes), (&want[id].0, want[id].1), "chunk {id}");
+        }
     }
 
     #[test]
