@@ -104,6 +104,7 @@ impl ChunkStream for FaultStream {
                 // bytes arrived but failed verification.
                 let sum = chunk.id as u32 ^ 0xdead_beef;
                 Some(Err(Error::Corrupt {
+                    what: "chunk body (injected fault)",
                     offset: chunk.id as u64,
                     expected: sum,
                     found: !sum,

@@ -10,7 +10,7 @@
 //!   chunks expanded wave by wave. Under the to-completion rule the
 //!   answer is provably identical to the flat search — only the
 //!   centroid-evaluation count changes;
-//! * [`search_quantized`] / [`search_quantized_with`] — scan the v3
+//! * [`search_quantized`] / [`search_quantized_with`] — scan a quantized
 //!   store's compact code region with the ADC kernels, retain
 //!   `rerank_mult · k` candidates, then re-score them against the raw
 //!   records (the **exact rerank tail**) so the returned top-`k` carries
@@ -45,7 +45,7 @@ pub fn search_two_level(
     SearchSession::from_ranking(ranking, model, query, params, source).run()
 }
 
-/// Executes one query over a quantized (v3) store with a flat ranking:
+/// Executes one query over a quantized store with a flat ranking:
 /// ADC scan of the code region, then the exact rerank tail. See
 /// [`search_quantized_with`] for the two-level form.
 pub fn search_quantized(
@@ -313,7 +313,7 @@ mod tests {
         let q = Vector::ZERO;
         assert!(
             search_quantized(&raw, &model, &q, &SearchParams::exact(5), 2).is_err(),
-            "a v2 store has no quantized payloads to scan"
+            "a raw-only store has no quantized payloads to scan"
         );
     }
 

@@ -750,7 +750,7 @@ impl SearchSession {
     /// A session that scans **quantized** chunk payloads with the
     /// asymmetric-distance kernels instead of raw `f32` records.
     ///
-    /// `store` must be a v3 (quantized) store. The session streams the
+    /// `store` must be a quantized store. The session streams the
     /// compact code region (modelled bytes shrink accordingly), retains
     /// the best `rerank_mult · k` ADC candidates, and — after the scan —
     /// [`rerank_tail`](Self::rerank_tail) re-scores them against the raw
@@ -870,7 +870,7 @@ impl SearchSession {
     ///
     /// An empty delta is a strict no-op: the session stays on the fused
     /// unfiltered kernel and remains bit-identical to a pre-epoch session
-    /// — that is the read-compat contract for v2/v3 stores opened through
+    /// — that is the read-compat contract for pre-epoch stores opened through
     /// the epoch layer. Quantized (ADC) sessions also honour tombstones;
     /// their rerank tail re-reads raw rows of *accepted* candidates only,
     /// which by construction are never tombstoned.

@@ -15,7 +15,7 @@
 //! tombstones are filtered from every scan. A never-mutated index is epoch
 //! zero — generation 0, an empty delta — and an empty delta is a strict
 //! no-op, so its sessions are bit-identical to ones that never heard of
-//! epochs (the read-compat contract for v2/v3 stores).
+//! epochs (the read-compat contract for pre-epoch stores).
 //!
 //! [`Snapshot::build`] and [`Snapshot::open`] (in [`crate::index`]) are the
 //! entry points that create one from descriptors or from files on disk;

@@ -1,7 +1,9 @@
 //! Read-compat regression suite: chunk files written by the *pre-epoch*
-//! writer — raw format v2 and quantized format v3 — must open through the
+//! writer — raw format v2 and quantized format v3, checked in as bytes
+//! under `crates/storage/tests/fixtures/` — must open through the
 //! epoch-capable reader with no manifest on disk, search bit-for-bit
-//! identically to the plain [`Snapshot`] path, and stay byte-identical on
+//! identically to the plain [`Snapshot`] path and to a format-v4 store
+//! written from the same collection today, and stay byte-identical on
 //! disk throughout. Mutations after adoption land in the manifest only:
 //! the original generation-0 file pair never changes.
 
@@ -9,7 +11,7 @@
 
 use eff2_core::chunkers::{ChunkFormer, SrTreeChunker};
 use eff2_core::search::{SearchParams, SearchResult, StopRule};
-use eff2_core::Snapshot;
+use eff2_core::{search_quantized, Snapshot};
 use eff2_descriptor::quant::{Codec, Sq8Codec};
 use eff2_descriptor::{Descriptor, DescriptorSet, Vector};
 use eff2_epoch::MutableIndex;
@@ -40,13 +42,29 @@ fn sample_set(n: usize) -> DescriptorSet {
         .collect()
 }
 
-/// Writes a pre-epoch store: the plain checked builder, no manifest.
-fn write_pre_epoch_store(dir: &Path, codec: Option<&Codec>) -> (DescriptorSet, ChunkStore) {
+/// Copies the checked-in format-`version` fixture pair into `dir` as
+/// `legacy.*` and opens it. The fixtures were written from
+/// [`sample_set`]`(300)` by [`write_current_store`]'s calls at the last
+/// commit that wrote versions 2 and 3 (see the fixtures' README).
+fn copy_pre_epoch_store(dir: &Path, version: u32) -> (DescriptorSet, ChunkStore) {
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("../storage/tests/fixtures");
+    for ext in ["chunks", "index"] {
+        std::fs::copy(
+            fixtures.join(format!("v{version}.{ext}")),
+            dir.join(format!("legacy.{ext}")),
+        )
+        .expect("copy fixture");
+    }
+    let store = ChunkStore::open(&dir.join("legacy.chunks"), &dir.join("legacy.index"))
+        .expect("open fixture");
+    (sample_set(300), store)
+}
+
+/// Writes the fixtures' collection and chunks with today's writer.
+fn write_current_store(dir: &Path, codec: Option<&Codec>) -> ChunkStore {
     let set = sample_set(300);
     let formation = SrTreeChunker { leaf_size: 24 }.form(&set);
-    let store = ChunkStore::build_checked(dir, "legacy", &set, &formation.chunks, 512, codec)
-        .expect("build");
-    (set, store)
+    ChunkStore::build_checked(dir, "current", &set, &formation.chunks, 512, codec).expect("build")
 }
 
 fn queries(set: &DescriptorSet) -> Vec<Vector> {
@@ -78,9 +96,10 @@ fn file_bytes(dir: &Path) -> (Vec<u8>, Vec<u8>) {
 }
 
 /// The compat property both formats must satisfy.
-fn check_compat(tag: &str, codec: Option<&Codec>) {
+fn check_compat(tag: &str, version: u32, codec: Option<&Codec>) {
     let dir = tmp_dir(tag);
-    let (set, store) = write_pre_epoch_store(&dir, codec);
+    let (set, store) = copy_pre_epoch_store(&dir, version);
+    assert_eq!(store.codec(), codec, "{tag}: fixture codec");
     assert!(
         !epoch_path(&dir, "legacy").exists(),
         "a pre-epoch writer must not leave a manifest"
@@ -88,7 +107,9 @@ fn check_compat(tag: &str, codec: Option<&Codec>) {
     let before = file_bytes(&dir);
     let model = DiskModel::ata_2005();
 
-    let plain = Snapshot::new(store, model);
+    let current_store = write_current_store(&tmp_dir(tag), codec);
+    let current = Snapshot::new(current_store.clone(), model);
+    let plain = Snapshot::new(store.clone(), model);
     let index = MutableIndex::open(&dir, "legacy", model, 24).expect("epoch open");
     assert_eq!(index.generation(), 0, "{tag}: legacy store is generation 0");
     assert_eq!(index.epoch(), 0, "{tag}: no manifest means epoch 0");
@@ -105,6 +126,19 @@ fn check_compat(tag: &str, codec: Option<&Codec>) {
             let want = plain.search(q, &p).expect("plain search");
             let got = pinned.search(q, &p).expect("epoch search");
             assert_bit_identical(&want, &got, &format!("{tag} q{qi} {stop:?}"));
+            let v4 = current.search(q, &p).expect("v4 search");
+            assert_bit_identical(&want, &v4, &format!("{tag} v4 q{qi} {stop:?}"));
+        }
+    }
+
+    // A quantized fixture also answers ADC searches (codes, then the raw
+    // rerank tail) exactly as its v4 twin does.
+    if codec.is_some() {
+        let p = params(StopRule::Chunks(3));
+        for (qi, q) in queries(&set).iter().enumerate() {
+            let want = search_quantized(&current_store, &model, q, &p, 4).expect("v4 adc");
+            let got = search_quantized(&store, &model, q, &p, 4).expect("fixture adc");
+            assert_bit_identical(&want, &got, &format!("{tag} adc q{qi}"));
         }
     }
 
@@ -114,19 +148,19 @@ fn check_compat(tag: &str, codec: Option<&Codec>) {
 
 #[test]
 fn v2_raw_store_is_bit_identical_under_the_epoch_reader() {
-    check_compat("v2", None);
+    check_compat("v2", 2, None);
 }
 
 #[test]
 fn v3_quantized_store_is_bit_identical_under_the_epoch_reader() {
     let codec = Codec::Sq8(Sq8Codec::from_set(&sample_set(300)));
-    check_compat("v3", Some(&codec));
+    check_compat("v3", 3, Some(&codec));
 }
 
 #[test]
 fn mutations_after_adoption_never_touch_the_legacy_files() {
     let dir = tmp_dir("adopt");
-    let (set, _) = write_pre_epoch_store(&dir, None);
+    let (set, _) = copy_pre_epoch_store(&dir, 2);
     let before = file_bytes(&dir);
     let model = DiskModel::ata_2005();
 
@@ -150,8 +184,7 @@ fn mutations_after_adoption_never_touch_the_legacy_files() {
     let plain = Snapshot::new(legacy, model);
     let p = params(StopRule::ToCompletion);
     let q = set.vector_owned(11);
-    let fresh_dir = tmp_dir("adopt-ref");
-    let (_, reference) = write_pre_epoch_store(&fresh_dir, None);
+    let reference = write_current_store(&tmp_dir("adopt-ref"), None);
     let want = Snapshot::new(reference, model).search(&q, &p).expect("ref");
     let got = plain.search(&q, &p).expect("legacy");
     assert_bit_identical(&want, &got, "legacy after adoption");

@@ -929,11 +929,12 @@ fn exp6_cell(results: &[SearchResult], truth: &GroundTruth) -> Exp6Cell {
     c
 }
 
-/// Every chunk of the v2 `base` store read back through the v3 `quant`
-/// store's raw view: ids equal and packed floats bitwise equal. The two
-/// stores hold the same SR-tree formation, so this is the format-migration
-/// check — the v3 raw region must be byte-compatible with v2 readers.
-fn exp6_v2_v3_compatible(base: &IndexHandle, quant: &IndexHandle) -> EvalResult<bool> {
+/// Every chunk of the raw-only `base` store read back through the
+/// quantized `quant` store's raw view: ids equal and packed floats bitwise
+/// equal. The two stores hold the same SR-tree formation, so this is the
+/// format check — the raw region of a file with a quant region must be
+/// byte-compatible with raw readers.
+fn exp6_raw_regions_agree(base: &IndexHandle, quant: &IndexHandle) -> EvalResult<bool> {
     let raw3 = quant.store.raw_view();
     if base.store.n_chunks() != raw3.n_chunks() {
         return Ok(false);
@@ -954,7 +955,7 @@ fn exp6_v2_v3_compatible(base: &IndexHandle, quant: &IndexHandle) -> EvalResult<
 }
 
 /// Regenerates **Experiment 6**: the quantized-descriptor sweep. On the
-/// serving index (and its format-v3 quantized twins) the DQ workload runs
+/// serving index (and its quantized twins) the DQ workload runs
 /// uncompressed baselines — flat and two-level ranking, at a full budget,
 /// a partial budget and to completion — then sweeps codec (SQ8, PQ) ×
 /// ranking level × rerank depth `R` under the partial budget, where the
@@ -963,8 +964,8 @@ fn exp6_v2_v3_compatible(base: &IndexHandle, quant: &IndexHandle) -> EvalResult<
 /// and full-depth pool is bit-identical to the uncompressed search;
 /// precision is monotonically non-decreasing in `R` (nested pools);
 /// two-level ranking leaves to-completion answers bit-identical while
-/// spending fewer centroid evaluations; and the v3 raw region read back
-/// equals the v2 store byte for byte.
+/// spending fewer centroid evaluations; and the quantized twin's raw
+/// region read back equals the raw-only store byte for byte.
 pub(crate) fn exp6(lab: &Lab) -> EvalResult<Report> {
     let base = lab.serving_index()?;
     let dq = dq_of(lab, "exp6")?;
@@ -1093,7 +1094,7 @@ pub(crate) fn exp6(lab: &Lab) -> EvalResult<Report> {
         let cell = exp6_cell(&results, &truth);
         push_row(name, "flat", &full_mult.to_string(), "full", &cell);
     }
-    let compat = exp6_v2_v3_compatible(&base, &quants[0].1)?;
+    let compat = exp6_raw_regions_agree(&base, &quants[0].1)?;
 
     let mut report = Report::default();
     report.table("exp6.csv", t).line("");
@@ -1115,7 +1116,7 @@ pub(crate) fn exp6(lab: &Lab) -> EvalResult<Report> {
             fmt_f(evals_factor, 1),
         ),
     );
-    report.gate("v2 and v3 chunk files read-compatible", compat);
+    report.gate("raw-only and quantized chunk files read-compatible", compat);
     // An observation, not a gate: whether any cell qualifies depends on the
     // scale (none does at the 2,500-descriptor smoke).
     let best_figures = best.as_ref().map_or(String::new(), |(codec, r, p, b)| {

@@ -26,7 +26,8 @@ pub(crate) const SIZE_CLASSES: [&str; 3] = ["SMALL", "MEDIUM", "LARGE"];
 /// Cache format version: bump whenever the generator, the chunk formers or
 /// the cost model change in a way that invalidates cached artefacts.
 /// v3: chunk files grew per-chunk checksums (format v2), so older cached
-/// stores no longer open.
+/// stores no longer open. Chunk-file format v4 (XXH32 block sums) needs no
+/// bump: v2 and v3 files in a cache still open, and new ones are v4.
 pub(crate) const CACHE_VERSION: u32 = 3;
 
 /// Metadata recorded for every built index (Table 1's raw material).
@@ -395,7 +396,7 @@ impl Lab {
 
     /// Builds (or opens) the quantized twin of the serving index: the same
     /// SR-tree formation (MEDIUM-class leaves over the full collection),
-    /// persisted as a format-v3 chunk file carrying `codec_name`-compressed
+    /// persisted as a chunk file carrying `codec_name`-compressed
     /// codes next to the raw descriptors. Experiment 6 runs ADC scans over
     /// these and compares against the uncompressed
     /// [`serving_index`](Self::serving_index).
@@ -584,7 +585,7 @@ mod tests {
         let lab = tiny_lab("quant");
         let h = lab.quantized_index("sq8").expect("build");
         assert!(h.meta.label.starts_with("QUANT SQ8"));
-        let q = h.store.quantized_view().expect("v3 store");
+        let q = h.store.quantized_view().expect("quantized store");
         assert!(q.codec().is_some());
         let again = lab.quantized_index("sq8").expect("reopen");
         assert_eq!(again.meta.n_chunks, h.meta.n_chunks);

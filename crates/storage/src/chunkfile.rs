@@ -4,28 +4,35 @@
 //! each padded to occupy full disk pages. Records use the collection's
 //! 100-byte layout (id + 24 components).
 //!
-//! Since format version 2 every chunk body is followed by a 4-byte FNV-1a
-//! checksum (inside the padded page span), so corruption is detected at
-//! read time instead of being silently scanned.
-//!
-//! Format **version 3** additionally stores a quantized copy of every
-//! chunk. The layout is strictly additive so a v3 file read through the
-//! raw path is indistinguishable from v2:
+//! Every block — a chunk's records, or its quantized copy — is followed by
+//! a 4-byte checksum inside its padded page span, so corruption is
+//! detected at read time instead of being silently scanned. Every writer
+//! produces format **version 4**:
 //!
 //! ```text
-//! page 0              extended header (magic, version=3, page size,
-//!                     n_chunks, total descriptors, codec kind,
-//!                     codec blob length, quant region start)
-//! pages 1..           codec parameter blob, page-padded
-//! raw region          chunks exactly as v2 (records + checksum, padded);
-//!                     index-file offsets point here
+//! page 0              header (magic, version=4, page size, n_chunks,
+//!                     total descriptors, codec kind, codec blob length,
+//!                     quant region start); codec kind 0 means no quant
+//!                     region, and then blob length and start are 0
+//! pages 1..           codec parameter blob, page-padded (none if kind 0)
+//! raw region          per chunk: records (count × 100 bytes) + XXH32
+//!                     checksum, padded; index-file offsets point here
 //! quant region        per chunk: ids (count × u32) + codes
-//!                     (count × code_bytes) + FNV-1a checksum, padded
+//!                     (count × code_bytes) + XXH32 checksum, padded
 //! ```
 //!
 //! The quant region's per-chunk offsets are derived arithmetically from
 //! the chunk counts and the codec's `code_bytes`, so the index file needs
-//! no new fields and v2 readers of the raw region keep working unchanged.
+//! no fields for it. Both regions are contiguous: the raw region starts
+//! right after the blob pages and the quant region right after the raw
+//! region, which is what [`ChunkStore::open`](crate::ChunkStore::open)
+//! checks the index and header against.
+//!
+//! Older files still open. Version 2 is a raw file with a 24-byte header
+//! (no codec fields); version 3 is a quantized file with the 40-byte
+//! header above. Both checksum their blocks with FNV-1a; otherwise their
+//! layout is version 4's byte for byte, so offsets, padded spans and file
+//! sizes are the same for the same chunks. Nothing writes them any more.
 
 use crate::bytes::{array_at, u32_at, u64_at};
 use crate::error::{Error, Result};
@@ -36,17 +43,17 @@ use std::io::{Read, Seek, SeekFrom, Write};
 
 /// Magic bytes of a chunk file.
 pub const MAGIC: [u8; 4] = *b"EFCH";
-/// Format version of raw-only chunk files (and of the raw region every
-/// version-3 file embeds unchanged).
-pub const VERSION: u32 = 2;
-/// Format version of chunk files carrying a quantized region.
-pub(crate) const VERSION_QUANT: u32 = 3;
-/// Header size (one full page is reserved so chunk 0 starts page-aligned,
-/// but the logical header is this many bytes).
-pub const HEADER_BYTES: usize = 24;
-/// Logical header size of a version-3 file (the v2 header plus codec
-/// kind, codec blob length and quant-region start).
-pub(crate) const HEADER_BYTES_QUANT: usize = 40;
+/// Format version every writer produces.
+pub const VERSION: u32 = 4;
+/// Legacy raw-only format, read but no longer written.
+pub(crate) const VERSION_V2: u32 = 2;
+/// Legacy quantized format, read but no longer written.
+pub(crate) const VERSION_V3: u32 = 3;
+/// Logical header size of a version 3 or 4 file (one full page is
+/// reserved so the blob, or chunk 0, starts page-aligned).
+pub const HEADER_BYTES: usize = 40;
+/// Logical header size of a version-2 file: no codec fields.
+pub(crate) const HEADER_BYTES_V2: usize = 24;
 /// Bytes per descriptor record.
 pub const RECORD_BYTES: usize = 4 + DIM * 4;
 /// Bytes of the per-chunk checksum stored after the body.
@@ -64,8 +71,8 @@ pub(crate) fn chunk_span(byte_len: u64, page_size: u64) -> u64 {
     pad_to_page(byte_len + CHECKSUM_BYTES, page_size)
 }
 
-/// FNV-1a over a chunk body; cheap, deterministic, and sensitive to single
-/// flipped bytes anywhere in the record block.
+/// FNV-1a: the block checksum of format versions 2 and 3, and the epoch
+/// manifest's checksum. One serial multiply per byte.
 pub(crate) fn checksum(body: &[u8]) -> u32 {
     let mut hash = 0x811c_9dc5u32;
     for &b in body {
@@ -75,105 +82,105 @@ pub(crate) fn checksum(body: &[u8]) -> u32 {
     hash
 }
 
-/// Writes the chunk file header into a page-sized buffer.
-fn header_page(page_size: u32, n_chunks: u32, total_descriptors: u64) -> Vec<u8> {
-    let mut page = Vec::with_capacity(page_size as usize);
-    page.extend_from_slice(&MAGIC);
-    page.extend_from_slice(&VERSION.to_le_bytes());
-    page.extend_from_slice(&page_size.to_le_bytes());
-    page.extend_from_slice(&n_chunks.to_le_bytes());
-    page.extend_from_slice(&total_descriptors.to_le_bytes());
-    page.resize(page_size as usize, 0);
-    page
+const XXH_PRIME_1: u32 = 0x9e37_79b1;
+const XXH_PRIME_2: u32 = 0x85eb_ca77;
+const XXH_PRIME_3: u32 = 0xc2b2_ae3d;
+const XXH_PRIME_4: u32 = 0x27d4_eb2f;
+const XXH_PRIME_5: u32 = 0x1656_67b1;
+
+/// XXH32 with seed 0: the block checksum of format version 4. Four
+/// independent lanes consume 16-byte stripes, so the multiplies overlap
+/// instead of forming one chain. Every lane round and the finaliser are
+/// bijections, so a change confined to one aligned 4-byte word — hence
+/// every single-byte change — changes the sum.
+pub(crate) fn xxh32(body: &[u8]) -> u32 {
+    fn round(acc: u32, lane: &[u8; 4]) -> u32 {
+        acc.wrapping_add(u32::from_le_bytes(*lane).wrapping_mul(XXH_PRIME_2))
+            .rotate_left(13)
+            .wrapping_mul(XXH_PRIME_1)
+    }
+    let (stripes, tail) = body.as_chunks::<16>();
+    let mut hash = if stripes.is_empty() {
+        XXH_PRIME_5
+    } else {
+        let mut acc = [
+            XXH_PRIME_1.wrapping_add(XXH_PRIME_2),
+            XXH_PRIME_2,
+            0,
+            XXH_PRIME_1.wrapping_neg(),
+        ];
+        for stripe in stripes {
+            let (lanes, _) = stripe.as_chunks::<4>();
+            for (acc, lane) in acc.iter_mut().zip(lanes) {
+                *acc = round(*acc, lane);
+            }
+        }
+        let [a, b, c, d] = acc;
+        a.rotate_left(1)
+            .wrapping_add(b.rotate_left(7))
+            .wrapping_add(c.rotate_left(12))
+            .wrapping_add(d.rotate_left(18))
+    };
+    // The length enters modulo 2^32, as the reference defines it.
+    hash = hash.wrapping_add(body.len() as u32);
+    let (words, bytes) = tail.as_chunks::<4>();
+    for word in words {
+        hash = hash
+            .wrapping_add(u32::from_le_bytes(*word).wrapping_mul(XXH_PRIME_3))
+            .rotate_left(17)
+            .wrapping_mul(XXH_PRIME_4);
+    }
+    for &byte in bytes {
+        hash = hash
+            .wrapping_add(u32::from(byte).wrapping_mul(XXH_PRIME_5))
+            .rotate_left(11)
+            .wrapping_mul(XXH_PRIME_1);
+    }
+    hash ^= hash >> 15;
+    hash = hash.wrapping_mul(XXH_PRIME_2);
+    hash ^= hash >> 13;
+    hash = hash.wrapping_mul(XXH_PRIME_3);
+    hash ^ (hash >> 16)
 }
 
-/// Writes the version-3 chunk file header into a page-sized buffer.
-fn header_page_quant(
-    page_size: u32,
-    n_chunks: u32,
-    total_descriptors: u64,
-    codec_kind: u32,
-    codec_blob_len: u32,
-    quant_start: u64,
-) -> Vec<u8> {
-    let mut page = Vec::with_capacity(page_size as usize);
-    page.extend_from_slice(&MAGIC);
-    page.extend_from_slice(&VERSION_QUANT.to_le_bytes());
-    page.extend_from_slice(&page_size.to_le_bytes());
-    page.extend_from_slice(&n_chunks.to_le_bytes());
-    page.extend_from_slice(&total_descriptors.to_le_bytes());
-    page.extend_from_slice(&codec_kind.to_le_bytes());
-    page.extend_from_slice(&codec_blob_len.to_le_bytes());
-    page.extend_from_slice(&quant_start.to_le_bytes());
-    page.resize(page_size as usize, 0);
-    page
+/// The per-block checksum algorithm, fixed by a file's format version.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum BlockSum {
+    /// FNV-1a ([`checksum`]): versions 2 and 3.
+    Fnv1a,
+    /// XXH32, seed 0 ([`xxh32`]): version 4.
+    Xxh32,
 }
 
-/// Writes one checksummed block: `body`, its FNV-1a checksum, then zero
+impl BlockSum {
+    /// The algorithm of format `version`, which [`read_header`] accepted.
+    pub(crate) fn of_version(version: u32) -> BlockSum {
+        if version == VERSION {
+            BlockSum::Xxh32
+        } else {
+            BlockSum::Fnv1a
+        }
+    }
+
+    /// The checksum of `body`.
+    pub(crate) fn of(self, body: &[u8]) -> u32 {
+        match self {
+            BlockSum::Fnv1a => checksum(body),
+            BlockSum::Xxh32 => xxh32(body),
+        }
+    }
+}
+
+/// Writes one checksummed block: `body`, its XXH32 checksum, then zero
 /// fill up to the next page boundary. Returns the padded span written —
 /// always `chunk_span(body.len(), page_size)`.
 fn write_padded_block<W: Write>(w: &mut W, body: &[u8], page_size: u32) -> Result<u64> {
     w.write_all(body)?;
-    w.write_all(&checksum(body).to_le_bytes())?;
+    w.write_all(&xxh32(body).to_le_bytes())?;
     let padded = chunk_span(body.len() as u64, u64::from(page_size));
     let padding = padded - body.len() as u64 - CHECKSUM_BYTES;
     w.write_all(&vec![0u8; padding as usize])?;
     Ok(padded)
-}
-
-/// The one raw-region writer (v2 layout) shared by [`write_chunks`] and
-/// [`write_chunks_quantized`]: emits every chunk's record block starting at
-/// file offset `offset` and returns the `(offset, byte_len, count)` triples
-/// the index file records. Both format versions — and any future one
-/// embedding the raw layout — go through here, so the regions stay
-/// byte-identical by construction.
-fn write_raw_region<W: Write>(
-    set: &DescriptorSet,
-    chunks: &[Vec<u32>],
-    page_size: u32,
-    mut offset: u64,
-    w: &mut W,
-) -> Result<ChunkLocations> {
-    let mut locations = Vec::with_capacity(chunks.len());
-    let mut body = Vec::new();
-    for members in chunks {
-        let byte_len = (members.len() * RECORD_BYTES) as u32;
-        body.clear();
-        for &pos in members {
-            let pos = pos as usize;
-            body.extend_from_slice(&set.id(pos).0.to_le_bytes());
-            for &c in set.vector(pos) {
-                body.extend_from_slice(&c.to_le_bytes());
-            }
-        }
-        let padded = write_padded_block(w, &body, page_size)?;
-        locations.push((offset, byte_len, members.len() as u32));
-        offset += padded;
-    }
-    Ok(locations)
-}
-
-/// Writes the chunks to `writer` and returns, per chunk, the
-/// `(offset, byte_len, count)` triple the index file records.
-///
-/// `chunks` gives each chunk's member positions into `set`. The first page
-/// is the header; every chunk starts on a page boundary.
-pub(crate) fn write_chunks<W: Write>(
-    set: &DescriptorSet,
-    chunks: &[Vec<u32>],
-    page_size: u32,
-    writer: W,
-) -> Result<Vec<(u64, u32, u32)>> {
-    assert!(
-        page_size as usize >= HEADER_BYTES,
-        "page size must hold the header"
-    );
-    let mut w = std::io::BufWriter::new(writer);
-    let total = chunks.iter().map(|c| c.len() as u64).sum::<u64>();
-    w.write_all(&header_page(page_size, chunks.len() as u32, total))?;
-    let locations = write_raw_region(set, chunks, page_size, u64::from(page_size), &mut w)?;
-    w.flush()?;
-    Ok(locations)
 }
 
 /// Per-chunk raw-region locations as `(offset, byte_len, count)` triples.
@@ -185,64 +192,86 @@ pub(crate) fn quant_byte_len(count: u32, code_bytes: usize) -> u64 {
     u64::from(count) * (4 + code_bytes as u64)
 }
 
-/// Writes a version-3 chunk file: codec blob, raw chunks (v2 layout), then
-/// the quantized region. Returns the raw `(offset, byte_len, count)`
-/// triples for the index file plus the quant-region start offset (the
-/// per-chunk quant offsets follow arithmetically from the counts).
-pub(crate) fn write_chunks_quantized<W: Write>(
+/// Writes a version-4 chunk file: header page, the codec blob (if any),
+/// the raw region, then the quant region (if any). `chunks` gives each
+/// chunk's member positions into `set`. Returns the raw
+/// `(offset, byte_len, count)` triples the index file records plus the
+/// quant-region start offset, 0 without a codec (the per-chunk quant
+/// offsets follow arithmetically from the counts).
+pub(crate) fn write_chunks<W: Write>(
     set: &DescriptorSet,
     chunks: &[Vec<u32>],
     page_size: u32,
-    codec: &Codec,
+    codec: Option<&Codec>,
     writer: W,
 ) -> Result<(ChunkLocations, u64)> {
     assert!(
-        page_size as usize >= HEADER_BYTES_QUANT,
-        "page size must hold the extended header"
+        page_size as usize >= HEADER_BYTES,
+        "page size must hold the header"
     );
-    let blob = codec.to_bytes();
-    let cb = codec.code_bytes();
+    let page = u64::from(page_size);
+    let blob = codec.map(Codec::to_bytes).unwrap_or_default();
     let mut w = std::io::BufWriter::new(writer);
     let total = chunks.iter().map(|c| c.len() as u64).sum::<u64>();
 
     // The whole layout is computable up front, so the file is written in
     // one forward pass with the quant-region start already in the header.
-    let blob_pages = pad_to_page(blob.len() as u64, u64::from(page_size));
-    let raw_start = u64::from(page_size) + blob_pages;
+    let blob_pages = pad_to_page(blob.len() as u64, page);
+    let raw_start = page + blob_pages;
     let raw_span = chunks
         .iter()
-        .map(|c| chunk_span((c.len() * RECORD_BYTES) as u64, u64::from(page_size)))
+        .map(|c| chunk_span((c.len() * RECORD_BYTES) as u64, page))
         .sum::<u64>();
-    let quant_start = raw_start + raw_span;
+    let quant_start = codec.map_or(0, |_| raw_start + raw_span);
 
-    w.write_all(&header_page_quant(
-        page_size,
-        chunks.len() as u32,
-        total,
-        codec.kind(),
-        blob.len() as u32,
-        quant_start,
-    ))?;
+    let mut header = Vec::with_capacity(page_size as usize);
+    header.extend_from_slice(&MAGIC);
+    header.extend_from_slice(&VERSION.to_le_bytes());
+    header.extend_from_slice(&page_size.to_le_bytes());
+    header.extend_from_slice(&(chunks.len() as u32).to_le_bytes());
+    header.extend_from_slice(&total.to_le_bytes());
+    header.extend_from_slice(&codec.map_or(0, Codec::kind).to_le_bytes());
+    header.extend_from_slice(&(blob.len() as u32).to_le_bytes());
+    header.extend_from_slice(&quant_start.to_le_bytes());
+    header.resize(page_size as usize, 0);
+    w.write_all(&header)?;
     w.write_all(&blob)?;
     w.write_all(&vec![0u8; (blob_pages - blob.len() as u64) as usize])?;
 
-    // Raw region: byte-for-byte the v2 chunk layout, via the shared writer.
-    let locations = write_raw_region(set, chunks, page_size, raw_start, &mut w)?;
-
-    // Quant region: ids then codes, checksummed and padded like raw chunks.
+    // Raw region: every chunk's records, checksummed and padded.
+    let mut locations = Vec::with_capacity(chunks.len());
+    let mut offset = raw_start;
     let mut body = Vec::new();
-    let mut code = vec![0u8; cb];
     for members in chunks {
         body.clear();
         for &pos in members {
-            body.extend_from_slice(&set.id(pos as usize).0.to_le_bytes());
+            let pos = pos as usize;
+            body.extend_from_slice(&set.id(pos).0.to_le_bytes());
+            for &c in set.vector(pos) {
+                body.extend_from_slice(&c.to_le_bytes());
+            }
         }
-        for &pos in members {
-            codec.encode_into(set.vector(pos as usize), &mut code);
-            body.extend_from_slice(&code);
+        let padded = write_padded_block(&mut w, &body, page_size)?;
+        locations.push((offset, body.len() as u32, members.len() as u32));
+        offset += padded;
+    }
+
+    // Quant region: ids then codes, checksummed and padded like raw chunks.
+    if let Some(codec) = codec {
+        let cb = codec.code_bytes();
+        let mut code = vec![0u8; cb];
+        for members in chunks {
+            body.clear();
+            for &pos in members {
+                body.extend_from_slice(&set.id(pos as usize).0.to_le_bytes());
+            }
+            for &pos in members {
+                codec.encode_into(set.vector(pos as usize), &mut code);
+                body.extend_from_slice(&code);
+            }
+            debug_assert_eq!(body.len() as u64, quant_byte_len(members.len() as u32, cb));
+            write_padded_block(&mut w, &body, page_size)?;
         }
-        debug_assert_eq!(body.len() as u64, quant_byte_len(members.len() as u32, cb));
-        write_padded_block(&mut w, &body, page_size)?;
     }
     w.flush()?;
     Ok((locations, quant_start))
@@ -251,7 +280,7 @@ pub(crate) fn write_chunks_quantized<W: Write>(
 /// Parsed header of a chunk file.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct ChunkFileHeader {
-    /// Format version ([`VERSION`] or [`VERSION_QUANT`]).
+    /// Format version ([`VERSION`], [`VERSION_V3`] or [`VERSION_V2`]).
     pub version: u32,
     /// Page size the file was written with.
     pub page_size: u32,
@@ -259,21 +288,35 @@ pub(crate) struct ChunkFileHeader {
     pub n_chunks: u32,
     /// Total descriptors across all chunks.
     pub total_descriptors: u64,
-    /// Codec kind tag; 0 in version-2 files.
+    /// Codec kind tag; 0 if and only if the file has no quant region.
     pub codec_kind: u32,
-    /// Codec parameter blob length in bytes; 0 in version-2 files.
+    /// Codec parameter blob length in bytes; 0 without a quant region.
     pub codec_blob_len: u32,
-    /// File offset of the quantized region; 0 in version-2 files.
+    /// File offset of the quantized region; 0 without a quant region.
     pub quant_start: u64,
 }
 
-/// Reads and validates the chunk-file header (version 2 or 3).
+impl ChunkFileHeader {
+    /// Logical header size of this file's version.
+    pub(crate) fn header_bytes(&self) -> usize {
+        if self.version == VERSION_V2 {
+            HEADER_BYTES_V2
+        } else {
+            HEADER_BYTES
+        }
+    }
+}
+
+/// Reads and validates the chunk-file header (version 2, 3 or 4). A
+/// version-3 header without a codec, or a version-4 header whose codec
+/// kind 0 comes with a blob length or quant start, is
+/// [`Error::Inconsistent`].
 pub(crate) fn read_header<R: Read>(reader: &mut R) -> Result<ChunkFileHeader> {
-    let mut buf = [0u8; HEADER_BYTES];
+    let what = "chunk file header";
+    let mut buf = [0u8; HEADER_BYTES_V2];
     reader
         .read_exact(&mut buf)
-        .map_err(|_| Error::Truncated("chunk file header"))?;
-    let what = "chunk file header";
+        .map_err(|_| Error::Truncated(what))?;
     let magic: [u8; 4] = array_at(&buf, 0, what)?;
     if magic != MAGIC {
         return Err(Error::BadMagic {
@@ -282,7 +325,7 @@ pub(crate) fn read_header<R: Read>(reader: &mut R) -> Result<ChunkFileHeader> {
         });
     }
     let version = u32_at(&buf, 4, what)?;
-    if version != VERSION && version != VERSION_QUANT {
+    if ![VERSION_V2, VERSION_V3, VERSION].contains(&version) {
         return Err(Error::UnsupportedVersion(version));
     }
     let mut header = ChunkFileHeader {
@@ -294,14 +337,26 @@ pub(crate) fn read_header<R: Read>(reader: &mut R) -> Result<ChunkFileHeader> {
         codec_blob_len: 0,
         quant_start: 0,
     };
-    if version == VERSION_QUANT {
-        let mut ext = [0u8; HEADER_BYTES_QUANT - HEADER_BYTES];
-        reader
-            .read_exact(&mut ext)
-            .map_err(|_| Error::Truncated("chunk file header"))?;
-        header.codec_kind = u32_at(&ext, 0, what)?;
-        header.codec_blob_len = u32_at(&ext, 4, what)?;
-        header.quant_start = u64_at(&ext, 8, what)?;
+    if version == VERSION_V2 {
+        return Ok(header);
+    }
+    let mut ext = [0u8; HEADER_BYTES - HEADER_BYTES_V2];
+    reader
+        .read_exact(&mut ext)
+        .map_err(|_| Error::Truncated(what))?;
+    header.codec_kind = u32_at(&ext, 0, what)?;
+    header.codec_blob_len = u32_at(&ext, 4, what)?;
+    header.quant_start = u64_at(&ext, 8, what)?;
+    if header.codec_kind == 0 && version == VERSION_V3 {
+        return Err(Error::Inconsistent(
+            "format version 3 without a codec".into(),
+        ));
+    }
+    if header.codec_kind == 0 && (header.codec_blob_len != 0 || header.quant_start != 0) {
+        return Err(Error::Inconsistent(format!(
+            "no codec, but a codec blob of {} bytes and a quant region at byte {}",
+            header.codec_blob_len, header.quant_start
+        )));
     }
     Ok(header)
 }
@@ -345,14 +400,15 @@ impl ChunkPayload {
 
 /// Reads the checksummed block at `offset` — `byte_len` body bytes and the
 /// checksum after them, not the page padding — into `buf`, which the
-/// caller reuses across reads, and returns the verified body. A short read
-/// is [`Error::Truncated`] as `what`; a checksum mismatch is
-/// [`Error::Corrupt`] at `offset`.
+/// caller reuses across reads, and returns the body once `sum` verifies
+/// it. A short read is [`Error::Truncated`] as `what`; a checksum mismatch
+/// is [`Error::Corrupt`] as `what` at `offset`.
 fn read_checked_body<'a, R: Read + Seek>(
     reader: &mut R,
     buf: &'a mut Vec<u8>,
     offset: u64,
     byte_len: u64,
+    sum: BlockSum,
     what: &'static str,
 ) -> Result<&'a [u8]> {
     reader.seek(SeekFrom::Start(offset))?;
@@ -361,9 +417,10 @@ fn read_checked_body<'a, R: Read + Seek>(
     buf.resize((byte_len + CHECKSUM_BYTES) as usize, 0);
     reader.read_exact(buf).map_err(|_| Error::Truncated(what))?;
     let (body, stored) = buf.split_last_chunk::<4>().ok_or(Error::Truncated(what))?;
-    let (expected, found) = (u32::from_le_bytes(*stored), checksum(body));
+    let (expected, found) = (u32::from_le_bytes(*stored), sum.of(body));
     if expected != found {
         return Err(Error::Corrupt {
+            what,
             offset,
             expected,
             found,
@@ -374,41 +431,37 @@ fn read_checked_body<'a, R: Read + Seek>(
 
 /// Reads one chunk (located by its index entry) from a seekable chunk file
 /// into `payload`, reusing its buffers and `buf` and verifying the stored
-/// checksum. Returns the number of bytes the disk model charges — the
-/// padded page span, which is what the disk transfers.
+/// checksum with `sum`, the algorithm of the file's version.
 pub(crate) fn read_chunk_at<R: Read + Seek>(
     reader: &mut R,
     buf: &mut Vec<u8>,
     meta: &ChunkMeta,
-    page_size: u32,
+    sum: BlockSum,
     payload: &mut ChunkPayload,
-) -> Result<u64> {
+) -> Result<()> {
     payload.clear();
     let byte_len = u64::from(meta.byte_len);
-    let body = read_checked_body(reader, buf, meta.offset, byte_len, "chunk body")?;
-    decode_records(body, meta.count, payload)?;
-    Ok(chunk_span(byte_len, u64::from(page_size)))
+    let body = read_checked_body(reader, buf, meta.offset, byte_len, sum, "chunk body")?;
+    decode_records(body, meta.count, payload)
 }
 
-/// Reads one chunk's quantized records from a v3 file's quant region into
+/// Reads one chunk's quantized records from the quant region into
 /// `payload` (ids + codes; `packed` stays empty), reusing `buf` and
-/// verifying the stored checksum. Returns the padded page span the disk
-/// model charges — for a compressing codec this is strictly smaller than
-/// the raw chunk's span.
+/// verifying the stored checksum with `sum`.
 pub(crate) fn read_quant_chunk_at<R: Read + Seek>(
     reader: &mut R,
     buf: &mut Vec<u8>,
     quant_offset: u64,
     count: u32,
     code_bytes: usize,
-    page_size: u32,
+    sum: BlockSum,
     payload: &mut ChunkPayload,
-) -> Result<u64> {
+) -> Result<()> {
     payload.clear();
     let byte_len = quant_byte_len(count, code_bytes);
-    let body = read_checked_body(reader, buf, quant_offset, byte_len, "quantized chunk body")?;
-    decode_quant_records(body, count, code_bytes, payload)?;
-    Ok(chunk_span(byte_len, u64::from(page_size)))
+    let what = "quantized chunk body";
+    let body = read_checked_body(reader, buf, quant_offset, byte_len, sum, what)?;
+    decode_quant_records(body, count, code_bytes, payload)
 }
 
 /// Decodes `count` records from `raw` into `payload`: one length check,
@@ -483,13 +536,31 @@ mod tests {
         assert_eq!(pad_to_page(4097, 4096), 8192);
     }
 
+    /// The index entry of a `(offset, byte_len, count)` location.
+    fn meta_at(&(offset, byte_len, count): &(u64, u32, u32)) -> ChunkMeta {
+        ChunkMeta {
+            centroid: Vector::ZERO,
+            radius: 0.0,
+            offset,
+            byte_len,
+            count,
+        }
+    }
+
+    /// Writes a raw (no codec) file into memory.
+    fn write_raw(set: &DescriptorSet, chunks: &[Vec<u32>], page: u32) -> (Vec<u8>, ChunkLocations) {
+        let mut buf = Vec::new();
+        let (locs, quant_start) = write_chunks(set, chunks, page, None, &mut buf).expect("write");
+        assert_eq!(quant_start, 0, "a raw file has no quant region");
+        (buf, locs)
+    }
+
     #[test]
     fn chunks_are_page_aligned_and_roundtrip() {
         let set = sample_set(10);
         let chunks = vec![vec![0u32, 1, 2], vec![3, 4, 5, 6], vec![7, 8, 9]];
         let page = 512u32;
-        let mut buf = Vec::new();
-        let locs = write_chunks(&set, &chunks, page, &mut buf).expect("write");
+        let (buf, locs) = write_raw(&set, &chunks, page);
         assert_eq!(locs.len(), 3);
         for (off, _, _) in &locs {
             assert_eq!(off % u64::from(page), 0, "chunk must start on a page");
@@ -497,21 +568,21 @@ mod tests {
         // Read back each chunk and compare ids/vectors.
         let mut cursor = Cursor::new(&buf);
         let header = read_header(&mut cursor).expect("header");
+        assert_eq!(header.version, VERSION);
         assert_eq!(header.n_chunks, 3);
         assert_eq!(header.total_descriptors, 10);
         assert_eq!(header.page_size, page);
+        assert_eq!(header.codec_kind, 0);
         let mut payload = ChunkPayload::default();
-        for (ci, (off, blen, count)) in locs.iter().enumerate() {
-            let meta = ChunkMeta {
-                centroid: Vector::ZERO,
-                radius: 0.0,
-                offset: *off,
-                byte_len: *blen,
-                count: *count,
-            };
-            let read = read_chunk_at(&mut cursor, &mut Vec::new(), &meta, page, &mut payload)
-                .expect("read");
-            assert_eq!(read % u64::from(page), 0);
+        for (ci, loc) in locs.iter().enumerate() {
+            read_chunk_at(
+                &mut cursor,
+                &mut Vec::new(),
+                &meta_at(loc),
+                BlockSum::Xxh32,
+                &mut payload,
+            )
+            .expect("read");
             assert_eq!(payload.len(), chunks[ci].len());
             for (k, &pos) in chunks[ci].iter().enumerate() {
                 assert_eq!(payload.ids[k], set.id(pos as usize).0);
@@ -526,8 +597,7 @@ mod tests {
     #[test]
     fn empty_chunk_list() {
         let set = sample_set(1);
-        let mut buf = Vec::new();
-        let locs = write_chunks(&set, &[], 256, &mut buf).expect("write");
+        let (buf, locs) = write_raw(&set, &[], 256);
         assert!(locs.is_empty());
         let mut cursor = Cursor::new(&buf);
         let header = read_header(&mut cursor).expect("header");
@@ -551,16 +621,8 @@ mod tests {
     fn truncated_chunk_detected() {
         let set = sample_set(4);
         let chunks = vec![vec![0u32, 1, 2, 3]];
-        let page = 256u32;
-        let mut buf = Vec::new();
-        let locs = write_chunks(&set, &chunks, page, &mut buf).expect("write");
-        let meta = ChunkMeta {
-            centroid: Vector::ZERO,
-            radius: 0.0,
-            offset: locs[0].0,
-            byte_len: locs[0].1,
-            count: locs[0].2,
-        };
+        let (buf, locs) = write_raw(&set, &chunks, 256);
+        let meta = meta_at(&locs[0]);
         // The reader reads the body and the checksum, not the padding
         // (a store refuses a file too short for its padded spans at open):
         // cutting only padding leaves a whole, checksummed chunk.
@@ -571,7 +633,7 @@ mod tests {
             &mut Cursor::new(padding_cut),
             &mut Vec::new(),
             &meta,
-            page,
+            BlockSum::Xxh32,
             &mut payload,
         )
         .expect("body and checksum are intact");
@@ -582,7 +644,7 @@ mod tests {
                     &mut Cursor::new(&buf[..end]),
                     &mut Vec::new(),
                     &meta,
-                    page,
+                    BlockSum::Xxh32,
                     &mut payload
                 ),
                 Err(Error::Truncated(_))
@@ -594,49 +656,31 @@ mod tests {
     fn corrupted_chunk_detected_not_scanned() {
         let set = sample_set(6);
         let chunks = vec![vec![0u32, 1, 2], vec![3, 4, 5]];
-        let page = 256u32;
-        let mut buf = Vec::new();
-        let locs = write_chunks(&set, &chunks, page, &mut buf).expect("write");
+        let (mut buf, locs) = write_raw(&set, &chunks, 256);
         // Flip one byte in the middle of chunk 1's record block.
         let hit = locs[1].0 as usize + locs[1].1 as usize / 2;
         buf[hit] ^= 0x40;
         let mut payload = ChunkPayload::default();
+        let mut read = |loc| {
+            read_chunk_at(
+                &mut Cursor::new(&buf),
+                &mut Vec::new(),
+                &meta_at(loc),
+                BlockSum::Xxh32,
+                &mut payload,
+            )
+        };
         // Chunk 0 still reads clean.
-        let meta0 = ChunkMeta {
-            centroid: Vector::ZERO,
-            radius: 0.0,
-            offset: locs[0].0,
-            byte_len: locs[0].1,
-            count: locs[0].2,
-        };
-        read_chunk_at(
-            &mut Cursor::new(&buf),
-            &mut Vec::new(),
-            &meta0,
-            page,
-            &mut payload,
-        )
-        .expect("clean chunk");
-        // Chunk 1 is detected as corrupt, with the damage located.
-        let meta1 = ChunkMeta {
-            centroid: Vector::ZERO,
-            radius: 0.0,
-            offset: locs[1].0,
-            byte_len: locs[1].1,
-            count: locs[1].2,
-        };
-        match read_chunk_at(
-            &mut Cursor::new(&buf),
-            &mut Vec::new(),
-            &meta1,
-            page,
-            &mut payload,
-        ) {
+        read(&locs[0]).expect("clean chunk");
+        // Chunk 1 is detected as corrupt, with the damage located and named.
+        match read(&locs[1]) {
             Err(Error::Corrupt {
+                what,
                 offset,
                 expected,
                 found,
             }) => {
+                assert_eq!(what, "chunk body");
                 assert_eq!(offset, locs[1].0);
                 assert_ne!(expected, found);
             }
@@ -653,6 +697,25 @@ mod tests {
     }
 
     #[test]
+    fn body_checksum_is_xxh32() {
+        // The published XXH32 seed-0 vectors. The last input is 39 bytes:
+        // two 16-byte stripes, then a tail of one word and three bytes.
+        assert_eq!(xxh32(b""), 0x02cc_5d05);
+        assert_eq!(xxh32(b"a"), 0x550d_7456);
+        assert_eq!(xxh32(b"abc"), 0x32d1_53ff);
+        assert_eq!(
+            xxh32(b"Nobody inspects the spammish repetition"),
+            0xe229_3b2f
+        );
+        // Version 4 sums blocks with XXH32, versions 2 and 3 with FNV-1a.
+        let body = b"chunk body bytes";
+        assert_eq!(BlockSum::of_version(VERSION).of(body), xxh32(body));
+        for legacy in [VERSION_V2, VERSION_V3] {
+            assert_eq!(BlockSum::of_version(legacy).of(body), checksum(body));
+        }
+    }
+
+    #[test]
     fn chunk_span_reserves_checksum_room() {
         // An exactly page-filling body needs one more page for its checksum.
         assert_eq!(chunk_span(512, 512), 1024);
@@ -660,46 +723,51 @@ mod tests {
         assert_eq!(chunk_span(0, 512), 512);
     }
 
+    /// The raw region of a quantized file (the version-3 layout) is the
+    /// raw file's (the version-2 layout), shifted by the codec pages.
     #[test]
     fn v3_raw_region_is_bit_identical_to_v2() {
         use eff2_descriptor::Sq8Codec;
         let set = sample_set(12);
         let chunks = vec![vec![0u32, 1, 2, 3], vec![4, 5], vec![6, 7, 8, 9, 10, 11]];
         let page = 512u32;
-        let mut v2 = Vec::new();
-        let v2_locs = write_chunks(&set, &chunks, page, &mut v2).expect("v2");
+        let (raw, raw_locs) = write_raw(&set, &chunks, page);
         let codec = Codec::Sq8(Sq8Codec::from_set(&set));
-        let mut v3 = Vec::new();
-        let (v3_locs, quant_start) =
-            write_chunks_quantized(&set, &chunks, page, &codec, &mut v3).expect("v3");
-        assert_eq!(v2_locs.len(), v3_locs.len());
+        let mut quant = Vec::new();
+        let (quant_locs, quant_start) =
+            write_chunks(&set, &chunks, page, Some(&codec), &mut quant).expect("quantized");
+        assert_eq!(raw_locs.len(), quant_locs.len());
         // Same byte_len/count per chunk; offsets shifted by the codec pages.
-        let shift = v3_locs[0].0 - v2_locs[0].0;
-        for (a, b) in v2_locs.iter().zip(v3_locs.iter()) {
+        let shift = quant_locs[0].0 - raw_locs[0].0;
+        assert_eq!(
+            shift,
+            pad_to_page(codec.to_bytes().len() as u64, u64::from(page))
+        );
+        for (a, b) in raw_locs.iter().zip(quant_locs.iter()) {
             assert_eq!(a.0 + shift, b.0);
             assert_eq!(a.1, b.1);
             assert_eq!(a.2, b.2);
         }
         // The raw regions are byte-for-byte identical.
-        let v2_raw = &v2[v2_locs[0].0 as usize..];
-        let v3_raw = &v3[v3_locs[0].0 as usize..quant_start as usize];
-        assert_eq!(v2_raw, v3_raw);
-        // And each raw chunk reads back through the ordinary v2 path.
-        let mut cursor = Cursor::new(&v3);
+        let raw_region = &raw[raw_locs[0].0 as usize..];
+        let quant_raw_region = &quant[quant_locs[0].0 as usize..quant_start as usize];
+        assert_eq!(raw_region, quant_raw_region);
+        // And each raw chunk reads back through the ordinary raw path.
+        let mut cursor = Cursor::new(&quant);
         let header = read_header(&mut cursor).expect("header");
-        assert_eq!(header.version, VERSION_QUANT);
+        assert_eq!(header.version, VERSION);
         assert_eq!(header.n_chunks, 3);
+        assert_eq!(header.quant_start, quant_start);
         let mut payload = ChunkPayload::default();
-        for (ci, (off, blen, count)) in v3_locs.iter().enumerate() {
-            let meta = ChunkMeta {
-                centroid: Vector::ZERO,
-                radius: 0.0,
-                offset: *off,
-                byte_len: *blen,
-                count: *count,
-            };
-            read_chunk_at(&mut cursor, &mut Vec::new(), &meta, page, &mut payload)
-                .expect("raw read");
+        for (ci, loc) in quant_locs.iter().enumerate() {
+            read_chunk_at(
+                &mut cursor,
+                &mut Vec::new(),
+                &meta_at(loc),
+                BlockSum::Xxh32,
+                &mut payload,
+            )
+            .expect("raw read");
             assert_eq!(payload.len(), chunks[ci].len());
             assert!(payload.codes.is_empty());
         }
@@ -715,23 +783,23 @@ mod tests {
         let cb = codec.code_bytes();
         let mut buf = Vec::new();
         let (_locs, quant_start) =
-            write_chunks_quantized(&set, &chunks, page, &codec, &mut buf).expect("write");
+            write_chunks(&set, &chunks, page, Some(&codec), &mut buf).expect("write");
         let mut cursor = Cursor::new(&buf);
         let mut payload = ChunkPayload::default();
         let mut offset = quant_start;
         let mut expect_code = vec![0u8; cb];
         for members in &chunks {
-            let span = read_quant_chunk_at(
+            let count = members.len() as u32;
+            read_quant_chunk_at(
                 &mut cursor,
                 &mut Vec::new(),
                 offset,
-                members.len() as u32,
+                count,
                 cb,
-                page,
+                BlockSum::Xxh32,
                 &mut payload,
             )
             .expect("quant read");
-            assert_eq!(span % u64::from(page), 0);
             assert!(payload.packed.is_empty());
             assert_eq!(payload.ids.len(), members.len());
             assert_eq!(payload.codes.len(), members.len() * cb);
@@ -740,8 +808,9 @@ mod tests {
                 codec.encode_into(set.vector(pos as usize), &mut expect_code);
                 assert_eq!(&payload.codes[k * cb..(k + 1) * cb], &expect_code[..]);
             }
-            offset += span;
+            offset += chunk_span(quant_byte_len(count, cb), u64::from(page));
         }
+        assert_eq!(offset, buf.len() as u64, "the quant region ends the file");
     }
 
     #[test]
@@ -753,7 +822,7 @@ mod tests {
         let codec = Codec::Sq8(Sq8Codec::from_set(&set));
         let mut buf = Vec::new();
         let (_, quant_start) =
-            write_chunks_quantized(&set, &chunks, page, &codec, &mut buf).expect("write");
+            write_chunks(&set, &chunks, page, Some(&codec), &mut buf).expect("write");
         buf[quant_start as usize + 10] ^= 0x80;
         let mut payload = ChunkPayload::default();
         assert!(matches!(
@@ -763,18 +832,20 @@ mod tests {
                 quant_start,
                 8,
                 codec.code_bytes(),
-                page,
+                BlockSum::Xxh32,
                 &mut payload
             ),
-            Err(Error::Corrupt { .. })
+            Err(Error::Corrupt {
+                what: "quantized chunk body",
+                ..
+            })
         ));
     }
 
     #[test]
     fn unknown_version_rejected() {
         let set = sample_set(2);
-        let mut buf = Vec::new();
-        write_chunks(&set, &[vec![0, 1]], 256, &mut buf).expect("write");
+        let (mut buf, _) = write_raw(&set, &[vec![0, 1]], 256);
         buf[4] = 9; // stamp a bogus version
         assert!(matches!(
             read_header(&mut Cursor::new(&buf)),
@@ -937,6 +1008,21 @@ mod tests {
                 proptest::prop_assert!(a.is_some(), "{} bytes as {claimed} records decoded", body.len());
                 proptest::prop_assert_eq!(a, b);
             }
+        }
+
+        #[test]
+        fn every_single_byte_change_changes_the_v4_sum(
+            len in 1usize..20_001,
+            words in proptest::collection::vec(0u32..u32::MAX, 5_000),
+            at in 0usize..20_000,
+            delta in 1u32..256,
+        ) {
+            let mut body = le_bytes(&words);
+            body.resize(len, 0xa5);
+            let at = at % len;
+            let sum = BlockSum::Xxh32.of(&body);
+            body[at] ^= delta as u8;
+            proptest::prop_assert!(sum != BlockSum::Xxh32.of(&body), "byte {at} of {len} ^= {delta}");
         }
     }
 

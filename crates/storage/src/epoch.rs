@@ -1,5 +1,5 @@
 //! The epoch manifest: the mutation log that turns a write-once chunk
-//! index into a live one without touching the v2/v3 chunk-file formats.
+//! index into a live one without touching the chunk-file format.
 //!
 //! Mutability is strictly *additive on disk*. The immutable chunk + index
 //! file pair of a generation stays exactly as [`crate::store::ChunkStore`]
@@ -7,7 +7,7 @@
 //! [`EpochManifest`], persisted as the **epoch manifest** (`name.epoch`):
 //! the current generation number, how many ops past compactions have
 //! folded in, and the not-yet-folded tail of the op log. Opening a plain
-//! v2/v3 pair that never had a manifest is generation 0 with an empty
+//! chunk/index pair that never had a manifest is generation 0 with an empty
 //! delta — full read-compat with every store ever written.
 //!
 //! Readers never see the op log: pinning an epoch folds the ops pending at
@@ -138,6 +138,7 @@ impl EpochManifest {
         let computed = checksum(body.get(4..).ok_or(Error::Truncated(what))?);
         if stored != computed {
             return Err(Error::Corrupt {
+                what,
                 offset: 0,
                 expected: stored,
                 found: computed,
@@ -214,7 +215,7 @@ impl EpochManifest {
 
     /// Loads the manifest belonging to `dir/name`, or the empty manifest
     /// when none exists — the read-compat path for stores written before
-    /// epochs existed (any v2/v3 pair opens as generation 0, epoch 0).
+    /// epochs existed (any chunk/index pair opens as generation 0, epoch 0).
     pub fn load_or_empty(dir: &Path, name: &str) -> Result<EpochManifest> {
         let path = epoch_path(dir, name);
         if path.exists() {
@@ -337,7 +338,10 @@ mod tests {
         bytes[10] ^= 0x01;
         assert!(matches!(
             EpochManifest::from_bytes(&bytes),
-            Err(Error::Corrupt { .. })
+            Err(Error::Corrupt {
+                what: "epoch manifest",
+                ..
+            })
         ));
         let mut bad = m.to_bytes();
         bad[0] = b'X';

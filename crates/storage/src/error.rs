@@ -45,10 +45,13 @@ pub enum Error {
     },
     /// A file ended before its declared contents.
     Truncated(&'static str),
-    /// A chunk body failed its checksum: the bytes read do not match what
-    /// was written.
+    /// A checksummed block failed its checksum: the bytes read do not
+    /// match what was written.
     Corrupt {
-        /// File offset of the chunk body.
+        /// What failed: `"chunk body"`, `"quantized chunk body"`,
+        /// `"epoch manifest"`, or an injected fault's description.
+        what: &'static str,
+        /// File offset of the block.
         offset: u64,
         /// Checksum recorded at write time.
         expected: u32,
@@ -99,12 +102,13 @@ impl std::fmt::Display for Error {
             }
             Error::Truncated(which) => write!(f, "{which} truncated"),
             Error::Corrupt {
+                what,
                 offset,
                 expected,
                 found,
             } => write!(
                 f,
-                "chunk body at offset {offset} corrupt \
+                "{what} at offset {offset} corrupt \
                  (checksum {found:#010x}, expected {expected:#010x})"
             ),
             Error::ChunkLost {
@@ -144,13 +148,17 @@ mod tests {
         assert!(Error::Truncated("index file")
             .to_string()
             .contains("index file"));
-        assert!(Error::Corrupt {
+        let corrupt = Error::Corrupt {
+            what: "quantized chunk body",
             offset: 512,
             expected: 1,
-            found: 2
+            found: 2,
         }
-        .to_string()
-        .contains("512"));
+        .to_string();
+        assert!(
+            corrupt.starts_with("quantized chunk body at offset 512 "),
+            "{corrupt}"
+        );
         assert!(Error::ChunkLost {
             chunk: 4,
             attempts: 3,
@@ -170,6 +178,7 @@ mod tests {
         );
         assert_eq!(
             Error::Corrupt {
+                what: "chunk body",
                 offset: 0,
                 expected: 0,
                 found: 1

@@ -1,6 +1,6 @@
 //! Creating and opening chunk indexes (the chunk file + index file pair).
 
-use crate::chunkfile::{self, ChunkPayload};
+use crate::chunkfile::{self, BlockSum, ChunkPayload};
 use crate::error::{Error, Result};
 use crate::indexfile::{self, ChunkMeta};
 use eff2_descriptor::quant::{Codec, DescriptorCodec};
@@ -36,7 +36,7 @@ pub struct ChunkDef {
 pub struct ChunkStore {
     inner: Arc<StoreInner>,
     /// Read mode of *this handle*: readers opened from a quantized view
-    /// deliver codes from the v3 quant region instead of raw rows. The
+    /// deliver codes from the quant region instead of raw rows. The
     /// mode lives outside the `Arc` so raw and quantized views share the
     /// parsed index.
     quantized: bool,
@@ -49,9 +49,11 @@ struct StoreInner {
     metas: Vec<ChunkMeta>,
     page_size: u32,
     total_descriptors: u64,
-    /// Codec of a version-3 file; `None` for raw-only (v2) stores.
+    /// The block checksum of the file's format version.
+    sum: BlockSum,
+    /// Codec of a file with a quant region; `None` for raw-only stores.
     codec: Option<Codec>,
-    /// Per-chunk offsets into the quant region; empty for v2 stores.
+    /// Per-chunk offsets into the quant region; empty for raw-only stores.
     quant_offsets: Vec<u64>,
 }
 
@@ -63,10 +65,9 @@ impl ChunkStore {
     /// Returns [`Error::Inconsistent`] if a chunk references a position
     /// outside `set` — chunk formers produce positions from the same
     /// collection by construction, so such a definition cannot be written
-    /// as a coherent pair of files. A page size too small for the
-    /// chunk-file header (24 bytes; 40 for
-    /// [`create_quantized`](Self::create_quantized)) is refused the same
-    /// way, before anything is written.
+    /// as a coherent pair of files. A page size too small for the 40-byte
+    /// chunk-file header is refused the same way, before anything is
+    /// written.
     pub fn create(
         dir: &Path,
         name: &str,
@@ -78,7 +79,7 @@ impl ChunkStore {
     }
 
     /// [`create`](Self::create), additionally writing a quantized copy of
-    /// every chunk (format version 3). The raw region stays byte-identical
+    /// every chunk after the raw region. The raw region stays byte-identical
     /// to what [`create`](Self::create) writes, so every raw reader works
     /// unchanged; [`quantized_view`](Self::quantized_view) opens the
     /// compressed side.
@@ -95,11 +96,11 @@ impl ChunkStore {
 
     /// The one checked builder behind [`create`](Self::create) and
     /// [`create_quantized`](Self::create_quantized): validates every chunk
-    /// position against `set`, writes the chunk + index file pair (raw v2,
-    /// or format v3 when `codec` is given) and opens the result. New
-    /// writers — epoch compaction generations in particular — call this
-    /// directly so any future format version inherits the same validation
-    /// and the byte-identical raw region for free.
+    /// position against `set`, writes the chunk + index file pair (format
+    /// version 4, with a quant region when `codec` is given) and opens the
+    /// result. New writers — epoch compaction generations in particular —
+    /// call this directly so any future format version inherits the same
+    /// validation and the byte-identical raw region for free.
     pub fn build_checked(
         dir: &Path,
         name: &str,
@@ -108,11 +109,7 @@ impl ChunkStore {
         page_size: u32,
         codec: Option<&Codec>,
     ) -> Result<ChunkStore> {
-        let header_bytes = match codec {
-            None => chunkfile::HEADER_BYTES,
-            Some(_) => chunkfile::HEADER_BYTES_QUANT,
-        };
-        page_holds_header(page_size, header_bytes)?;
+        page_holds_header(page_size, chunkfile::HEADER_BYTES)?;
         for (ci, c) in chunks.iter().enumerate() {
             for &p in &c.positions {
                 if p as usize >= set.len() {
@@ -129,15 +126,8 @@ impl ChunkStore {
 
         let membership: Vec<Vec<u32>> = chunks.iter().map(|c| c.positions.clone()).collect();
         let chunk_file = File::create(&chunk_path)?;
-        let (locations, quant_start) = match codec {
-            None => (
-                chunkfile::write_chunks(set, &membership, page_size, chunk_file)?,
-                0,
-            ),
-            Some(codec) => {
-                chunkfile::write_chunks_quantized(set, &membership, page_size, codec, chunk_file)?
-            }
-        };
+        let (locations, quant_start) =
+            chunkfile::write_chunks(set, &membership, page_size, codec, chunk_file)?;
 
         let metas: Vec<ChunkMeta> = chunks
             .iter()
@@ -165,6 +155,7 @@ impl ChunkStore {
                 metas,
                 page_size,
                 total_descriptors,
+                sum: BlockSum::of_version(chunkfile::VERSION),
                 codec: codec.cloned(),
                 quant_offsets,
             }),
@@ -172,7 +163,12 @@ impl ChunkStore {
         })
     }
 
-    /// Opens an existing chunk index, cross-validating the two files.
+    /// Opens an existing chunk index (format version 2, 3 or 4),
+    /// cross-validating the two files. The index's offsets must lay the
+    /// raw region out contiguously from the first page after the header
+    /// and the codec blob, and a quant region must start where the raw
+    /// region ends; anything else is [`Error::Inconsistent`]. Reads verify
+    /// each block with the checksum of the file's version.
     pub fn open(chunk_path: &Path, index_path: &Path) -> Result<ChunkStore> {
         let (metas, page_size) = indexfile::read_index(File::open(index_path)?)?;
         let mut chunk_reader = BufReader::new(File::open(chunk_path)?);
@@ -183,12 +179,7 @@ impl ChunkStore {
                 header.page_size, page_size
             )));
         }
-        let header_bytes = if header.version == chunkfile::VERSION_QUANT {
-            chunkfile::HEADER_BYTES_QUANT
-        } else {
-            chunkfile::HEADER_BYTES
-        };
-        page_holds_header(page_size, header_bytes)?;
+        page_holds_header(page_size, header.header_bytes())?;
         if header.n_chunks as usize != metas.len() {
             return Err(Error::Inconsistent(format!(
                 "chunk count: chunk file {} vs index file {}",
@@ -204,6 +195,18 @@ impl ChunkStore {
             )));
         }
         let file_len = std::fs::metadata(chunk_path)?.len();
+        let page = u64::from(page_size);
+        // The codec blob sits right after the header page; bound its
+        // declared length by the file before allocating for it.
+        let blob_len = u64::from(header.codec_blob_len);
+        if blob_len > file_len.saturating_sub(page) {
+            return Err(Error::Inconsistent(format!(
+                "codec parameter blob of {blob_len} bytes extends beyond file of {file_len} bytes"
+            )));
+        }
+        // The raw region starts on the first page after the blob, and its
+        // chunks follow one another in index order with no gap.
+        let mut raw_end = page + chunkfile::pad_to_page(blob_len, page);
         for (i, m) in metas.iter().enumerate() {
             // A forged `byte_len` would be charged by the disk model and
             // fail every read of the chunk: refuse it here instead.
@@ -215,29 +218,35 @@ impl ChunkStore {
                     chunkfile::RECORD_BYTES
                 )));
             }
-            let span = chunkfile::chunk_span(u64::from(m.byte_len), u64::from(page_size));
-            let end = m.offset.checked_add(span).ok_or_else(|| {
+            if m.offset != raw_end {
+                return Err(Error::Inconsistent(format!(
+                    "chunk {i} at offset {} where the raw region places it at {raw_end}",
+                    m.offset
+                )));
+            }
+            let span = chunkfile::chunk_span(u64::from(m.byte_len), page);
+            raw_end = raw_end.checked_add(span).ok_or_else(|| {
                 Error::Inconsistent(format!(
                     "chunk {i} at offset {} overflows the file address space",
                     m.offset
                 ))
             })?;
-            if end > file_len {
-                return Err(Error::Inconsistent(format!(
-                    "chunk {i} extends to byte {end} beyond file of {file_len} bytes"
-                )));
-            }
         }
-        let (codec, quant_offsets) = if header.version == chunkfile::VERSION_QUANT {
-            // The codec blob sits right after the header page; bound its
-            // declared length by the file before allocating for it.
-            let blob_len = u64::from(header.codec_blob_len);
-            if blob_len > file_len.saturating_sub(u64::from(page_size)) {
+        if raw_end > file_len {
+            return Err(Error::Inconsistent(format!(
+                "raw region extends to byte {raw_end} beyond file of {file_len} bytes"
+            )));
+        }
+        let (codec, quant_offsets) = if header.codec_kind == 0 {
+            (None, Vec::new())
+        } else {
+            if header.quant_start != raw_end {
                 return Err(Error::Inconsistent(format!(
-                    "codec parameter blob of {blob_len} bytes extends beyond file of {file_len} bytes"
+                    "quant region starts at byte {} but the raw region ends at byte {raw_end}",
+                    header.quant_start
                 )));
             }
-            chunk_reader.seek(SeekFrom::Start(u64::from(page_size)))?;
+            chunk_reader.seek(SeekFrom::Start(page))?;
             let mut blob = vec![0u8; header.codec_blob_len as usize];
             chunk_reader
                 .read_exact(&mut blob)
@@ -256,8 +265,6 @@ impl ChunkStore {
                 )));
             }
             (Some(codec), offsets)
-        } else {
-            (None, Vec::new())
         };
         Ok(ChunkStore {
             inner: Arc::new(StoreInner {
@@ -266,6 +273,7 @@ impl ChunkStore {
                 total_descriptors,
                 metas,
                 page_size,
+                sum: BlockSum::of_version(header.version),
                 codec,
                 quant_offsets,
             }),
@@ -309,21 +317,19 @@ impl ChunkStore {
         &self.inner.index_path
     }
 
-    /// The codec of a version-3 store; `None` for raw-only files.
+    /// The codec of a store with a quant region; `None` for raw-only files.
     pub fn codec(&self) -> Option<&Codec> {
         self.inner.codec.as_ref()
     }
 
-    /// A handle whose readers deliver quantized codes from the v3 quant
+    /// A handle whose readers deliver quantized codes from the quant
     /// region. Every other aspect (metas, paths, page size) is shared
     /// with this handle, so chunk ids and rankings carry over unchanged.
     ///
-    /// Returns [`Error::Inconsistent`] for a raw-only (v2) store.
+    /// Returns [`Error::Inconsistent`] for a raw-only store.
     pub fn quantized_view(&self) -> Result<ChunkStore> {
         if self.inner.codec.is_none() {
-            return Err(Error::Inconsistent(
-                "store has no quantized region (format version 2)".into(),
-            ));
+            return Err(Error::Inconsistent("store has no quantized region".into()));
         }
         Ok(ChunkStore {
             inner: Arc::clone(&self.inner),
@@ -353,7 +359,7 @@ impl ChunkStore {
 }
 
 /// Refuses a page size smaller than the chunk-file header it must hold
-/// (`header_bytes`: 24 for a v2 file, 40 for v3).
+/// (`header_bytes`: 24 for a version-2 file, 40 otherwise).
 fn page_holds_header(page_size: u32, header_bytes: usize) -> Result<()> {
     if (page_size as usize) < header_bytes {
         return Err(Error::Inconsistent(format!(
@@ -414,6 +420,7 @@ impl ChunkReader {
             id,
             n_chunks: inner.metas.len(),
         })?;
+        let page = u64::from(inner.page_size);
         if self.store.quantized {
             let codec = inner.codec.as_ref().ok_or_else(|| {
                 Error::Inconsistent("quantized read on a store without a codec".into())
@@ -421,23 +428,21 @@ impl ChunkReader {
             let quant_offset = inner.quant_offsets.get(id).copied().ok_or_else(|| {
                 Error::Inconsistent(format!("no quant offset recorded for chunk {id}"))
             })?;
+            let code_bytes = codec.code_bytes();
             chunkfile::read_quant_chunk_at(
                 &mut self.file,
                 &mut self.buf,
                 quant_offset,
                 meta.count,
-                codec.code_bytes(),
-                inner.page_size,
+                code_bytes,
+                inner.sum,
                 payload,
-            )
+            )?;
+            let byte_len = chunkfile::quant_byte_len(meta.count, code_bytes);
+            Ok(chunkfile::chunk_span(byte_len, page))
         } else {
-            chunkfile::read_chunk_at(
-                &mut self.file,
-                &mut self.buf,
-                meta,
-                inner.page_size,
-                payload,
-            )
+            chunkfile::read_chunk_at(&mut self.file, &mut self.buf, meta, inner.sum, payload)?;
+            Ok(chunkfile::chunk_span(u64::from(meta.byte_len), page))
         }
     }
 }
@@ -573,10 +578,10 @@ mod tests {
         reopen_forged(&store, forge)
     }
 
-    /// [`open_forged`] for a format-v3 store: only the chunk file, whose
+    /// [`open_forged`] for a quantized store: only the chunk file, whose
     /// header carries the codec blob length and the quant-region start, is
     /// patched.
-    fn open_forged_v3(tag: &str, forge: impl FnOnce(&mut [u8])) -> Result<ChunkStore> {
+    fn open_forged_quantized(tag: &str, forge: impl FnOnce(&mut [u8])) -> Result<ChunkStore> {
         use eff2_descriptor::Sq8Codec;
         let dir = tmp_dir(tag);
         let set = sample_set(12);
@@ -620,19 +625,294 @@ mod tests {
         assert!(matches!(got, Err(Error::Inconsistent(_))), "{got:?}");
     }
 
+    /// Format versions with a checked-in chunk + index file pair under
+    /// `tests/fixtures/` (see the README there): every readable version
+    /// but the one the writers produce.
+    const FIXTURE_VERSIONS: [u32; 2] = [chunkfile::VERSION_V2, chunkfile::VERSION_V3];
+
+    fn fixture_path(version: u32, ext: &str) -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/fixtures")
+            .join(format!("v{version}.{ext}"))
+    }
+
+    /// Opens a private copy of the version-`version` fixture pair, so a
+    /// test may damage it.
+    fn fixture_copy(version: u32, tag: &str) -> ChunkStore {
+        let dir = tmp_dir(tag);
+        for ext in ["chunks", "index"] {
+            std::fs::copy(
+                fixture_path(version, ext),
+                dir.join(format!("legacy.{ext}")),
+            )
+            .expect("copy fixture");
+        }
+        ChunkStore::open(&dir.join("legacy.chunks"), &dir.join("legacy.index"))
+            .expect("open fixture")
+    }
+
+    /// The collection the fixtures were written from: descriptor `i` has
+    /// id `i`.
+    fn fixture_set() -> DescriptorSet {
+        (0..300)
+            .map(|i| {
+                let blob = (i % 7) as f32 * 12.0;
+                let mut v = Vector::splat(blob);
+                v[0] += ((i * 13) % 29) as f32 * 0.4;
+                v[5] -= ((i * 7) % 11) as f32 * 0.6;
+                Descriptor::new(i as u32, v)
+            })
+            .collect()
+    }
+
+    /// The format version in `store`'s chunk-file header.
+    fn file_version(store: &ChunkStore) -> u32 {
+        let mut file = File::open(store.chunk_path()).expect("open chunk file");
+        chunkfile::read_header(&mut file).expect("header").version
+    }
+
+    /// A payload as bit patterns, so NaNs and signed zeros compare exactly.
+    fn bits(payload: &ChunkPayload) -> (Vec<u32>, Vec<u32>, Vec<u8>) {
+        let packed = payload.packed.iter().map(|f| f.to_bits()).collect();
+        (payload.ids.clone(), packed, payload.codes.clone())
+    }
+
+    /// Block `id` of `view` as `(offset, body length)`: a raw chunk, or its
+    /// quantized copy for a quantized view.
+    fn block_of(view: &ChunkStore, id: usize) -> (u64, u64) {
+        let meta = &view.metas()[id];
+        match view.codec().filter(|_| view.quantized) {
+            Some(codec) => (
+                view.inner.quant_offsets[id],
+                chunkfile::quant_byte_len(meta.count, codec.code_bytes()),
+            ),
+            None => (meta.offset, u64::from(meta.byte_len)),
+        }
+    }
+
+    /// Rewrites the stored checksum of block `id` of `view` as `sum` of
+    /// its body, on disk.
+    fn restamp(view: &ChunkStore, id: usize, sum: BlockSum) {
+        let (offset, len) = block_of(view, id);
+        let (start, end) = (offset as usize, (offset + len) as usize);
+        let mut data = std::fs::read(view.chunk_path()).expect("read chunk file");
+        let stamp = sum.of(&data[start..end]).to_le_bytes();
+        data[end..end + 4].copy_from_slice(&stamp);
+        std::fs::write(view.chunk_path(), &data).expect("rewrite chunk file");
+    }
+
+    /// Reads block `id` of `view` through a fresh reader.
+    fn read_one(view: &ChunkStore, id: usize) -> Result<u64> {
+        let mut payload = ChunkPayload::default();
+        view.reader().expect("reader").read_chunk(id, &mut payload)
+    }
+
     #[test]
     fn every_bit_flip_in_the_chunk_file_header_is_refused() {
-        let dir = tmp_dir("headerflips");
+        use eff2_descriptor::Sq8Codec;
         let set = sample_set(12);
         let chunks = defs(&[&[0, 1, 2, 3], &[4, 5], &[6, 7, 8, 9, 10, 11]], &set);
-        let store = ChunkStore::create(&dir, "h", &set, &chunks, 256).expect("create");
-        let clean = std::fs::read(store.chunk_path()).expect("read chunk file");
-        for bit in 0..chunkfile::HEADER_BYTES * 8 {
-            let mut flipped = clean.clone();
-            flipped[bit / 8] ^= 1 << (bit % 8);
-            std::fs::write(store.chunk_path(), &flipped).expect("rewrite chunk file");
-            let got = ChunkStore::open(store.chunk_path(), store.index_path());
-            assert!(got.is_err(), "header bit {bit} flipped, opened: {got:?}");
+        let codec = Codec::Sq8(Sq8Codec::from_set(&set));
+        let raw =
+            ChunkStore::create(&tmp_dir("headerflips"), "h", &set, &chunks, 256).expect("create");
+        let quant =
+            ChunkStore::create_quantized(&tmp_dir("headerflips"), "q", &set, &chunks, 512, &codec)
+                .expect("create quantized");
+        let mut stores = vec![raw, quant];
+        stores.extend(FIXTURE_VERSIONS.map(|v| fixture_copy(v, "headerflips")));
+        for store in stores {
+            let clean = std::fs::read(store.chunk_path()).expect("read chunk file");
+            let header = chunkfile::read_header(&mut clean.as_slice()).expect("header");
+            let codec_kind = header.codec_kind;
+            for bit in 0..header.header_bytes() * 8 {
+                let mut flipped = clean.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                std::fs::write(store.chunk_path(), &flipped).expect("rewrite chunk file");
+                let got = ChunkStore::open(store.chunk_path(), store.index_path());
+                assert!(
+                    got.is_err(),
+                    "version {} (codec kind {codec_kind}) header bit {bit} flipped, opened: {got:?}",
+                    header.version
+                );
+            }
+            std::fs::write(store.chunk_path(), &clean).expect("restore chunk file");
+            ChunkStore::open(store.chunk_path(), store.index_path()).expect("clean file opens");
+        }
+    }
+
+    #[test]
+    fn every_readable_chunk_format_has_a_fixture() {
+        use eff2_descriptor::Sq8Codec;
+        let readable: Vec<u32> = (0..=1024u32)
+            .filter(|&version| {
+                let mut header = [0u8; chunkfile::HEADER_BYTES];
+                header[..4].copy_from_slice(&chunkfile::MAGIC);
+                header[4..8].copy_from_slice(&version.to_le_bytes());
+                !matches!(
+                    chunkfile::read_header(&mut header.as_slice()),
+                    Err(Error::UnsupportedVersion(_))
+                )
+            })
+            .collect();
+        let newest = *readable.last().expect("some version is readable");
+        assert_eq!(newest, chunkfile::VERSION);
+
+        // The writers produce the newest version and nothing else.
+        let set = sample_set(12);
+        let chunks = defs(&[&[0, 1, 2, 3], &[4, 5]], &set);
+        let codec = Codec::Sq8(Sq8Codec::from_set(&set));
+        let dir = tmp_dir("newest");
+        let raw = ChunkStore::create(&dir, "r", &set, &chunks, 256).expect("create");
+        let quant =
+            ChunkStore::create_quantized(&dir, "q", &set, &chunks, 256, &codec).expect("create");
+        assert_eq!(file_version(&raw), newest);
+        assert_eq!(file_version(&quant), newest);
+
+        // Every older readable version has a fixture pair of that version.
+        let older: Vec<u32> = readable.iter().copied().filter(|&v| v != newest).collect();
+        assert_eq!(
+            older, FIXTURE_VERSIONS,
+            "readable versions without a fixture"
+        );
+        for version in older {
+            for ext in ["chunks", "index"] {
+                let path = fixture_path(version, ext);
+                assert!(path.exists(), "no fixture {}", path.display());
+            }
+            assert_eq!(file_version(&fixture_copy(version, "guard")), version);
+        }
+    }
+
+    #[test]
+    fn legacy_fixtures_decode_bit_identically_to_a_v4_store() {
+        use eff2_descriptor::Sq8Codec;
+        let set = fixture_set();
+        for version in FIXTURE_VERSIONS {
+            let legacy = fixture_copy(version, "twin");
+            let raw_reads = fresh_reads(&legacy.raw_view());
+            // Ids are positions into `set`, so the fixture's own raw reads
+            // give the chunk membership it was written from.
+            let chunks: Vec<ChunkDef> = legacy
+                .metas()
+                .iter()
+                .zip(&raw_reads)
+                .map(|(m, (payload, _))| ChunkDef {
+                    positions: payload.ids.clone(),
+                    centroid: m.centroid,
+                    radius: m.radius,
+                })
+                .collect();
+            for (payload, _) in &raw_reads {
+                for (row, &id) in payload.packed.chunks_exact(DIM).zip(&payload.ids) {
+                    let want: Vec<u32> = set
+                        .vector(id as usize)
+                        .iter()
+                        .map(|c| c.to_bits())
+                        .collect();
+                    let got: Vec<u32> = row.iter().map(|c| c.to_bits()).collect();
+                    assert_eq!(got, want, "v{version} descriptor {id}");
+                }
+            }
+            let dir = tmp_dir("twin");
+            let page = legacy.page_size();
+            let twin = match legacy.codec() {
+                None => ChunkStore::create(&dir, "v4", &set, &chunks, page),
+                Some(codec) => {
+                    assert_eq!(codec, &Codec::Sq8(Sq8Codec::from_set(&set)));
+                    ChunkStore::create_quantized(&dir, "v4", &set, &chunks, page, codec)
+                }
+            }
+            .expect("create twin");
+            assert_eq!(file_version(&twin), chunkfile::VERSION);
+            // Same offsets, spans and file sizes: only the sums differ.
+            assert_eq!(twin.metas(), legacy.metas(), "v{version}");
+            let len = |s: &ChunkStore| std::fs::metadata(s.chunk_path()).expect("len").len();
+            assert_eq!(len(&twin), len(&legacy), "v{version}");
+            assert_eq!(twin.inner.quant_offsets, legacy.inner.quant_offsets);
+
+            let mut views = vec![(legacy.raw_view(), twin.raw_view())];
+            if legacy.codec().is_some() {
+                let quantized = |s: &ChunkStore| s.quantized_view().expect("view");
+                views.push((quantized(&legacy), quantized(&twin)));
+            }
+            for (old, new) in views {
+                let (old_reads, new_reads) = (fresh_reads(&old), fresh_reads(&new));
+                assert_eq!(old_reads.len(), new_reads.len());
+                for (id, ((a, a_bytes), (b, b_bytes))) in
+                    old_reads.iter().zip(&new_reads).enumerate()
+                {
+                    assert_eq!(a_bytes, b_bytes, "v{version} chunk {id} bytes_read");
+                    assert_eq!(bits(a), bits(b), "v{version} chunk {id}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn legacy_fixtures_detect_a_flipped_body_byte() {
+        for version in FIXTURE_VERSIONS {
+            let legacy = fixture_copy(version, "flip");
+            let mut views = vec![(legacy.raw_view(), "chunk body")];
+            if legacy.codec().is_some() {
+                views.push((
+                    legacy.quantized_view().expect("view"),
+                    "quantized chunk body",
+                ));
+            }
+            for (view, what) in views {
+                let (offset, _) = block_of(&view, 1);
+                let mut data = std::fs::read(view.chunk_path()).expect("read chunk file");
+                data[offset as usize + 10] ^= 0x01;
+                std::fs::write(view.chunk_path(), &data).expect("rewrite chunk file");
+                read_one(&view, 0).expect("chunk 0 is clean");
+                match read_one(&view, 1) {
+                    Err(Error::Corrupt {
+                        what: got,
+                        offset: at,
+                        ..
+                    }) => assert_eq!((got, at), (what, offset), "v{version}"),
+                    other => panic!("v{version} {what}: expected Corrupt, got {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_block_checksum_follows_the_format_version() {
+        use eff2_descriptor::Sq8Codec;
+        let set = sample_set(12);
+        let chunks = defs(&[&[0, 1, 2, 3], &[4, 5], &[6, 7, 8, 9, 10, 11]], &set);
+        let codec = Codec::Sq8(Sq8Codec::from_set(&set));
+        let v4 =
+            ChunkStore::create_quantized(&tmp_dir("sumfollows"), "s", &set, &chunks, 256, &codec)
+                .expect("create");
+        let mut cases = vec![(v4, BlockSum::Xxh32, BlockSum::Fnv1a)];
+        cases.extend(FIXTURE_VERSIONS.map(|v| {
+            (
+                fixture_copy(v, "sumfollows"),
+                BlockSum::Fnv1a,
+                BlockSum::Xxh32,
+            )
+        }));
+        for (store, own, other) in cases {
+            let version = file_version(&store);
+            let mut views = vec![store.raw_view()];
+            if store.codec().is_some() {
+                views.push(store.quantized_view().expect("view"));
+            }
+            for view in views {
+                // Restamped with the file's own algorithm, block 0 still
+                // reads; with the other one it is corrupt.
+                restamp(&view, 0, own);
+                read_one(&view, 0).expect("own checksum");
+                restamp(&view, 0, other);
+                let got = read_one(&view, 0);
+                assert!(
+                    matches!(got, Err(Error::Corrupt { .. })),
+                    "v{version}: {got:?}"
+                );
+                read_one(&view, 1).expect("block 1 untouched");
+            }
         }
     }
 
@@ -682,7 +962,7 @@ mod tests {
     fn open_refuses_a_quant_start_whose_region_overflows() {
         // `quant_start` is header bytes 32..40. Adding chunk 0's span to
         // this one overflows; wrapped, the offsets point into the header.
-        let got = open_forged_v3("forgedquant", |chunk| {
+        let got = open_forged_quantized("forgedquant", |chunk| {
             chunk[32..40].copy_from_slice(&(u64::MAX - 8).to_le_bytes());
         });
         assert!(matches!(got, Err(Error::Inconsistent(_))), "{got:?}");
@@ -692,7 +972,7 @@ mod tests {
     fn open_refuses_a_codec_blob_longer_than_the_file() {
         // `codec_blob_len` is header bytes 28..32; sizing the blob buffer
         // from it reserves 4 GiB before any read can fail.
-        let got = open_forged_v3("forgedblob", |chunk| {
+        let got = open_forged_quantized("forgedblob", |chunk| {
             chunk[28..32].copy_from_slice(&u32::MAX.to_le_bytes());
         });
         match got {
@@ -772,7 +1052,7 @@ mod tests {
         assert_eq!(store.codec(), Some(&codec));
         assert!(!store.quantized);
 
-        // Raw reads work exactly as on a v2 store.
+        // Raw reads work exactly as on a raw-only store.
         let mut raw_payload = ChunkPayload::default();
         let raw_bytes = store
             .reader()
