@@ -1,21 +1,18 @@
 //! [`FaultSource`]: a chunk-source decorator that injects the planned
 //! faults into any stack.
 //!
-//! The decorator pulls each chunk from the inner source as usual, then
+//! Each fetch reads the chunk through the inner source as usual, then
 //! consults the [`FaultPlan`] for the current attempt at that chunk:
 //! deliveries pass through (a latency spike is added to the chunk's
 //! [`injected_delay`](SourcedChunk::injected_delay)), faults replace the
-//! successfully-read payload with the planned error. A faulted chunk is
-//! *consumed* — the stream does not fuse and continues with the next
-//! chunk — so retry layers re-request the chunk through a fresh stream
-//! and skipping sessions advance cleanly past it.
+//! successfully-read payload with the planned error.
 //!
-//! Attempt counters are shared at the source level: a retry that re-opens
-//! a stream over the remaining order observes attempt `n + 1` for the
-//! chunk that just failed, which is what lets transient faults clear.
+//! Attempt counters are shared at the source level: the next fetch of a
+//! chunk that just failed — a retry — observes attempt `n + 1`, which is
+//! what lets transient faults clear.
 
 use crate::plan::{Fault, FaultPlan};
-use eff2_storage::source::{ChunkSource, ChunkStream, SourcedChunk};
+use eff2_storage::source::{walk, ChunkSource, ChunkStream, ReadState, SourcedChunk};
 use eff2_storage::{Error, Result, VirtualDuration};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -27,10 +24,12 @@ fn lock_counters(m: &Mutex<BTreeMap<usize, u32>>) -> MutexGuard<'_, BTreeMap<usi
 }
 
 /// A [`ChunkSource`] decorator injecting the faults of a [`FaultPlan`].
+#[derive(Clone)]
 pub struct FaultSource {
     inner: Arc<dyn ChunkSource>,
     plan: FaultPlan,
-    /// Read attempts per chunk, shared across this source's streams.
+    /// Read attempts per chunk, shared by every consumer (and clone) of
+    /// this source.
     attempts: Arc<Mutex<BTreeMap<usize, u32>>>,
 }
 
@@ -59,63 +58,47 @@ impl FaultSource {
 }
 
 impl ChunkSource for FaultSource {
-    fn open_stream(&self, order: Vec<usize>) -> Result<Box<dyn ChunkStream>> {
-        Ok(Box::new(FaultStream {
-            inner: self.inner.open_stream(order)?,
-            plan: self.plan,
-            attempts: Arc::clone(&self.attempts),
-        }))
-    }
-}
-
-struct FaultStream {
-    inner: Box<dyn ChunkStream>,
-    plan: FaultPlan,
-    attempts: Arc<Mutex<BTreeMap<usize, u32>>>,
-}
-
-impl ChunkStream for FaultStream {
-    fn next_chunk(&mut self) -> Option<Result<SourcedChunk>> {
-        let mut chunk = match self.inner.next_chunk()? {
-            // A real inner error passes through untouched (the inner
-            // stream fuses itself, so the next pull ends the stream).
-            Err(e) => return Some(Err(e)),
-            Ok(chunk) => chunk,
-        };
+    fn fetch(&self, id: usize, state: &mut ReadState) -> Result<SourcedChunk> {
+        // A real inner error passes through untouched.
+        let mut chunk = self.inner.fetch(id, state)?;
         let attempt = {
             let mut counters = lock_counters(&self.attempts);
-            let slot = counters.entry(chunk.id).or_insert(0);
+            let slot = counters.entry(id).or_insert(0);
             let attempt = *slot;
             *slot += 1;
             attempt
         };
-        match self.plan.fault_for(chunk.id, attempt) {
+        match self.plan.fault_for(id, attempt) {
             Fault::Deliver { delay } => {
                 chunk.injected_delay += delay;
-                Some(Ok(chunk))
+                Ok(chunk)
             }
-            Fault::Transient => Some(Err(Error::Io(std::io::Error::new(
+            Fault::Transient => Err(Error::Io(std::io::Error::new(
                 std::io::ErrorKind::Interrupted,
-                format!("injected transient fault on chunk {}", chunk.id),
-            )))),
-            Fault::ShortRead => Some(Err(Error::Truncated("chunk body"))),
+                format!("injected transient fault on chunk {id}"),
+            ))),
+            Fault::ShortRead => Err(Error::Truncated("chunk body")),
             Fault::Corrupt => {
                 // Models corruption *detected by the chunk checksum*: the
                 // bytes arrived but failed verification.
-                let sum = chunk.id as u32 ^ 0xdead_beef;
-                Some(Err(Error::Corrupt {
+                let sum = id as u32 ^ 0xdead_beef;
+                Err(Error::Corrupt {
                     what: "chunk body (injected fault)",
-                    offset: chunk.id as u64,
+                    offset: id as u64,
                     expected: sum,
                     found: !sum,
-                }))
+                })
             }
-            Fault::Permanent => Some(Err(Error::ChunkLost {
-                chunk: chunk.id,
+            Fault::Permanent => Err(Error::ChunkLost {
+                chunk: id,
                 attempts: attempt + 1,
                 spent: VirtualDuration::ZERO,
-            })),
+            }),
         }
+    }
+
+    fn open_stream(&self, order: Vec<usize>) -> Result<Box<dyn ChunkStream>> {
+        Ok(walk(self.clone(), order))
     }
 }
 

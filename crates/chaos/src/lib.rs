@@ -13,9 +13,11 @@
 //!
 //! * [`plan`] — [`FaultConfig`]/[`FaultPlan`]: the seeded fault schedule;
 //! * [`fault`] — [`FaultSource`]: a [`ChunkSource`](eff2_storage::ChunkSource)
-//!   decorator that injects the planned faults into any source stack;
+//!   decorator that injects the planned faults into each fetch through any
+//!   source stack;
 //! * [`retry`] — [`RetrySource`]: typed retry/backoff with modelled-time
-//!   charging, turning repeated failures into a permanent
+//!   charging, a loop of attempts around the inner fetch of one chunk
+//!   that turns repeated failures into a permanent
 //!   [`ChunkLost`](eff2_storage::Error::ChunkLost) the search core can
 //!   skip under a `SkipPolicy`;
 //! * [`shard`] — [`ShardFaultPlan`]: whole-shard-down schedules for the

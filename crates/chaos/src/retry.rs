@@ -1,18 +1,18 @@
 //! [`RetrySource`]: typed retry/backoff around any chunk source.
 //!
-//! Each failed read attempt is charged to the *modelled* clock — a
-//! per-read timeout plus exponential backoff — never the wall clock, so
-//! chaos runs stay deterministic and the virtual-time figures honestly
-//! include the cost of recovering from faults: what the failed attempts
-//! cost is added to the recovered chunk's
+//! A fetch is a loop of attempts through the inner source, all through the
+//! consumer's own [`ReadState`]. Each failed attempt is charged to the
+//! *modelled* clock — a per-read timeout plus exponential backoff — never
+//! the wall clock, so chaos runs stay deterministic and the virtual-time
+//! figures honestly include the cost of recovering from faults: what the
+//! failed attempts cost is added to the recovered chunk's
 //! [`injected_delay`](SourcedChunk::injected_delay). Errors are classified via
 //! [`Error::class`]: transient and corrupt reads are retried up to the
 //! budget; permanent errors (and an exhausted budget) become
-//! [`Error::ChunkLost`] with the accumulated modelled time attached, and
-//! the chunk's position is consumed so a skipping session continues with
-//! the next chunk instead of stalling.
+//! [`Error::ChunkLost`] with the accumulated modelled time attached, which
+//! a skipping session books against the chunk before it moves on.
 
-use eff2_storage::source::{ChunkSource, ChunkStream, SourcedChunk};
+use eff2_storage::source::{walk, ChunkSource, ChunkStream, ReadState, SourcedChunk};
 use eff2_storage::{Error, ErrorClass, Result, VirtualDuration};
 use std::sync::Arc;
 
@@ -61,6 +61,7 @@ impl RetryPolicy {
 }
 
 /// A [`ChunkSource`] decorator retrying failed reads per [`RetryPolicy`].
+#[derive(Clone)]
 pub struct RetrySource {
     inner: Arc<dyn ChunkSource>,
     policy: RetryPolicy,
@@ -79,83 +80,34 @@ impl RetrySource {
 }
 
 impl ChunkSource for RetrySource {
-    fn open_stream(&self, order: Vec<usize>) -> Result<Box<dyn ChunkStream>> {
-        let stream = self.inner.open_stream(order.clone())?;
-        Ok(Box::new(RetryStream {
-            source: Arc::clone(&self.inner),
-            policy: self.policy,
-            order,
-            pos: 0,
-            inner: Some(stream),
-            failed: false,
-        }))
-    }
-}
-
-struct RetryStream {
-    source: Arc<dyn ChunkSource>,
-    policy: RetryPolicy,
-    order: Vec<usize>,
-    pos: usize,
-    /// Current inner stream over `order[pos..]`; dropped on error and
-    /// re-opened for the retry (every retry is a fresh read).
-    inner: Option<Box<dyn ChunkStream>>,
-    failed: bool,
-}
-
-impl ChunkStream for RetryStream {
-    fn next_chunk(&mut self) -> Option<Result<SourcedChunk>> {
-        if self.failed {
-            return None;
-        }
-        let id = self.order.get(self.pos).copied()?;
+    fn fetch(&self, id: usize, state: &mut ReadState) -> Result<SourcedChunk> {
         let mut attempts = 0u32;
         let mut spent = VirtualDuration::ZERO;
         loop {
-            let stream = match &mut self.inner {
-                Some(stream) => stream,
-                None => match self
-                    .source
-                    .open_stream(self.order.get(self.pos..).unwrap_or_default().to_vec())
-                {
-                    Ok(stream) => self.inner.insert(stream),
-                    Err(e) => {
-                        // The source itself is broken; no per-chunk retry
-                        // can help, so the stream fuses.
-                        self.failed = true;
-                        return Some(Err(e));
-                    }
-                },
-            };
-            match stream.next_chunk() {
-                None => return None,
-                Some(Ok(mut chunk)) => {
+            match self.inner.fetch(id, state) {
+                Ok(mut chunk) => {
                     // The failed attempts that preceded this success are
                     // part of what the delivery cost.
                     chunk.injected_delay += spent;
-                    self.pos += 1;
-                    return Some(Ok(chunk));
+                    return Ok(chunk);
                 }
-                Some(Err(e)) => {
-                    // Every retry is a fresh read through a fresh stream.
-                    self.inner = None;
+                Err(e) => {
                     spent += self.policy.attempt_cost(attempts);
                     attempts += 1;
-                    let give_up =
-                        e.class() == ErrorClass::Permanent || attempts >= self.policy.max_attempts;
-                    if give_up {
-                        // Consume the position: callers holding a skip
-                        // policy continue with the next chunk.
-                        self.pos += 1;
-                        return Some(Err(Error::ChunkLost {
+                    if e.class() == ErrorClass::Permanent || attempts >= self.policy.max_attempts {
+                        return Err(Error::ChunkLost {
                             chunk: id,
                             attempts,
                             spent,
-                        }));
+                        });
                     }
                 }
             }
         }
+    }
+
+    fn open_stream(&self, order: Vec<usize>) -> Result<Box<dyn ChunkStream>> {
+        Ok(walk(self.clone(), order))
     }
 }
 

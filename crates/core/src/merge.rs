@@ -147,9 +147,8 @@ mod tests {
     use crate::search::StopRule;
     use crate::session::SearchSession;
     use eff2_descriptor::{Descriptor, DescriptorSet, Vector};
-    use eff2_storage::chunkfile::ChunkPayload;
     use eff2_storage::epoch::FoldedDelta;
-    use eff2_storage::source::SourcedChunk;
+    use eff2_storage::source::{ChunkSource, FileSource, ReadState};
     use eff2_storage::ChunkStore;
     use std::collections::BTreeMap;
     use std::path::PathBuf;
@@ -222,7 +221,7 @@ mod tests {
             stop: StopRule::Chunks(usize::MAX),
             ..*params
         };
-        let mut reader = store.reader().expect("reader");
+        let (files, mut read) = (FileSource::new(store), ReadState::default());
         let mut buffered: BTreeMap<usize, (usize, LegOutcome)> = BTreeMap::new();
         let rank_of: BTreeMap<usize, usize> = (0..gather.ranking().len())
             .map(|r| (gather.ranking().chunk_at(r), r))
@@ -232,15 +231,7 @@ mod tests {
                 SearchSession::detached_from_ranking(leg_ranking, &model, &query, &leg_params);
             leg.apply_delta(delta);
             while let Some(chunk) = leg.next_wanted() {
-                let mut payload = ChunkPayload::default();
-                let bytes = reader.read_chunk(chunk, &mut payload).expect("read");
-                let sourced = SourcedChunk {
-                    id: chunk,
-                    payload: Arc::new(payload),
-                    bytes_read: bytes,
-                    injected_delay: VirtualDuration::ZERO,
-                    from_disk: true,
-                };
+                let sourced = files.fetch(chunk, &mut read).expect("read");
                 leg.step_with(&sourced).expect("leg step");
                 let count = gather.ranking().count_of(chunk);
                 buffered.insert(
@@ -248,7 +239,7 @@ mod tests {
                     (
                         chunk,
                         LegOutcome::Scanned {
-                            bytes_read: bytes,
+                            bytes_read: sourced.bytes_read,
                             count,
                             entries: leg.neighbor_entries(),
                         },

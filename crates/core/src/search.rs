@@ -58,10 +58,12 @@ pub struct SearchParams {
     /// Stop rule.
     pub stop: StopRule,
     /// How many chunks a [`PrefetchSource`](eff2_storage::PrefetchSource)
-    /// reads ahead, for a caller that passes one to [`search_with_source`]
-    /// or [`SearchSession::with_source`]. The default source of [`search`],
-    /// [`SearchSession::open`] and the other one-call drivers reads on the
-    /// calling thread and ignores it.
+    /// stream reads ahead. A session over one — passed to
+    /// [`search_with_source`] or [`SearchSession::with_source`] — fetches
+    /// each chunk on its own thread, like every product driver, and reads
+    /// nothing ahead; a zero depth is still refused at its first step. The
+    /// default source of [`search`], [`SearchSession::open`] and the other
+    /// one-call drivers ignores it.
     pub prefetch_depth: usize,
     /// Record a top-k identifier snapshot in every [`ChunkEvent`] (needed
     /// for precision-of-intermediate-results curves; costs k words per
@@ -287,7 +289,7 @@ pub fn search_with_source(
 /// [`eff2_parallel::max_threads`] is the default count).
 ///
 /// Parallelism stops at the query boundary: each query runs the full
-/// sequential [`search`] with its own chunk stream and its own
+/// sequential [`search`] with its own chunk reader and its own
 /// `PipelineClock`, so the per-query virtual-time accounting — and with
 /// it every [`ChunkEvent`] field (rank, chunk id, count, bytes,
 /// `completed_at`, kth distance, top-k snapshot) — is bit-identical to a
@@ -295,7 +297,7 @@ pub fn search_with_source(
 /// Results come back in query order.
 ///
 /// All workers share one [`FileSource`] — a store handle; every query's
-/// stream reads its own chunks on its worker's thread.
+/// session reads its own chunks on its worker's thread.
 pub fn search_batch_threads(
     store: &ChunkStore,
     model: &DiskModel,
@@ -511,7 +513,7 @@ mod tests {
     }
 
     /// A zero prefetch window is a typed error at the first step, not a
-    /// panic — and a `k = 0` query, which opens no stream, tolerates it.
+    /// panic — and a `k = 0` query, which reads nothing, tolerates it.
     /// The window belongs to a [`PrefetchSource`], the one source that
     /// reads `prefetch_depth`.
     #[test]
@@ -531,7 +533,7 @@ mod tests {
         let refused = search_depth0(&params);
         assert!(matches!(refused, Err(eff2_storage::Error::Inconsistent(_))));
         let empty = search_depth0(&SearchParams { k: 0, ..params });
-        assert_eq!(empty.expect("no stream is opened").log.chunks_read, 0);
+        assert_eq!(empty.expect("nothing is read").log.chunks_read, 0);
     }
 
     #[test]

@@ -17,14 +17,15 @@
 //!   re-searching per rule.
 //!
 //! Chunks arrive through a pluggable [`ChunkSource`] (file reads on the
-//! calling thread, or a shared resident cache), pulled by `step` or fed from
-//! outside through `step_with`. Either way a delivery is one
-//! [`SourcedChunk`], and the session charges its [`PipelineClock`] from
-//! that value alone — the `bytes_read` every source reports identically,
-//! plus the `injected_delay` fault and retry layers added — so every
-//! reported figure is bit-identical regardless of backend and of who
-//! drives (pinned by the `batch_determinism` and `session_equivalence`
-//! tests, and under faults by `eff2-chaos`'s determinism suite).
+//! calling thread, or a shared resident cache): `step` fetches the chunk at
+//! the session's cursor rank, and `step_with` takes it fed from outside.
+//! Either way a delivery is one [`SourcedChunk`], and the session charges
+//! its [`PipelineClock`] from that value alone — the `bytes_read` every
+//! source reports identically, plus the `injected_delay` fault and retry
+//! layers added — so every reported figure is bit-identical regardless of
+//! backend and of who drives (pinned by the `batch_determinism` and
+//! `session_equivalence` tests, and under faults by `eff2-chaos`'s
+//! determinism suite).
 
 use crate::coarse::CoarseQuantizer;
 use crate::neighbors::NeighborSet;
@@ -35,12 +36,12 @@ use eff2_descriptor::{
 use eff2_storage::chunkfile::ChunkPayload;
 use eff2_storage::diskmodel::{DiskModel, PipelineClock, VirtualDuration};
 use eff2_storage::epoch::FoldedDelta;
-use eff2_storage::source::{ChunkSource, ChunkStream, FileSource, SourcedChunk};
+use eff2_storage::source::{ChunkSource, FileSource, ReadState, SourcedChunk};
 use eff2_storage::{ChunkStore, ErrorClass, Result};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// What a session does when its stream reports a chunk permanently
+/// What a session does when its source reports a chunk permanently
 /// unreadable (an error whose [`ErrorClass`] is `Permanent`, e.g.
 /// [`ChunkLost`](eff2_storage::Error::ChunkLost) from a retry layer).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -235,11 +236,6 @@ impl ChunkRanking {
         self.ranked.len()
     }
 
-    /// Whether any coarse cell is still awaiting expansion.
-    pub(crate) fn has_pending(&self) -> bool {
-        !self.pending.is_empty()
-    }
-
     /// Centroid distance evaluations spent so far: `n_chunks` for a flat
     /// ranking; `n_cells` plus one per expanded member chunk for a
     /// two-level ranking — the quantity two-level ranking exists to
@@ -282,9 +278,8 @@ impl ChunkRanking {
         self.ranked.iter().map(|&(_, i)| i as usize).collect()
     }
 
-    /// The tail of the scan order from rank `from` on — what a session
-    /// streams after (re)opening its source mid-scan or after a wave
-    /// expansion.
+    /// The tail of the scan order from rank `from` on (the expanded
+    /// chunks only).
     pub fn order_from(&self, from: usize) -> Vec<usize> {
         self.ranked
             .get(from..)
@@ -341,7 +336,7 @@ impl ChunkRanking {
     #[cfg(test)]
     pub(crate) fn split_by_owner(&self, owner_of: &[u32], n_shards: usize) -> Vec<ChunkRanking> {
         debug_assert!(
-            !self.has_pending(),
+            self.pending.is_empty(),
             "split_by_owner requires a flat (fully expanded) ranking"
         );
         let mut legs: Vec<ChunkRanking> = (0..n_shards)
@@ -691,17 +686,17 @@ impl SessionCore {
 /// clock, log, and a handle to its [`ChunkSource`] — so it can be driven
 /// incrementally ([`step`](Self::step)), to its own stop rule
 /// ([`run_to_stop`](Self::run_to_stop)), or past rule after rule
-/// ([`evaluate_rules`](Self::evaluate_rules)). The underlying stream is
-/// opened lazily at the first `step`, so a store whose files vanish
-/// between session construction and stepping surfaces a clean `Err`.
+/// ([`evaluate_rules`](Self::evaluate_rules)). Each `step` fetches the
+/// chunk at the cursor rank, and the chunk file is opened at the first
+/// one, so a store whose files vanish between session construction and
+/// stepping surfaces a clean `Err`.
 pub struct SearchSession {
     /// `None` for a *detached* session — one driven by an external
     /// scheduler through [`step_with`](Self::step_with) instead of pulling
     /// chunks itself.
     source: Option<Arc<dyn ChunkSource>>,
-    /// Opened at the first [`step`](Self::step); re-opened per wave for
-    /// two-level rankings.
-    stream: Option<Box<dyn ChunkStream>>,
+    /// What this session keeps between fetches from `source`.
+    read: ReadState,
     core: SessionCore,
     query: Vector,
     /// `Some` for a quantized (ADC) session — see
@@ -750,7 +745,7 @@ impl SearchSession {
     /// A session that scans **quantized** chunk payloads with the
     /// asymmetric-distance kernels instead of raw `f32` records.
     ///
-    /// `store` must be a quantized store. The session streams the
+    /// `store` must be a quantized store. The session reads the
     /// compact code region (modelled bytes shrink accordingly), retains
     /// the best `rerank_mult · k` ADC candidates, and — after the scan —
     /// [`rerank_tail`](Self::rerank_tail) re-scores them against the raw
@@ -850,7 +845,7 @@ impl SearchSession {
     ) -> SearchSession {
         SearchSession {
             source,
-            stream: None,
+            read: ReadState::default(),
             core: SessionCore::new(ranking, model, params),
             query: *query,
             adc: None,
@@ -934,7 +929,8 @@ impl SearchSession {
         self.core.remaining_work_estimate()
     }
 
-    /// Whether every ranked chunk has been processed (scanned or skipped).
+    /// Whether the scan is over: every ranked chunk processed (scanned or
+    /// skipped), or a delivery error ended it.
     pub(crate) fn is_exhausted(&self) -> bool {
         self.exhausted || self.core.cursor() == self.core.ranking.len()
     }
@@ -987,6 +983,11 @@ impl SearchSession {
     /// [`evaluate_rules`](Self::evaluate_rules) does). Use
     /// [`stop_satisfied`](Self::stop_satisfied) to drive a rule-respecting
     /// loop, or [`run_to_stop`](Self::run_to_stop) to do both at once.
+    ///
+    /// A delivery error the [`SkipPolicy`] does not skip is returned once
+    /// and ends the scan: later calls return `Ok(None)` without reading.
+    /// The failed chunk stays unscanned at the cursor, so the result is
+    /// exact only if the completion proof already covered it.
     pub fn step(&mut self) -> Result<Option<&ChunkEvent>> {
         loop {
             if self.is_exhausted() {
@@ -994,42 +995,21 @@ impl SearchSession {
                 return Ok(None);
             }
             // Two-level ranking: once the scan has consumed every expanded
-            // chunk, expand the next-nearest cell and stream its member
-            // chunks as a fresh wave. Flat rankings never take this branch
-            // (expanded == total, and is_exhausted fired above).
-            if self.core.cursor() >= self.core.ranking.expanded_len() {
-                if !self.core.ranking.expand_wave(&self.query) {
-                    self.exhausted = true;
-                    return Ok(None);
-                }
-                self.stream = None;
+            // chunk, expand the next-nearest cell. Flat rankings never take
+            // this branch (expanded == total, and is_exhausted fired above).
+            if self.core.cursor() >= self.core.ranking.expanded_len()
+                && !self.core.ranking.expand_wave(&self.query)
+            {
+                self.exhausted = true;
+                return Ok(None);
             }
             let Some(source) = self.source.as_ref() else {
                 return Err(eff2_storage::Error::Inconsistent(
                     "detached session has no chunk source: drive it with step_with".to_string(),
                 ));
             };
-            let stream = match self.stream.as_mut() {
-                Some(s) => s,
-                None => self
-                    .stream
-                    .insert(source.open_stream(self.core.ranking.order_from(self.core.cursor()))?),
-            };
-            let Some(item) = stream.next_chunk() else {
-                // This wave's stream is done. If a pending cell remains
-                // (and the wave really was consumed), loop back to expand
-                // it; otherwise the historical semantics hold: a drained
-                // stream exhausts the session.
-                self.stream = None;
-                if self.core.ranking.has_pending()
-                    && self.core.cursor() >= self.core.ranking.expanded_len()
-                {
-                    continue;
-                }
-                self.exhausted = true;
-                return Ok(None);
-            };
-            match item {
+            let id = self.core.ranking.chunk_at(self.core.cursor());
+            match source.fetch(id, &mut self.read) {
                 Ok(chunk) => {
                     self.ingest(&chunk);
                     return Ok(self.core.log.events.last());
@@ -1052,7 +1032,10 @@ impl SearchSession {
                         return Ok(None);
                     }
                 }
-                Err(e) => return Err(e),
+                Err(e) => {
+                    self.exhausted = true;
+                    return Err(e);
+                }
             }
         }
     }
@@ -1485,18 +1468,10 @@ mod tests {
 
         // Drive a detached twin by hand: fetch whatever it asks for.
         let mut fed = SearchSession::detached(&store, &model, &q, &params);
-        let mut reader = store.reader().expect("reader");
+        let (files, mut read) = (FileSource::new(&store), ReadState::default());
         while !fed.stop_satisfied() {
             let Some(id) = fed.next_wanted() else { break };
-            let mut payload = eff2_storage::chunkfile::ChunkPayload::default();
-            let bytes_read = reader.read_chunk(id, &mut payload).expect("read");
-            let chunk = SourcedChunk {
-                id,
-                payload: Arc::new(payload),
-                bytes_read,
-                injected_delay: VirtualDuration::ZERO,
-                from_disk: true,
-            };
+            let chunk = files.fetch(id, &mut read).expect("read");
             fed.step_with(&chunk).expect("step_with").expect("event");
         }
         let got = fed.into_result();
@@ -1532,16 +1507,9 @@ mod tests {
         let mut session = SearchSession::detached(&store, &model, &q, &SearchParams::exact(5));
         let wanted = session.next_wanted().expect("wants a chunk");
         let wrong = (wanted + 1) % store.n_chunks();
-        let mut reader = store.reader().expect("reader");
-        let mut payload = eff2_storage::chunkfile::ChunkPayload::default();
-        let bytes_read = reader.read_chunk(wrong, &mut payload).expect("read");
-        let chunk = SourcedChunk {
-            id: wrong,
-            payload: Arc::new(payload),
-            bytes_read,
-            injected_delay: VirtualDuration::ZERO,
-            from_disk: true,
-        };
+        let chunk = FileSource::new(&store)
+            .fetch(wrong, &mut ReadState::default())
+            .expect("read");
         assert!(
             session.step_with(&chunk).is_err(),
             "wrong chunk must be refused"
@@ -1560,45 +1528,35 @@ mod tests {
         assert!(session.step().is_err(), "no source to pull from");
     }
 
-    /// Delivers through an inner source but replaces the listed chunk ids
-    /// with a permanent [`Error::ChunkLost`], consuming their position —
-    /// the shape eff2-chaos's retry layer produces.
+    /// Delivers through an inner source but answers the listed chunk ids
+    /// with a permanent [`Error::ChunkLost`] — the shape eff2-chaos's
+    /// retry layer produces.
     ///
     /// [`Error::ChunkLost`]: eff2_storage::Error::ChunkLost
+    #[derive(Clone)]
     struct LosingSource {
         inner: Arc<dyn ChunkSource>,
         lost: Vec<usize>,
         spent: VirtualDuration,
     }
 
-    struct LosingStream {
-        inner: Box<dyn ChunkStream>,
-        lost: Vec<usize>,
-        spent: VirtualDuration,
-    }
-
     impl ChunkSource for LosingSource {
-        fn open_stream(&self, order: Vec<usize>) -> Result<Box<dyn ChunkStream>> {
-            Ok(Box::new(LosingStream {
-                inner: self.inner.open_stream(order)?,
-                lost: self.lost.clone(),
-                spent: self.spent,
-            }))
-        }
-    }
-
-    impl ChunkStream for LosingStream {
-        fn next_chunk(&mut self) -> Option<Result<SourcedChunk>> {
-            match self.inner.next_chunk()? {
-                Ok(chunk) if self.lost.contains(&chunk.id) => {
-                    Some(Err(eff2_storage::Error::ChunkLost {
-                        chunk: chunk.id,
-                        attempts: 3,
-                        spent: self.spent,
-                    }))
-                }
-                item => Some(item),
+        fn fetch(&self, id: usize, state: &mut ReadState) -> Result<SourcedChunk> {
+            if self.lost.contains(&id) {
+                return Err(eff2_storage::Error::ChunkLost {
+                    chunk: id,
+                    attempts: 3,
+                    spent: self.spent,
+                });
             }
+            self.inner.fetch(id, state)
+        }
+
+        fn open_stream(
+            &self,
+            order: Vec<usize>,
+        ) -> Result<Box<dyn eff2_storage::source::ChunkStream>> {
+            Ok(eff2_storage::source::walk(self.clone(), order))
         }
     }
 
@@ -1621,6 +1579,47 @@ mod tests {
             session.step(),
             Err(eff2_storage::Error::ChunkLost { .. })
         ));
+    }
+
+    /// Under the default [`SkipPolicy::Abort`] a lost delivery ends the
+    /// scan: stepping on must not scan the next chunk at the lost chunk's
+    /// rank, and the answer must not claim to be exact.
+    #[test]
+    fn a_step_after_an_aborted_delivery_never_scans_past_the_lost_chunk() {
+        let set = lumpy_set(300);
+        let store = build_store("abortstep", &set, 20);
+        let model = DiskModel::ata_2005();
+        let q = Vector::splat(40.0);
+        let params = SearchParams::exact(5);
+        let lost = ChunkRanking::rank(&store, &model, &q).chunk_at(0);
+        let source = Arc::new(LosingSource {
+            inner: Arc::new(FileSource::new(&store)),
+            lost: vec![lost],
+            spent: VirtualDuration::ZERO,
+        });
+        let mut session = SearchSession::with_source(&store, &model, &q, &params, source);
+        assert!(matches!(
+            session.step(),
+            Err(eff2_storage::Error::ChunkLost { chunk, .. }) if chunk == lost
+        ));
+        for _ in 0..store.n_chunks() {
+            let wanted = session.ranking().chunk_at(session.cursor());
+            match session.step() {
+                Ok(Some(event)) => assert_eq!(
+                    event.chunk_id, wanted,
+                    "a step scans the chunk at the cursor rank"
+                ),
+                Ok(None) => break,
+                Err(e) => panic!("the error was already reported: {e}"),
+            }
+        }
+        let result = session.into_result();
+        assert!(result.log.events.iter().all(|e| e.chunk_id != lost));
+        assert_ne!(result.log.fidelity(), crate::search::ResultFidelity::Exact);
+        assert!(
+            !result.log.completed,
+            "the unscanned chunk {lost} is not proven irrelevant"
+        );
     }
 
     #[test]

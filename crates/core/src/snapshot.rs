@@ -129,6 +129,7 @@ mod tests {
     use crate::chunkers::{ChunkFormer, SrTreeChunker};
     use crate::search::search;
     use eff2_descriptor::{Descriptor, DescriptorSet};
+    use eff2_storage::source::ChunkSource;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -189,22 +190,14 @@ mod tests {
         let q = Vector::splat(3.0);
         let params = SearchParams::exact(4);
         let mut session = snap.session(&q, &params);
-        let mut reader = snap.store().reader().expect("reader");
+        let files = eff2_storage::source::FileSource::new(snap.store());
+        let mut read = eff2_storage::source::ReadState::default();
         while let Some(id) = session.next_wanted() {
             if session.stop_satisfied() {
                 break;
             }
-            let mut payload = eff2_storage::chunkfile::ChunkPayload::default();
-            let bytes_read = reader.read_chunk(id, &mut payload).expect("read");
-            session
-                .step_with(&eff2_storage::source::SourcedChunk {
-                    id,
-                    payload: Arc::new(payload),
-                    bytes_read,
-                    injected_delay: eff2_storage::VirtualDuration::ZERO,
-                    from_disk: true,
-                })
-                .expect("step_with");
+            let chunk = files.fetch(id, &mut read).expect("read");
+            session.step_with(&chunk).expect("step_with");
         }
         let fed = session.into_result();
         let want = snap.search(&q, &params).expect("reference");

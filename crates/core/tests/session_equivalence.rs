@@ -19,7 +19,8 @@ use eff2_core::{SearchParams, SearchResult, StopRule};
 use eff2_descriptor::{Descriptor, DescriptorSet, Vector};
 use eff2_storage::diskmodel::{DiskModel, VirtualDuration};
 use eff2_storage::source::{
-    ChunkSource, ChunkStream, FileSource, PrefetchSource, ResidentSource, SourcedChunk,
+    walk, ChunkSource, ChunkStream, FileSource, PrefetchSource, ReadState, ResidentSource,
+    SourcedChunk,
 };
 use eff2_storage::{ChunkStore, Result as StorageResult};
 use proptest::prelude::*;
@@ -198,33 +199,22 @@ fn bag_chunker_session_equivalence() {
 // evaluate_stop_rules: identical to per-rule searches, one read pass.
 // ---------------------------------------------------------------------------
 
-/// Wraps a source and counts every chunk its streams deliver.
+/// Wraps a source and counts every chunk it delivers.
+#[derive(Clone)]
 struct CountingSource {
-    inner: Box<dyn ChunkSource>,
-    delivered: Arc<AtomicUsize>,
-}
-
-struct CountingStream {
-    inner: Box<dyn ChunkStream>,
+    inner: Arc<dyn ChunkSource>,
     delivered: Arc<AtomicUsize>,
 }
 
 impl ChunkSource for CountingSource {
-    fn open_stream(&self, order: Vec<usize>) -> StorageResult<Box<dyn ChunkStream>> {
-        Ok(Box::new(CountingStream {
-            inner: self.inner.open_stream(order)?,
-            delivered: Arc::clone(&self.delivered),
-        }))
+    fn fetch(&self, id: usize, state: &mut ReadState) -> StorageResult<SourcedChunk> {
+        let chunk = self.inner.fetch(id, state)?;
+        self.delivered.fetch_add(1, Ordering::Relaxed);
+        Ok(chunk)
     }
-}
 
-impl ChunkStream for CountingStream {
-    fn next_chunk(&mut self) -> Option<StorageResult<SourcedChunk>> {
-        let item = self.inner.next_chunk();
-        if matches!(item, Some(Ok(_))) {
-            self.delivered.fetch_add(1, Ordering::Relaxed);
-        }
-        item
+    fn open_stream(&self, order: Vec<usize>) -> StorageResult<Box<dyn ChunkStream>> {
+        Ok(walk(self.clone(), order))
     }
 }
 
@@ -277,7 +267,7 @@ fn evaluate_stop_rules_matches_per_rule_searches_in_one_pass() {
             // The session way: every rule from one counted scan.
             let delivered = Arc::new(AtomicUsize::new(0));
             let source = Arc::new(CountingSource {
-                inner: Box::new(FileSource::new(&store)),
+                inner: Arc::new(FileSource::new(&store)),
                 delivered: Arc::clone(&delivered),
             });
             let all = SearchSession::with_source(&store, &model, &query, &params, source)

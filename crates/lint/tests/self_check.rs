@@ -302,6 +302,67 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
+/// Where `source`'s non-test code names `open_stream` other than to
+/// define it, or implements `ChunkStream`, as `line: what` entries.
+fn chunk_stream_uses(source: &str) -> Vec<String> {
+    let tokens = lexer::lex(source);
+    let regions = regions::classify(&tokens);
+    let code: Vec<_> = (regions::code_indices(&tokens).into_iter())
+        .filter(|&i| !regions[i].test)
+        .map(|i| &tokens[i])
+        .collect();
+    let mut uses = Vec::new();
+    for w in code.windows(3) {
+        let [before, t, after] = w else { continue };
+        if t.is_ident("open_stream") && !before.is_ident("fn") {
+            uses.push(format!("{}: calls open_stream", t.line));
+        }
+        if t.is_ident("ChunkStream") && after.is_ident("for") {
+            uses.push(format!("{}: implements ChunkStream", t.line));
+        }
+    }
+    uses
+}
+
+#[test]
+fn chunk_streams_stay_inside_eff2_storage() {
+    // A session fetches the chunk its cursor names; the ordered stream is
+    // left to perfbench and `PrefetchSource`. Outside eff2-storage, product
+    // code may define `open_stream` for a `ChunkSource` but never call it
+    // nor implement a stream of its own.
+    let probe = "fn f(s: &S) { s.open_stream(v); }\n\
+                 impl eff2_storage::ChunkStream for W {}\n\
+                 fn open_stream(&self) { walk(self.clone(), v) }\n\
+                 #[cfg(test)]\nmod tests { fn t() { s.open_stream(v); } }";
+    assert_eq!(
+        chunk_stream_uses(probe),
+        ["1: calls open_stream", "2: implements ChunkStream"]
+    );
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut crates: Vec<PathBuf> = (std::fs::read_dir(root.join("crates")).expect("list crates"))
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| !p.ends_with("storage"))
+        .collect();
+    crates.sort();
+    let mut files = Vec::new();
+    for dir in &crates {
+        rust_files(&dir.join("src"), &mut files);
+    }
+    assert!(files.len() > 50, "the walk found the crates");
+    let offenders: Vec<String> = (files.iter())
+        .flat_map(|file| {
+            let rel = file.strip_prefix(&root).expect("under the root").to_owned();
+            let text = std::fs::read_to_string(file).expect("read source");
+            (chunk_stream_uses(&text).into_iter()).map(move |u| format!("{}:{u}", rel.display()))
+        })
+        .collect();
+    assert!(
+        offenders.is_empty(),
+        "chunk streams outside eff2-storage (fetch by id instead):\n{}",
+        offenders.join("\n")
+    );
+}
+
 /// Types no other crate names but that must stay `pub` because a public
 /// signature or field mentions them. Nothing else belongs here: a function,
 /// constant or unmentioned type that trips the guard becomes `pub(crate)`.

@@ -666,4 +666,72 @@ mod tests {
             assert!(d.descriptors_lost > 0);
         }
     }
+
+    /// DESIGN §12's claim that the engine retries with the solo retry
+    /// layer's accounting: one query on the one-device engine loses the
+    /// same chunks, pays the same modelled time and finds the same
+    /// neighbours as a skipping session pulling through
+    /// `RetrySource(FaultSource(FileSource))` under the same plan.
+    ///
+    /// The budget is one attempt. Above one the two differ by design: the
+    /// engine charges a recovered transient's retries to the fleet clock
+    /// only, while the solo stack adds them to the chunk's injected delay,
+    /// that is to the query's own clock.
+    #[test]
+    fn a_lone_query_loses_exactly_what_the_solo_chaos_stack_loses() {
+        use eff2_chaos::{FaultSource, RetrySource};
+        use eff2_core::session::{SearchSession, SkipPolicy};
+        use eff2_storage::source::FileSource;
+        use std::sync::Arc;
+
+        let (snap, set) = snapshot("chaossolo", 500, 25);
+        let retry = retry(1, 5.0);
+        let mut degraded = 0;
+        for seed in 0..14u64 {
+            let config = FaultConfig {
+                permanent_rate: 0.15,
+                transient_rate: 0.2,
+                short_read_rate: 0.05,
+                corruption_rate: 0.05,
+                ..FaultConfig::quiet(seed)
+            };
+            let q = set.vector_owned((seed as usize * 37) % set.len());
+            for params in [scan_all(6), SearchParams::exact(6)] {
+                let plan = FaultPlan::new(config);
+                let served = chaos_run(
+                    &snap,
+                    &[(q, VirtualDuration::ZERO)],
+                    &params,
+                    Some(plan),
+                    retry,
+                );
+                let stack = RetrySource::new(
+                    Arc::new(FaultSource::new(
+                        Arc::new(FileSource::new(snap.store())),
+                        plan,
+                    )),
+                    retry,
+                );
+                let mut solo = SearchSession::with_source(
+                    snap.store(),
+                    snap.model(),
+                    &q,
+                    &params,
+                    Arc::new(stack),
+                );
+                solo.set_skip_policy(SkipPolicy::SkipUnavailable);
+                solo.run_to_stop().expect("degraded run completes");
+                let want = solo.into_result();
+                degraded += usize::from(want.log.degradation.is_degraded());
+                assert_eq!(served.completions.len(), 1);
+                assert_eq!(
+                    want.first_difference(&served.completions[0].result),
+                    None,
+                    "seed {seed}, {:?}",
+                    params.stop
+                );
+            }
+        }
+        assert!(degraded > 14, "most runs lose a chunk ({degraded} of 28)");
+    }
 }

@@ -26,10 +26,10 @@
 //!   consumer; no product driver opens one, because on a warm page cache
 //!   the hand-off costs more than the overlap saves (the modelled overlap
 //!   lives in [`PipelineClock`]);
-//! * [`source`] — the [`ChunkSource`]/[`ChunkStream`] abstraction over chunk
-//!   delivery: plain file reads on the consumer's thread (the default),
-//!   prefetching, or a byte-budgeted resident cache shared across queries —
-//!   all charging identical modelled I/O;
+//! * [`source`] — the [`ChunkSource`] abstraction over chunk delivery by
+//!   id: plain file reads on the consumer's thread (the default), a
+//!   byte-budgeted resident cache shared across queries, or a prefetching
+//!   [`ChunkStream`] — all charging identical modelled I/O;
 //! * [`diskmodel`] — the simulated 2005 testbed (Dell 2.8 GHz P4, 40 GB ATA
 //!   disk): a deterministic virtual clock calibrated so that reading and
 //!   processing an SR-tree chunk of ≈2.5 k descriptors costs ≈10 ms,
@@ -51,7 +51,7 @@ pub use epoch::{DeltaOp, EpochManifest, FoldedDelta};
 pub use error::{Error, ErrorClass, Result};
 pub use indexfile::ChunkMeta;
 pub use source::{
-    ChunkSource, ChunkStream, FileSource, PrefetchSource, ResidentSource, ResidentStats,
+    ChunkSource, ChunkStream, FileSource, PrefetchSource, ReadState, ResidentSource, ResidentStats,
     SourcedChunk,
 };
 pub use store::{ChunkData, ChunkDef, ChunkStore};

@@ -17,7 +17,6 @@
 //! overlap the paper's figures rest on is modelled by
 //! [`PipelineClock`](crate::PipelineClock), whatever the source.
 
-use crate::diskmodel::VirtualDuration;
 use crate::error::Result;
 use crate::source::{read_through, ChunkStream, SourcedChunk};
 use crate::store::ChunkStore;
@@ -34,6 +33,17 @@ pub(crate) struct PrefetchIter {
     handle: Option<JoinHandle<()>>,
 }
 
+/// Checks that `depth` is a usable prefetch window: a zero depth is
+/// refused with [`Error::Inconsistent`](crate::Error::Inconsistent).
+pub(crate) fn positive_depth(depth: usize) -> Result<()> {
+    if depth == 0 {
+        return Err(crate::Error::Inconsistent(
+            "prefetch depth must be positive".to_string(),
+        ));
+    }
+    Ok(())
+}
+
 /// Starts prefetching `order` (chunk ids) from `store` with a reader thread
 /// that stays at most `depth` chunks ahead of the consumer. A zero `depth`
 /// is refused with [`Error::Inconsistent`](crate::Error::Inconsistent).
@@ -42,11 +52,7 @@ pub(crate) fn prefetch_chunks(
     order: Vec<usize>,
     depth: usize,
 ) -> Result<PrefetchIter> {
-    if depth == 0 {
-        return Err(crate::Error::Inconsistent(
-            "prefetch depth must be positive".to_string(),
-        ));
-    }
+    positive_depth(depth)?;
     // The reader thread needs its own handle; the store is a cheap
     // `Arc`-backed clone, and the file itself is opened lazily on the
     // first read (an empty order never opens it).
@@ -55,14 +61,7 @@ pub(crate) fn prefetch_chunks(
     let handle = eff2_parallel::spawn(move || {
         let mut reader = None;
         for id in order {
-            let item =
-                read_through(&owned, &mut reader, id).map(|(payload, bytes_read)| SourcedChunk {
-                    id,
-                    payload,
-                    bytes_read,
-                    injected_delay: VirtualDuration::ZERO,
-                    from_disk: true,
-                });
+            let item = read_through(&owned, &mut reader, id);
             let failed = item.is_err();
             if tx.send(item).is_err() {
                 return; // consumer dropped the iterator — stop quietly

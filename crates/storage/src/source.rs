@@ -1,16 +1,23 @@
-//! Pluggable chunk delivery: the `ChunkSource` / `ChunkStream` trait pair.
+//! Pluggable chunk delivery: [`ChunkSource::fetch`] hands over one chunk
+//! by id.
 //!
-//! A search session asks a [`ChunkSource`] for a stream over a *ranked*
-//! sequence of chunk ids and consumes one [`SourcedChunk`] per step. The
-//! source decides **how** the bytes arrive — a plain file reader
-//! ([`FileSource`]), a pipelined background reader ([`PrefetchSource`]), or
-//! a shared in-memory cache ([`ResidentSource`]) — while the search core
-//! stays oblivious. [`FileSource`] is the default of every one-call search
-//! driver: the consumer's own thread reads each chunk. Crucially, every
-//! source reports the same `bytes_read` for a given chunk (the padded
-//! on-disk page span), so the virtual disk model charges identical I/O no
-//! matter which backend served the payload: the paper's reported figures
-//! do not depend on the source.
+//! A search session asks its [`ChunkSource`] for the chunk its cursor
+//! names and consumes one [`SourcedChunk`] per step. The source decides
+//! **how** the bytes arrive — a plain file reader ([`FileSource`]), a
+//! shared in-memory cache ([`ResidentSource`]), or the pipelined
+//! background reader of a [`PrefetchSource`] stream — while the search
+//! core stays oblivious. [`FileSource`] is the default of every one-call
+//! search driver: the consumer's own thread reads each chunk. Crucially,
+//! every source reports the same `bytes_read` for a given chunk (the
+//! padded on-disk page span), so the virtual disk model charges identical
+//! I/O no matter which backend served the payload: the paper's reported
+//! figures do not depend on the source.
+//!
+//! What a consumer keeps between fetches — its [`ChunkReader`] and its
+//! cache requester tag — is one [`ReadState`] it passes to every fetch.
+//! [`ChunkSource::open_stream`] delivers a whole ranked order instead;
+//! every source but [`PrefetchSource`] streams through [`walk`], one
+//! fetch per chunk.
 //!
 //! **A delivery is one value.** Everything a consumer learns about one
 //! chunk's arrival — the payload, the bytes the model charges, whether it
@@ -20,14 +27,14 @@
 
 use crate::chunkfile::ChunkPayload;
 use crate::diskmodel::VirtualDuration;
-use crate::error::Result;
-use crate::prefetch::prefetch_chunks;
+use crate::error::{Error, Result};
+use crate::prefetch::{positive_depth, prefetch_chunks};
 use crate::store::{ChunkReader, ChunkStore};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Recovers the cache guard even if another stream panicked mid-update.
+/// Recovers the cache guard even if another reader panicked mid-update.
 /// Every critical section leaves the cache consistent (counters and `used`
 /// are adjusted together), so continuing past a poisoned lock is sound.
 fn lock_cache(cache: &Mutex<ResidentCache>) -> std::sync::MutexGuard<'_, ResidentCache> {
@@ -59,79 +66,98 @@ pub struct SourcedChunk {
     pub from_disk: bool,
 }
 
+/// What one consumer keeps between fetches: its [`ChunkReader`], opened
+/// on the first read, and its [`ResidentSource`] requester tag, drawn on
+/// the first fetch through one. A session holds one for its whole scan,
+/// so a retry re-reads through the same open file; a fresh state is a
+/// fresh consumer.
+#[derive(Debug, Default)]
+pub struct ReadState {
+    reader: Option<ChunkReader>,
+    requester: Option<u64>,
+}
+
 /// A stream of chunks in the order requested from [`ChunkSource::open_stream`].
 ///
-/// Streams own all their state (`'static`), so a session holding one can
-/// outlive the scope that opened the store. After yielding an `Err` a
-/// stream is exhausted: subsequent calls return `None`.
+/// Streams own all their state (`'static`), so a holder can outlive the
+/// scope that opened the store. A lost chunk ([`Error::ChunkLost`]) is
+/// consumed and the stream goes on; after any other `Err` it is
+/// exhausted, and later calls return `None`.
 pub trait ChunkStream: Send {
     /// Delivers the next chunk of the requested order, `None` when done.
     fn next_chunk(&mut self) -> Option<Result<SourcedChunk>>;
 }
 
-/// A backend that can deliver chunk payloads for a ranked id sequence.
+/// A backend that delivers chunk payloads by id.
 pub trait ChunkSource: Send + Sync {
-    /// Opens a stream that yields the chunks in `order`, in order.
-    ///
-    /// Opening is where file handles are acquired, so a missing or
-    /// truncated chunk file surfaces here (or on the first
-    /// [`ChunkStream::next_chunk`]) as a clean `Err`.
+    /// Delivers chunk `id` to the consumer whose `state` this is. A
+    /// missing or truncated chunk file surfaces here as a clean `Err`.
+    fn fetch(&self, id: usize, state: &mut ReadState) -> Result<SourcedChunk>;
+
+    /// A stream that yields the chunks in `order`, in order: a [`walk`]
+    /// for every source but [`PrefetchSource`].
     fn open_stream(&self, order: Vec<usize>) -> Result<Box<dyn ChunkStream>>;
 }
 
+/// The stream of every source that reads on demand: one
+/// [`fetch`](ChunkSource::fetch) per id of `order`, through one
+/// [`ReadState`], under the [`ChunkStream`] error contract.
+pub fn walk<S: ChunkSource + 'static>(source: S, order: Vec<usize>) -> Box<dyn ChunkStream> {
+    Box::new(Walk {
+        source,
+        order: order.into_iter(),
+        state: ReadState::default(),
+        fused: false,
+    })
+}
+
+struct Walk<S> {
+    source: S,
+    order: std::vec::IntoIter<usize>,
+    state: ReadState,
+    fused: bool,
+}
+
+impl<S: ChunkSource> ChunkStream for Walk<S> {
+    fn next_chunk(&mut self) -> Option<Result<SourcedChunk>> {
+        if self.fused {
+            return None;
+        }
+        let item = self.source.fetch(self.order.next()?, &mut self.state);
+        self.fused = matches!(&item, Err(e) if !matches!(e, Error::ChunkLost { .. }));
+        Some(item)
+    }
+}
+
 /// One disk read of chunk `id` through `reader`, which is opened on first
-/// use: the decoded payload, ready to share, and the bytes the model charges.
+/// use: the decoded payload, ready to share, as a delivery.
 pub(crate) fn read_through(
     store: &ChunkStore,
     reader: &mut Option<ChunkReader>,
     id: usize,
-) -> Result<(Arc<ChunkPayload>, u64)> {
+) -> Result<SourcedChunk> {
     let r = match reader.as_mut() {
         Some(r) => r,
         None => reader.insert(store.reader()?),
     };
     let mut payload = ChunkPayload::default();
     let bytes_read = r.read_chunk(id, &mut payload)?;
-    Ok((Arc::new(payload), bytes_read))
-}
-
-/// Delivers `order` one id at a time through `fetch`, fusing after the
-/// first error — the stream of every source that reads on demand.
-struct OrderedStream<F> {
-    order: std::vec::IntoIter<usize>,
-    fetch: F,
-    failed: bool,
-}
-
-fn ordered<F>(order: Vec<usize>, fetch: F) -> Box<dyn ChunkStream>
-where
-    F: FnMut(usize) -> Result<SourcedChunk> + Send + 'static,
-{
-    Box::new(OrderedStream {
-        order: order.into_iter(),
-        fetch,
-        failed: false,
+    Ok(SourcedChunk {
+        id,
+        payload: Arc::new(payload),
+        bytes_read,
+        injected_delay: VirtualDuration::ZERO,
+        from_disk: true,
     })
 }
 
-impl<F: FnMut(usize) -> Result<SourcedChunk> + Send> ChunkStream for OrderedStream<F> {
-    fn next_chunk(&mut self) -> Option<Result<SourcedChunk>> {
-        if self.failed {
-            return None;
-        }
-        let item = (self.fetch)(self.order.next()?);
-        self.failed = item.is_err();
-        Some(item)
-    }
-}
-
 // ---------------------------------------------------------------------------
-// FileSource — one synchronous reader per stream.
+// FileSource — a synchronous read on the consumer's thread.
 // ---------------------------------------------------------------------------
 
-/// Reads chunks synchronously through a [`ChunkReader`] on the consumer's
-/// thread: every delivery is a disk read. The default source of the
-/// one-call search drivers.
+/// Reads chunks synchronously through the consumer's [`ChunkReader`] on
+/// the consumer's thread: every delivery is a disk read. The default
+/// source of the one-call search drivers.
 #[derive(Clone, Debug)]
 pub struct FileSource {
     store: ChunkStore,
@@ -147,19 +173,12 @@ impl FileSource {
 }
 
 impl ChunkSource for FileSource {
+    fn fetch(&self, id: usize, state: &mut ReadState) -> Result<SourcedChunk> {
+        read_through(&self.store, &mut state.reader, id)
+    }
+
     fn open_stream(&self, order: Vec<usize>) -> Result<Box<dyn ChunkStream>> {
-        let store = self.store.clone();
-        let mut reader = Some(store.reader()?);
-        Ok(ordered(order, move |id| {
-            let (payload, bytes_read) = read_through(&store, &mut reader, id)?;
-            Ok(SourcedChunk {
-                id,
-                payload,
-                bytes_read,
-                injected_delay: VirtualDuration::ZERO,
-                from_disk: true,
-            })
-        }))
+        Ok(walk(self.clone(), order))
     }
 }
 
@@ -167,10 +186,13 @@ impl ChunkSource for FileSource {
 // PrefetchSource — background reader thread per stream.
 // ---------------------------------------------------------------------------
 
-/// Delivers chunks through `prefetch_chunks`: a reader thread stays up to
+/// Streams chunks through `prefetch_chunks`: a reader thread stays up to
 /// `depth` chunks ahead of the consumer, overlapping real file I/O with
-/// processing (the overlap §1.1 of the paper argues for). No product
-/// driver opens one: see [`crate::prefetch`] for why.
+/// processing (the overlap §1.1 of the paper argues for). Only its stream
+/// reads ahead: [`fetch`](ChunkSource::fetch) is a plain read on the
+/// caller's thread, so a session over it reads like one over a
+/// [`FileSource`]. No product driver opens one: see [`crate::prefetch`]
+/// for why.
 #[derive(Clone, Debug)]
 pub struct PrefetchSource {
     store: ChunkStore,
@@ -180,11 +202,9 @@ pub struct PrefetchSource {
 impl PrefetchSource {
     /// A prefetching source over `store` with the given window depth.
     ///
-    /// A zero depth is refused with
-    /// [`Error::Inconsistent`](crate::Error::Inconsistent) when the first
-    /// stream is opened (a search that never opens a stream — `k = 0`, an
-    /// empty budget — tolerates it, matching the in-loop reader it
-    /// replaced).
+    /// A zero depth is refused with [`Error::Inconsistent`] at the first
+    /// fetch or stream (a search that reads nothing — `k = 0`, an empty
+    /// budget — tolerates it).
     pub fn new(store: &ChunkStore, depth: usize) -> PrefetchSource {
         PrefetchSource {
             store: store.clone(),
@@ -194,6 +214,11 @@ impl PrefetchSource {
 }
 
 impl ChunkSource for PrefetchSource {
+    fn fetch(&self, id: usize, state: &mut ReadState) -> Result<SourcedChunk> {
+        positive_depth(self.depth)?;
+        read_through(&self.store, &mut state.reader, id)
+    }
+
     fn open_stream(&self, order: Vec<usize>) -> Result<Box<dyn ChunkStream>> {
         Ok(Box::new(prefetch_chunks(&self.store, order, self.depth)?))
     }
@@ -277,7 +302,7 @@ impl ResidentCache {
             return; // a chunk larger than the whole budget stays uncached
         }
         if let Some(old) = self.entries.remove(&id) {
-            self.used -= old.cost; // racing streams: replace, don't double-count
+            self.used -= old.cost; // racing readers: replace, don't double-count
         }
         while self.used + cost > self.budget {
             // `used > 0` implies a resident entry; if bookkeeping ever
@@ -360,52 +385,51 @@ impl ResidentSource {
         }
     }
 
-    /// A fresh requester tag for hit attribution. Streams draw one per
-    /// [`open_stream`](ChunkSource::open_stream); random-access callers
-    /// (the serving scheduler) draw one per query session.
+    /// A fresh requester tag for hit attribution. A [`ReadState`] draws
+    /// one at its first fetch through this source; the serving engine
+    /// tags each query session itself.
     pub(crate) fn new_requester(&self) -> u64 {
         self.next_requester.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Random-access delivery of chunk `id` on behalf of `requester`:
     /// cache lookup, then a disk read on a miss. This is the entry point
-    /// the serving scheduler uses — no stream, no fixed order. `reader` is
-    /// the caller's to keep across calls: it is opened on the first miss,
-    /// so an all-hit caller never touches the disk. Two threads that miss
-    /// one chunk at once each read it and each book a miss.
+    /// the serving engine uses, with a requester tag of its own. `reader`
+    /// is the caller's to keep across calls: it is opened on the first
+    /// miss, so an all-hit caller never touches the disk. Two threads that
+    /// miss one chunk at once each read it and each book a miss.
     pub fn fetch_through(
         &self,
         requester: u64,
         id: usize,
         reader: &mut Option<ChunkReader>,
     ) -> Result<SourcedChunk> {
-        let delivered = |(payload, bytes_read), from_disk| SourcedChunk {
-            id,
-            payload,
-            bytes_read,
-            injected_delay: VirtualDuration::ZERO,
-            from_disk,
-        };
-        if let Some(hit) = lock_cache(&self.cache).lookup(id, requester) {
-            return Ok(delivered(hit, false));
+        if let Some((payload, bytes_read)) = lock_cache(&self.cache).lookup(id, requester) {
+            return Ok(SourcedChunk {
+                id,
+                payload,
+                bytes_read,
+                injected_delay: VirtualDuration::ZERO,
+                from_disk: false,
+            });
         }
         // Miss: read outside the lock, then publish.
-        let (payload, bytes_read) = read_through(&self.store, reader, id)?;
+        let chunk = read_through(&self.store, reader, id)?;
         let mut cache = lock_cache(&self.cache);
         cache.note_miss();
-        cache.insert(id, Arc::clone(&payload), bytes_read, requester);
-        Ok(delivered((payload, bytes_read), true))
+        cache.insert(id, Arc::clone(&chunk.payload), chunk.bytes_read, requester);
+        Ok(chunk)
     }
 }
 
 impl ChunkSource for ResidentSource {
+    fn fetch(&self, id: usize, state: &mut ReadState) -> Result<SourcedChunk> {
+        let requester = *state.requester.get_or_insert_with(|| self.new_requester());
+        self.fetch_through(requester, id, &mut state.reader)
+    }
+
     fn open_stream(&self, order: Vec<usize>) -> Result<Box<dyn ChunkStream>> {
-        let source = self.clone();
-        let requester = self.new_requester();
-        let mut reader = None;
-        Ok(ordered(order, move |id| {
-            source.fetch_through(requester, id, &mut reader)
-        }))
+        Ok(walk(self.clone(), order))
     }
 }
 
