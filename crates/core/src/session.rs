@@ -4,7 +4,10 @@
 //!
 //! * [`ChunkRanking`] is step 1 of §4.3 in isolation — centroid ranking
 //!   plus the suffix-minimum of chunk lower bounds — computed once and
-//!   reusable across any number of stop rules;
+//!   reusable across any number of stop rules. It computes every centroid
+//!   distance up front, puts the head (the first 32 ranks) in order, and
+//!   orders the rest on first demand: a query that stops early never pays
+//!   for sorting ranks it does not read;
 //! * [`SearchSession`] is the resumable scan: [`SearchSession::step`]
 //!   advances exactly one chunk and returns its [`ChunkEvent`], so a
 //!   caller can pause, inspect intermediate quality, and resume — the
@@ -37,9 +40,9 @@ use eff2_storage::chunkfile::ChunkPayload;
 use eff2_storage::diskmodel::{DiskModel, PipelineClock, VirtualDuration};
 use eff2_storage::epoch::FoldedDelta;
 use eff2_storage::source::{ChunkSource, FileSource, ReadState, SourcedChunk};
-use eff2_storage::{ChunkStore, ErrorClass, Result};
+use eff2_storage::{ChunkMeta, ChunkStore, ErrorClass, Result};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// What a session does when its source reports a chunk permanently
 /// unreadable (an error whose [`ErrorClass`] is `Permanent`, e.g.
@@ -72,32 +75,100 @@ struct PendingCell {
     members: Vec<u32>,
 }
 
-/// Step 1 of the search (§4.3): every chunk ranked by the distance from
-/// the query to its centroid, plus the suffix-minimum of the chunk lower
-/// bounds `max(d(q, centroid) − radius, 0)` along that order.
+/// Ranks a flat ranking puts in order up front. A query reads ranks from
+/// the front and most stop within a few (the engine also looks at most
+/// eight past its cursor), so ordering every chunk would mostly order
+/// ranks no one reads; the rest are ordered on first demand.
+const HEAD: usize = 32;
+
+/// The scan order: ascending centroid distance, ties by chunk id. Ids are
+/// unique within a ranking, so this is a total order: a selection followed
+/// by an unstable sort yields exactly the order of a stable full sort.
+fn by_rank(a: &(f32, u32), b: &(f32, u32)) -> std::cmp::Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+}
+
+/// Chunk `id`'s lower bound `max(dist − radius, 0)` on every descriptor it
+/// holds, `dist` being the query's distance to its centroid.
+fn lower_bound(metas: &[ChunkMeta], dist: f32, id: u32) -> f32 {
+    let radius = metas.get(id as usize).map_or(0.0, |m| m.radius);
+    (dist - radius).max(0.0)
+}
+
+/// Fills `out` with the suffix minimum of the lower bounds along `ranked`,
+/// floored by `floor`: `out[i]` is the best bound among `ranked[i..]` and
+/// `floor`, and the final entry is `floor` itself. Every bound is a
+/// non-negative, non-NaN `max(…, +0.0)`, on which `f32::min` is exact and
+/// order-independent — so a minimum taken over an unordered set equals the
+/// one taken along the sorted order, bit for bit.
+fn fill_suffix_min(out: &mut Vec<f32>, ranked: &[(f32, u32)], metas: &[ChunkMeta], floor: f32) {
+    out.clear();
+    out.resize(ranked.len() + 1, floor);
+    let mut best = floor;
+    for (slot, &(dist, id)) in out.iter_mut().zip(ranked).rev() {
+        best = best.min(lower_bound(metas, dist, id));
+        *slot = best;
+    }
+    debug_assert!(
+        out.windows(2).all(|w| w.first() <= w.get(1)),
+        "suffix-min bound must be non-decreasing along the ranked order"
+    );
+}
+
+/// A flat ranking's ranks past its head, in scan order, with their suffix
+/// bounds — built from the unordered `rest` at most once.
+#[derive(Clone, Debug)]
+struct Tail {
+    /// `(centroid distance, chunk id)` of ranks `HEAD..`, sorted.
+    ranked: Vec<(f32, u32)>,
+    /// `suffix_min_bound[j]` = best lower bound among tail ranks `j..`
+    /// (the final entry is `+∞`: a flat ranking has no pending cells).
+    suffix_min_bound: Vec<f32>,
+}
+
+/// The tail of a ranking with nothing past its ordered ranks.
+static NO_TAIL: Tail = Tail {
+    ranked: Vec::new(),
+    suffix_min_bound: Vec::new(),
+};
+
+/// Step 1 of the search (§4.3): the distance from the query to every
+/// chunk's centroid, the chunks in ascending order of it, and the
+/// suffix-minimum of the chunk lower bounds `max(d(q, centroid) − radius, 0)`
+/// along that order.
 ///
 /// The suffix minimum is what makes completion *exact*: ranking is by
 /// centroid distance while the bound subtracts the radius, so the bound is
 /// not monotone along the ranked order — the test must consider the best
 /// bound among **all** remaining chunks, not just the next one.
 ///
-/// A ranking is either **flat** ([`rank`](Self::rank): every chunk ranked
-/// up front) or **two-level** (`rank_two_level`:
-/// coarse cells ranked up front, member chunks expanded lazily wave by
-/// wave as the scan consumes them). In the two-level form the suffix
-/// minimum is floored by the best bound among the still-pending cells, so
-/// `remaining_bound` stays a true lower bound on
-/// every unscanned descriptor and the to-completion stop rule stays exact.
+/// A ranking is either **flat** ([`rank`](Self::rank): every distance up
+/// front, the first `HEAD` = 32 ranks in order, the rest on first demand)
+/// or **two-level** (`rank_two_level`: coarse cells ranked up front, member
+/// chunks expanded lazily wave by wave as the scan consumes them). Both
+/// forms hand out the same ranks as a full sort would: the lazy parts only
+/// decide *when* the order is computed. The suffix minimum over the
+/// ordered ranks is floored by the best bound among what is not ordered
+/// yet — a flat ranking's unordered rest, a two-level ranking's pending
+/// cells — so `remaining_bound` stays a true lower bound on every unscanned
+/// descriptor and the to-completion stop rule stays exact.
 #[derive(Clone, Debug)]
 pub struct ChunkRanking {
-    /// `(centroid distance, chunk id)` of the *expanded* chunks. Flat
-    /// rankings hold every chunk sorted ascending (ties by id); two-level
-    /// rankings append one sorted wave per expanded cell.
+    /// `(centroid distance, chunk id)` of the ordered ranks: a flat
+    /// ranking's first `HEAD` (ties by id), or one sorted wave per expanded
+    /// cell of a two-level ranking.
     ranked: Vec<(f32, u32)>,
-    /// `suffix_min_bound[i]` = best lower bound among expanded ranks `i..`
-    /// **and** every pending cell; the final entry is the pending floor
-    /// (`+∞` when nothing is pending).
+    /// `suffix_min_bound[i]` = best lower bound among ranks `i..` —
+    /// ordered, unordered `rest` **and** every pending cell; the final
+    /// entry is the floor over `rest` and the pending cells (`+∞` when
+    /// both are empty).
     suffix_min_bound: Vec<f32>,
+    /// A flat ranking's ranks past `ranked`, in no order. Empty for a flat
+    /// ranking of at most `HEAD` chunks and for every two-level ranking.
+    rest: Vec<(f32, u32)>,
+    /// `rest` in scan order: built by the first read past the head
+    /// (`chunk_at`, `remaining_bound`, `order`), never before.
+    tail: OnceLock<Tail>,
     /// The ranked store, held by handle (an `Arc` clone): wave expansion,
     /// the suffix rebuild and the degradation report read each chunk's
     /// centroid, radius and count from its metas, never from a copy.
@@ -117,6 +188,8 @@ pub struct ChunkRanking {
 impl ChunkRanking {
     /// Ranks every chunk of `store` for `query` and charges the index read
     /// under `model`. Pure computation over the in-memory index — no I/O.
+    /// Every centroid distance is computed here; only the first `HEAD`
+    /// ranks are put in order, the rest when a reader first asks for one.
     pub fn rank(store: &ChunkStore, model: &DiskModel, query: &Vector) -> ChunkRanking {
         let metas = store.metas();
         let mut ranked: Vec<(f32, u32)> = metas
@@ -124,10 +197,18 @@ impl ChunkRanking {
             .enumerate()
             .map(|(i, m)| (m.centroid.dist(query), i as u32))
             .collect();
-        ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let rest = if ranked.len() > HEAD {
+            ranked.select_nth_unstable_by(HEAD, by_rank);
+            ranked.split_off(HEAD)
+        } else {
+            Vec::new()
+        };
+        ranked.sort_unstable_by(by_rank);
         let mut ranking = ChunkRanking {
             ranked,
             suffix_min_bound: Vec::new(),
+            rest,
+            tail: OnceLock::new(),
             store: store.clone(),
             pending: Vec::new(),
             evals: metas.len() as u64,
@@ -154,6 +235,8 @@ impl ChunkRanking {
         let mut ranking = ChunkRanking {
             ranked: Vec::new(),
             suffix_min_bound: Vec::new(),
+            rest: Vec::new(),
+            tail: OnceLock::new(),
             store: store.clone(),
             pending: Vec::new(),
             evals: coarse.n_cells() as u64,
@@ -187,35 +270,59 @@ impl ChunkRanking {
         ranking
     }
 
-    /// Recomputes the suffix-minimum of the chunk lower bounds along the
-    /// expanded order, floored by the best pending-cell bound. Every slot
-    /// is a true lower bound on all descriptors not yet consumed at that
-    /// position — expanded chunks ahead *and* every pending cell.
-    fn rebuild_suffix(&mut self) {
-        let floor = self
-            .pending
+    /// Best bound among the still-pending cells (`+∞` when none is).
+    fn pending_floor(&self) -> f32 {
+        self.pending
             .iter()
-            .fold(f32::INFINITY, |m, c| m.min(c.bound));
-        self.suffix_min_bound.clear();
-        self.suffix_min_bound.resize(self.ranked.len() + 1, floor);
+            .fold(f32::INFINITY, |m, c| m.min(c.bound))
+    }
+
+    /// Recomputes the suffix-minimum of the chunk lower bounds along the
+    /// ordered ranks, floored by the best bound in `rest` and among the
+    /// pending cells. Every slot is a true lower bound on all descriptors
+    /// not yet consumed at that position — ranks ahead, ordered or not,
+    /// *and* every pending cell.
+    fn rebuild_suffix(&mut self) {
         let metas = self.store.metas();
-        let mut best = floor;
-        for (slot, &(dist, id)) in self
-            .suffix_min_bound
-            .iter_mut()
-            .zip(self.ranked.iter())
-            .rev()
-        {
-            let radius = metas.get(id as usize).map_or(0.0, |m| m.radius);
-            best = best.min((dist - radius).max(0.0));
-            *slot = best;
+        let floor = self
+            .rest
+            .iter()
+            .fold(self.pending_floor(), |m, &(dist, id)| {
+                m.min(lower_bound(metas, dist, id))
+            });
+        fill_suffix_min(&mut self.suffix_min_bound, &self.ranked, metas, floor);
+    }
+
+    /// The ranks past `ranked` in scan order: sorts `rest` and builds its
+    /// suffix bounds on the first call, and returns that same tail after.
+    fn tail(&self) -> &Tail {
+        if self.rest.is_empty() {
+            return &NO_TAIL;
         }
-        debug_assert!(
-            self.suffix_min_bound
-                .windows(2)
-                .all(|w| w.first() <= w.get(1)),
-            "suffix-min bound must be non-decreasing along the ranked order"
-        );
+        self.tail.get_or_init(|| {
+            let mut ranked = self.rest.clone();
+            ranked.sort_unstable_by(by_rank);
+            let mut suffix_min_bound = Vec::new();
+            let metas = self.store.metas();
+            fill_suffix_min(&mut suffix_min_bound, &ranked, metas, self.pending_floor());
+            // The seam: the head's final slot is the floor over `rest`, so
+            // it must be exactly the tail's first — the whole order's
+            // suffix minimum then never decreases across head and tail.
+            debug_assert!(
+                self.suffix_min_bound.last() == suffix_min_bound.first(),
+                "the head's floor must equal the tail's first suffix bound"
+            );
+            Tail {
+                ranked,
+                suffix_min_bound,
+            }
+        })
+    }
+
+    /// Every expanded rank's `(centroid distance, chunk id)` in scan
+    /// order, head then tail (ordering the tail if it is not yet).
+    fn entries(&self) -> impl Iterator<Item = &(f32, u32)> {
+        self.ranked.iter().chain(&self.tail().ranked)
     }
 
     /// Total chunks this ranking covers — expanded chunks plus the member
@@ -231,9 +338,9 @@ impl ChunkRanking {
     }
 
     /// Chunks already expanded into the scan order (equal to
-    /// [`len`](Self::len) for flat rankings).
+    /// [`len`](Self::len) for flat rankings, ordered or not yet).
     pub fn expanded_len(&self) -> usize {
-        self.ranked.len()
+        self.ranked.len() + self.rest.len()
     }
 
     /// Centroid distance evaluations spent so far: `n_chunks` for a flat
@@ -266,7 +373,7 @@ impl ChunkRanking {
         }));
         self.evals += cell.members.len() as u64;
         if let Some(wave) = self.ranked.get_mut(start..) {
-            wave.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            wave.sort_unstable_by(by_rank);
         }
         self.rebuild_suffix();
         true
@@ -275,32 +382,35 @@ impl ChunkRanking {
     /// Chunk ids in ranked (scan) order — the expanded chunks only; a
     /// two-level ranking grows this wave by wave.
     pub fn order(&self) -> Vec<usize> {
-        self.ranked.iter().map(|&(_, i)| i as usize).collect()
+        self.order_from(0)
     }
 
     /// The tail of the scan order from rank `from` on (the expanded
     /// chunks only).
     pub fn order_from(&self, from: usize) -> Vec<usize> {
-        self.ranked
-            .get(from..)
-            .unwrap_or(&[])
-            .iter()
+        self.entries()
+            .skip(from)
             .map(|&(_, i)| i as usize)
             .collect()
     }
 
-    /// The chunk id at `rank`.
+    /// The chunk id at `rank`. A rank past the head orders the tail first,
+    /// once per ranking.
     ///
     /// # Panics
     ///
-    /// Panics if `rank >= self.len()`; ranks come from iterating the
-    /// ranking itself, so an out-of-range rank is a caller bug.
+    /// Panics if `rank >= self.expanded_len()`; ranks come from iterating
+    /// the ranking itself, so an out-of-range rank is a caller bug.
     #[expect(
         clippy::indexing_slicing,
-        reason = "rank < len is a documented precondition"
+        reason = "rank < expanded_len is a documented precondition"
     )]
     pub fn chunk_at(&self, rank: usize) -> usize {
-        self.ranked[rank].1 as usize
+        let id = match rank.checked_sub(self.ranked.len()) {
+            None => self.ranked[rank].1,
+            Some(past) => self.tail().ranked[past].1,
+        };
+        id as usize
     }
 
     /// Descriptors held by chunk `chunk_id` (0 for out-of-range ids).
@@ -309,12 +419,14 @@ impl ChunkRanking {
     }
 
     /// Best lower bound on any descriptor in the chunks still unread after
-    /// `processed` chunks (`+∞` once every chunk has been read).
+    /// `processed` chunks (`+∞` once every chunk has been read). A
+    /// position past the head orders the tail first, once per ranking.
     pub(crate) fn remaining_bound(&self, processed: usize) -> f32 {
-        self.suffix_min_bound
-            .get(processed)
-            .copied()
-            .unwrap_or(f32::INFINITY)
+        let slot = match processed.checked_sub(self.ranked.len()) {
+            Some(past) if past > 0 => self.tail().suffix_min_bound.get(past),
+            _ => self.suffix_min_bound.get(processed),
+        };
+        slot.copied().unwrap_or(f32::INFINITY)
     }
 
     /// Modelled cost of reading and ranking the chunk index.
@@ -343,6 +455,8 @@ impl ChunkRanking {
             .map(|_| ChunkRanking {
                 ranked: Vec::new(),
                 suffix_min_bound: Vec::new(),
+                rest: Vec::new(),
+                tail: OnceLock::new(),
                 store: self.store.clone(),
                 pending: Vec::new(),
                 evals: 0,
@@ -350,7 +464,7 @@ impl ChunkRanking {
                 index_read_time: VirtualDuration::ZERO,
             })
             .collect();
-        for &(dist, chunk) in &self.ranked {
+        for &(dist, chunk) in self.entries() {
             let owner = owner_of.get(chunk as usize).copied().unwrap_or(u32::MAX);
             if let Some(leg) = legs.get_mut(owner as usize) {
                 leg.ranked.push((dist, chunk));
@@ -1296,6 +1410,7 @@ mod tests {
     use crate::chunkers::{ChunkFormer, SrTreeChunker};
     use eff2_descriptor::{Descriptor, DescriptorSet};
     use eff2_storage::source::FileSource;
+    use proptest::prelude::*;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -1329,14 +1444,18 @@ mod tests {
 
     #[test]
     fn ranking_matches_event_order() {
-        let set = lumpy_set(300);
-        let store = build_store("rankorder", &set, 30);
+        let set = lumpy_set(600);
+        let store = build_store("rankorder", &set, 10);
         let model = DiskModel::ata_2005();
         let q = Vector::splat(40.0);
         let ranking = ChunkRanking::rank(&store, &model, &q);
         assert_eq!(ranking.len(), store.n_chunks());
-        for rank in 1..ranking.len() {
-            assert!(ranking.ranked[rank].0 >= ranking.ranked[rank - 1].0);
+        assert!(ranking.len() > HEAD, "the order must reach past the head");
+        // The whole order, head and tail, ascends by centroid distance.
+        let ranked: Vec<(f32, u32)> = ranking.entries().copied().collect();
+        assert_eq!(ranked.len(), ranking.len());
+        for pair in ranked.windows(2) {
+            assert!(pair[1].0 >= pair[0].0);
         }
         // The remaining bound is non-decreasing as chunks are consumed.
         for processed in 1..=ranking.len() {
@@ -1344,7 +1463,10 @@ mod tests {
         }
         assert_eq!(ranking.remaining_bound(ranking.len()), f32::INFINITY);
         let order = ranking.order();
-        assert_eq!(order[0], ranking.chunk_at(0));
+        for (rank, &id) in order.iter().enumerate() {
+            assert_eq!(id, ranking.chunk_at(rank));
+            assert_eq!(id, ranked[rank].1 as usize);
+        }
     }
 
     #[test]
@@ -1742,5 +1864,118 @@ mod tests {
         std::fs::remove_file(store.chunk_path()).expect("delete chunk file");
         let got = session.step();
         assert!(got.is_err(), "deleted file must surface as Err, not panic");
+    }
+
+    /// The parent algorithm, kept as the reference: a stable sort of every
+    /// chunk and a suffix minimum over every bound. Returns the ids in
+    /// scan order and `remaining_bound(p)` for `p ∈ 0..=n`.
+    fn full_sort_reference(store: &ChunkStore, q: &Vector) -> (Vec<usize>, Vec<f32>) {
+        let metas = store.metas();
+        let mut ranked: Vec<(f32, usize)> = metas
+            .iter()
+            .enumerate()
+            .map(|(i, m)| (m.centroid.dist(q), i))
+            .collect();
+        ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut suffix = vec![f32::INFINITY; ranked.len() + 1];
+        let mut best = f32::INFINITY;
+        for (slot, &(dist, id)) in suffix.iter_mut().zip(&ranked).rev() {
+            best = best.min((dist - metas[id].radius).max(0.0));
+            *slot = best;
+        }
+        (ranked.iter().map(|&(_, id)| id).collect(), suffix)
+    }
+
+    /// Everything a reader can observe of a ranking's order and bounds:
+    /// `chunk_at` per rank, `remaining_bound` bits per position, `order()`
+    /// and `order_from(HEAD − 1)`.
+    type Observed = (Vec<usize>, Vec<u32>, Vec<usize>, Vec<usize>);
+
+    fn observe(ranking: &ChunkRanking) -> Observed {
+        (
+            (0..ranking.len()).map(|r| ranking.chunk_at(r)).collect(),
+            (0..=ranking.len())
+                .map(|p| ranking.remaining_bound(p).to_bits())
+                .collect(),
+            ranking.order(),
+            ranking.order_from(HEAD - 1),
+        )
+    }
+
+    /// A store of `n` one-descriptor chunks whose centroids sit on a small
+    /// integer grid (so distinct chunks tie on distance) with the given
+    /// radii; with `dup > 0`, chunk `j` copies chunk `j % dup`'s centroid.
+    fn grid_store(tag: &str, cells: &[(u32, u32, u32)], n: usize, dup: usize) -> ChunkStore {
+        let centroid = |j: usize| {
+            let (a, b, _) = cells[if dup > 0 { j % dup } else { j }];
+            let mut v = Vector::splat(a as f32);
+            v[1] = b as f32;
+            v
+        };
+        let set: DescriptorSet = (0..n)
+            .map(|j| Descriptor::new(j as u32, centroid(j)))
+            .collect();
+        let chunks: Vec<eff2_storage::ChunkDef> = (0..n)
+            .map(|j| eff2_storage::ChunkDef {
+                positions: vec![j as u32],
+                centroid: centroid(j),
+                radius: cells[j].2 as f32 * 0.5,
+            })
+            .collect();
+        ChunkStore::create(&tmp_dir(tag), "ix", &set, &chunks, 512).expect("create")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        #[test]
+        fn a_lazily_ordered_ranking_equals_a_full_sort(
+            size_sel in 0usize..5,
+            extra in 0usize..40,
+            dup in 0usize..3,
+            cells in proptest::collection::vec((0u32..6, 0u32..6, 0u32..40), 3 * HEAD + 40),
+            (qa, qb) in (0u32..24, 0u32..24),
+        ) {
+            let n = [1, HEAD - 1, HEAD, HEAD + 1, 3 * HEAD + extra][size_sel];
+            // dup = 0: distinct grid cells (ties still occur); otherwise
+            // whole runs of chunks share one centroid, so ties fall to id.
+            let store = grid_store("lazy", &cells, n, [0, 1, 7][dup]);
+            let model = DiskModel::ata_2005();
+            let mut q = Vector::splat(qa as f32 * 0.25);
+            q[1] = qb as f32 * 0.25;
+            let ranking = ChunkRanking::rank(&store, &model, &q);
+            let before = ranking.clone();
+
+            // Reads within the head never order the rest.
+            let head = n.min(HEAD);
+            for r in 0..head {
+                let _ = ranking.chunk_at(r);
+            }
+            for p in 0..=head {
+                let _ = ranking.remaining_bound(p);
+            }
+            prop_assert!(ranking.tail.get().is_none(), "a head read ordered the tail");
+
+            let (ids, bounds) = full_sort_reference(&store, &q);
+            let want: Observed = (
+                ids.clone(),
+                bounds.iter().map(|b| b.to_bits()).collect(),
+                ids.clone(),
+                ids.get(HEAD - 1..).unwrap_or(&[]).to_vec(),
+            );
+            prop_assert_eq!(&observe(&ranking), &want);
+            prop_assert_eq!(ranking.expanded_len(), n);
+            prop_assert_eq!(ranking.centroid_evals(), n as u64);
+            prop_assert_eq!(
+                ranking.index_read_time().as_secs().to_bits(),
+                model.index_read_time(n, store.index_bytes()).as_secs().to_bits()
+            );
+
+            // A clone taken before the tail was ordered and one taken after
+            // observe the same ranking.
+            let after = ranking.clone();
+            prop_assert_eq!(&observe(&before), &want);
+            prop_assert_eq!(&observe(&after), &want);
+        }
     }
 }

@@ -195,6 +195,60 @@ fn bag_chunker_session_equivalence() {
     }
 }
 
+/// A flat ranking orders its first 32 ranks up front and the rest on first
+/// demand. Sessions that read well past those 32 — pulled, fed by hand,
+/// and every rule answered from one scan — must still agree bit for bit.
+#[test]
+fn sessions_that_read_past_the_ranked_head_are_bit_identical() {
+    const RANKED_HEAD: usize = 32;
+    let set = lumpy_set(1500);
+    let store = build_store("past_head", &set, &SrTreeChunker { leaf_size: 10 });
+    assert!(store.n_chunks() >= 100, "{} chunks", store.n_chunks());
+    let model = DiskModel::ata_2005();
+    let rules = [
+        StopRule::ToCompletion,
+        StopRule::Chunks(40),
+        StopRule::ToCompletionEps(0.3),
+    ];
+    for (qtag, query) in [
+        ("offset", Vector::splat(9.5)),
+        ("inset", set.vector_owned(777)),
+    ] {
+        // Chunks hold at most 10 descriptors, so 400 neighbours fill only
+        // after 40 chunks: every rule reads past the head.
+        let params = SearchParams {
+            k: 400,
+            stop: StopRule::ToCompletion,
+            prefetch_depth: 2,
+            log_snapshots: true,
+        };
+        let all = eff2_core::evaluate_stop_rules(&store, &model, &query, &params, &rules)
+            .expect("evaluate_stop_rules");
+        for (&stop, from_one_scan) in rules.iter().zip(&all) {
+            let tag = format!("{qtag}/{stop:?}");
+            let params = SearchParams { stop, ..params };
+            let pulled = search(&store, &model, &query, &params).expect("pulled");
+            assert!(
+                pulled.log.chunks_read > RANKED_HEAD,
+                "{tag}: read only {} chunks",
+                pulled.log.chunks_read
+            );
+
+            let mut fed = SearchSession::detached(&store, &model, &query, &params);
+            let (files, mut read) = (FileSource::new(&store), ReadState::default());
+            while !fed.stop_satisfied() {
+                let Some(id) = fed.next_wanted() else { break };
+                let chunk = files.fetch(id, &mut read).expect("read");
+                fed.step_with(&chunk).expect("step_with").expect("event");
+            }
+            let fed = fed.into_result();
+
+            assert_bit_identical(&pulled, &fed, &format!("{tag}/fed"));
+            assert_bit_identical(&pulled, from_one_scan, &format!("{tag}/one-scan"));
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // evaluate_stop_rules: identical to per-rule searches, one read pass.
 // ---------------------------------------------------------------------------

@@ -136,3 +136,34 @@ proptest! {
         }
     }
 }
+
+/// A flat ranking orders its first 32 ranks up front and the rest on
+/// first demand. With `Chunks(40)` the fleet's lookahead walks across
+/// that seam on every shard, and every answer must still be the serial
+/// one, bit for bit.
+#[test]
+fn fleet_lookahead_across_the_ranked_head_is_exact() {
+    let (snap, set) = snapshot("past_head", 1200, 10);
+    assert!(snap.store().n_chunks() >= 100);
+    let params = SearchParams {
+        stop: StopRule::Chunks(40),
+        ..SearchParams::exact(6)
+    };
+    let queries = trace(&set, 6, 1.5);
+    let serial: Vec<SearchResult> = queries
+        .iter()
+        .map(|(q, _)| snap.search(q, &params).expect("serial"))
+        .collect();
+    for policy in Policy::ALL {
+        let mut config = FleetConfig::new(policy, 4, 4);
+        config.max_queued = queries.len();
+        let report = FleetScheduler::new(snap.clone(), config)
+            .serve_trace(&queries, &params)
+            .expect("fleet");
+        assert_eq!(report.report.completions.len(), queries.len());
+        for (c, want) in report.report.completions.iter().zip(serial.iter()) {
+            assert_eq!(c.result.log.chunks_read, 40);
+            assert_bit_identical(want, &c.result, &format!("{} q{}", policy.name(), c.id));
+        }
+    }
+}
