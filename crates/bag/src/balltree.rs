@@ -95,7 +95,7 @@ impl BallTree {
 
     /// Appends the payloads of every point within distance `r` of `q`
     /// (inclusive, plus an f32 epsilon) to `out`.
-    pub fn range(&self, q: &Vector, r: f32, out: &mut Vec<usize>) {
+    pub(crate) fn range(&self, q: &Vector, r: f32, out: &mut Vec<usize>) {
         if self.nodes.is_empty() {
             return;
         }

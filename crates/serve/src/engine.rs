@@ -23,7 +23,11 @@
 //! rank-keyed buffer; after each delivery the session consumes whatever its
 //! cursor now stands on (see `Member::advance`) until its own stop rule
 //! fires. On one device the wanted chunk *is* the cursor rank, so nothing
-//! ever waits. Charging and counting happen at delivery: a speculative
+//! ever waits. The engine walks each member's window once into a want
+//! table — every device's wanted `(rank, chunk)` per member, in key order —
+//! which the choice of device, the admission frontier and the pick all
+//! read; a tick or an admission marks it stale, and the next reader
+//! rebuilds it. Charging and counting happen at delivery: a speculative
 //! delivery the session never consumes was still fetched, charged and
 //! counted — the device did that work — and only its scan is skipped.
 //!
@@ -74,13 +78,42 @@ use eff2_storage::diskmodel::{PipelineClock, VirtualDuration};
 use eff2_storage::source::{ResidentSource, ResidentStats, SourcedChunk};
 use eff2_storage::store::ChunkReader;
 use eff2_storage::ErrorClass;
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// `(job id, member)` — key order is admission order, then member order,
 /// which every policy tie-break inherits.
 pub(crate) type Key = (u64, u32);
+
+/// One entry of the engine's want table: session `key` (of a job pinned to
+/// `generation`) wants `chunk`, at `rank` of its ranking, from `device`.
+#[derive(Clone, Copy, Debug)]
+struct Want {
+    device: usize,
+    key: Key,
+    generation: u64,
+    rank: usize,
+    chunk: usize,
+}
+
+/// A most-wanted-chunk tally entry: the bytes wanted, then who wants them
+/// at which rank.
+type Tallied = ((u64, usize), (Key, usize));
+
+/// The most-wanted pick over `tally`, one entry per session wanting
+/// something from the ticking device, filled in key order: the
+/// `(generation, chunk)` the most sessions want, ties to the smallest, with
+/// those sessions appended to `fed` in key order. `tally` is left sorted.
+fn most_wanted(tally: &mut [Tallied], fed: &mut Vec<(Key, usize)>) -> Option<usize> {
+    // Keys are unique in the tally, so the whole-tuple order is the stable
+    // order by `(generation, chunk)` — and an unstable sort never allocates.
+    tally.sort_unstable();
+    // `min_by_key` keeps the first of equal keys: the first longest run.
+    let run = (tally.chunk_by(|a, b| a.0 == b.0)).min_by_key(|run| Reverse(run.len()))?;
+    fed.extend(run.iter().map(|&(_, fed)| fed));
+    run.first().map(|&((_, chunk), _)| chunk)
+}
 
 /// A broken scheduling invariant, as the typed error the storage layer
 /// already uses for "this cannot happen on consistent state".
@@ -231,24 +264,58 @@ impl Devices {
         }
     }
 
-    /// The `(rank, chunk)` `member` wants from `device`: the first
-    /// not-yet-delivered rank within [`LOOKAHEAD`] of its cursor whose
-    /// reads are routed there. The cursor rank is never delivered yet, so
-    /// it is the answer wherever it is routed — on one device, always.
-    fn wanted(&self, member: &Member, device: usize) -> Option<(usize, usize)> {
-        let cursor = member.session.cursor();
-        let next = member.session.next_wanted()?;
-        if self.route(next) == Some(device) {
-            return Some((cursor, next));
+    /// Every `(device, rank, chunk)` `member` wants, one per device at
+    /// most: from each device, the first not-yet-delivered rank within
+    /// [`LOOKAHEAD`] of its cursor whose reads are routed there. The cursor
+    /// rank is never delivered yet, so it is wanted from wherever it is
+    /// routed — on one device, it is the only want.
+    fn wants_of(&self, member: &Member, want: impl FnMut(usize, usize, usize)) {
+        let session = &member.session;
+        if session.next_wanted().is_none() {
+            return;
         }
-        let ranking = member.session.ranking();
+        let cursor = session.cursor();
+        let ranking = session.ranking();
         let end = ranking
             .expanded_len()
             .min(cursor.saturating_add(LOOKAHEAD + 1));
-        (cursor + 1..end)
-            .filter(|rank| !member.ahead.iter().any(|(ahead, ..)| ahead == rank))
-            .map(|rank| (rank, ranking.chunk_at(rank)))
-            .find(|&(_, chunk)| self.route(chunk) == Some(device))
+        let delivered = delivered_mask(cursor, &member.ahead);
+        self.window_wants(cursor, end, delivered, |rank| ranking.chunk_at(rank), want);
+    }
+
+    /// One walk of the window `cursor..end` (`chunk_at` names each rank's
+    /// chunk; bit `i` of `delivered` says rank `cursor + i` is already
+    /// delivered): each rank is routed once, and the first rank routed to
+    /// a device not yet served yields `(device, rank, chunk)`. The cursor
+    /// rank is taken as undelivered. Stops once every device is served.
+    fn window_wants(
+        &self,
+        cursor: usize,
+        end: usize,
+        delivered: u32,
+        chunk_at: impl Fn(usize) -> usize,
+        mut want: impl FnMut(usize, usize, usize),
+    ) {
+        let mut served = [usize::MAX; LOOKAHEAD + 1];
+        let mut n_served = 0;
+        for (offset, rank) in (cursor..end).enumerate() {
+            if offset > 0 && delivered >> offset & 1 == 1 {
+                continue;
+            }
+            let chunk = chunk_at(rank);
+            let Some(device) = self.route(chunk) else {
+                continue;
+            };
+            if served[..n_served].contains(&device) {
+                continue;
+            }
+            served[n_served] = device;
+            n_served += 1;
+            want(device, rank, chunk);
+            if n_served == self.nodes.len() {
+                return;
+            }
+        }
     }
 
     /// Modelled cost of discovering that every owner of a chunk is down:
@@ -259,6 +326,17 @@ impl Devices {
             cost + retry.attempt_cost(probe)
         })
     }
+}
+
+/// The ranks of `ahead` as bits relative to `cursor`: bit `i` set when
+/// rank `cursor + i` is waiting there. Every waiting rank lies within
+/// [`LOOKAHEAD`] past the cursor.
+fn delivered_mask(cursor: usize, ahead: &[(usize, Delivery, VirtualDuration)]) -> u32 {
+    ahead
+        .iter()
+        .filter_map(|(rank, ..)| rank.checked_sub(cursor))
+        .filter(|&offset| offset <= LOOKAHEAD)
+        .fold(0, |mask, offset| mask | 1 << offset)
 }
 
 /// What a device handed a session for one ranked chunk.
@@ -445,6 +523,18 @@ pub(crate) struct Engine<G: Group> {
     jobs: BTreeMap<u64, Job<G::Job>>,
     /// Last turn served by [`Policy::FairShare`].
     fair_cursor: Key,
+    /// What every open member wants from every device, in key order: the
+    /// one want pass that [`next_device`](Self::next_device), the
+    /// admission frontier and [`pick`](Self::pick) all read.
+    wants: Vec<Want>,
+    /// Whether `wants` is current: a tick or an admission clears it, and
+    /// the next reader rebuilds the table.
+    wants_fresh: bool,
+    /// Scratch for the most-wanted-chunk tally, reused every tick.
+    tally: Vec<Tallied>,
+    /// The sessions the current pick feeds, each with the rank the chunk
+    /// holds in its ranking, in key order; reused every tick.
+    fed: Vec<(Key, usize)>,
     /// Finished jobs' outputs by job id.
     outputs: BTreeMap<u64, G::Output>,
     makespan: VirtualDuration,
@@ -479,6 +569,10 @@ impl<G: Group> Engine<G> {
             pending: VecDeque::new(),
             jobs: BTreeMap::new(),
             fair_cursor: (u64::MAX, u32::MAX),
+            wants: Vec::new(),
+            wants_fresh: false,
+            tally: Vec::new(),
+            fed: Vec::new(),
             outputs: BTreeMap::new(),
             makespan: VirtualDuration::ZERO,
             stats,
@@ -659,12 +753,13 @@ impl<G: Group> Engine<G> {
 
     /// The device the next tick runs on: the earliest clock among devices
     /// some member wants a chunk from (ties on the lower device id).
-    fn next_device(&self) -> Option<usize> {
+    fn next_device(&mut self) -> Option<usize> {
+        self.refresh_wants();
         let mut best: Option<(f64, usize)> = None;
         for (device, node) in self.devices.nodes.iter().enumerate() {
             let now = node.clock.now().as_secs();
             let earlier = best.is_none_or(|(t, _)| now.total_cmp(&t) == Ordering::Less);
-            if earlier && self.runnable(self.jobs.iter(), device).next().is_some() {
+            if earlier && self.wants.iter().any(|w| w.device == device) {
                 best = Some((now, device));
             }
         }
@@ -678,8 +773,9 @@ impl<G: Group> Engine<G> {
     /// e.g. the engine is idle).
     fn admit_eligible(&mut self) -> Result<()> {
         while self.jobs.len() < self.config.max_active {
+            let next = self.next_device();
             let nodes = &self.devices.nodes;
-            let frontier = match self.next_device() {
+            let frontier = match next {
                 Some(device) => nodes[device].clock.now(),
                 None => nodes
                     .iter()
@@ -708,6 +804,7 @@ impl<G: Group> Engine<G> {
             };
             let state = self.group.admit(&mut cx, &p.spec, &p.params)?;
             let members = cx.members;
+            self.wants_fresh = false;
             let job = Job {
                 arrival: p.arrival,
                 deadline: p.arrival + self.config.deadline,
@@ -724,31 +821,43 @@ impl<G: Group> Engine<G> {
         Ok(())
     }
 
-    /// The members of `jobs` that want a chunk from `device`, in key order,
-    /// each with the `(rank, chunk)` it wants.
-    fn runnable<'a>(
-        &'a self,
-        jobs: impl Iterator<Item = (&'a u64, &'a Job<G::Job>)> + 'a,
-        device: usize,
-    ) -> impl Iterator<Item = (Key, &'a Job<G::Job>, &'a Member, (usize, usize))> + 'a {
-        jobs.flat_map(move |(id, job)| {
-            job.members.iter().filter_map(move |(m, member)| {
-                Some(((*id, *m), job, member, self.devices.wanted(member, device)?))
-            })
-        })
+    /// Rebuilds the want table if a tick or an admission has changed it:
+    /// one walk of every open member's window, in key order.
+    fn refresh_wants(&mut self) {
+        if self.wants_fresh {
+            return;
+        }
+        self.wants.clear();
+        for (&id, job) in &self.jobs {
+            let generation = job.snapshot.generation();
+            for (m, member) in &job.members {
+                self.devices.wants_of(member, |device, rank, chunk| {
+                    self.wants.push(Want {
+                        device,
+                        key: (id, *m),
+                        generation,
+                        rank,
+                        chunk,
+                    });
+                });
+            }
+        }
+        self.wants_fresh = true;
     }
 
-    /// Which chunk to serve on `device` this tick, and to which sessions
-    /// (each with the rank the chunk holds in its ranking).
-    fn pick(&self, device: usize) -> Option<(usize, Vec<(Key, usize)>)> {
+    /// Which chunk to serve on `device` this tick; the sessions it feeds
+    /// (each with the rank the chunk holds in its ranking) replace
+    /// [`fed`](Self::fed), in key order.
+    fn pick(&mut self, device: usize) -> Option<usize> {
+        self.refresh_wants();
+        self.fed.clear();
+        let mut wants = self.wants.iter().filter(|w| w.device == device);
         match self.config.policy {
             Policy::FairShare => {
                 let cursor = self.fair_cursor;
-                let (key, _, _, (rank, chunk)) = self
-                    .runnable(self.jobs.range(cursor.0..), device)
-                    .find(|(key, ..)| *key > cursor)
-                    .or_else(|| self.runnable(self.jobs.iter(), device).next())?;
-                Some((chunk, vec![(key, rank)]))
+                let w = (wants.clone().find(|w| w.key > cursor)).or_else(|| wants.next())?;
+                self.fed.push((w.key, w.rank));
+                Some(w.chunk)
             }
             Policy::EarliestDeadline => {
                 // Key: (deadline, remaining-work estimate, key). A pure
@@ -757,37 +866,32 @@ impl<G: Group> Engine<G> {
                 // replay admission order); breaking ties by how little work
                 // a session has left lets short queries slip past
                 // equal-deadline long ones.
-                let mut best: Option<((Key, usize), usize, f64, usize)> = None;
-                for (key, job, member, (rank, chunk)) in self.runnable(self.jobs.iter(), device) {
+                let mut best: Option<(&Want, f64, usize)> = None;
+                for w in wants {
+                    let job = self.jobs.get(&w.key.0)?;
+                    let at = (job.members.binary_search_by_key(&w.key.1, |(m, _)| *m)).ok()?;
                     let d = job.deadline.as_secs();
-                    let w = member.session.remaining_work_estimate();
-                    let better = best.is_none_or(|(_, _, bd, bw)| match d.total_cmp(&bd) {
+                    let work = job.members[at].1.session.remaining_work_estimate();
+                    let better = best.is_none_or(|(_, bd, bw)| match d.total_cmp(&bd) {
                         Ordering::Less => true,
-                        Ordering::Equal => w < bw,
+                        Ordering::Equal => work < bw,
                         Ordering::Greater => false,
                     });
                     if better {
-                        best = Some(((key, rank), chunk, d, w));
+                        best = Some((w, d, work));
                     }
                 }
-                best.map(|(fed, chunk, _, _)| (chunk, vec![fed]))
+                let (w, ..) = best?;
+                self.fed.push((w.key, w.rank));
+                Some(w.chunk)
             }
             Policy::MostWantedChunk => {
                 // Tallied by (generation, chunk): the same chunk id under
                 // two generations names different bytes.
-                let mut wanted: BTreeMap<(u64, usize), Vec<(Key, usize)>> = BTreeMap::new();
-                for (key, job, _, (rank, chunk)) in self.runnable(self.jobs.iter(), device) {
-                    let bytes = (job.snapshot.generation(), chunk);
-                    wanted.entry(bytes).or_default().push((key, rank));
-                }
-                let mut best: Option<((u64, usize), usize)> = None;
-                for (c, keys) in &wanted {
-                    if best.is_none_or(|(_, n)| keys.len() > n) {
-                        best = Some((*c, keys.len()));
-                    }
-                }
-                let (bytes, _) = best?;
-                Some((bytes.1, wanted.remove(&bytes)?))
+                self.tally.clear();
+                self.tally
+                    .extend(wants.map(|w| ((w.generation, w.chunk), (w.key, w.rank))));
+                most_wanted(&mut self.tally, &mut self.fed)
             }
         }
     }
@@ -795,9 +899,12 @@ impl<G: Group> Engine<G> {
     /// One scheduling step on `device`: pick a chunk by policy, fetch it
     /// once, feed every selected session, settle the jobs that finish.
     fn tick(&mut self, device: usize) -> Result<()> {
-        let (chunk_id, fed) = self
+        let chunk_id = self
             .pick(device)
             .ok_or_else(|| inconsistent("engine stalled: the ticking device has nothing to run"))?;
+        // Feeding moves cursors and may retire jobs.
+        self.wants_fresh = false;
+        let fed = std::mem::take(&mut self.fed);
         let Some(&(first, _)) = fed.first() else {
             return Err(inconsistent("engine stalled: a pick fed no session"));
         };
@@ -847,7 +954,7 @@ impl<G: Group> Engine<G> {
                 (at, None)
             }
         };
-        for (key, rank) in fed {
+        for &(key, rank) in &fed {
             // A job finished earlier in this tick took its members with
             // it (an image stop rule tearing down siblings).
             let Some(job) = self.jobs.get_mut(&key.0) else {
@@ -884,6 +991,7 @@ impl<G: Group> Engine<G> {
                 }
             }
         }
+        self.fed = fed;
         Ok(())
     }
 
@@ -1031,5 +1139,154 @@ impl<G: Group> std::fmt::Debug for Engine<G> {
             .field("completed", &self.stats.completed)
             .field("now", &self.now())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The most-wanted pick as a per-tick `BTreeMap` tally: wants grouped
+    /// by `(generation, chunk)` in key order, the first group with the
+    /// strictly largest count wins.
+    fn tally_reference(wants: &[Tallied]) -> Option<(usize, Vec<(Key, usize)>)> {
+        let mut wanted: BTreeMap<(u64, usize), Vec<(Key, usize)>> = BTreeMap::new();
+        for &(bytes, fed) in wants {
+            wanted.entry(bytes).or_default().push(fed);
+        }
+        let mut best: Option<((u64, usize), usize)> = None;
+        for (c, keys) in &wanted {
+            if best.is_none_or(|(_, n)| keys.len() > n) {
+                best = Some((*c, keys.len()));
+            }
+        }
+        let (bytes, _) = best?;
+        Some((bytes.1, wanted.remove(&bytes)?))
+    }
+
+    /// What `member` wants from `device`, as a walk of its window per
+    /// device: the cursor rank if it is routed there, else the first
+    /// rank past it not in `ahead` that is.
+    fn wanted_reference(
+        devices: &Devices,
+        ranking: &[usize],
+        cursor: usize,
+        ahead: &[usize],
+        device: usize,
+    ) -> Option<(usize, usize)> {
+        let next = ranking[cursor];
+        if devices.route(next) == Some(device) {
+            return Some((cursor, next));
+        }
+        let end = ranking.len().min(cursor.saturating_add(LOOKAHEAD + 1));
+        (cursor + 1..end)
+            .filter(|rank| !ahead.contains(rank))
+            .map(|rank| (rank, ranking[rank]))
+            .find(|&(_, chunk)| devices.route(chunk) == Some(device))
+    }
+
+    /// Each device's want from one [`Devices::window_wants`] walk, checking
+    /// it yields at most one per device.
+    fn one_pass(
+        devices: &Devices,
+        ranking: &[usize],
+        cursor: usize,
+        ahead: &[usize],
+    ) -> Vec<Option<(usize, usize)>> {
+        let waiting: Vec<_> = (ahead.iter())
+            .map(|&rank| {
+                let lost = Delivery::Lost {
+                    spent: VirtualDuration::ZERO,
+                };
+                (rank, lost, VirtualDuration::ZERO)
+            })
+            .collect();
+        let end = ranking.len().min(cursor + LOOKAHEAD + 1);
+        let mut table = vec![None; devices.nodes.len()];
+        let delivered = delivered_mask(cursor, &waiting);
+        devices.window_wants(
+            cursor,
+            end,
+            delivered,
+            |rank| ranking[rank],
+            |d, rank, chunk| {
+                assert_eq!(table[d], None, "device {d} wanted twice");
+                table[d] = Some((rank, chunk));
+            },
+        );
+        table
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// The sorted-scratch pick equals the tally it replaced: the same
+        /// chunk, the same sessions fed in the same order.
+        #[test]
+        fn most_wanted_pick_matches_the_tally_reference(
+            picks in proptest::collection::vec((0u64..2, 0usize..6, 0usize..40), 1..65),
+            key_steps in proptest::collection::vec((0u64..3, 0u32..3), 64),
+            tied in 0usize..2,
+        ) {
+            // Keys ascend (the table is filled in key order) and repeat
+            // never.
+            let mut key = (0u64, 0u32);
+            let keys: Vec<Key> = (key_steps.iter())
+                .map(|&(jump, member)| {
+                    key = if jump == 0 { (key.0, key.1 + 1 + member) } else { (key.0 + jump, member) };
+                    key
+                })
+                .collect();
+            let mut wants: Vec<Tallied> = (picks.iter().zip(&keys))
+                .map(|(&(generation, chunk, rank), &key)| ((generation, chunk), (key, rank)))
+                .collect();
+            if tied == 1 {
+                // Every distinct chunk wanted equally often, handed out
+                // round-robin in first-seen order.
+                let mut distinct: Vec<(u64, usize)> = Vec::new();
+                for (bytes, _) in &wants {
+                    if !distinct.contains(bytes) {
+                        distinct.push(*bytes);
+                    }
+                }
+                wants.truncate(wants.len() / distinct.len() * distinct.len());
+                for (i, want) in wants.iter_mut().enumerate() {
+                    want.0 = distinct[i % distinct.len()];
+                }
+            }
+            let want = tally_reference(&wants);
+            let mut fed = Vec::new();
+            let chunk = most_wanted(&mut wants.clone(), &mut fed);
+            prop_assert_eq!(chunk.zip(Some(fed)), want);
+        }
+
+        /// One walk of a member's window yields, for every device, what a
+        /// walk per device found — on a 4-device fleet under any down
+        /// flags, and on one device (where it is the cursor chunk).
+        #[test]
+        fn one_pass_wants_match_the_per_device_walk(
+            ranking in proptest::collection::vec(0usize..48, 1..40),
+            cursor_at in 0usize..40,
+            waiting in 0u32..1 << LOOKAHEAD,
+            down in proptest::collection::vec(0u32..4, 4),
+            replication in 1usize..4,
+        ) {
+            let cursor = cursor_at % ranking.len();
+            let ahead: Vec<usize> = (1..=LOOKAHEAD)
+                .filter(|i| waiting >> (i - 1) & 1 == 1)
+                .map(|i| cursor + i)
+                .collect();
+            let down: Vec<bool> = down.iter().map(|&d| d == 0).collect();
+            let map = Arc::new(ShardMap::chunk_hash(48, 4, replication));
+            let fleet = Devices::new(Some((map, down, LossScope::Primary)));
+            let table = one_pass(&fleet, &ranking, cursor, &ahead);
+            for (device, got) in table.into_iter().enumerate() {
+                let want = wanted_reference(&fleet, &ranking, cursor, &ahead, device);
+                prop_assert_eq!(got, want, "device {}", device);
+            }
+            let solo = Devices::new(None);
+            prop_assert_eq!(one_pass(&solo, &ranking, cursor, &ahead), vec![Some((cursor, ranking[cursor]))]);
+        }
     }
 }

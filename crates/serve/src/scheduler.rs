@@ -41,7 +41,10 @@ pub enum Policy {
     /// Serve the chunk wanted by the *most* active sessions, feeding all
     /// of them from one read: the chunk is fetched and decoded once and
     /// fanned out — each waiting session scans the shared payload through
-    /// the lane kernels' block path. Ties break on the smallest chunk id.
+    /// the lane kernels' block path. Wants are counted per `(generation,
+    /// chunk)` — one chunk id names different bytes in two compaction
+    /// generations — and ties break on the smallest `(generation, chunk)`;
+    /// the sessions fed are fed in `(job id, member)` order.
     MostWantedChunk,
 }
 

@@ -28,6 +28,17 @@
 //! region, which is what [`ChunkStore::open`](crate::ChunkStore::open)
 //! checks the index and header against.
 //!
+//! A chunk read is one positioned read (`pread`, no seek) of the block's
+//! body and checksum into the reader's reused buffer, then one check. For
+//! a version-4 raw block the check *is* the decode: one pass over 400-byte
+//! blocks (4 records, exactly 25 XXH32 stripes) feeds each block's stripes
+//! to the hash lanes and then writes its ids and rows in place, so the
+//! decode's stores run in the shadow of XXH32's multiply chains instead of
+//! in a second pass over the body. A block that does not verify leaves no
+//! decoded record behind. Quant-region blocks and version 2/3 blocks
+//! (FNV-1a, one serial multiply per byte, nothing to overlap) are summed,
+//! then decoded.
+//!
 //! Older files still open. Version 2 is a raw file with a 24-byte header
 //! (no codec fields); version 3 is a quantized file with the 40-byte
 //! header above. Both checksum their blocks with FNV-1a; otherwise their
@@ -39,7 +50,9 @@ use crate::error::{Error, Result};
 use crate::indexfile::ChunkMeta;
 use eff2_descriptor::quant::{Codec, DescriptorCodec};
 use eff2_descriptor::{DescriptorSet, DIM};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::fs::File;
+use std::io::{Read, Write};
+use std::os::unix::fs::FileExt;
 
 /// Magic bytes of a chunk file.
 pub const MAGIC: [u8; 4] = *b"EFCH";
@@ -94,53 +107,76 @@ const XXH_PRIME_5: u32 = 0x1656_67b1;
 /// bijections, so a change confined to one aligned 4-byte word — hence
 /// every single-byte change — changes the sum.
 pub(crate) fn xxh32(body: &[u8]) -> u32 {
-    fn round(acc: u32, lane: &[u8; 4]) -> u32 {
-        acc.wrapping_add(u32::from_le_bytes(*lane).wrapping_mul(XXH_PRIME_2))
-            .rotate_left(13)
-            .wrapping_mul(XXH_PRIME_1)
-    }
     let (stripes, tail) = body.as_chunks::<16>();
-    let mut hash = if stripes.is_empty() {
-        XXH_PRIME_5
-    } else {
-        let mut acc = [
+    let mut state = Xxh32::SEEDED;
+    for stripe in stripes {
+        state.stripe(stripe);
+    }
+    state.finish(body.len(), tail)
+}
+
+/// XXH32's state over a body's whole 16-byte stripes: one accumulator per
+/// 4-byte lane. [`xxh32`] and [`verify_decode_xxh32`] both drive it.
+struct Xxh32 {
+    acc: [u32; 4],
+}
+
+impl Xxh32 {
+    /// The lanes as seed 0 starts them.
+    const SEEDED: Xxh32 = Xxh32 {
+        acc: [
             XXH_PRIME_1.wrapping_add(XXH_PRIME_2),
             XXH_PRIME_2,
             0,
             XXH_PRIME_1.wrapping_neg(),
-        ];
-        for stripe in stripes {
-            let (lanes, _) = stripe.as_chunks::<4>();
-            for (acc, lane) in acc.iter_mut().zip(lanes) {
-                *acc = round(*acc, lane);
-            }
-        }
-        let [a, b, c, d] = acc;
-        a.rotate_left(1)
-            .wrapping_add(b.rotate_left(7))
-            .wrapping_add(c.rotate_left(12))
-            .wrapping_add(d.rotate_left(18))
+        ],
     };
-    // The length enters modulo 2^32, as the reference defines it.
-    hash = hash.wrapping_add(body.len() as u32);
-    let (words, bytes) = tail.as_chunks::<4>();
-    for word in words {
-        hash = hash
-            .wrapping_add(u32::from_le_bytes(*word).wrapping_mul(XXH_PRIME_3))
-            .rotate_left(17)
-            .wrapping_mul(XXH_PRIME_4);
+
+    /// Folds the next stripe into the lanes.
+    #[inline(always)]
+    fn stripe(&mut self, stripe: &[u8; 16]) {
+        let (lanes, _) = stripe.as_chunks::<4>();
+        for (acc, lane) in self.acc.iter_mut().zip(lanes) {
+            *acc = acc
+                .wrapping_add(u32::from_le_bytes(*lane).wrapping_mul(XXH_PRIME_2))
+                .rotate_left(13)
+                .wrapping_mul(XXH_PRIME_1);
+        }
     }
-    for &byte in bytes {
-        hash = hash
-            .wrapping_add(u32::from(byte).wrapping_mul(XXH_PRIME_5))
-            .rotate_left(11)
-            .wrapping_mul(XXH_PRIME_1);
+
+    /// The sum of a `len`-byte body whose whole stripes went through
+    /// [`stripe`](Self::stripe); `tail` is its last `len % 16` bytes.
+    fn finish(&self, len: usize, tail: &[u8]) -> u32 {
+        let mut hash = if len < 16 {
+            XXH_PRIME_5
+        } else {
+            let [a, b, c, d] = self.acc;
+            a.rotate_left(1)
+                .wrapping_add(b.rotate_left(7))
+                .wrapping_add(c.rotate_left(12))
+                .wrapping_add(d.rotate_left(18))
+        };
+        // The length enters modulo 2^32, as the reference defines it.
+        hash = hash.wrapping_add(len as u32);
+        let (words, bytes) = tail.as_chunks::<4>();
+        for word in words {
+            hash = hash
+                .wrapping_add(u32::from_le_bytes(*word).wrapping_mul(XXH_PRIME_3))
+                .rotate_left(17)
+                .wrapping_mul(XXH_PRIME_4);
+        }
+        for &byte in bytes {
+            hash = hash
+                .wrapping_add(u32::from(byte).wrapping_mul(XXH_PRIME_5))
+                .rotate_left(11)
+                .wrapping_mul(XXH_PRIME_1);
+        }
+        hash ^= hash >> 15;
+        hash = hash.wrapping_mul(XXH_PRIME_2);
+        hash ^= hash >> 13;
+        hash = hash.wrapping_mul(XXH_PRIME_3);
+        hash ^ (hash >> 16)
     }
-    hash ^= hash >> 15;
-    hash = hash.wrapping_mul(XXH_PRIME_2);
-    hash ^= hash >> 13;
-    hash = hash.wrapping_mul(XXH_PRIME_3);
-    hash ^ (hash >> 16)
 }
 
 /// The per-block checksum algorithm, fixed by a file's format version.
@@ -398,26 +434,49 @@ impl ChunkPayload {
     }
 }
 
+/// A file read at an absolute offset, leaving no seek position behind: the
+/// chunk file's `pread`, so one read is one system call.
+pub(crate) trait ReadAt {
+    /// Fills `buf` from the bytes at `offset`, or fails.
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()>;
+}
+
+impl ReadAt for File {
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+        FileExt::read_exact_at(self, buf, offset)
+    }
+}
+
 /// Reads the checksummed block at `offset` — `byte_len` body bytes and the
 /// checksum after them, not the page padding — into `buf`, which the
-/// caller reuses across reads, and returns the body once `sum` verifies
-/// it. A short read is [`Error::Truncated`] as `what`; a checksum mismatch
-/// is [`Error::Corrupt`] as `what` at `offset`.
-fn read_checked_body<'a, R: Read + Seek>(
-    reader: &mut R,
-    buf: &'a mut Vec<u8>,
+/// caller reuses across reads, in one positioned read. A short read is
+/// [`Error::Truncated`] as `what`.
+fn read_block<R: ReadAt>(
+    reader: &R,
+    buf: &mut Vec<u8>,
     offset: u64,
     byte_len: u64,
-    sum: BlockSum,
     what: &'static str,
-) -> Result<&'a [u8]> {
-    reader.seek(SeekFrom::Start(offset))?;
-    // Every byte of the resized buffer is overwritten by `read_exact`, or
-    // the read fails: nothing of an earlier chunk survives into this one.
+) -> Result<()> {
+    // Every byte of the resized buffer is overwritten by the read, or the
+    // read fails: nothing of an earlier chunk survives into this one.
     buf.resize((byte_len + CHECKSUM_BYTES) as usize, 0);
-    reader.read_exact(buf).map_err(|_| Error::Truncated(what))?;
-    let (body, stored) = buf.split_last_chunk::<4>().ok_or(Error::Truncated(what))?;
-    let (expected, found) = (u32::from_le_bytes(*stored), sum.of(body));
+    reader
+        .read_exact_at(buf, offset)
+        .map_err(|_| Error::Truncated(what))
+}
+
+/// Splits a block into its body and the checksum stored after it.
+fn split_block<'a>(block: &'a [u8], what: &'static str) -> Result<(&'a [u8], u32)> {
+    let (body, stored) = block
+        .split_last_chunk::<4>()
+        .ok_or(Error::Truncated(what))?;
+    Ok((body, u32::from_le_bytes(*stored)))
+}
+
+/// The error a block at `offset` whose stored sum is `expected` gets when
+/// its body sums to `found`, if they differ.
+fn verify(what: &'static str, offset: u64, expected: u32, found: u32) -> Result<()> {
     if expected != found {
         return Err(Error::Corrupt {
             what,
@@ -426,14 +485,14 @@ fn read_checked_body<'a, R: Read + Seek>(
             found,
         });
     }
-    Ok(body)
+    Ok(())
 }
 
-/// Reads one chunk (located by its index entry) from a seekable chunk file
-/// into `payload`, reusing its buffers and `buf` and verifying the stored
+/// Reads one chunk (located by its index entry) from a chunk file into
+/// `payload`, reusing its buffers and `buf` and verifying the stored
 /// checksum with `sum`, the algorithm of the file's version.
-pub(crate) fn read_chunk_at<R: Read + Seek>(
-    reader: &mut R,
+pub(crate) fn read_chunk_at<R: ReadAt>(
+    reader: &R,
     buf: &mut Vec<u8>,
     meta: &ChunkMeta,
     sum: BlockSum,
@@ -441,15 +500,94 @@ pub(crate) fn read_chunk_at<R: Read + Seek>(
 ) -> Result<()> {
     payload.clear();
     let byte_len = u64::from(meta.byte_len);
-    let body = read_checked_body(reader, buf, meta.offset, byte_len, sum, "chunk body")?;
-    decode_records(body, meta.count, payload)
+    read_block(reader, buf, meta.offset, byte_len, "chunk body")?;
+    verify_decode_records(buf, meta.offset, meta.count, sum, payload)
+}
+
+/// Verifies a raw-region block read at `offset` — `count` records, then
+/// the stored checksum — with `sum` and decodes the records into `payload`
+/// (cleared first). A checksum mismatch is [`Error::Corrupt`] and leaves
+/// `payload` empty; a body of the wrong length for `count` is
+/// [`Error::Inconsistent`] once its sum verifies. A version-4 body is
+/// summed and decoded in one pass ([`verify_decode_xxh32`]).
+pub(crate) fn verify_decode_records(
+    block: &[u8],
+    offset: u64,
+    count: u32,
+    sum: BlockSum,
+    payload: &mut ChunkPayload,
+) -> Result<()> {
+    const WHAT: &str = "chunk body";
+    payload.clear();
+    let (body, expected) = split_block(block, WHAT)?;
+    if sum == BlockSum::Xxh32 && body.len() == count as usize * RECORD_BYTES {
+        let found = verify_decode_xxh32(body, payload);
+        if expected != found {
+            payload.clear();
+        }
+        return verify(WHAT, offset, expected, found);
+    }
+    verify(WHAT, offset, expected, sum.of(body))?;
+    decode_records(body, count, payload)
+}
+
+/// Records per block of the one-pass check: 4 × 100 bytes is 25 whole
+/// XXH32 stripes, so every block starts on a stripe.
+const RECORDS_PER_BLOCK: usize = 4;
+const BLOCK_BYTES: usize = RECORDS_PER_BLOCK * RECORD_BYTES;
+const _: () = assert!(BLOCK_BYTES.is_multiple_of(16));
+
+/// XXH32 of `body`, a whole number of records, and the records decoded into
+/// `payload` (cleared) in the same pass: each 400-byte block feeds its 25
+/// stripes to the lanes and then writes its 4 ids and rows in place, so the
+/// decode's loads and stores run alongside the lanes' multiply chains
+/// instead of in a second pass over the body. Returns the sum; the caller
+/// discards the payload if it does not verify.
+fn verify_decode_xxh32(body: &[u8], payload: &mut ChunkPayload) -> u32 {
+    let n = body.len() / RECORD_BYTES;
+    payload.ids.resize(n, 0);
+    payload.packed.resize(n * DIM, 0.0);
+    let (rows, _) = payload.packed.as_chunks_mut::<DIM>();
+    let (blocks, rest) = body.as_chunks::<BLOCK_BYTES>();
+    let (id_blocks, id_rest) = payload.ids.as_chunks_mut::<RECORDS_PER_BLOCK>();
+    let (row_blocks, row_rest) = rows.as_chunks_mut::<RECORDS_PER_BLOCK>();
+    let mut state = Xxh32::SEEDED;
+    for ((block, ids), rows) in blocks.iter().zip(id_blocks).zip(row_blocks) {
+        let (stripes, _) = block.as_chunks::<16>();
+        for stripe in stripes {
+            state.stripe(stripe);
+        }
+        decode_into(block, ids, rows);
+    }
+    let (stripes, tail) = rest.as_chunks::<16>();
+    for stripe in stripes {
+        state.stripe(stripe);
+    }
+    decode_into(rest, id_rest, row_rest);
+    state.finish(body.len(), tail)
+}
+
+/// Decodes the whole records of `raw` into `ids` and `rows`, one each per
+/// record: the record decoder of every raw-region read. A record is `1 +
+/// DIM` little-endian words: the id, then the components.
+#[inline(always)]
+fn decode_into(raw: &[u8], ids: &mut [u32], rows: &mut [[f32; DIM]]) {
+    let (words, _) = raw.as_chunks::<4>();
+    let (records, _) = words.as_chunks::<{ 1 + DIM }>();
+    for (([id, components @ ..], out_id), row) in records.iter().zip(ids).zip(rows) {
+        *out_id = u32::from_le_bytes(*id);
+        // A whole row built, then stored: the compiler cannot prove a
+        // component store misses the record it reads from, so a store per
+        // component would stay scalar.
+        *row = components.map(f32::from_le_bytes);
+    }
 }
 
 /// Reads one chunk's quantized records from the quant region into
 /// `payload` (ids + codes; `packed` stays empty), reusing `buf` and
 /// verifying the stored checksum with `sum`.
-pub(crate) fn read_quant_chunk_at<R: Read + Seek>(
-    reader: &mut R,
+pub(crate) fn read_quant_chunk_at<R: ReadAt>(
+    reader: &R,
     buf: &mut Vec<u8>,
     quant_offset: u64,
     count: u32,
@@ -460,12 +598,14 @@ pub(crate) fn read_quant_chunk_at<R: Read + Seek>(
     payload.clear();
     let byte_len = quant_byte_len(count, code_bytes);
     let what = "quantized chunk body";
-    let body = read_checked_body(reader, buf, quant_offset, byte_len, sum, what)?;
+    read_block(reader, buf, quant_offset, byte_len, what)?;
+    let (body, expected) = split_block(buf, what)?;
+    verify(what, quant_offset, expected, sum.of(body))?;
     decode_quant_records(body, count, code_bytes, payload)
 }
 
-/// Decodes `count` records from `raw` into `payload`: one length check,
-/// then one pass over fixed-size records.
+/// Decodes `count` records from `raw` into `payload`, after what it holds:
+/// one length check, then one pass over fixed-size records.
 pub fn decode_records(raw: &[u8], count: u32, payload: &mut ChunkPayload) -> Result<()> {
     if raw.len() != count as usize * RECORD_BYTES {
         return Err(Error::Inconsistent(format!(
@@ -474,18 +614,12 @@ pub fn decode_records(raw: &[u8], count: u32, payload: &mut ChunkPayload) -> Res
             count
         )));
     }
-    // A record is `1 + DIM` little-endian words: the id, then the
-    // components. The length check above leaves no remainder.
-    let (words, _) = raw.as_chunks::<4>();
-    let (records, _) = words.as_chunks::<{ 1 + DIM }>();
-    payload.ids.reserve(records.len());
-    payload.packed.reserve(records.len() * DIM);
-    for [id, components @ ..] in records {
-        payload.ids.push(u32::from_le_bytes(*id));
-        payload
-            .packed
-            .extend(components.iter().map(|c| f32::from_le_bytes(*c)));
-    }
+    let (ids_at, packed_at) = (payload.ids.len(), payload.packed.len());
+    payload.ids.resize(ids_at + count as usize, 0);
+    payload.packed.resize(packed_at + count as usize * DIM, 0.0);
+    let (_, ids) = payload.ids.split_at_mut(ids_at);
+    let (_, packed) = payload.packed.split_at_mut(packed_at);
+    decode_into(raw, ids, packed.as_chunks_mut::<DIM>().0);
     Ok(())
 }
 
@@ -521,6 +655,20 @@ mod tests {
     use super::*;
     use eff2_descriptor::{Descriptor, Vector};
     use std::io::Cursor;
+
+    /// In-memory bytes as a positioned-read source: a read past the end is
+    /// short, as on a truncated file.
+    impl<T: AsRef<[u8]>> ReadAt for Cursor<T> {
+        fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+            let bytes = self.get_ref().as_ref();
+            let src = usize::try_from(offset)
+                .ok()
+                .and_then(|at| bytes.get(at..at.checked_add(buf.len())?))
+                .ok_or(std::io::ErrorKind::UnexpectedEof)?;
+            buf.copy_from_slice(src);
+            Ok(())
+        }
+    }
 
     fn sample_set(n: usize) -> DescriptorSet {
         (0..n)
@@ -576,7 +724,7 @@ mod tests {
         let mut payload = ChunkPayload::default();
         for (ci, loc) in locs.iter().enumerate() {
             read_chunk_at(
-                &mut cursor,
+                &cursor,
                 &mut Vec::new(),
                 &meta_at(loc),
                 BlockSum::Xxh32,
@@ -630,7 +778,7 @@ mod tests {
         let mut payload = ChunkPayload::default();
         let padding_cut = &buf[..checksum_end];
         read_chunk_at(
-            &mut Cursor::new(padding_cut),
+            &Cursor::new(padding_cut),
             &mut Vec::new(),
             &meta,
             BlockSum::Xxh32,
@@ -641,7 +789,7 @@ mod tests {
         for end in [checksum_end - 1, checksum_end - 100] {
             assert!(matches!(
                 read_chunk_at(
-                    &mut Cursor::new(&buf[..end]),
+                    &Cursor::new(&buf[..end]),
                     &mut Vec::new(),
                     &meta,
                     BlockSum::Xxh32,
@@ -663,7 +811,7 @@ mod tests {
         let mut payload = ChunkPayload::default();
         let mut read = |loc| {
             read_chunk_at(
-                &mut Cursor::new(&buf),
+                &Cursor::new(&buf),
                 &mut Vec::new(),
                 &meta_at(loc),
                 BlockSum::Xxh32,
@@ -761,7 +909,7 @@ mod tests {
         let mut payload = ChunkPayload::default();
         for (ci, loc) in quant_locs.iter().enumerate() {
             read_chunk_at(
-                &mut cursor,
+                &cursor,
                 &mut Vec::new(),
                 &meta_at(loc),
                 BlockSum::Xxh32,
@@ -784,14 +932,14 @@ mod tests {
         let mut buf = Vec::new();
         let (_locs, quant_start) =
             write_chunks(&set, &chunks, page, Some(&codec), &mut buf).expect("write");
-        let mut cursor = Cursor::new(&buf);
+        let cursor = Cursor::new(&buf);
         let mut payload = ChunkPayload::default();
         let mut offset = quant_start;
         let mut expect_code = vec![0u8; cb];
         for members in &chunks {
             let count = members.len() as u32;
             read_quant_chunk_at(
-                &mut cursor,
+                &cursor,
                 &mut Vec::new(),
                 offset,
                 count,
@@ -827,7 +975,7 @@ mod tests {
         let mut payload = ChunkPayload::default();
         assert!(matches!(
             read_quant_chunk_at(
-                &mut Cursor::new(&buf),
+                &Cursor::new(&buf),
                 &mut Vec::new(),
                 quant_start,
                 8,
@@ -1023,6 +1171,50 @@ mod tests {
             let sum = BlockSum::Xxh32.of(&body);
             body[at] ^= delta as u8;
             proptest::prop_assert!(sum != BlockSum::Xxh32.of(&body), "byte {at} of {len} ^= {delta}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// The one-pass check of a version-4 raw block is XXH32 followed by
+        /// [`decode_records`]: the same sum, the same payload bit for bit,
+        /// and for every single-byte flip of the block the same
+        /// `Corrupt` error with nothing decoded left behind.
+        #[test]
+        fn one_pass_verify_decode_equals_sum_then_decode(
+            count in 0u32..42,
+            words in proptest::collection::vec(arb_word(), 41 * (1 + DIM)),
+            offset in 0u64..1 << 40,
+            delta in 1u32..256,
+        ) {
+            let body = le_bytes(&words[..count as usize * (1 + DIM)]);
+            let mut want = ChunkPayload::default();
+            proptest::prop_assert!(decode_records(&body, count, &mut want).is_ok());
+            let mut fused = ChunkPayload::default();
+            proptest::prop_assert_eq!(verify_decode_xxh32(&body, &mut fused), xxh32(&body));
+            proptest::prop_assert_eq!(bits(&fused), bits(&want));
+
+            for sum in [BlockSum::Xxh32, BlockSum::Fnv1a] {
+                let mut block = body.clone();
+                block.extend_from_slice(&sum.of(&body).to_le_bytes());
+                let mut payload = ChunkPayload::default();
+                proptest::prop_assert!(verify_decode_records(&block, offset, count, sum, &mut payload).is_ok());
+                proptest::prop_assert_eq!(bits(&payload), bits(&want));
+                for at in 0..block.len() {
+                    block[at] ^= delta as u8;
+                    let (flipped, stored) = block.split_last_chunk::<4>().expect("a sum");
+                    let (expected, found) = (u32::from_le_bytes(*stored), sum.of(flipped));
+                    match verify_decode_records(&block, offset, count, sum, &mut payload) {
+                        Err(Error::Corrupt { what: "chunk body", offset: o, expected: e, found: f }) => {
+                            proptest::prop_assert_eq!((o, e, f), (offset, expected, found), "byte {}", at);
+                        }
+                        other => proptest::prop_assert!(false, "byte {at}: {other:?}"),
+                    }
+                    proptest::prop_assert_eq!(&payload, &ChunkPayload::default(), "byte {}", at);
+                    block[at] ^= delta as u8;
+                }
+            }
         }
     }
 

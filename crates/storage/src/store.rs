@@ -346,8 +346,8 @@ impl ChunkStore {
     }
 
     /// Opens an independent reader over the chunk file. Each concurrent
-    /// query should hold its own reader (separate file handle and seek
-    /// position). The reader owns a store handle, so it may outlive the
+    /// query should hold its own reader (separate file handle and buffer).
+    /// The reader owns a store handle, so it may outlive the
     /// `ChunkStore` value it was created from.
     pub fn reader(&self) -> Result<ChunkReader> {
         Ok(ChunkReader {
@@ -410,7 +410,9 @@ pub struct ChunkReader {
 impl ChunkReader {
     /// Reads chunk `id` into `payload` (buffers reused); returns the number
     /// of bytes the disk model charges (the padded page span). Only the
-    /// body and its checksum are read, not the padding. A reader opened
+    /// body and its checksum are read, not the padding, in one positioned
+    /// read; a version-4 raw body is then verified and decoded in one pass
+    /// (see [`chunkfile`]). A reader opened
     /// from a [quantized view](ChunkStore::quantized_view) fills
     /// `payload.codes` from the quant region — a strictly smaller span
     /// for a compressing codec — instead of `payload.packed`.
@@ -430,7 +432,7 @@ impl ChunkReader {
             })?;
             let code_bytes = codec.code_bytes();
             chunkfile::read_quant_chunk_at(
-                &mut self.file,
+                &self.file,
                 &mut self.buf,
                 quant_offset,
                 meta.count,
@@ -441,7 +443,7 @@ impl ChunkReader {
             let byte_len = chunkfile::quant_byte_len(meta.count, code_bytes);
             Ok(chunkfile::chunk_span(byte_len, page))
         } else {
-            chunkfile::read_chunk_at(&mut self.file, &mut self.buf, meta, inner.sum, payload)?;
+            chunkfile::read_chunk_at(&self.file, &mut self.buf, meta, inner.sum, payload)?;
             Ok(chunkfile::chunk_span(u64::from(meta.byte_len), page))
         }
     }
