@@ -34,8 +34,9 @@ pub struct BagConfig {
     /// Skip runs of provably idle passes in one step (see
     /// `Bag::stall_skip`). Exactness-preserving: the skipped passes could
     /// not have merged or destroyed anything, only inflated radii, which
-    /// the skip applies directly. Disable to mimic the paper's
-    /// pass-by-pass execution (the ablation benches do).
+    /// the skip applies directly. Disabling it gives the paper's
+    /// pass-by-pass execution, which the `fast_forward_is_exact` test
+    /// uses as the reference the skip must match.
     pub fast_forward: bool,
     /// Only attempt the stall skip while at most this many clusters are
     /// alive. The skip scans all Θ(n²) pairs; early idle passes (huge n,

@@ -6,10 +6,10 @@
 //! quality-vs-time study sweeps:
 //!
 //! * [`search_two_level`] — exact `f32` scan, but the ranking is
-//!   two-level (`ChunkRanking::rank_two_level`): coarse cells first,
-//!   chunks expanded wave by wave. Under the to-completion rule the
-//!   answer is provably identical to the flat search — only the
-//!   centroid-evaluation count changes;
+//!   two-level (`ChunkRanking::rank_two_level`): coarse cells first, a
+//!   cell's chunks scored when the scan reaches them. Under the
+//!   to-completion rule the answer is provably identical to the flat
+//!   search — only the centroid-evaluation count changes;
 //! * [`search_quantized`] / [`search_quantized_with`] — scan a quantized
 //!   store's compact code region with the ADC kernels, retain
 //!   `rerank_mult · k` candidates, then re-score them against the raw
@@ -28,7 +28,7 @@ use eff2_storage::{ChunkStore, Result};
 use std::sync::Arc;
 
 /// Executes one query with a **two-level** chunk ranking: rank `coarse`'s
-/// cells, expand only the cells the scan actually reaches. Exact-scan
+/// cells, score only the cells the scan actually reaches. Exact-scan
 /// twin of [`crate::search::search`]; under `StopRule::ToCompletion` the
 /// neighbour ids (and distances, bit for bit) match the flat search,
 /// while `log.centroid_evals` records how many centroid distances the

@@ -6,8 +6,8 @@
 //! descriptors the centroid table itself becomes a scan. This module
 //! clusters the chunk centroids into a few k-means **cells** so ranking
 //! becomes two-level: rank the cells (a handful of distance evaluations),
-//! then expand only the best cells to chunk granularity as the scan
-//! consumes them (`ChunkRanking::rank_two_level`).
+//! then score a cell's chunks only when the scan first reads one of them
+//! (`ChunkRanking::rank_two_level`).
 //!
 //! Exactness is preserved by a conservative cell radius: for every member
 //! chunk `m` of cell `c`,
@@ -38,9 +38,8 @@ pub(crate) const COARSE_TRAIN_ITERS: usize = 8;
 
 /// A k-means clustering of chunk centroids with conservative cell radii.
 ///
-/// Built once per store by [`CoarseQuantizer::for_store`] (or with an
-/// explicit cell count via [`CoarseQuantizer::train`]) and shared by every
-/// query's `rank_two_level`.
+/// Built once per store by [`CoarseQuantizer::for_store`] and shared by
+/// every query's `rank_two_level`.
 #[derive(Clone, Debug)]
 pub struct CoarseQuantizer {
     /// Cell centers (k-means centroids of the chunk centroids).
@@ -54,8 +53,8 @@ pub struct CoarseQuantizer {
 
 impl CoarseQuantizer {
     /// The default cell count: `ceil(sqrt(n_chunks))`, the classic
-    /// balance point where ranking cost `n_cells + expanded_members` is
-    /// minimised when expansion stops after a few cells.
+    /// balance point where ranking cost `n_cells + scored_members` is
+    /// minimised when the scan stops after a few cells.
     pub(crate) fn default_cells(n_chunks: usize) -> usize {
         (n_chunks as f64).sqrt().ceil() as usize
     }
@@ -72,7 +71,7 @@ impl CoarseQuantizer {
     /// Trains `n_cells` k-means cells over the chunk centroids in `metas`
     /// (capped at the chunk count; at least one cell when any chunk
     /// exists). Deterministic: same metas and cell count, same quantizer.
-    pub fn train(metas: &[ChunkMeta], n_cells: usize) -> CoarseQuantizer {
+    pub(crate) fn train(metas: &[ChunkMeta], n_cells: usize) -> CoarseQuantizer {
         let n = metas.len();
         if n == 0 {
             return CoarseQuantizer {

@@ -170,7 +170,8 @@ pub struct SearchLog {
     /// searches).
     pub rerank_chunks: usize,
     /// Centroid distance evaluations the ranking spent: `n_chunks` for
-    /// flat ranking, `n_cells` plus expanded members for two-level.
+    /// flat ranking, `n_cells` plus the members of every scored wave for
+    /// two-level.
     pub centroid_evals: u64,
     /// Total virtual time of the query.
     pub total_virtual: VirtualDuration,

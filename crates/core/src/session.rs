@@ -3,11 +3,12 @@
 //! The §4.3 search in separable parts:
 //!
 //! * [`ChunkRanking`] is step 1 of §4.3 in isolation — centroid ranking
-//!   plus the suffix-minimum of chunk lower bounds — computed once and
-//!   reusable across any number of stop rules. It computes every centroid
-//!   distance up front, puts the head (the first 32 ranks) in order, and
-//!   orders the rest on first demand: a query that stops early never pays
-//!   for sorting ranks it does not read;
+//!   plus the suffix-minimum of chunk lower bounds — reusable across any
+//!   number of stop rules. It is a sequence of waves, each scored and
+//!   ordered by the first read that lands in it: a flat ranking's first
+//!   32 ranks and the rest, or one wave per coarse cell of a two-level
+//!   ranking. A query that stops early never pays for ordering ranks it
+//!   does not read;
 //! * [`SearchSession`] is the resumable scan: [`SearchSession::step`]
 //!   advances exactly one chunk and returns its [`ChunkEvent`], so a
 //!   caller can pause, inspect intermediate quality, and resume — the
@@ -60,21 +61,6 @@ pub enum SkipPolicy {
     SkipUnavailable,
 }
 
-/// A coarse cell whose member chunks have not been expanded into the
-/// ranked order yet (two-level ranking only).
-#[derive(Clone, Debug)]
-struct PendingCell {
-    /// Distance from the query to the cell center.
-    dist: f32,
-    /// Conservative lower bound `max(dist − cell_radius, 0)` on any
-    /// descriptor stored in any member chunk.
-    bound: f32,
-    /// Cell index (the expansion tie-breaker).
-    cell: u32,
-    /// Member chunk ids, ascending.
-    members: Vec<u32>,
-}
-
 /// Ranks a flat ranking puts in order up front. A query reads ranks from
 /// the front and most stop within a few (the engine also looks at most
 /// eight past its cursor), so ordering every chunk would mostly order
@@ -95,42 +81,64 @@ fn lower_bound(metas: &[ChunkMeta], dist: f32, id: u32) -> f32 {
     (dist - radius).max(0.0)
 }
 
-/// Fills `out` with the suffix minimum of the lower bounds along `ranked`,
-/// floored by `floor`: `out[i]` is the best bound among `ranked[i..]` and
-/// `floor`, and the final entry is `floor` itself. Every bound is a
-/// non-negative, non-NaN `max(…, +0.0)`, on which `f32::min` is exact and
-/// order-independent — so a minimum taken over an unordered set equals the
-/// one taken along the sorted order, bit for bit.
-fn fill_suffix_min(out: &mut Vec<f32>, ranked: &[(f32, u32)], metas: &[ChunkMeta], floor: f32) {
-    out.clear();
-    out.resize(ranked.len() + 1, floor);
-    let mut best = floor;
-    for (slot, &(dist, id)) in out.iter_mut().zip(ranked).rev() {
-        best = best.min(lower_bound(metas, dist, id));
-        *slot = best;
-    }
-    debug_assert!(
-        out.windows(2).all(|w| w.first() <= w.get(1)),
-        "suffix-min bound must be non-decreasing along the ranked order"
-    );
-}
-
-/// A flat ranking's ranks past its head, in scan order, with their suffix
-/// bounds — built from the unordered `rest` at most once.
+/// A wave in scan order: `ranked` sorted by [`by_rank`], and `suffix[i]`
+/// the best lower bound among `ranked[i..]` and the floor it was built
+/// with. Every bound is a non-negative, non-NaN `max(…, +0.0)`, on which
+/// `f32::min` is exact and order-independent — so a minimum taken over an
+/// unordered set, or over several waves, equals the one taken along the
+/// whole sorted order, bit for bit.
 #[derive(Clone, Debug)]
-struct Tail {
-    /// `(centroid distance, chunk id)` of ranks `HEAD..`, sorted.
+struct Ordered {
     ranked: Vec<(f32, u32)>,
-    /// `suffix_min_bound[j]` = best lower bound among tail ranks `j..`
-    /// (the final entry is `+∞`: a flat ranking has no pending cells).
-    suffix_min_bound: Vec<f32>,
+    suffix: Vec<f32>,
 }
 
-/// The tail of a ranking with nothing past its ordered ranks.
-static NO_TAIL: Tail = Tail {
-    ranked: Vec::new(),
-    suffix_min_bound: Vec::new(),
-};
+impl Ordered {
+    fn new(mut ranked: Vec<(f32, u32)>, metas: &[ChunkMeta], floor: f32) -> Ordered {
+        ranked.sort_unstable_by(by_rank);
+        let mut suffix = vec![floor; ranked.len()];
+        let mut best = floor;
+        for (slot, &(dist, id)) in suffix.iter_mut().zip(&ranked).rev() {
+            best = best.min(lower_bound(metas, dist, id));
+            *slot = best;
+        }
+        Ordered { ranked, suffix }
+    }
+}
+
+/// What a wave holds before it is ordered.
+#[derive(Clone, Debug)]
+enum Members {
+    /// `(centroid distance, chunk id)`, scored when the ranking was built.
+    Scored(Vec<(f32, u32)>),
+    /// One coarse cell's chunk ids, scored by the wave's first read.
+    Cell(Vec<u32>),
+}
+
+/// A run of consecutive ranks that is scored (if it is not yet) and
+/// ordered as one, by the first read that lands in it.
+#[derive(Clone, Debug)]
+struct Wave {
+    /// The wave's first rank.
+    start: usize,
+    members: Members,
+    /// Lower bound on every member's descriptors while the wave is
+    /// unordered: its coarse cell's bound, or for scored members the best
+    /// of their bounds.
+    floor: f32,
+    ordered: OnceLock<Ordered>,
+}
+
+impl Wave {
+    /// Best bound among the wave's members: the cell bound until a coarse
+    /// cell is scored, the members' own best bound after.
+    fn floor(&self) -> f32 {
+        self.ordered
+            .get()
+            .and_then(|o| o.suffix.first().copied())
+            .unwrap_or(self.floor)
+    }
+}
 
 /// Step 1 of the search (§4.3): the distance from the query to every
 /// chunk's centroid, the chunks in ascending order of it, and the
@@ -142,45 +150,43 @@ static NO_TAIL: Tail = Tail {
 /// not monotone along the ranked order — the test must consider the best
 /// bound among **all** remaining chunks, not just the next one.
 ///
-/// A ranking is either **flat** ([`rank`](Self::rank): every distance up
-/// front, the first `HEAD` = 32 ranks in order, the rest on first demand)
-/// or **two-level** (`rank_two_level`: coarse cells ranked up front, member
-/// chunks expanded lazily wave by wave as the scan consumes them). Both
-/// forms hand out the same ranks as a full sort would: the lazy parts only
-/// decide *when* the order is computed. The suffix minimum over the
-/// ordered ranks is floored by the best bound among what is not ordered
-/// yet — a flat ranking's unordered rest, a two-level ranking's pending
-/// cells — so `remaining_bound` stays a true lower bound on every unscanned
-/// descriptor and the to-completion stop rule stays exact.
+/// A ranking is a sequence of **waves**, and a wave is scored and ordered
+/// by the first read that lands in it (`chunk_at`, `remaining_bound` inside
+/// it, `order`), never before. A **flat** ranking ([`rank`](Self::rank))
+/// scores every chunk up front and has two waves: the first `HEAD` = 32
+/// ranks, which `rank` orders too, and the rest. A **two-level** ranking
+/// (`rank_two_level`) ranks coarse cells up front and has one wave per
+/// non-empty cell, nearest cell first. Either way every rank below
+/// [`len`](Self::len) is addressable and the ranks are those of a full sort
+/// wave by wave: laziness only decides *when* a wave is ordered. An
+/// unordered wave answers bounds from its floor, so `remaining_bound`
+/// stays a true lower bound on every unscanned descriptor and the
+/// to-completion stop rule stays exact.
 #[derive(Clone, Debug)]
 pub struct ChunkRanking {
-    /// `(centroid distance, chunk id)` of the ordered ranks: a flat
-    /// ranking's first `HEAD` (ties by id), or one sorted wave per expanded
-    /// cell of a two-level ranking.
-    ranked: Vec<(f32, u32)>,
-    /// `suffix_min_bound[i]` = best lower bound among ranks `i..` —
-    /// ordered, unordered `rest` **and** every pending cell; the final
-    /// entry is the floor over `rest` and the pending cells (`+∞` when
-    /// both are empty).
-    suffix_min_bound: Vec<f32>,
-    /// A flat ranking's ranks past `ranked`, in no order. Empty for a flat
-    /// ranking of at most `HEAD` chunks and for every two-level ranking.
-    rest: Vec<(f32, u32)>,
-    /// `rest` in scan order: built by the first read past the head
-    /// (`chunk_at`, `remaining_bound`, `order`), never before.
-    tail: OnceLock<Tail>,
-    /// The ranked store, held by handle (an `Arc` clone): wave expansion,
-    /// the suffix rebuild and the degradation report read each chunk's
+    /// The wave ordered up front: ranks `0..head.ranked.len()`, a flat
+    /// ranking's first `HEAD` (empty for a two-level ranking). It is held
+    /// here rather than in `waves` because most reads land in it — the
+    /// serving engine names the ranks up to 8 past every open session's
+    /// cursor on each want pass, and checks each session's stop rule —
+    /// and a read here is one bounds check. Its suffix is floored by the
+    /// later waves' floors, which never change: a ranking with a head
+    /// scores its other waves up front.
+    head: Ordered,
+    /// The waves after the head in scan order; wave `w` covers ranks from
+    /// its `start` to the next wave's.
+    waves: Vec<Wave>,
+    /// The query, for scoring a coarse cell's members.
+    query: Vector,
+    /// The ranked store, held by handle (an `Arc` clone): scoring, the
+    /// suffix bounds and the degradation report read each chunk's
     /// centroid, radius and count from its metas, never from a copy.
     store: ChunkStore,
-    /// Coarse cells not yet expanded, sorted by `(dist, cell)` descending
-    /// so `pop()` yields the nearest. Empty for flat rankings.
-    pending: Vec<PendingCell>,
-    /// Centroid distance evaluations spent so far (flat: one per chunk;
-    /// two-level: one per cell plus one per expanded member chunk).
+    /// Centroid distance evaluations spent up front: one per chunk (flat)
+    /// or one per coarse cell (two-level).
     evals: u64,
-    /// Total chunks this ranking covers (expanded + pending members).
-    total: usize,
+    /// Total chunks this ranking covers.
+    len: usize,
     /// Modelled cost of reading and ranking the chunk index.
     index_read_time: VirtualDuration,
 }
@@ -203,190 +209,138 @@ impl ChunkRanking {
         } else {
             Vec::new()
         };
-        ranked.sort_unstable_by(by_rank);
-        let mut ranking = ChunkRanking {
-            ranked,
-            suffix_min_bound: Vec::new(),
-            rest,
-            tail: OnceLock::new(),
-            store: store.clone(),
-            pending: Vec::new(),
-            evals: metas.len() as u64,
-            total: metas.len(),
-            index_read_time: model.index_read_time(metas.len(), store.index_bytes()),
+        let floor = rest.iter().fold(f32::INFINITY, |m, &(dist, id)| {
+            m.min(lower_bound(metas, dist, id))
+        });
+        let waves = if rest.is_empty() {
+            Vec::new()
+        } else {
+            vec![Wave {
+                start: HEAD,
+                floor,
+                members: Members::Scored(rest),
+                ordered: OnceLock::new(),
+            }]
         };
-        ranking.rebuild_suffix();
-        ranking
+        ChunkRanking {
+            head: Ordered::new(ranked, metas, floor),
+            waves,
+            query: *query,
+            store: store.clone(),
+            evals: metas.len() as u64,
+            len: metas.len(),
+            index_read_time: model.index_read_time(metas.len(), store.index_bytes()),
+        }
     }
 
     /// Ranks `store`'s chunks **two-level**: the coarse cells of `coarse`
     /// are ranked by center distance now, and each cell's member chunks
-    /// are expanded into the scan order lazily
-    /// ([`expand_wave`](Self::expand_wave)) only when the scan reaches
-    /// them. Costs `n_cells` centroid evaluations up front instead of
+    /// are scored and ordered only when a read first lands in its wave.
+    /// Costs `n_cells` centroid evaluations up front instead of
     /// `n_chunks`; [`centroid_evals`](Self::centroid_evals) tracks the
-    /// running total as cells expand.
+    /// running total as waves are scored.
     pub(crate) fn rank_two_level(
         store: &ChunkStore,
         model: &DiskModel,
         query: &Vector,
         coarse: &CoarseQuantizer,
     ) -> ChunkRanking {
-        let mut ranking = ChunkRanking {
-            ranked: Vec::new(),
-            suffix_min_bound: Vec::new(),
-            rest: Vec::new(),
-            tail: OnceLock::new(),
+        let mut cells: Vec<(f32, usize, f32, &[u32])> = coarse
+            .cells()
+            .filter(|(_, _, _, members)| !members.is_empty())
+            .map(|(cell, center, radius, members)| {
+                let dist = center.dist(query);
+                (dist, cell, (dist - radius).max(0.0), members)
+            })
+            .collect();
+        cells.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut len = 0;
+        let waves = cells
+            .into_iter()
+            .map(|(_, _, bound, members)| {
+                let start = len;
+                len += members.len();
+                Wave {
+                    start,
+                    members: Members::Cell(members.to_vec()),
+                    floor: bound,
+                    ordered: OnceLock::new(),
+                }
+            })
+            .collect();
+        ChunkRanking {
+            head: Ordered::new(Vec::new(), store.metas(), f32::INFINITY),
+            waves,
+            query: *query,
             store: store.clone(),
-            pending: Vec::new(),
             evals: coarse.n_cells() as u64,
-            total: 0,
+            len,
             index_read_time: model.index_read_time(store.n_chunks(), store.index_bytes()),
-        };
-        ranking.pending.extend(
-            coarse
-                .cells()
-                .filter(|(_, _, _, members)| !members.is_empty())
-                .map(|(cell, center, radius, members)| {
-                    let dist = center.dist(query);
-                    PendingCell {
-                        dist,
-                        bound: (dist - radius).max(0.0),
-                        cell: cell as u32,
-                        members: members.to_vec(),
-                    }
-                }),
-        );
-        // Descending, so `pop()` hands back the nearest cell first.
-        ranking
-            .pending
-            .sort_by(|a, b| b.dist.total_cmp(&a.dist).then(b.cell.cmp(&a.cell)));
-        ranking.total = ranking
-            .pending
-            .iter()
-            .map(|c| c.members.len())
-            .sum::<usize>();
-        ranking.rebuild_suffix();
-        ranking
-    }
-
-    /// Best bound among the still-pending cells (`+∞` when none is).
-    fn pending_floor(&self) -> f32 {
-        self.pending
-            .iter()
-            .fold(f32::INFINITY, |m, c| m.min(c.bound))
-    }
-
-    /// Recomputes the suffix-minimum of the chunk lower bounds along the
-    /// ordered ranks, floored by the best bound in `rest` and among the
-    /// pending cells. Every slot is a true lower bound on all descriptors
-    /// not yet consumed at that position — ranks ahead, ordered or not,
-    /// *and* every pending cell.
-    fn rebuild_suffix(&mut self) {
-        let metas = self.store.metas();
-        let floor = self
-            .rest
-            .iter()
-            .fold(self.pending_floor(), |m, &(dist, id)| {
-                m.min(lower_bound(metas, dist, id))
-            });
-        fill_suffix_min(&mut self.suffix_min_bound, &self.ranked, metas, floor);
-    }
-
-    /// The ranks past `ranked` in scan order: sorts `rest` and builds its
-    /// suffix bounds on the first call, and returns that same tail after.
-    fn tail(&self) -> &Tail {
-        if self.rest.is_empty() {
-            return &NO_TAIL;
         }
-        self.tail.get_or_init(|| {
-            let mut ranked = self.rest.clone();
-            ranked.sort_unstable_by(by_rank);
-            let mut suffix_min_bound = Vec::new();
+    }
+
+    /// The index of the wave holding `rank`, a rank past the head.
+    fn wave_of(&self, rank: usize) -> usize {
+        self.waves
+            .partition_point(|w| w.start <= rank)
+            .saturating_sub(1)
+    }
+
+    /// `wave` in scan order: scored (a coarse cell's members) and sorted by
+    /// the first call, and that same order after.
+    fn ordered<'a>(&self, wave: &'a Wave) -> &'a Ordered {
+        wave.ordered.get_or_init(|| {
             let metas = self.store.metas();
-            fill_suffix_min(&mut suffix_min_bound, &ranked, metas, self.pending_floor());
-            // The seam: the head's final slot is the floor over `rest`, so
-            // it must be exactly the tail's first — the whole order's
-            // suffix minimum then never decreases across head and tail.
-            debug_assert!(
-                self.suffix_min_bound.last() == suffix_min_bound.first(),
-                "the head's floor must equal the tail's first suffix bound"
-            );
-            Tail {
-                ranked,
-                suffix_min_bound,
-            }
+            let ranked = match &wave.members {
+                Members::Scored(ranked) => ranked.clone(),
+                Members::Cell(ids) => ids
+                    .iter()
+                    .map(|&id| {
+                        let dist = metas
+                            .get(id as usize)
+                            .map_or(f32::INFINITY, |m| m.centroid.dist(&self.query));
+                        (dist, id)
+                    })
+                    .collect(),
+            };
+            Ordered::new(ranked, metas, f32::INFINITY)
         })
     }
 
-    /// Every expanded rank's `(centroid distance, chunk id)` in scan
-    /// order, head then tail (ordering the tail if it is not yet).
+    /// Every rank's `(centroid distance, chunk id)` in scan order (ordering
+    /// each wave that is not yet).
     fn entries(&self) -> impl Iterator<Item = &(f32, u32)> {
-        self.ranked.iter().chain(&self.tail().ranked)
+        (self.head.ranked.iter()).chain(self.waves.iter().flat_map(|w| &self.ordered(w).ranked))
     }
 
-    /// Total chunks this ranking covers — expanded chunks plus the member
-    /// chunks of every still-pending cell. A session is exhausted only
-    /// when its cursor reaches this.
+    /// Total chunks this ranking covers. A session is exhausted only when
+    /// its cursor reaches this.
     pub fn len(&self) -> usize {
-        self.total
+        self.len
     }
 
     /// Whether the store has no chunks.
     pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    /// Chunks already expanded into the scan order (equal to
-    /// [`len`](Self::len) for flat rankings, ordered or not yet).
-    pub fn expanded_len(&self) -> usize {
-        self.ranked.len() + self.rest.len()
+        self.len == 0
     }
 
     /// Centroid distance evaluations spent so far: `n_chunks` for a flat
-    /// ranking; `n_cells` plus one per expanded member chunk for a
+    /// ranking; `n_cells` plus the members of every scored wave for a
     /// two-level ranking — the quantity two-level ranking exists to
     /// shrink.
     pub fn centroid_evals(&self) -> u64 {
-        self.evals
+        self.waves.iter().fold(self.evals, |n, w| match &w.members {
+            Members::Cell(ids) if w.ordered.get().is_some() => n + ids.len() as u64,
+            _ => n,
+        })
     }
 
-    /// Expands the nearest pending cell: ranks its member chunks by
-    /// centroid distance, appends them to the scan order, and rebuilds the
-    /// suffix bounds. Returns `false` when nothing is pending.
-    ///
-    /// Exactness survives expansion: every new chunk's bound dominates its
-    /// cell's bound, and the remaining pending floor can only rise, so
-    /// [`remaining_bound`](Self::remaining_bound) never decreases at any
-    /// consumed position — a fired to-completion proof stays fired.
-    pub(crate) fn expand_wave(&mut self, query: &Vector) -> bool {
-        let Some(cell) = self.pending.pop() else {
-            return false;
-        };
-        let start = self.ranked.len();
-        let metas = self.store.metas();
-        self.ranked.extend(cell.members.iter().map(|&chunk| {
-            let dist = metas
-                .get(chunk as usize)
-                .map_or(f32::INFINITY, |m| m.centroid.dist(query));
-            (dist, chunk)
-        }));
-        self.evals += cell.members.len() as u64;
-        if let Some(wave) = self.ranked.get_mut(start..) {
-            wave.sort_unstable_by(by_rank);
-        }
-        self.rebuild_suffix();
-        true
-    }
-
-    /// Chunk ids in ranked (scan) order — the expanded chunks only; a
-    /// two-level ranking grows this wave by wave.
+    /// Chunk ids in ranked (scan) order (ordering every wave).
     pub fn order(&self) -> Vec<usize> {
         self.order_from(0)
     }
 
-    /// The tail of the scan order from rank `from` on (the expanded
-    /// chunks only).
+    /// The tail of the scan order from rank `from` on.
     pub fn order_from(&self, from: usize) -> Vec<usize> {
         self.entries()
             .skip(from)
@@ -394,21 +348,23 @@ impl ChunkRanking {
             .collect()
     }
 
-    /// The chunk id at `rank`. A rank past the head orders the tail first,
-    /// once per ranking.
+    /// The chunk id at `rank`, ordering its wave first if it is not yet.
     ///
     /// # Panics
     ///
-    /// Panics if `rank >= self.expanded_len()`; ranks come from iterating
-    /// the ranking itself, so an out-of-range rank is a caller bug.
+    /// Panics if `rank >= self.len()`; ranks come from iterating the
+    /// ranking itself, so an out-of-range rank is a caller bug.
     #[expect(
         clippy::indexing_slicing,
-        reason = "rank < expanded_len is a documented precondition"
+        reason = "rank < len is a documented precondition"
     )]
     pub fn chunk_at(&self, rank: usize) -> usize {
-        let id = match rank.checked_sub(self.ranked.len()) {
-            None => self.ranked[rank].1,
-            Some(past) => self.tail().ranked[past].1,
+        let id = match self.head.ranked.get(rank) {
+            Some(&(_, id)) => id,
+            None => {
+                let wave = &self.waves[self.wave_of(rank)];
+                self.ordered(wave).ranked[rank - wave.start].1
+            }
         };
         id as usize
     }
@@ -419,14 +375,31 @@ impl ChunkRanking {
     }
 
     /// Best lower bound on any descriptor in the chunks still unread after
-    /// `processed` chunks (`+∞` once every chunk has been read). A
-    /// position past the head orders the tail first, once per ranking.
+    /// `processed` chunks (`+∞` once every chunk has been read): the
+    /// suffix of the wave holding rank `processed`, floored by every later
+    /// wave's floor (the head's suffix is floored already). At a wave's
+    /// first rank the wave's own floor stands in for its suffix, so the
+    /// wave is not ordered; inside it, it is.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "processed < len, so past the head it lies in wave wave_of(processed)"
+    )]
     pub(crate) fn remaining_bound(&self, processed: usize) -> f32 {
-        let slot = match processed.checked_sub(self.ranked.len()) {
-            Some(past) if past > 0 => self.tail().suffix_min_bound.get(past),
-            _ => self.suffix_min_bound.get(processed),
+        if processed >= self.len {
+            return f32::INFINITY;
+        }
+        if let Some(&bound) = self.head.suffix.get(processed) {
+            return bound;
+        }
+        let w = self.wave_of(processed);
+        let wave = &self.waves[w];
+        let here = match processed - wave.start {
+            0 => wave.floor(),
+            offset => self.ordered(wave).suffix[offset],
         };
-        slot.copied().unwrap_or(f32::INFINITY)
+        self.waves[w + 1..]
+            .iter()
+            .fold(here, |m, later| m.min(later.floor()))
     }
 
     /// Modelled cost of reading and ranking the chunk index.
@@ -447,34 +420,24 @@ impl ChunkRanking {
     /// never asked to prove completion — the gather merge is).
     #[cfg(test)]
     pub(crate) fn split_by_owner(&self, owner_of: &[u32], n_shards: usize) -> Vec<ChunkRanking> {
-        debug_assert!(
-            self.pending.is_empty(),
-            "split_by_owner requires a flat (fully expanded) ranking"
-        );
-        let mut legs: Vec<ChunkRanking> = (0..n_shards)
-            .map(|_| ChunkRanking {
-                ranked: Vec::new(),
-                suffix_min_bound: Vec::new(),
-                rest: Vec::new(),
-                tail: OnceLock::new(),
-                store: self.store.clone(),
-                pending: Vec::new(),
-                evals: 0,
-                total: 0,
-                index_read_time: VirtualDuration::ZERO,
-            })
-            .collect();
+        let mut legs: Vec<Vec<(f32, u32)>> = vec![Vec::new(); n_shards];
         for &(dist, chunk) in self.entries() {
             let owner = owner_of.get(chunk as usize).copied().unwrap_or(u32::MAX);
             if let Some(leg) = legs.get_mut(owner as usize) {
-                leg.ranked.push((dist, chunk));
+                leg.push((dist, chunk));
             }
         }
-        for leg in &mut legs {
-            leg.total = leg.ranked.len();
-            leg.rebuild_suffix();
-        }
-        legs
+        legs.into_iter()
+            .map(|ranked| ChunkRanking {
+                len: ranked.len(),
+                head: Ordered::new(ranked, self.store.metas(), f32::INFINITY),
+                waves: Vec::new(),
+                query: self.query,
+                store: self.store.clone(),
+                evals: 0,
+                index_read_time: VirtualDuration::ZERO,
+            })
+            .collect()
     }
 }
 
@@ -627,20 +590,13 @@ impl SessionCore {
         Ok(())
     }
 
-    /// The chunk at the cursor rank. There is none past the last rank, and
-    /// none *yet* past a two-level ranking's expanded waves: only
-    /// [`SearchSession::step`] expands the next wave.
+    /// The chunk at the cursor rank; there is none past the last rank.
     fn chunk_at_cursor(&self) -> Result<usize> {
         let cursor = self.cursor();
         if cursor >= self.ranking.len() {
             return Err(eff2_storage::Error::Inconsistent(
                 "every ranked chunk is already consumed".to_string(),
             ));
-        }
-        if cursor >= self.ranking.expanded_len() {
-            return Err(eff2_storage::Error::Inconsistent(format!(
-                "rank {cursor} is in a coarse cell not yet expanded: only step() expands waves"
-            )));
         }
         Ok(self.ranking.chunk_at(cursor))
     }
@@ -1057,18 +1013,8 @@ impl SearchSession {
     /// the session should check [`stop_satisfied`](Self::stop_satisfied)
     /// first; `next_wanted` only says *which* chunk a continued scan
     /// consumes.
-    ///
-    /// For a two-level ranking whose expanded waves are all consumed this
-    /// returns `None` until the driver expands the next wave itself
-    /// (`session.ranking` is read-only here); detached drivers use flat
-    /// rankings, where this never arises.
     pub fn next_wanted(&self) -> Option<usize> {
-        let cursor = self.core.cursor();
-        if self.is_exhausted() || cursor >= self.core.ranking.expanded_len() {
-            None
-        } else {
-            Some(self.core.ranking.chunk_at(cursor))
-        }
+        (!self.is_exhausted()).then(|| self.core.ranking.chunk_at(self.core.cursor()))
     }
 
     /// Consumes the next ranked chunk *without scanning it*: the chunk is
@@ -1105,15 +1051,6 @@ impl SearchSession {
     pub fn step(&mut self) -> Result<Option<&ChunkEvent>> {
         loop {
             if self.is_exhausted() {
-                self.exhausted = true;
-                return Ok(None);
-            }
-            // Two-level ranking: once the scan has consumed every expanded
-            // chunk, expand the next-nearest cell. Flat rankings never take
-            // this branch (expanded == total, and is_exhausted fired above).
-            if self.core.cursor() >= self.core.ranking.expanded_len()
-                && !self.core.ranking.expand_wave(&self.query)
-            {
                 self.exhausted = true;
                 return Ok(None);
             }
@@ -1520,56 +1457,6 @@ mod tests {
         assert_eq!(at_stop.log.chunks_read, 2);
     }
 
-    /// A detached driver cannot expand waves: feeding or skipping a
-    /// two-level session at a rank past its expanded waves is refused with
-    /// a typed error instead of indexing past the expanded order.
-    #[test]
-    fn two_level_session_refuses_feeds_and_skips_past_its_expanded_waves() {
-        use eff2_descriptor::{Codec, Sq8Codec};
-        let set = lumpy_set(800);
-        let formation = SrTreeChunker { leaf_size: 25 }.form(&set);
-        let codec = Codec::Sq8(Sq8Codec::from_set(&set));
-        let store = ChunkStore::create_quantized(
-            &tmp_dir("twolevel"),
-            "ix",
-            &set,
-            &formation.chunks,
-            512,
-            &codec,
-        )
-        .expect("create");
-        let coarse = CoarseQuantizer::for_store(&store);
-        let model = DiskModel::ata_2005();
-        let q = set.vector_owned(5);
-        let params = SearchParams::exact(5);
-        let mut session =
-            SearchSession::open_quantized(&store, &model, &q, &params, 2, Some(&coarse))
-                .expect("open");
-        session.step().expect("step").expect("event");
-        while session.cursor() < session.ranking().expanded_len() {
-            session.step().expect("step").expect("event");
-        }
-        assert!(
-            session.cursor() < session.ranking().len(),
-            "cells are still pending"
-        );
-        assert!(matches!(
-            session.skip_unavailable(VirtualDuration::ZERO),
-            Err(eff2_storage::Error::Inconsistent(_))
-        ));
-        let chunk = SourcedChunk {
-            id: 0,
-            payload: Arc::new(ChunkPayload::default()),
-            bytes_read: 0,
-            injected_delay: VirtualDuration::ZERO,
-            from_disk: true,
-        };
-        assert!(matches!(
-            session.step_with(&chunk),
-            Err(eff2_storage::Error::Inconsistent(_))
-        ));
-    }
-
     #[test]
     fn fed_session_is_bit_identical_to_pulling_session() {
         let set = lumpy_set(400);
@@ -1853,6 +1740,67 @@ mod tests {
         );
     }
 
+    /// A detached two-level session, fed chunk by chunk and skipped past
+    /// lost chunks on both sides of a wave boundary, reports exactly what
+    /// a session pulling from its own source does — centroid evaluations
+    /// included.
+    #[test]
+    fn a_fed_two_level_session_is_bit_identical_to_a_pulled_one() {
+        let set = lumpy_set(1_200);
+        let store = build_store("fedtwolevel", &set, 20);
+        let coarse = CoarseQuantizer::for_store(&store);
+        let model = DiskModel::ata_2005();
+        let files = FileSource::new(&store);
+        let spent = VirtualDuration::from_ms(7.0);
+        for qpos in [7usize, 400, 911] {
+            let q = set.vector_owned(qpos);
+            let ranking = ChunkRanking::rank_two_level(&store, &model, &q, &coarse);
+            // Probe a clone, so both sessions start with no wave ordered.
+            let probe = ranking.clone();
+            assert!(probe.waves.len() > 3, "the walk must cross waves");
+            let (second, third) = (probe.waves[1].start, probe.waves[2].start);
+            let lost: Vec<usize> = [second - 1, second, third]
+                .iter()
+                .map(|&r| probe.chunk_at(r))
+                .collect();
+            for stop in [StopRule::Chunks(third + 4), StopRule::ToCompletion] {
+                let params = SearchParams {
+                    k: 20,
+                    stop,
+                    prefetch_depth: 1,
+                    log_snapshots: true,
+                };
+                let source = Arc::new(LosingSource {
+                    inner: Arc::new(FileSource::new(&store)),
+                    lost: lost.clone(),
+                    spent,
+                });
+                let mut pulled =
+                    SearchSession::from_ranking(ranking.clone(), &model, &q, &params, source);
+                pulled.set_skip_policy(SkipPolicy::SkipUnavailable);
+                let want = pulled.run().expect("pulled");
+
+                let mut fed =
+                    SearchSession::detached_from_ranking(ranking.clone(), &model, &q, &params);
+                let mut read = ReadState::default();
+                while !fed.stop_satisfied() {
+                    let Some(id) = fed.next_wanted() else { break };
+                    if lost.contains(&id) {
+                        assert_eq!(fed.skip_unavailable(spent).expect("skip"), id);
+                    } else {
+                        let chunk = files.fetch(id, &mut read).expect("read");
+                        fed.step_with(&chunk).expect("feed").expect("event");
+                    }
+                }
+                let got = fed.into_result();
+                assert_eq!(got.first_difference(&want), None, "q{qpos} {stop:?}");
+                if let StopRule::Chunks(_) = stop {
+                    assert_eq!(got.log.degradation.lost_chunks, lost, "q{qpos}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn missing_chunk_file_errors_cleanly_at_first_step() {
         let set = lumpy_set(120);
@@ -1925,6 +1873,66 @@ mod tests {
         ChunkStore::create(&tmp_dir(tag), "ix", &set, &chunks, 512).expect("create")
     }
 
+    /// The two-level ranking as it was before waves were ordered on first
+    /// read, kept as the reference: coarse cells popped nearest first, each
+    /// popped cell's members scored, stably sorted and appended, and the
+    /// bound at a position the minimum over the expanded ranks from there
+    /// and the bounds of the cells still pending.
+    struct EagerTwoLevel {
+        ranked: Vec<(f32, u32)>,
+        /// `(dist, cell, bound, members)`, descending, so `pop()` yields the
+        /// nearest cell.
+        pending: Vec<(f32, usize, f32, Vec<u32>)>,
+        evals: u64,
+    }
+
+    impl EagerTwoLevel {
+        fn new(coarse: &CoarseQuantizer, q: &Vector) -> EagerTwoLevel {
+            let mut pending: Vec<_> = coarse
+                .cells()
+                .filter(|(_, _, _, members)| !members.is_empty())
+                .map(|(cell, center, radius, members)| {
+                    let dist = center.dist(q);
+                    (dist, cell, (dist - radius).max(0.0), members.to_vec())
+                })
+                .collect();
+            pending.sort_by(|a, b| b.0.total_cmp(&a.0).then(b.1.cmp(&a.1)));
+            EagerTwoLevel {
+                ranked: Vec::new(),
+                pending,
+                evals: coarse.n_cells() as u64,
+            }
+        }
+
+        /// Expands the nearest pending cell; returns its bound.
+        fn expand_nearest_cell(&mut self, metas: &[ChunkMeta], q: &Vector) -> Option<f32> {
+            let (_, _, bound, members) = self.pending.pop()?;
+            let start = self.ranked.len();
+            self.ranked.extend(
+                members
+                    .iter()
+                    .map(|&c| (metas[c as usize].centroid.dist(q), c)),
+            );
+            self.evals += members.len() as u64;
+            self.ranked[start..].sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            Some(bound)
+        }
+
+        fn bound_of(metas: &[ChunkMeta], &(dist, id): &(f32, u32)) -> f32 {
+            (dist - metas[id as usize].radius).max(0.0)
+        }
+
+        fn remaining_bound(&self, metas: &[ChunkMeta], p: usize) -> f32 {
+            let floor = self
+                .pending
+                .iter()
+                .fold(f32::INFINITY, |m, cell| m.min(cell.2));
+            self.ranked[p..]
+                .iter()
+                .fold(floor, |m, e| m.min(Self::bound_of(metas, e)))
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -1954,7 +1962,10 @@ mod tests {
             for p in 0..=head {
                 let _ = ranking.remaining_bound(p);
             }
-            prop_assert!(ranking.tail.get().is_none(), "a head read ordered the tail");
+            prop_assert!(
+                ranking.waves.iter().all(|w| w.ordered.get().is_none()),
+                "a head read ordered the rest"
+            );
 
             let (ids, bounds) = full_sort_reference(&store, &q);
             let want: Observed = (
@@ -1964,7 +1975,7 @@ mod tests {
                 ids.get(HEAD - 1..).unwrap_or(&[]).to_vec(),
             );
             prop_assert_eq!(&observe(&ranking), &want);
-            prop_assert_eq!(ranking.expanded_len(), n);
+            prop_assert_eq!(ranking.len(), n);
             prop_assert_eq!(ranking.centroid_evals(), n as u64);
             prop_assert_eq!(
                 ranking.index_read_time().as_secs().to_bits(),
@@ -1976,6 +1987,98 @@ mod tests {
             let after = ranking.clone();
             prop_assert_eq!(&observe(&before), &want);
             prop_assert_eq!(&observe(&after), &want);
+        }
+
+        #[test]
+        fn a_two_level_ranking_orders_each_wave_on_first_read(
+            size_sel in 0usize..5,
+            extra in 0usize..40,
+            dup in 0usize..3,
+            cells in proptest::collection::vec((0u32..6, 0u32..6, 0u32..40), 3 * HEAD + 40),
+            (qa, qb) in (0u32..24, 0u32..24),
+            reads in proptest::collection::vec((0usize..1_000, 0usize..2), 0..60),
+        ) {
+            let n = [1, HEAD - 1, HEAD, HEAD + 1, 3 * HEAD + extra][size_sel];
+            let store = grid_store("twolevel", &cells, n, [0, 1, 7][dup]);
+            let metas = store.metas();
+            let coarse = CoarseQuantizer::for_store(&store);
+            let n_cells = coarse.n_cells() as u64;
+            let model = DiskModel::ata_2005();
+            let mut q = Vector::splat(qa as f32 * 0.25);
+            q[1] = qb as f32 * 0.25;
+            let rank = || ChunkRanking::rank_two_level(&store, &model, &q, &coarse);
+
+            // A pulled session's walk: at each cursor rank it reads the
+            // bound, then the chunk. The reference expands a wave when the
+            // cursor reaches it; the ranking orders it on that first read.
+            let mut eager = EagerTwoLevel::new(&coarse, &q);
+            let walked = rank();
+            let (mut starts, mut cell_bounds) = (Vec::new(), Vec::new());
+            for p in 0..n {
+                prop_assert_eq!(
+                    walked.remaining_bound(p).to_bits(),
+                    eager.remaining_bound(metas, p).to_bits()
+                );
+                prop_assert_eq!(walked.centroid_evals(), eager.evals, "a bound read orders nothing");
+                if p == eager.ranked.len() {
+                    starts.push(p);
+                    cell_bounds.push(eager.expand_nearest_cell(metas, &q).expect("a pending cell"));
+                }
+                prop_assert_eq!(walked.chunk_at(p), eager.ranked[p].1 as usize);
+                prop_assert_eq!(walked.centroid_evals(), eager.evals);
+                prop_assert_eq!(
+                    walked.remaining_bound(p).to_bits(),
+                    eager.remaining_bound(metas, p).to_bits()
+                );
+            }
+            prop_assert!(eager.expand_nearest_cell(metas, &q).is_none());
+            prop_assert_eq!(walked.remaining_bound(n), f32::INFINITY);
+            prop_assert_eq!(walked.waves.len(), starts.len());
+
+            // Reads in any order, past any cursor: each one scores and
+            // orders exactly the wave it lands in, except a bound read at a
+            // wave's first rank, which answers from the floors.
+            starts.push(n);
+            let bounds: Vec<f32> = eager.ranked.iter().map(|e| EagerTwoLevel::bound_of(metas, e)).collect();
+            let best = |from: usize, to: usize| bounds[from..to].iter().fold(f32::INFINITY, |m, &b| m.min(b));
+            let ids: Vec<usize> = eager.ranked.iter().map(|&(_, id)| id as usize).collect();
+            let lazy = rank();
+            let before = lazy.clone();
+            let mut mid = None;
+            let mut scored = vec![false; cell_bounds.len()];
+            for (i, &(r, kind)) in reads.iter().enumerate() {
+                if i == reads.len() / 2 {
+                    mid = Some(lazy.clone());
+                }
+                let r = r % n;
+                let w = starts.partition_point(|&s| s <= r) - 1;
+                if kind == 0 {
+                    prop_assert_eq!(lazy.chunk_at(r), ids[r]);
+                    scored[w] = true;
+                } else {
+                    scored[w] |= r != starts[w];
+                    let here = if scored[w] { best(r, starts[w + 1]) } else { cell_bounds[w] };
+                    let want = (w + 1..cell_bounds.len()).fold(here, |m, v| {
+                        m.min(if scored[v] { best(starts[v], starts[v + 1]) } else { cell_bounds[v] })
+                    });
+                    prop_assert_eq!(lazy.remaining_bound(r).to_bits(), want.to_bits());
+                }
+                let read: usize = (0..scored.len()).filter(|&v| scored[v]).map(|v| starts[v + 1] - starts[v]).sum();
+                prop_assert_eq!(lazy.centroid_evals(), n_cells + read as u64);
+            }
+
+            // Fully read, every ranking — cloned before any wave was
+            // ordered, midway, or after — is the fully expanded reference.
+            let want: Observed = (
+                ids.clone(),
+                (0..=n).map(|p| eager.remaining_bound(metas, p).to_bits()).collect(),
+                ids.clone(),
+                ids.get(HEAD - 1..).unwrap_or(&[]).to_vec(),
+            );
+            for ranking in [&before, mid.as_ref().unwrap_or(&before), &lazy] {
+                prop_assert_eq!(&observe(ranking), &want);
+                prop_assert_eq!(ranking.centroid_evals(), n_cells + n as u64);
+            }
         }
     }
 }

@@ -110,7 +110,7 @@ pub struct IndexHandle {
 
 impl IndexHandle {
     /// Filesystem-safe name derived from the label.
-    pub fn file_name(&self) -> String {
+    pub(crate) fn file_name(&self) -> String {
         file_name_of(&self.meta.label)
     }
 }
@@ -456,7 +456,7 @@ impl Lab {
     }
 
     /// The SQ workload (cached).
-    pub fn sq(&self) -> EvalResult<Workload> {
+    pub(crate) fn sq(&self) -> EvalResult<Workload> {
         self.workload("sq", |n| {
             sq_workload(&self.set, n, 0.05, self.scale.seed ^ 0x50)
         })

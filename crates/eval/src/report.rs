@@ -5,10 +5,10 @@
 //!
 //! A **gate** is a verdict the run answers for: a sentence and the `bool`
 //! it was measured to be. It prints as `"<sentence>: yes."` or
-//! `"<sentence>: NO."`, and one `NO` fails the whole run — tests read
-//! [`Report::failed`] and `scripts/check.sh` the binary's exit status,
-//! never the prose. A verdict nothing answers for is an observation: a
-//! plain line spelt with the same `yes_no`.
+//! `"<sentence>: NO."`, and one `NO` fails the whole run — the runner
+//! and tests read `Report::failed` and `scripts/check.sh` the binary's
+//! exit status, never the prose. A verdict nothing answers for is an
+//! observation: a plain line spelt with the same `yes_no`.
 
 use eff2_metrics::Table;
 use std::path::Path;
@@ -38,7 +38,7 @@ pub struct Report {
 
 impl Report {
     /// Appends a printed table whose series is saved as `csv`.
-    pub fn table(&mut self, csv: &str, table: Table) -> &mut Self {
+    pub(crate) fn table(&mut self, csv: &str, table: Table) -> &mut Self {
         self.text += &table.render();
         self.csv_only(csv, table)
     }
@@ -50,7 +50,7 @@ impl Report {
     }
 
     /// Appends a line of prose (empty: a blank line).
-    pub fn line(&mut self, text: &str) -> &mut Self {
+    pub(crate) fn line(&mut self, text: &str) -> &mut Self {
         self.text += text;
         self.text.push('\n');
         self
@@ -69,7 +69,7 @@ impl Report {
     }
 
     /// The sentences of the gates that did not hold.
-    pub fn failed(&self) -> Vec<&str> {
+    pub(crate) fn failed(&self) -> Vec<&str> {
         let failed = self.gates.iter().filter(|(_, ok)| !ok);
         failed.map(|(sentence, _)| sentence.as_str()).collect()
     }

@@ -433,44 +433,62 @@ const PUBLIC_BY_SIGNATURE: &[(&str, &str)] = &[
     ("Token", "returned by lint lexer::lex"),
 ];
 
-#[test]
-fn every_public_item_is_named_outside_its_crate() {
-    // `pub` is a claim that another crate needs the item. rustc cannot
-    // check the claim (and so cannot report the item dead), so this does:
-    // every item a library crate declares `pub` must occur as an
-    // identifier in some file outside that crate's `src/` — another crate,
-    // an integration test, an example or perfbench. Names the check cannot
-    // see through (`new`, `len`) pass by coincidence; what it does catch
-    // is handed to rustc, whose `dead_code` is denied workspace-wide.
-    const ITEM_KINDS: &[&str] = &["fn", "struct", "enum", "trait", "type", "const", "static"];
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let mut files = Vec::new();
-    for dir in [
-        "crates",
-        "examples",
-        "tests",
-        "perfbench/src",
-        "perfbench/tests",
-    ] {
-        rust_files(&root.join(dir), &mut files);
+/// A package of the walk: its directory relative to the root, its name
+/// and the names of its dependencies and dev-dependencies.
+struct Package {
+    dir: PathBuf,
+    name: String,
+    deps: Vec<String>,
+}
+
+impl Package {
+    /// Reads the package rooted at `dir` (relative to `root`) from its
+    /// manifest.
+    fn read(root: &Path, dir: &Path) -> Package {
+        let manifest =
+            std::fs::read_to_string(root.join(dir).join("Cargo.toml")).expect("read manifest");
+        let name = (table_entries(&manifest, "package").into_iter())
+            .find_map(|(k, v)| (k == "name").then(|| v.trim_matches('"').to_string()))
+            .expect("a [package] name");
+        Package {
+            dir: dir.to_path_buf(),
+            name,
+            deps: dependency_keys(&manifest),
+        }
     }
-    // Per file: the library `src/` it belongs to (if any) and the
-    // identifiers it names; per library: the items it declares `pub`
-    // outside test regions.
-    let mut named: Vec<(Option<PathBuf>, BTreeSet<String>)> = Vec::new();
+}
+
+/// The items the library crates (`crates/<name>/src/`, `main.rs` aside)
+/// declare `pub` outside test regions that no file able to name them
+/// names, as `(library src, item)`, sorted. `files` are `(path relative to
+/// the root, source)`. A file can name a library's items if its package
+/// lists the library's package as a dependency or dev-dependency, or if
+/// it is that package's own `tests/` or `src/main.rs` — a binary is a
+/// crate of its own that reaches the library only through what is `pub`.
+/// A same-named identifier anywhere else is a coincidence, not a use.
+fn unnamed_pub_items(packages: &[Package], files: &[(PathBuf, String)]) -> Vec<(PathBuf, String)> {
+    const ITEM_KINDS: &[&str] = &["fn", "struct", "enum", "trait", "type", "const", "static"];
+    let package_of = |rel: &Path| {
+        (packages.iter())
+            .filter(|p| rel.starts_with(&p.dir))
+            .max_by_key(|p| p.dir.components().count())
+    };
+    // Per file: its package, the library `src/` it belongs to (if any) and
+    // the identifiers it names; per library: the items it declares `pub`.
+    let mut named: Vec<(&Package, Option<PathBuf>, BTreeSet<String>)> = Vec::new();
     let mut declared: BTreeSet<(PathBuf, String)> = BTreeSet::new();
-    for file in &files {
-        let rel = file.strip_prefix(&root).expect("under the root");
+    for (rel, text) in files {
+        let Some(package) = package_of(rel) else {
+            continue;
+        };
         let parts: Vec<_> = rel.iter().collect();
         let src = match parts.as_slice() {
-            // `src/main.rs` is the binary: a crate of its own that reaches
-            // the library only through what is `pub`.
             [c, name, s, rest @ ..] if *c == "crates" && *s == "src" && *rest != ["main.rs"] => {
                 Some(Path::new(c).join(name).join(s))
             }
             _ => None,
         };
-        let tokens = lexer::lex(&std::fs::read_to_string(file).expect("read source"));
+        let tokens = lexer::lex(text);
         let regions = regions::classify(&tokens);
         let code = regions::code_indices(&tokens);
         for (at, &i) in code.iter().enumerate() {
@@ -493,15 +511,89 @@ fn every_public_item_is_named_outside_its_crate() {
             .filter(|t| t.kind == lexer::TokenKind::Ident)
             .map(|t| t.text.clone())
             .collect();
-        named.push((src, idents));
+        named.push((package, src, idents));
     }
-    assert!(declared.len() > 300, "the walk found the library crates");
-
-    let unnamed: Vec<&(PathBuf, String)> = (declared.iter())
+    (declared.into_iter())
         .filter(|(src, name)| {
-            !(named.iter()).any(|(of, idents)| of.as_ref() != Some(src) && idents.contains(name))
+            let owner = package_of(src).expect("a library belongs to a package");
+            !(named.iter()).any(|(package, of, idents)| {
+                let can_name = if package.dir == owner.dir {
+                    of.is_none()
+                } else {
+                    package.deps.contains(&owner.name)
+                };
+                can_name && idents.contains(name)
+            })
+        })
+        .collect()
+}
+
+#[test]
+fn every_public_item_is_named_outside_its_crate() {
+    // `pub` is a claim that another crate needs the item. rustc cannot
+    // check the claim (and so cannot report the item dead), so this does:
+    // every item a library crate declares `pub` must occur as an
+    // identifier in a file that can name it — a crate depending on it, its
+    // own integration tests or binary, an example or perfbench. Names the
+    // check cannot see through (`new`, `len`) pass by coincidence; what it
+    // does catch is handed to rustc, whose `dead_code` is denied
+    // workspace-wide.
+    let probe_package = |dir: &str, name: &str, deps: &[&str]| Package {
+        dir: PathBuf::from(dir),
+        name: name.to_string(),
+        deps: deps.iter().map(|d| d.to_string()).collect(),
+    };
+    let probe_file = |rel: &str, text: &str| (PathBuf::from(rel), text.to_string());
+    assert_eq!(
+        unnamed_pub_items(
+            &[
+                probe_package("crates/bag", "eff2-bag", &[]),
+                probe_package("crates/serve", "eff2-serve", &[]),
+                probe_package("crates/eval", "eff2-eval", &["eff2-bag"]),
+            ],
+            &[
+                probe_file(
+                    "crates/bag/src/lib.rs",
+                    "pub fn range() {}\npub fn knn() {}\npub fn own() {}\npub fn bin() {}"
+                ),
+                probe_file("crates/bag/tests/t.rs", "fn t() { own(); }"),
+                probe_file("crates/bag/src/main.rs", "fn main() { bin(); }"),
+                probe_file(
+                    "crates/serve/src/lib.rs",
+                    "fn f(m: &M) { m.range(..); m.knn(); }"
+                ),
+                probe_file("crates/eval/src/lib.rs", "fn g() { eff2_bag::knn(); }"),
+            ],
+        ),
+        [(PathBuf::from("crates/bag/src"), "range".to_string())],
+        "a same-named call in a crate that does not depend on the declaring one does not count"
+    );
+
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut dirs = member_dirs(&root);
+    dirs.push(root.join("perfbench"));
+    let packages: Vec<Package> = (dirs.iter())
+        .map(|dir| Package::read(&root, dir.strip_prefix(&root).expect("under the root")))
+        .collect();
+    let mut paths = Vec::new();
+    for dir in [
+        "crates",
+        "examples",
+        "tests",
+        "perfbench/src",
+        "perfbench/tests",
+    ] {
+        rust_files(&root.join(dir), &mut paths);
+    }
+    let files: Vec<(PathBuf, String)> = (paths.iter())
+        .map(|path| {
+            let rel = path.strip_prefix(&root).expect("under the root");
+            let text = std::fs::read_to_string(path).expect("read source");
+            (rel.to_path_buf(), text)
         })
         .collect();
+    assert!(files.len() > 100, "the walk found the sources");
+    let unnamed = unnamed_pub_items(&packages, &files);
     assert!(PUBLIC_BY_SIGNATURE.len() <= 30);
     let allowed = |name: &str| {
         PUBLIC_BY_SIGNATURE
@@ -514,7 +606,7 @@ fn every_public_item_is_named_outside_its_crate() {
         .collect();
     assert!(
         offenders.is_empty(),
-        "{} public item(s) are named by no file outside their crate's src/ — make them \
+        "{} public item(s) are named by no file that depends on their crate — make them \
          pub(crate) and delete what rustc then reports dead:\n{}",
         offenders.len(),
         offenders.join("\n")

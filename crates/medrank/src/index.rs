@@ -124,16 +124,6 @@ impl MedrankIndex {
         }
     }
 
-    /// Number of indexed descriptors.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// The build parameters.
     pub fn params(&self) -> &MedrankParams {
         &self.params
@@ -315,7 +305,7 @@ mod tests {
         let ix = MedrankIndex::build(&set, MedrankParams::default());
         assert!(ix.knn(&Vector::ZERO, 0).0.is_empty());
         let empty = MedrankIndex::build(&DescriptorSet::new(), MedrankParams::default());
-        assert!(empty.is_empty());
+        assert_eq!(empty.n, 0);
         assert!(empty.knn(&Vector::ZERO, 5).0.is_empty());
     }
 

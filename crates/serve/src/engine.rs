@@ -276,9 +276,7 @@ impl Devices {
         }
         let cursor = session.cursor();
         let ranking = session.ranking();
-        let end = ranking
-            .expanded_len()
-            .min(cursor.saturating_add(LOOKAHEAD + 1));
+        let end = ranking.len().min(cursor.saturating_add(LOOKAHEAD + 1));
         let delivered = delivered_mask(cursor, &member.ahead);
         self.window_wants(cursor, end, delivered, |rank| ranking.chunk_at(rank), want);
     }

@@ -32,7 +32,7 @@ pub(crate) fn u64_at(buf: &[u8], at: usize, what: &'static str) -> Result<u64> {
 }
 
 /// Little-endian `f32` at byte offset `at`.
-pub fn f32_at(buf: &[u8], at: usize, what: &'static str) -> Result<f32> {
+pub(crate) fn f32_at(buf: &[u8], at: usize, what: &'static str) -> Result<f32> {
     Ok(f32::from_le_bytes(array_at(buf, at, what)?))
 }
 

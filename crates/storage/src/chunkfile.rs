@@ -55,16 +55,16 @@ use std::io::{Read, Write};
 use std::os::unix::fs::FileExt;
 
 /// Magic bytes of a chunk file.
-pub const MAGIC: [u8; 4] = *b"EFCH";
+pub(crate) const MAGIC: [u8; 4] = *b"EFCH";
 /// Format version every writer produces.
-pub const VERSION: u32 = 4;
+pub(crate) const VERSION: u32 = 4;
 /// Legacy raw-only format, read but no longer written.
 pub(crate) const VERSION_V2: u32 = 2;
 /// Legacy quantized format, read but no longer written.
 pub(crate) const VERSION_V3: u32 = 3;
 /// Logical header size of a version 3 or 4 file (one full page is
 /// reserved so the blob, or chunk 0, starts page-aligned).
-pub const HEADER_BYTES: usize = 40;
+pub(crate) const HEADER_BYTES: usize = 40;
 /// Logical header size of a version-2 file: no codec fields.
 pub(crate) const HEADER_BYTES_V2: usize = 24;
 /// Bytes per descriptor record.

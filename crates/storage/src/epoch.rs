@@ -89,7 +89,7 @@ impl EpochManifest {
     /// Serializes the manifest: magic, version, generation, folded ops,
     /// op count, the ops (tag byte + id + vector for inserts), then an
     /// FNV-1a checksum over everything after the magic.
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(32 + self.ops.len() * (5 + DIM * 4));
         buf.extend_from_slice(&EPOCH_MAGIC);
         buf.extend_from_slice(&EPOCH_VERSION.to_le_bytes());
@@ -117,7 +117,7 @@ impl EpochManifest {
     }
 
     /// Parses a manifest produced by [`to_bytes`](Self::to_bytes).
-    pub fn from_bytes(data: &[u8]) -> Result<EpochManifest> {
+    pub(crate) fn from_bytes(data: &[u8]) -> Result<EpochManifest> {
         let what = "epoch manifest";
         if data.len() < 32 + 4 {
             return Err(Error::Truncated(what));

@@ -27,13 +27,13 @@ use eff2_descriptor::{Vector, DIM};
 use std::io::{BufReader, BufWriter, Read, Write};
 
 /// Magic bytes of an index file.
-pub const MAGIC: [u8; 4] = *b"EFIX";
+pub(crate) const MAGIC: [u8; 4] = *b"EFIX";
 /// Current format version.
-pub const VERSION: u32 = 1;
+pub(crate) const VERSION: u32 = 1;
 /// Bytes per index entry.
 pub(crate) const ENTRY_BYTES: usize = DIM * 4 + 4 + 8 + 4 + 4;
 /// Header size in bytes.
-pub const HEADER_BYTES: usize = 16;
+pub(crate) const HEADER_BYTES: usize = 16;
 
 /// The index-file entry for one chunk.
 #[derive(Clone, Copy, Debug, PartialEq)]
