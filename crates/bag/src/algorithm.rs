@@ -12,6 +12,18 @@ use eff2_descriptor::DescriptorSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Destruction threshold: clusters holding fewer than this fraction of the
+/// average population are destroyed. Per pass their members become
+/// singletons again; at termination they are declared outliers. The paper
+/// uses 20 % for both rules (§3).
+const DESTROY_FRACTION: f32 = 0.2;
+/// The stall skip (see `Bag::stall_skip`) is only attempted while at most
+/// this many clusters are alive. It scans all Θ(n²) pairs; early idle
+/// passes (huge n, tiny radii) resolve far cheaper through ordinary
+/// grid-pruned passes, whereas late stalls (n small, radii large) are where
+/// whole streaks of idle passes get jumped.
+const FAST_FORWARD_MAX_CLUSTERS: usize = 25_000;
+
 /// Parameters of a BAG run.
 #[derive(Clone, Copy, Debug)]
 pub struct BagConfig {
@@ -19,14 +31,6 @@ pub struct BagConfig {
     /// value, called MPI"). Governs both the merge rule threshold and the
     /// per-pass inflation of non-merging clusters.
     pub mpi: f32,
-    /// Per-pass destruction threshold: clusters holding fewer than this
-    /// fraction of the average population are destroyed and their members
-    /// become singletons again (the paper uses 20 %).
-    pub destroy_fraction: f32,
-    /// Final outlier threshold: at termination, clusters below this
-    /// fraction of the average population are destroyed and their members
-    /// are declared outliers (the paper applies the same 20 % rule).
-    pub outlier_fraction: f32,
     /// Safety bound on the number of passes.
     pub max_passes: usize,
     /// Candidate engine (see [`EngineKind`]).
@@ -38,24 +42,15 @@ pub struct BagConfig {
     /// pass-by-pass execution, which the `fast_forward_is_exact` test
     /// uses as the reference the skip must match.
     pub fast_forward: bool,
-    /// Only attempt the stall skip while at most this many clusters are
-    /// alive. The skip scans all Θ(n²) pairs; early idle passes (huge n,
-    /// tiny radii) resolve far cheaper through ordinary grid-pruned passes,
-    /// whereas late stalls (n small, radii large) are where whole streaks
-    /// of idle passes get jumped.
-    pub fast_forward_max_clusters: usize,
 }
 
 impl Default for BagConfig {
     fn default() -> Self {
         BagConfig {
             mpi: 1.0,
-            destroy_fraction: 0.2,
-            outlier_fraction: 0.2,
             max_passes: 200,
             engine: EngineKind::Pruned,
             fast_forward: true,
-            fast_forward_max_clusters: 25_000,
         }
     }
 }
@@ -148,6 +143,16 @@ impl BagSnapshot {
     }
 }
 
+/// `DESTROY_FRACTION` × the average population of `clusters` (0 when
+/// there are none).
+fn destruction_limit(clusters: &[Cluster]) -> f64 {
+    if clusters.is_empty() {
+        return 0.0;
+    }
+    let avg = clusters.iter().map(Cluster::len).sum::<usize>() as f64 / clusters.len() as f64;
+    avg * f64::from(DESTROY_FRACTION)
+}
+
 /// A BAG clustering run over a borrowed collection.
 #[derive(Debug)]
 pub struct Bag<'a> {
@@ -164,14 +169,6 @@ impl<'a> Bag<'a> {
     /// Initialises the run: one singleton cluster per descriptor.
     pub fn new(set: &'a DescriptorSet, cfg: BagConfig) -> Self {
         assert!(cfg.mpi > 0.0, "MPI must be positive");
-        assert!(
-            (0.0..1.0).contains(&cfg.destroy_fraction),
-            "destroy fraction must be in [0,1)"
-        );
-        assert!(
-            (0.0..1.0).contains(&cfg.outlier_fraction),
-            "outlier fraction must be in [0,1)"
-        );
         let clusters = (0..set.len() as u32)
             .map(|p| Cluster::singleton(p, set))
             .collect();
@@ -297,10 +294,10 @@ impl<'a> Bag<'a> {
             next.push(c);
         }
 
-        // End-of-pass destruction: clusters below destroy_fraction × the
+        // End-of-pass destruction: clusters below DESTROY_FRACTION × the
         // average population dissolve back into singletons.
         let pre_destruction = next.len();
-        let destroyed = self.destroy_small(&mut next, self.cfg.destroy_fraction, None);
+        let destroyed = self.destroy_small(&mut next, None);
 
         let stats = PassStats {
             merges,
@@ -313,21 +310,16 @@ impl<'a> Bag<'a> {
         stats
     }
 
-    /// Destroys clusters below `fraction × average population` from
-    /// `clusters`. With `outliers == None`, members are re-appended as
-    /// singletons (the per-pass rule); with `Some`, members are recorded as
-    /// outliers (the termination rule). Returns the number destroyed.
+    /// Destroys clusters below [`destruction_limit`] from `clusters`. With
+    /// `outliers == None`, members are re-appended as singletons (the
+    /// per-pass rule); with `Some`, members are recorded as outliers (the
+    /// termination rule). Returns the number destroyed.
     fn destroy_small(
         &self,
         clusters: &mut Vec<Cluster>,
-        fraction: f32,
         mut outliers: Option<&mut Vec<u32>>,
     ) -> usize {
-        if clusters.is_empty() {
-            return 0;
-        }
-        let avg = clusters.iter().map(Cluster::len).sum::<usize>() as f64 / clusters.len() as f64;
-        let limit = avg * f64::from(fraction);
+        let limit = destruction_limit(clusters);
         let mut destroyed = 0usize;
         let mut reborn: Vec<Cluster> = Vec::new();
         clusters.retain(|c| {
@@ -355,11 +347,7 @@ impl<'a> Bag<'a> {
     pub fn snapshot(&self, target: usize, converged: bool) -> BagSnapshot {
         let mut clusters = self.clusters.clone();
         let mut outliers = Vec::new();
-        self.destroy_small(
-            &mut clusters,
-            self.cfg.outlier_fraction,
-            Some(&mut outliers),
-        );
+        self.destroy_small(&mut clusters, Some(&mut outliers));
         outliers.sort_unstable();
         BagSnapshot {
             target,
@@ -394,7 +382,7 @@ impl<'a> Bag<'a> {
             }
             if self.cfg.fast_forward
                 && stats.merges == 0
-                && self.clusters.len() <= self.cfg.fast_forward_max_clusters
+                && self.clusters.len() <= FAST_FORWARD_MAX_CLUSTERS
             {
                 self.apply_stall_skip();
                 if self.passes >= self.cfg.max_passes {
@@ -402,16 +390,6 @@ impl<'a> Bag<'a> {
                 }
             }
         }
-    }
-
-    /// The per-pass destruction limit for the current cluster set.
-    fn destruction_limit(&self) -> f64 {
-        if self.clusters.is_empty() {
-            return 0.0;
-        }
-        let avg = self.clusters.iter().map(Cluster::len).sum::<usize>() as f64
-            / self.clusters.len() as f64;
-        avg * f64::from(self.cfg.destroy_fraction)
     }
 
     /// Computes how many further passes would provably merge nothing.
@@ -435,7 +413,7 @@ impl<'a> Bag<'a> {
         if n < 2 {
             return None;
         }
-        let limit = self.destruction_limit();
+        let limit = destruction_limit(&self.clusters);
         let mpi = f64::from(self.cfg.mpi);
         let grows: Vec<bool> = self
             .clusters
@@ -499,7 +477,7 @@ impl<'a> Bag<'a> {
         if k == 0 {
             return;
         }
-        let limit = self.destruction_limit();
+        let limit = destruction_limit(&self.clusters);
         let bump = self.cfg.mpi * k as f32;
         for c in &mut self.clusters {
             if (c.len() as f64) >= limit {
@@ -554,12 +532,9 @@ mod tests {
     fn cfg(engine: EngineKind) -> BagConfig {
         BagConfig {
             mpi: 0.5,
-            destroy_fraction: 0.2,
-            outlier_fraction: 0.2,
             max_passes: 100,
             engine,
             fast_forward: true,
-            fast_forward_max_clusters: 25_000,
         }
     }
 

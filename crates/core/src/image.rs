@@ -319,7 +319,7 @@ pub struct ImageAggregator {
     acc: ImageVoteAccumulator,
     tracker: ImageStopTracker,
     /// Prefix length of the per-completion event snapshots (the stop
-    /// rule's `m` when it has one).
+    /// rule's `m` when it has one, else [`DEFAULT_EVENT_TOP`]).
     event_top: usize,
     total: usize,
     spent: usize,
@@ -335,17 +335,17 @@ pub struct ImageAggregator {
 impl ImageAggregator {
     /// An aggregator for a query of `total` descriptors under `rule`,
     /// with per-descriptor neighbour budget `k` and event snapshots of
-    /// length `event_top` (overridden by the rule's own `m` if set).
+    /// the rule's own `m`, or 10 (the experiments' precision@10) if it has
+    /// none.
     pub fn new(
         image_of: Arc<Vec<u32>>,
         k: usize,
         total: usize,
         rule: ImageStopRule,
-        event_top: usize,
     ) -> ImageAggregator {
         ImageAggregator {
             acc: ImageVoteAccumulator::new(image_of, k),
-            event_top: rule.top_m().unwrap_or(event_top),
+            event_top: rule.top_m().unwrap_or(DEFAULT_EVENT_TOP),
             tracker: ImageStopTracker::new(rule),
             total,
             spent: 0,
@@ -446,7 +446,6 @@ pub fn solo_image_search(
         params.k,
         descriptors.len(),
         ImageStopRule::RunAll,
-        DEFAULT_EVENT_TOP,
     );
     let mut results = Vec::with_capacity(descriptors.len());
     for q in descriptors {
@@ -459,7 +458,7 @@ pub fn solo_image_search(
 
 /// Event-snapshot prefix length when the stop rule does not name one
 /// (matches the experiments' precision@10 reporting).
-pub const DEFAULT_EVENT_TOP: usize = 10;
+const DEFAULT_EVENT_TOP: usize = 10;
 
 #[cfg(test)]
 mod tests {
@@ -630,7 +629,7 @@ mod tests {
     fn aggregator_accounting_always_sums_to_total() {
         let of = map(&[0, 0, 1]);
         let rule = ImageStopRule::StableTop { m: 1, window: 1 };
-        let mut agg = ImageAggregator::new(Arc::clone(&of), 1, 5, rule, 10);
+        let mut agg = ImageAggregator::new(Arc::clone(&of), 1, 5, rule);
         let result = SearchResult {
             neighbors: vec![nb(0, 1.0)],
             log: crate::search::SearchLog {
@@ -656,7 +655,7 @@ mod tests {
     #[test]
     fn full_run_of_exact_searches_reports_exact_fidelity() {
         let of = map(&[0]);
-        let mut agg = ImageAggregator::new(Arc::clone(&of), 1, 1, ImageStopRule::RunAll, 10);
+        let mut agg = ImageAggregator::new(Arc::clone(&of), 1, 1, ImageStopRule::RunAll);
         let result = SearchResult {
             neighbors: vec![nb(0, 1.0)],
             log: crate::search::SearchLog {
@@ -676,7 +675,7 @@ mod tests {
 
     #[test]
     fn empty_descriptor_set_is_a_trivially_exact_outcome() {
-        let agg = ImageAggregator::new(map(&[]), 4, 0, ImageStopRule::RunAll, 10);
+        let agg = ImageAggregator::new(map(&[]), 4, 0, ImageStopRule::RunAll);
         assert!(agg.is_done());
         let outcome = agg.into_outcome(3);
         assert_eq!(outcome.descriptors_total, 0);

@@ -32,134 +32,103 @@ use crate::vector::{Vector, DIM};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Parameters of a synthetic collection.
-#[derive(Clone, Debug)]
-pub struct CollectionSpec {
-    /// Number of images to simulate.
-    pub n_images: usize,
-    /// Mean number of descriptors per image (the paper: "a few hundreds").
-    /// Actual counts are uniform in `[mean/2, 3*mean/2]`.
-    pub mean_descriptors_per_image: usize,
-    /// Size of the visual-element vocabulary.
-    pub n_elements: usize,
-    /// Zipf exponent of element popularity; larger ⇒ more skew ⇒ bigger
-    /// natural clusters. The paper's Fig. 1 skew corresponds to ≈1.1.
-    pub zipf_exponent: f64,
-    /// Mean number of distinct elements appearing in one image.
-    pub elements_per_image: usize,
-    /// Half-extent of the cube element centres are drawn from.
-    pub space_half_extent: f32,
-    /// Standard deviation of descriptors around their element centre.
-    pub element_sigma: f32,
-    /// Standard deviation of the per-image offset applied to an element.
-    pub image_jitter_sigma: f32,
-    /// Fraction of descriptors drawn uniformly from the (enlarged) space
-    /// (outliers).
-    pub noise_fraction: f64,
-    /// Noise points are drawn from a cube this many times larger than the
-    /// element cube, so they sit in the sparse periphery like real rare
-    /// descriptors (inside the cloud they would simply be absorbed).
-    pub noise_extent_factor: f32,
-    /// RNG seed.
-    pub seed: u64,
+/// The paper's ratio of descriptors per image (5,017,298 / 52,273 ≈ 96,
+/// "a few hundreds" in the paper's words); scaling `n` scales the image
+/// count. Actual per-image counts are uniform in `[mean/2, 3*mean/2]`.
+const MEAN_DESCRIPTORS_PER_IMAGE: usize = 96;
+/// Zipf exponent of element popularity; larger ⇒ more skew ⇒ bigger
+/// natural clusters. The paper's Fig. 1 skew corresponds to ≈1.1.
+const ZIPF_EXPONENT: f64 = 1.1;
+/// Mean number of distinct elements appearing in one image.
+const ELEMENTS_PER_IMAGE: usize = 6;
+/// Half-extent of the cube element centres are drawn from.
+const SPACE_HALF_EXTENT: f32 = 20.0;
+/// Standard deviation of descriptors around their element centre.
+///
+/// Its ratio to [`SPACE_HALF_EXTENT`] controls the distance *contrast* of
+/// the collection, and with it how well the centroid−radius bound prunes.
+/// Real 24-d local-descriptor clouds have low contrast (distance
+/// concentration): the paper's completion times (16–45 s ≈ a full scan
+/// for both strategies) show pruning only bites at the very end. With
+/// σ = 8 against a ±20 cube, cluster diameters (≈ 2·8·√24 ≈ 78) are
+/// commensurate with inter-element distances (≈ 80), so bounding spheres
+/// overlap heavily and the search degrades towards a guided scan — while
+/// the density modes BAG needs are still present.
+const ELEMENT_SIGMA: f32 = 8.0;
+/// Standard deviation of the per-image offset applied to an element.
+const IMAGE_JITTER_SIGMA: f32 = 1.5;
+/// Fraction of descriptors drawn uniformly from the (enlarged) space
+/// (outliers).
+const NOISE_FRACTION: f64 = 0.10;
+/// Noise points are drawn from a cube this many times larger than the
+/// element cube, so they sit in the sparse periphery like real rare
+/// descriptors (inside the cloud they would simply be absorbed).
+const NOISE_EXTENT_FACTOR: f32 = 2.5;
+
+/// Number of images simulated for a collection of roughly `n` descriptors.
+fn n_images(n: usize) -> usize {
+    (n / MEAN_DESCRIPTORS_PER_IMAGE).max(1)
 }
 
-impl CollectionSpec {
-    /// A specification sized to produce roughly `n` descriptors with the
-    /// paper-like default shape parameters.
-    ///
-    /// The paper's ratio is ≈96 descriptors per image (5,017,298 / 52,273);
-    /// we keep that ratio so that scaling `n` scales the image count.
-    pub fn sized(n: usize, seed: u64) -> Self {
-        let per_image = 96;
-        let n_images = (n / per_image).max(1);
-        CollectionSpec {
-            n_images,
-            mean_descriptors_per_image: per_image,
-            // Vocabulary grows sub-linearly with the collection: new footage
-            // mostly re-observes known elements.
-            n_elements: ((n as f64).sqrt() as usize * 2).clamp(64, 50_000),
-            zipf_exponent: 1.1,
-            elements_per_image: 6,
-            // The ratio of element spread to space extent controls the
-            // distance *contrast* of the collection, and with it how well
-            // the centroid−radius bound prunes. Real 24-d local-descriptor
-            // clouds have low contrast (distance concentration): the
-            // paper's completion times (16–45 s ≈ a full scan for both
-            // strategies) show pruning only bites at the very end. With
-            // σ = 8 against a ±20 cube, cluster diameters (≈ 2·8·√24 ≈ 78)
-            // are commensurate with inter-element distances (≈ 80), so
-            // bounding spheres overlap heavily and the search degrades
-            // towards a guided scan — while the density modes BAG needs
-            // are still present.
-            space_half_extent: 20.0,
-            element_sigma: 8.0,
-            image_jitter_sigma: 1.5,
-            noise_fraction: 0.10,
-            noise_extent_factor: 2.5,
-            seed,
-        }
-    }
-
-    /// Expected number of descriptors this spec will generate (approximate;
-    /// the realised count varies with per-image draws).
-    pub(crate) fn expected_len(&self) -> usize {
-        self.n_images * self.mean_descriptors_per_image
-    }
+/// Size of the visual-element vocabulary for roughly `n` descriptors. It
+/// grows sub-linearly with the collection: new footage mostly re-observes
+/// known elements.
+fn n_elements(n: usize) -> usize {
+    ((n as f64).sqrt() as usize * 2).clamp(64, 50_000)
 }
 
-impl Default for CollectionSpec {
-    fn default() -> Self {
-        CollectionSpec::sized(100_000, 42)
-    }
+/// Expected number of descriptors generated for roughly `n` (approximate;
+/// the realised count varies with per-image draws).
+fn expected_len(n: usize) -> usize {
+    n_images(n) * MEAN_DESCRIPTORS_PER_IMAGE
 }
 
-/// A generated collection together with the specification that produced it.
+/// A generated collection.
 #[derive(Clone, Debug)]
 pub struct SyntheticCollection {
-    /// The descriptors (with image attribution).
+    /// The descriptors (with image attribution, image ids dense from 0 and
+    /// non-decreasing in storage order).
     pub set: DescriptorSet,
-    /// The generating specification.
-    pub spec: CollectionSpec,
 }
 
 impl SyntheticCollection {
-    /// Generates a collection from `spec`.
-    pub fn generate(spec: CollectionSpec) -> Self {
-        let mut rng = StdRng::seed_from_u64(spec.seed);
+    /// Generates roughly `n` descriptors in the paper-like shape, fully
+    /// determined by `seed`.
+    pub fn with_size(n: usize, seed: u64) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
 
         // Element centres: uniform in the cube. Popularity: Zipf over rank.
-        let centres: Vec<Vector> = (0..spec.n_elements)
-            .map(|_| uniform_vector(&mut rng, spec.space_half_extent))
+        let n_elements = n_elements(n);
+        let centres: Vec<Vector> = (0..n_elements)
+            .map(|_| uniform_vector(&mut rng, SPACE_HALF_EXTENT))
             .collect();
-        let popularity = ZipfSampler::new(spec.n_elements, spec.zipf_exponent);
+        let popularity = ZipfSampler::new(n_elements, ZIPF_EXPONENT);
 
-        let mut set = DescriptorSet::with_capacity(spec.expected_len());
+        let mut set = DescriptorSet::with_capacity(expected_len(n));
         let mut next_id: u32 = 0;
-        for image in 0..spec.n_images {
+        for image in 0..n_images(n) {
             // Which elements appear in this image, and where (jittered).
-            let n_el = spec.elements_per_image.max(1);
-            let mut image_elements = Vec::with_capacity(n_el);
-            for _ in 0..n_el {
+            let mut image_elements = Vec::with_capacity(ELEMENTS_PER_IMAGE);
+            for _ in 0..ELEMENTS_PER_IMAGE {
                 let el = popularity.sample(&mut rng);
                 let mut centre = centres[el];
                 for d in 0..DIM {
-                    centre[d] += gaussian(&mut rng) * spec.image_jitter_sigma;
+                    centre[d] += gaussian(&mut rng) * IMAGE_JITTER_SIGMA;
                 }
                 image_elements.push(centre);
             }
 
-            let lo = spec.mean_descriptors_per_image / 2;
-            let hi = spec.mean_descriptors_per_image * 3 / 2;
-            let n_desc = if hi > lo { rng.gen_range(lo..=hi) } else { lo }.max(1);
+            let lo = MEAN_DESCRIPTORS_PER_IMAGE / 2;
+            let hi = MEAN_DESCRIPTORS_PER_IMAGE * 3 / 2;
+            let n_desc = rng.gen_range(lo..=hi);
             for _ in 0..n_desc {
-                let v = if rng.gen_bool(spec.noise_fraction) {
-                    uniform_vector(&mut rng, spec.space_half_extent * spec.noise_extent_factor)
+                let v = if rng.gen_bool(NOISE_FRACTION) {
+                    uniform_vector(&mut rng, SPACE_HALF_EXTENT * NOISE_EXTENT_FACTOR)
                 } else {
                     let centre = &image_elements[rng.gen_range(0..image_elements.len())];
                     let mut v = *centre;
                     for d in 0..DIM {
-                        v[d] += gaussian(&mut rng) * spec.element_sigma;
+                        v[d] += gaussian(&mut rng) * ELEMENT_SIGMA;
                     }
                     v
                 };
@@ -167,12 +136,7 @@ impl SyntheticCollection {
                 next_id += 1;
             }
         }
-        SyntheticCollection { set, spec }
-    }
-
-    /// Shorthand: generate roughly `n` descriptors with seed `seed`.
-    pub fn with_size(n: usize, seed: u64) -> Self {
-        Self::generate(CollectionSpec::sized(n, seed))
+        SyntheticCollection { set }
     }
 }
 
@@ -277,14 +241,17 @@ mod tests {
             );
             last = img;
         }
-        assert!((last as usize) < c.spec.n_images);
+        assert_eq!(
+            last as usize,
+            n_images(2_000) - 1,
+            "every image is populated"
+        );
     }
 
     #[test]
     fn points_stay_in_plausible_box() {
         let c = SyntheticCollection::with_size(5_000, 11);
-        let ext =
-            c.spec.space_half_extent * c.spec.noise_extent_factor + 8.0 * c.spec.element_sigma;
+        let ext = SPACE_HALF_EXTENT * NOISE_EXTENT_FACTOR + 8.0 * ELEMENT_SIGMA;
         for i in 0..c.set.len() {
             for &x in c.set.vector(i) {
                 assert!(x.abs() <= ext, "component {x} escapes the space box");
@@ -298,8 +265,7 @@ mod tests {
         // Density skew check: the most crowded small ball should hold far
         // more descriptors than an average one. We proxy this by counting
         // duplicates of the nearest element for a sample of points.
-        let spec = CollectionSpec::sized(20_000, 13);
-        let c = SyntheticCollection::generate(spec);
+        let c = SyntheticCollection::with_size(20_000, 13);
         // Coarse grid occupancy: bucket by sign pattern of first 8 dims.
         let mut buckets = std::collections::BTreeMap::new();
         for i in 0..c.set.len() {
@@ -350,10 +316,9 @@ mod tests {
 
     #[test]
     fn expected_len_matches_shape() {
-        let spec = CollectionSpec::sized(50_000, 0);
-        assert_eq!(
-            spec.expected_len(),
-            spec.n_images * spec.mean_descriptors_per_image
-        );
+        assert_eq!(expected_len(50_000), 520 * MEAN_DESCRIPTORS_PER_IMAGE);
+        let c = SyntheticCollection::with_size(50_000, 0);
+        let (lo, hi) = (expected_len(50_000) / 2, expected_len(50_000) * 3 / 2);
+        assert!((lo..=hi).contains(&c.set.len()), "got {}", c.set.len());
     }
 }

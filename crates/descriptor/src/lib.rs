@@ -42,9 +42,9 @@ pub mod vector;
 
 pub use descriptor::{Descriptor, DescriptorId, DescriptorSet, ImageId};
 pub use error::{Error, Result};
-pub use gen::{CollectionSpec, SyntheticCollection};
+pub use gen::SyntheticCollection;
 pub use kernels::{adc_l2_sq, adc_l2_sq_batch, as_rows, l2_sq_x4, scan_block_into};
 pub use neighbors::{Neighbor, NeighborSet};
 pub use quant::{Codec, DescriptorCodec, PqCodec, PreparedQuery, Sq8Codec};
 pub use stats::{DimensionStats, TrimmedRanges};
-pub use vector::{l2_sq, l2_sq_batch, l2_sq_serial, Vector, DIM};
+pub use vector::{l2_sq, l2_sq_serial, Vector, DIM};

@@ -245,17 +245,6 @@ pub fn l2_sq_serial(a: &[f32; DIM], b: &[f32; DIM]) -> f32 {
     acc
 }
 
-/// Squared Euclidean distance between a query and a flat slice of packed
-/// vectors, writing one output per packed vector.
-///
-/// `packed.len()` must be a multiple of [`DIM`]; `out` must hold
-/// `packed.len() / DIM` elements. Delegates to the blocked kernel in
-/// [`crate::kernels`]; every output is bit-identical to the scalar
-/// [`l2_sq`] of that row.
-pub fn l2_sq_batch(query: &[f32; DIM], packed: &[f32], out: &mut [f32]) {
-    crate::kernels::l2_sq_rows(query, crate::kernels::as_rows(packed), out);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,8 +322,9 @@ mod tests {
         for r in &rows {
             packed.extend_from_slice(r.as_slice());
         }
-        let mut out = vec![0.0f32; rows.len()];
-        l2_sq_batch(q.as_array(), &packed, &mut out);
+        let mut out = Vec::new();
+        crate::kernels::l2_sq_batch(q.as_array(), &packed, &mut out);
+        assert_eq!(out.len(), rows.len());
         for (r, o) in rows.iter().zip(out.iter()) {
             assert_eq!(*o, q.dist_sq(r));
         }
@@ -345,8 +335,7 @@ mod tests {
     fn batch_rejects_ragged_input() {
         let q = [0.0f32; DIM];
         let packed = vec![0.0f32; DIM + 1];
-        let mut out = vec![0.0f32; 1];
-        l2_sq_batch(&q, &packed, &mut out);
+        crate::kernels::l2_sq_batch(&q, &packed, &mut Vec::new());
     }
 
     #[test]

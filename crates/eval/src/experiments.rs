@@ -10,6 +10,7 @@
 
 use crate::lab::{IndexHandle, Lab};
 use crate::report::{yes_no, Report};
+use crate::scale::PAGE_SIZE;
 use crate::EvalResult;
 use eff2_chaos::plan::TRANSIENT_CLEAR;
 use eff2_chaos::{Fault, FaultConfig, FaultPlan, FaultSource, RetryPolicy, RetrySource};
@@ -1419,7 +1420,7 @@ pub(crate) fn exp8(lab: &Lab) -> EvalResult<Report> {
                 "live",
                 &lab.set,
                 &formation.chunks,
-                lab.scale.page_size,
+                PAGE_SIZE,
                 None,
                 lab.model,
                 leaf,

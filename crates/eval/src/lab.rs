@@ -8,7 +8,7 @@
 //! (the paper needed 12 days for its 5 M collection; at the default
 //! 100 k scale the pruned-engine run takes minutes).
 
-use crate::scale::Scale;
+use crate::scale::{Scale, PAGE_SIZE};
 use crate::EvalResult;
 use eff2_bag::{Bag, BagConfig, BagSnapshot};
 use eff2_core::chunkers::{ChunkFormer, SrTreeChunker};
@@ -211,7 +211,7 @@ impl Lab {
             &file_name_of(label),
             set,
             chunks,
-            self.scale.page_size,
+            PAGE_SIZE,
             quant,
         )?;
         let retained = chunks.iter().map(|c| c.positions.len()).sum::<usize>();

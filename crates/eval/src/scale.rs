@@ -16,6 +16,8 @@ pub(crate) const PAPER_CHUNK_SIZES: [f64; 3] = [947.0, 1_711.0, 2_486.0];
 pub(crate) const PAPER_K: usize = 30;
 /// The paper's Figure 6/7 chunk-size sweep bounds.
 pub(crate) const PAPER_SWEEP: (f64, f64) = (100.0, 100_000.0);
+/// Disk page size chunks are padded to.
+pub(crate) const PAGE_SIZE: u32 = 8_192;
 
 /// Experiment scale parameters.
 #[derive(Clone, Copy, Debug)]
@@ -26,8 +28,6 @@ pub struct Scale {
     pub n_queries: usize,
     /// Result size (the paper uses 30).
     pub k: usize,
-    /// Disk page size chunks are padded to.
-    pub page_size: u32,
     /// Master seed.
     pub seed: u64,
 }
@@ -40,7 +40,6 @@ impl Scale {
             n_descriptors: n,
             n_queries: 1_000,
             k: PAPER_K,
-            page_size: 8_192,
             seed: 42,
         }
     }

@@ -8,7 +8,7 @@
 
 #![cfg(test)]
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 use eff2_lint::{lexer, regions};
@@ -430,7 +430,6 @@ const PUBLIC_BY_SIGNATURE: &[(&str, &str)] = &[
     ),
     ("RuleInfo", "element of the constant lint::RULES"),
     ("SearchLog", "type of the field core SearchResult::log"),
-    ("Token", "returned by lint lexer::lex"),
 ];
 
 /// A package of the walk: its directory relative to the root, its name
@@ -617,5 +616,288 @@ fn every_public_item_is_named_outside_its_crate() {
     assert!(
         stale.is_empty(),
         "allowlisted but named elsewhere (or gone): {stale:?}"
+    );
+}
+
+/// The config types whose every `pub` field must be set somewhere.
+const CONFIG_TYPES: &[&str] = &[
+    "SchedulerConfig",
+    "FleetConfig",
+    "ImageConfig",
+    "BagConfig",
+    "Scale",
+];
+
+/// Whether `t` is the punctuation character `c`.
+fn punct(t: &lexer::Token, c: &str) -> bool {
+    t.kind == lexer::TokenKind::Punct && t.text == c
+}
+
+/// One past the token that closes the bracket opened at `code[open]`.
+fn close_of(code: &[&lexer::Token], open: usize) -> usize {
+    let mut depth = 0usize;
+    for (i, t) in code.iter().enumerate().skip(open) {
+        if ["{", "(", "["].iter().any(|c| punct(t, c)) {
+            depth += 1;
+        } else if ["}", ")", "]"].iter().any(|c| punct(t, c)) {
+            depth -= 1;
+            if depth == 0 {
+                return i + 1;
+            }
+        }
+    }
+    code.len()
+}
+
+/// The entries at the top level of the bracketed list opened at
+/// `code[open]` that name a field or parameter, as `(name, value)`: a name
+/// after the opening bracket, a `,` or `pub`, then either a single `:` and
+/// the tokens up to the next top-level `,` (the value, or the type), or
+/// nothing (struct-literal shorthand, whose value is the name itself).
+fn list_entries(code: &[&lexer::Token], open: usize) -> Vec<(String, Vec<String>)> {
+    let close = close_of(code, open);
+    let mut entries = Vec::new();
+    let mut at = open + 1;
+    while at + 1 < close {
+        let (before, t, after) = (code[at - 1], code[at], code[at + 1]);
+        let leads = at == open + 1 || punct(before, ",") || before.is_ident("pub");
+        let shorthand = punct(after, ",") || (punct(after, "}") && at + 2 == close);
+        let colon = punct(after, ":") && !code.get(at + 2).is_some_and(|t| punct(t, ":"));
+        if leads && t.kind == lexer::TokenKind::Ident && (shorthand || colon) {
+            let mut value = Vec::new();
+            let mut end = at + 1;
+            if colon {
+                end += 1;
+                while end + 1 < close && !punct(code[end], ",") {
+                    let next = match ["{", "(", "["].iter().any(|c| punct(code[end], c)) {
+                        true => close_of(code, end),
+                        false => end + 1,
+                    };
+                    value.extend(code[end..next].iter().map(|t| t.text.clone()));
+                    end = next;
+                }
+            } else {
+                value.push(t.text.clone());
+            }
+            entries.push((t.text.clone(), value));
+            at = end;
+            continue;
+        }
+        at = match ["{", "(", "["].iter().any(|c| punct(t, c)) {
+            true => close_of(code, at),
+            false => at + 1,
+        };
+    }
+    entries
+}
+
+/// What the sources say about the config types' fields, keyed by
+/// `(type, field)`.
+#[derive(Default)]
+struct ConfigFacts {
+    /// `pub` fields declared in `crates/`, with the text of their type.
+    declared: BTreeMap<(String, String), String>,
+    /// Each field's value in its type's own `Default` impl or `new` body.
+    defaults: BTreeMap<(String, String), Vec<String>>,
+    /// Parameters of each type's `new`.
+    params: BTreeSet<(String, String)>,
+    /// Struct-literal fields outside those bodies, with their values.
+    literals: Vec<(String, String, Vec<String>)>,
+    /// Assignment chains (`x.f = …`, `x.f.g = …`) with the type of `x`
+    /// where the file binds it (`let [mut] x = Ty…` or `x: Ty`).
+    assigned: Vec<(Option<String>, Vec<String>)>,
+}
+
+impl ConfigFacts {
+    /// Adds what `source` says; only a file under `crates/` (`declares`)
+    /// declares the config types.
+    fn read(&mut self, source: &str, declares: bool) {
+        let tokens = lexer::lex(source);
+        let code: Vec<&lexer::Token> = (regions::code_indices(&tokens).into_iter())
+            .map(|i| &tokens[i])
+            .collect();
+        let config_type = |t: &lexer::Token| CONFIG_TYPES.iter().find(|ty| t.is_ident(ty));
+        // Token spans of each type's own `Default` impl and `new` body.
+        let mut own: Vec<(&str, std::ops::Range<usize>)> = Vec::new();
+        for at in 1..code.len().saturating_sub(1) {
+            let Some(&ty) = config_type(code[at]) else {
+                continue;
+            };
+            let (before, after) = (code[at - 1], code[at + 1]);
+            let key = |field: String| (ty.to_string(), field);
+            if !punct(after, "{") {
+                continue;
+            } else if before.is_ident("struct") {
+                if declares {
+                    for (field, of) in list_entries(&code, at + 1) {
+                        let public = (at + 2..close_of(&code, at + 1))
+                            .any(|i| code[i - 1].is_ident("pub") && code[i].text == field);
+                        if public {
+                            self.declared.insert(key(field), of.concat());
+                        }
+                    }
+                }
+            } else if before.is_ident("for") && code[at - 2].is_ident("Default") {
+                own.push((ty, at + 1..close_of(&code, at + 1)));
+            } else if before.is_ident("impl") {
+                let end = close_of(&code, at + 1);
+                let new =
+                    (at + 2..end).find(|&i| code[i - 1].is_ident("fn") && code[i].is_ident("new"));
+                if let Some(new) = new {
+                    for (param, _) in list_entries(&code, new + 1) {
+                        self.params.insert(key(param));
+                    }
+                    let body = (new + 1..end).find(|&i| punct(code[i], "{")).unwrap_or(end);
+                    own.push((ty, body..close_of(&code, body)));
+                }
+            } else if !punct(before, ">") {
+                // A struct literal (`-> Ty {` opens a function body instead).
+                let in_own = own.iter().any(|(of, span)| *of == ty && span.contains(&at));
+                for (field, value) in list_entries(&code, at + 1) {
+                    if in_own {
+                        self.defaults.insert(key(field), value);
+                    } else {
+                        self.literals.push((ty.to_string(), field, value));
+                    }
+                }
+            }
+        }
+        // Assignments: an `=` that is not part of `==`, `=>` or a compound
+        // operator, after a `.f` chain.
+        let compound = ["=", "!", "<", ">", "+", "-", "*", "/", "%", "&", "|", "^"];
+        for at in 1..code.len().saturating_sub(1) {
+            if !punct(code[at], "=")
+                || compound.iter().any(|c| punct(code[at - 1], c))
+                || punct(code[at + 1], "=")
+                || punct(code[at + 1], ">")
+            {
+                continue;
+            }
+            let mut chain = Vec::new();
+            let mut i = at - 1;
+            while i >= 2 && code[i].kind == lexer::TokenKind::Ident && punct(code[i - 1], ".") {
+                chain.insert(0, code[i].text.clone());
+                i -= 2;
+            }
+            if chain.is_empty() {
+                continue;
+            }
+            // The receiver's nearest earlier binding: `x: Ty` gives its
+            // type, as does `let [mut] x = Ty…`. A chain on a receiver
+            // annotated with another type sets nothing; one on a receiver
+            // of unknown type sets the field on any type that has it.
+            let receiver = &code[i].text;
+            let named = |t: &&lexer::Token| config_type(t).map(|ty| ty.to_string());
+            let binding = (1..i).rev().find(|&j| {
+                let annotated = punct(code[j + 1], ":") && !punct(code[j + 2], ":");
+                let bound = punct(code[j + 1], "=")
+                    && (code[j - 1].is_ident("let") || code[j - 1].is_ident("mut"));
+                code[j].text == *receiver && (annotated || bound)
+            });
+            let ty = match binding {
+                Some(j) if punct(code[j + 1], ":") => {
+                    match code[j + 2..].iter().take(3).find_map(named) {
+                        Some(ty) => Some(ty),
+                        None => continue,
+                    }
+                }
+                Some(j) => code.get(j + 2).and_then(named),
+                None => None,
+            };
+            self.assigned.push((ty, chain));
+        }
+    }
+
+    /// The declared fields nothing sets, as `Type::field`, sorted. A field
+    /// is set by a parameter of its type's `new`, by a struct-literal
+    /// field other than one restating its default or copying a same-named
+    /// field (`f: other.f`), or by an assignment — to that type when the
+    /// receiver's binding names it, else to any type with such a field.
+    fn unset(&self) -> Vec<String> {
+        let mut set = self.params.clone();
+        for (ty, field, value) in &self.literals {
+            let key = (ty.clone(), field.clone());
+            let copied = value.len() >= 3 && value.ends_with(&[".".to_string(), field.clone()]);
+            if !copied && self.defaults.get(&key) != Some(value) {
+                set.insert(key);
+            }
+        }
+        for (receiver, chain) in &self.assigned {
+            let Some((first, rest)) = chain.split_first() else {
+                continue;
+            };
+            // Walk the chain through the declared field types: in
+            // `x.f.g = …`, `g` is set on the type of `f`.
+            let mut keys: Vec<(String, String)> = (self.declared.keys())
+                .filter(|(ty, f)| f == first && receiver.as_ref().is_none_or(|r| r == ty))
+                .cloned()
+                .collect();
+            for field in rest {
+                keys = (keys.into_iter())
+                    .filter_map(|key| {
+                        let of = self.declared.get(&key)?.clone();
+                        set.insert(key);
+                        Some((of, field.clone()))
+                    })
+                    .collect();
+            }
+            set.extend(keys.into_iter().filter(|k| self.declared.contains_key(k)));
+        }
+        (self.declared.keys())
+            .filter(|key| !set.contains(*key))
+            .map(|(ty, field)| format!("{ty}::{field}"))
+            .collect()
+    }
+}
+
+#[test]
+fn every_config_field_is_set_outside_its_defaults() {
+    // A config field nobody sets is a constant with a setter: every value
+    // it could take doubles what tests and benchmarks must cover. Each
+    // `pub` field of the config types must be set somewhere other than its
+    // type's own `Default` impl or `new` body (see `ConfigFacts::unset`).
+    // Test code counts: a setting only tests use is still a setting.
+    let probe = "pub struct Scale { pub n: usize, pub page: u32, pub seed: u64, pub k: usize, pub t: u8, pub g: Scale }\n\
+                 impl Scale { pub fn new(n: usize) -> Scale { Scale { n, page: 8, seed: 1, k: 3, t: 0 } } }\n\
+                 impl Default for Scale { fn default() -> Self { Scale { t: 1, ..Scale::new(1) } } }\n\
+                 fn f(s: &mut Scale, o: Other) -> Scale { s.g.seed = 2; s.page == 8; o.k = 1; Scale { page: 8, t: o.t, ..*s } }\n\
+                 fn h(mut x: Other) { x.g = 0; }";
+    let mut facts = ConfigFacts::default();
+    facts.read(probe, true);
+    facts.read("pub struct Scale { pub x: u8 }", false);
+    assert_eq!(
+        facts.unset(),
+        ["Scale::k", "Scale::page", "Scale::t"],
+        "a comparison, another type's field, a restated default and a copy are no settings"
+    );
+
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut paths = Vec::new();
+    for dir in [
+        "crates",
+        "examples",
+        "tests",
+        "perfbench/src",
+        "perfbench/tests",
+    ] {
+        rust_files(&root.join(dir), &mut paths);
+    }
+    let mut facts = ConfigFacts::default();
+    for path in &paths {
+        let rel = path.strip_prefix(&root).expect("under the root");
+        let text = std::fs::read_to_string(path).expect("read source");
+        facts.read(&text, rel.starts_with("crates"));
+    }
+    let types: BTreeSet<&str> = facts.declared.keys().map(|(ty, _)| ty.as_str()).collect();
+    assert_eq!(
+        types.len(),
+        CONFIG_TYPES.len(),
+        "every config type was found"
+    );
+    let unset = facts.unset();
+    assert!(
+        unset.is_empty(),
+        "config fields that only ever hold their default — make them constants:\n{}",
+        unset.join("\n")
     );
 }

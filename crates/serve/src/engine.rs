@@ -67,7 +67,7 @@
 use crate::error::{Result, ServeError};
 use crate::fleet::LossScope;
 use crate::live::Live;
-use crate::scheduler::{Policy, SchedulerConfig, ServeStats};
+use crate::scheduler::{Policy, SchedulerConfig, ServeStats, DEADLINE};
 use eff2_chaos::{Fault, RetryPolicy};
 use eff2_core::search::{SearchParams, SearchResult};
 use eff2_core::session::SearchSession;
@@ -805,7 +805,7 @@ impl<G: Group> Engine<G> {
             self.wants_fresh = false;
             let job = Job {
                 arrival: p.arrival,
-                deadline: p.arrival + self.config.deadline,
+                deadline: p.arrival + DEADLINE,
                 snapshot,
                 members,
                 state,

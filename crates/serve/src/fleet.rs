@@ -71,8 +71,6 @@ pub struct FleetConfig {
     pub max_queued: usize,
     /// Byte budget of **each** shard's decoded-chunk cache.
     pub cache_budget_bytes: u64,
-    /// Per-query virtual deadline, measured from arrival.
-    pub deadline: VirtualDuration,
     /// Injected chunk-fault schedule (applied per copy — see
     /// [`LossScope`]).
     pub fault_plan: Option<FaultPlan>,
@@ -87,23 +85,22 @@ pub struct FleetConfig {
 
 impl FleetConfig {
     /// A fleet of `n_shards` nodes under `policy` at concurrency
-    /// `max_active`, replication 1, hash placement, the solo scheduler's
-    /// default queue/cache/deadline.
+    /// `max_active`, replication 1, hash placement and no faults, with
+    /// [`SchedulerConfig::new`]'s queue and per-shard cache.
     pub fn new(policy: Policy, n_shards: usize, max_active: usize) -> FleetConfig {
-        let active = max_active.max(1);
+        let solo = SchedulerConfig::new(policy, max_active);
         FleetConfig {
             policy,
             n_shards: n_shards.max(1),
             replication: 1,
             placement: Placement::ChunkHash,
-            max_active: active,
-            max_queued: active.saturating_mul(4),
-            cache_budget_bytes: 8 << 20,
-            deadline: VirtualDuration::from_secs(2.0),
-            fault_plan: None,
+            max_active: solo.max_active,
+            max_queued: solo.max_queued,
+            cache_budget_bytes: solo.cache_budget_bytes,
+            fault_plan: solo.fault_plan,
             loss_scope: LossScope::Primary,
             shard_faults: ShardFaultPlan::none(),
-            retry: RetryPolicy::none(),
+            retry: solo.retry,
         }
     }
 
@@ -114,7 +111,6 @@ impl FleetConfig {
             max_active: self.max_active,
             max_queued: self.max_queued,
             cache_budget_bytes: self.cache_budget_bytes,
-            deadline: self.deadline,
             fault_plan: self.fault_plan,
             retry: self.retry,
         }

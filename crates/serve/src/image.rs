@@ -34,7 +34,7 @@ use crate::engine::{Admission, Devices, Drained, Engine, Folded, Group, Retired}
 use crate::error::Result;
 use crate::fleet::FleetConfig;
 use crate::scheduler::SchedulerConfig;
-use eff2_core::image::{ImageAggregator, ImageOutcome, ImageStopRule, DEFAULT_EVENT_TOP};
+use eff2_core::image::{ImageAggregator, ImageOutcome, ImageStopRule};
 use eff2_core::search::{ResultFidelity, SearchParams, SearchResult};
 #[cfg(doc)]
 use eff2_core::session::SearchSession;
@@ -61,25 +61,20 @@ pub struct ImageQuerySpec {
 #[derive(Clone, Copy, Debug)]
 pub struct ImageConfig {
     /// Policy, concurrency (counted in image queries, each of which may
-    /// hold many descriptor sessions), queue, cache, deadline, fault plan
-    /// and retry budget — shared with the descriptor scheduler.
+    /// hold many descriptor sessions), queue, cache, fault plan and retry
+    /// budget — shared with the descriptor scheduler.
     pub scheduler: SchedulerConfig,
     /// The cross-descriptor early-termination rule.
     pub stop: ImageStopRule,
-    /// Keep every absorbed per-descriptor [`SearchResult`] in the
-    /// completion (`None` entries for abandoned descriptors). Off by
-    /// default — the equivalence tests turn it on.
-    pub keep_descriptor_results: bool,
 }
 
 impl ImageConfig {
     /// A config for `policy` at image concurrency `max_active` under
-    /// `stop`, with [`SchedulerConfig::new`]'s queue, cache and deadline.
+    /// `stop`, with [`SchedulerConfig::new`]'s queue and cache.
     pub fn new(policy: Policy, max_active: usize, stop: ImageStopRule) -> ImageConfig {
         ImageConfig {
             scheduler: SchedulerConfig::new(policy, max_active),
             stop,
-            keep_descriptor_results: false,
         }
     }
 }
@@ -91,16 +86,15 @@ pub struct ImageCompletion {
     pub id: u64,
     /// Virtual arrival time.
     pub arrival: VirtualDuration,
-    /// Virtual deadline this image was held to.
+    /// Virtual deadline this image was held to (arrival + 2 s).
     pub deadline: VirtualDuration,
     /// Fleet-clock time of the last absorbed descriptor completion.
     pub finish: VirtualDuration,
     /// The aggregated vote outcome.
     pub outcome: ImageOutcome,
-    /// Per-descriptor results when
-    /// [`ImageConfig::keep_descriptor_results`] was set (`None` entries
-    /// for abandoned descriptors).
-    pub descriptor_results: Option<Vec<Option<SearchResult>>>,
+    /// Per-descriptor results, indexed by descriptor position (`None` for
+    /// an abandoned descriptor).
+    pub descriptor_results: Vec<Option<SearchResult>>,
 }
 
 impl ImageCompletion {
@@ -173,7 +167,6 @@ pub(crate) struct ImageVotes {
     /// Descriptor id → image id, shared by every query's vote fold.
     image_of: Arc<Vec<u32>>,
     stop: ImageStopRule,
-    keep_descriptor_results: bool,
 }
 
 /// An image job's state: the votes collected so far.
@@ -181,9 +174,8 @@ pub(crate) struct ImageJob {
     label: u32,
     agg: ImageAggregator,
     /// Absorbed per-descriptor results, indexed by descriptor position
-    /// (`None` for abandoned descriptors). Only kept when
-    /// [`ImageConfig::keep_descriptor_results`] is set.
-    results: Option<Vec<Option<SearchResult>>>,
+    /// (`None` for abandoned descriptors).
+    results: Vec<Option<SearchResult>>,
     /// Fleet-clock time of the latest ranking charge or absorbed
     /// completion.
     finish: VirtualDuration,
@@ -209,16 +201,8 @@ impl Group for ImageVotes {
         let n = spec.descriptors.len();
         let mut job = ImageJob {
             label: spec.label,
-            agg: ImageAggregator::new(
-                Arc::clone(&self.image_of),
-                params.k,
-                n,
-                self.stop,
-                DEFAULT_EVENT_TOP,
-            ),
-            results: self
-                .keep_descriptor_results
-                .then(|| (0..n).map(|_| None).collect()),
+            agg: ImageAggregator::new(Arc::clone(&self.image_of), params.k, n, self.stop),
+            results: vec![None; n],
             finish: cx.now(),
         };
         for (d, q) in spec.descriptors.iter().enumerate() {
@@ -242,7 +226,7 @@ impl Group for ImageVotes {
         if job.agg.absorb(&result) {
             job.agg.abandon_rest();
         }
-        if let Some(slot) = job.results.as_mut().and_then(|r| r.get_mut(d as usize)) {
+        if let Some(slot) = job.results.get_mut(d as usize) {
             *slot = Some(result);
         }
     }
@@ -279,7 +263,6 @@ impl ImageScheduler {
         let votes = ImageVotes {
             image_of,
             stop: config.stop,
-            keep_descriptor_results: config.keep_descriptor_results,
         };
         let devices = Devices::new(None);
         ImageScheduler(Engine::new(snapshot, config.scheduler, devices, votes))
@@ -288,20 +271,17 @@ impl ImageScheduler {
     /// The same scheduler over the shard nodes of `fleet` instead of one
     /// device: placement, replication, failover and shard faults as in a
     /// [`FleetScheduler`](crate::FleetScheduler), with `fleet`'s policy,
-    /// concurrency (counted in image queries), queue, cache, deadline,
-    /// fault plan and retry budget. Each descriptor session is ranked on
-    /// its own home shard. Per-descriptor results are not kept.
+    /// concurrency (counted in image queries), queue, cache, fault plan
+    /// and retry budget. Each descriptor session is ranked on its own home
+    /// shard. Completions keep their per-descriptor results, as on one
+    /// device.
     pub fn on_fleet(
         snapshot: Snapshot,
         fleet: &FleetConfig,
         stop: ImageStopRule,
         image_of: Arc<Vec<u32>>,
     ) -> ImageScheduler {
-        let votes = ImageVotes {
-            image_of,
-            stop,
-            keep_descriptor_results: false,
-        };
+        let votes = ImageVotes { image_of, stop };
         let (devices, _) = crate::fleet::devices(&snapshot, fleet);
         ImageScheduler(Engine::new(snapshot, fleet.scheduler(), devices, votes))
     }
@@ -380,8 +360,7 @@ mod tests {
             })
             .collect();
         for policy in Policy::ALL {
-            let mut config = ImageConfig::new(policy, 2, ImageStopRule::RunAll);
-            config.keep_descriptor_results = true;
+            let config = ImageConfig::new(policy, 2, ImageStopRule::RunAll);
             let trace: Vec<(ImageQuerySpec, VirtualDuration)> = specs
                 .iter()
                 .enumerate()
@@ -483,8 +462,7 @@ mod tests {
             ImageStopRule::StableTop { m: 3, window: 1 },
             ImageStopRule::CertifiedTop { m: 3 },
         ] {
-            let mut config = ImageConfig::new(Policy::EarliestDeadline, 2, stop);
-            config.keep_descriptor_results = true;
+            let config = ImageConfig::new(Policy::EarliestDeadline, 2, stop);
             let trace = vec![(spec(&set, 9, &[33]), VirtualDuration::ZERO)];
             let report = ImageScheduler::new(snap.clone(), config, Arc::clone(&image_of))
                 .serve_trace(&trace, &params)
@@ -494,10 +472,7 @@ mod tests {
             };
             assert_eq!(c.outcome.descriptors_spent, 1);
             assert_eq!(c.outcome.descriptors_abandoned, 0, "{}", stop.label());
-            let Some(results) = c.descriptor_results.as_ref() else {
-                panic!("descriptor results were kept");
-            };
-            let Some(Some(got)) = results.first() else {
+            let Some(Some(got)) = c.descriptor_results.first() else {
                 panic!("descriptor 0 was absorbed");
             };
             assert_eq!(want.neighbors.len(), got.neighbors.len());

@@ -34,7 +34,7 @@ pub enum Policy {
     /// session's wanted chunk. Fair, oblivious to sharing.
     FairShare,
     /// Serve the session with the earliest virtual deadline
-    /// (arrival + configured deadline); ties break on the smallest
+    /// (arrival + the fixed 2 s deadline); ties break on the smallest
     /// remaining-work estimate (so a one-chunk query is not starved behind
     /// an equal-deadline scan-everything query), then on session id.
     EarliestDeadline,
@@ -66,6 +66,13 @@ impl Policy {
     }
 }
 
+/// Per-query virtual deadline, measured from arrival — the
+/// [`Policy::EarliestDeadline`] key and the
+/// [`ServeStats::deadline_misses`] threshold. Every query is held to the
+/// same one, so EDF orders by arrival; separating EDF from FIFO would take
+/// deadlines that differ per query.
+pub(crate) const DEADLINE: VirtualDuration = VirtualDuration::from_secs(2.0);
+
 /// Scheduler knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct SchedulerConfig {
@@ -79,10 +86,6 @@ pub struct SchedulerConfig {
     pub max_queued: usize,
     /// Byte budget of the shared decoded-chunk cache.
     pub cache_budget_bytes: u64,
-    /// Per-query virtual deadline, measured from arrival — the
-    /// [`Policy::EarliestDeadline`] key and the
-    /// [`ServeStats::deadline_misses`] threshold.
-    pub deadline: VirtualDuration,
     /// Injected fault schedule applied to every fetch. `None` (the
     /// default) is the fault-free scheduler, bit-identical to a config
     /// that never mentions chaos.
@@ -95,8 +98,7 @@ pub struct SchedulerConfig {
 
 impl SchedulerConfig {
     /// A config for `policy` at concurrency `max_active`, with a generous
-    /// queue (4× the active slots), an 8 MiB chunk cache and a 2 s virtual
-    /// deadline.
+    /// queue (4× the active slots) and an 8 MiB chunk cache.
     pub fn new(policy: Policy, max_active: usize) -> SchedulerConfig {
         let active = max_active.max(1);
         SchedulerConfig {
@@ -104,7 +106,6 @@ impl SchedulerConfig {
             max_active: active,
             max_queued: active.saturating_mul(4),
             cache_budget_bytes: 8 << 20,
-            deadline: VirtualDuration::from_secs(2.0),
             fault_plan: None,
             retry: RetryPolicy::none(),
         }
@@ -118,7 +119,7 @@ pub struct Completion {
     pub id: u64,
     /// Virtual arrival time.
     pub arrival: VirtualDuration,
-    /// Virtual deadline this query was held to.
+    /// Virtual deadline this query was held to (arrival + 2 s).
     pub deadline: VirtualDuration,
     /// Fleet-clock time at which the query's last chunk scan completed.
     pub finish: VirtualDuration,
@@ -451,19 +452,27 @@ mod tests {
 
     #[test]
     fn tight_deadlines_are_counted_as_misses() {
+        // One slot, no cache and a burst of scan-everything queries: the
+        // queue pushes the later ones past their deadline.
         let (snap, set) = snapshot("deadline", 400, 25);
-        let params = SearchParams::exact(8);
-        let mut config = SchedulerConfig::new(Policy::EarliestDeadline, 4);
-        config.deadline = VirtualDuration::from_ns(1.0);
-        config.max_queued = 16;
+        let mut config = SchedulerConfig::new(Policy::EarliestDeadline, 1);
+        config.cache_budget_bytes = 0;
+        config.max_queued = 32;
         let report = Scheduler::new(snap, config)
-            .serve_trace(&trace(&set, 6, 1.0), &params)
+            .serve_trace(&trace(&set, 32, 0.0), &scan_all(8))
             .expect("serve");
-        assert_eq!(report.stats.completed, 6);
-        assert_eq!(
-            report.stats.deadline_misses, 6,
-            "a nanosecond deadline is always missed"
+        assert_eq!(report.stats.completed, 32);
+        let mut late = 0;
+        for c in &report.completions {
+            let held_to = c.arrival + DEADLINE;
+            assert_eq!(c.deadline.as_secs().to_bits(), held_to.as_secs().to_bits());
+            late += u64::from(c.finish.as_secs() > held_to.as_secs());
+        }
+        assert!(
+            late > 0 && late < 32,
+            "the burst straddles the deadline: {late} of 32 late"
         );
+        assert_eq!(report.stats.deadline_misses, late);
     }
 
     #[test]

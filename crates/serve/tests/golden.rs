@@ -260,7 +260,6 @@ fn image_stable_top() {
     let stop = ImageStopRule::StableTop { m: 2, window: 2 };
     let mut config = ImageConfig::new(Policy::MostWantedChunk, 2, stop);
     config.scheduler.cache_budget_bytes = 32 << 10;
-    config.keep_descriptor_results = true;
     let report = ImageScheduler::new(snap, config, image_of)
         .serve_trace(&queries, &params)
         .expect("image");
@@ -275,7 +274,7 @@ fn image_stable_top() {
             bits(c.finish),
             outcome(&c.outcome)
         );
-        for (d, r) in c.descriptor_results.iter().flatten().enumerate() {
+        for (d, r) in c.descriptor_results.iter().enumerate() {
             let r = r.as_ref().map_or("abandoned".to_string(), result);
             let _ = writeln!(out, "  descriptor id={} d={d} {r}", c.id);
         }

@@ -56,7 +56,6 @@ fn run_images(
     params: &SearchParams,
 ) -> ImageServeReport {
     config.scheduler.max_queued = trace.len();
-    config.keep_descriptor_results = true;
     if let Some((plan, retry)) = fault {
         config.scheduler.fault_plan = Some(plan);
         config.scheduler.retry = retry;
@@ -108,7 +107,7 @@ proptest! {
             prop_assert_eq!(c.outcome.descriptors_spent, want_outcome.descriptors_spent);
             prop_assert!(c.outcome.certificate, "no-abandonment runs self-certify");
             prop_assert_eq!(c.outcome.fidelity, want_outcome.fidelity);
-            let results = c.descriptor_results.as_ref().expect("kept");
+            let results = &c.descriptor_results;
             prop_assert_eq!(results.len(), want_results.len());
             for (d, (got, want)) in results.iter().zip(want_results.iter()).enumerate() {
                 let got = got.as_ref().expect("no descriptor was abandoned");
@@ -235,8 +234,8 @@ proptest! {
         for (a, b) in plain.completions.iter().zip(quiet.completions.iter()) {
             prop_assert_eq!(a.finish.as_secs().to_bits(), b.finish.as_secs().to_bits());
             prop_assert_eq!(format!("{:?}", a.outcome), format!("{:?}", b.outcome));
-            let (ra, rb) = (a.descriptor_results.as_ref(), b.descriptor_results.as_ref());
-            for (d, (x, y)) in ra.expect("kept").iter().zip(rb.expect("kept").iter()).enumerate() {
+            let (ra, rb) = (&a.descriptor_results, &b.descriptor_results);
+            for (d, (x, y)) in ra.iter().zip(rb.iter()).enumerate() {
                 match (x, y) {
                     (Some(x), Some(y)) => assert_bit_identical(x, y, &format!("img{}/d{d}", a.id)),
                     (None, None) => {}
@@ -283,7 +282,7 @@ proptest! {
             prop_assert_eq!(c.outcome.fidelity, want.fidelity);
             prop_assert_eq!(c.outcome.chunks_read, want.chunks_read);
             prop_assert_eq!(c.outcome.descriptors_lost, 0u64);
-            let results = c.descriptor_results.as_ref().expect("kept");
+            let results = &c.descriptor_results;
             for (d, (got, want)) in results.iter().zip(want_results.iter()).enumerate() {
                 let got = got.as_ref().expect("run-all abandons nothing");
                 assert_bit_identical(want, got, &format!("flaky img{}/d{d}", c.id));
@@ -328,7 +327,7 @@ proptest! {
             let is_degraded = c.outcome.fidelity == ResultFidelity::Degraded;
             prop_assert_eq!(is_degraded, !lost.is_empty(), "img{}", c.id);
             degraded += u64::from(is_degraded);
-            for r in c.descriptor_results.as_ref().expect("kept").iter().flatten() {
+            for r in c.descriptor_results.iter().flatten() {
                 let mut skipped = r.log.degradation.lost_chunks.clone();
                 skipped.sort_unstable();
                 prop_assert_eq!(&skipped, &lost, "every session skips exactly the losses");
@@ -381,8 +380,7 @@ proptest! {
         prop_assert_eq!(images.completions.len(), plain.completions.len());
         for (i, p) in images.completions.iter().zip(plain.completions.iter()) {
             prop_assert_eq!(i.finish.as_secs().to_bits(), p.finish.as_secs().to_bits());
-            let results = i.descriptor_results.as_ref().expect("kept");
-            let got = results.first().and_then(Option::as_ref).expect("absorbed");
+            let got = i.descriptor_results.first().and_then(Option::as_ref).expect("absorbed");
             assert_bit_identical(&p.result, got, &format!("{} q{}", policy.name(), p.id));
             prop_assert_eq!(i.outcome.descriptors_lost, p.result.log.degradation.descriptors_lost);
         }

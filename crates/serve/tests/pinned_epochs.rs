@@ -157,7 +157,6 @@ proptest! {
             .collect();
         let mut config = ImageConfig::new(Policy::MostWantedChunk, max_active, ImageStopRule::RunAll);
         config.scheduler.max_queued = image_trace.len();
-        config.keep_descriptor_results = true;
         let report = ImageScheduler::new(pin.clone(), config, image_of.clone())
             .serve_trace(&image_trace, &params)
             .expect("image");
@@ -168,8 +167,7 @@ proptest! {
             let tag = format!("img{}", c.id);
             assert_same_ranking(&want.ranking, &c.outcome.ranking, &tag);
             prop_assert_eq!(c.outcome.descriptors_spent, want.descriptors_spent);
-            let results = c.descriptor_results.as_ref().expect("kept");
-            for (d, (got, want)) in results.iter().zip(&want_results).enumerate() {
+            for (d, (got, want)) in c.descriptor_results.iter().zip(&want_results).enumerate() {
                 let got = got.as_ref().expect("run-all abandons nothing");
                 assert_bit_identical(want, got, &format!("{tag}/d{d}"));
             }
@@ -195,13 +193,19 @@ proptest! {
                     if stop != ImageStopRule::RunAll {
                         continue;
                     }
-                    let (want, _) = solo_image_search(&pin, s.label, &s.descriptors, &params, &image_of)
-                        .expect("solo");
+                    let (want, want_results) =
+                        solo_image_search(&pin, s.label, &s.descriptors, &params, &image_of)
+                            .expect("solo");
                     let tag = format!("{}/lossy={}/img{}", placement.name(), fault_plan.is_some(), c.id);
                     assert_same_ranking(&want.ranking, &o.ranking, &tag);
                     prop_assert_eq!(o.descriptors_spent, want.descriptors_spent);
                     prop_assert_eq!(o.chunks_read, want.chunks_read);
                     prop_assert_eq!(o.fidelity, want.fidelity);
+                    prop_assert_eq!(c.descriptor_results.len(), want_results.len());
+                    for (d, (got, want)) in c.descriptor_results.iter().zip(&want_results).enumerate() {
+                        let got = got.as_ref().expect("run-all abandons nothing");
+                        assert_bit_identical(want, got, &format!("{tag}/d{d}"));
+                    }
                 }
             }
         }

@@ -30,7 +30,7 @@ impl VirtualDuration {
     pub const ZERO: VirtualDuration = VirtualDuration(0.0);
 
     /// From seconds.
-    pub fn from_secs(s: f64) -> Self {
+    pub const fn from_secs(s: f64) -> Self {
         VirtualDuration(s)
     }
 
@@ -40,7 +40,7 @@ impl VirtualDuration {
     }
 
     /// From nanoseconds.
-    pub fn from_ns(ns: f64) -> Self {
+    pub(crate) fn from_ns(ns: f64) -> Self {
         VirtualDuration(ns / 1e9)
     }
 

@@ -19,17 +19,20 @@
 )]
 
 use eff2_core::{SearchParams, Snapshot, SrTreeChunker};
-use eff2_descriptor::{CollectionSpec, SyntheticCollection, Vector};
+use eff2_descriptor::{SyntheticCollection, Vector};
 use eff2_storage::DiskModel;
 use std::collections::BTreeMap;
 
 fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
-    let collection = SyntheticCollection::generate(CollectionSpec::sized(30_000, 21));
-    let set = collection.set;
+    let set = SyntheticCollection::with_size(30_000, 21).set;
+    // Image ids are dense and non-decreasing, so the last one counts them.
+    let images = (set.len().checked_sub(1))
+        .and_then(|i| set.image(i))
+        .map_or(0, |im| im.0 + 1);
     println!(
         "collection: {} descriptors from ~{} broadcast images",
         set.len(),
-        collection.spec.n_images
+        images
     );
 
     let dir = std::env::temp_dir().join("eff2_copyright");

@@ -17,12 +17,15 @@ use eff2_storage::DiskModel;
 fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     // 1. A collection of ~20k local image descriptors (24-dimensional),
     //    simulating a few hundred images' worth of TV footage.
-    let collection = SyntheticCollection::with_size(20_000, 7);
-    let set = collection.set;
+    let set = SyntheticCollection::with_size(20_000, 7).set;
+    // Image ids are dense and non-decreasing, so the last one counts them.
+    let images = (set.len().checked_sub(1))
+        .and_then(|i| set.image(i))
+        .map_or(0, |im| im.0 + 1);
     println!(
         "collection: {} descriptors from ~{} images",
         set.len(),
-        collection.spec.n_images
+        images
     );
 
     // 2. Build a chunk index: uniform 500-descriptor chunks from SR-tree
