@@ -10,13 +10,13 @@
 //!   cell's chunks scored when the scan reaches them. Under the
 //!   to-completion rule the answer is provably identical to the flat
 //!   search — only the centroid-evaluation count changes;
-//! * [`search_quantized`] / [`search_quantized_with`] — scan a quantized
-//!   store's compact code region with the ADC kernels, retain
-//!   `rerank_mult · k` candidates, then re-score them against the raw
-//!   records (the **exact rerank tail**) so the returned top-`k` carries
-//!   exact distances. Modelled bytes shrink by roughly the codec's
-//!   compression ratio; quality is recovered by deepening the rerank
-//!   pool.
+//! * [`search_quantized`] — scan a quantized store's compact code region
+//!   with the ADC kernels, retain `rerank_mult · k` candidates, then
+//!   re-score them against the raw records (the **exact rerank tail**) so
+//!   the returned top-`k` carries exact distances. Modelled bytes shrink by
+//!   roughly the codec's compression ratio; quality is recovered by
+//!   deepening the rerank pool. Its two-level form is
+//!   [`SearchSession::open_quantized`] with a coarse quantizer.
 
 use crate::coarse::CoarseQuantizer;
 use crate::search::{SearchParams, SearchResult};
@@ -42,12 +42,13 @@ pub fn search_two_level(
 ) -> Result<SearchResult> {
     let ranking = ChunkRanking::rank_two_level(store, model, query, coarse);
     let source = Arc::new(FileSource::new(store));
-    SearchSession::from_ranking(ranking, model, query, params, source).run()
+    SearchSession::from_parts(ranking, model, query, params, Some(source)).run()
 }
 
 /// Executes one query over a quantized store with a flat ranking:
-/// ADC scan of the code region, then the exact rerank tail. See
-/// [`search_quantized_with`] for the two-level form.
+/// ADC scan of the code region, then the exact rerank tail (see
+/// [`SearchSession::open_quantized`], which also takes a coarse quantizer
+/// for a two-level ranking).
 pub fn search_quantized(
     store: &ChunkStore,
     model: &DiskModel,
@@ -55,26 +56,7 @@ pub fn search_quantized(
     params: &SearchParams,
     rerank_mult: usize,
 ) -> Result<SearchResult> {
-    search_quantized_with(store, model, query, params, rerank_mult, None)
-}
-
-/// [`search_quantized`] with an optional coarse quantizer: when `coarse`
-/// is `Some`, chunk ranking is two-level as well, stacking both
-/// reductions — fewer centroid evaluations *and* fewer bytes per chunk.
-///
-/// `rerank_mult` is the rerank depth `R`: the ADC scan retains the best
-/// `R · k` candidates, and the tail re-scores exactly those against the
-/// raw records. `R = 1` reranks only the ADC top-`k`; larger `R` recovers
-/// precision monotonically (the candidate pools are nested in `R`).
-pub fn search_quantized_with(
-    store: &ChunkStore,
-    model: &DiskModel,
-    query: &Vector,
-    params: &SearchParams,
-    rerank_mult: usize,
-    coarse: Option<&CoarseQuantizer>,
-) -> Result<SearchResult> {
-    SearchSession::open_quantized(store, model, query, params, rerank_mult, coarse)?.run()
+    SearchSession::open_quantized(store, model, query, params, rerank_mult, None)?.run()
 }
 
 #[cfg(test)]
@@ -299,7 +281,8 @@ mod tests {
         let params = SearchParams::exact(5);
         let q = set.vector_owned(13);
         let flat_exact = search(&raw, &model, &q, &params).expect("flat exact");
-        let got = search_quantized_with(&quant, &model, &q, &params, 8, Some(&coarse))
+        let got = SearchSession::open_quantized(&quant, &model, &q, &params, 8, Some(&coarse))
+            .and_then(SearchSession::run)
             .expect("quantized two-level");
         assert!(got.log.centroid_evals <= flat_exact.log.centroid_evals);
         assert!(got.neighbors.len() == params.k.min(set.len()));

@@ -39,13 +39,12 @@ pub mod coarse;
 pub mod image;
 pub mod index;
 pub mod merge;
-pub mod neighbors;
 pub mod scan;
 pub mod search;
 pub mod session;
 pub mod snapshot;
 
-pub use adc::{search_quantized, search_quantized_with, search_two_level};
+pub use adc::{search_quantized, search_two_level};
 pub use chunkers::{
     BagChunker, ChunkFormation, ChunkFormer, FormationCost, HybridChunker, RandomChunker,
     RoundRobinChunker, SrTreeChunker,
@@ -57,11 +56,10 @@ pub use image::{
 };
 pub use index::BuiltIndex;
 pub use merge::{LegOutcome, ScatterGather};
-pub use neighbors::{Neighbor, NeighborSet};
 pub use scan::{scan_knn, scan_store_knn};
 pub use search::{
     search_batch_threads, search_with_source, ChunkEvent, Degradation, ResultFidelity, SearchLog,
     SearchParams, SearchResult, StopRule,
 };
-pub use session::{evaluate_stop_rules, ChunkRanking, SearchSession, SkipPolicy};
+pub use session::{ChunkRanking, SearchSession, SkipPolicy};
 pub use snapshot::Snapshot;

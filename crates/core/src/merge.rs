@@ -6,11 +6,10 @@
 //!
 //! Here a query's flat [`ChunkRanking`] is split into per-shard *legs*
 //! (`ChunkRanking::split_by_owner`); each leg is a detached
-//! [`SearchSession`](crate::session::SearchSession) scanning only its
-//! shard's chunks. The [`ScatterGather`] is the **gather side**, and it is a
-//! search session too — the same per-query state a scanning session keeps
-//! (global ranking, neighbour set, private clock, log), advanced by the same
-//! code — except that it is *told* each chunk's candidates instead of
+//! [`SearchSession`] scanning only its shard's chunks. The [`ScatterGather`]
+//! is the **gather side**, and it holds a detached [`SearchSession`] over
+//! the global ranking too — advanced by the same code as every other
+//! session — except that it is *told* each chunk's candidates instead of
 //! computing them: [`ScatterGather::incorporate`] takes, strictly in global
 //! rank order, what the owning leg reported for the chunk.
 //!
@@ -21,18 +20,18 @@
 //! solo top-k over that prefix is among the k best of its own leg's prefix
 //! and was reported in that leg's retained set. A leg re-reports its whole
 //! retained set — raw `(id, dist_sq)` pairs, see
-//! [`NeighborSet::entries`](crate::neighbors::NeighborSet::entries) — after
+//! [`NeighborSet::entries`](eff2_descriptor::NeighborSet::entries) — after
 //! every chunk, and
-//! [`offer_distinct`](crate::neighbors::NeighborSet::offer_distinct) makes
+//! [`offer_distinct`](eff2_descriptor::NeighborSet::offer_distinct) makes
 //! that idempotent: an id the set holds is refused, an id it has evicted no
 //! longer beats the kth entry. So the gather's neighbour set after rank `g`
 //! holds exactly what a solo scan's holds, and everything derived from it —
 //! kth distance, stop decision, event log, clock charges (a lost chunk is
-//! booked like a solo skip), final ordering — is computed by the session
-//! core a solo scan runs.
+//! booked as a solo skip), final ordering — is computed by the session
+//! code a solo scan runs.
 
 use crate::search::{SearchParams, SearchResult};
-use crate::session::{ChunkRanking, SessionCore};
+use crate::session::{ChunkRanking, SearchSession};
 use eff2_storage::diskmodel::{DiskModel, VirtualDuration};
 use eff2_storage::Result;
 
@@ -59,45 +58,48 @@ pub enum LegOutcome {
     },
 }
 
-/// The gather side of a scatter–gather query: a search session over the
+/// The gather side of a scatter–gather query: a detached session over the
 /// global ranking that is told each chunk's candidates. See the module
 /// docs for the determinism argument.
+#[derive(Debug)]
 pub struct ScatterGather {
-    core: SessionCore,
+    session: SearchSession,
 }
 
 impl ScatterGather {
     /// A gather over a pre-computed **flat** global ranking. The private
     /// clock starts at the index-read time, exactly like a solo session.
     pub fn new(ranking: ChunkRanking, model: &DiskModel, params: &SearchParams) -> ScatterGather {
+        let query = ranking.query;
         ScatterGather {
-            core: SessionCore::new(ranking, model, params),
+            session: SearchSession::detached_from_ranking(ranking, model, &query, params),
         }
     }
 
     /// The global ranking this gather merges over.
     pub fn ranking(&self) -> &ChunkRanking {
-        self.core.ranking()
+        self.session.ranking()
     }
 
     /// Global ranks incorporated so far (scanned + lost) — the next
     /// outcome must be for the chunk at this rank.
     pub fn cursor(&self) -> usize {
-        self.core.cursor()
+        self.session.cursor()
     }
 
     /// Upper estimate of ranks still to incorporate before the stop rule
-    /// can fire (see `SearchSession::remaining_work_estimate`).
+    /// can fire (see [`SearchSession::remaining_work_estimate`]).
     pub fn remaining_work_estimate(&self) -> usize {
-        self.core.remaining_work_estimate()
+        self.session.remaining_work_estimate()
     }
 
     /// Incorporates the outcome for the chunk at the current cursor rank.
     /// `chunk_id` must be the ranking's chunk at that rank (the same
-    /// in-order discipline as `SearchSession::step_with`); outcomes arrive
-    /// here only after the fleet driver has drained every earlier rank.
+    /// in-order discipline as [`SearchSession::step_with`]); outcomes
+    /// arrive here only after the fleet driver has drained every earlier
+    /// rank.
     pub fn incorporate(&mut self, chunk_id: usize, outcome: &LegOutcome) -> Result<()> {
-        self.core.check_next(chunk_id)?;
+        self.session.check_next(chunk_id)?;
         match outcome {
             LegOutcome::Scanned {
                 bytes_read,
@@ -105,13 +107,13 @@ impl ScatterGather {
                 entries,
             } => {
                 for &(id, dist_sq) in entries {
-                    self.core.neighbors.offer_distinct(id, dist_sq);
+                    self.session.neighbors.offer_distinct(id, dist_sq);
                 }
-                self.core
+                self.session
                     .chunk_consumed(chunk_id, *count, *bytes_read, VirtualDuration::ZERO);
             }
             LegOutcome::Lost { spent } => {
-                self.core.chunk_lost(*spent)?;
+                self.session.skip_unavailable(*spent)?;
             }
         }
         Ok(())
@@ -120,22 +122,12 @@ impl ScatterGather {
     /// Whether the query's own stop rule says to stop — the same predicate
     /// a solo session evaluates, over the merged state.
     pub fn stop_satisfied(&self) -> bool {
-        self.core.stop_satisfied()
+        self.session.stop_satisfied()
     }
 
     /// Finalises the merged answer under the query's own stop rule.
     pub fn into_result(self) -> SearchResult {
-        self.core.into_result()
-    }
-}
-
-impl std::fmt::Debug for ScatterGather {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ScatterGather")
-            .field("cursor", &self.cursor())
-            .field("n_chunks", &self.ranking().len())
-            .field("kth_dist", &self.core.neighbors.kth_dist())
-            .finish_non_exhaustive()
+        self.session.into_result()
     }
 }
 
@@ -143,10 +135,8 @@ impl std::fmt::Debug for ScatterGather {
 mod tests {
     use super::*;
     use crate::chunkers::{ChunkFormer, SrTreeChunker};
-    use crate::neighbors::NeighborSet;
     use crate::search::StopRule;
-    use crate::session::SearchSession;
-    use eff2_descriptor::{Descriptor, DescriptorSet, Vector};
+    use eff2_descriptor::{Descriptor, DescriptorSet, NeighborSet, Vector};
     use eff2_storage::epoch::FoldedDelta;
     use eff2_storage::source::{ChunkSource, FileSource, ReadState};
     use eff2_storage::ChunkStore;
@@ -214,7 +204,7 @@ mod tests {
             .collect();
         let legs_rankings = ranking.split_by_owner(&owner_of, n_shards);
         let mut gather = ScatterGather::new(ranking, &model, params);
-        gather.core.apply_delta(&query, delta);
+        gather.session.apply_delta(delta);
 
         // Drive every leg to exhaustion, buffering outcomes by global rank.
         let leg_params = SearchParams {

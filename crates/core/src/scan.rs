@@ -6,8 +6,7 @@
 //! collection; [`scan_store_knn`] streams an on-disk chunk store end to end
 //! (the curse-of-dimensionality fallback every index degrades to).
 
-use crate::neighbors::{Neighbor, NeighborSet};
-use eff2_descriptor::{scan_block_into, DescriptorSet, Vector};
+use eff2_descriptor::{scan_block_into, DescriptorSet, Neighbor, NeighborSet, Vector};
 use eff2_storage::{ChunkStore, Result};
 
 /// Exact k-nearest neighbours of `query` by scanning `set` with the
@@ -23,7 +22,7 @@ pub fn scan_knn(set: &DescriptorSet, query: &Vector, k: usize) -> Vec<Neighbor> 
 pub fn scan_store_knn(store: &ChunkStore, query: &Vector, k: usize) -> Result<Vec<Neighbor>> {
     let mut best = NeighborSet::new(k);
     let mut reader = store.reader()?;
-    let mut payload = eff2_storage::ChunkData::default();
+    let mut payload = eff2_storage::chunkfile::ChunkPayload::default();
     for id in 0..store.n_chunks() {
         reader.read_chunk(id, &mut payload)?;
         scan_block_into(query.as_array(), &payload.packed, &payload.ids, &mut best);

@@ -24,9 +24,8 @@
 //! completion time and a snapshot of the current top-k — the raw material
 //! for all of the paper's quality-vs-time figures.
 
-use crate::neighbors::Neighbor;
 use crate::session::SearchSession;
-use eff2_descriptor::Vector;
+use eff2_descriptor::{Neighbor, Vector};
 use eff2_storage::diskmodel::{DiskModel, VirtualDuration};
 use eff2_storage::source::{ChunkSource, FileSource};
 use eff2_storage::{ChunkStore, Result};

@@ -16,9 +16,9 @@
 //! * stop rules are **predicates on session state**
 //!   (`SearchSession::evaluate_rule`), not control flow baked into the
 //!   loop. `search()` is ranking + drive-to-stop, and
-//!   [`evaluate_stop_rules`] answers every `Chunks(n)` / `VirtualTime(t)` /
-//!   `ToCompletionEps` variant from ONE scan of the collection instead of
-//!   re-searching per rule.
+//!   [`SearchSession::evaluate_rules`] answers every `Chunks(n)` /
+//!   `VirtualTime(t)` / `ToCompletionEps` variant from ONE scan of the
+//!   collection instead of re-searching per rule.
 //!
 //! Chunks arrive through a pluggable [`ChunkSource`] (file reads on the
 //! calling thread, or a shared resident cache): `step` fetches the chunk at
@@ -32,10 +32,10 @@
 //! determinism suite).
 
 use crate::coarse::CoarseQuantizer;
-use crate::neighbors::NeighborSet;
 use crate::search::{ChunkEvent, SearchLog, SearchParams, SearchResult, StopRule};
 use eff2_descriptor::{
-    adc_l2_sq_batch, as_rows, l2_sq, scan_block_into, DescriptorCodec, PreparedQuery, Vector,
+    adc_l2_sq_batch, as_rows, l2_sq, scan_block_into, DescriptorCodec, NeighborSet, PreparedQuery,
+    Vector,
 };
 use eff2_storage::chunkfile::ChunkPayload;
 use eff2_storage::diskmodel::{DiskModel, PipelineClock, VirtualDuration};
@@ -177,7 +177,7 @@ pub struct ChunkRanking {
     /// its `start` to the next wave's.
     waves: Vec<Wave>,
     /// The query, for scoring a coarse cell's members.
-    query: Vector,
+    pub(crate) query: Vector,
     /// The ranked store, held by handle (an `Arc` clone): scoring, the
     /// suffix bounds and the degradation report read each chunk's
     /// centroid, radius and count from its metas, never from a copy.
@@ -328,7 +328,7 @@ impl ChunkRanking {
     /// ranking; `n_cells` plus the members of every scored wave for a
     /// two-level ranking — the quantity two-level ranking exists to
     /// shrink.
-    pub fn centroid_evals(&self) -> u64 {
+    pub(crate) fn centroid_evals(&self) -> u64 {
         self.waves.iter().fold(self.evals, |n, w| match &w.members {
             Members::Cell(ids) if w.ordered.get().is_some() => n + ids.len() as u64,
             _ => n,
@@ -336,7 +336,8 @@ impl ChunkRanking {
     }
 
     /// Chunk ids in ranked (scan) order (ordering every wave).
-    pub fn order(&self) -> Vec<usize> {
+    #[cfg(test)]
+    pub(crate) fn order(&self) -> Vec<usize> {
         self.order_from(0)
     }
 
@@ -403,7 +404,7 @@ impl ChunkRanking {
     }
 
     /// Modelled cost of reading and ranking the chunk index.
-    pub fn index_read_time(&self) -> VirtualDuration {
+    pub(crate) fn index_read_time(&self) -> VirtualDuration {
         self.index_read_time
     }
 
@@ -516,241 +517,10 @@ impl StepInvariants {
     }
 }
 
-/// One query's standing in §4.3's scan, however its chunks get scanned:
-/// how far down the ranked order it is, what that has cost on its private
-/// clock, what it has found and logged, and whether a stop rule is met.
-///
-/// A [`SearchSession`] is this plus the machinery that *computes* each
-/// chunk's candidates; the fleet's
-/// [`ScatterGather`](crate::merge::ScatterGather) is this plus being *told*
-/// them. Both advance only through [`chunk_consumed`](Self::chunk_consumed)
-/// and [`chunk_lost`](Self::chunk_lost), so every figure they report comes
-/// out of the same code.
-pub(crate) struct SessionCore {
-    ranking: ChunkRanking,
-    model: DiskModel,
-    params: SearchParams,
-    clock: PipelineClock,
-    pub(crate) neighbors: NeighborSet,
-    log: SearchLog,
-    wall_start: std::time::Instant,
-    #[cfg(debug_assertions)]
-    invariants: StepInvariants,
-}
-
-impl SessionCore {
-    /// The private clock starts at the index-read time.
-    pub(crate) fn new(ranking: ChunkRanking, model: &DiskModel, params: &SearchParams) -> Self {
-        SessionCore {
-            model: *model,
-            params: *params,
-            clock: PipelineClock::start_at(ranking.index_read_time()),
-            neighbors: NeighborSet::new(params.k),
-            log: SearchLog {
-                index_read_time: ranking.index_read_time(),
-                ..SearchLog::default()
-            },
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "log.wall is informational; it never feeds the virtual clock or modelled figures"
-            )]
-            wall_start: std::time::Instant::now(),
-            // The seen-set is indexed by chunk *id*, which for a per-shard
-            // leg ranking (split_by_owner) spans the whole store even
-            // though the leg ranks only a subset — size it by the id space,
-            // not the rank count.
-            #[cfg(debug_assertions)]
-            invariants: StepInvariants::new(ranking.store.n_chunks()),
-            ranking,
-        }
-    }
-
-    pub(crate) fn ranking(&self) -> &ChunkRanking {
-        &self.ranking
-    }
-
-    /// Position in the ranked order consumed so far: chunks scanned plus
-    /// chunks lost to faults. With zero faults this is exactly
-    /// `chunks_read` — the fault-free path is untouched.
-    pub(crate) fn cursor(&self) -> usize {
-        self.log.chunks_read + self.log.degradation.chunks_lost
-    }
-
-    /// The in-order discipline: `chunk_id` must be the chunk at the cursor
-    /// rank (payloads and outcomes arrive in ranked order no matter who
-    /// produced them).
-    pub(crate) fn check_next(&self, chunk_id: usize) -> Result<()> {
-        let wanted = self.chunk_at_cursor()?;
-        if chunk_id != wanted {
-            return Err(eff2_storage::Error::Inconsistent(format!(
-                "rank {} wants chunk {wanted}, was given chunk {chunk_id}",
-                self.cursor()
-            )));
-        }
-        Ok(())
-    }
-
-    /// The chunk at the cursor rank; there is none past the last rank.
-    fn chunk_at_cursor(&self) -> Result<usize> {
-        let cursor = self.cursor();
-        if cursor >= self.ranking.len() {
-            return Err(eff2_storage::Error::Inconsistent(
-                "every ranked chunk is already consumed".to_string(),
-            ));
-        }
-        Ok(self.ranking.chunk_at(cursor))
-    }
-
-    /// Books the chunk at the cursor as scanned — its candidates are
-    /// already in `neighbors`: charges the clock, bumps the counters, logs
-    /// the event. `injected_delay` is extra modelled I/O latency the
-    /// delivery suffered (fault-injection spikes, retry costs); it is zero
-    /// on every fault-free path, and `x + 0.0` is bit-identical to `x`, so
-    /// the fault-free accounting is untouched.
-    pub(crate) fn chunk_consumed(
-        &mut self,
-        chunk_id: usize,
-        count: u32,
-        bytes_read: u64,
-        injected_delay: VirtualDuration,
-    ) {
-        let io = self.model.io_time(bytes_read) + injected_delay;
-        let cpu = self.model.scan_time(count as usize);
-        let completed_at = self.clock.chunk_overlapped(io, cpu);
-
-        #[cfg(debug_assertions)]
-        self.invariants
-            .on_step(chunk_id, self.neighbors.kth_dist(), completed_at);
-
-        let rank = self.log.chunks_read;
-        self.log.chunks_read += 1;
-        self.log.descriptors_scanned += u64::from(count);
-        self.log.bytes_read += bytes_read;
-        self.log.events.push(ChunkEvent {
-            rank,
-            chunk_id,
-            count,
-            bytes_read,
-            completed_at,
-            kth_dist: self.neighbors.kth_dist(),
-            topk_ids: if self.params.log_snapshots {
-                self.neighbors.sorted_ids()
-            } else {
-                Vec::new()
-            },
-        });
-    }
-
-    /// Scans `delta`'s live rows as one delta-chunk read, **before the
-    /// first chunk**: distances offered into the neighbour set in delta
-    /// order, the read charged to the private clock like any chunk (I/O of
-    /// the record-layout bytes overlapped with the scan CPU). No live rows,
-    /// no charge — an empty delta is a strict no-op.
-    pub(crate) fn apply_delta(&mut self, query: &Vector, delta: &FoldedDelta) {
-        debug_assert_eq!(self.cursor(), 0, "apply_delta must run before the scan");
-        if delta.inserts.is_empty() {
-            return;
-        }
-        for (id, vector) in &delta.inserts {
-            self.neighbors
-                .offer(*id, l2_sq(query.as_array(), vector.as_array()));
-        }
-        let io = self.model.io_time(delta.scan_bytes());
-        let cpu = self.model.scan_time(delta.inserts.len());
-        let _ = self.clock.chunk_overlapped(io, cpu);
-        self.log.bytes_read += delta.scan_bytes();
-        self.log.descriptors_scanned += delta.inserts.len() as u64;
-    }
-
-    /// Consumes the chunk at the cursor *without* its candidates: the
-    /// chunk goes into the degradation report and `charge` — what the
-    /// failed delivery cost — onto the clock as I/O with no overlapping
-    /// CPU. Returns the lost chunk id, or `Error::Inconsistent` when the
-    /// cursor names no chunk (see `chunk_at_cursor`).
-    pub(crate) fn chunk_lost(&mut self, charge: VirtualDuration) -> Result<usize> {
-        let id = self.chunk_at_cursor()?;
-        #[cfg(debug_assertions)]
-        self.invariants.mark_seen(id);
-        let _ = self.clock.chunk_overlapped(charge, VirtualDuration::ZERO);
-        self.log.degradation.chunks_lost += 1;
-        self.log.degradation.descriptors_lost += u64::from(self.ranking.count_of(id));
-        self.log.degradation.lost_chunks.push(id);
-        Ok(id)
-    }
-
-    /// See [`SearchSession::evaluate_rule`].
-    pub(crate) fn evaluate_rule(&self, rule: StopRule) -> Option<bool> {
-        // Lost chunks consume the scan budget exactly like scanned ones:
-        // `Chunks(n)` counts them toward n, and the remaining bound is
-        // taken past them (an honest account — their descriptors are
-        // reported lost, not silently still pending).
-        let read = self.cursor();
-        rule_fires(
-            rule,
-            read,
-            self.log.events.last().map(|e| e.completed_at),
-            self.neighbors.is_full(),
-            self.neighbors.kth_dist(),
-            self.ranking.remaining_bound(read),
-        )
-    }
-
-    /// Whether the query's own stop rule says to stop. A `k = 0` query
-    /// stops before consuming anything — its empty answer is trivially
-    /// exact — and so does one with no ranked chunk left.
-    pub(crate) fn stop_satisfied(&self) -> bool {
-        self.params.k == 0
-            || self.cursor() >= self.ranking.len()
-            || self.evaluate_rule(self.params.stop).is_some()
-    }
-
-    /// See [`SearchSession::remaining_work_estimate`].
-    pub(crate) fn remaining_work_estimate(&self) -> usize {
-        let cursor = self.cursor();
-        match self.params.stop {
-            StopRule::Chunks(n) => n.min(self.ranking.len()).saturating_sub(cursor),
-            _ => self.ranking.len().saturating_sub(cursor),
-        }
-    }
-
-    /// The `completed` flag the log should carry if the search stopped
-    /// *now* under `rule`: a `k = 0` answer is trivially exact, exhausting
-    /// every chunk is completion, and the completion rules certify their
-    /// own stop.
-    fn completed_for(&self, rule: StopRule) -> bool {
-        self.params.k == 0
-            || self.cursor() == self.ranking.len()
-            || self.evaluate_rule(rule) == Some(true)
-    }
-
-    /// The one finaliser: stamps `log` — this core's own, or a copy of it —
-    /// with the figures only known at the end. `completed` is passed in
-    /// because it is judged from the log while that is still in place.
-    fn finish(&self, mut log: SearchLog, completed: bool) -> SearchResult {
-        log.completed = completed;
-        log.total_virtual = self.clock.now().max(self.ranking.index_read_time());
-        log.centroid_evals = self.ranking.centroid_evals();
-        log.wall = self.wall_start.elapsed();
-        SearchResult {
-            neighbors: self.neighbors.sorted(),
-            log,
-        }
-    }
-
-    /// See [`SearchSession::result_for_rule`].
-    pub(crate) fn result_for_rule(&self, rule: StopRule) -> SearchResult {
-        self.finish(self.log.clone(), self.completed_for(rule))
-    }
-
-    /// The final result under the query's own stop rule.
-    pub(crate) fn into_result(mut self) -> SearchResult {
-        let completed = self.completed_for(self.params.stop);
-        let log = std::mem::take(&mut self.log);
-        self.finish(log, completed)
-    }
-}
-
-/// A resumable query execution: step 2 of §4.3, one chunk at a time.
+/// A resumable query execution: step 2 of §4.3, one chunk at a time. It
+/// is the one per-query scan state: how far down the ranked order the
+/// query is, what that has cost on its private clock, what it has found
+/// and logged, and whether a stop rule is met.
 ///
 /// A session owns everything it needs — ranking, neighbour set, virtual
 /// clock, log, and a handle to its [`ChunkSource`] — so it can be driven
@@ -759,7 +529,12 @@ impl SessionCore {
 /// ([`evaluate_rules`](Self::evaluate_rules)). Each `step` fetches the
 /// chunk at the cursor rank, and the chunk file is opened at the first
 /// one, so a store whose files vanish between session construction and
-/// stepping surfaces a clean `Err`.
+/// stepping surfaces a clean `Err`. The fleet's
+/// [`ScatterGather`](crate::merge::ScatterGather) holds a detached session
+/// that is *told* each chunk's candidates instead of computing them; every
+/// session advances only through `chunk_consumed` and
+/// [`skip_unavailable`](Self::skip_unavailable), so every figure comes out
+/// of the same code.
 pub struct SearchSession {
     /// `None` for a *detached* session — one driven by an external
     /// scheduler through [`step_with`](Self::step_with) instead of pulling
@@ -767,7 +542,14 @@ pub struct SearchSession {
     source: Option<Arc<dyn ChunkSource>>,
     /// What this session keeps between fetches from `source`.
     read: ReadState,
-    core: SessionCore,
+    ranking: ChunkRanking,
+    model: DiskModel,
+    params: SearchParams,
+    /// The private clock; it starts at the index-read time.
+    clock: PipelineClock,
+    pub(crate) neighbors: NeighborSet,
+    log: SearchLog,
+    wall_start: std::time::Instant,
     query: Vector,
     /// `Some` for a quantized (ADC) session — see
     /// [`open_quantized`](Self::open_quantized).
@@ -778,6 +560,8 @@ pub struct SearchSession {
     delta: Option<Arc<FoldedDelta>>,
     exhausted: bool,
     skip: SkipPolicy,
+    #[cfg(debug_assertions)]
+    invariants: StepInvariants,
 }
 
 /// State of an asymmetric-distance (quantized) scan: the prepared query,
@@ -820,7 +604,13 @@ impl SearchSession {
     /// the best `rerank_mult · k` ADC candidates, and — after the scan —
     /// [`rerank_tail`](Self::rerank_tail) re-scores them against the raw
     /// `f32` records so the final top-`k` uses exact distances. With
-    /// `coarse` the ranking is two-level (`ChunkRanking::rank_two_level`).
+    /// `coarse` the ranking is two-level (`ChunkRanking::rank_two_level`),
+    /// stacking both reductions — fewer centroid evaluations *and* fewer
+    /// bytes per chunk.
+    ///
+    /// `rerank_mult` is the rerank depth `R`: `R = 1` reranks only the ADC
+    /// top-`k`; larger `R` recovers precision monotonically (the candidate
+    /// pools are nested in `R`).
     ///
     /// Completion proofs from this session are with respect to the ADC
     /// distances (the scanned representation); treat `completed` as "the
@@ -844,7 +634,7 @@ impl SearchSession {
         };
         let source = Arc::new(FileSource::new(&quant));
         let mut session = SearchSession::from_parts(ranking, model, query, params, Some(source));
-        session.core.neighbors = NeighborSet::new(params.k.saturating_mul(rerank_mult.max(1)));
+        session.neighbors = NeighborSet::new(params.k.saturating_mul(rerank_mult.max(1)));
         session.adc = Some(AdcScan {
             prep: codec.prepare(query.as_array()),
             raw: store.raw_view(),
@@ -865,18 +655,6 @@ impl SearchSession {
         source: Arc<dyn ChunkSource>,
     ) -> SearchSession {
         let ranking = ChunkRanking::rank(store, model, query);
-        SearchSession::from_parts(ranking, model, query, params, Some(source))
-    }
-
-    /// [`with_source`](Self::with_source) over a pre-computed ranking (a
-    /// two-level one, say).
-    pub(crate) fn from_ranking(
-        ranking: ChunkRanking,
-        model: &DiskModel,
-        query: &Vector,
-        params: &SearchParams,
-        source: Arc<dyn ChunkSource>,
-    ) -> SearchSession {
         SearchSession::from_parts(ranking, model, query, params, Some(source))
     }
 
@@ -906,7 +684,9 @@ impl SearchSession {
         SearchSession::from_parts(ranking, model, query, params, None)
     }
 
-    fn from_parts(
+    /// The one constructor: a session at rank 0 whose private clock starts
+    /// at the ranking's index-read time.
+    pub(crate) fn from_parts(
         ranking: ChunkRanking,
         model: &DiskModel,
         query: &Vector,
@@ -916,12 +696,31 @@ impl SearchSession {
         SearchSession {
             source,
             read: ReadState::default(),
-            core: SessionCore::new(ranking, model, params),
+            model: *model,
+            params: *params,
+            clock: PipelineClock::start_at(ranking.index_read_time()),
+            neighbors: NeighborSet::new(params.k),
+            log: SearchLog {
+                index_read_time: ranking.index_read_time(),
+                ..SearchLog::default()
+            },
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "log.wall is informational; it never feeds the virtual clock or modelled figures"
+            )]
+            wall_start: std::time::Instant::now(),
             query: *query,
             adc: None,
             delta: None,
             exhausted: false,
             skip: SkipPolicy::Abort,
+            // The seen-set is indexed by chunk *id*, which for a per-shard
+            // leg ranking (split_by_owner) spans the whole store even
+            // though the leg ranks only a subset — size it by the id space,
+            // not the rank count.
+            #[cfg(debug_assertions)]
+            invariants: StepInvariants::new(ranking.store.n_chunks()),
+            ranking,
         }
     }
 
@@ -929,7 +728,9 @@ impl SearchSession {
     /// delta, **before the first step**:
     ///
     /// * the live delta rows are scanned right now, as one delta-chunk
-    ///   read ([`SessionCore::apply_delta`]);
+    ///   read: distances offered into the neighbour set in delta order, the
+    ///   read charged to the private clock like any chunk (I/O of the
+    ///   record-layout bytes overlapped with the scan CPU);
     /// * every later chunk scan filters out base rows whose ids the delta
     ///   tombstones (deleted or superseded descriptors).
     ///
@@ -944,7 +745,18 @@ impl SearchSession {
     /// bound is a lower bound over a superset of the live base rows, and
     /// the delta rows are all consumed up front.
     pub(crate) fn apply_delta(&mut self, delta: &Arc<FoldedDelta>) {
-        self.core.apply_delta(&self.query, delta);
+        debug_assert_eq!(self.cursor(), 0, "apply_delta must run before the scan");
+        if !delta.inserts.is_empty() {
+            for (id, vector) in &delta.inserts {
+                self.neighbors
+                    .offer(*id, l2_sq(self.query.as_array(), vector.as_array()));
+            }
+            let io = self.model.io_time(delta.scan_bytes());
+            let cpu = self.model.scan_time(delta.inserts.len());
+            let _ = self.clock.chunk_overlapped(io, cpu);
+            self.log.bytes_read += delta.scan_bytes();
+            self.log.descriptors_scanned += delta.inserts.len() as u64;
+        }
         if !delta.tombstones.is_empty() {
             self.delta = Some(Arc::clone(delta));
         }
@@ -958,35 +770,26 @@ impl SearchSession {
 
     /// The ranking this session scans in.
     pub fn ranking(&self) -> &ChunkRanking {
-        &self.core.ranking
-    }
-
-    /// The parameters the session was opened with.
-    pub fn params(&self) -> &SearchParams {
-        &self.core.params
+        &self.ranking
     }
 
     /// Chunks processed so far.
     pub fn chunks_read(&self) -> usize {
-        self.core.log.chunks_read
+        self.log.chunks_read
     }
 
-    /// Ranks consumed so far (scanned + skipped) — the rank the next fed
-    /// chunk must hold.
+    /// Ranks consumed so far: chunks scanned plus chunks lost to faults —
+    /// the rank the next fed chunk must hold. With zero faults this is
+    /// exactly [`chunks_read`](Self::chunks_read).
     pub fn cursor(&self) -> usize {
-        self.core.cursor()
-    }
-
-    /// Current kth-best distance (∞ until `k` neighbours are held).
-    pub fn kth_dist(&self) -> f32 {
-        self.core.neighbors.kth_dist()
+        self.log.chunks_read + self.log.degradation.chunks_lost
     }
 
     /// The current neighbour set as raw `(id, dist_sq)` entries (see
     /// [`NeighborSet::entries`]) — what a scatter–gather merge re-offers
     /// into the global set to stay bit-identical to a solo scan.
     pub fn neighbor_entries(&self) -> Vec<(u32, f32)> {
-        self.core.neighbors.entries()
+        self.neighbors.entries()
     }
 
     /// A cheap upper estimate of the chunks this session still has to
@@ -996,13 +799,17 @@ impl SearchSession {
     /// (shortest-remaining-work) instead of falling back to admission
     /// order.
     pub fn remaining_work_estimate(&self) -> usize {
-        self.core.remaining_work_estimate()
+        let cursor = self.cursor();
+        match self.params.stop {
+            StopRule::Chunks(n) => n.min(self.ranking.len()).saturating_sub(cursor),
+            _ => self.ranking.len().saturating_sub(cursor),
+        }
     }
 
     /// Whether the scan is over: every ranked chunk processed (scanned or
     /// skipped), or a delivery error ended it.
     pub(crate) fn is_exhausted(&self) -> bool {
-        self.exhausted || self.core.cursor() == self.core.ranking.len()
+        self.exhausted || self.cursor() == self.ranking.len()
     }
 
     /// The chunk id this session wants next (the next unread chunk in its
@@ -1014,7 +821,23 @@ impl SearchSession {
     /// first; `next_wanted` only says *which* chunk a continued scan
     /// consumes.
     pub fn next_wanted(&self) -> Option<usize> {
-        (!self.is_exhausted()).then(|| self.core.ranking.chunk_at(self.core.cursor()))
+        (!self.is_exhausted()).then(|| self.ranking.chunk_at(self.cursor()))
+    }
+
+    /// The in-order discipline: `chunk_id` must be the chunk at the cursor
+    /// rank (payloads and outcomes arrive in ranked order no matter who
+    /// produced them).
+    pub(crate) fn check_next(&self, chunk_id: usize) -> Result<()> {
+        match self.next_wanted() {
+            Some(wanted) if wanted == chunk_id => Ok(()),
+            Some(wanted) => Err(eff2_storage::Error::Inconsistent(format!(
+                "rank {} wants chunk {wanted}, was given chunk {chunk_id}",
+                self.cursor()
+            ))),
+            None => Err(eff2_storage::Error::Inconsistent(
+                "every ranked chunk is already consumed".to_string(),
+            )),
+        }
     }
 
     /// Consumes the next ranked chunk *without scanning it*: the chunk is
@@ -1024,15 +847,21 @@ impl SearchSession {
     /// clock as I/O with no overlapping CPU. Returns the skipped chunk id.
     ///
     /// This is the primitive behind [`SkipPolicy::SkipUnavailable`]; an
-    /// external driver (the serving scheduler) calls it directly when it
-    /// abandons a fetch.
+    /// external driver (the serving scheduler, the scatter–gather merge)
+    /// calls it directly when it abandons a fetch.
     pub fn skip_unavailable(&mut self, charge: VirtualDuration) -> Result<usize> {
-        if self.is_exhausted() {
+        let Some(id) = self.next_wanted() else {
             return Err(eff2_storage::Error::Inconsistent(
                 "no ranked chunk left to skip".to_string(),
             ));
-        }
-        self.core.chunk_lost(charge)
+        };
+        #[cfg(debug_assertions)]
+        self.invariants.mark_seen(id);
+        let _ = self.clock.chunk_overlapped(charge, VirtualDuration::ZERO);
+        self.log.degradation.chunks_lost += 1;
+        self.log.degradation.descriptors_lost += u64::from(self.ranking.count_of(id));
+        self.log.degradation.lost_chunks.push(id);
+        Ok(id)
     }
 
     /// Advances the scan by exactly one chunk and returns its event, or
@@ -1059,11 +888,11 @@ impl SearchSession {
                     "detached session has no chunk source: drive it with step_with".to_string(),
                 ));
             };
-            let id = self.core.ranking.chunk_at(self.core.cursor());
+            let id = self.ranking.chunk_at(self.cursor());
             match source.fetch(id, &mut self.read) {
                 Ok(chunk) => {
                     self.ingest(&chunk);
-                    return Ok(self.core.log.events.last());
+                    return Ok(self.log.events.last());
                 }
                 Err(e)
                     if self.skip == SkipPolicy::SkipUnavailable
@@ -1109,14 +938,14 @@ impl SearchSession {
             self.exhausted = true;
             return Ok(None);
         }
-        self.core.check_next(chunk.id)?;
+        self.check_next(chunk.id)?;
         self.ingest(chunk);
-        Ok(self.core.log.events.last())
+        Ok(self.log.events.last())
     }
 
     /// The shared advance: scan `chunk` into the neighbour set, then book
     /// it consumed, its [`injected_delay`](SourcedChunk::injected_delay)
-    /// included (see [`SessionCore::chunk_consumed`]).
+    /// included.
     fn ingest(&mut self, chunk: &SourcedChunk) {
         #[cfg(debug_assertions)]
         let stop_was_fired = self.stop_satisfied();
@@ -1134,7 +963,7 @@ impl SearchSession {
                 if delta.is_some_and(|d| d.tombstones.contains(&id)) {
                     continue;
                 }
-                if self.core.neighbors.offer(id, d) {
+                if self.neighbors.offer(id, d) {
                     adc.id_chunk.insert(id, chunk.id as u32);
                 }
             }
@@ -1151,9 +980,7 @@ impl SearchSession {
                 if delta.tombstones.contains(&id) {
                     continue;
                 }
-                self.core
-                    .neighbors
-                    .offer(id, l2_sq(self.query.as_array(), row));
+                self.neighbors.offer(id, l2_sq(self.query.as_array(), row));
             }
         } else {
             // Scan the chunk against the query (fused block kernel:
@@ -1162,11 +989,11 @@ impl SearchSession {
                 self.query.as_array(),
                 &chunk.payload.packed,
                 &chunk.payload.ids,
-                &mut self.core.neighbors,
+                &mut self.neighbors,
             );
         }
 
-        self.core.chunk_consumed(
+        self.chunk_consumed(
             chunk.id,
             chunk.payload.len() as u32,
             chunk.bytes_read,
@@ -1177,6 +1004,46 @@ impl SearchSession {
             !stop_was_fired || self.stop_satisfied(),
             "stop rules must be monotone: a fired rule stays fired"
         );
+    }
+
+    /// Books the chunk at the cursor as scanned — its candidates are
+    /// already in `neighbors`: charges the clock, bumps the counters, logs
+    /// the event. `injected_delay` is extra modelled I/O latency the
+    /// delivery suffered (fault-injection spikes, retry costs); it is zero
+    /// on every fault-free path, and `x + 0.0` is bit-identical to `x`, so
+    /// the fault-free accounting is untouched.
+    pub(crate) fn chunk_consumed(
+        &mut self,
+        chunk_id: usize,
+        count: u32,
+        bytes_read: u64,
+        injected_delay: VirtualDuration,
+    ) {
+        let io = self.model.io_time(bytes_read) + injected_delay;
+        let cpu = self.model.scan_time(count as usize);
+        let completed_at = self.clock.chunk_overlapped(io, cpu);
+
+        #[cfg(debug_assertions)]
+        self.invariants
+            .on_step(chunk_id, self.neighbors.kth_dist(), completed_at);
+
+        let rank = self.log.chunks_read;
+        self.log.chunks_read += 1;
+        self.log.descriptors_scanned += u64::from(count);
+        self.log.bytes_read += bytes_read;
+        self.log.events.push(ChunkEvent {
+            rank,
+            chunk_id,
+            count,
+            bytes_read,
+            completed_at,
+            kth_dist: self.neighbors.kth_dist(),
+            topk_ids: if self.params.log_snapshots {
+                self.neighbors.sorted_ids()
+            } else {
+                Vec::new()
+            },
+        });
     }
 
     /// Evaluates `rule` against the current session state: `Some(proves)`
@@ -1190,14 +1057,29 @@ impl SearchSession {
     /// [`evaluate_rules`](Self::evaluate_rules) serve many rules from one
     /// scan.
     pub(crate) fn evaluate_rule(&self, rule: StopRule) -> Option<bool> {
-        self.core.evaluate_rule(rule)
+        // Lost chunks consume the scan budget exactly like scanned ones:
+        // `Chunks(n)` counts them toward n, and the remaining bound is
+        // taken past them (an honest account — their descriptors are
+        // reported lost, not silently still pending).
+        let read = self.cursor();
+        rule_fires(
+            rule,
+            read,
+            self.log.events.last().map(|e| e.completed_at),
+            self.neighbors.is_full(),
+            self.neighbors.kth_dist(),
+            self.ranking.remaining_bound(read),
+        )
     }
 
     /// Whether this session's own stop rule says to stop scanning. A
-    /// `k = 0` query stops before reading anything — its empty answer is
-    /// trivially exact.
+    /// `k = 0` query stops before consuming anything — its empty answer is
+    /// trivially exact — and so does one with no ranked chunk left.
     pub fn stop_satisfied(&self) -> bool {
-        self.exhausted || self.core.stop_satisfied()
+        self.exhausted
+            || self.params.k == 0
+            || self.cursor() >= self.ranking.len()
+            || self.evaluate_rule(self.params.stop).is_some()
     }
 
     /// Drives [`step`](Self::step) until
@@ -1244,23 +1126,23 @@ impl SearchSession {
         // Group the surviving candidates by source chunk. BTreeMap gives a
         // deterministic (ascending chunk id) read order.
         let mut by_chunk: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-        for id in self.core.neighbors.sorted_ids() {
+        for id in self.neighbors.sorted_ids() {
             if let Some(&chunk) = adc.id_chunk.get(&id) {
                 by_chunk.entry(chunk).or_default().push(id);
             }
         }
-        let mut exact = NeighborSet::new(self.core.params.k);
+        let mut exact = NeighborSet::new(self.params.k);
         let mut reader = adc.raw.reader()?;
         let mut payload = ChunkPayload::default();
         for (&chunk, ids) in by_chunk.iter_mut() {
             ids.sort_unstable();
             let bytes = reader.read_chunk(chunk as usize, &mut payload)?;
-            let io = self.core.model.io_time(bytes);
-            let cpu = self.core.model.scan_time(ids.len());
-            let _ = self.core.clock.chunk_overlapped(io, cpu);
-            self.core.log.bytes_read += bytes;
-            self.core.log.rerank_bytes += bytes;
-            self.core.log.rerank_chunks += 1;
+            let io = self.model.io_time(bytes);
+            let cpu = self.model.scan_time(ids.len());
+            let _ = self.clock.chunk_overlapped(io, cpu);
+            self.log.bytes_read += bytes;
+            self.log.rerank_bytes += bytes;
+            self.log.rerank_chunks += 1;
             let rows = as_rows(&payload.packed);
             for (row, &id) in rows.iter().zip(payload.ids.iter()) {
                 if ids.binary_search(&id).is_ok() {
@@ -1268,20 +1150,46 @@ impl SearchSession {
                 }
             }
         }
-        self.core.neighbors = exact;
+        self.neighbors = exact;
         Ok(())
+    }
+
+    /// The `completed` flag the log should carry if the search stopped
+    /// *now* under `rule`: a `k = 0` answer is trivially exact, exhausting
+    /// every chunk is completion, and the completion rules certify their
+    /// own stop.
+    fn completed_for(&self, rule: StopRule) -> bool {
+        self.params.k == 0
+            || self.cursor() == self.ranking.len()
+            || self.evaluate_rule(rule) == Some(true)
+    }
+
+    /// The one finaliser: stamps `log` — this session's own, or a copy of
+    /// it — with the figures only known at the end. `completed` is passed
+    /// in because it is judged from the log while that is still in place.
+    fn finish(&self, mut log: SearchLog, completed: bool) -> SearchResult {
+        log.completed = completed;
+        log.total_virtual = self.clock.now().max(self.ranking.index_read_time());
+        log.centroid_evals = self.ranking.centroid_evals();
+        log.wall = self.wall_start.elapsed();
+        SearchResult {
+            neighbors: self.neighbors.sorted(),
+            log,
+        }
     }
 
     /// A [`SearchResult`] snapshot of the current state, finalised as if
     /// the search had stopped here under `rule`. Cheap relative to the
     /// scan (clones the log); the session remains usable.
     pub(crate) fn result_for_rule(&self, rule: StopRule) -> SearchResult {
-        self.core.result_for_rule(rule)
+        self.finish(self.log.clone(), self.completed_for(rule))
     }
 
     /// Consumes the session into its final result under its own stop rule.
-    pub fn into_result(self) -> SearchResult {
-        self.core.into_result()
+    pub fn into_result(mut self) -> SearchResult {
+        let completed = self.completed_for(self.params.stop);
+        let log = std::mem::take(&mut self.log);
+        self.finish(log, completed)
     }
 
     /// Answers every rule in `rules` from this one session — the
@@ -1297,8 +1205,7 @@ impl SearchSession {
         let mut results: Vec<Option<SearchResult>> = (0..rules.len()).map(|_| None).collect();
         loop {
             for (slot, &rule) in results.iter_mut().zip(rules) {
-                if slot.is_none() && (self.core.params.k == 0 || self.evaluate_rule(rule).is_some())
-                {
+                if slot.is_none() && (self.params.k == 0 || self.evaluate_rule(rule).is_some()) {
                     *slot = Some(self.result_for_rule(rule));
                 }
             }
@@ -1320,25 +1227,12 @@ impl SearchSession {
 impl std::fmt::Debug for SearchSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SearchSession")
-            .field("chunks_read", &self.core.log.chunks_read)
-            .field("n_chunks", &self.core.ranking.len())
-            .field("kth_dist", &self.core.neighbors.kth_dist())
+            .field("chunks_read", &self.log.chunks_read)
+            .field("n_chunks", &self.ranking.len())
+            .field("kth_dist", &self.neighbors.kth_dist())
             .field("exhausted", &self.exhausted)
             .finish_non_exhaustive()
     }
-}
-
-/// Evaluates many stop rules for one query in a single scan of the
-/// collection (see [`SearchSession::evaluate_rules`]). `params.stop` is
-/// ignored — `rules` says what to answer.
-pub fn evaluate_stop_rules(
-    store: &ChunkStore,
-    model: &DiskModel,
-    query: &Vector,
-    params: &SearchParams,
-    rules: &[StopRule],
-) -> Result<Vec<SearchResult>> {
-    SearchSession::open(store, model, query, params).evaluate_rules(rules)
 }
 
 #[cfg(test)]
@@ -1776,7 +1670,7 @@ mod tests {
                     spent,
                 });
                 let mut pulled =
-                    SearchSession::from_ranking(ranking.clone(), &model, &q, &params, source);
+                    SearchSession::from_parts(ranking.clone(), &model, &q, &params, Some(source));
                 pulled.set_skip_policy(SkipPolicy::SkipUnavailable);
                 let want = pulled.run().expect("pulled");
 

@@ -13,7 +13,7 @@
 use eff2_core::chunkers::{ChunkFormer, SrTreeChunker};
 use eff2_core::search::search;
 use eff2_core::{
-    search_quantized_with, search_two_level, CoarseQuantizer, SearchParams, SearchResult, StopRule,
+    search_two_level, CoarseQuantizer, SearchParams, SearchResult, SearchSession, StopRule,
 };
 use eff2_descriptor::{Codec, Descriptor, DescriptorSet, PqCodec, Sq8Codec, Vector};
 use eff2_storage::diskmodel::DiskModel;
@@ -95,10 +95,10 @@ proptest! {
             ).expect("quantized store");
             let coarse = CoarseQuantizer::for_store(&quant);
             for (rtag, two_level) in [("flat", false), ("two-level", true)] {
-                let got = search_quantized_with(
+                let got = SearchSession::open_quantized(
                     &quant, &model, &query, &params, full_mult,
                     two_level.then_some(&coarse),
-                ).expect("quantized search");
+                ).and_then(SearchSession::run).expect("quantized search");
                 assert_same_answer(&want, &got, &format!("{name}/{rtag}"));
             }
         }

@@ -2,10 +2,11 @@
 //! replaced: driving a [`SearchSession`] step by step — through any
 //! [`ChunkSource`] — yields `ChunkEvent` traces and neighbour sets
 //! bit-identical to one-shot `search()`, under every stop rule and
-//! chunker; `evaluate_stop_rules()` answers every rule from ONE scan with
-//! results identical to the individual per-rule searches; and a store
-//! whose chunk file vanishes or truncates between session construction and
-//! the first `step()` surfaces a clean `Err`, never a panic.
+//! chunker; `SearchSession::evaluate_rules()` answers every rule from ONE
+//! scan with results identical to the individual per-rule searches; and a
+//! store whose chunk file vanishes or truncates between session
+//! construction and the first `step()` surfaces a clean `Err`, never a
+//! panic.
 
 #![cfg(test)]
 
@@ -222,8 +223,9 @@ fn sessions_that_read_past_the_ranked_head_are_bit_identical() {
             prefetch_depth: 2,
             log_snapshots: true,
         };
-        let all = eff2_core::evaluate_stop_rules(&store, &model, &query, &params, &rules)
-            .expect("evaluate_stop_rules");
+        let all = SearchSession::open(&store, &model, &query, &params)
+            .evaluate_rules(&rules)
+            .expect("evaluate_rules");
         for (&stop, from_one_scan) in rules.iter().zip(&all) {
             let tag = format!("{qtag}/{stop:?}");
             let params = SearchParams { stop, ..params };
@@ -250,7 +252,7 @@ fn sessions_that_read_past_the_ranked_head_are_bit_identical() {
 }
 
 // ---------------------------------------------------------------------------
-// evaluate_stop_rules: identical to per-rule searches, one read pass.
+// evaluate_rules: identical to per-rule searches, one read pass.
 // ---------------------------------------------------------------------------
 
 /// Wraps a source and counts every chunk it delivers.
@@ -369,7 +371,8 @@ fn evaluate_stop_rules_with_k_zero_reads_nothing() {
         log_snapshots: false,
     };
     let rules = [StopRule::Chunks(3), StopRule::ToCompletion];
-    let all = eff2_core::evaluate_stop_rules(&store, &model, &Vector::ZERO, &params, &rules)
+    let all = SearchSession::open(&store, &model, &Vector::ZERO, &params)
+        .evaluate_rules(&rules)
         .expect("evaluate");
     for got in &all {
         assert!(got.neighbors.is_empty());

@@ -18,9 +18,9 @@ use eff2_core::chunkers::{ChunkFormer, RoundRobinChunker, SrTreeChunker};
 use eff2_core::coarse::CoarseQuantizer;
 use eff2_core::image::{solo_image_search, ImageOutcome, ImageStopRule};
 use eff2_core::search::{search, SearchParams, SearchResult, StopRule};
-use eff2_core::session::{evaluate_stop_rules, SearchSession, SkipPolicy};
+use eff2_core::search_two_level;
+use eff2_core::session::{SearchSession, SkipPolicy};
 use eff2_core::snapshot::Snapshot;
-use eff2_core::{search_quantized_with, search_two_level};
 use eff2_descriptor::{DimensionStats, Vector};
 use eff2_epoch::MutableIndex;
 use eff2_metrics::{
@@ -522,8 +522,8 @@ fn rule_label(rule: &StopRule) -> String {
 ///
 /// Where experiments 1 and 2 re-ran queries per setting, this sweep
 /// answers *all* rules from one scan per query
-/// ([`evaluate_stop_rules`]) — each row is still bit-identical to an
-/// individual run with that rule, but the collection is read once.
+/// ([`SearchSession::evaluate_rules`]) — each row is still bit-identical to
+/// an individual run with that rule, but the collection is read once.
 pub(crate) fn exp3(lab: &Lab) -> EvalResult<Report> {
     let six = lab.six_indexes()?;
     let dq = lab.dq()?;
@@ -552,7 +552,8 @@ pub(crate) fn exp3(lab: &Lab) -> EvalResult<Report> {
         let mut secs = vec![0.0f64; rules.len()];
         let mut exact = vec![0usize; rules.len()];
         for (qi, query) in dq.queries.iter().enumerate() {
-            let results = evaluate_stop_rules(&h.store, &lab.model, query, &params, &rules)?;
+            let results =
+                SearchSession::open(&h.store, &lab.model, query, &params).evaluate_rules(&rules)?;
             shared_reads += results.iter().map(|r| r.log.chunks_read).max().unwrap_or(0);
             for (ri, result) in results.iter().enumerate() {
                 precision[ri] += precision_of(result, &truth, qi);
@@ -942,8 +943,8 @@ fn exp6_raw_regions_agree(base: &IndexHandle, quant: &IndexHandle) -> EvalResult
     }
     let mut r2 = base.store.reader()?;
     let mut r3 = raw3.reader()?;
-    let mut p2 = eff2_storage::ChunkData::default();
-    let mut p3 = eff2_storage::ChunkData::default();
+    let mut p2 = eff2_storage::chunkfile::ChunkPayload::default();
+    let mut p3 = eff2_storage::chunkfile::ChunkPayload::default();
     for i in 0..base.store.n_chunks() {
         r2.read_chunk(i, &mut p2)?;
         r3.read_chunk(i, &mut p3)?;
@@ -1051,7 +1052,9 @@ pub(crate) fn exp6(lab: &Lab) -> EvalResult<Report> {
                      r_mult: usize,
                      coarse: Option<&CoarseQuantizer>|
      -> EvalResult<Vec<SearchResult>> {
-        let one = |q| search_quantized_with(&qh.store, &lab.model, q, params, r_mult, coarse);
+        let one = |q| {
+            SearchSession::open_quantized(&qh.store, &lab.model, q, params, r_mult, coarse)?.run()
+        };
         dq.queries.iter().map(|q| Ok(one(q)?)).collect()
     };
     let mut quants = Vec::new();

@@ -427,7 +427,7 @@ impl Lab {
             .find(|h| h.meta.label == "BAG / SMALL")
             .ok_or("BAG / SMALL index missing")?;
         let mut reader = bag_small.store.reader()?;
-        let mut payload = eff2_storage::ChunkData::default();
+        let mut payload = eff2_storage::chunkfile::ChunkPayload::default();
         let mut positions = Vec::with_capacity(bag_small.meta.retained);
         for i in 0..bag_small.store.n_chunks() {
             reader.read_chunk(i, &mut payload)?;

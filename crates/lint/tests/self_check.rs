@@ -363,6 +363,79 @@ fn chunk_streams_stay_inside_eff2_storage() {
     );
 }
 
+/// The re-exports in `source` (the file at `rel`, relative to the root)
+/// that break the one-path rule, as `file:line: what` entries: a `pub use`
+/// anywhere but a library root `crates/<name>/src/lib.rs`, and a `pub use`
+/// that renames with `as` anywhere.
+fn pub_use_offenders(rel: &Path, source: &str) -> Vec<String> {
+    let parts: Vec<_> = rel.iter().filter_map(|p| p.to_str()).collect();
+    let at_root = matches!(parts[..], ["crates", _, "src", "lib.rs"]);
+    let tokens = lexer::lex(source);
+    let code: Vec<_> = (regions::code_indices(&tokens).into_iter())
+        .map(|i| &tokens[i])
+        .collect();
+    let mut offenders = Vec::new();
+    for (at, pair) in code.windows(2).enumerate() {
+        if !(pair[0].is_ident("pub") && pair[1].is_ident("use")) {
+            continue;
+        }
+        let line = pair[0].line;
+        if !at_root {
+            offenders.push(format!(
+                "{}:{line}: pub use outside a crate root",
+                rel.display()
+            ));
+        }
+        let mut tree = code[at..].iter().take_while(|t| !punct(t, ";"));
+        if tree.any(|t| t.is_ident("as")) {
+            offenders.push(format!(
+                "{}:{line}: pub use renames with `as`",
+                rel.display()
+            ));
+        }
+    }
+    offenders
+}
+
+#[test]
+fn pub_use_lives_only_at_crate_roots() {
+    // An item has one name and one path: a crate root may re-export its
+    // own modules' items, but a module that re-exports another's (a shim)
+    // or an alias (`pub use X as Y`) gives one item two spellings.
+    let probe = "pub use a::b;\npub use a::{c as d, e};\npub(crate) use f::g;\n\
+                 use h::i as j;\n// pub use k as l;\n";
+    assert_eq!(
+        pub_use_offenders(Path::new("crates/x/src/lib.rs"), probe),
+        ["crates/x/src/lib.rs:2: pub use renames with `as`"]
+    );
+    assert_eq!(
+        pub_use_offenders(Path::new("crates/x/src/m.rs"), probe),
+        [
+            "crates/x/src/m.rs:1: pub use outside a crate root",
+            "crates/x/src/m.rs:2: pub use outside a crate root",
+            "crates/x/src/m.rs:2: pub use renames with `as`",
+        ]
+    );
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut files = Vec::new();
+    for dir in ["crates", "examples", "tests"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    assert!(files.len() > 100, "the walk found the sources");
+    let offenders: Vec<String> = (files.iter())
+        .flat_map(|file| {
+            let rel = file.strip_prefix(&root).expect("under the root");
+            let text = std::fs::read_to_string(file).expect("read source");
+            pub_use_offenders(rel, &text)
+        })
+        .collect();
+    assert!(
+        offenders.is_empty(),
+        "re-exports outside the one-path rule (name the item where it lives):\n{}",
+        offenders.join("\n")
+    );
+}
+
 /// Types no other crate names but that must stay `pub` because a public
 /// signature or field mentions them. Nothing else belongs here: a function,
 /// constant or unmentioned type that trips the guard becomes `pub(crate)`.

@@ -165,7 +165,6 @@ pub(crate) trait Group {
 pub(crate) struct Retired {
     pub(crate) id: u64,
     pub(crate) arrival: VirtualDuration,
-    pub(crate) deadline: VirtualDuration,
     /// The snapshot the job was pinned to at admission.
     pub(crate) snapshot: Snapshot,
 }
@@ -405,7 +404,6 @@ impl Member {
 /// An admitted job: the engine-side facts plus the group's fold state.
 struct Job<S> {
     arrival: VirtualDuration,
-    deadline: VirtualDuration,
     /// What the job sees, fixed at admission.
     snapshot: Snapshot,
     /// Open members, ascending by member index.
@@ -805,7 +803,6 @@ impl<G: Group> Engine<G> {
             self.wants_fresh = false;
             let job = Job {
                 arrival: p.arrival,
-                deadline: p.arrival + DEADLINE,
                 snapshot,
                 members,
                 state,
@@ -868,7 +865,7 @@ impl<G: Group> Engine<G> {
                 for w in wants {
                     let job = self.jobs.get(&w.key.0)?;
                     let at = (job.members.binary_search_by_key(&w.key.1, |(m, _)| *m)).ok()?;
-                    let d = job.deadline.as_secs();
+                    let d = (job.arrival + DEADLINE).as_secs();
                     let work = job.members[at].1.session.remaining_work_estimate();
                     let better = best.is_none_or(|(_, bd, bw)| match d.total_cmp(&bd) {
                         Ordering::Less => true,
@@ -1109,7 +1106,6 @@ impl<G: Group> Engine<G> {
         let retired = Retired {
             id,
             arrival: job.arrival,
-            deadline: job.deadline,
             snapshot: job.snapshot,
         };
         let folded = self.group.output(retired, job.state)?;
@@ -1118,7 +1114,7 @@ impl<G: Group> Engine<G> {
         if folded.degraded {
             self.stats.sessions_degraded += 1;
         }
-        if folded.finish.as_secs() > job.deadline.as_secs() {
+        if folded.finish.as_secs() > (job.arrival + DEADLINE).as_secs() {
             self.stats.deadline_misses += 1;
         }
         self.makespan = self.makespan.max(folded.finish);

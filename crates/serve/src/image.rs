@@ -27,13 +27,14 @@
 //! Determinism carries over from the descriptor layer: per-descriptor
 //! results are bit-identical to solo runs under any feeding order, and
 //! the vote fold is commutative, so a run-to-completion image query is
-//! bit-identical to [`solo_image_search`] under every policy — the
-//! `image_equivalence` proptests pin this down.
+//! bit-identical to
+//! [`solo_image_search`](eff2_core::image::solo_image_search) under every
+//! policy — the `image_equivalence` proptests pin this down.
 
 use crate::engine::{Admission, Devices, Drained, Engine, Folded, Group, Retired};
 use crate::error::Result;
 use crate::fleet::FleetConfig;
-use crate::scheduler::SchedulerConfig;
+use crate::scheduler::{Policy, SchedulerConfig};
 use eff2_core::image::{ImageAggregator, ImageOutcome, ImageStopRule};
 use eff2_core::search::{ResultFidelity, SearchParams, SearchResult};
 #[cfg(doc)]
@@ -43,9 +44,6 @@ use eff2_descriptor::Vector;
 use eff2_storage::diskmodel::VirtualDuration;
 use eff2_storage::source::ResidentStats;
 use std::sync::Arc;
-
-pub use crate::scheduler::Policy;
-pub use eff2_core::image::solo_image_search;
 
 /// One image query offered to the scheduler: a ground-truth label and
 /// the descriptor set voting on its behalf.
@@ -86,8 +84,6 @@ pub struct ImageCompletion {
     pub id: u64,
     /// Virtual arrival time.
     pub arrival: VirtualDuration,
-    /// Virtual deadline this image was held to (arrival + 2 s).
-    pub deadline: VirtualDuration,
     /// Fleet-clock time of the last absorbed descriptor completion.
     pub finish: VirtualDuration,
     /// The aggregated vote outcome.
@@ -243,7 +239,6 @@ impl Group for ImageVotes {
             output: ImageCompletion {
                 id: retired.id,
                 arrival: retired.arrival,
-                deadline: retired.deadline,
                 finish: job.finish,
                 outcome,
                 descriptor_results: job.results,
@@ -338,6 +333,7 @@ mod tests {
     use super::*;
     use crate::common::{assert_same_ranking, rr_map, snapshot, spec};
     use crate::ServeError;
+    use eff2_core::image::solo_image_search;
 
     #[test]
     fn run_all_matches_solo_under_every_policy() {

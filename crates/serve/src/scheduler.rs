@@ -119,8 +119,6 @@ pub struct Completion {
     pub id: u64,
     /// Virtual arrival time.
     pub arrival: VirtualDuration,
-    /// Virtual deadline this query was held to (arrival + 2 s).
-    pub deadline: VirtualDuration,
     /// Fleet-clock time at which the query's last chunk scan completed.
     pub finish: VirtualDuration,
     /// The epoch that answered it: the snapshot the query was pinned to at
@@ -150,7 +148,6 @@ impl Completion {
             output: Completion {
                 id: retired.id,
                 arrival: retired.arrival,
-                deadline: retired.deadline,
                 finish,
                 snapshot: retired.snapshot,
                 result,
@@ -465,7 +462,6 @@ mod tests {
         let mut late = 0;
         for c in &report.completions {
             let held_to = c.arrival + DEADLINE;
-            assert_eq!(c.deadline.as_secs().to_bits(), held_to.as_secs().to_bits());
             late += u64::from(c.finish.as_secs() > held_to.as_secs());
         }
         assert!(

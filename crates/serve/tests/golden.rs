@@ -111,7 +111,7 @@ fn serve_report(out: &mut String, report: &ServeReport) {
             "completion id={} arrival={} deadline={} finish={} {}",
             c.id,
             bits(c.arrival),
-            bits(c.deadline),
+            bits(c.arrival + VirtualDuration::from_secs(2.0)),
             bits(c.finish),
             result(&c.result)
         );
@@ -270,7 +270,7 @@ fn image_stable_top() {
             "completion id={} arrival={} deadline={} finish={} {}",
             c.id,
             bits(c.arrival),
-            bits(c.deadline),
+            bits(c.arrival + VirtualDuration::from_secs(2.0)),
             bits(c.finish),
             outcome(&c.outcome)
         );

@@ -54,4 +54,4 @@ pub use source::{
     ChunkSource, ChunkStream, FileSource, PrefetchSource, ReadState, ResidentSource, ResidentStats,
     SourcedChunk,
 };
-pub use store::{ChunkData, ChunkDef, ChunkStore};
+pub use store::{ChunkDef, ChunkStore};

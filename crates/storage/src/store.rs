@@ -10,9 +10,6 @@ use std::io::{BufReader, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Re-export: the decoded contents of one chunk.
-pub use crate::chunkfile::ChunkPayload as ChunkData;
-
 /// Input to [`ChunkStore::create`]: one chunk as its member positions plus
 /// the centroid/radius summary the index file records.
 #[derive(Clone, Debug)]

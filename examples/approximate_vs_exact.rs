@@ -16,14 +16,14 @@
 )]
 
 use eff2_bag::BagConfig;
-use eff2_core::{evaluate_stop_rules, BagChunker, SearchParams, Snapshot, SrTreeChunker, StopRule};
+use eff2_core::{BagChunker, SearchParams, SearchSession, Snapshot, SrTreeChunker, StopRule};
 use eff2_descriptor::SyntheticCollection;
 use eff2_metrics::precision_at;
 use eff2_storage::diskmodel::{DiskModel, VirtualDuration};
 
 #[expect(
     clippy::indexing_slicing,
-    reason = "the per-rule tables have one entry per stop rule, and evaluate_stop_rules returns one result per rule"
+    reason = "the per-rule tables have one entry per stop rule, and evaluate_rules returns one result per rule"
 )]
 fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     let set = SyntheticCollection::with_size(15_000, 11).set;
@@ -102,7 +102,8 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         let mut chunks = [0usize; 5];
         let mut precision = [0.0f64; 5];
         for q in &queries {
-            let results = evaluate_stop_rules(index.store(), index.model(), q, &params, &rules)?;
+            let results = SearchSession::open(index.store(), index.model(), q, &params)
+                .evaluate_rules(&rules)?;
             let truth: Vec<u32> = results[4].neighbors.iter().map(|n| n.id).collect();
             for (ri, r) in results.iter().enumerate() {
                 time[ri] += r.log.total_virtual.as_secs();

@@ -136,7 +136,7 @@ proptest! {
         let store = eff2_storage::ChunkStore::create(&dir, "p", &set, &formation.chunks, 128)
             .expect("create");
         let mut reader = store.reader().expect("reader");
-        let mut payload = eff2_storage::ChunkData::default();
+        let mut payload = eff2_storage::chunkfile::ChunkPayload::default();
         for (ci, chunk) in formation.chunks.iter().enumerate() {
             reader.read_chunk(ci, &mut payload).expect("read");
             prop_assert_eq!(payload.len(), chunk.positions.len());
