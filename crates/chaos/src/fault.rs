@@ -1,26 +1,64 @@
-//! [`FaultSource`]: a chunk-source decorator that injects the planned
-//! faults into any stack.
+//! [`FaultPlan::attempt`], the one faulted read attempt, and
+//! [`FaultSource`], the chunk-source decorator that runs it for each fetch.
 //!
-//! Each fetch reads the chunk through the inner source as usual, then
-//! consults the [`FaultPlan`] for the current attempt at that chunk:
-//! deliveries pass through (a latency spike is added to the chunk's
-//! [`injected_delay`](SourcedChunk::injected_delay)), faults replace the
-//! successfully-read payload with the planned error.
-//!
-//! Attempt counters are shared at the source level: the next fetch of a
-//! chunk that just failed — a retry — observes attempt `n + 1`, which is
-//! what lets transient faults clear.
+//! An attempt consults the plan *before* it reads: a delivery performs the
+//! real read (a latency spike rides along as extra delay), every other
+//! verdict is the error it models, and nothing is read only to be thrown
+//! away. Attempt counters are kept per chunk: the next attempt at a chunk
+//! that just failed — a retry — observes attempt `n + 1`, which is what
+//! lets transient faults clear.
 
 use crate::plan::{Fault, FaultPlan};
 use eff2_storage::source::{walk, ChunkSource, ChunkStream, ReadState, SourcedChunk};
 use eff2_storage::{Error, Result, VirtualDuration};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::ops::DerefMut;
+use std::sync::{Arc, Mutex, PoisonError};
 
-/// Recovers the attempt-counter guard past a poisoned lock; the map is
-/// only ever incremented, so continuing is sound.
-fn lock_counters(m: &Mutex<BTreeMap<usize, u32>>) -> MutexGuard<'_, BTreeMap<usize, u32>> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
+impl FaultPlan {
+    /// One read attempt at `chunk`: bumps its counter in `attempts` (let
+    /// go of before the read, so a shared counter's lock is never held
+    /// across I/O), draws the verdict — with the permanent-loss draw only
+    /// when `permanent` — and calls `read` only on a delivery. Returns the
+    /// read plus the spike delay, or the error the verdict models.
+    pub fn attempt<T>(
+        &self,
+        mut attempts: impl DerefMut<Target = BTreeMap<usize, u32>>,
+        chunk: usize,
+        permanent: bool,
+        read: impl FnOnce() -> Result<T>,
+    ) -> Result<(T, VirtualDuration)> {
+        let slot = attempts.entry(chunk).or_insert(0);
+        let attempt = *slot;
+        *slot += 1;
+        drop(attempts);
+        let verdict = if permanent {
+            self.fault_for(chunk, attempt)
+        } else {
+            self.attempt_fault(chunk, attempt)
+        };
+        // Corruption is modelled as *detected by the chunk checksum*.
+        let sum = chunk as u32 ^ 0xdead_beef;
+        Err(match verdict {
+            Fault::Deliver { delay } => return Ok((read()?, delay)),
+            Fault::Transient => Error::Io(std::io::Error::new(
+                std::io::ErrorKind::Interrupted,
+                format!("injected transient fault on chunk {chunk}"),
+            )),
+            Fault::ShortRead => Error::Truncated("chunk body"),
+            Fault::Corrupt => Error::Corrupt {
+                what: "chunk body (injected fault)",
+                offset: chunk as u64,
+                expected: sum,
+                found: !sum,
+            },
+            Fault::Permanent => Error::ChunkLost {
+                chunk,
+                attempts: attempt + 1,
+                spent: VirtualDuration::ZERO,
+            },
+        })
+    }
 }
 
 /// A [`ChunkSource`] decorator injecting the faults of a [`FaultPlan`].
@@ -29,7 +67,8 @@ pub struct FaultSource {
     inner: Arc<dyn ChunkSource>,
     plan: FaultPlan,
     /// Read attempts per chunk, shared by every consumer (and clone) of
-    /// this source.
+    /// this source. The map is only ever incremented, so a poisoned lock
+    /// is recovered.
     attempts: Arc<Mutex<BTreeMap<usize, u32>>>,
 }
 
@@ -43,58 +82,20 @@ impl FaultSource {
         }
     }
 
-    /// The plan this source injects.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Read attempts observed so far for `chunk`.
     pub fn attempts_for(&self, chunk: usize) -> u32 {
-        lock_counters(&self.attempts)
-            .get(&chunk)
-            .copied()
-            .unwrap_or(0)
+        let counters = self.attempts.lock().unwrap_or_else(PoisonError::into_inner);
+        counters.get(&chunk).copied().unwrap_or(0)
     }
 }
 
 impl ChunkSource for FaultSource {
     fn fetch(&self, id: usize, state: &mut ReadState) -> Result<SourcedChunk> {
-        // A real inner error passes through untouched.
-        let mut chunk = self.inner.fetch(id, state)?;
-        let attempt = {
-            let mut counters = lock_counters(&self.attempts);
-            let slot = counters.entry(id).or_insert(0);
-            let attempt = *slot;
-            *slot += 1;
-            attempt
-        };
-        match self.plan.fault_for(id, attempt) {
-            Fault::Deliver { delay } => {
-                chunk.injected_delay += delay;
-                Ok(chunk)
-            }
-            Fault::Transient => Err(Error::Io(std::io::Error::new(
-                std::io::ErrorKind::Interrupted,
-                format!("injected transient fault on chunk {id}"),
-            ))),
-            Fault::ShortRead => Err(Error::Truncated("chunk body")),
-            Fault::Corrupt => {
-                // Models corruption *detected by the chunk checksum*: the
-                // bytes arrived but failed verification.
-                let sum = id as u32 ^ 0xdead_beef;
-                Err(Error::Corrupt {
-                    what: "chunk body (injected fault)",
-                    offset: id as u64,
-                    expected: sum,
-                    found: !sum,
-                })
-            }
-            Fault::Permanent => Err(Error::ChunkLost {
-                chunk: id,
-                attempts: attempt + 1,
-                spent: VirtualDuration::ZERO,
-            }),
-        }
+        let counters = self.attempts.lock().unwrap_or_else(PoisonError::into_inner);
+        let read = || self.inner.fetch(id, state);
+        let (mut chunk, delay) = self.plan.attempt(counters, id, true, read)?;
+        chunk.injected_delay += delay;
+        Ok(chunk)
     }
 
     fn open_stream(&self, order: Vec<usize>) -> Result<Box<dyn ChunkStream>> {

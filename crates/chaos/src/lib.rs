@@ -12,14 +12,16 @@
 //! number, so a failing run can be replayed bit-for-bit.
 //!
 //! * [`plan`] — [`FaultConfig`]/[`FaultPlan`]: the seeded fault schedule;
-//! * [`fault`] — [`FaultSource`]: a [`ChunkSource`](eff2_storage::ChunkSource)
-//!   decorator that injects the planned faults into each fetch through any
-//!   source stack;
-//! * [`retry`] — [`RetrySource`]: typed retry/backoff with modelled-time
-//!   charging, a loop of attempts around the inner fetch of one chunk
-//!   that turns repeated failures into a permanent
+//! * [`fault`] — [`FaultPlan::attempt`], the one faulted read attempt, and
+//!   [`FaultSource`], the [`ChunkSource`](eff2_storage::ChunkSource)
+//!   decorator that runs it for each fetch through any source stack;
+//! * [`retry`] — [`RetryPolicy::run`], the one retry loop, and
+//!   [`RetrySource`], the decorator that runs it around each fetch; a
+//!   chunk it gives up on is a permanent
 //!   [`ChunkLost`](eff2_storage::Error::ChunkLost) the search core can
-//!   skip under a `SkipPolicy`;
+//!   skip under a `SkipPolicy`. eff2-serve's engine runs the same attempt
+//!   in the same loop for each copy of a chunk ([`retry`] says where each
+//!   side charges the cost);
 //! * [`shard`] — [`ShardFaultPlan`]: whole-shard-down schedules for the
 //!   replicated serving fleet (eff2-serve's copy-by-copy failover).
 //!

@@ -139,7 +139,7 @@ impl FaultPlan {
     /// Drawn once per chunk (attempt-independent) from a fixed unit draw,
     /// so the lost sets of two plans differing only in `permanent_rate`
     /// are *nested*: raising the rate only ever loses more chunks.
-    pub fn is_permanently_lost(&self, chunk: usize) -> bool {
+    pub(crate) fn is_permanently_lost(&self, chunk: usize) -> bool {
         self.config.permanent_rate > 0.0
             && unit(self.config.seed, chunk as u64, PERM_SALT, 0) < self.config.permanent_rate
     }
@@ -163,10 +163,11 @@ impl FaultPlan {
 
     /// [`fault_for`](Self::fault_for) **without** the permanent-loss check:
     /// the per-attempt transient/short-read/corruption/spike draw alone.
-    /// A replicated fleet uses this for replica copies when the permanent
-    /// draw models loss of the *primary medium only* — replicas share the
-    /// chunk's per-attempt weather but not its permanent fate.
-    pub fn attempt_fault(&self, chunk: usize, attempt: u32) -> Fault {
+    /// [`attempt`](Self::attempt) draws this for a copy the permanent draw
+    /// does not apply to — a replica, when the draw models loss of the
+    /// *primary medium only*: replicas share the chunk's per-attempt
+    /// weather but not its permanent fate.
+    pub(crate) fn attempt_fault(&self, chunk: usize, attempt: u32) -> Fault {
         let c = &self.config;
         if attempt < TRANSIENT_CLEAR {
             let u = unit(c.seed, chunk as u64, FAULT_SALT, u64::from(attempt));

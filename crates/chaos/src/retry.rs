@@ -1,25 +1,26 @@
-//! [`RetrySource`]: typed retry/backoff around any chunk source.
+//! [`RetryPolicy::run`], the one retry loop, and [`RetrySource`].
 //!
-//! A fetch is a loop of attempts through the inner source, all through the
-//! consumer's own [`ReadState`]. Each failed attempt is charged to the
-//! *modelled* clock — a per-read timeout plus exponential backoff — never
-//! the wall clock, so chaos runs stay deterministic and the virtual-time
-//! figures honestly include the cost of recovering from faults: what the
-//! failed attempts cost is added to the recovered chunk's
-//! [`injected_delay`](SourcedChunk::injected_delay). Errors are classified via
-//! [`Error::class`]: transient and corrupt reads are retried up to the
-//! budget; permanent errors (and an exhausted budget) become
-//! [`Error::ChunkLost`] with the accumulated modelled time attached, which
-//! a skipping session books against the chunk before it moves on.
+//! `run` decides every retry in the workspace: transient and corrupt reads
+//! are retried up to the budget (a literal 0 behaves as one attempt), a
+//! permanent error is not, and failed attempt `n` of a chunk costs a
+//! timeout plus exponential backoff on the *modelled* clock, never the
+//! wall clock, so chaos runs stay deterministic. A chunk it gives up on is
+//! [`Error::ChunkLost`] with that cost attached.
+//!
+//! The charging rule: [`RetrySource`] adds what a recovered chunk's failed
+//! attempts cost to its [`injected_delay`](SourcedChunk::injected_delay),
+//! the query's own clock; the serving engine, which runs `run` once per
+//! copy, charges it to its fleet clocks. A lost chunk's cost is booked to
+//! the query's own clock by both.
 
 use eff2_storage::source::{walk, ChunkSource, ChunkStream, ReadState, SourcedChunk};
 use eff2_storage::{Error, ErrorClass, Result, VirtualDuration};
 use std::sync::Arc;
 
-/// How hard a [`RetrySource`] tries before declaring a chunk lost.
+/// How hard a chunk read is tried before the chunk is declared lost.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RetryPolicy {
-    /// Total read attempts per chunk (1 = no retries).
+    /// Total read attempts per copy of a chunk (1 = no retries).
     pub max_attempts: u32,
     /// Modelled time charged per failed attempt (the read timeout).
     pub timeout: VirtualDuration,
@@ -54,9 +55,43 @@ impl RetryPolicy {
 
     /// Modelled cost of failed attempt `attempt` (0-based): the timeout
     /// plus this attempt's backoff.
-    pub fn attempt_cost(&self, attempt: u32) -> VirtualDuration {
+    pub(crate) fn attempt_cost(&self, attempt: u32) -> VirtualDuration {
         let scale = f64::from(2u32.checked_pow(attempt).unwrap_or(u32::MAX));
         self.timeout + VirtualDuration::from_secs(self.backoff_base.as_secs() * scale)
+    }
+
+    /// Modelled cost of a chunk's first `probes` failed attempts.
+    pub fn probe_cost(&self, probes: u32) -> VirtualDuration {
+        (0..probes).fold(VirtualDuration::ZERO, |cost, n| cost + self.attempt_cost(n))
+    }
+
+    /// Runs one copy's attempts at `chunk`, the first being the chunk's
+    /// attempt `from` (earlier ones failed on other copies). Returns what
+    /// `read` delivered, the cost of every failed attempt at the chunk so
+    /// far, and how many attempts here were retried; or, on a permanent
+    /// error or a spent budget, `ChunkLost` with this copy's attempts.
+    pub fn run<T>(
+        &self,
+        chunk: usize,
+        from: u32,
+        mut read: impl FnMut() -> Result<T>,
+    ) -> Result<(T, VirtualDuration, u32)> {
+        let mut failed = 0u32;
+        loop {
+            let e = match read() {
+                Ok(value) => return Ok((value, self.probe_cost(from + failed), failed)),
+                Err(e) => e,
+            };
+            failed += 1;
+            if e.class() == ErrorClass::Permanent || failed >= self.max_attempts {
+                let spent = self.probe_cost(from + failed);
+                return Err(Error::ChunkLost {
+                    chunk,
+                    attempts: failed,
+                    spent,
+                });
+            }
+        }
     }
 }
 
@@ -72,38 +107,15 @@ impl RetrySource {
     pub fn new(inner: Arc<dyn ChunkSource>, policy: RetryPolicy) -> RetrySource {
         RetrySource { inner, policy }
     }
-
-    /// The policy this source retries under.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
-    }
 }
 
 impl ChunkSource for RetrySource {
     fn fetch(&self, id: usize, state: &mut ReadState) -> Result<SourcedChunk> {
-        let mut attempts = 0u32;
-        let mut spent = VirtualDuration::ZERO;
-        loop {
-            match self.inner.fetch(id, state) {
-                Ok(mut chunk) => {
-                    // The failed attempts that preceded this success are
-                    // part of what the delivery cost.
-                    chunk.injected_delay += spent;
-                    return Ok(chunk);
-                }
-                Err(e) => {
-                    spent += self.policy.attempt_cost(attempts);
-                    attempts += 1;
-                    if e.class() == ErrorClass::Permanent || attempts >= self.policy.max_attempts {
-                        return Err(Error::ChunkLost {
-                            chunk: id,
-                            attempts,
-                            spent,
-                        });
-                    }
-                }
-            }
-        }
+        let (mut chunk, spent, _) = self.policy.run(id, 0, || self.inner.fetch(id, state))?;
+        // The failed attempts that preceded this success are part of what
+        // the delivery cost.
+        chunk.injected_delay += spent;
+        Ok(chunk)
     }
 
     fn open_stream(&self, order: Vec<usize>) -> Result<Box<dyn ChunkStream>> {

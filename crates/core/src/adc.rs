@@ -42,7 +42,7 @@ pub fn search_two_level(
 ) -> Result<SearchResult> {
     let ranking = ChunkRanking::rank_two_level(store, model, query, coarse);
     let source = Arc::new(FileSource::new(store));
-    SearchSession::from_parts(ranking, model, query, params, Some(source)).run()
+    SearchSession::from_parts(ranking, model, params, Some(source)).run()
 }
 
 /// Executes one query over a quantized store with a flat ranking:

@@ -70,9 +70,8 @@ impl ScatterGather {
     /// A gather over a pre-computed **flat** global ranking. The private
     /// clock starts at the index-read time, exactly like a solo session.
     pub fn new(ranking: ChunkRanking, model: &DiskModel, params: &SearchParams) -> ScatterGather {
-        let query = ranking.query;
         ScatterGather {
-            session: SearchSession::detached_from_ranking(ranking, model, &query, params),
+            session: SearchSession::from_parts(ranking, model, params, None),
         }
     }
 

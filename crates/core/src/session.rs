@@ -550,7 +550,6 @@ pub struct SearchSession {
     pub(crate) neighbors: NeighborSet,
     log: SearchLog,
     wall_start: std::time::Instant,
-    query: Vector,
     /// `Some` for a quantized (ADC) session — see
     /// [`open_quantized`](Self::open_quantized).
     adc: Option<AdcScan>,
@@ -633,7 +632,7 @@ impl SearchSession {
             None => ChunkRanking::rank(&quant, model, query),
         };
         let source = Arc::new(FileSource::new(&quant));
-        let mut session = SearchSession::from_parts(ranking, model, query, params, Some(source));
+        let mut session = SearchSession::from_parts(ranking, model, params, Some(source));
         session.neighbors = NeighborSet::new(params.k.saturating_mul(rerank_mult.max(1)));
         session.adc = Some(AdcScan {
             prep: codec.prepare(query.as_array()),
@@ -655,7 +654,7 @@ impl SearchSession {
         source: Arc<dyn ChunkSource>,
     ) -> SearchSession {
         let ranking = ChunkRanking::rank(store, model, query);
-        SearchSession::from_parts(ranking, model, query, params, Some(source))
+        SearchSession::from_parts(ranking, model, params, Some(source))
     }
 
     /// A *detached* session: no chunk source of its own. An external
@@ -671,25 +670,32 @@ impl SearchSession {
         params: &SearchParams,
     ) -> SearchSession {
         let ranking = ChunkRanking::rank(store, model, query);
-        SearchSession::from_parts(ranking, model, query, params, None)
+        SearchSession::from_parts(ranking, model, params, None)
     }
 
-    /// [`detached`](Self::detached) over a pre-computed ranking.
+    /// [`detached`](Self::detached) over a pre-computed ranking. The
+    /// session scans for the query the ranking was made for; `query` must
+    /// be bitwise that query (checked in debug builds), so distances and
+    /// the completion bound always refer to one query.
     pub fn detached_from_ranking(
         ranking: ChunkRanking,
         model: &DiskModel,
         query: &Vector,
         params: &SearchParams,
     ) -> SearchSession {
-        SearchSession::from_parts(ranking, model, query, params, None)
+        debug_assert!(
+            (query.as_array().iter().zip(ranking.query.as_array()))
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "detached_from_ranking: the query is not the one the ranking was made for"
+        );
+        SearchSession::from_parts(ranking, model, params, None)
     }
 
-    /// The one constructor: a session at rank 0 whose private clock starts
-    /// at the ranking's index-read time.
+    /// The one constructor: a session at rank 0 for the ranking's query,
+    /// whose private clock starts at the ranking's index-read time.
     pub(crate) fn from_parts(
         ranking: ChunkRanking,
         model: &DiskModel,
-        query: &Vector,
         params: &SearchParams,
         source: Option<Arc<dyn ChunkSource>>,
     ) -> SearchSession {
@@ -709,7 +715,6 @@ impl SearchSession {
                 reason = "log.wall is informational; it never feeds the virtual clock or modelled figures"
             )]
             wall_start: std::time::Instant::now(),
-            query: *query,
             adc: None,
             delta: None,
             exhausted: false,
@@ -749,7 +754,7 @@ impl SearchSession {
         if !delta.inserts.is_empty() {
             for (id, vector) in &delta.inserts {
                 self.neighbors
-                    .offer(*id, l2_sq(self.query.as_array(), vector.as_array()));
+                    .offer(*id, l2_sq(self.ranking.query.as_array(), vector.as_array()));
             }
             let io = self.model.io_time(delta.scan_bytes());
             let cpu = self.model.scan_time(delta.inserts.len());
@@ -980,13 +985,14 @@ impl SearchSession {
                 if delta.tombstones.contains(&id) {
                     continue;
                 }
-                self.neighbors.offer(id, l2_sq(self.query.as_array(), row));
+                self.neighbors
+                    .offer(id, l2_sq(self.ranking.query.as_array(), row));
             }
         } else {
             // Scan the chunk against the query (fused block kernel:
             // blocked distances offered straight into the set).
             scan_block_into(
-                self.query.as_array(),
+                self.ranking.query.as_array(),
                 &chunk.payload.packed,
                 &chunk.payload.ids,
                 &mut self.neighbors,
@@ -1146,7 +1152,7 @@ impl SearchSession {
             let rows = as_rows(&payload.packed);
             for (row, &id) in rows.iter().zip(payload.ids.iter()) {
                 if ids.binary_search(&id).is_ok() {
-                    exact.offer(id, l2_sq(self.query.as_array(), row));
+                    exact.offer(id, l2_sq(self.ranking.query.as_array(), row));
                 }
             }
         }
@@ -1670,7 +1676,7 @@ mod tests {
                     spent,
                 });
                 let mut pulled =
-                    SearchSession::from_parts(ranking.clone(), &model, &q, &params, Some(source));
+                    SearchSession::from_parts(ranking.clone(), &model, &params, Some(source));
                 pulled.set_skip_policy(SkipPolicy::SkipUnavailable);
                 let want = pulled.run().expect("pulled");
 
@@ -1706,6 +1712,23 @@ mod tests {
         std::fs::remove_file(store.chunk_path()).expect("delete chunk file");
         let got = session.step();
         assert!(got.is_err(), "deleted file must surface as Err, not panic");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "not the one the ranking was made for")]
+    fn a_detached_session_refuses_a_foreign_query() {
+        let set = lumpy_set(120);
+        let store = build_store("foreign", &set, 20);
+        let model = DiskModel::ata_2005();
+        let ranking = ChunkRanking::rank(&store, &model, &Vector::ZERO);
+        let foreign = Vector::splat(1.0);
+        let _ = SearchSession::detached_from_ranking(
+            ranking,
+            &model,
+            &foreign,
+            &SearchParams::exact(4),
+        );
     }
 
     /// The parent algorithm, kept as the reference: a stable sort of every

@@ -141,9 +141,9 @@ proptest! {
 
         let want = search(&store, &model, &query, &params).expect("one-shot");
 
-        // Stepwise through the default prefetching source.
+        // Stepwise through `open`'s default source, a file source.
         let got = drive_stepwise(SearchSession::open(&store, &model, &query, &params));
-        assert_bit_identical(&want, &got, &format!("{tag}/prefetch"));
+        assert_bit_identical(&want, &got, &format!("{tag}/open"));
 
         // Stepwise through a plain file source.
         let file = drive_stepwise(SearchSession::with_source(

@@ -7,14 +7,17 @@
 //! member)`: in every configuration a query is **one** session over its
 //! global chunk ranking, and the **device set** of 1..N nodes — each its own
 //! [`PipelineClock`] plus, per compaction generation it serves, a
-//! [`ResidentSource`] cache, chunk reader and chaos attempt counters — only
-//! *delivers* chunks to it. The engine owns, exactly once: admission
+//! [`ResidentSource`] cache, chunk reader and fault-plan attempt counters —
+//! only *delivers* chunks to it. The engine owns, exactly once: admission
 //! (monotone arrivals, the [`Overloaded`](ServeError::Overloaded) gate, the
 //! pending queue, id assignment, the [`Snapshot`] each job is pinned to),
 //! ranking and its charge on the session's home device, the drive loop, the
 //! choice of the next device (the earliest clock with something to
-//! deliver), the [`Policy`] pick, the fault-aware fetch with per-copy retry
-//! and failover, fleet-clock charging and retire bookkeeping.
+//! deliver), the [`Policy`] pick, the routing of a fetch across copies
+//! (owners, down flags, [`LossScope`], failover), fleet-clock charging and
+//! retire bookkeeping. Each copy is tried by [`RetryPolicy::run`], the
+//! retry loop a solo `RetrySource` runs; a recovered chunk's retries are
+//! charged to the fleet clock, a lost chunk's to every waiting session.
 //!
 //! **Devices deliver, one session consumes in rank order.** What a session
 //! wants from device `d` is the first not-yet-delivered rank within
@@ -68,7 +71,7 @@ use crate::error::{Result, ServeError};
 use crate::fleet::LossScope;
 use crate::live::Live;
 use crate::scheduler::{Policy, SchedulerConfig, ServeStats, DEADLINE};
-use eff2_chaos::{Fault, RetryPolicy};
+use eff2_chaos::RetryPolicy;
 use eff2_core::search::{SearchParams, SearchResult};
 use eff2_core::session::SearchSession;
 use eff2_core::snapshot::Snapshot;
@@ -77,7 +80,6 @@ use eff2_shard::ShardMap;
 use eff2_storage::diskmodel::{PipelineClock, VirtualDuration};
 use eff2_storage::source::{ResidentSource, ResidentStats, SourcedChunk};
 use eff2_storage::store::ChunkReader;
-use eff2_storage::ErrorClass;
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -192,9 +194,10 @@ struct Shelf {
     source: ResidentSource,
     /// One lazily-opened chunk reader reused across every cache miss.
     reader: Option<ChunkReader>,
-    /// Fetch attempts per chunk under the injected fault plan — mirrors
-    /// the counters a `FaultSource` keeps, so transient faults clear after
-    /// the same number of probes as in a serial run against this node.
+    /// This copy's attempt counters under the injected fault plan, kept
+    /// by [`FaultPlan::attempt`](eff2_chaos::FaultPlan::attempt) as a
+    /// `FaultSource` keeps its own: transient faults clear after the same
+    /// number of probes as in a serial run against this node.
     chaos_attempts: BTreeMap<usize, u32>,
 }
 
@@ -316,12 +319,10 @@ impl Devices {
     }
 
     /// Modelled cost of discovering that every owner of a chunk is down:
-    /// one probe per (downed) copy under `retry`.
+    /// one failed probe per (downed) copy under `retry`.
     fn down_probe_cost(&self, retry: &RetryPolicy) -> VirtualDuration {
         let copies = self.map.as_deref().map_or(1, ShardMap::replication);
-        (0..copies as u32).fold(VirtualDuration::ZERO, |cost, probe| {
-            cost + retry.attempt_cost(probe)
-        })
+        retry.probe_cost(copies as u32)
     }
 }
 
@@ -992,13 +993,12 @@ impl<G: Group> Engine<G> {
 
     /// Fetches `chunk_id` for the session `first`: probe the owners in
     /// placement order (skipping statically-down devices — routing knows
-    /// they are down, no probe is spent), retrying each live copy per
-    /// [`SchedulerConfig::retry`] before failing over to the next.
-    /// Injected faults come from the plan under the device set's
-    /// [`LossScope`]; real read errors retry through the same budget; each
-    /// failed attempt is charged its timeout plus backoff, and the
-    /// accumulated cost rides the delivery's injected latency. Without a
-    /// plan this is one plain fetch from the first live owner.
+    /// they are down, no probe is spent), running each live copy through
+    /// [`RetryPolicy::run`] with the plan's faults drawn under the device
+    /// set's [`LossScope`], before failing over to the next. The attempts
+    /// are numbered across copies; what the failed ones cost rides the
+    /// delivery's injected latency. Without a plan this is one plain fetch
+    /// from the first live owner, whose error is returned.
     fn acquire(&mut self, first: Key, chunk_id: usize) -> Result<Acquired> {
         let Devices {
             nodes,
@@ -1014,70 +1014,47 @@ impl<G: Group> Engine<G> {
         // device, so a hit is a cross-query hit exactly when a different
         // session brought the chunk in.
         let requester = (first.0 << 32) | u64::from(first.1);
-        let plan = self.config.fault_plan;
-        let retry = self.config.retry;
-        let lost = plan.is_some_and(|p| p.is_permanently_lost(chunk_id));
-        let mut probes = 0u32;
-        let mut spent = VirtualDuration::ZERO;
-        for &owner in owners {
-            let o = owner as usize;
-            if down[o] {
-                continue;
-            }
-            let shelf = nodes[o].shelf(&job.snapshot, self.config.cache_budget_bytes);
-            // Whether the permanent draw kills this copy.
-            let lost_here = lost && (*loss_scope == LossScope::AllCopies || owner == primary);
-            let mut copy_attempts = 0u32;
-            loop {
-                // The injected verdict first; a delivery then performs the
-                // real read, whose own errors retry through the same budget.
-                let verdict = match plan {
-                    None => Fault::Deliver {
-                        delay: VirtualDuration::ZERO,
-                    },
-                    Some(plan) => {
-                        let slot = shelf.chaos_attempts.entry(chunk_id).or_insert(0);
-                        let attempt = *slot;
-                        *slot += 1;
-                        if lost_here {
-                            Fault::Permanent
-                        } else {
-                            plan.attempt_fault(chunk_id, attempt)
+        let (mut probes, mut spent) = (0, VirtualDuration::ZERO);
+        for &owner in owners.iter().filter(|&&o| !down[o as usize]) {
+            let shelf = nodes[owner as usize].shelf(&job.snapshot, self.config.cache_budget_bytes);
+            let mut read = || {
+                shelf
+                    .source
+                    .fetch_through(requester, chunk_id, &mut shelf.reader)
+            };
+            let (chunk, injected) = match &self.config.fault_plan {
+                None => (read()?, VirtualDuration::ZERO),
+                Some(plan) => {
+                    // Whether the permanent draw applies to this copy.
+                    let permanent = *loss_scope == LossScope::AllCopies || owner == primary;
+                    let attempt =
+                        || plan.attempt(&mut shelf.chaos_attempts, chunk_id, permanent, &mut read);
+                    match self.config.retry.run(chunk_id, probes, attempt) {
+                        Ok(((chunk, delay), cost, retried)) => {
+                            self.stats.fetch_retries += u64::from(retried);
+                            (chunk, cost + delay)
                         }
-                    }
-                };
-                let class = match verdict {
-                    Fault::Deliver { delay } => {
-                        match shelf
-                            .source
-                            .fetch_through(requester, chunk_id, &mut shelf.reader)
-                        {
-                            Ok(chunk) => {
-                                if owner != primary {
-                                    self.failovers += 1;
-                                }
-                                return Ok(Acquired::Delivered {
-                                    chunk,
-                                    injected: spent + delay,
-                                    from: o,
-                                });
-                            }
-                            Err(e) if plan.is_none() => return Err(e.into()),
-                            Err(e) => e.class(),
+                        // This copy is spent; fail over to the next.
+                        Err(eff2_storage::Error::ChunkLost {
+                            attempts,
+                            spent: cost,
+                            ..
+                        }) => {
+                            self.stats.fetch_retries += u64::from(attempts - 1);
+                            (probes, spent) = (probes + attempts, cost);
+                            continue;
                         }
+                        Err(e) => return Err(e.into()),
                     }
-                    Fault::Permanent => ErrorClass::Permanent,
-                    Fault::Transient | Fault::ShortRead => ErrorClass::Transient,
-                    Fault::Corrupt => ErrorClass::Corrupt,
-                };
-                spent += retry.attempt_cost(probes);
-                probes += 1;
-                copy_attempts += 1;
-                if class == ErrorClass::Permanent || copy_attempts >= retry.max_attempts {
-                    break; // this copy is spent; fail over to the next
                 }
-                self.stats.fetch_retries += 1;
-            }
+            };
+            self.failovers += u64::from(owner != primary);
+            let from = owner as usize;
+            return Ok(Acquired::Delivered {
+                chunk,
+                injected,
+                from,
+            });
         }
         Ok(Acquired::Lost { spent })
     }

@@ -14,10 +14,12 @@
 //! the routed owner of its first-ranked chunk.
 //!
 //! Replication turns permanent loss into **failover**: a read goes to the
-//! routed owner and falls back copy by copy (retry/backoff charged per
-//! probe); only when every copy fails is the chunk delivered as lost,
-//! degrading the result exactly like the solo scheduler's abandoned
-//! chunks. Whole-shard-down faults ([`ShardFaultPlan`]) are static for the
+//! routed owner and falls back copy by copy, each copy tried through the
+//! one retry loop of eff2-chaos with its attempts numbered on from the
+//! copies before it, so every probe costs what the same attempt would cost
+//! a solo retrying source; that cost is charged to the fleet clocks. Only
+//! when every copy fails is the chunk delivered as lost, degrading the
+//! result exactly like the solo scheduler's abandoned chunks. Whole-shard-down faults ([`ShardFaultPlan`]) are static for the
 //! run: routing skips downed owners, and a chunk with no live owner is
 //! skipped, at its modelled probe cost, when the cursor reaches it.
 //!
@@ -44,10 +46,10 @@ use std::sync::Arc;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LossScope {
     /// The permanent draw models loss of the primary copy's medium only:
-    /// replicas share the chunk's per-attempt weather
-    /// ([`FaultPlan::attempt_fault`]) but not its permanent fate, so
-    /// replication ≥ 2 turns a permanent loss into a failover and the
-    /// result stays exact.
+    /// replicas share the chunk's per-attempt weather (their
+    /// [`FaultPlan::attempt`] skips the permanent draw) but not its
+    /// permanent fate, so replication ≥ 2 turns a permanent loss into a
+    /// failover and the result stays exact.
     Primary,
     /// The permanent draw kills every copy — replication cannot help, and
     /// the fleet degrades exactly like the single-device scheduler.

@@ -1,4 +1,5 @@
-//! Golden traces: four small fixed scenarios, one per public server, each
+//! Golden traces: five small fixed scenarios, one per public server plus
+//! the solo chaos stack the servers' retry accounting is held to, each
 //! dumped as text — one line per completion (id, arrival/finish bits and
 //! every field `SearchResult::first_difference` covers) and one line per
 //! stats/report field, floats as hex bits — and compared with the dump
@@ -15,11 +16,13 @@
 
 mod common;
 
-use common::{lumpy_set, retry, rr_map, snapshot, spec, tmp_dir, trace};
-use eff2_chaos::{FaultConfig, FaultPlan, ShardFaultPlan};
+use common::{lumpy_set, retry, rr_map, scan_all, snapshot, spec, tmp_dir, trace};
+use eff2_chaos::plan::TRANSIENT_CLEAR;
+use eff2_chaos::{FaultConfig, FaultPlan, FaultSource, RetrySource, ShardFaultPlan};
 use eff2_core::chunkers::{ChunkFormer, SrTreeChunker};
 use eff2_core::image::{ImageOutcome, ImageStopRule};
 use eff2_core::search::{SearchParams, SearchResult};
+use eff2_core::session::{SearchSession, SkipPolicy};
 use eff2_epoch::MutableIndex;
 use eff2_serve::{
     merge_timelines, CompactionPolicy, FleetConfig, FleetScheduler, ImageConfig, ImageScheduler,
@@ -27,9 +30,10 @@ use eff2_serve::{
 };
 use eff2_shard::Placement;
 use eff2_storage::diskmodel::{DiskModel, VirtualDuration};
-use eff2_storage::source::ResidentStats;
+use eff2_storage::source::{FileSource, ResidentStats};
 use std::fmt::Write as _;
 use std::path::Path;
+use std::sync::Arc;
 
 fn bits(t: VirtualDuration) -> String {
     format!("{:016x}", t.as_secs().to_bits())
@@ -296,6 +300,54 @@ fn image_stable_top() {
     cache(&mut out, &s.cache);
     let _ = writeln!(out, "makespan={}", bits(report.makespan));
     check("image_stable_top", &out);
+}
+
+/// The solo chaos stack: skipping sessions pulling through
+/// `RetrySource(FaultSource(FileSource))` under every fault kind, at a
+/// budget of one attempt and at one that outlasts every transient. One
+/// stack per budget serves every session in turn, so its attempt counters
+/// carry over from one query to the next.
+#[test]
+fn solo_chaos_stack() {
+    let (snap, set) = snapshot("golden_solo", 500, 25);
+    let plan = FaultPlan::new(FaultConfig {
+        transient_rate: 0.15,
+        short_read_rate: 0.1,
+        corruption_rate: 0.1,
+        permanent_rate: 0.1,
+        spike_rate: 0.3,
+        spike_ms: 4.0,
+        ..FaultConfig::quiet(41)
+    });
+    let mut out = String::new();
+    for budget in [1, TRANSIENT_CLEAR + 1] {
+        let faults = Arc::new(FaultSource::new(
+            Arc::new(FileSource::new(snap.store())),
+            plan,
+        ));
+        let stack = Arc::new(RetrySource::new(faults.clone(), retry(budget, 5.0)));
+        let _ = writeln!(out, "# budget {budget}");
+        for (i, (q, _)) in trace(&set, 3, 0.0).iter().enumerate() {
+            for params in [scan_all(6), SearchParams::approximate(6, 8)] {
+                let mut session = SearchSession::with_source(
+                    snap.store(),
+                    snap.model(),
+                    q,
+                    &params,
+                    stack.clone(),
+                );
+                session.set_skip_policy(SkipPolicy::SkipUnavailable);
+                session.run_to_stop().expect("a skipping session completes");
+                let r = session.into_result();
+                let _ = writeln!(out, "query={i} stop={:?} {}", params.stop, result(&r));
+            }
+        }
+        let attempts: Vec<u32> = (0..snap.n_chunks())
+            .map(|c| faults.attempts_for(c))
+            .collect();
+        let _ = writeln!(out, "attempts={attempts:?}");
+    }
+    check("solo_chaos_stack", &out);
 }
 
 /// `LiveServer` compacting every 10 mutations while queries arrive.
