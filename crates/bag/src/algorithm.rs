@@ -20,7 +20,7 @@ const DESTROY_FRACTION: f32 = 0.2;
 /// The stall skip (see `Bag::stall_skip`) is only attempted while at most
 /// this many clusters are alive. It scans all Θ(n²) pairs; early idle
 /// passes (huge n, tiny radii) resolve far cheaper through ordinary
-/// grid-pruned passes, whereas late stalls (n small, radii large) are where
+/// gated-scan passes, whereas late stalls (n small, radii large) are where
 /// whole streaks of idle passes get jumped.
 const FAST_FORWARD_MAX_CLUSTERS: usize = 25_000;
 
@@ -191,7 +191,7 @@ impl<'a> Bag<'a> {
             .into_iter()
             .map(Some)
             .collect();
-        let engine = CandidateEngine::build(self.cfg.engine, &slots, self.cfg.mpi);
+        let mut engine = CandidateEngine::build(self.cfg.engine, &slots, self.cfg.mpi);
 
         let mut merged: Vec<Cluster> = Vec::new();
         let mut candidates: Vec<usize> = Vec::new();

@@ -4,51 +4,39 @@
 //! merge process. Instead, it examines all existing clusters every time a
 //! cluster is checked for potential merges" — which is why clustering the
 //! 5M-descriptor collection took almost 12 days.
-//! [`EngineKind::Exhaustive`] keeps that faithful behaviour.
+//! [`EngineKind::Exhaustive`] keeps that faithful behaviour: it hands the
+//! merge walk every slot, and the walk computes every distance itself.
 //!
-//! [`EngineKind::Pruned`] accelerates candidate enumeration *without
-//! changing the result*. A pair (i, j) can only satisfy the merge rule if
-//! the merged minimum bounding radius — which is at least half the
-//! centroid distance, because the merged centroid is a convex combination
-//! of the two centroids and the farther original centroid is itself a
-//! lower bound on the merged radius — stays below `max(rᵢ, rⱼ) + MPI`, so
-//! every viable pair satisfies
+//! [`EngineKind::Pruned`] hands the walk, for each cluster, exactly the
+//! partners that pass the walk's own distance predicate
 //!
 //! ```text
-//! d(cᵢ, cⱼ) < 2 · (max(rᵢ, rⱼ) + MPI)
+//! d(cᵢ, cⱼ) · 0.5 < max(rᵢ, rⱼ) + MPI
 //! ```
 //!
-//! Radii are wildly bimodal during a run (tens of thousands of radius-zero
-//! reborn singletons next to inflated survivors), so the engine splits the
-//! clusters at a radius pivot:
-//!
-//! * clusters with radius ≤ pivot go into a **ball tree** over their
-//!   centroids; a query from cluster `i` range-searches it with radius
-//!   `2·(max(rᵢ, pivot) + MPI)` — an *exact* full-space range query, which
-//!   keeps pruning even in low-contrast collections where
-//!   coordinate-projection grids degenerate (distance concentration);
-//! * the few clusters with radius > pivot form an explicit **big list**
-//!   that every query also receives (their own radius may make any pair
-//!   viable regardless of distance).
-//!
-//! The union is a superset of the viable candidates, and both engines feed
-//! the same exact merge test, so clusterings are identical (see the
-//! cross-engine property tests).
+//! (the merged radius is at least half the centroid distance, so no other
+//! pair can merge). One flat pair scan finds them: each window of upcoming
+//! pass-start centroids is scanned in parallel against all of them with the
+//! blocked distance kernel, and only pairs that pass a squared-distance
+//! gate pay for the square root. (A ball tree does not prune in 24-d.)
+//! Centroids and radii only change when a pass ends, so a window's lists
+//! stay valid, the walk skips partners consumed meanwhile, and clusterings
+//! are bit-identical to the exhaustive engine's (see the tests).
 
 #![expect(
     clippy::indexing_slicing,
-    reason = "slots index the pass's own cluster table, and the pivot index is clamped into the non-empty radius list"
+    reason = "slots index the pass's own cluster table, and window rows stay inside the window the engine just filled"
 )]
 
-use crate::balltree::BallTree;
 use crate::cluster::Cluster;
+use eff2_descriptor::{l2_sq, l2_sq_x4, DIM};
 
 /// Which candidate engine a BAG run uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineKind {
     /// The paper's behaviour: every cluster is checked against every other.
     Exhaustive,
-    /// Ball-tree-pruned candidates; identical output, far fewer tests.
+    /// A gated parallel pair scan; identical output, far fewer tests.
     Pruned,
 }
 
@@ -63,7 +51,7 @@ pub(crate) enum CandidateEngine {
         n_slots: usize,
     },
     /// See [`EngineKind::Pruned`].
-    Pruned(PrunedIndex),
+    Pruned(PairScan),
 }
 
 impl CandidateEngine {
@@ -74,86 +62,154 @@ impl CandidateEngine {
             EngineKind::Exhaustive => CandidateEngine::Exhaustive {
                 n_slots: clusters.len(),
             },
-            EngineKind::Pruned => CandidateEngine::Pruned(PrunedIndex::build(clusters, mpi)),
+            EngineKind::Pruned => CandidateEngine::Pruned(PairScan::build(clusters, mpi)),
         }
     }
 
     /// Appends to `out` a superset of the slots whose cluster could satisfy
     /// the merge rule with cluster `i` (may include `i` itself; the caller
-    /// filters).
-    pub fn candidates(&self, i: usize, clusters: &[Option<Cluster>], out: &mut Vec<usize>) {
+    /// filters). Calls must come in increasing `i` within one pass.
+    pub fn candidates(&mut self, i: usize, clusters: &[Option<Cluster>], out: &mut Vec<usize>) {
         match self {
             CandidateEngine::Exhaustive { n_slots } => {
                 out.extend(0..*n_slots);
             }
-            CandidateEngine::Pruned(index) => {
-                let Some(c) = clusters[i].as_ref() else {
-                    return;
-                };
-                index.neighbors(c, out);
-            }
+            CandidateEngine::Pruned(scan) => scan.partners(i, clusters, out),
         }
     }
 }
 
-/// Fraction of clusters kept below the radius pivot (the rest go to the
-/// big list).
-const PIVOT_PERCENTILE: f64 = 0.90;
+/// Rows whose partner lists one parallel step computes.
+const WINDOW: usize = 256;
+/// Rows one worker scans per claim, into one buffer instead of one per row.
+const TASK: usize = 32;
+/// Relative widening of the squared-distance gate (see [`gate`]).
+const GATE_SLACK: f32 = 1.0 + 1e-5;
 
-/// The two-level candidate index: a ball tree of small-radius clusters plus
-/// an explicit list of large-radius ones.
-pub(crate) struct PrunedIndex {
-    tree: BallTree,
-    /// Every slot with radius above the pivot.
-    big: Vec<u32>,
-    pivot: f32,
+/// One cluster of the pass-start table.
+struct Row {
+    centroid: [f32; DIM],
+    radius: f32,
+    /// `gate(radius)`.
+    gate: f32,
+    /// The cluster's slot in the pass table.
+    slot: usize,
+}
+
+/// The pass-start centroid table and the current window's partner lists.
+pub(crate) struct PairScan {
+    /// The clusters still alive when the current window started.
+    rows: Vec<Row>,
     mpi: f32,
+    /// First slot of the current window.
+    start: usize,
+    /// Per claim of the window: its rows' partner slots back to back, and
+    /// the bounds of each row's run.
+    runs: Vec<(Vec<usize>, Vec<usize>)>,
 }
 
-impl PrunedIndex {
-    /// Builds the two-level index for one pass.
-    pub fn build(clusters: &[Option<Cluster>], mpi: f32) -> PrunedIndex {
-        // Radius pivot: the PIVOT_PERCENTILE-quantile of alive radii.
-        let mut radii: Vec<f32> = clusters.iter().flatten().map(|c| c.radius).collect();
-        radii.sort_by(f32::total_cmp);
-        let pivot = if radii.is_empty() {
-            0.0
-        } else {
-            radii[((radii.len() as f64 * PIVOT_PERCENTILE) as usize).min(radii.len() - 1)]
-        };
+impl PairScan {
+    /// Copies the alive clusters' centroids and radii into the row table.
+    fn build(clusters: &[Option<Cluster>], mpi: f32) -> PairScan {
+        let rows = clusters.iter().enumerate().filter_map(|(s, c)| {
+            c.as_ref().map(|c| Row {
+                centroid: *c.centroid.as_array(),
+                radius: c.radius,
+                gate: gate(c.radius, mpi),
+                slot: s,
+            })
+        });
+        PairScan {
+            rows: rows.collect(),
+            mpi,
+            start: 0,
+            runs: Vec::new(),
+        }
+    }
 
-        let mut big = Vec::new();
-        let mut small = Vec::new();
-        for (i, c) in clusters.iter().enumerate() {
-            let Some(c) = c else { continue };
-            if c.radius > pivot {
-                big.push(i as u32);
-            } else {
-                small.push((c.centroid, i as u32));
+    /// Appends the partners of slot `i`, first scanning the slots
+    /// `i..i + WINDOW` in parallel when `i` lies past the current window.
+    /// Clusters consumed before a window starts are neither scanned nor
+    /// scanned against: the walk never visits them, nor picks them.
+    fn partners(&mut self, i: usize, clusters: &[Option<Cluster>], out: &mut Vec<usize>) {
+        if self.runs.is_empty() || i >= self.start + WINDOW {
+            self.rows.retain(|r| clusters[r.slot].is_some());
+            let end = (i + WINDOW).min(clusters.len());
+            let claims: Vec<&[Option<Cluster>]> = clusters[i..end].chunks(TASK).collect();
+            self.runs = eff2_parallel::par_map(&claims, |_, rows| {
+                let (mut list, mut bounds) = (Vec::new(), vec![0; rows.len() + 1]);
+                for (k, c) in rows.iter().enumerate() {
+                    if let Some(c) = c {
+                        self.row_partners(c, &mut list);
+                    }
+                    bounds[k + 1] = list.len();
+                }
+                (list, bounds)
+            });
+            self.start = i;
+        }
+        let (list, bounds) = &self.runs[(i - self.start) / TASK];
+        let row = (i - self.start) % TASK;
+        out.extend_from_slice(&list[bounds[row]..bounds[row + 1]]);
+    }
+
+    /// Appends the slots of the rows that pass the walk's predicate with
+    /// `c`. Only rows inside the [`gate`] get `d = d2.sqrt()`, which is
+    /// [`eff2_descriptor::Vector::dist`] bit for bit; the predicate decides.
+    fn row_partners(&self, c: &Cluster, out: &mut Vec<usize>) {
+        let q = c.centroid.as_array();
+        let own_gate = gate(c.radius, self.mpi);
+        let mut keep = |row: &Row, d2: f32| {
+            if d2 > own_gate.max(row.gate) {
+                return;
+            }
+            if d2.sqrt() * 0.5 >= c.radius.max(row.radius) + self.mpi {
+                return;
+            }
+            out.push(row.slot);
+        };
+        let mut blocks = self.rows.chunks_exact(4);
+        for blk in &mut blocks {
+            let d = l2_sq_x4(
+                q,
+                &blk[0].centroid,
+                &blk[1].centroid,
+                &blk[2].centroid,
+                &blk[3].centroid,
+            );
+            for (row, d2) in blk.iter().zip(d) {
+                keep(row, d2);
             }
         }
-        PrunedIndex {
-            tree: BallTree::build(small),
-            big,
-            pivot,
-            mpi,
+        for row in blocks.remainder() {
+            keep(row, l2_sq(q, &row.centroid));
         }
     }
+}
 
-    /// Appends a superset of the viable partners of `query`: the big list
-    /// plus every small cluster within `2·(max(r_query, pivot) + MPI)` of
-    /// the query centroid.
-    pub fn neighbors(&self, query: &Cluster, out: &mut Vec<usize>) {
-        out.extend(self.big.iter().map(|&s| s as usize));
-        let reach = 2.0 * (query.radius.max(self.pivot) + self.mpi);
-        self.tree.range(&query.centroid, reach, out);
-    }
+/// The squared-distance gate of radius `r`: `fl(g·g·(1 + 10⁻⁵) +
+/// MIN_POSITIVE)` with `g = 2·(r + MPI)`. Every step rounds monotonically,
+/// so `max(gate(rᵢ), gate(rⱼ))` is the gate of `max(rᵢ, rⱼ)`.
+///
+/// It never drops a pair the predicate keeps. With `t = max(rᵢ, rⱼ) + MPI`,
+/// `g = 2t` exactly, and `d·0.5` is exactly half of `d = fl(√d2)` (a
+/// subnormal `d` has `d2 < MIN_POSITIVE`, inside the gate), so the
+/// predicate keeps the pair iff `d < g`. As the square root rounds to
+/// nearest, the real `√d2 < g`, so `d2 < g²`. For a normal `g²`,
+/// `fl(g·g) ≥ g²·(1 − 2⁻²⁴)`, and the slack (≥ `1 + 2⁻¹⁷` in `f32`) lifts
+/// it, rounded, above `g²`; for a subnormal one the rounding errors are
+/// below `2⁻¹⁴⁹` each and `MIN_POSITIVE` (`2⁻¹²⁶`) covers them. A NaN `d2`
+/// or an infinite gate passes, as the predicate keeps a NaN distance too.
+fn gate(r: f32, mpi: f32) -> f32 {
+    let reach = 2.0 * (r + mpi);
+    reach * reach * GATE_SLACK + f32::MIN_POSITIVE
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eff2_descriptor::{Descriptor, DescriptorSet, Vector};
+    use crate::algorithm::{Bag, BagConfig, BagSnapshot};
+    use eff2_descriptor::{Descriptor, DescriptorSet, SyntheticCollection, Vector};
 
     fn clusters_at(xs: &[f32]) -> (DescriptorSet, Vec<Option<Cluster>>) {
         let set: DescriptorSet = xs
@@ -175,7 +231,7 @@ mod tests {
     #[test]
     fn exhaustive_returns_every_slot() {
         let (_, clusters) = clusters_at(&[0.0, 5.0, 10.0]);
-        let e = CandidateEngine::build(EngineKind::Exhaustive, &clusters, 1.0);
+        let mut e = CandidateEngine::build(EngineKind::Exhaustive, &clusters, 1.0);
         let mut out = Vec::new();
         e.candidates(0, &clusters, &mut out);
         assert_eq!(out, vec![0, 1, 2]);
@@ -186,7 +242,7 @@ mod tests {
         let xs: Vec<f32> = (0..40).map(|i| i as f32).collect();
         let (_, clusters) = clusters_at(&xs);
         let mpi = 2.5;
-        let e = CandidateEngine::build(EngineKind::Pruned, &clusters, mpi);
+        let mut e = CandidateEngine::build(EngineKind::Pruned, &clusters, mpi);
         for i in 0..clusters.len() {
             let mut out = Vec::new();
             e.candidates(i, &clusters, &mut out);
@@ -208,16 +264,16 @@ mod tests {
 
     #[test]
     fn pruned_covers_viable_pairs_with_mixed_radii() {
-        // One inflated survivor among many singletons: the big list must
-        // carry it to every query, and wide queries from it must reach the
-        // distant singletons.
+        // One inflated survivor among many singletons: its own radius makes
+        // it a partner of every query, and wide queries from it must reach
+        // the distant singletons.
         let xs: Vec<f32> = (0..60).map(|i| i as f32 * 2.0).collect();
         let (_, mut clusters) = clusters_at(&xs);
         if let Some(c) = clusters[0].as_mut() {
             c.radius = 200.0;
         }
         let mpi = 1.0;
-        let e = CandidateEngine::build(EngineKind::Pruned, &clusters, mpi);
+        let mut e = CandidateEngine::build(EngineKind::Pruned, &clusters, mpi);
         for i in 0..clusters.len() {
             let mut out = Vec::new();
             e.candidates(i, &clusters, &mut out);
@@ -243,7 +299,7 @@ mod tests {
         // not see the far group.
         let xs = [0.0, 0.1, 0.2, 1000.0, 1000.1];
         let (_, clusters) = clusters_at(&xs);
-        let e = CandidateEngine::build(EngineKind::Pruned, &clusters, 1.0);
+        let mut e = CandidateEngine::build(EngineKind::Pruned, &clusters, 1.0);
         let mut out = Vec::new();
         e.candidates(0, &clusters, &mut out);
         assert!(out.contains(&1) && out.contains(&2));
@@ -254,7 +310,7 @@ mod tests {
     fn pruned_skips_consumed_slots() {
         let (_, mut clusters) = clusters_at(&[0.0, 0.1, 0.2]);
         clusters[1] = None;
-        let e = CandidateEngine::build(EngineKind::Pruned, &clusters, 1.0);
+        let mut e = CandidateEngine::build(EngineKind::Pruned, &clusters, 1.0);
         let mut out = Vec::new();
         e.candidates(0, &clusters, &mut out);
         assert!(!out.contains(&1), "consumed slots must not be indexed");
@@ -262,11 +318,24 @@ mod tests {
 
     #[test]
     fn pruned_handles_zero_mpi_degenerate() {
-        let (_, clusters) = clusters_at(&[0.0, 0.0]);
-        let e = CandidateEngine::build(EngineKind::Pruned, &clusters, 0.0);
+        // With MPI 0 the walk's strict `d·0.5 < max(r) + MPI` rejects two
+        // coincident radius-zero centroids and accepts them once either
+        // radius is positive; the scan must agree on both sides.
+        let (_, mut clusters) = clusters_at(&[0.0, 0.0]);
+        let mut e = CandidateEngine::build(EngineKind::Pruned, &clusters, 0.0);
         let mut out = Vec::new();
         e.candidates(0, &clusters, &mut out);
-        assert!(out.contains(&1), "coincident centroids are always in range");
+        assert!(!out.contains(&1), "0 < 0 is false: not viable");
+        if let Some(c) = clusters[1].as_mut() {
+            c.radius = 1e-30;
+        }
+        let mut e = CandidateEngine::build(EngineKind::Pruned, &clusters, 0.0);
+        out.clear();
+        e.candidates(0, &clusters, &mut out);
+        assert!(
+            out.contains(&1),
+            "coincident centroids with a radius are viable"
+        );
     }
 
     #[test]
@@ -277,11 +346,56 @@ mod tests {
         if let Some(c) = clusters[0].as_mut() {
             c.radius = 1e6;
         }
-        let e = CandidateEngine::build(EngineKind::Pruned, &clusters, 1.0);
+        let mut e = CandidateEngine::build(EngineKind::Pruned, &clusters, 1.0);
         let mut out = Vec::new();
         e.candidates(0, &clusters, &mut out);
         for j in 1..clusters.len() {
             assert!(out.contains(&j), "slot {j} missing from wide query");
+        }
+    }
+
+    #[test]
+    fn pruned_is_bit_identical_to_exhaustive_across_windows() {
+        // Pass 1 walks every descriptor, so it spans more than three scan
+        // windows; both checkpoints compare every field bit for bit.
+        let set = SyntheticCollection::with_size(900, 5).set;
+        assert!(set.len() > 3 * WINDOW, "{} rows", set.len());
+        let mpi = BagConfig::estimate_mpi(&set, 300, 5);
+        let run = |engine| {
+            let cfg = BagConfig {
+                mpi,
+                max_passes: 100,
+                engine,
+                fast_forward: true,
+            };
+            Bag::new(&set, cfg).run_with_checkpoints(&[24, 8])
+        };
+        let fields = |s: &BagSnapshot| {
+            let clusters: Vec<_> = s
+                .clusters
+                .iter()
+                .map(|c| {
+                    (
+                        c.members.clone(),
+                        c.centroid.as_array().map(f32::to_bits),
+                        c.radius.to_bits(),
+                        c.tight_radius.to_bits(),
+                    )
+                })
+                .collect();
+            let counters = (s.passes, s.converged, s.exact_tests);
+            (
+                clusters,
+                s.outliers.clone(),
+                counters,
+                s.exhaustive_equivalent_tests,
+            )
+        };
+        let exhaustive = run(EngineKind::Exhaustive);
+        let pruned = run(EngineKind::Pruned);
+        for (a, b) in exhaustive.iter().zip(&pruned) {
+            assert!(a.exact_tests > 0 && a.passes > 1, "the run must merge");
+            assert_eq!(fields(a), fields(b), "target {}", a.target);
         }
     }
 }

@@ -30,14 +30,14 @@
 //! facilitate the merge process" and that clustering 5M descriptors took
 //! almost **12 days**. This crate provides both that faithful
 //! [`EngineKind::Exhaustive`] and an [`EngineKind::Pruned`] engine that
-//! prunes merge candidates with a ball tree over centroids; the two produce
-//! identical clusterings (property-tested), the pruned engine merely skips
-//! candidate pairs that provably cannot satisfy the merge rule. Both count
-//! the merge tests the *exhaustive* scan would have performed, so formation
-//! cost can be reported faithfully.
+//! finds each pass's merge candidates with one flat, parallel pair scan of
+//! the pass-start centroids, gated on squared distance; the two produce
+//! identical clusterings (tested bit for bit), the pruned engine merely
+//! hands the merge walk only the pairs that can satisfy its distance
+//! bound. Both count the merge tests the *exhaustive* scan would have
+//! performed, so formation cost can be reported faithfully.
 
 pub mod algorithm;
-pub mod balltree;
 pub mod cluster;
 pub mod engine;
 

@@ -141,15 +141,36 @@ proptest! {
 
         let want = search(&store, &model, &query, &params).expect("one-shot");
 
-        // Stepwise through `open`'s default source, a file source.
+        // Stepwise through `open`'s own file source.
         let got = drive_stepwise(SearchSession::open(&store, &model, &query, &params));
         assert_bit_identical(&want, &got, &format!("{tag}/open"));
 
-        // Stepwise through a plain file source.
-        let file = drive_stepwise(SearchSession::with_source(
-            &store, &model, &query, &params, Arc::new(FileSource::new(&store)),
-        ));
-        assert_bit_identical(&want, &file, &format!("{tag}/file"));
+        // Twice through a resident cache whose budget pins only the largest
+        // chunk: a scan that reads more than that evicts mid-scan, and its
+        // second run reads the evicted chunks again.
+        let (largest, largest_count) = store
+            .metas()
+            .iter()
+            .enumerate()
+            .max_by_key(|(_, m)| m.count)
+            .map(|(id, m)| (id, u64::from(m.count)))
+            .expect("at least one chunk");
+        let probe = ResidentSource::new(&store, u64::MAX);
+        probe.fetch(largest, &mut ReadState::default()).expect("probe");
+        let small = Arc::new(ResidentSource::new(&store, probe.stats().resident_bytes));
+        for pass in 0..2 {
+            let evicting = drive_stepwise(SearchSession::with_source(
+                &store, &model, &query, &params, Arc::clone(&small) as Arc<_>,
+            ));
+            assert_bit_identical(&want, &evicting, &format!("{tag}/evicting{pass}"));
+        }
+        let stats = small.stats();
+        let reads = want.log.chunks_read as u64;
+        prop_assert_eq!(stats.hits + stats.misses, 2 * reads);
+        if want.log.descriptors_scanned > largest_count {
+            prop_assert!(stats.evictions > 0, "{}: nothing evicted", tag);
+            prop_assert!(stats.misses > reads, "{}: nothing read again", tag);
+        }
 
         // Twice through a shared resident cache: the second run is served
         // from memory and must still be bit-identical.

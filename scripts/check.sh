@@ -42,6 +42,15 @@ for example in quickstart copyright_search chunk_size_tuning approximate_vs_exac
   cargo run --release -q -p eff2-examples --bin "$example" >/dev/null
 done
 
+echo "==> thread-count determinism (approximate_vs_exact forms a 15k BAG index; its stdout holds no wall time)"
+ONE_WORKER="$(EFF2_THREADS=1 cargo run --release -q -p eff2-examples --bin approximate_vs_exact)"
+ALL_WORKERS="$(env -u EFF2_THREADS cargo run --release -q -p eff2-examples --bin approximate_vs_exact)"
+if [ "$ONE_WORKER" != "$ALL_WORKERS" ]; then
+  diff <(echo "$ONE_WORKER") <(echo "$ALL_WORKERS") || true
+  echo "approximate_vs_exact prints differently with EFF2_THREADS=1 and the default worker count" >&2
+  exit 1
+fi
+
 echo "==> cargo doc --workspace --no-deps (rustdoc warnings denied: no dangling doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
